@@ -211,7 +211,9 @@ def linear_program(name: str, kernels: list[Loop],
 
     Builds ``entry -> k0 -> glue0 -> k1 -> ... -> exit`` where each
     kernel block self-loops.  This is the shape workload benchmarks use
-    so the VM exercises real CFG-level loop identification.
+    so the VM exercises real CFG-level loop identification.  Kernel
+    blocks share the kernels' op objects: loops are immutable once
+    built, and identification hands back ``block.loop_body`` itself.
     """
     blocks: list[BasicBlock] = [BasicBlock("entry")]
     prev = "entry"
@@ -219,7 +221,7 @@ def linear_program(name: str, kernels: list[Loop],
     for i, kernel in enumerate(kernels):
         label = f"kernel_{kernel.name}"
         next_label = f"glue{i}" if i + 1 < n else "exit"
-        block = BasicBlock(label, ops=[op.copy() for op in kernel.body],
+        block = BasicBlock(label, ops=list(kernel.body),
                            successors=[label, next_label],
                            loop_body=kernel)
         blocks[-1].successors = [label]

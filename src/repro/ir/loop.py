@@ -88,7 +88,10 @@ class Loop:
                 if not k.startswith("_veal_")}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        # A crafted pickle must not plant a digest or key memo: every
+        # receiver derives those from the loop's own content.
+        self.__dict__.update({k: v for k, v in state.items()
+                              if not k.startswith("_veal_")})
 
     # -- lookups ----------------------------------------------------------
 

@@ -173,6 +173,7 @@ def clear_caches() -> None:
     jit.clear_code_cache()
     from repro.workloads import suite
     suite._fission_cache.clear()
+    suite._suite_cache.clear()
 
 
 #: The translation-cache counters that worker processes report back to

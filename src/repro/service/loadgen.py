@@ -393,46 +393,24 @@ def saturation_probe(drivers: int = 4, queue_depth: int = 8) -> dict:
         for thread in threads:
             thread.start()
 
-        # (a) a single-shot client (attempts=1: rejections propagate)
-        # sees its uncached translate shed while the backlog stands.
         probe = LoopClient(server.host, server.port, session="sat-probe",
                            deadline_s=120.0,
                            retry=RetryPolicy(attempts=1,
                                              attempt_timeout_s=60.0))
-        deadline = time.monotonic() + 30.0
-        backlog = server.service._queue  # intra-package: probe timing
-        variant = 0
-        shed_work = shed_variants[0]
-        while time.monotonic() < deadline and not evidence["shed_seen"]:
-            if backlog.qsize() < threshold:
-                time.sleep(0.002)
-                continue
-            shed_work = shed_variants[variant % len(shed_variants)]
-            variant += 1
-            try:
-                probe.translate(shed_work[0], shed_work[1],
-                                shed_work[2], deadline_s=5.0)
-            except AdmissionRejected as exc:
-                evidence["shed_seen"] = True
-                evidence["retry_hint_s"] = round(exc.retry_after, 6)
-                evidence["decision"] = exc.decision
-            except (ServiceOverload, TransportError):
-                pass  # raced past the watermark: keep probing
-        # (b) cached work must progress through the same saturation.
-        try:
-            cached = probe.translate(warm_kernel, deadline_s=60.0)
-            evidence["cached_ok"] = cached.ok
-        except (ServiceOverload, TransportError):
-            evidence["cached_ok"] = False
-        # (c) a retrying client honouring the hints eventually lands
-        # the request that was just shed.  Started while the drivers
-        # still hold the backlog (so it is rejected at least once),
-        # then the drivers stand down and the queue drains.
         retrier = LoopClient(server.host, server.port,
                              session="sat-retry", deadline_s=600.0,
                              retry=RetryPolicy(attempts=50,
                                                attempt_timeout_s=120.0))
+        backlog = server.service._queue  # intra-package: probe timing
+        cached: dict = {}
         landing: dict = {}
+
+        def translate_cached() -> None:
+            try:
+                cached["result"] = probe.translate(warm_kernel,
+                                                   deadline_s=60.0)
+            except (ServiceOverload, TransportError):
+                pass
 
         def retry_shed() -> None:
             try:
@@ -442,13 +420,49 @@ def saturation_probe(drivers: int = 4, queue_depth: int = 8) -> dict:
             except Exception as exc:  # noqa: BLE001 — evidence, not control
                 landing["error"] = f"{type(exc).__name__}: {exc}"
 
-        retry_thread = threading.Thread(target=retry_shed, daemon=True)
-        retry_thread.start()
-        hold_until = time.monotonic() + 15.0
-        while (time.monotonic() < hold_until
-               and retrier.stats.admission_retries < 1):
-            time.sleep(0.005)
-        stop.set()
+        # The dispatcher is parked while the ladder is probed: the
+        # drivers' requests pile up to a standing backlog that no
+        # scheduling luck can drain before the probes see it.
+        with server.service.hold():
+            deadline = time.monotonic() + 30.0
+            while backlog.qsize() < threshold and \
+                    time.monotonic() < deadline:
+                time.sleep(0.002)
+            # (a) a single-shot client (attempts=1: rejections
+            # propagate) sees its uncached translate shed.
+            variant = 0
+            shed_work = shed_variants[0]
+            while time.monotonic() < deadline and \
+                    not evidence["shed_seen"]:
+                shed_work = shed_variants[variant % len(shed_variants)]
+                variant += 1
+                try:
+                    probe.translate(shed_work[0], shed_work[1],
+                                    shed_work[2], deadline_s=5.0)
+                except AdmissionRejected as exc:
+                    evidence["shed_seen"] = True
+                    evidence["retry_hint_s"] = round(exc.retry_after, 6)
+                    evidence["decision"] = exc.decision
+                except (ServiceOverload, TransportError):
+                    pass  # transport trouble: keep probing
+            # (b) cached work is admitted into the same backlog; it
+            # completes once the dispatcher resumes.
+            cached_thread = threading.Thread(target=translate_cached,
+                                             daemon=True)
+            cached_thread.start()
+            # (c) a retrying client honouring the hints is rejected at
+            # least once while the backlog stands ...
+            retry_thread = threading.Thread(target=retry_shed, daemon=True)
+            retry_thread.start()
+            while (time.monotonic() < deadline
+                   and retrier.stats.admission_retries < 1
+                   and retry_thread.is_alive()):
+                time.sleep(0.005)
+            stop.set()
+        # ... then the drivers stand down, the queue drains, and the
+        # shed request lands.
+        cached_thread.join(timeout=300.0)
+        evidence["cached_ok"] = "result" in cached and cached["result"].ok
         retry_thread.join(timeout=300.0)
         # "Landed" means the request completed through the saturated
         # service; whether the translation itself schedules is the

@@ -38,8 +38,9 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro import obs, perf
 from repro.errors import (
@@ -194,6 +195,9 @@ class LoopService:
         # ever completed (late duplicates are dedup hits too).
         self._inflight: dict[str, threading.Event] = {}
         self._done_keys: set[str] = set()
+        #: Cleared while :meth:`hold` parks the dispatchers.
+        self._dispatching = threading.Event()
+        self._dispatching.set()
         self._sessions: dict[str, ServiceSession] = {}
         self._admission = AdmissionController(config.admission,
                                               config.queue_depth)
@@ -265,6 +269,7 @@ class LoopService:
             self._closed = True
         if not drain:
             self._cancel_pending()
+        self._dispatching.set()
         if self._started:
             for _ in self._threads:
                 self._queue.put(_SENTINEL)
@@ -493,9 +498,26 @@ class LoopService:
 
     # -- dispatch ----------------------------------------------------------
 
+    @contextmanager
+    def hold(self) -> Iterator[None]:
+        """Park the dispatchers while the block runs.
+
+        No request starts executing inside the block: each dispatcher
+        finishes the one it is running, then parks holding at most one
+        more.  Admitted work piles up, so admission grades every
+        submission against a standing backlog — a known queue state
+        instead of a race with the clients.
+        """
+        self._dispatching.clear()
+        try:
+            yield
+        finally:
+            self._dispatching.set()
+
     def _dispatch_loop(self) -> None:
         while True:
             request = self._queue.get()
+            self._dispatching.wait()
             if request is _SENTINEL:
                 return
             obs.set_gauge("service.queue_depth", self._queue.qsize())

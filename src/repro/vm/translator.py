@@ -26,7 +26,7 @@ strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro import obs
 from repro.accelerator.config import LAConfig
@@ -483,6 +483,53 @@ def _schedule_projection(loop: Loop, config: LAConfig,
     return projected, ii_bound
 
 
+class _CacheKeys(NamedTuple):
+    """The cache-path facts derived from one (loop, config, options).
+
+    ``canon_key`` is the full-II-bound alias of ``key`` (None when the
+    config's max II does not clamp below the loop's bound).
+    """
+
+    core_config: LAConfig
+    ii_bound: int
+    key: str
+    canon_key: Optional[str]
+
+
+#: Per-loop memo of :func:`_cache_keys`, keyed by (config, options
+#: digest).  Like the ``loop_digest`` memo it relies on loops being
+#: immutable once built, and ``Loop.__getstate__`` drops it (every
+#: ``_veal_*`` attribute) from pickles, the wire and the disk.
+_KEYS_ATTR = "_veal_cache_keys"
+
+
+def _core_key(loop: Loop, core_config: LAConfig, opts_key: str) -> str:
+    from repro.perf.digest import digest_of, loop_digest
+    return digest_of("core", loop_digest(loop), core_config, opts_key)
+
+
+def _cache_keys(loop: Loop, config: LAConfig,
+               options: TranslationOptions) -> _CacheKeys:
+    """Derive (or recall) this input's projection and cache keys."""
+    from repro.perf.digest import options_digest
+
+    opts_key = options_digest(options)
+    memo = loop.__dict__.get(_KEYS_ATTR)
+    if memo is None:
+        memo = loop.__dict__.setdefault(_KEYS_ATTR, {})
+    keys = memo.get((config, opts_key))
+    if keys is None:
+        core_config, ii_bound = _schedule_projection(loop, config, options)
+        canon_key = None
+        if core_config.max_ii < ii_bound:
+            canon_key = _core_key(loop, core_config.with_(max_ii=ii_bound),
+                                  opts_key)
+        keys = _CacheKeys(core_config, ii_bound,
+                         _core_key(loop, core_config, opts_key), canon_key)
+        memo[(config, opts_key)] = keys
+    return keys
+
+
 def _translate_core(loop: Loop, core_config: LAConfig,
                     options: TranslationOptions):
     """Run the capacity-independent pipeline; package as a CoreEntry."""
@@ -521,12 +568,10 @@ def _cached_core(loop: Loop, config: LAConfig,
                  options: TranslationOptions):
     """Look up (or compute and store) the core entry for this input."""
     from repro import perf
-    from repro.perf.digest import digest_of, loop_digest, options_digest
+    from repro.perf.digest import options_digest
 
     cache = perf.translation_cache()
-    opts_key = options_digest(options)
-    core_config, ii_bound = _schedule_projection(loop, config, options)
-    key = digest_of("core", loop_digest(loop), core_config, opts_key)
+    core_config, _, key, canon_key = _cache_keys(loop, config, options)
     entry = cache.get(key)
     # Max-II sweep points share one schedule: the candidate-II search
     # tries MII upward and stops at the first feasible II*, so a success
@@ -535,19 +580,15 @@ def _cached_core(loop: Loop, config: LAConfig,
     # tried, same charges, same schedule) — and vice versa.  Alias the
     # two keys instead of recomputing; failures are never aliased (a
     # budget abort or II exhaustion depends on where the search stops).
-    canon_key = None
-    if core_config.max_ii < ii_bound:
-        canon_key = digest_of("core", loop_digest(loop),
-                              core_config.with_(max_ii=ii_bound), opts_key)
-        if entry is None:
-            canon = cache.peek(canon_key)
-            if canon is not None and canon.image is not None and \
-                    canon.image.schedule.ii <= core_config.max_ii:
-                entry = canon
-                cache.put(key, entry)
-                # A core run was avoided: reclassify the recorded miss.
-                cache.stats.misses -= 1
-                cache.stats.hits += 1
+    if entry is None and canon_key is not None:
+        canon = cache.peek(canon_key)
+        if canon is not None and canon.image is not None and \
+                canon.image.schedule.ii <= core_config.max_ii:
+            entry = canon
+            cache.put(key, entry)
+            # A core run was avoided: reclassify the recorded miss.
+            cache.stats.misses -= 1
+            cache.stats.hits += 1
     if entry is None:
         entry = _translate_core(loop, core_config, options)
         cache.put(key, entry)
@@ -558,8 +599,7 @@ def _cached_core(loop: Loop, config: LAConfig,
         # true control-store depth; re-derive at the exact max II.
         cache.stats.exact_fallbacks += 1
         exact_config = core_config.with_(max_ii=config.max_ii)
-        exact_key = digest_of("core", loop_digest(loop), exact_config,
-                              opts_key)
+        exact_key = _core_key(loop, exact_config, options_digest(options))
         entry = cache.get(exact_key)
         if entry is None:
             entry = _translate_core(loop, exact_config, options)
@@ -610,10 +650,7 @@ def translation_key(loop: Loop, config: LAConfig,
                     options: TranslationOptions = TranslationOptions()
                     ) -> str:
     """The cache key ``translate_loop`` would use for this input."""
-    from repro.perf.digest import digest_of, loop_digest, options_digest
-    core_config, _ = _schedule_projection(loop, config, options)
-    return digest_of("core", loop_digest(loop), core_config,
-                     options_digest(options))
+    return _cache_keys(loop, config, options).key
 
 
 def invalidate_translation(loop: Loop, config: LAConfig,
@@ -627,19 +664,16 @@ def invalidate_translation(loop: Loop, config: LAConfig,
     them.
     """
     from repro import perf
-    from repro.perf.digest import digest_of, loop_digest, options_digest
+    from repro.perf.digest import options_digest
 
     cache = perf.translation_cache()
-    opts_key = options_digest(options)
-    core_config, ii_bound = _schedule_projection(loop, config, options)
-    keys = {digest_of("core", loop_digest(loop), core_config, opts_key)}
-    if core_config.max_ii != ii_bound:
-        keys.add(digest_of("core", loop_digest(loop),
-                           core_config.with_(max_ii=ii_bound), opts_key))
+    core_config, _, key, canon_key = _cache_keys(loop, config, options)
+    keys = {key}
+    if canon_key is not None:
+        keys.add(canon_key)
     if core_config.max_ii != config.max_ii:
-        keys.add(digest_of("core", loop_digest(loop),
-                           core_config.with_(max_ii=config.max_ii),
-                           opts_key))
+        keys.add(_core_key(loop, core_config.with_(max_ii=config.max_ii),
+                           options_digest(options)))
     dropped = [cache.invalidate(k) for k in keys]
     return any(dropped)
 

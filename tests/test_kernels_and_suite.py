@@ -206,3 +206,47 @@ def test_transpose_strided_store_stream():
         result.image, mem_acc,
         standard_live_ins(result.image.loop, mem_acc))
     assert mem_ref.snapshot() == mem_acc.snapshot()
+
+
+# -- the suite memo and shared kernel ops ---------------------------------------
+
+def test_suite_memo_returns_fresh_lists_of_shared_benchmarks():
+    from repro import perf
+    perf.clear_caches()
+    first = media_fp_benchmarks()
+    second = media_fp_benchmarks()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    # Mutating a returned list does not leak into the next call.
+    first.pop()
+    first.append(first[0])
+    assert [b.name for b in media_fp_benchmarks()] == \
+        [b.name for b in second]
+    perf.clear_caches()
+    rebuilt = media_fp_benchmarks()
+    assert [b.name for b in rebuilt] == [b.name for b in second]
+    assert not any(a is b for a, b in zip(rebuilt, second))
+
+
+def test_run_benchmark_leaves_kernels_untouched():
+    from repro.perf.digest import loop_digest
+    from repro.vm import VirtualMachine, VMConfig
+    bench = benchmark_by_name("g721enc")
+    before = [(loop_digest(k), list(k.body)) for k in bench.kernels]
+    VirtualMachine(VMConfig(accelerator=PROPOSED_LA)).run_benchmark(bench)
+    for kernel, (digest, ops) in zip(bench.kernels, before, strict=True):
+        assert all(a is b for a, b in zip(kernel.body, ops, strict=True))
+        # Re-digest the content (a rebuild carries no memo).
+        assert loop_digest(kernel.rebuild()) == digest
+
+
+def test_identification_recovers_the_kernel_objects():
+    from repro.ir.cfg import identify_loops, linear_program
+    kernels = media_fp_benchmarks()[2].kernels
+    cfg = linear_program("p", kernels).entry_function().cfg
+    found = [il.loop for il in identify_loops(cfg) if il.loop is not None]
+    assert sorted(map(id, found)) == sorted(map(id, kernels))
+    for kernel in kernels:
+        block = cfg.blocks[f"kernel_{kernel.name}"]
+        assert all(a is b for a, b in zip(block.ops, kernel.body,
+                                          strict=True))

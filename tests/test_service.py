@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import api, obs, perf
+from repro.accelerator import PROPOSED_LA
 from repro.errors import (
     AdmissionRejected,
     ServiceClosed,
@@ -67,6 +68,52 @@ def test_single_flight_translates_each_digest_once():
     assert stats.translated == 1
     assert stats.dedup_hits == len(futures) - 1
     assert all(r.image.ii == results[0].image.ii for r in results)
+
+
+def test_one_key_derivation_per_translate_request(monkeypatch):
+    """Admission, single-flight dedup and the translator share one
+    derivation of the request's cache keys.  Each request carries a
+    fresh unpickled copy, as a loop decoded off the wire does, so the
+    server derives the digest from the received content itself."""
+    import pickle
+
+    from repro.perf.digest import loop_digest
+    from repro.service.admission import AdmissionPolicy
+    from repro.vm import translator
+
+    loop = K.fir_filter(taps=4)
+    translate_loop(loop, PROPOSED_LA, TranslationOptions())  # now cached
+    calls = []
+    projection = translator._schedule_projection
+    monkeypatch.setattr(
+        translator, "_schedule_projection",
+        lambda *args: calls.append(args[0]) or projection(*args))
+    # Watermark 0: every submission is saturated, so admission consults
+    # the (cached) key before admitting it.
+    service = LoopService(ServiceConfig(
+        workers=1, admission=AdmissionPolicy(high_watermark=0.0)))
+    session = service.open_session("keys")
+    copies = [pickle.loads(pickle.dumps(loop)) for _ in range(4)]
+    futures = [session.translate(copy) for copy in copies]
+    service.start()
+    results = [f.result(timeout=60) for f in futures]
+    stats = service.close()
+    assert stats.admission.get("ok-cached") == len(copies)
+    assert all(r.ok for r in results)
+    assert calls == copies
+    assert all(loop_digest(copy) == loop_digest(loop) for copy in copies)
+
+
+def test_hold_parks_dispatch_until_released():
+    loop = K.fir_filter(taps=4)
+    with LoopService(ServiceConfig(workers=1)) as service:
+        session = service.open_session("held")
+        with service.hold():
+            futures = [session.translate(loop) for _ in range(2)]
+            with pytest.raises(TimeoutError):
+                futures[0].result(timeout=0.2)
+            assert not any(f.done() for f in futures)
+        assert all(f.result(timeout=60).ok for f in futures)
 
 
 def test_pool_workers_return_identical_results():

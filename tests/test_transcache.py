@@ -284,6 +284,122 @@ def test_attach_disk_runs_the_sweep_and_keeps_live_entries(tmp_path):
     assert gc_disk_dir(str(tmp_path))["stale"] == 0
 
 
+def _sweep_configs():
+    """Every Figure 3/4 design point, plus the infinite baseline."""
+    from repro.cca.model import DEFAULT_CCA
+    from repro.experiments import sweeps as S
+    configs = [INFINITE_LA]
+    for k in S.INT_UNIT_POINTS:
+        configs.append(INFINITE_LA.with_(num_int_units=k, num_ccas=0))
+        configs.append(INFINITE_LA.with_(num_int_units=k, num_ccas=1,
+                                         cca=DEFAULT_CCA))
+    configs += [INFINITE_LA.with_(num_fp_units=k) for k in S.FP_UNIT_POINTS]
+    for k in S.REGISTER_POINTS:
+        configs.append(INFINITE_LA.with_(num_int_regs=k))
+        configs.append(INFINITE_LA.with_(num_fp_regs=k))
+    configs += [INFINITE_LA.with_(load_streams=k)
+                for k in S.LOAD_STREAM_POINTS]
+    configs += [INFINITE_LA.with_(store_streams=k)
+                for k in S.STORE_STREAM_POINTS]
+    configs += [INFINITE_LA.with_(max_ii=k) for k in S.MAX_II_POINTS]
+    return configs
+
+
+def test_memoised_keys_equal_the_derived_formula(monkeypatch):
+    """The per-loop key memo is a pure cache of the digest formula, on
+    the original loop, on a pickled copy and on a memo hit alike, for
+    every Figure 10 option set sharing one loop's memo."""
+    import pickle
+
+    from repro.perf.digest import digest_of, options_digest
+    from repro.vm import translator
+    from repro.vm.translator import _cached_core, _cache_keys
+
+    stub = CoreEntry(loop_name="stub", failure=SchedulingError("stub"),
+                     meter_final=MeterSnapshot({}, 0))
+    monkeypatch.setattr(translator, "_translate_core",
+                        lambda loop, core_config, options: stub)
+    cache = perf.translation_cache()
+    inputs = [(config, options) for config in _sweep_configs()
+              for options in (TranslationOptions.fully_dynamic(),
+                              TranslationOptions.fully_dynamic_height(),
+                              TranslationOptions.hybrid())]
+    for bench in media_fp_benchmarks():
+        for loop in bench.kernels:
+            expected = []
+            for config, options in inputs:
+                core, ii_bound = _schedule_projection(loop, config, options)
+                key = digest_of("core", loop_digest(loop), core,
+                                options_digest(options))
+                canon = None if core.max_ii >= ii_bound else digest_of(
+                    "core", loop_digest(loop), core.with_(max_ii=ii_bound),
+                    options_digest(options))
+                expected.append(key)
+                assert tuple(_cache_keys(loop, config, options)) == \
+                    (core, ii_bound, key, canon)
+                assert translation_key(loop, config, options) == key
+                assert _cached_core(loop, config, options) \
+                    is cache.peek(key)
+            copy = pickle.loads(pickle.dumps(loop))
+            assert not [k for k in vars(copy) if k.startswith("_veal_")]
+            for (config, options), key in zip(inputs, expected):
+                assert translation_key(copy, config, options) == key
+                assert translation_key(loop, config, options) == key
+
+
+def test_concurrent_callers_share_one_suite_and_one_key_memo():
+    """Threads racing a cold suite and cold key memos all get the same
+    Benchmark objects, identical keys, and one memo entry per config."""
+    import sys
+    import threading
+
+    configs = _sweep_configs()[:6]
+    results = [None] * 4
+
+    def work(index):
+        suite = media_fp_benchmarks()
+        results[index] = (suite, [translation_key(loop, config)
+                                  for bench in suite
+                                  for loop in bench.kernels
+                                  for config in configs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    suite, keys = results[0]
+    for other_suite, other_keys in results[1:]:
+        assert all(a is b for a, b in zip(other_suite, suite, strict=True))
+        assert other_keys == keys
+    for bench in suite:
+        for loop in bench.kernels:
+            assert len(loop.__dict__["_veal_cache_keys"]) == len(configs)
+
+
+def test_unpickling_drops_planted_memos():
+    """A crafted pickle cannot plant a digest or key memo: the receiver
+    always derives them from the loop's own content."""
+    from repro.ir.loop import Loop
+    loop = _suite_loop()
+    key = translation_key(loop, PROPOSED_LA)
+    state = dict(loop.__dict__)
+    assert "_veal_loop_digest" in state and "_veal_cache_keys" in state
+    state["_veal_loop_digest"] = "0" * 64
+    state["_veal_cache_keys"] = {}
+    forged = Loop.__new__(Loop)
+    forged.__setstate__(state)
+    assert loop_digest(forged) == loop_digest(loop)
+    assert translation_key(forged, PROPOSED_LA) == key
+
+
 def test_engine_off_and_on_agree_on_meter_and_image():
     """Spot-check of the differential property the engine guarantees:
     the cached path is observationally the reference path."""
