@@ -166,7 +166,7 @@ class LoopClient:
     def translate(self, loop, accelerator=None, options=None,
                   deadline_s: Optional[float] = None):
         return self._call(
-            "translate", (loop, accelerator, options),
+            "translate", wire.translate_body(loop, accelerator, options),
             idempotency_key=self._idempotency_key(loop, accelerator,
                                                   options),
             deadline_s=deadline_s)

@@ -781,7 +781,7 @@ class ClusterClient:
     def translate(self, loop, accelerator=None, options=None,
                   deadline_s: Optional[float] = None):
         return self._call(
-            "translate", (loop, accelerator, options),
+            "translate", wire.translate_body(loop, accelerator, options),
             key=idempotency_key_for(loop, accelerator, options),
             deadline_s=deadline_s)
 

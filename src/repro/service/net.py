@@ -37,6 +37,7 @@ import asyncio
 import contextlib
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,6 +67,12 @@ class NetConfig:
     auth_secret: Optional[str] = None
     #: The wrapped service's configuration.
     service: ServiceConfig = field(default_factory=ServiceConfig)
+
+
+#: Distinct ``translate`` bodies whose decoded payload the server
+#: keeps (least recently used first out): a repeat of a recent request
+#: skips the unpickle and reuses the loop's digest and key memos.
+TRANSLATE_MEMO_ENTRIES = 256
 
 
 def is_loopback_host(host: str) -> bool:
@@ -110,6 +117,9 @@ class NetServer:
         self._active: set[int] = set()
         self._conn_seq = 0
         self._stopped = False
+        #: Raw translate body -> decoded (loop, accelerator, options);
+        #: only the event-loop thread touches it.
+        self._translate_memo: OrderedDict[str, tuple] = OrderedDict()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -340,7 +350,10 @@ class NetServer:
         if op == "stats":
             return wire.ok_response(req_id, self.stats_snapshot())
         session = self.service.get_or_open_session(session_name)
-        body = wire.unpack_body(message.get("body"))
+        if op == "translate":
+            body = self._translate_payload(message.get("body"))
+        else:
+            body = wire.unpack_body(message.get("body"))
         with obs.span("net.request", component="net", op=op,
                       session=session_name):
             if op == "translate":
@@ -361,6 +374,28 @@ class NetServer:
                                     reason="bad-json")
             result = await asyncio.wrap_future(future)
         return wire.ok_response(req_id, result)
+
+    def _translate_payload(self, data) -> tuple:
+        """The decoded ``(loop, accelerator, options)`` of a translate
+        body, decoded once per distinct body.
+
+        The key is the body exactly as received, after the frame check,
+        so a hit is a request whose bytes a past decode accepted.
+        Decoding is deterministic and loops are immutable once built,
+        so the shared payload is the one a fresh decode would give,
+        with its digest and cache-key memos already warm.  A body that
+        fails to decode or unpack is never memoised.
+        """
+        memo = self._translate_memo
+        hit = memo.get(data) if isinstance(data, str) else None
+        if hit is not None:
+            memo.move_to_end(data)
+            return hit
+        loop, accelerator, options = wire.unpack_body(data)
+        payload = memo[data] = (loop, accelerator, options)
+        if len(memo) > TRANSLATE_MEMO_ENTRIES:
+            memo.popitem(last=False)
+        return payload
 
     def stats_snapshot(self) -> dict:
         """Live service/admission/obs counters (the ``stats`` wire op).

@@ -54,6 +54,7 @@ import json
 import pickle
 import struct
 import types
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import (
@@ -66,6 +67,7 @@ from repro.errors import (
     SessionBudgetExceeded,
     ShardMovedError,
 )
+from repro.ir.loop import Loop
 
 #: Bumped whenever the envelope layout changes; a peer speaking a
 #: different version is rejected with reason ``version-mismatch``.
@@ -277,6 +279,47 @@ def unpack_body(data: Optional[str]) -> Any:
                             reason="bad-json") from None
 
 
+@dataclass(frozen=True)
+class PackedBody:
+    """A body already run through :func:`pack_body`: :func:`request`
+    sends its ``data`` verbatim, so a retry re-sends the same bytes."""
+
+    data: str
+
+
+#: Per-loop memo of packed ``translate`` bodies: ``(id(accelerator),
+#: id(options))`` -> ``(accelerator, options, PackedBody)``.  Like the
+#: digest memo it relies on loops being immutable once built, and
+#: ``Loop.__getstate__`` drops it (every ``_veal_*`` attribute).
+_TRANSLATE_BODY_ATTR = "_veal_wire_translate"
+#: Distinct (accelerator, options) objects one loop keeps bodies for;
+#: past it the memo starts over.
+_TRANSLATE_BODY_SLOTS = 8
+
+
+def translate_body(loop: Any, accelerator: Any = None,
+                   options: Any = None) -> PackedBody:
+    """The packed body of ``translate(loop, accelerator, options)``.
+
+    Packed once per (loop, accelerator, options) and memoised on the
+    loop.  The memo matches *accelerator* and *options* by identity,
+    not equality: ``options_digest`` ignores ``deadline_s``, but the
+    body must carry the caller's own options object.
+    """
+    if not isinstance(loop, Loop):
+        return PackedBody(pack_body((loop, accelerator, options)))
+    memo = loop.__dict__.get(_TRANSLATE_BODY_ATTR)
+    slot = (id(accelerator), id(options))
+    hit = None if memo is None else memo.get(slot)
+    if hit is not None and hit[0] is accelerator and hit[1] is options:
+        return hit[2]
+    body = PackedBody(pack_body((loop, accelerator, options)))
+    if memo is None or len(memo) >= _TRANSLATE_BODY_SLOTS:
+        memo = loop.__dict__[_TRANSLATE_BODY_ATTR] = {}
+    memo[slot] = (accelerator, options, body)
+    return body
+
+
 # -- envelopes ----------------------------------------------------------------
 
 def request(op: str, req_id: int, body: Any = None, *,
@@ -284,9 +327,11 @@ def request(op: str, req_id: int, body: Any = None, *,
             idempotency_key: Optional[str] = None,
             deadline_s: Optional[float] = None,
             **extra: Any) -> dict:
+    """A request envelope; *body* may be a :class:`PackedBody`."""
     message = {"type": "request", "op": op, "id": req_id}
     if body is not None:
-        message["body"] = pack_body(body)
+        message["body"] = (body.data if isinstance(body, PackedBody)
+                           else pack_body(body))
     if session is not None:
         message["session"] = session
     if idempotency_key is not None:

@@ -176,6 +176,18 @@ class TranslationMeter:
             self._total += units
             self._enforce(phase, check_deadline=False)
 
+    def __getstate__(self) -> dict:
+        """Pickle without ``_started_at``: a monotonic reading means
+        nothing in another process, and leaving it out makes equal
+        meters pickle to equal bytes."""
+        return {k: v for k, v in self.__dict__.items()
+                if k != "_started_at"}
+
+    def __setstate__(self, state: dict) -> None:
+        # The deadline clock restarts on this side of the boundary.
+        self.__dict__.update(state)
+        self._started_at = time.monotonic()
+
 
 def translation_cycles(instructions: float, cpi: float = 1.0) -> float:
     """Cycles the host core spends translating.

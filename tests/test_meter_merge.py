@@ -135,3 +135,33 @@ class TestReplay:
         assert restored.units == original.units
         assert restored.total_units() == original.total_units()
         assert restored.instructions() == original.instructions()
+
+
+class TestPickle:
+    def test_round_trip_restarts_the_deadline_clock(self):
+        import pickle
+        import time
+
+        meter = _meter_with({"priority": 5}, deadline_s=1.0)
+        # A sender whose monotonic clock reads far from ours.
+        meter._started_at = time.monotonic() - 1000.0
+        with pytest.raises(TranslationBudgetExceeded):
+            meter.charge("priority")
+        restored = pickle.loads(pickle.dumps(meter))
+        assert "_started_at" not in meter.__getstate__()
+        restored.charge("priority")  # does not trip the deadline
+        assert restored.units == {"priority": 7}
+        assert restored.total_units() == 7
+
+    def test_identical_cache_hits_pack_to_identical_bytes(self):
+        from repro import api, perf
+        from repro.service import wire
+        from repro.workloads import kernels as K
+
+        perf.clear_caches()
+        loop = K.fir_filter(taps=4)
+        api.translate(loop)  # fills the cache
+        first, second = api.translate(loop), api.translate(loop)
+        assert first.meter is not second.meter
+        assert wire.pack_body(first) == wire.pack_body(second)
+        perf.clear_caches()

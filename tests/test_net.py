@@ -274,3 +274,224 @@ def test_concurrent_hellos_share_one_session():
         for thread in threads:
             thread.join()
         assert len({id(session) for session in seen}) == 1
+
+
+# -- repeated requests: decode once on the server, pack once on the client ---
+
+def _fields(result) -> tuple:
+    """What a translate reply must agree on with the direct path."""
+    image = result.image
+    return (result.loop_name, result.ok, result.failure_kind,
+            None if image is None else (image.ii, image.stage_count,
+                                        image.schedule.times),
+            result.instructions, tuple(sorted(result.meter.units.items())))
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record the first argument of every call to ``module.name``."""
+    seen: list = []
+    original = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def _count_digests(monkeypatch) -> list:
+    """Loops whose content digest is actually computed (memo misses)."""
+    from repro.perf import digest
+    computed: list = []
+    original = digest.loop_digest
+
+    def counted(loop):
+        if "_veal_loop_digest" not in loop.__dict__:
+            computed.append(loop)
+        return original(loop)
+
+    monkeypatch.setattr(digest, "loop_digest", counted)
+    return computed
+
+
+def test_repeated_translate_decodes_and_digests_once(monkeypatch):
+    from repro.service import wire
+    from repro.service.loadgen import request_corpus
+
+    corpus = request_corpus()
+    # Two kernels, two accelerator variants, and the session defaults.
+    requests = [corpus[0], corpus[2], corpus[5],
+                (K.fir_filter(taps=4), None, None)]
+    bodies = [wire.translate_body(*request).data for request in requests]
+    assert len(set(bodies)) == len(requests)
+    decoded = _count_calls(monkeypatch, wire, "unpack_body")
+    computed = _count_digests(monkeypatch)
+    replies: list = []
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="memo") as client:
+            for request in requests:
+                replies.append(client.translate(*request))
+            server_loops = {id(payload[0])
+                            for payload in server._translate_memo.values()}
+            first_digests = len(computed)
+            for _ in range(4):
+                for request in requests:
+                    replies.append(client.translate(*request))
+    for body in bodies:
+        assert decoded.count(body) == 1
+    assert len(server_loops) == len(requests)
+    # Repeats reuse the first decode's loops and their digest memos.
+    assert len(computed) == first_digests
+    assert sum(1 for loop in computed if id(loop) in server_loops) \
+        == len(requests)
+    perf.clear_caches()
+    with perf.engine_at(0):
+        direct = [_fields(api.translate(*request)) for request in requests]
+    assert [_fields(reply) for reply in replies] == direct * 5
+
+
+def test_cosmetic_and_deadline_variants_never_alias(monkeypatch):
+    import copy
+
+    from repro.service import wire
+
+    loop = K.fir_filter(taps=4)
+    renamed = copy.deepcopy(loop)
+    renamed.body[0].comment = "a different comment"
+    slow = TranslationOptions(deadline_s=30.0)
+    fast = TranslationOptions(deadline_s=60.0)
+    variants = [(loop, None, slow), (renamed, None, slow),
+                (loop, None, fast)]
+    decoded = _count_calls(monkeypatch, wire, "unpack_body")
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="alias") as client:
+            for _ in range(2):
+                for variant in variants:
+                    assert client.translate(*variant).ok
+            memo = dict(server._translate_memo)
+    bodies = [wire.translate_body(*variant).data for variant in variants]
+    assert len(set(bodies)) == len(variants)
+    for body, (sent, _config, options) in zip(bodies, variants):
+        assert decoded.count(body) == 1
+        got, _, got_options = memo[body]
+        assert got.body[0].comment == sent.body[0].comment
+        assert got_options.deadline_s == options.deadline_s
+
+
+def test_translate_memo_evicts_least_recently_used(monkeypatch):
+    from repro.service import net, wire
+
+    monkeypatch.setattr(net, "TRANSLATE_MEMO_ENTRIES", 2)
+    loops = {name: K.fir_filter(taps=taps)
+             for name, taps in (("a", 2), ("b", 3), ("c", 4))}
+    bodies = {name: wire.translate_body(loop).data
+              for name, loop in loops.items()}
+    decoded = _count_calls(monkeypatch, wire, "unpack_body")
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="lru") as client:
+            for name in "abacab":
+                assert client.translate(loops[name]).ok
+            assert len(server._translate_memo) == 2
+    # "a" was refreshed before "c" arrived, so "b" was the one evicted.
+    assert [decoded.count(bodies[name]) for name in "abc"] == [1, 2, 1]
+
+
+def test_forbidden_global_body_is_never_memoised(monkeypatch):
+    import base64
+
+    from repro.errors import ProtocolError
+    from repro.service import wire
+
+    evil = base64.b64encode(b"cos\nsystem\n.").decode("ascii")
+    decoded = _count_calls(monkeypatch, wire, "unpack_body")
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="evil") as client:
+            for _ in range(3):
+                with pytest.raises(ProtocolError) as info:
+                    client.call("translate", wire.PackedBody(evil))
+                assert info.value.reason == "forbidden-global"
+            assert len(server._translate_memo) == 0
+            assert client.ping()
+    assert decoded.count(evil) == 3
+
+
+def test_planted_memos_in_a_crafted_body_are_refused(monkeypatch):
+    from repro.ir.loop import Loop
+    from repro.perf.digest import loop_digest
+    from repro.service import wire
+
+    loop = K.fir_filter(taps=4)
+    genuine = loop_digest(loop)
+    clean_state = Loop.__getstate__
+
+    def planting(self):
+        state = clean_state(self)
+        state["_veal_loop_digest"] = "0" * 64
+        state["_veal_cache_keys"] = {"planted": True}
+        return state
+
+    monkeypatch.setattr(Loop, "__getstate__", planting)
+    crafted = wire.pack_body((loop, None, None))
+    monkeypatch.setattr(Loop, "__getstate__", clean_state)
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="plant") as client:
+            served = [client.call("translate", wire.PackedBody(crafted))
+                      for _ in range(2)]
+            decoded_loop = server._translate_memo[crafted][0]
+    assert decoded_loop.__dict__["_veal_loop_digest"] == genuine
+    assert "planted" not in decoded_loop.__dict__["_veal_cache_keys"]
+    perf.clear_caches()
+    with perf.engine_at(0):
+        direct = _fields(api.translate(loop))
+    assert [_fields(reply) for reply in served] == [direct, direct]
+
+
+def test_client_packs_once_across_a_forced_retry(monkeypatch, tmp_path):
+    from repro.service import wire
+
+    loop = K.fir_filter(taps=4)
+    packs = _count_calls(monkeypatch, wire, "pack_body")
+    frames = _count_calls(monkeypatch, wire, "encode_frame")
+    retry = RetryPolicy(attempts=4, base_delay_s=0.01,
+                        attempt_timeout_s=0.4)
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="pack",
+                        retry=retry) as client:
+            assert client.ping()
+            infra.arm([infra.InfraFaultSpec(
+                mode=infra.InfraFaultMode.NET_DROP, token="pack-drop")],
+                str(tmp_path))
+            try:
+                replies = [client.translate(loop) for _ in range(3)]
+            finally:
+                infra.disarm()
+            assert client.stats.retries >= 1
+    assert all(reply.ok for reply in replies)
+    ours = [obj for obj in packs
+            if isinstance(obj, tuple) and obj and obj[0] is loop]
+    assert len(ours) == 1
+    sent = [frame["body"] for frame in frames
+            if frame.get("op") == "translate"]
+    assert len(sent) == 3 + client.stats.retries
+    assert set(sent) == {wire.translate_body(loop).data}
+
+
+def test_cluster_client_translate_uses_the_packed_body(monkeypatch):
+    from repro.service import wire
+    from repro.service.cluster import ClusterClient
+
+    loop = K.fir_filter(taps=4)
+    helper = _count_calls(monkeypatch, wire, "translate_body")
+    packs = _count_calls(monkeypatch, wire, "pack_body")
+    with _server() as server:
+        with ClusterClient(server.host, server.port,
+                           session="fleet") as client:
+            replies = [client.translate(loop) for _ in range(3)]
+    assert len(helper) == 3 and all(sent is loop for sent in helper)
+    assert sum(1 for obj in packs
+               if isinstance(obj, tuple) and obj and obj[0] is loop) == 1
+    perf.clear_caches()
+    with perf.engine_at(0):
+        direct = _fields(api.translate(loop))
+    assert [_fields(reply) for reply in replies] == [direct] * 3

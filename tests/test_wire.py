@@ -274,3 +274,70 @@ def test_keyed_frame_fails_unkeyed_reader_as_checksum_mismatch():
     with pytest.raises(ProtocolError) as info:
         wire.decode_frame(frame)
     assert _reason(info) == "checksum-mismatch"
+
+
+# -- packed bodies and the client's per-loop memo -----------------------------
+
+def test_request_sends_a_packed_body_verbatim():
+    packed = wire.PackedBody(wire.pack_body({"x": 1}))
+    message = wire.request("translate", 1, packed)
+    assert message["body"] == packed.data
+    assert wire.unpack_body(message["body"]) == {"x": 1}
+
+
+def test_translate_body_is_packed_once_per_identity(monkeypatch):
+    from repro.perf.digest import options_digest
+    from repro.vm.translator import TranslationOptions
+    from repro.workloads import kernels as K
+
+    packs = []
+    pack_body = wire.pack_body
+    monkeypatch.setattr(wire, "pack_body",
+                        lambda obj: packs.append(obj) or pack_body(obj))
+    loop = K.fir_filter(taps=4)
+    slow = TranslationOptions(deadline_s=30.0)
+    fast = TranslationOptions(deadline_s=60.0)
+    twin = TranslationOptions(deadline_s=30.0)
+    assert options_digest(slow) == options_digest(fast)
+    first = wire.translate_body(loop, None, slow)
+    assert wire.translate_body(loop, None, slow) is first
+    assert len(packs) == 1
+    # Equal under the options digest, or even equal outright, is not
+    # enough: a distinct options object gets its own body.
+    other = wire.translate_body(loop, None, fast)
+    assert wire.translate_body(loop, None, twin) is not first
+    assert len(packs) == 3
+    assert wire.unpack_body(other.data)[2].deadline_s == 60.0
+    assert wire.unpack_body(first.data)[2].deadline_s == 30.0
+
+
+def test_translate_body_memo_never_travels():
+    import pickle
+
+    from repro.ir.loop import Loop
+    from repro.workloads import kernels as K
+
+    loop = K.fir_filter(taps=4)
+    body = wire.translate_body(loop)
+    assert "_veal_wire_translate" in loop.__dict__
+    restored = pickle.loads(pickle.dumps(loop))
+    assert not any(key.startswith("_veal_") for key in restored.__dict__)
+    sent, _, _ = wire.unpack_body(body.data)
+    assert not any(key.startswith("_veal_") for key in sent.__dict__)
+    # A crafted state carrying the memo is refused on load.
+    planted = Loop.__new__(Loop)
+    planted.__setstate__({**loop.__getstate__(),
+                          "_veal_wire_translate": {"forged": body}})
+    assert "_veal_wire_translate" not in planted.__dict__
+
+
+def test_translate_body_memo_is_bounded():
+    from repro.vm.translator import TranslationOptions
+    from repro.workloads import kernels as K
+
+    loop = K.fir_filter(taps=4)
+    for index in range(3 * wire._TRANSLATE_BODY_SLOTS):
+        wire.translate_body(loop, None,
+                            TranslationOptions(deadline_s=float(index)))
+        assert len(loop.__dict__["_veal_wire_translate"]) \
+            <= wire._TRANSLATE_BODY_SLOTS
