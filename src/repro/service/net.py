@@ -70,8 +70,10 @@ class NetConfig:
 
 
 #: Distinct ``translate`` bodies whose decoded payload the server
-#: keeps (least recently used first out): a repeat of a recent request
-#: skips the unpickle and reuses the loop's digest and key memos.
+#: keeps, and distinct cache-served ``translate`` replies whose packed
+#: body it keeps (each least recently used first out): a repeat of a
+#: recent request skips the unpickle and reuses the loop's digest and
+#: key memos, and a repeat of a recent reply skips the pickle.
 TRANSLATE_MEMO_ENTRIES = 256
 
 
@@ -119,7 +121,10 @@ class NetServer:
         self._stopped = False
         #: Raw translate body -> decoded (loop, accelerator, options);
         #: only the event-loop thread touches it.
-        self._translate_memo: OrderedDict[str, tuple] = OrderedDict()
+        self._translate_memo: OrderedDict[bytes, tuple] = OrderedDict()
+        #: Cache-served translate reply -> its packed body (see
+        #: :meth:`_translate_reply`); event-loop thread only.
+        self._reply_memo: OrderedDict[tuple, tuple] = OrderedDict()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -373,6 +378,8 @@ class NetServer:
                 raise ProtocolError(f"unknown op {op!r}",
                                     reason="bad-json")
             result = await asyncio.wrap_future(future)
+        if op == "translate":
+            return wire.ok_response(req_id, self._translate_reply(result))
         return wire.ok_response(req_id, result)
 
     def _translate_payload(self, data) -> tuple:
@@ -387,7 +394,7 @@ class NetServer:
         fails to decode or unpack is never memoised.
         """
         memo = self._translate_memo
-        hit = memo.get(data) if isinstance(data, str) else None
+        hit = memo.get(data) if isinstance(data, bytes) else None
         if hit is not None:
             memo.move_to_end(data)
             return hit
@@ -396,6 +403,44 @@ class NetServer:
         if len(memo) > TRANSLATE_MEMO_ENTRIES:
             memo.popitem(last=False)
         return payload
+
+    def _translate_reply(self, result):
+        """*result* packed for the wire, packed once per distinct
+        cache-served reply.
+
+        Only ok results with an ``image.digest`` (served through the
+        translation cache) are memoised; failures, ``deadline_s``
+        requests and engine-0 results carry no digest and are packed
+        every time.  A cache-served image shares every field but
+        ``config`` and the schedule's unit pools with the cached core
+        image, so a hit requires the same loop name, digest, meter
+        state and *config object*, and the same core-image objects
+        (``loop``, ``dfg``, ``partition``, ``streams``, ``registers``,
+        ``rotation``) by identity.  The packed bytes are then the ones
+        a fresh pack would give.  A retranslated core entry (after an
+        eviction or an invalidation) has fresh ``registers`` and
+        ``rotation`` and is packed again; so is every result of a
+        process pool, which arrives freshly unpickled.
+        """
+        image = result.image
+        if image is None or image.digest is None:
+            return result
+        meter = result.meter
+        key = (result.loop_name, image.digest, id(image.config),
+               tuple(meter.units.items()), meter.total_units())
+        shared = (image.config, image.loop, image.dfg, image.partition,
+                  image.streams, image.registers, image.rotation)
+        memo = self._reply_memo
+        hit = memo.pop(key, None)
+        if hit is not None and all(
+                held is now for held, now in zip(hit[0], shared)):
+            memo[key] = hit
+            return hit[1]
+        packed = wire.PackedBody(wire.pack_body(result))
+        memo[key] = (shared, packed)
+        if len(memo) > TRANSLATE_MEMO_ENTRIES:
+            memo.popitem(last=False)
+        return packed
 
     def stats_snapshot(self) -> dict:
         """Live service/admission/obs counters (the ``stats`` wire op).

@@ -1,4 +1,4 @@
-"""The framed, checksummed JSON wire protocol of the loop service.
+"""The framed, checksummed wire protocol of the loop service.
 
 Every message on a service connection — request or response — travels
 as one frame reusing the PR 3 disk-cache frame discipline
@@ -7,19 +7,27 @@ as one frame reusing the PR 3 disk-cache frame discipline
     ``RVNW`` | version (u32) | payload length (u64) | sha256(payload)
     | payload
 
-The payload is a UTF-8 JSON object.  Binary request/response bodies
-(loops, accelerator configs, translation results) ride inside the JSON
-envelope as base64-encoded pickles under the ``"body"`` key, so the
-*envelope* — op, request id, session, idempotency key, error kind,
-``retry_after`` hint — is a checkable, language-agnostic contract
-(the ILA posture from PAPERS.md) while the bodies stay exact Python
-values.
+and, since wire version 2, a payload of
+
+    header length (u32) | canonical JSON header | raw body bytes
+
+The JSON header is the *envelope* — op, request id, session,
+idempotency key, error kind, ``retry_after`` hint — a checkable,
+language-agnostic contract (the ILA posture from PAPERS.md).  The
+optional body (loops, accelerator configs, translation results, typed
+errors) is the pickle bytes that follow the header, exact Python
+values carried verbatim; a decoded message exposes them under the
+``"body"`` key.  The header never carries a ``"body"`` key itself, so
+each message has exactly one encoding, and the digest covers header
+length, header and body alike.
 
 Every violation is a typed :class:`~repro.errors.ProtocolError` with a
 stable ``reason`` tag mirroring the cache-integrity taxonomy:
 ``bad-magic``, ``version-mismatch``, ``truncated``,
 ``checksum-mismatch``, ``auth-mismatch``, ``empty-payload``,
-``oversize``, ``bad-json``, ``forbidden-global``.
+``oversize``, ``bad-json``, ``forbidden-global``.  A payload too short
+to hold the header length, or a header length that overruns the
+payload, is ``bad-json``.
 A protocol error means the stream may no longer be frame-aligned; both
 peers respond by closing the connection (the client reconnects and
 resubmits — safe, because single-flight dedup on the transcache digest
@@ -45,7 +53,6 @@ same-user processes is the supported no-secret deployment.
 from __future__ import annotations
 
 import asyncio
-import base64
 import builtins
 import hashlib
 import hmac
@@ -71,11 +78,13 @@ from repro.ir.loop import Loop
 
 #: Bumped whenever the envelope layout changes; a peer speaking a
 #: different version is rejected with reason ``version-mismatch``.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 MAGIC = b"RVNW"
 _HEADER = struct.Struct("<4sIQ32s")  # magic, version, length, sha256
 HEADER_SIZE = _HEADER.size
+#: The payload's leading JSON-header length.
+_ENVELOPE_LEN = struct.Struct("<I")
 
 #: Hard ceiling on a single frame's payload: protects both peers from
 #: a corrupted length field committing them to a gigabyte read.
@@ -99,9 +108,19 @@ def _frame_digest(payload: bytes, key: Optional[bytes]) -> bytes:
 
 def encode_frame(message: dict, version: int = WIRE_VERSION,
                  key: Optional[bytes] = None) -> bytes:
-    """Serialise *message* (a JSON-safe dict) into one wire frame."""
-    payload = json.dumps(message, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
+    """Serialise *message* into one wire frame.
+
+    Every key but ``"body"`` must be JSON-safe and goes into the
+    header; the body, when present, must be bytes (see
+    :func:`pack_body`) and follows the header verbatim.
+    """
+    envelope = message
+    if "body" in message:
+        envelope = {k: v for k, v in message.items() if k != "body"}
+    header = json.dumps(envelope, sort_keys=True,
+                        separators=(",", ":")).encode("utf-8")
+    payload = b"".join((_ENVELOPE_LEN.pack(len(header)), header,
+                        message.get("body") or b""))
     digest = _frame_digest(payload, key)
     return _HEADER.pack(MAGIC, version, len(payload), digest) + payload
 
@@ -145,15 +164,31 @@ def decode_payload(header: bytes, payload: bytes,
                 "different secret", reason="auth-mismatch")
         raise ProtocolError("frame payload sha256 mismatch",
                             reason="checksum-mismatch")
+    if len(payload) < _ENVELOPE_LEN.size:
+        raise ProtocolError(
+            f"frame payload of {len(payload)} bytes cannot hold its "
+            f"header length", reason="bad-json")
+    (header_len,) = _ENVELOPE_LEN.unpack_from(payload)
+    body_at = _ENVELOPE_LEN.size + header_len
+    if body_at > len(payload):
+        raise ProtocolError(
+            f"frame header length {header_len} overruns the "
+            f"{len(payload)}-byte payload", reason="bad-json")
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = json.loads(
+            payload[_ENVELOPE_LEN.size:body_at].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"frame payload is not valid JSON: {exc}",
+        raise ProtocolError(f"frame header is not valid JSON: {exc}",
                             reason="bad-json") from None
     if not isinstance(message, dict):
         raise ProtocolError(
-            f"frame payload is {type(message).__name__}, not an object",
+            f"frame header is {type(message).__name__}, not an object",
             reason="bad-json")
+    if "body" in message:
+        raise ProtocolError("frame header carries a body key",
+                            reason="bad-json")
+    if body_at < len(payload):
+        message["body"] = payload[body_at:]
     return message
 
 
@@ -233,9 +268,23 @@ class _RestrictedUnpickler(pickle.Unpickler):
     reachable as attributes of repro modules (``repro.x.os``), repro
     attributes that merely re-export foreign callables — is a
     ``forbidden-global`` protocol violation.
+
+    Each approved global is resolved once per process: ``_approved``
+    maps ``(module, name)`` to the object the checks accepted.  A
+    refusal is never recorded, so it is re-checked, and refused, on
+    every attempt.
     """
 
+    _approved: dict = {}
+
     def find_class(self, module: str, name: str) -> Any:
+        key = (module, name)
+        obj = self._approved.get(key)
+        if obj is None:
+            obj = self._approved[key] = self._approve(module, name)
+        return obj
+
+    def _approve(self, module: str, name: str) -> Any:
         if module == "builtins" and name in _SAFE_BUILTINS:
             return getattr(builtins, name)
         if module == "repro" or module.startswith("repro."):
@@ -250,24 +299,17 @@ class _RestrictedUnpickler(pickle.Unpickler):
             f"{module}.{name}")
 
 
-def pack_body(obj: Any) -> str:
-    """Pickle *obj* into a JSON-safe base64 string."""
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
+def pack_body(obj: Any) -> bytes:
+    """Pickle *obj* into frame body bytes."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def unpack_body(data: Optional[str]) -> Any:
+def unpack_body(data: Optional[bytes]) -> Any:
     """Deserialize a frame body through the restricted unpickler."""
     if data is None:
         return None
     try:
-        blob = base64.b64decode(data.encode("ascii"))
-    except Exception as exc:  # noqa: BLE001 — anything here is protocol
-        raise ProtocolError(f"undecodable frame body: {exc}",
-                            reason="bad-json") from None
-    try:
-        return _RestrictedUnpickler(io.BytesIO(blob)).load()
+        return _RestrictedUnpickler(io.BytesIO(data)).load()
     except pickle.UnpicklingError as exc:
         if "forbidden global" in str(exc):
             raise ProtocolError(str(exc),
@@ -284,7 +326,7 @@ class PackedBody:
     """A body already run through :func:`pack_body`: :func:`request`
     sends its ``data`` verbatim, so a retry re-sends the same bytes."""
 
-    data: str
+    data: bytes
 
 
 #: Per-loop memo of packed ``translate`` bodies: ``(id(accelerator),
@@ -322,6 +364,10 @@ def translate_body(loop: Any, accelerator: Any = None,
 
 # -- envelopes ----------------------------------------------------------------
 
+def _body_bytes(body: Any) -> bytes:
+    return body.data if isinstance(body, PackedBody) else pack_body(body)
+
+
 def request(op: str, req_id: int, body: Any = None, *,
             session: Optional[str] = None,
             idempotency_key: Optional[str] = None,
@@ -330,8 +376,7 @@ def request(op: str, req_id: int, body: Any = None, *,
     """A request envelope; *body* may be a :class:`PackedBody`."""
     message = {"type": "request", "op": op, "id": req_id}
     if body is not None:
-        message["body"] = (body.data if isinstance(body, PackedBody)
-                           else pack_body(body))
+        message["body"] = _body_bytes(body)
     if session is not None:
         message["session"] = session
     if idempotency_key is not None:
@@ -343,9 +388,10 @@ def request(op: str, req_id: int, body: Any = None, *,
 
 
 def ok_response(req_id: Optional[int], body: Any = None) -> dict:
+    """A success envelope; *body* may be a :class:`PackedBody`."""
     message = {"type": "response", "id": req_id, "ok": True}
     if body is not None:
-        message["body"] = pack_body(body)
+        message["body"] = _body_bytes(body)
     return message
 
 

@@ -398,12 +398,10 @@ def test_translate_memo_evicts_least_recently_used(monkeypatch):
 
 
 def test_forbidden_global_body_is_never_memoised(monkeypatch):
-    import base64
-
     from repro.errors import ProtocolError
     from repro.service import wire
 
-    evil = base64.b64encode(b"cos\nsystem\n.").decode("ascii")
+    evil = b"cos\nsystem\n."
     decoded = _count_calls(monkeypatch, wire, "unpack_body")
     with _server() as server:
         with LoopClient(server.host, server.port, session="evil") as client:
@@ -495,3 +493,120 @@ def test_cluster_client_translate_uses_the_packed_body(monkeypatch):
     with perf.engine_at(0):
         direct = _fields(api.translate(loop))
     assert [_fields(reply) for reply in replies] == [direct] * 3
+
+
+# -- the server's reply memo --------------------------------------------------
+
+def _reply_packs(monkeypatch):
+    """A probe listing every ``TranslationResult`` packed so far."""
+    from repro.service import wire
+    from repro.vm.translator import TranslationResult
+
+    packs = _count_calls(monkeypatch, wire, "pack_body")
+    return lambda: [obj for obj in packs
+                    if isinstance(obj, TranslationResult)]
+
+
+def _direct(requests) -> list:
+    perf.clear_caches()
+    with perf.engine_at(0):
+        return [_fields(api.translate(*request)) for request in requests]
+
+
+def test_repeated_translate_reply_is_packed_once(monkeypatch):
+    loop = K.fir_filter(taps=4)
+    replies_packed = _reply_packs(monkeypatch)
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="reply") as client:
+            replies = [client.translate(loop) for _ in range(6)]
+            assert len(server._reply_memo) == 1
+    assert len(replies_packed()) == 1
+    assert [_fields(reply) for reply in replies] == _direct([(loop,)]) * 6
+
+
+def test_reply_memo_never_aliases_distinct_requests(monkeypatch):
+    import copy
+
+    loop = K.fir_filter(taps=4)
+    renamed = copy.deepcopy(loop)
+    renamed.name = "fir_renamed"
+    # A config differing only in name shares the core cache entry
+    # (same digest) but not the reply: its image carries the config.
+    variants = [(loop, PROPOSED_LA, None),
+                (loop, PROPOSED_LA.with_(num_int_units=4), None),
+                (loop, PROPOSED_LA.with_(name="LA-twin"), None),
+                (renamed, PROPOSED_LA, None),
+                (loop, PROPOSED_LA,
+                 TranslationOptions(priority_kind="height"))]
+    replies_packed = _reply_packs(monkeypatch)
+    replies: list = []
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="alias") as client:
+            for _ in range(3):
+                replies.extend(client.translate(*variant)
+                               for variant in variants)
+            assert len(server._reply_memo) == len(variants)
+    assert len(replies_packed()) == len(variants)
+    assert [reply.loop_name for reply in replies[:4]] == \
+        [loop.name] * 3 + ["fir_renamed"]
+    assert replies[0].image.digest == replies[2].image.digest
+    assert [reply.image.config.name for reply in replies[:3]] == \
+        [PROPOSED_LA.name, PROPOSED_LA.name, "LA-twin"]
+    assert replies[1].image.config.num_int_units == 4
+    assert [_fields(reply) for reply in replies] == _direct(variants) * 3
+
+
+def test_invalidated_translation_repacks_its_reply(monkeypatch):
+    from repro.vm.translator import invalidate_translation
+
+    loop = K.fir_filter(taps=4)
+    request = (loop, PROPOSED_LA, TranslationOptions())
+    replies_packed = _reply_packs(monkeypatch)
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="deopt") as client:
+            replies = [client.translate(*request) for _ in range(2)]
+            assert len(replies_packed()) == 1
+            assert invalidate_translation(*request)
+            replies += [client.translate(*request) for _ in range(2)]
+            assert len(server._reply_memo) == 1
+    assert len(replies_packed()) == 2
+    assert [_fields(reply) for reply in replies] == _direct([request]) * 4
+
+
+@pytest.mark.parametrize("case", ["failure", "deadline", "engine0"])
+def test_uncached_replies_are_never_memoised(monkeypatch, case):
+    import contextlib
+
+    request = {
+        "failure": (K.while_scan(),),
+        "deadline": (K.fir_filter(taps=4), None,
+                     TranslationOptions(deadline_s=30.0)),
+        "engine0": (K.fir_filter(taps=4),),
+    }[case]
+    engine = perf.engine_at(0) if case == "engine0" \
+        else contextlib.nullcontext()
+    replies_packed = _reply_packs(monkeypatch)
+    with _server() as server, engine:
+        with LoopClient(server.host, server.port, session=case) as client:
+            replies = [client.translate(*request) for _ in range(3)]
+            assert len(server._reply_memo) == 0
+    assert len(replies_packed()) == 3
+    assert all(reply.ok == (case != "failure") for reply in replies)
+    assert [_fields(reply) for reply in replies] == _direct([request]) * 3
+
+
+def test_reply_memo_evicts_least_recently_used(monkeypatch):
+    from repro.service import net
+
+    monkeypatch.setattr(net, "TRANSLATE_MEMO_ENTRIES", 2)
+    loops = {name: K.fir_filter(taps=taps, name=f"fir_{name}")
+             for name, taps in (("a", 2), ("b", 3), ("c", 4))}
+    replies_packed = _reply_packs(monkeypatch)
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="lru") as client:
+            for name in "abacab":
+                assert client.translate(loops[name]).ok
+                assert len(server._reply_memo) <= 2
+    packed = [result.loop_name for result in replies_packed()]
+    # "a" was refreshed before "c" arrived, so "b" was the one evicted.
+    assert [packed.count(loops[name].name) for name in "abc"] == [1, 2, 1]

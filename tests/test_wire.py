@@ -117,6 +117,88 @@ def test_undecodable_body():
     assert _reason(info) == "bad-json"
 
 
+# -- the v2 frame layout: raw body bytes after the JSON header ----------------
+
+_PING = {"type": "request", "op": "ping", "id": 1}
+_PING_HEADER = b'{"id":1,"op":"ping","type":"request"}'
+_SEVEN = b"\x80\x05K\x07."  # pickle of the int 7
+
+
+def _payload_frame(payload: bytes, version: int = wire.WIRE_VERSION,
+                   key=None) -> bytes:
+    """A frame around an arbitrary payload, with a valid digest."""
+    import hashlib
+    import hmac
+    digest = (hmac.new(key, payload, hashlib.sha256).digest() if key
+              else hashlib.sha256(payload).digest())
+    return struct.pack("<4sIQ32s", wire.MAGIC, version, len(payload),
+                       digest) + payload
+
+
+def test_golden_frame_without_body():
+    assert wire.encode_frame(_PING) == (
+        b"RVNW" + struct.pack("<IQ", 2, 4 + len(_PING_HEADER))
+        + bytes.fromhex("77d648a28a5e4e3302d97880d436924d"
+                        "d0760c88ee439ae990214ee6450946c3")
+        + struct.pack("<I", len(_PING_HEADER)) + _PING_HEADER)
+
+
+def test_golden_frame_with_body():
+    frame = wire.encode_frame({**_PING, "body": _SEVEN})
+    assert frame == (
+        b"RVNW" + struct.pack("<IQ", 2, 4 + len(_PING_HEADER) + 5)
+        + bytes.fromhex("7f4bd7225381f5f174949f2da96abd8a"
+                        "e0c68281a163275ccbfb0cc84c8ea34c")
+        + struct.pack("<I", len(_PING_HEADER)) + _PING_HEADER + _SEVEN)
+    decoded = wire.decode_frame(frame)
+    assert decoded == {**_PING, "body": _SEVEN}
+    assert wire.unpack_body(decoded["body"]) == 7
+
+
+@pytest.mark.parametrize("secret, reason", [
+    (None, "checksum-mismatch"), ("s3cret", "auth-mismatch")])
+def test_flipped_body_byte_fails_the_digest(secret, reason):
+    key = wire.frame_key(secret)
+    blob = bytearray(wire.encode_frame({**_PING, "body": _SEVEN}, key=key))
+    blob[-2] ^= 0x01  # inside the body, past the JSON header
+    with pytest.raises(ProtocolError) as info:
+        wire.decode_frame(bytes(blob), key)
+    assert _reason(info) == reason
+
+
+@pytest.mark.parametrize("payload", [
+    struct.pack("<I", len(_PING_HEADER) + 1) + _PING_HEADER,
+    b"\x01\x00\x00",
+], ids=["header-overrun", "short-payload"])
+def test_malformed_header_length_is_bad_json(payload):
+    with pytest.raises(ProtocolError) as info:
+        wire.decode_frame(_payload_frame(payload))
+    assert _reason(info) == "bad-json"
+
+
+def test_header_carrying_a_body_key_is_bad_json():
+    header = b'{"body":"AAAA","id":1}'
+    with pytest.raises(ProtocolError) as info:
+        wire.decode_frame(_payload_frame(
+            struct.pack("<I", len(header)) + header))
+    assert _reason(info) == "bad-json"
+
+
+def test_version_1_frame_is_a_version_mismatch():
+    with pytest.raises(ProtocolError) as info:
+        wire.decode_frame(wire.encode_frame(_PING, version=1))
+    assert _reason(info) == "version-mismatch"
+
+
+def test_payload_ceiling_counts_header_and_body(monkeypatch):
+    frame = wire.encode_frame({**_PING, "body": _SEVEN})
+    monkeypatch.setattr(wire, "MAX_PAYLOAD", 4 + len(_PING_HEADER))
+    assert wire.decode_frame(wire.encode_frame(_PING)) == _PING
+    with pytest.raises(ProtocolError) as info:
+        wire.decode_frame(frame)
+    assert _reason(info) == "oversize"
+
+
 # -- async stream reads -------------------------------------------------------
 
 def _feed(chunks) -> asyncio.StreamReader:
@@ -220,8 +302,7 @@ def test_body_rejects_forbidden_global():
     # A hand-built pickle naming os.system: loading it through the
     # stock unpickler would hand the peer a shell — the restricted
     # unpickler must refuse before any global resolves.
-    import base64
-    evil = base64.b64encode(b"cos\nsystem\n.").decode("ascii")
+    evil = b"cos\nsystem\n."
     with pytest.raises(ProtocolError) as info:
         wire.unpack_body(evil)
     assert _reason(info) == "forbidden-global"
@@ -230,11 +311,40 @@ def test_body_rejects_forbidden_global():
 def test_body_rejects_module_attribute_escape():
     # Modules imported *by* repro modules (repro.service.server.os)
     # must not be reachable through the repro.* allow prefix.
-    import base64
-    evil = base64.b64encode(b"crepro.service.server\nos\n.").decode()
+    evil = b"crepro.service.server\nos\n."
     with pytest.raises(ProtocolError) as info:
         wire.unpack_body(evil)
     assert _reason(info) == "forbidden-global"
+
+
+def test_approved_globals_never_admit_a_refused_one():
+    # Resolving each approved global once must not open a door: after
+    # genuine replies warm the map, the escapes are refused every time.
+    import types
+
+    from repro.accelerator import PROPOSED_LA
+    from repro.errors import AdmissionRejected
+    from repro.vm.translator import translate_loop
+    from repro.workloads import kernels as K
+
+    for value in (translate_loop(K.fir_filter(taps=4), PROPOSED_LA),
+                  AdmissionRejected("busy", retry_after=0.1),
+                  {frozenset({1}), 2}):
+        wire.unpack_body(wire.pack_body(value))
+    approved = wire._RestrictedUnpickler._approved
+    assert len(approved) > 5
+    for evil in (b"cos\nsystem\n.", b"crepro.service.server\nos\n.") * 2:
+        with pytest.raises(ProtocolError) as info:
+            wire.unpack_body(evil)
+        assert _reason(info) == "forbidden-global"
+    assert ("os", "system") not in approved
+    assert ("repro.service.server", "os") not in approved
+    for (module, name), obj in approved.items():
+        if module == "builtins":
+            assert name in wire._SAFE_BUILTINS
+        else:
+            assert not isinstance(obj, types.ModuleType)
+            assert obj.__module__.split(".")[0] == "repro"
 
 
 def test_body_allows_repro_types_and_safe_builtins():
