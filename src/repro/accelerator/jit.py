@@ -26,6 +26,13 @@ Codegen shape (one function per scheduled loop):
   is eliminated entirely: every memory op's address is its affine stream
   pattern, materialised as a base local plus per-iteration increments
   (``a += stride * S`` once per unrolled steady trip).
+* **typed emission** — a type pass proves each value's kind (int64,
+  int, float or unknown) at specialization time, so each op is emitted
+  in the cheapest form that returns exactly what the reference returns:
+  no conversion around a proven value, constant shift amounts folded,
+  bitwise ops of int64s bare, the wrap inlined in the steady state.
+  Loads and live-ins keep the reference conversions, and pure ops that
+  nothing reads and that cannot raise are not emitted at all.
 * **closed-form timing** — cycles, max inflight iterations and
   per-resource utilization are computed from schedule arithmetic at
   specialization time, term-for-term identical to what the event
@@ -39,19 +46,19 @@ the reference interpreter remains ground truth.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from repro import obs
 from repro.accelerator.machine import (AcceleratorFault, AcceleratorRun,
                                        KernelImage)
 from repro.accelerator.pipeline_executor import (OverlappedRun,
                                                  execute_overlapped)
-from repro.cpu.interpreter import (_as_bits, _shift_amount, _trunc_div,
-                                   _trunc_rem, wrap64)
+from repro.cpu.interpreter import _trunc_div, _trunc_rem, wrap64
 from repro.cpu.memory import Memory, Value
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Imm, Operation, Reg
@@ -106,8 +113,8 @@ _code_cache: "OrderedDict[tuple, Optional[SpecializedKernel]]" = OrderedDict()
 #: the reverse map so LRU eviction can clean the per-loop sets.
 _loop_keys: dict[str, set] = {}
 _key_loop: dict[tuple, str] = {}
-_stats = {"compiled": 0, "hits": 0, "unsupported": 0, "deopts": 0,
-          "evicted": 0}
+_stats = {"compiled": 0, "hits": 0, "unsupported": 0, "errors": 0,
+          "deopts": 0, "evicted": 0}
 
 #: Max cached kernels (``REPRO_JIT_CACHE`` / :func:`set_code_cache_limit`
 #: override).  Negative (unsupported) entries count too — they are tiny,
@@ -230,10 +237,18 @@ def kernel_for(image: KernelImage, trips: int
     except SpecializationUnsupported:
         kernel = None
         _stats["unsupported"] += 1
-    except Exception:
-        # A codegen crash must never take down the reference path.
+    except Exception as exc:
+        # A codegen crash must never take down the reference path, but
+        # it is a bug, not a shape: count and record it apart so it
+        # cannot hide as a silent slowdown.
         kernel = None
         _stats["unsupported"] += 1
+        _stats["errors"] += 1
+        obs.inc("jit.codegen_errors")
+        from repro.resilience.incidents import record_incident
+        record_incident("jit-codegen-error", "accelerator.jit",
+                        f"{type(exc).__name__}: {exc}",
+                        loop=image.loop.name, trips=trips)
     obs.observe("jit.compile_ms",
                 (time.perf_counter() - started) * 1000.0)
     _code_cache[key] = kernel
@@ -245,72 +260,227 @@ def kernel_for(image: KernelImage, trips: int
 
 # -- codegen ------------------------------------------------------------------
 
-#: opcode -> expression template over operand expressions a, b, c.
-#: Every template is copied verbatim from Interpreter.execute_op so the
-#: compiled arithmetic is bit-identical to the reference semantics.
-_BINARY = {
-    Opcode.ADD: "__w(int({a}) + int({b}))",
-    Opcode.SUB: "__w(int({a}) - int({b}))",
-    Opcode.MUL: "__w(int({a}) * int({b}))",
-    Opcode.MIN: "min(int({a}), int({b}))",
-    Opcode.MAX: "max(int({a}), int({b}))",
-    Opcode.AND: "__w(__bits(int({a})) & __bits(int({b})))",
-    Opcode.OR: "__w(__bits(int({a})) | __bits(int({b})))",
-    Opcode.XOR: "__w(__bits(int({a})) ^ __bits(int({b})))",
-    Opcode.SHL: "__w(int({a}) << __sh(int({b})))",
-    Opcode.SHR: "__w(int({a}) >> __sh(int({b})))",
-    Opcode.SHRU: "__w(__bits(int({a})) >> __sh(int({b})))",
-    Opcode.CMPEQ: "int({a} == {b})",
-    Opcode.CMPNE: "int({a} != {b})",
-    Opcode.CMPLT: "int({a} < {b})",
-    Opcode.CMPLE: "int({a} <= {b})",
-    Opcode.CMPGT: "int({a} > {b})",
-    Opcode.CMPGE: "int({a} >= {b})",
-    Opcode.FADD: "float({a}) + float({b})",
-    Opcode.FSUB: "float({a}) - float({b})",
-    Opcode.FMUL: "float({a}) * float({b})",
-    Opcode.FMIN: "min(float({a}), float({b}))",
-    Opcode.FMAX: "max(float({a}), float({b}))",
-    Opcode.FCMPLT: "int(float({a}) < float({b}))",
-    Opcode.FCMPLE: "int(float({a}) <= float({b}))",
-    Opcode.FCMPEQ: "int(float({a}) == float({b}))",
+#: Value kinds the type pass proves at specialization time.  ``INT64``
+#: is a Python ``int`` in signed-64 range; ``INT`` a Python ``int`` of
+#: any size (MIN/MAX of converted unknowns); ``FLOAT`` a Python
+#: ``float``.  Anything else -- a load, a live-in, a value some instance
+#: may take from a live-in -- is ``UNKNOWN`` and keeps the reference
+#: conversions.
+INT64, INT, FLOAT, UNKNOWN = "int64", "int", "float", "unknown"
+_INTS = (INT64, INT)
+
+_BIAS = str(1 << 63)
+_MASK = str((1 << 64) - 1)
+
+
+class _Val(NamedTuple):
+    """A typed operand: its source expression, its kind, and its value
+    when it is an ``int`` immediate (shift amounts, masks)."""
+
+    expr: str
+    kind: str
+    const: Optional[int] = None
+
+
+def _join(a: str, b: str) -> str:
+    if a == b:
+        return a
+    return INT if a in _INTS and b in _INTS else UNKNOWN
+
+
+def _imm(value) -> _Val:
+    if type(value) is int:
+        kind = INT64 if -(1 << 63) <= value < (1 << 63) else INT
+        return _Val(f"({value})" if value < 0 else str(value), kind, value)
+    if type(value) is float:
+        if not math.isfinite(value):
+            return _Val(f"float({str(value)!r})", FLOAT)
+        text = repr(value)
+        return _Val(f"({text})" if text[0] == "-" else text, FLOAT)
+    if type(value) is bool:
+        return _Val(repr(value), UNKNOWN)
+    raise SpecializationUnsupported(
+        f"immediate {value!r} of type {type(value).__name__}")
+
+
+def _int(v: _Val) -> str:
+    return v.expr if v.kind in _INTS else f"int({v.expr})"
+
+
+def _float(v: _Val) -> str:
+    return v.expr if v.kind == FLOAT else f"float({v.expr})"
+
+
+def _int_raises(*vals: _Val) -> bool:
+    """``int()`` of anything but an int may raise (nan, inf)."""
+    return any(v.kind not in _INTS for v in vals)
+
+
+def _float_raises(*vals: _Val) -> bool:
+    """``float()`` of an int beyond 2**1024 raises; int64 never does."""
+    return any(v.kind in (INT, UNKNOWN) for v in vals)
+
+
+def _wrap_inline(expr: str) -> str:
+    """``wrap64`` inlined for the steady-state loop: a range test that
+    returns the value itself, else ``((x + 2**63) & (2**64-1)) - 2**63``
+    (measured cheaper than the arithmetic alone, which allocates)."""
+    return (f"(__t if -{_BIAS} <= (__t := {expr}) < {_BIAS} "
+            f"else (__t + {_BIAS} & {_MASK}) - {_BIAS})")
+
+
+def _wrap_call(expr: str) -> str:
+    """``wrap64`` as a helper call, for code that runs once per call:
+    the inline form costs more to compile than it saves there."""
+    return f"__w({expr})"
+
+
+#: opcode -> (typed form, operator symbol or template) for
+#: :func:`_value_expr`.
+_FORMS = {
+    Opcode.ADD: ("arith", "+"), Opcode.SUB: ("arith", "-"),
+    Opcode.MUL: ("arith", "*"),
+    Opcode.AND: ("bitwise", "&"), Opcode.OR: ("bitwise", "|"),
+    Opcode.XOR: ("bitwise", "^"),
+    Opcode.SHL: ("shift", "<<"), Opcode.SHR: ("shift", ">>"),
+    Opcode.SHRU: ("shift", ">>>"),
+    Opcode.CMPEQ: ("compare", "=="), Opcode.CMPNE: ("compare", "!="),
+    Opcode.CMPLT: ("compare", "<"), Opcode.CMPLE: ("compare", "<="),
+    Opcode.CMPGT: ("compare", ">"), Opcode.CMPGE: ("compare", ">="),
+    Opcode.MIN: ("minmax", "<"), Opcode.MAX: ("minmax", ">"),
+    Opcode.NEG: ("negabs", "-{}"), Opcode.ABS: ("negabs", "abs({})"),
+    Opcode.NOT: ("not", None),
+    Opcode.DIV: ("div", None), Opcode.REM: ("rem", None),
+    Opcode.FADD: ("farith", "+"), Opcode.FSUB: ("farith", "-"),
+    Opcode.FMUL: ("farith", "*"),
+    Opcode.FCMPLT: ("fcompare", "<"), Opcode.FCMPLE: ("fcompare", "<="),
+    Opcode.FCMPEQ: ("fcompare", "=="),
+    Opcode.FMIN: ("fminmax", "<"), Opcode.FMAX: ("fminmax", ">"),
+    Opcode.FDIV: ("fdiv", None),
+    Opcode.FNEG: ("funary", "(-{})"), Opcode.FABS: ("funary", "abs({})"),
+    Opcode.ITOF: ("itof", None), Opcode.FTOI: ("ftoi", None),
+    Opcode.MOV: ("copy", None), Opcode.LDI: ("copy", None),
+    Opcode.SELECT: ("select", None),
 }
 
-_UNARY = {
-    Opcode.NEG: "__w(-int({a}))",
-    Opcode.ABS: "__w(abs(int({a})))",
-    Opcode.NOT: "__w(~int({a}))",
-    Opcode.MOV: "{a}",
-    Opcode.LDI: "{a}",
-    Opcode.FNEG: "-float({a})",
-    Opcode.FABS: "abs(float({a}))",
-    Opcode.ITOF: "float(int({a}))",
-    Opcode.FTOI: "__w(int(float({a})))",
-}
-
-_HELPERS = {"__w": wrap64, "__sh": _shift_amount, "__bits": _as_bits,
-            "__tdiv": _trunc_div, "__trem": _trunc_rem}
+_HELPERS = {"__w": wrap64, "__tdiv": _trunc_div, "__trem": _trunc_rem}
 
 
-def _value_expr(op: Operation, operands: list[str]) -> str:
-    """The result expression for a pure value op (no memory, no CCA)."""
-    oc = op.opcode
-    if oc in _BINARY:
-        return _BINARY[oc].format(a=operands[0], b=operands[1])
-    if oc in _UNARY:
-        return _UNARY[oc].format(a=operands[0])
-    if oc is Opcode.DIV:
-        return (f"(0 if int({operands[1]}) == 0 else "
-                f"__w(__tdiv(int({operands[0]}), int({operands[1]}))))")
-    if oc is Opcode.REM:
-        return (f"(0 if int({operands[1]}) == 0 else "
-                f"__w(__trem(int({operands[0]}), int({operands[1]}))))")
-    if oc is Opcode.FDIV:
-        return (f"(0.0 if float({operands[1]}) == 0.0 else "
-                f"float({operands[0]}) / float({operands[1]}))")
-    if oc is Opcode.SELECT:
-        return f"({operands[1]} if {operands[0]} else {operands[2]})"
-    raise SpecializationUnsupported(f"opcode {oc} has no template")
+def _value_expr(op: Operation, operands: list[_Val],
+                wrap: Callable[[str], str] = _wrap_inline
+                ) -> tuple[str, str, bool]:
+    """``(expr, kind, raises)`` for a pure value op (no memory, no CCA).
+
+    Each expression is the cheapest form that returns exactly what
+    ``Interpreter.execute_op`` returns, value and type; ``raises`` says
+    whether it converts a value not proven int (resp. float), so it may
+    raise where the reference raises (``int(nan)``, ``int(inf)``).
+    """
+    form, sym = _FORMS.get(op.opcode, (None, None))
+    a = operands[0] if operands else None
+    b = operands[1] if len(operands) > 1 else None
+    if form == "arith":
+        return wrap(f"{_int(a)} {sym} {_int(b)}"), INT64, _int_raises(a, b)
+    if form == "bitwise":
+        # Infinite two's complement: bitwise ops of int64s are int64
+        # and equal the wrapped 64-bit result; so is ``x & mask`` for a
+        # non-negative int64 mask.
+        if a.kind == INT64 and b.kind == INT64:
+            expr = f"({a.expr} {sym} {b.expr})"
+        elif sym == "&" and any(v.kind == INT64 and v.const is not None
+                                and v.const >= 0 for v in (a, b)):
+            expr = f"({_int(a)} & {_int(b)})"
+        else:
+            expr = wrap(f"{_int(a)} {sym} {_int(b)}")
+        return expr, INT64, _int_raises(a, b)
+    if form == "shift":
+        x = _int(a)
+        if b.const is not None:
+            k = b.const & 63
+            amount, raises = str(k), _int_raises(a)
+        else:
+            k = None
+            amount, raises = f"({_int(b)} & 63)", _int_raises(a, b)
+        exact = a.kind == INT64
+        if k == 0:
+            expr = x if exact else wrap(x)
+        elif sym == "<<":
+            expr = wrap(f"{x} << {amount}")
+        elif sym == ">>":
+            # An arithmetic right shift keeps an int64 in range.
+            expr = f"({x} >> {amount})" if exact else wrap(
+                f"{x} >> {amount}")
+        elif k is not None:
+            # Logical: the 64-bit pattern shifted by 1..63 is in range.
+            expr = f"(({x} & {_MASK}) >> {k})"
+        else:
+            expr = wrap(f"({x} & {_MASK}) >> {amount}")
+        return expr, INT64, raises
+    if form == "compare":
+        # int(a < b) never needs its operands converted; the result
+        # stays an int, never a bool.
+        return (f"(1 if {a.expr} {sym} {b.expr} else 0)", INT64,
+                UNKNOWN in (a.kind, b.kind))
+    if form == "minmax":
+        if a.kind == INT64 and b.kind == INT64:
+            # min(a, b) keeps a unless b < a (max: unless b > a).
+            return (f"({b.expr} if {b.expr} {sym} {a.expr} else {a.expr})",
+                    INT64, False)
+        name = "min" if sym == "<" else "max"
+        return f"{name}({_int(a)}, {_int(b)})", INT, _int_raises(a, b)
+    if form == "negabs":
+        return wrap(sym.format(_int(a))), INT64, _int_raises(a)
+    if form == "not":
+        if a.kind == INT64:
+            return f"(~{a.expr})", INT64, False
+        return wrap(f"~{_int(a)}"), INT64, _int_raises(a)
+    if form == "div":
+        # The divisor is converted once, the dividend only if it is used.
+        return (f"(0 if (__d := {_int(b)}) == 0 else "
+                f"{wrap(f'__tdiv({_int(a)}, __d)')})", INT64,
+                _int_raises(a, b))
+    if form == "rem":
+        # The reference converts the divisor, then the dividend, and
+        # only then tests for zero.
+        return (f"(0 if ((__d := {_int(b)}), (__n := {_int(a)}))[0] == 0 "
+                f"else {wrap('__trem(__n, __d)')})", INT64,
+                _int_raises(a, b))
+    if form == "farith":
+        return (f"({_float(a)} {sym} {_float(b)})", FLOAT,
+                _float_raises(a, b))
+    if form == "fcompare":
+        return (f"(1 if {_float(a)} {sym} {_float(b)} else 0)", INT64,
+                _float_raises(a, b))
+    if form == "fminmax":
+        if a.kind == FLOAT and b.kind == FLOAT:
+            return (f"({b.expr} if {b.expr} {sym} {a.expr} else {a.expr})",
+                    FLOAT, False)
+        name = "min" if sym == "<" else "max"
+        return (f"{name}({_float(a)}, {_float(b)})", FLOAT,
+                _float_raises(a, b))
+    if form == "fdiv":
+        return (f"(0.0 if (__f := {_float(b)}) == 0.0 else "
+                f"{_float(a)} / __f)", FLOAT, _float_raises(a, b))
+    if form == "funary":
+        return sym.format(_float(a)), FLOAT, _float_raises(a)
+    if form == "itof":
+        # float() of an int beyond 2**1024 raises too.
+        return f"float({_int(a)})", FLOAT, a.kind != INT64
+    if form == "ftoi":
+        return wrap(f"int({_float(a)})"), INT64, a.kind != INT64
+    if form == "copy":
+        return a.expr, a.kind, False
+    if form == "select":
+        c = operands[2]
+        return (f"({b.expr} if {a.expr} else {c.expr})",
+                _join(b.kind, c.kind), False)
+    raise SpecializationUnsupported(f"opcode {op.opcode} has no typed form")
+
+
+#: Opcodes the emitter handles outside :func:`_value_expr`.
+_NON_VALUE = {Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE,
+              Opcode.CCA_OP, Opcode.BR, Opcode.JUMP, Opcode.CALL,
+              Opcode.BRL}
 
 
 class _Codegen:
@@ -331,25 +501,26 @@ class _Codegen:
         self.params: list[Reg] = []
         self._param_index: dict[Reg, int] = {}
         self.required: set[Reg] = set()
-        self._temp = 0
-        # Mirror of _DataflowResolver's producer map: nearest preceding
-        # in-body def (distance 0), else the final def (distance 1).
-        self._producer: dict[tuple[int, Reg], tuple[int, int]] = {}
+        # Mirror of _DataflowResolver's producer map, per reading op:
+        # each distinct register read (sources, then the predicate) ->
+        # (producer opid, distance, dest index) of the nearest preceding
+        # in-body def (distance 0), else of the final def (distance 1);
+        # None for a live-in.
+        self._reads: dict[int, dict[Reg, Optional[tuple]]] = {}
         self._index = {op.opid: i for i, op in enumerate(self.loop.body)}
         self._by_id = {op.opid: op for op in self.loop.body}
-        last_def: dict[Reg, int] = {}
-        final_def: dict[Reg, int] = {}
+        last_def: dict[Reg, tuple[int, int, int]] = {}
+        final_def: dict[Reg, tuple[int, int, int]] = {}
         for op in self.loop.body:
-            for d in op.dests:
-                final_def[d] = op.opid
-        for index, op in enumerate(self.loop.body):
-            for reg in set(op.src_regs()):
-                if reg in last_def:
-                    self._producer[(index, reg)] = (last_def[reg], 0)
-                elif reg in final_def:
-                    self._producer[(index, reg)] = (final_def[reg], 1)
-            for d in op.dests:
-                last_def[d] = op.opid
+            for ri, d in reversed(list(enumerate(op.dests))):
+                final_def[d] = (op.opid, 1, ri)
+        for op in self.loop.body:
+            reads = dict.fromkeys(op.src_regs())
+            for reg in reads:
+                reads[reg] = last_def.get(reg) or final_def.get(reg)
+            self._reads[op.opid] = reads
+            for ri, d in reversed(list(enumerate(op.dests))):
+                last_def[d] = (op.opid, 0, ri)
         # Memory ops need an affine stream pattern; the unscheduled
         # address/control slice is eliminated on the strength of it.
         self._patterns = {}
@@ -360,6 +531,206 @@ class _Codegen:
                     raise SpecializationUnsupported(
                         f"op{op.opid}: no affine stream pattern")
                 self._patterns[op.opid] = pattern
+        #: Typed forms memoised per (opid, operand kinds): templates
+        #: over ``{i}`` operand placeholders, so each instance of an op
+        #: only formats in its own variable names.
+        self._forms: dict[tuple, tuple] = {}
+        #: Per scheduled op, aligned with ``op.srcs``: ``(typed
+        #: immediate, None, None)`` or ``(None, reg, producer or None)``.
+        self._srcs: dict[int, list[tuple]] = {}
+        for op in self.loop.body:
+            if op.opid in self.schedule.times:
+                producers = self._reads[op.opid]
+                self._srcs[op.opid] = [
+                    (_imm(s.value), None, None) if isinstance(s, Imm)
+                    else (None, s, producers[s]) for s in op.srcs]
+        self._kinds: dict[tuple[int, int], str] = {}
+        self._raises: set[int] = set()
+        self._infer_kinds()
+        self._live, self._needed = self._liveness()
+        #: Scheduled ops that are emitted, in body order.
+        self._emitted = [op for op in self.loop.body
+                         if op.opid in self._needed]
+        for op in self.loop.body:
+            if (op.opid in self.schedule.times
+                    and op.opid not in self._needed):
+                # A dead pure op is never emitted, but the reference
+                # still reads its operands: its live-ins stay required.
+                for reg, producer in self._reads[op.opid].items():
+                    if producer is None or producer[1]:
+                        self._live_in(reg)  # iteration 0 reads it
+                    if (producer is not None
+                            and producer[0] not in self.schedule.times):
+                        raise SpecializationUnsupported(
+                            f"op{producer[0]}: value read of an "
+                            f"unscheduled producer")
+
+    # -- type pass -------------------------------------------------------
+
+    def _static(self, producer: Optional[tuple]) -> _Val:
+        """The kind of a read of *producer* over every instance of the
+        reading op.  A distance-1 read is unknown: iteration 0 reads
+        the live-in."""
+        if producer is None or producer[1]:
+            return _Val("", UNKNOWN)
+        return _Val("", self._kinds.get((producer[0], producer[2]),
+                                        UNKNOWN))
+
+    def _infer_kinds(self) -> None:
+        """Kind of every scheduled ``(opid, dest index)``.
+
+        One pass in body order is the fixed point: a distance-0
+        producer always precedes its reader, and every distance-1 read
+        is unknown.  Ops whose expression may raise land in
+        ``_raises`` so dead-op elimination keeps them.
+        """
+        for op in self.loop.body:
+            if op.opid not in self.schedule.times:
+                continue
+            oc = op.opcode
+            reads = self._reads[op.opid]
+            kinds = [self._static(reads.get(d)).kind for d in op.dests]
+            if oc is Opcode.CCA_OP:
+                steps, binding = self._compound_form(
+                    op, tuple(self._static(producer).kind
+                              for producer in reads.values()))
+                if any(step[2] for step in steps):
+                    self._raises.add(op.opid)
+                for ri, d in enumerate(op.dests):
+                    if d in binding:
+                        kinds[ri] = (binding[d].kind if op.predicate is None
+                                     else _join(binding[d].kind, kinds[ri]))
+            elif oc not in _NON_VALUE:
+                _expr, kind, raises = self._pure_form(
+                    op, [imm or self._static(producer)
+                         for imm, _reg, producer in self._srcs[op.opid]])
+                if raises:
+                    self._raises.add(op.opid)
+                if kinds:
+                    kinds[0] = (kind if op.predicate is None
+                                else _join(kind, kinds[0]))
+            elif op.is_load and kinds:
+                kinds[0] = UNKNOWN
+            for ri, kind in enumerate(kinds):
+                self._kinds[(op.opid, ri)] = kind
+
+    def _liveness(self) -> tuple[set, set]:
+        """Mark-and-sweep over values: ``(live values, needed opids)``.
+
+        Memory ops, ops that may raise and live-out producers are
+        roots; an op is needed when any of its values is live, and a
+        needed op's reads (at any distance) are live.  Every other
+        scheduled op is a dead pure op and is never emitted.
+        """
+        reads = {opid: [(producer[0], producer[2])
+                        for producer in self._reads[opid].values()
+                        if producer is not None]
+                 for opid in self._srcs}
+        live: set[tuple[int, int]] = set()
+        needed: set[int] = set()
+        work: list[tuple[int, int]] = []
+
+        def need(opid: int) -> None:
+            if opid not in needed:
+                needed.add(opid)
+                work.extend(reads[opid])
+
+        for op in self.loop.body:
+            if op.opid in reads and (op.opcode in _NON_VALUE
+                                     and op.opcode is not Opcode.CCA_OP
+                                     or op.opid in self._raises):
+                need(op.opid)
+        for reg in self.loop.live_outs:
+            producer = None
+            for op in self.loop.body:
+                if reg in op.dests:
+                    producer = op
+            if producer is not None:
+                work.append((producer.opid, producer.dests.index(reg)))
+        while work:
+            value = work.pop()
+            if value not in live:
+                live.add(value)
+                if value[0] in reads:
+                    need(value[0])
+        return live, needed
+
+    def _pure_form(self, op: Operation, operands: list[_Val],
+                   hot: bool = False) -> tuple[str, str, bool]:
+        """:func:`_value_expr` of *op* as a ``{i}`` template; *hot*
+        selects the inline wrap of the steady-state loop."""
+        key = (op.opid, hot, *[v.kind for v in operands])
+        form = self._forms.get(key)
+        if form is None:
+            form = _value_expr(op, [v._replace(expr=f"{{{i}}}")
+                                    for i, v in enumerate(operands)],
+                               _wrap_inline if hot else _wrap_call)
+            self._forms[key] = form
+        return form
+
+    def _compound_form(self, op: Operation, kinds: tuple[str, ...],
+                       hot: bool = False
+                       ) -> tuple[list[tuple], dict[Reg, _Val]]:
+        """Type CCA *op*'s inner ops over its register reads of *kinds*.
+
+        Returns the steps ``(temp or None, expr, raises, temps read)``
+        of every inner op that executes, and the final binding; the
+        i-th register read appears as the placeholder ``{i}``.
+        """
+        key = (op.opid, "cca", hot) + kinds
+        form = self._forms.get(key)
+        if form is not None:
+            return form
+        binding = {reg: _Val(f"{{{i}}}", kind) for i, ((reg, _p), kind)
+                   in enumerate(zip(self._reads[op.opid].items(), kinds))}
+        steps = []
+        temps: set[str] = set()
+        for j, inner in enumerate(op.inner):
+            if inner.opcode is Opcode.CCA_OP or inner.is_memory:
+                raise SpecializationUnsupported(
+                    f"op{op.opid}: unsupported inner op {inner.opcode}")
+            reads = []
+            if inner.predicate is not None:
+                if inner.predicate not in binding:
+                    continue  # regs.get(pred, 0) == 0: statically squashed
+                reads.append(binding[inner.predicate])
+            operands = []
+            for s in inner.srcs:
+                if isinstance(s, Imm):
+                    operands.append(_imm(s.value))
+                elif s in binding:
+                    operands.append(binding[s])
+                else:
+                    raise SpecializationUnsupported(
+                        f"op{op.opid}: inner read of unbound {s}")
+            expr, kind, raises = _value_expr(
+                inner, operands, _wrap_inline if hot else _wrap_call)
+            reads.extend(operands)
+            name = None
+            if not inner.dests:
+                if inner.predicate is not None:
+                    expr = f"({expr} if {reads[0].expr} else 0)"
+            else:
+                dest = inner.dests[0]
+                if inner.predicate is not None:
+                    if dest not in binding:
+                        raise SpecializationUnsupported(
+                            f"op{op.opid}: predicated inner def of "
+                            f"unbound {dest}")
+                    prior = binding[dest]
+                    expr = f"({expr} if {reads[0].expr} else {prior.expr})"
+                    kind = _join(kind, prior.kind)
+                    reads.append(prior)
+                # Temporaries are read only inside their own compound
+                # instance, so one name per inner op serves them all.
+                name = f"c{op.opid}_{j}"
+                temps.add(name)
+                binding[dest] = _Val(name, kind)
+            steps.append((name, expr, raises,
+                          [v.expr for v in reads if v.expr in temps]))
+        form = (steps, binding)
+        self._forms[key] = form
+        return form
 
     # -- small helpers ----------------------------------------------------
 
@@ -370,27 +741,24 @@ class _Codegen:
             self.params.append(reg)
         return f"L{self._param_index[reg]}"
 
-    def _var(self, opid: int, reg: Reg, slot: int) -> str:
-        op = self._by_id[opid]
-        try:
-            ri = op.dests.index(reg)
-        except ValueError:
-            raise SpecializationUnsupported(
-                f"op{opid}: producer does not define {reg}")
-        return f"v{opid}_{ri}_{slot}"
+    def _resolve(self, op: Operation, reg: Reg, k: Optional[int],
+                 slot_phase: Optional[int] = None) -> _Val:
+        """Typed value of *reg* as *op* reads it in iteration *k*."""
+        return self._read(reg, self._reads[op.opid].get(reg), k,
+                          slot_phase)
 
-    def _resolve(self, position: int, reg: Reg, k: Optional[int],
-                 slot_phase: Optional[int] = None) -> str:
-        """Expression for *reg* read at body *position*, iteration *k*.
+    def _read(self, reg: Reg, producer: Optional[tuple], k: Optional[int],
+              slot_phase: Optional[int]) -> _Val:
+        """Typed value of a read of *reg* from *producer*.
 
         ``k`` is the concrete iteration in unrolled regions; in the
         steady-state template ``k`` is None and ``slot_phase`` is the
-        static ``k mod S`` of the reading instance.
+        static ``k mod S`` of the reading instance (``k >= 1`` there,
+        so a distance-1 read takes its producer's kind).
         """
-        producer = self._producer.get((position, reg))
         if producer is None:
-            return self._live_in(reg)
-        opid, distance = producer
+            return _Val(self._live_in(reg), UNKNOWN)
+        opid, distance, ri = producer
         if opid not in self.schedule.times:
             # Offloadable (eliminated) producer: the partition guarantees
             # such values feed only addresses and the branch, so a value
@@ -400,15 +768,16 @@ class _Codegen:
         if k is not None:
             source = k - distance
             if source < 0:
-                return self._live_in(reg)
-            return self._var(opid, reg, source % self.s)
-        return self._var(opid, reg, (slot_phase - distance) % self.s)
+                return _Val(self._live_in(reg), UNKNOWN)
+            slot = source % self.s
+        else:
+            slot = (slot_phase - distance) % self.s
+        return _Val(f"v{opid}_{ri}_{slot}", self._kinds[(opid, ri)])
 
-    def _operand(self, position: int, operand, k: Optional[int],
-                 slot_phase: Optional[int] = None) -> str:
-        if isinstance(operand, Imm):
-            return repr(operand.value)
-        return self._resolve(position, operand, k, slot_phase)
+    def _operand(self, entry: tuple, k: Optional[int],
+                 slot_phase: Optional[int]) -> _Val:
+        imm, reg, producer = entry
+        return imm or self._read(reg, producer, k, slot_phase)
 
     def _addr(self, op: Operation, k: Optional[int],
               steady_offset: Optional[int] = None) -> str:
@@ -427,7 +796,6 @@ class _Codegen:
                        steady_offset: Optional[int] = None,
                        indent: str = "    ") -> None:
         """Emit op's iteration-*k* instance (or the steady template)."""
-        position = self._index[op.opid]
         oc = op.opcode
         if oc in (Opcode.BR, Opcode.JUMP):
             return
@@ -435,119 +803,89 @@ class _Codegen:
             raise SpecializationUnsupported(f"op{op.opid}: {oc} traps")
         phase = k % self.s if k is not None else slot_phase
         pred = (None if op.predicate is None else
-                self._resolve(position, op.predicate, k, slot_phase))
-
-        def dest_var(ri: int) -> str:
-            return f"v{op.opid}_{ri}_{phase}"
-
-        def prior(reg: Reg) -> str:
-            # Squashed predicated op: the executor copies the value the
-            # register would resolve to *as if read at this position*.
-            return self._resolve(position, reg, k, slot_phase)
-
-        if oc in (Opcode.STORE, Opcode.FSTORE):
-            addr = self._addr(op, k, steady_offset)
-            val = self._operand(position, op.srcs[2], k, slot_phase)
-            if pred is None:
-                self.lines.append(f"{indent}__cells[{addr}] = {val}")
-            else:
-                self.lines.append(
-                    f"{indent}if {pred}: __cells[{addr}] = {val}")
-            for ri, d in enumerate(op.dests):  # stores define nothing
-                self.lines.append(f"{indent}{dest_var(ri)} = {prior(d)}")
-            return
-        if oc in (Opcode.LOAD, Opcode.FLOAD):
-            if not op.dests:
-                raise SpecializationUnsupported(
-                    f"op{op.opid}: load without destination")
-            addr = self._addr(op, k, steady_offset)
-            expr = f"__cells.get({addr}, 0)"
-            if pred is not None:
-                expr = f"({expr} if {pred} else {prior(op.dests[0])})"
-            self.lines.append(f"{indent}{dest_var(0)} = {expr}")
-            for ri in range(1, len(op.dests)):
-                self.lines.append(
-                    f"{indent}{dest_var(ri)} = {prior(op.dests[ri])}")
-            return
+                self._resolve(op, op.predicate, k, slot_phase).expr)
+        dest = f"{indent}v{op.opid}_0_{phase} = "
         if oc is Opcode.CCA_OP:
             self._emit_compound(op, k, slot_phase, pred, indent)
             return
-        # Pure value op.
-        operands = [self._operand(position, s, k, slot_phase)
-                    for s in op.srcs]
-        expr = _value_expr(op, operands)
-        if not op.dests:
-            return  # result discarded, no side effects
-        if pred is not None:
-            expr = f"({expr} if {pred} else {prior(op.dests[0])})"
-        self.lines.append(f"{indent}{dest_var(0)} = {expr}")
-        for ri in range(1, len(op.dests)):
+        if oc in (Opcode.STORE, Opcode.FSTORE):
+            addr = self._addr(op, k, steady_offset)
+            val = self._operand(self._srcs[op.opid][2], k, slot_phase).expr
             self.lines.append(
-                f"{indent}{dest_var(ri)} = {prior(op.dests[ri])}")
+                f"{indent}__cells[{addr}] = {val}" if pred is None
+                else f"{indent}if {pred}: __cells[{addr}] = {val}")
+            copied = 0  # stores define nothing
+        elif oc in (Opcode.LOAD, Opcode.FLOAD):
+            if not op.dests:
+                raise SpecializationUnsupported(
+                    f"op{op.opid}: load without destination")
+            expr = f"__cells.get({self._addr(op, k, steady_offset)}, 0)"
+            copied = 1
+        else:
+            # Pure value op (needed: read, or it may raise).
+            operands = [self._operand(entry, k, slot_phase)
+                        for entry in self._srcs[op.opid]]
+            expr = self._pure_form(op, operands, k is None)[0].format(
+                *[v.expr for v in operands])
+            if not op.dests:
+                # Result discarded, but the conversion may raise.
+                self.lines.append(f"{indent}{expr}" if pred is None
+                                  else f"{indent}if {pred}: {expr}")
+                return
+            copied = 1
+        if copied:
+            if pred is not None:
+                # Squashed predicated op: the executor copies the value
+                # the register would resolve to *as if read here*.
+                prior = self._resolve(op, op.dests[0], k, slot_phase)
+                expr = f"({expr} if {pred} else {prior.expr})"
+            self.lines.append(dest + expr)
+        for ri in range(copied, len(op.dests)):
+            if (op.opid, ri) in self._live:
+                prior = self._resolve(op, op.dests[ri], k, slot_phase)
+                self.lines.append(
+                    f"{indent}v{op.opid}_{ri}_{phase} = {prior.expr}")
 
     def _emit_compound(self, op: Operation, k: Optional[int],
                        slot_phase: Optional[int], pred: Optional[str],
                        indent: str) -> None:
-        """CCA compound: inner ops over a compile-time binding map."""
-        position = self._index[op.opid]
+        """CCA compound: inner ops over a compile-time binding map; an
+        inner temporary nothing reads that cannot raise is dropped."""
         phase = k % self.s if k is not None else slot_phase
-        binding: dict[Reg, str] = {}
-        for reg in set(op.src_regs()):
-            binding[reg] = self._resolve(position, reg, k, slot_phase)
-        body: list[str] = []
+        bound = [self._read(reg, producer, k, slot_phase)
+                 for reg, producer in self._reads[op.opid].items()]
+        steps, binding = self._compound_form(
+            op, tuple(v.kind for v in bound), k is None)
+        args = [v.expr for v in bound]
+        live = [ri for ri in range(len(op.dests))
+                if (op.opid, ri) in self._live]
+        wanted = {binding[op.dests[ri]].expr for ri in live
+                  if op.dests[ri] in binding}
         inner_indent = indent + ("    " if pred is not None else "")
-        for inner in op.inner:
-            if inner.opcode is Opcode.CCA_OP or inner.is_memory:
-                raise SpecializationUnsupported(
-                    f"op{op.opid}: unsupported inner op {inner.opcode}")
-            ipred = None
-            if inner.predicate is not None:
-                if inner.predicate not in binding:
-                    continue  # regs.get(pred, 0) == 0: statically squashed
-                ipred = binding[inner.predicate]
-            operands = []
-            for s in inner.srcs:
-                if isinstance(s, Imm):
-                    operands.append(repr(s.value))
-                elif s in binding:
-                    operands.append(binding[s])
-                else:
-                    raise SpecializationUnsupported(
-                        f"op{op.opid}: inner read of unbound {s}")
-            expr = _value_expr(inner, operands)
-            if not inner.dests:
-                continue
-            dest = inner.dests[0]
-            if ipred is not None:
-                if dest not in binding:
-                    raise SpecializationUnsupported(
-                        f"op{op.opid}: predicated inner def of unbound "
-                        f"{dest}")
-                expr = f"({expr} if {ipred} else {binding[dest]})"
-            name = f"c{op.opid}_{self._temp}"
-            self._temp += 1
-            body.append(f"{inner_indent}{name} = {expr}")
-            binding[dest] = name
-        publishes = []
-        for ri, d in enumerate(op.dests):
-            value = binding.get(d)
-            if value is None:
-                value = self._resolve(position, d, k, slot_phase)
-            publishes.append((f"v{op.opid}_{ri}_{phase}", value))
-        if pred is None:
+        body: list[str] = []
+        for name, expr, raises, reads in reversed(steps):
+            if raises or name in wanted:
+                wanted.update(reads)
+                line = f"{name} = {expr}" if name else expr
+                body.append(inner_indent + line.format(*args))
+        body.reverse()
+        for ri in live:
+            d = op.dests[ri]
+            value = (binding[d].expr.format(*args) if d in binding else
+                     self._resolve(op, d, k, slot_phase).expr)
+            body.append(f"{inner_indent}v{op.opid}_{ri}_{phase} = {value}")
+        if pred is None or not body:
             self.lines.extend(body)
-            for var, value in publishes:
-                self.lines.append(f"{indent}{var} = {value}")
             return
         self.lines.append(f"{indent}if {pred}:")
         self.lines.extend(body)
-        for var, value in publishes:
-            self.lines.append(f"{inner_indent}{var} = {value}")
-        self.lines.append(f"{indent}else:")
-        for ri, d in enumerate(op.dests):
-            fallback = self._resolve(position, d, k, slot_phase)
-            self.lines.append(
-                f"{inner_indent}v{op.opid}_{ri}_{phase} = {fallback}")
+        if live:
+            self.lines.append(f"{indent}else:")
+            for ri in live:
+                fallback = self._resolve(op, op.dests[ri], k,
+                                         slot_phase)
+                self.lines.append(f"{inner_indent}v{op.opid}_{ri}_{phase} = "
+                                  f"{fallback.expr}")
 
     # -- window scheduling -------------------------------------------------
 
@@ -555,11 +893,8 @@ class _Codegen:
         """Scheduled instances of window *j*: (cycle, k, op), in the
         executor's (absolute cycle, iteration, position) order."""
         out = []
-        for op in self.loop.body:
-            t = self.schedule.times.get(op.opid)
-            if t is None:
-                continue
-            s, cyc = divmod(t, self.ii)
+        for op in self._emitted:
+            s, cyc = divmod(self.schedule.times[op.opid], self.ii)
             k = j - s
             if 0 <= k < self.trips:
                 out.append(((cyc, k, self._index[op.opid]), k, op))
@@ -569,11 +904,8 @@ class _Codegen:
     def _steady_template(self) -> list[tuple[int, int, Operation]]:
         """(cycle, stage, op) for one full steady window, in order."""
         out = []
-        for op in self.loop.body:
-            t = self.schedule.times.get(op.opid)
-            if t is None:
-                continue
-            s, cyc = divmod(t, self.ii)
+        for op in self._emitted:
+            s, cyc = divmod(self.schedule.times[op.opid], self.ii)
             out.append(((cyc, -s, self._index[op.opid]), s, op))
         out.sort(key=lambda e: e[0])
         return [(e[0][0], e[1], e[2]) for e in out]
@@ -610,6 +942,7 @@ class _Codegen:
                     init = f"b{opid} + {off}" if off else f"b{opid}"
                     body.append(f"    a{opid} = {init}")
                 body.append(f"    for _ in range({n_full}):")
+                loop_at = len(body)
                 for r in range(s):
                     body.append(f"        # steady phase {r}")
                     for _cyc, stage, op in template:
@@ -617,6 +950,8 @@ class _Codegen:
                         self._emit_instance(
                             op, k=None, slot_phase=phase,
                             steady_offset=r, indent="        ")
+                if len(body) == loop_at + s and not steady_ops:
+                    body.append("        pass")  # every op was dead
                 for opid in sorted(steady_ops):
                     stride = self._patterns[opid].stride
                     body.append(f"        a{opid} += {stride * s}")
@@ -648,7 +983,8 @@ class _Codegen:
             if reg in out_regs:
                 continue
             out_regs.append(reg)
-            returns.append(self._var(producer, reg, (trips - 1) % s))
+            ri = self._by_id[producer].dests.index(reg)
+            returns.append(f"v{producer}_{ri}_{(trips - 1) % s}")
         body.append(f"    return ({', '.join(returns)}{',' if returns else ''})")
 
         # Stream-base prelude, now that the parameter list is final.

@@ -77,8 +77,7 @@ class Memory:
         if len(values) > length:
             raise ValueError(f"{len(values)} values exceed array "
                              f"{name!r} length {length}")
-        for i, v in enumerate(values):
-            self._cells[base + i] = v
+        self._cells.update(zip(range(base, base + len(values)), values))
 
     def read_array(self, name: str, count: int | None = None) -> list[Value]:
         base, length = self._arrays[name]

@@ -150,7 +150,7 @@ def _prepare_memory(loop: Loop, seed: int) -> Memory:
                                list(rng.uniform(-64.0, 64.0, arr.length)))
         else:
             memory.write_array(
-                arr.name, [int(v) for v in rng.integers(-128, 128, arr.length)])
+                arr.name, rng.integers(-128, 128, arr.length).tolist())
     return memory
 
 

@@ -1,10 +1,12 @@
 """Memory model and in-order pipeline timing."""
 
+import numpy as np
 import pytest
 
 from repro.cpu import ARM11, CORTEX_A8, CPUConfig, InOrderPipeline, Memory, QUAD_ISSUE
 from repro.ir import LoopBuilder
 from repro.ir.loop import ArrayDecl
+from repro.vm.runtime import _prepare_memory
 
 
 # -- Memory --------------------------------------------------------------------
@@ -44,6 +46,40 @@ def test_write_array_bounds():
     m.allocate("a", 4)
     with pytest.raises(ValueError):
         m.write_array("a", [1, 2, 3, 4, 5])
+
+
+def test_write_array_keeps_each_element_object():
+    m = Memory()
+    base = m.allocate("a", 6)
+    values = [3, -1.5, 2 ** 70, 0]
+    m.write_array("a", values)
+    assert [m.peek(base + i) for i in range(4)] == values
+    assert all(m.peek(base + i) is v for i, v in enumerate(values))
+    assert m.peek(base + 4) == 0 and m.store_count == 0
+
+
+def test_prepared_memory_element_types():
+    """The VM's seeded memory: Python ints in int arrays, ``np.float64``
+    in float arrays, the same values the per-element build gave."""
+    builder = LoopBuilder("seeded", trip_count=4)
+    ints = builder.array("ints", length=16)
+    floats = builder.array("floats", length=16, is_float=True)
+    i = builder.counter()
+    builder.store(builder.add(ints, i), builder.load(builder.add(ints, i)))
+    builder.fstore(builder.add(floats, i),
+                   builder.fload(builder.add(floats, i)))
+    loop = builder.finish()
+    memory = _prepare_memory(loop, seed=5)
+    rng = np.random.default_rng(5 ^ hash(loop.name) % (2 ** 31))
+    for arr in loop.arrays:
+        got = memory.read_array(arr.name)
+        if arr.is_float:
+            assert all(type(v) is np.float64 for v in got)
+            assert got == list(rng.uniform(-64.0, 64.0, arr.length))
+        else:
+            assert all(type(v) is int for v in got)
+            assert got == [int(v) for v in
+                           rng.integers(-128, 128, arr.length)]
 
 
 def test_access_counters_and_peek():
