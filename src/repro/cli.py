@@ -29,6 +29,7 @@ inspects a kernel's translation without writing code:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Optional
@@ -287,6 +288,80 @@ def cmd_serve_cluster(host: str, shards: int, sessions: int,
     return "\n".join(lines), ok
 
 
+@contextlib.contextmanager
+def _traced(path: Optional[str], name: str, **attrs):
+    """Run the body under span tracing to *path* — one root ``cli`` span
+    plus the closing metrics record — or untraced when *path* is None.
+    Callers print their output after the block, so stdout stays
+    byte-identical to an untraced run; the path note goes to stderr."""
+    if not path:
+        yield
+        return
+    from repro import obs
+    obs.start_trace(path)
+    try:
+        with obs.span(name, component="cli", **attrs):
+            yield
+        obs.write_metrics_record()
+    finally:
+        obs.stop_trace()
+    print(f"trace written to {path}", file=sys.stderr)
+
+
+#: The chaos campaigns: subcommand -> (help, default --faults).
+_CAMPAIGNS = {
+    "chaos": ("seeded infrastructure-fault campaign against the "
+              "experiment engine", 24),
+    "netchaos": ("seeded network-fault campaign against the TCP "
+                 "transport", 20),
+    "clusterchaos": ("seeded shard-fault campaign against the sharded "
+                     "cluster", 8),
+}
+
+
+def _add_campaign_parser(sub, name: str) -> None:
+    help_text, faults = _CAMPAIGNS[name]
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("--faults", "-n", type=int, default=faults,
+                        help=f"minimum faults to inject (default "
+                             f"{faults})")
+    parser.add_argument("--seed", type=int, default=2008,
+                        help="campaign RNG seed (default 2008)")
+    parser.add_argument("--workdir", default=None,
+                        help="campaign scratch directory (default: a "
+                             "fresh temp dir; holds the attacked cache, "
+                             "fault sentinels and the JSONL incident "
+                             "log)")
+    parser.add_argument("--trace", default=None, metavar="PATH",
+                        help="also write a JSONL span trace to PATH")
+    if name == "chaos":
+        parser.add_argument("--figures", default=None,
+                            help="comma-separated figure names "
+                                 "(default: fig3a,fig3b,fig4a,fig4b)")
+        return
+    parser.add_argument("--figure", default="fig2",
+                        help="figure rendered through the attacked "
+                             "service, compared byte-for-byte with the "
+                             "direct rendering (default fig2)")
+    if name == "clusterchaos":
+        parser.add_argument("--shards", type=int, default=3,
+                            help="shard processes in the attacked fleet "
+                                 "(default 3)")
+
+
+def _campaign_plugin(args):
+    """The family plugin a campaign subcommand drives."""
+    if args.command == "chaos":
+        from repro.resilience.chaos import Sweep
+        return (Sweep(tuple(args.figures.split(","))) if args.figures
+                else Sweep())
+    if args.command == "netchaos":
+        from repro.resilience.netchaos import Transport
+        return Transport(args.figure)
+    from repro.resilience.clusterchaos import Cluster
+    return Cluster(args.shards, args.figure)
+
+
 def cmd_kernels() -> str:
     from repro.workloads.suite import all_benchmarks
     rows = []
@@ -320,23 +395,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     faults.add_argument("--guard", choices=("checked", "off"),
                         default="checked",
                         help="guard mode under test (default checked)")
-    chaos = sub.add_parser("chaos",
-                           help="seeded infrastructure-fault campaign "
-                                "against the experiment engine")
-    chaos.add_argument("--faults", "-n", type=int, default=24,
-                       help="minimum faults to inject (default 24)")
-    chaos.add_argument("--seed", type=int, default=2008,
-                       help="campaign RNG seed (default 2008)")
-    chaos.add_argument("--figures", default=None,
-                       help="comma-separated figure names "
-                            "(default: fig3a,fig3b,fig4a,fig4b)")
-    chaos.add_argument("--jobs", "-j", type=int, default=2,
-                       help="worker processes for faulted sweeps "
-                            "(default 2; >= 2 so kill faults can land)")
-    chaos.add_argument("--workdir", default=None,
-                       help="campaign scratch directory (default: a "
-                            "fresh temp dir; holds the JSONL incident "
-                            "log and the attacked cache)")
+    for name in _CAMPAIGNS:
+        _add_campaign_parser(sub, name)
     bench = sub.add_parser("bench",
                            help="benchmark the experiment engine vs the "
                                 "reference serial path")
@@ -485,45 +545,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     loadgen.add_argument("--output", "-o", default=None,
                          help="JSON report path (default "
                               "benchmarks/results/BENCH_service.json)")
-    netchaos = sub.add_parser("netchaos",
-                              help="seeded network-fault campaign "
-                                   "against the TCP transport")
-    netchaos.add_argument("--faults", "-n", type=int, default=20,
-                          help="minimum wire faults to inject "
-                               "(default 20)")
-    netchaos.add_argument("--seed", type=int, default=2008,
-                          help="campaign RNG seed (default 2008)")
-    netchaos.add_argument("--figure", default="fig2",
-                          help="figure rendered through the faulty "
-                               "transport (default fig2)")
-    netchaos.add_argument("--workdir", default=None,
-                          help="campaign scratch directory (default: a "
-                               "fresh temp dir; holds the JSONL "
-                               "incident log and fault sentinels)")
-    netchaos.add_argument("--trace", default=None, metavar="PATH",
-                          help="also write a JSONL span trace to PATH")
-    cchaos = sub.add_parser("clusterchaos",
-                            help="seeded shard-fault campaign against "
-                                 "the sharded cluster")
-    cchaos.add_argument("--faults", "-n", type=int, default=8,
-                        help="minimum shard faults to inject "
-                             "(default 8)")
-    cchaos.add_argument("--seed", type=int, default=2008,
-                        help="campaign RNG seed (default 2008)")
-    cchaos.add_argument("--shards", type=int, default=3,
-                        help="shard processes in the attacked fleet "
-                             "(default 3)")
-    cchaos.add_argument("--figure", default="fig2",
-                        help="figure rendered through the cluster "
-                             "while a shard is SIGKILLed mid-sweep "
-                             "(default fig2)")
-    cchaos.add_argument("--workdir", default=None,
-                        help="campaign scratch directory (default: a "
-                             "fresh temp dir; holds the JSONL "
-                             "incident log, fault sentinels and the "
-                             "live chaos spec file)")
-    cchaos.add_argument("--trace", default=None, metavar="PATH",
-                        help="also write a JSONL span trace to PATH")
     stats = sub.add_parser("stats",
                            help="summarise a JSONL trace/metrics dump")
     stats.add_argument("path", nargs="?", default=None,
@@ -608,22 +629,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(format_campaign(report))
         # CI gates on this: any unexpected failure is a non-zero exit.
         return 0 if report.ok else 1
-    if args.command == "chaos":
-        from repro.resilience.chaos import (
-            ChaosConfig,
-            SWEEP_FIGURES,
-            format_chaos,
-            run_chaos,
-        )
-        figures = (tuple(args.figures.split(","))
-                   if args.figures else SWEEP_FIGURES)
-        config = ChaosConfig(faults=args.faults, seed=args.seed,
-                             figures=figures, jobs=max(1, args.jobs),
-                             workdir=args.workdir)
-        report = run_chaos(
-            config,
-            progress=lambda msg: print(f"... {msg}", file=sys.stderr))
-        print(format_chaos(report))
+    if args.command in _CAMPAIGNS:
+        from repro.resilience import campaign
+        plugin = _campaign_plugin(args)
+        with _traced(args.trace, args.command, faults=args.faults,
+                     seed=args.seed):
+            report = campaign.run(
+                plugin, args.faults, args.seed, args.workdir,
+                progress=lambda msg: print(f"... {msg}", file=sys.stderr))
+        print(campaign.format_report(report))
         return 0 if report.ok else 1
     if args.command == "bench":
         from repro.experiments.bench import (
@@ -727,22 +741,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: [{exc.kind}] {exc}", file=sys.stderr)
             return 2
     if args.command == "trace":
-        from repro import obs
         path = args.output or os.path.join(
             "benchmarks", "results", f"TRACE_{args.figure}.jsonl")
         _description, fn = FIGURES[args.figure]
-        # The figure text goes to stdout exactly as an untraced run
-        # would print it (the byte-identical contract); the trace path
-        # note goes to stderr so piping the figure stays clean.
-        obs.start_trace(path)
-        try:
-            with obs.span("figure", component="cli", figure=args.figure):
-                text = fn()
-            obs.write_metrics_record()
-        finally:
-            obs.stop_trace()
+        with _traced(path, "figure", figure=args.figure):
+            text = fn()
         print(text)
-        print(f"trace written to {path}", file=sys.stderr)
         return 0
     if args.command == "aot":
         from repro import aot as aot_mod
@@ -801,94 +805,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 # missing named artifact is a configuration error, not
                 # a crash.
                 return f"error: [{exc.kind}] {exc}", False
-        if args.trace:
-            from repro import obs
-            obs.start_trace(args.trace)
-        try:
-            if args.trace:
-                from repro import obs
-                with obs.span("serve", component="cli",
-                              workers=args.workers,
-                              sessions=args.sessions):
-                    text, ok = _serve()
-                obs.write_metrics_record()
-            else:
-                text, ok = _serve()
-        finally:
-            if args.trace:
-                from repro import obs
-                obs.stop_trace()
+        with _traced(args.trace, "serve", workers=args.workers,
+                     sessions=args.sessions):
+            text, ok = _serve()
         print(text)
-        if args.trace:
-            print(f"trace written to {args.trace}", file=sys.stderr)
         return 0 if ok else 1
-    if args.command == "netchaos":
-        from repro.resilience.netchaos import (
-            NetChaosConfig,
-            format_netchaos,
-            run_netchaos,
-        )
-        config = NetChaosConfig(faults=args.faults, seed=args.seed,
-                                figure=args.figure,
-                                workdir=args.workdir)
-        if args.trace:
-            from repro import obs
-            obs.start_trace(args.trace)
-        try:
-            if args.trace:
-                from repro import obs
-                with obs.span("netchaos", component="cli",
-                              faults=args.faults, seed=args.seed):
-                    report = run_netchaos(
-                        config, progress=lambda msg: print(
-                            f"... {msg}", file=sys.stderr))
-                obs.write_metrics_record()
-            else:
-                report = run_netchaos(
-                    config, progress=lambda msg: print(
-                        f"... {msg}", file=sys.stderr))
-        finally:
-            if args.trace:
-                from repro import obs
-                obs.stop_trace()
-        print(format_netchaos(report))
-        if args.trace:
-            print(f"trace written to {args.trace}", file=sys.stderr)
-        return 0 if report.ok else 1
-    if args.command == "clusterchaos":
-        from repro.resilience.clusterchaos import (
-            ClusterChaosConfig,
-            format_clusterchaos,
-            run_clusterchaos,
-        )
-        config = ClusterChaosConfig(
-            faults=args.faults, seed=args.seed, shards=args.shards,
-            figure=args.figure, workdir=args.workdir)
-        if args.trace:
-            from repro import obs
-            obs.start_trace(args.trace)
-        try:
-            if args.trace:
-                from repro import obs
-                with obs.span("clusterchaos", component="cli",
-                              faults=args.faults, seed=args.seed,
-                              shards=args.shards):
-                    report = run_clusterchaos(
-                        config, progress=lambda msg: print(
-                            f"... {msg}", file=sys.stderr))
-                obs.write_metrics_record()
-            else:
-                report = run_clusterchaos(
-                    config, progress=lambda msg: print(
-                        f"... {msg}", file=sys.stderr))
-        finally:
-            if args.trace:
-                from repro import obs
-                obs.stop_trace()
-        print(format_clusterchaos(report))
-        if args.trace:
-            print(f"trace written to {args.trace}", file=sys.stderr)
-        return 0 if report.ok else 1
     if args.command == "loadgen":
         from repro.service.loadgen import (
             DEFAULT_CLIENTS,
@@ -942,22 +863,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{count} records schema-valid", file=sys.stderr)
         return 0
     _description, fn = FIGURES[args.command]
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        from repro import obs
-        obs.start_trace(trace_path)
-    try:
-        if trace_path:
-            from repro import obs
-            with obs.span("figure", component="cli", figure=args.command):
-                text = fn()
-            obs.write_metrics_record()
-        else:
-            text = fn()
-    finally:
-        if trace_path:
-            from repro import obs
-            obs.stop_trace()
+    with _traced(args.trace, "figure", figure=args.command):
+        text = fn()
     print(text)
     if args.output:
         with open(args.output, "w") as handle:

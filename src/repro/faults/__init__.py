@@ -8,10 +8,13 @@ Two injector families:
   ``python -m repro faults``) prove the differential guard detects,
   deoptimizes and recovers every observable corruption.
 * **Infrastructure faults** (:mod:`repro.faults.infra`) kill sweep
-  workers mid-task, corrupt/truncate on-disk translation-cache entries
-  and inject I/O errors; chaos campaigns
-  (:mod:`repro.resilience.chaos`, ``python -m repro chaos``) prove the
-  resilience layer keeps figure output byte-identical through them.
+  workers mid-task, corrupt/truncate on-disk translation-cache entries,
+  inject I/O errors, and attack the service's wire and shard
+  processes; the chaos engine (:mod:`repro.resilience.campaign`,
+  ``python -m repro chaos``/``netchaos``/``clusterchaos``) proves the
+  resilience layer keeps results byte-identical through them.  The
+  datapath campaign stays separate: it has no workdir, incident log or
+  token accounting, and its oracle is a per-run scalar re-execution.
 """
 
 from repro.faults.infra import (

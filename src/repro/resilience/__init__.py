@@ -18,12 +18,17 @@ infrastructure the performance engine put on the hot path:
 * :mod:`repro.resilience.incidents` — structured JSONL incident records
   sharing the :mod:`repro.errors` kind-tag taxonomy, so guard deopts
   and infrastructure faults aggregate on one observability surface;
-* :mod:`repro.resilience.chaos` — seeded chaos campaigns
-  (``python -m repro chaos``) that regenerate the Figure 3/4 sweeps
-  while :mod:`repro.faults.infra` injectors kill workers, corrupt cache
-  entries and fail I/O, then assert the figure text stayed
-  byte-identical, no temp files leaked, and every fault is accounted
-  for in the incident log.
+* :mod:`repro.resilience.campaign` — the one seeded chaos engine
+  (schedule, armed drive, token accounting, report, formatter) behind
+  ``python -m repro chaos``, ``netchaos`` and ``clusterchaos``; the
+  fault families are plugins in :mod:`repro.resilience.chaos` (cache
+  corruption, worker kills and I/O errors under the Figure 3/4
+  sweeps), :mod:`repro.resilience.netchaos` (wire faults between
+  client and server) and :mod:`repro.resilience.clusterchaos` (shard
+  kills, hangs, slow restarts and stale maps).  Each campaign asserts
+  results byte-identical to the fault-free path, no leaked temp files,
+  connections or processes, and every fault accounted for in the
+  incident log.
 """
 
 from repro.resilience.incidents import (

@@ -1,362 +1,154 @@
-"""Seeded chaos campaigns against the experiment infrastructure.
+"""Chaos family plugin: the experiment engine under infrastructure faults.
 
 ``python -m repro chaos`` is the infrastructure twin of
 ``python -m repro faults``: where a fault campaign flips datapath bits
-to prove the differential guard, a chaos campaign attacks the
-*machinery that regenerates figures* — killing sweep workers mid-task,
-corrupting and truncating on-disk translation-cache entries, injecting
-I/O errors — and proves the resilience layer's three guarantees:
-
-* **Byte-identical output**: every figure regenerated under injected
-  faults matches the fault-free baseline text exactly;
-* **No debris**: the cache directory holds zero orphaned temp files
-  when the campaign ends (atomic writes either complete or vanish);
-* **Full accounting**: every fault that fired maps to at least one
-  matching record in the JSONL incident log — nothing is silently
-  swallowed.
-
-Campaigns are deterministic in their seed (which faults, which
-figures, which corruption modes); the *schedule* of worker crashes is
-inherently racy, which is exactly why the output comparison is the
-assertion that matters.
+to prove the differential guard, this campaign attacks the *machinery
+that regenerates figures* — corrupting and truncating on-disk
+translation-cache entries, killing sweep workers mid-task, injecting
+I/O errors — while the engine (:mod:`repro.resilience.campaign`)
+proves every figure regenerated under faults byte-identical to its
+fault-free baseline, zero orphaned temp files, and every fired fault
+accounted for in the incident log.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
-from dataclasses import dataclass, field
-from typing import Callable, Optional
 
-import numpy as np
-
-from repro import perf
+from repro import api, perf
 from repro.faults import infra
-from repro.resilience import integrity
-from repro.resilience.incidents import incident_log, read_jsonl
+from repro.resilience.campaign import Campaign, Plugin, Scenario
 
 #: The Figure 3/4 design-space sweeps — the campaign's default targets.
 SWEEP_FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
 
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """One seeded chaos campaign."""
-
-    #: Minimum faults to inject across all three families.
-    faults: int = 24
-    seed: int = 2008
-    figures: tuple[str, ...] = SWEEP_FIGURES
-    #: Worker processes for the faulted runs (>= 2 so kill faults have
-    #: a real worker to land on).
-    jobs: int = 2
-    #: Campaign scratch space (cache dir, sentinels, incident log);
-    #: a fresh temp directory when None.
-    workdir: Optional[str] = None
+#: Worker processes for the faulted runs.  A worker-kill fault fires
+#: only inside a pool worker and one job runs serially, so a kill needs
+#: at least two.
+JOBS = 2
 
 
-@dataclass
-class ChaosScenario:
-    """One faulted figure regeneration."""
-
-    index: int
-    family: str  # "cache-corruption" | "worker-kill" | "io-error"
-    figure: str
-    #: Faults that actually fired in this scenario.
-    injected: int
-    #: Fired faults with a matching incident record.
-    accounted: int
-    identical: bool
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.identical and self.accounted == self.injected
+def _cold(figure: str) -> str:
+    """Render *figure* from a cold memory layer, so cache loads hit the
+    (attacked) disk in the parent and in the workers."""
+    perf.clear_caches()
+    return api.run_figure(figure)
 
 
-@dataclass
-class ChaosReport:
-    config: ChaosConfig
-    scenarios: list[ChaosScenario] = field(default_factory=list)
-    final_identical: bool = False
-    orphaned_tmp: list[str] = field(default_factory=list)
-    incident_counts: dict[str, int] = field(default_factory=dict)
-    incident_log_path: str = ""
+class Sweep(Plugin):
+    name = "chaos"
+    title = "Chaos campaign"
+    guarantee = ("byte-identical figures, zero orphans, every fault "
+                 "accounted for")
+    kinds = {"worker-kill": "worker-lost"}
 
-    @property
-    def injected(self) -> int:
-        return sum(s.injected for s in self.scenarios)
+    def __init__(self, figures: tuple[str, ...] = SWEEP_FIGURES):
+        self.figures = tuple(figures)
+        self.baseline: dict[str, str] = {}
+        self.families = {"cache-corruption": self._corrupt,
+                         "worker-kill": self._kill,
+                         "io-error": self._io}
 
-    @property
-    def accounted(self) -> int:
-        return sum(s.accounted for s in self.scenarios)
+    def describe(self) -> str:
+        return f"figures {', '.join(self.figures)}, jobs {JOBS}"
 
-    @property
-    def by_family(self) -> dict[str, int]:
-        table: dict[str, int] = {}
-        for s in self.scenarios:
-            table[s.family] = table.get(s.family, 0) + s.injected
-        return dict(sorted(table.items()))
-
-    @property
-    def ok(self) -> bool:
-        """Every guarantee held — and enough faults actually fired
-        across all three families (an empty campaign proves nothing)."""
-        return (self.injected >= self.config.faults
-                and all(n > 0 for n in
-                        (self.by_family.get("cache-corruption", 0),
-                         self.by_family.get("worker-kill", 0),
-                         self.by_family.get("io-error", 0)))
-                and all(s.ok for s in self.scenarios)
-                and self.final_identical
-                and not self.orphaned_tmp
-                and self.accounted == self.injected)
-
-
-def _figure_fns(names: tuple[str, ...]) -> dict[str, Callable[[], str]]:
-    from repro.experiments.bench import _figure_registry
-    registry = _figure_registry()
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        raise KeyError(f"unknown figures: {', '.join(unknown)}; "
-                       f"available: {', '.join(sorted(registry))}")
-    return {name: registry[name] for name in names}
-
-
-def _new_records(log_path: str, seen: int) -> tuple[list[dict], int]:
-    records = read_jsonl(log_path)
-    return records[seen:], len(records)
-
-
-def _key_of(path: str) -> str:
-    return os.path.basename(path)[:-len(".pkl")]
-
-
-def run_chaos(config: ChaosConfig = ChaosConfig(),
-              progress: Optional[Callable[[str], None]] = None
-              ) -> ChaosReport:
-    """Drive one campaign to its fault target; restores all global
-    engine state (jobs, caches, injection arming) on the way out."""
-
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    workdir = config.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
-    cache_dir = os.path.join(workdir, "cache")
-    state_dir = os.path.join(workdir, "state")
-    log_path = os.path.join(workdir, "incidents.jsonl")
-    os.makedirs(state_dir, exist_ok=True)
-
-    figures = _figure_fns(config.figures)
-    report = ChaosReport(config=config, incident_log_path=log_path)
-    cache = perf.translation_cache()
-    previous_jobs = perf.get_jobs()
-    previous_disk = cache.disk_dir
-    try:
-        perf.set_jobs(config.jobs)
-        perf.clear_caches()
-        cache.attach_disk(cache_dir, strict=True)
-        incident_log().configure_sink(log_path)
-
+    def setup(self, campaign: Campaign) -> None:
+        perf.set_jobs(JOBS)
         # Fault-free baseline: establishes the byte-exact expectation
         # and populates the disk cache the corruption faults attack.
-        baseline: dict[str, str] = {}
-        for name, fn in figures.items():
-            note(f"baseline {name}")
-            baseline[name] = fn()
+        for name in self.figures:
+            campaign.note(f"baseline {name}")
+            self.baseline[name] = api.run_figure(name)
 
-        rng = np.random.default_rng(config.seed)
-        seen = len(read_jsonl(log_path))
-        families = ("cache-corruption", "worker-kill", "io-error")
-        scenario_index = 0
-        max_scenarios = max(6, config.faults) * 4
-        while (report.injected < config.faults
-               or any(report.by_family.get(f, 0) == 0 for f in families)) \
-                and scenario_index < max_scenarios:
-            family = families[scenario_index % len(families)]
-            figure = config.figures[
-                int(rng.integers(0, len(config.figures)))]
-            note(f"scenario {scenario_index}: {family} on {figure} "
-                 f"({report.injected}/{config.faults} faults)")
-            if family == "cache-corruption":
-                scenario = _corruption_scenario(
-                    scenario_index, figure, figures[figure],
-                    baseline[figure], cache, cache_dir, rng,
-                    log_path, seen)
-            elif family == "worker-kill":
-                scenario = _kill_scenario(
-                    scenario_index, figure, figures[figure],
-                    baseline[figure], state_dir, rng, log_path, seen)
-            else:
-                scenario = _io_scenario(
-                    scenario_index, figure, figures[figure],
-                    baseline[figure], state_dir, rng, log_path, seen)
-            seen = len(read_jsonl(log_path))
-            report.scenarios.append(scenario)
-            scenario_index += 1
+    def _pick(self, campaign: Campaign) -> str:
+        return self.figures[
+            int(campaign.rng.integers(0, len(self.figures)))]
 
+    def _corrupt(self, campaign: Campaign) -> Scenario:
+        """Corrupt up to three on-disk entries, then regenerate the
+        figure from a cold memory layer so the poisoned bytes are
+        actually read."""
+        figure = self._pick(campaign)
+        rng = campaign.rng
+        entries = sorted(name for name in os.listdir(campaign.cache_dir)
+                         if name.endswith(".pkl"))
+        picks = min(3, len(entries))
+        chosen = [entries[int(i)] for i in
+                  rng.choice(len(entries), size=picks, replace=False)] \
+            if picks else []
+        corrupted: dict[str, str] = {}
+        for name in chosen:
+            mode = infra.CORRUPTION_MODES[
+                int(rng.integers(0, len(infra.CORRUPTION_MODES)))]
+            path = os.path.join(campaign.cache_dir, name)
+            corrupted[path] = infra.corrupt_entry(path, mode, rng)
+        identical = _cold(figure) == self.baseline[figure]
+
+        def quarantined() -> set:
+            return {r.get("details", {}).get("path")
+                    for r in campaign.new_records()
+                    if r.get("kind") == "cache-corruption"}
+
+        # Entries the figure happened not to re-read (no quarantine
+        # incident yet) are still poisoned on disk; scrub them through
+        # the normal lookup path, which must quarantine them rather
+        # than crash or return wrong data.  (Any key the run *did* need
+        # was read before its rebuild could store, so "no incident" ⇒
+        # untouched.)
+        cache = perf.translation_cache()
+        undetected = []
+        for path in sorted(set(corrupted) - quarantined()):
+            key = os.path.basename(path)[:-len(".pkl")]
+            cache._entries.pop(key, None)
+            if cache.peek(key) is not None:
+                undetected.append(path)  # corrupt bytes loaded
+        detail = "; ".join(f"{os.path.basename(p)}: {d}"
+                           for p, d in corrupted.items())
+        if undetected:
+            detail += " | UNDETECTED: " + ", ".join(
+                os.path.basename(p) for p in undetected)
+        return Scenario(
+            index=campaign.index, family="cache-corruption",
+            target=figure, injected=len(corrupted),
+            accounted=sum(1 for p in corrupted if p in quarantined()),
+            correct=identical, detail=detail)
+
+    def _kill(self, campaign: Campaign) -> Scenario:
+        """Arm a one-shot worker SIGKILL at a random early task index;
+        it is accounted by the pool's worker-lost incident."""
+        figure = self._pick(campaign)
+        spec = infra.InfraFaultSpec(
+            mode=infra.InfraFaultMode.WORKER_KILL,
+            token=f"kill-{campaign.index}",
+            task_index=int(campaign.rng.integers(0, 2)))
+        return campaign.drive(
+            "worker-kill", figure, [spec], lambda: _cold(figure),
+            self.baseline[figure],
+            account=lambda records, _spec: any(
+                r.get("kind") == "worker-lost" for r in records),
+            done=f"SIGKILL at task {spec.task_index}")
+
+    def _io(self, campaign: Campaign) -> Scenario:
+        """Arm one-shot I/O failures on the cache's load and store
+        paths; the injected error message carries the fault token."""
+        figure = self._pick(campaign)
+        specs = [infra.InfraFaultSpec(
+            mode=infra.InfraFaultMode.IO_ERROR,
+            token=f"io-{campaign.index}-{op}", io_op=op)
+            for op in ("load", "store")]
+        return campaign.drive(
+            "io-error", figure, specs, lambda: _cold(figure),
+            self.baseline[figure],
+            account=lambda records, spec: any(
+                r.get("kind") == "io-error"
+                and spec.token in str(r.get("details", {}).get("error"))
+                for r in records),
+            done=", ".join(s.token for s in specs))
+
+    def finish(self, campaign: Campaign) -> None:
         # Fault-free closing pass: the campaign must leave a healthy
         # cache behind, not merely survive while faults were flying.
         perf.clear_caches()
-        report.final_identical = all(
-            figures[name]() == baseline[name] for name in figures)
-        report.orphaned_tmp = integrity.orphaned_temp_files(cache_dir)
-        report.incident_counts = {}
-        for record in read_jsonl(log_path):
-            kind = record.get("kind", "?")
-            report.incident_counts[kind] = \
-                report.incident_counts.get(kind, 0) + 1
-        return report
-    finally:
-        infra.disarm()
-        incident_log().configure_sink(None)
-        cache.detach_disk()
-        perf.clear_caches()
-        if previous_disk is not None:
-            cache.attach_disk(previous_disk)
-        perf.set_jobs(previous_jobs)
-
-
-def _corruption_scenario(index, figure, fn, expected, cache, cache_dir,
-                         rng, log_path, seen) -> ChaosScenario:
-    """Corrupt up to three on-disk entries, then regenerate the figure
-    from a cold memory layer so the poisoned bytes are actually read."""
-    entries = sorted(
-        name for name in os.listdir(cache_dir) if name.endswith(".pkl"))
-    picks = min(3, len(entries))
-    chosen = [entries[int(i)] for i in
-              rng.choice(len(entries), size=picks, replace=False)] \
-        if picks else []
-    corrupted: dict[str, str] = {}
-    for name in chosen:
-        mode = infra.CORRUPTION_MODES[
-            int(rng.integers(0, len(infra.CORRUPTION_MODES)))]
-        path = os.path.join(cache_dir, name)
-        corrupted[path] = infra.corrupt_entry(path, mode, rng)
-    perf.clear_caches()  # force disk reads in parent and workers
-    text = fn()
-
-    def quarantined() -> set:
-        records, _ = _new_records(log_path, seen)
-        return {r.get("details", {}).get("path") for r in records
-                if r.get("kind") == "cache-corruption"}
-
-    # Entries the figure happened not to re-read (no quarantine
-    # incident yet) are still poisoned on disk; scrub them through the
-    # normal lookup path, which must quarantine them rather than crash
-    # or return wrong data.  (Any key the run *did* need was read
-    # before its rebuild could store, so "no incident" ⇒ untouched.)
-    undetected = []
-    for path in sorted(set(corrupted) - quarantined()):
-        key = _key_of(path)
-        cache._entries.pop(key, None)
-        if cache.peek(key) is not None:
-            undetected.append(path)  # corrupt bytes loaded: campaign fails
-    accounted = sum(1 for path in corrupted if path in quarantined())
-    detail = "; ".join(f"{os.path.basename(p)}: {d}"
-                       for p, d in corrupted.items())
-    if undetected:
-        detail += " | UNDETECTED: " + ", ".join(
-            os.path.basename(p) for p in undetected)
-    return ChaosScenario(
-        index=index, family="cache-corruption", figure=figure,
-        injected=len(corrupted), accounted=accounted,
-        identical=text == expected, detail=detail)
-
-
-def _kill_scenario(index, figure, fn, expected, state_dir, rng,
-                   log_path, seen) -> ChaosScenario:
-    """Arm a one-shot worker SIGKILL at a random early task index."""
-    token = f"kill-{index}"
-    spec = infra.InfraFaultSpec(
-        mode=infra.InfraFaultMode.WORKER_KILL, token=token,
-        task_index=int(rng.integers(0, 2)))
-    infra.arm([spec], state_dir)
-    try:
-        perf.clear_caches()
-        text = fn()
-    finally:
-        infra.disarm()
-    fired = infra.fired(state_dir, token)
-    records, _ = _new_records(log_path, seen)
-    losses = sum(1 for r in records if r.get("kind") == "worker-lost")
-    return ChaosScenario(
-        index=index, family="worker-kill", figure=figure,
-        injected=1 if fired else 0,
-        accounted=1 if fired and losses else 0,
-        identical=text == expected,
-        detail=(f"SIGKILL at task {spec.task_index} "
-                f"({'fired' if fired else 'pool never started; skipped'}"
-                f", {losses} worker-lost incidents)"))
-
-
-def _io_scenario(index, figure, fn, expected, state_dir, rng,
-                 log_path, seen) -> ChaosScenario:
-    """Arm one-shot I/O failures on the cache's load and store paths."""
-    specs = [
-        infra.InfraFaultSpec(mode=infra.InfraFaultMode.IO_ERROR,
-                             token=f"io-{index}-load", io_op="load"),
-        infra.InfraFaultSpec(mode=infra.InfraFaultMode.IO_ERROR,
-                             token=f"io-{index}-store", io_op="store"),
-    ]
-    infra.arm(specs, state_dir)
-    try:
-        perf.clear_caches()  # cold memory layer: loads must hit disk
-        text = fn()
-    finally:
-        infra.disarm()
-    fired = [s for s in specs if infra.fired(state_dir, s.token)]
-    records, _ = _new_records(log_path, seen)
-    accounted = 0
-    for spec in fired:
-        if any(r.get("kind") == "io-error"
-               and spec.token in str(r.get("details", {}).get("error"))
-               for r in records):
-            accounted += 1
-    return ChaosScenario(
-        index=index, family="io-error", figure=figure,
-        injected=len(fired), accounted=accounted,
-        identical=text == expected,
-        detail=", ".join(s.token for s in fired) or "nothing fired")
-
-
-def format_chaos(report: ChaosReport) -> str:
-    """Human-readable campaign summary (CLI output)."""
-    config = report.config
-    lines = [
-        f"Chaos campaign (seed {config.seed}, "
-        f"figures {', '.join(config.figures)}, jobs {config.jobs})",
-        "=" * 66,
-        f"  scenarios run        : {len(report.scenarios)}",
-        f"  faults injected      : {report.injected} "
-        f"(target {config.faults})",
-        f"  faults accounted     : {report.accounted}/{report.injected} "
-        f"in {report.incident_log_path}",
-        f"  orphaned temp files  : {len(report.orphaned_tmp)}",
-        f"  final figures intact : "
-        f"{'yes' if report.final_identical else 'NO'}",
-        "",
-        "  injected by family:",
-    ]
-    for family, count in report.by_family.items():
-        lines.append(f"    {family:18s} {count:4d}")
-    lines.append("")
-    lines.append("  incident log by kind:")
-    for kind, count in sorted(report.incident_counts.items()):
-        lines.append(f"    {kind:18s} {count:4d}")
-    divergent = [s for s in report.scenarios if not s.identical]
-    for s in divergent:
-        lines.append(f"  DIVERGED: scenario {s.index} ({s.family} on "
-                     f"{s.figure}): {s.detail}")
-    lines.append("")
-    if report.ok:
-        verdict = ("PASS — byte-identical figures, zero orphans, "
-                   "every fault accounted for")
-    elif report.injected < config.faults:
-        verdict = (f"FAIL — only {report.injected}/{config.faults} "
-                   f"faults fired")
-    else:
-        verdict = "FAIL — resilience guarantee violated"
-    lines.append("  verdict: " + verdict)
-    return "\n".join(lines)
+        intact = all(api.run_figure(name) == self.baseline[name]
+                     for name in self.figures)
+        campaign.check("final figures intact", intact)

@@ -1,50 +1,41 @@
-"""Seeded chaos campaigns against the sharded LoopService cluster.
+"""Clusterchaos family plugin: the sharded LoopService cluster under faults.
 
-``python -m repro clusterchaos`` is the cluster-level sibling of
-``python -m repro netchaos``: where that campaign attacks the wire
-between one client and one server, this one attacks *whole shard
-processes* and the shard map the failover client routes by — shards
-SIGKILLed mid-request, shards that hang every response until the
-supervisor's missed-heartbeat escalation puts them down, restarted
-shards that boot slowly, clients that drop a shard-map update — and
-proves the cluster's guarantees:
+``python -m repro clusterchaos`` attacks *whole shard processes* and
+the shard map the failover client routes by — shards SIGKILLed
+mid-request, shards that hang every response until the supervisor's
+missed-heartbeat escalation puts them down, restarted shards that boot
+slowly, clients that drop a shard-map update — while the engine
+(:mod:`repro.resilience.campaign`) proves the cluster's guarantees:
 
 * **Byte-identical results through failure**: every request driven
-  into a dying or hung shard returns exactly the result the serial
-  in-process path computes, and a figure rendered while its serving
-  shard is SIGKILLed mid-sweep is byte-identical to the direct
-  rendering;
+  into a dying or hung shard returns exactly the serial in-process
+  result, and a figure rendered while its serving shard is SIGKILLed
+  mid-sweep is byte-identical to the direct rendering;
 * **Exactly-once translation**: resubmission after failover is by
   transcache digest into single-flight dedup, so a full-corpus pass
   repeated after the campaign adds *zero* core translation runs across
   the fleet (summed per-shard ``translator.core_runs``);
 * **Self-healing**: every injected shard fault ends with the fleet
-  converged — every shard up, at a fresh epoch where it died — and
-  every death/restart/rebalance is an attributable incident record;
+  converged, every death/restart/rebalance an attributable incident;
 * **Full accounting and no debris**: every fired fault maps to an
-  incident carrying its token, zero orphaned shard processes survive
-  ``stop()``, and zero cache temp files are left in the workdir.
-
-Campaigns are deterministic in their seed (which corpus items, which
-target shards); the kernel of the proof is the result comparison, same
-as every other campaign in this repo.
+  incident carrying its token, and zero shard processes or cache temp
+  files survive the campaign.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro import perf
+from repro import api
 from repro.errors import ReproError
 from repro.faults import infra
-from repro.resilience import integrity
-from repro.resilience.incidents import incident_log, read_jsonl
+from repro.resilience.campaign import (
+    FAULT_FREE,
+    Campaign,
+    Plugin,
+    Scenario,
+)
 from repro.service.client import RetryPolicy, idempotency_key_for
 from repro.service.cluster import (
     ClusterClient,
@@ -55,119 +46,12 @@ from repro.service.loadgen import request_corpus
 from repro.service.server import ServiceConfig
 from repro.vm.translator import translate_loop
 
-#: Fault families the campaign must exercise at least once each.
-FAMILIES = tuple(mode.value for mode in infra.SHARD_FAULT_MODES)
-
-
-@dataclass(frozen=True)
-class ClusterChaosConfig:
-    """One seeded cluster chaos campaign."""
-
-    #: Minimum shard faults to inject across all families.
-    faults: int = 8
-    seed: int = 2008
-    shards: int = 3
-    #: Figure rendered through the cluster while its serving shard is
-    #: SIGKILLed mid-sweep, compared byte-for-byte against the direct
-    #: serial rendering.
-    figure: str = "fig2"
-    #: Campaign scratch space (cache dir, sentinels, spec file,
-    #: incident log); a fresh temp directory when None.
-    workdir: Optional[str] = None
-    #: Per-attempt response wait for the campaign client; a hung shard
-    #: must outlast it to force a failover.
-    attempt_timeout_s: float = 1.0
-    #: How long one shard death may take to heal (SIGKILL detection,
-    #: backoff, spawn, map push).
-    heal_timeout_s: float = 90.0
-
-
-@dataclass
-class ClusterChaosScenario:
-    """One injected shard fault driven through the cluster."""
-
-    index: int
-    family: str
-    target: str
-    #: Faults that actually fired (claimed their sentinel).
-    injected: int
-    #: Fired faults with a token-matched incident record.
-    accounted: int
-    #: The guarantee under attack held (result identity / healing).
-    correct: bool
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.correct and self.accounted == self.injected
-
-
-@dataclass
-class ClusterChaosReport:
-    config: ClusterChaosConfig
-    scenarios: list[ClusterChaosScenario] = field(default_factory=list)
-    #: Figure rendered while a shard was SIGKILLed mid-sweep == direct.
-    figure_identical: bool = False
-    #: Fault-free closing figure through the cluster still matches.
-    final_figure_identical: bool = False
-    #: Second full-corpus pass added zero core translation runs.
-    exactly_once: bool = False
-    core_runs_first_pass: int = 0
-    core_runs_second_pass: int = 0
-    #: Fleet fully up (fresh epochs where shards died) at campaign end.
-    converged: bool = False
-    final_map: dict = field(default_factory=dict)
-    orphaned_processes: int = 0
-    orphaned_tmp: list[str] = field(default_factory=list)
-    cluster_stats: dict = field(default_factory=dict)
-    incident_counts: dict[str, int] = field(default_factory=dict)
-    incident_log_path: str = ""
-
-    @property
-    def injected(self) -> int:
-        return sum(s.injected for s in self.scenarios)
-
-    @property
-    def accounted(self) -> int:
-        return sum(s.accounted for s in self.scenarios)
-
-    @property
-    def by_family(self) -> dict[str, int]:
-        table: dict[str, int] = {}
-        for s in self.scenarios:
-            table[s.family] = table.get(s.family, 0) + s.injected
-        return dict(sorted(table.items()))
-
-    @property
-    def ok(self) -> bool:
-        """Every guarantee held — and enough faults actually fired
-        across every family (an empty campaign proves nothing)."""
-        return (self.injected >= self.config.faults
-                and all(self.by_family.get(f, 0) > 0 for f in FAMILIES)
-                and all(s.ok for s in self.scenarios)
-                and self.figure_identical
-                and self.final_figure_identical
-                and self.exactly_once
-                and self.converged
-                and self.orphaned_processes == 0
-                and not self.orphaned_tmp
-                and self.accounted == self.injected)
-
-
-def _fingerprint(result) -> tuple:
-    """The client-visible identity of a translation result."""
-    return (result.ok, result.loop_name,
-            result.image.schedule.ii if result.ok
-            else result.failure_kind,
-            result.meter.total_units())
-
-
-def _token_accounted(records: list[dict], family: str,
-                     token: str) -> int:
-    return min(1, sum(
-        1 for r in records
-        if r.get("kind") == family
-        and r.get("details", {}).get("token") == token))
+#: Per-attempt response wait for the campaign client; a hung shard must
+#: outlast it to force a failover.
+ATTEMPT_TIMEOUT_S = 1.0
+#: How long one shard death may take to heal (SIGKILL detection,
+#: backoff, spawn, map push).
+HEAL_TIMEOUT_S = 90.0
 
 
 def _core_runs(supervisor: ShardSupervisor) -> int:
@@ -177,440 +61,236 @@ def _core_runs(supervisor: ShardSupervisor) -> int:
         for snapshot in supervisor.shard_stats().values())
 
 
-def run_clusterchaos(config: ClusterChaosConfig = ClusterChaosConfig(),
-                     progress: Optional[Callable[[str], None]] = None
-                     ) -> ClusterChaosReport:
-    """Drive one campaign to its fault target; restores all global
-    engine state (caches, sinks, spec file, injection arming) on the
-    way out and leaves zero shard processes behind."""
-
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    from repro import api
-
-    workdir = config.workdir or tempfile.mkdtemp(
-        prefix="repro-clusterchaos-")
-    cache_dir = os.path.join(workdir, "cache")
-    state_dir = os.path.join(workdir, "state")
-    spec_file = os.path.join(workdir, "chaos-spec.json")
-    log_path = os.path.join(workdir, "incidents.jsonl")
-    os.makedirs(state_dir, exist_ok=True)
-
-    report = ClusterChaosReport(config=config,
-                                incident_log_path=log_path)
-    cache = perf.translation_cache()
-    previous_disk = cache.disk_dir
-    previous_spec_file = os.environ.get(infra.CHAOS_SPEC_FILE_ENV)
-    supervisor: Optional[ShardSupervisor] = None
-    client: Optional[ClusterClient] = None
-    try:
-        perf.clear_caches()
-        cache.attach_disk(cache_dir, strict=True)
-        # Both channels must exist *before* the shards spawn: the
-        # incident sink and the live chaos spec file cross the process
-        # boundary through the environment, and spawned shards
-        # snapshot their environment at boot.
-        incident_log().configure_sink(log_path)
-        os.environ[infra.CHAOS_SPEC_FILE_ENV] = spec_file
-
-        note(f"baseline {config.figure} (direct serial path)")
-        baseline_figure = api.run_figure(config.figure)
-        corpus = request_corpus()
-        note(f"baseline translations ({len(corpus)} corpus items)")
-        expected = [_fingerprint(translate_loop(*item))
-                    for item in corpus]
-
-        note(f"booting {config.shards}-shard cluster")
-        supervisor = ShardSupervisor(ClusterConfig(
-            shards=config.shards,
-            service=ServiceConfig(workers=1))).start()
-        host, port = supervisor.seed_address()
-        client = ClusterClient(
-            host, port, session="clusterchaos", seed=config.seed,
-            deadline_s=60.0,
-            shard_retry=RetryPolicy(
-                attempts=2, base_delay_s=0.02, max_delay_s=0.2,
-                attempt_timeout_s=config.attempt_timeout_s,
-                breaker_threshold=1 << 30)).connect()
-
-        rng = np.random.default_rng(config.seed)
-        seen = len(read_jsonl(log_path))
-        scenario_index = 0
-        max_scenarios = max(len(FAMILIES), config.faults) * 4
-        while (report.injected < config.faults
-               or any(report.by_family.get(f, 0) == 0
-                      for f in FAMILIES)) \
-                and scenario_index < max_scenarios:
-            family = FAMILIES[scenario_index % len(FAMILIES)]
-            note(f"scenario {scenario_index}: {family} "
-                 f"({report.injected}/{config.faults} faults)")
-            scenario = _SCENARIOS[family](
-                scenario_index, client, supervisor, corpus, expected,
-                rng, state_dir, log_path, seen, config)
-            seen = len(read_jsonl(log_path))
-            report.scenarios.append(scenario)
-            scenario_index += 1
-
-        # The tentpole assertion: a figure rendered through the
-        # cluster while its serving shard is SIGKILLed mid-sweep must
-        # be byte-identical to the direct serial rendering.
-        note(f"{config.figure} via cluster with a shard SIGKILLed "
-             f"mid-sweep")
-        supervisor.wait_converged(config.heal_timeout_s)
-        spec = infra.InfraFaultSpec(
-            mode=infra.InfraFaultMode.SHARD_KILL,
-            token="shard-kill-figure")
-        infra.arm([spec], state_dir)
-        try:
-            faulted_text = client.run_figure(
-                config.figure, deadline_s=1800.0,
-                attempt_timeout_s=900.0)
-        finally:
-            infra.disarm()
-        fired = 1 if infra.fired(state_dir, spec.token) else 0
-        records = read_jsonl(log_path)[seen:]
-        report.figure_identical = faulted_text == baseline_figure
-        report.scenarios.append(ClusterChaosScenario(
-            index=scenario_index, family="shard-kill",
-            target=f"figure:{config.figure}", injected=fired,
-            accounted=_token_accounted(records, "shard-kill",
-                                       spec.token),
-            # The headline scenario proves nothing unless the kill
-            # actually fired mid-sweep.
-            correct=report.figure_identical and fired == 1,
-            detail="serving shard SIGKILLed mid-figure; client failed "
-                   "over and resubmitted"))
-        seen = len(read_jsonl(log_path))
-
-        # Exactly-once: heal, run the full corpus through the cluster,
-        # then run it *again* — the second pass must add zero core
-        # translation runs anywhere in the fleet (every resubmission
-        # deduplicated by digest).
-        note("exactly-once check: two full-corpus passes")
-        supervisor.wait_converged(config.heal_timeout_s)
-        for item in corpus:
-            client.translate(*item)
-        report.core_runs_first_pass = _core_runs(supervisor)
-        for item in corpus:
-            client.translate(*item)
-        report.core_runs_second_pass = _core_runs(supervisor)
-        report.exactly_once = (report.core_runs_second_pass
-                               == report.core_runs_first_pass)
-
-        note(f"{config.figure} via cluster, fault-free closing pass")
-        report.final_figure_identical = client.run_figure(
-            config.figure, deadline_s=1800.0,
-            attempt_timeout_s=900.0) == baseline_figure
-
-        report.converged = supervisor.wait_converged(
-            config.heal_timeout_s)
-        report.final_map = supervisor.map.to_json()
-        report.cluster_stats = client.client_stats()
-        report.cluster_stats.pop("latencies_ms", None)
-        client.close()
-        client = None
-        supervisor.stop()
-        report.orphaned_processes = len(supervisor.orphan_pids())
-        supervisor = None
-
-        report.orphaned_tmp = integrity.orphaned_temp_files(cache_dir)
-        report.incident_counts = {}
-        for record in read_jsonl(log_path):
-            kind = record.get("kind", "?")
-            report.incident_counts[kind] = \
-                report.incident_counts.get(kind, 0) + 1
-        return report
-    finally:
-        infra.disarm()
-        if previous_spec_file is None:
-            os.environ.pop(infra.CHAOS_SPEC_FILE_ENV, None)
-        else:
-            os.environ[infra.CHAOS_SPEC_FILE_ENV] = previous_spec_file
-        if client is not None:
-            client.close()
-        if supervisor is not None:
-            supervisor.stop()
-        incident_log().configure_sink(None)
-        cache.detach_disk()
-        perf.clear_caches()
-        if previous_disk is not None:
-            cache.attach_disk(previous_disk)
-
-
-# -- the four scenario families -----------------------------------------------
-
-def _pick(corpus: list[tuple], expected: list[tuple], rng
-          ) -> tuple[int, tuple, tuple]:
-    index = int(rng.integers(0, len(corpus)))
-    return index, corpus[index], expected[index]
-
-
-def _owner_of(supervisor: ShardSupervisor, key: str) -> int:
-    owner = supervisor.map.owner(key)
-    if owner is None:
-        raise ReproError("no live shard owns anything — fleet down")
-    return owner.shard_id
-
-
-def _kill_scenario(index: int, client: ClusterClient,
-                   supervisor: ShardSupervisor, corpus: list[tuple],
-                   expected: list[tuple], rng, state_dir: str,
-                   log_path: str, seen: int,
-                   config: ClusterChaosConfig) -> ClusterChaosScenario:
-    """SIGKILL the owning shard mid-request; the client must fail over
-    and still produce the serial path's exact result."""
-    _, item, want = _pick(corpus, expected, rng)
-    key = idempotency_key_for(*item)
-    target = _owner_of(supervisor, key)
-    token = f"shard-kill-{index}"
-    client.connect()  # route by the current map so the owner is hit
-    infra.arm([infra.InfraFaultSpec(
-        mode=infra.InfraFaultMode.SHARD_KILL, token=token,
-        shard_id=target)], state_dir)
-    detail = ""
-    try:
-        result = client.translate(*item, deadline_s=60.0)
-        correct = _fingerprint(result) == want
-        if not correct:
-            detail = f"result diverged: {_fingerprint(result)} != {want}"
-    except ReproError as exc:
-        correct = False
-        detail = f"client gave up: {type(exc).__name__}: {exc}"
-    finally:
-        infra.disarm()
-    healed = supervisor.wait_converged(config.heal_timeout_s)
-    if correct and not healed:
-        correct, detail = False, (f"shard {target} not restarted "
-                                  f"within {config.heal_timeout_s:.0f}s")
-    fired = 1 if infra.fired(state_dir, token) else 0
-    records = read_jsonl(log_path)[seen:]
-    return ClusterChaosScenario(
-        index=index, family="shard-kill",
-        target=f"shard {target} ({item[0].name})", injected=fired,
-        accounted=_token_accounted(records, "shard-kill", token),
-        correct=correct,
-        detail=detail or f"{token}: owner died mid-translate, failed "
-                         f"over, restarted"
-                         f"{'' if fired else ' (never fired)'}")
-
-
-def _hang_scenario(index: int, client: ClusterClient,
-                   supervisor: ShardSupervisor, corpus: list[tuple],
-                   expected: list[tuple], rng, state_dir: str,
-                   log_path: str, seen: int,
-                   config: ClusterChaosConfig) -> ClusterChaosScenario:
-    """Hang the owning shard; the client's attempt timeout must fail
-    the request over, and the supervisor's missed-heartbeat escalation
-    must put the shard down and restart it."""
-    _, item, want = _pick(corpus, expected, rng)
-    key = idempotency_key_for(*item)
-    target = _owner_of(supervisor, key)
-    token = f"shard-hang-{index}"
-    client.connect()
-    infra.arm([infra.InfraFaultSpec(
-        mode=infra.InfraFaultMode.SHARD_HANG, token=token,
-        shard_id=target, delay_s=30.0)], state_dir)
-    detail = ""
-    try:
-        result = client.translate(*item, deadline_s=60.0)
-        correct = _fingerprint(result) == want
-        if not correct:
-            detail = f"result diverged: {_fingerprint(result)} != {want}"
-    except ReproError as exc:
-        correct = False
-        detail = f"client gave up: {type(exc).__name__}: {exc}"
-    finally:
-        infra.disarm()
-    # The hang outlasts every timeout by design; only the supervisor's
-    # escalation (missed heartbeats -> SIGKILL -> restart) ends it.
-    escalated = _await_incident(log_path, seen, "shard-death",
-                                shard=target,
-                                timeout_s=config.heal_timeout_s)
-    healed = supervisor.wait_converged(config.heal_timeout_s)
-    if correct and not escalated:
-        correct, detail = False, (f"supervisor never escalated hung "
-                                  f"shard {target}")
-    elif correct and not healed:
-        correct, detail = False, (f"shard {target} not restarted "
-                                  f"within {config.heal_timeout_s:.0f}s")
-    fired = 1 if infra.fired(state_dir, token) else 0
-    records = read_jsonl(log_path)[seen:]
-    return ClusterChaosScenario(
-        index=index, family="shard-hang",
-        target=f"shard {target} ({item[0].name})", injected=fired,
-        accounted=_token_accounted(records, "shard-hang", token),
-        correct=correct,
-        detail=detail or f"{token}: hung shard failed over, escalated, "
-                         f"restarted{'' if fired else ' (never fired)'}")
-
-
-def _slow_start_scenario(index: int, client: ClusterClient,
-                         supervisor: ShardSupervisor,
-                         corpus: list[tuple], expected: list[tuple],
-                         rng, state_dir: str, log_path: str, seen: int,
-                         config: ClusterChaosConfig
-                         ) -> ClusterChaosScenario:
-    """SIGKILL a shard with a slow start armed against its *restart*;
-    the supervisor must tolerate the delayed boot, and the cluster must
-    keep serving meanwhile."""
-    target = int(rng.integers(0, config.shards))
-    token = f"shard-slow-start-{index}"
-    _, item, want = _pick(corpus, expected, rng)
-    infra.arm([infra.InfraFaultSpec(
-        mode=infra.InfraFaultMode.SHARD_SLOW_START, token=token,
-        shard_id=target, delay_s=1.5)], state_dir)
-    detail = ""
-    try:
-        supervisor.kill_shard(target)
-        # The fleet minus one shard must keep serving correct results
-        # while the slow restart is in flight.
-        try:
-            result = client.translate(*item, deadline_s=60.0)
-            correct = _fingerprint(result) == want
-            if not correct:
-                detail = (f"result diverged during restart: "
-                          f"{_fingerprint(result)} != {want}")
-        except ReproError as exc:
-            correct = False
-            detail = f"client gave up: {type(exc).__name__}: {exc}"
-        healed = supervisor.wait_converged(config.heal_timeout_s)
-        if correct and not healed:
-            correct, detail = False, (
-                f"slow-started shard {target} not up within "
-                f"{config.heal_timeout_s:.0f}s")
-    finally:
-        infra.disarm()
-    fired = 1 if infra.fired(state_dir, token) else 0
-    records = read_jsonl(log_path)[seen:]
-    return ClusterChaosScenario(
-        index=index, family="shard-slow-start",
-        target=f"shard {target}", injected=fired,
-        accounted=_token_accounted(records, "shard-slow-start", token),
-        correct=correct,
-        detail=detail or f"{token}: restart delayed 1.5s, fleet served "
-                         f"throughout{'' if fired else ' (never fired)'}")
-
-
-def _map_stale_scenario(index: int, client: ClusterClient,
-                        supervisor: ShardSupervisor,
-                        corpus: list[tuple], expected: list[tuple],
-                        rng, state_dir: str, log_path: str, seen: int,
-                        config: ClusterChaosConfig
-                        ) -> ClusterChaosScenario:
-    """Make the client drop one shard-map update; requests routed by
-    the stale map must still resolve correctly (shard-moved redirects
-    repair the client on contact)."""
-    token = f"map-stale-{index}"
-    _, item, want = _pick(corpus, expected, rng)
-    infra.arm([infra.InfraFaultSpec(
-        mode=infra.InfraFaultMode.MAP_STALE, token=token)], state_dir)
-    detail = ""
-    try:
-        client.connect()  # the refresh this triggers is what is dropped
-        try:
-            result = client.translate(*item, deadline_s=60.0)
-            correct = _fingerprint(result) == want
-            if not correct:
-                detail = (f"result diverged on stale map: "
-                          f"{_fingerprint(result)} != {want}")
-        except ReproError as exc:
-            correct = False
-            detail = f"client gave up: {type(exc).__name__}: {exc}"
-    finally:
-        infra.disarm()
-    fired = 1 if infra.fired(state_dir, token) else 0
-    records = read_jsonl(log_path)[seen:]
-    return ClusterChaosScenario(
-        index=index, family="map-stale",
-        target=f"client map ({item[0].name})", injected=fired,
-        accounted=_token_accounted(records, "map-stale", token),
-        correct=correct,
-        detail=detail or f"{token}: dropped map update, request still "
-                         f"resolved{'' if fired else ' (never fired)'}")
-
-
-_SCENARIOS = {
-    "shard-kill": _kill_scenario,
-    "shard-hang": _hang_scenario,
-    "shard-slow-start": _slow_start_scenario,
-    "map-stale": _map_stale_scenario,
-}
-
-
-def _await_incident(log_path: str, seen: int, kind: str,
-                    shard: Optional[int] = None,
-                    timeout_s: float = 30.0) -> bool:
-    """Poll the JSONL log for an incident of *kind* (optionally for one
-    shard) appended after *seen*."""
-    deadline = time.monotonic() + timeout_s
+def _await_incident(campaign: Campaign, kind: str, shard: int) -> bool:
+    """Poll the incident log for a *kind* record about *shard* in the
+    current scenario."""
+    deadline = time.monotonic() + HEAL_TIMEOUT_S
     while time.monotonic() < deadline:
-        for record in read_jsonl(log_path)[seen:]:
-            if record.get("kind") != kind:
-                continue
-            if (shard is not None
-                    and record.get("details", {}).get("shard") != shard):
-                continue
+        if any(r.get("kind") == kind
+               and r.get("details", {}).get("shard") == shard
+               for r in campaign.new_records()):
             return True
         time.sleep(0.1)
     return False
 
 
-def format_clusterchaos(report: ClusterChaosReport) -> str:
-    """Human-readable campaign summary (CLI output)."""
-    config = report.config
-    lines = [
-        f"Cluster chaos campaign (seed {config.seed}, "
-        f"{config.shards} shards, figure {config.figure})",
-        "=" * 66,
-        f"  scenarios run         : {len(report.scenarios)}",
-        f"  shard faults injected : {report.injected} "
-        f"(target {config.faults})",
-        f"  faults accounted      : {report.accounted}/{report.injected}"
-        f" in {report.incident_log_path}",
-        f"  exactly-once          : "
-        f"{report.core_runs_first_pass} core runs after pass 1, "
-        f"+{report.core_runs_second_pass - report.core_runs_first_pass}"
-        f" after pass 2"
-        f" ({'OK' if report.exactly_once else 'VIOLATED'})",
-        f"  fleet converged       : "
-        f"{'yes' if report.converged else 'NO'} "
-        f"(map v{report.final_map.get('version', '?')})",
-        f"  orphaned processes    : {report.orphaned_processes}",
-        f"  orphaned temp files   : {len(report.orphaned_tmp)}",
-        f"  figure under SIGKILL  : "
-        f"{'byte-identical' if report.figure_identical else 'DIVERGED'}",
-        f"  figure after campaign : "
-        f"{'byte-identical' if report.final_figure_identical else 'DIVERGED'}",
-        "",
-        "  injected by family:",
-    ]
-    for family in FAMILIES:
-        lines.append(
-            f"    {family:18s} {report.by_family.get(family, 0):4d}")
-    lines.append("")
-    lines.append("  cluster client:")
-    for key, value in sorted(
-            report.cluster_stats.get("cluster", {}).items()):
-        lines.append(f"    {key:18s} {value:4d}")
-    lines.append("")
-    lines.append("  incident log by kind:")
-    for kind, count in sorted(report.incident_counts.items()):
-        lines.append(f"    {kind:18s} {count:4d}")
-    failed = [s for s in report.scenarios if not s.ok]
-    for s in failed:
-        lines.append(f"  FAILED: scenario {s.index} ({s.family} on "
-                     f"{s.target}): {s.detail}")
-    lines.append("")
-    if report.ok:
-        verdict = ("PASS — byte-identical results through shard "
-                   "failure, exactly-once translation, fleet healed, "
-                   "zero orphans")
-    elif report.injected < config.faults:
-        verdict = (f"FAIL — only {report.injected}/{config.faults} "
-                   f"shard faults fired")
-    else:
-        verdict = "FAIL — cluster guarantee violated"
-    lines.append("  verdict: " + verdict)
-    return "\n".join(lines)
+class Cluster(Plugin):
+    name = "clusterchaos"
+    title = "Cluster chaos campaign"
+    guarantee = ("byte-identical results through shard failure, "
+                 "exactly-once translation, fleet healed, zero orphans")
+    spec_file = True
+
+    def __init__(self, shards: int = 3, figure: str = "fig2"):
+        self.shards = shards
+        self.figure = figure
+        self.supervisor: Optional[ShardSupervisor] = None
+        self.client: Optional[ClusterClient] = None
+        self.families = {"shard-kill": self._kill,
+                         "shard-hang": self._hang,
+                         "shard-slow-start": self._slow_start,
+                         "map-stale": self._map_stale}
+
+    def describe(self) -> str:
+        return f"{self.shards} shards, figure {self.figure}"
+
+    def setup(self, campaign: Campaign) -> None:
+        campaign.note(f"baseline {self.figure} (direct serial path)")
+        self.baseline = api.run_figure(self.figure)
+        self.corpus = request_corpus()
+        campaign.note(f"baseline translations ({len(self.corpus)} "
+                      f"corpus items)")
+        self.expected = [translate_loop(*item) for item in self.corpus]
+        campaign.note(f"booting {self.shards}-shard cluster")
+        self.supervisor = ShardSupervisor(ClusterConfig(
+            shards=self.shards,
+            service=ServiceConfig(workers=1))).start()
+        host, port = self.supervisor.seed_address()
+        self.client = ClusterClient(
+            host, port, session="clusterchaos", seed=campaign.report.seed,
+            deadline_s=60.0,
+            shard_retry=RetryPolicy(
+                attempts=2, base_delay_s=0.02, max_delay_s=0.2,
+                attempt_timeout_s=ATTEMPT_TIMEOUT_S,
+                breaker_threshold=1 << 30)).connect()
+
+    # -- helpers -------------------------------------------------------------
+
+    def _pick(self, campaign: Campaign) -> int:
+        return int(campaign.rng.integers(0, len(self.corpus)))
+
+    def _owner_of(self, item: tuple) -> int:
+        owner = self.supervisor.map.owner(idempotency_key_for(*item))
+        if owner is None:
+            raise ReproError("no live shard owns anything — fleet down")
+        return owner.shard_id
+
+    def _translate(self, index: int):
+        return self.client.translate(*self.corpus[index], deadline_s=60.0)
+
+    def _healed(self, what: str) -> str:
+        if self.supervisor.wait_converged(HEAL_TIMEOUT_S):
+            return ""
+        return f"{what} not restarted within {HEAL_TIMEOUT_S:.0f}s"
+
+    def _figure(self) -> str:
+        return self.client.run_figure(self.figure, deadline_s=1800.0,
+                                      attempt_timeout_s=900.0)
+
+    def _corpus_pass(self) -> list:
+        return [self.client.translate(*item) for item in self.corpus]
+
+    # -- the four families ---------------------------------------------------
+
+    def _kill(self, campaign: Campaign) -> Scenario:
+        """SIGKILL the owning shard mid-request; the client must fail
+        over and still produce the serial path's exact result."""
+        index = self._pick(campaign)
+        target = self._owner_of(self.corpus[index])
+        token = f"shard-kill-{campaign.index}"
+        self.client.connect()  # route by the current map: hit the owner
+        return campaign.drive(
+            "shard-kill",
+            f"shard {target} ({self.corpus[index][0].name})",
+            [infra.InfraFaultSpec(mode=infra.InfraFaultMode.SHARD_KILL,
+                                  token=token, shard_id=target)],
+            lambda: self._translate(index), self.expected[index],
+            check=lambda: self._healed(f"shard {target}"),
+            done=f"{token}: owner died mid-translate, failed over, "
+                 f"restarted")
+
+    def _hang(self, campaign: Campaign) -> Scenario:
+        """Hang the owning shard; the client's attempt timeout must fail
+        the request over, and the supervisor's missed-heartbeat
+        escalation must put the shard down and restart it."""
+        index = self._pick(campaign)
+        target = self._owner_of(self.corpus[index])
+        token = f"shard-hang-{campaign.index}"
+        self.client.connect()
+
+        def escalated() -> str:
+            # The hang outlasts every timeout by design; only the
+            # supervisor's escalation (missed heartbeats -> SIGKILL ->
+            # restart) ends it.
+            died = _await_incident(campaign, "shard-death", target)
+            healed = self._healed(f"shard {target}")
+            return healed if died else (f"supervisor never escalated "
+                                        f"hung shard {target}")
+
+        return campaign.drive(
+            "shard-hang",
+            f"shard {target} ({self.corpus[index][0].name})",
+            [infra.InfraFaultSpec(mode=infra.InfraFaultMode.SHARD_HANG,
+                                  token=token, shard_id=target,
+                                  delay_s=30.0)],
+            lambda: self._translate(index), self.expected[index],
+            check=escalated,
+            done=f"{token}: hung shard failed over, escalated, restarted")
+
+    def _slow_start(self, campaign: Campaign) -> Scenario:
+        """SIGKILL a shard with a slow start armed against its
+        *restart*; the supervisor must tolerate the delayed boot, and
+        the fleet minus one shard must keep serving meanwhile."""
+        target = int(campaign.rng.integers(0, self.shards))
+        index = self._pick(campaign)
+
+        def kill_then_translate():
+            self.supervisor.kill_shard(target)
+            return self._translate(index)
+
+        token = f"shard-slow-start-{campaign.index}"
+        return campaign.drive(
+            "shard-slow-start", f"shard {target}",
+            [infra.InfraFaultSpec(
+                mode=infra.InfraFaultMode.SHARD_SLOW_START, token=token,
+                shard_id=target, delay_s=1.5)],
+            kill_then_translate, self.expected[index],
+            check=lambda: self._healed(f"slow-started shard {target}"),
+            done=f"{token}: restart delayed 1.5s, fleet served "
+                 f"throughout")
+
+    def _map_stale(self, campaign: Campaign) -> Scenario:
+        """Make the client drop one shard-map update; requests routed by
+        the stale map must still resolve correctly (shard-moved
+        redirects repair the client on contact)."""
+        token = f"map-stale-{campaign.index}"
+        index = self._pick(campaign)
+
+        def refresh_then_translate():
+            self.client.connect()  # the refresh this triggers is dropped
+            return self._translate(index)
+
+        return campaign.drive(
+            "map-stale", f"client map ({self.corpus[index][0].name})",
+            [infra.InfraFaultSpec(mode=infra.InfraFaultMode.MAP_STALE,
+                                  token=token)],
+            refresh_then_translate, self.expected[index],
+            done=f"{token}: dropped map update, request still resolved")
+
+    def finish(self, campaign: Campaign) -> None:
+        # The tentpole assertion: a figure rendered through the cluster
+        # while its serving shard is SIGKILLed mid-sweep must be
+        # byte-identical to the direct serial rendering — and proves
+        # nothing unless the kill actually fired.
+        campaign.note(f"{self.figure} via cluster with a shard "
+                      f"SIGKILLed mid-sweep")
+        self.supervisor.wait_converged(HEAL_TIMEOUT_S)
+        token = "shard-kill-figure"
+        faulted = campaign.add(campaign.drive(
+            "shard-kill", f"figure:{self.figure}",
+            [infra.InfraFaultSpec(mode=infra.InfraFaultMode.SHARD_KILL,
+                                  token=token)],
+            self._figure, self.baseline,
+            check=lambda: ("" if infra.fired(campaign.state_dir, token)
+                           else "the kill never fired mid-sweep"),
+            done="serving shard SIGKILLed mid-figure; client failed "
+                 "over and resubmitted"))
+
+        # Exactly-once: heal, run the full corpus through the cluster,
+        # then run it *again* — the second pass must add zero core
+        # translation runs anywhere in the fleet (every resubmission
+        # deduplicated by digest).
+        campaign.note("exactly-once check: two full-corpus passes")
+        self.supervisor.wait_converged(HEAL_TIMEOUT_S)
+        core_runs = []
+        for n in (1, 2):
+            campaign.add(campaign.drive(
+                FAULT_FREE, f"corpus pass {n}", [], self._corpus_pass,
+                self.expected))
+            core_runs.append(_core_runs(self.supervisor))
+        first, second = core_runs
+        campaign.check("exactly-once", second == first,
+                       f"{first} core runs after pass 1, "
+                       f"+{second - first} after pass 2 "
+                       f"({'OK' if second == first else 'VIOLATED'})")
+
+        campaign.note(f"{self.figure} via cluster, fault-free closing "
+                      f"pass")
+        final = campaign.add(campaign.drive(
+            FAULT_FREE, f"figure:{self.figure}", [], self._figure,
+            self.baseline))
+        converged = self.supervisor.wait_converged(HEAL_TIMEOUT_S)
+        version = self.supervisor.map.to_json().get("version", "?")
+        campaign.check("fleet converged", converged,
+                       f"{'yes' if converged else 'NO'} (map v{version})")
+        campaign.report.tables["cluster client"] = dict(sorted(
+            self.client.client_stats().get("cluster", {}).items()))
+        self.client.close()
+        self.client = None
+        self.supervisor.stop()
+        orphans = len(self.supervisor.orphan_pids())
+        self.supervisor = None
+        campaign.check("orphaned processes", orphans == 0, str(orphans))
+        for name, scenario in (("figure under SIGKILL", faulted),
+                               ("figure after campaign", final)):
+            campaign.check(name, scenario.correct,
+                           "byte-identical" if scenario.correct
+                           else "DIVERGED")
+
+    def close(self) -> None:
+        if self.client is not None:
+            self.client.close()
+            self.client = None
+        if self.supervisor is not None:
+            self.supervisor.stop()
+            self.supervisor = None

@@ -1,46 +1,33 @@
-"""Seeded chaos campaigns against the service's network transport.
+"""Netchaos family plugin: the service's network transport under faults.
 
-``python -m repro netchaos`` is the wire-level sibling of
-``python -m repro chaos``: where that campaign attacks the machinery
-that regenerates figures (worker kills, cache corruption, I/O errors),
-this one attacks the *transport* between a :class:`~repro.service.
-client.LoopClient` and a :class:`~repro.service.net.NetServer` — reset
-connections mid-frame, corrupted and truncated frames, stalled and
-dropped responses, a slow-loris client that trickles half a header and
-goes silent — and proves the transport layer's guarantees:
-
-* **Zero client-visible corruption**: every request driven through the
-  faulty wire returns exactly the result the serial in-process path
-  computes (the per-frame checksum turns corruption into reconnects,
-  never wrong data), and a figure rendered through the faulty
-  transport is byte-identical to the direct rendering;
-* **Full accounting**: every wire fault that fired maps to an incident
-  record carrying its token, and every client recovery is a
-  ``net-retry`` record — nothing is silently swallowed;
-* **No debris**: zero orphaned connections after the server stops and
-  zero orphaned cache temp files in the campaign workdir.
-
-Campaigns are deterministic in their seed (which faults, which
-requests, the client's backoff jitter); the kernel of the proof is the
-result comparison, same as every other campaign in this repo.
+``python -m repro netchaos`` attacks the *transport* between a
+:class:`~repro.service.client.LoopClient` and a
+:class:`~repro.service.net.NetServer` — connections reset mid-frame,
+corrupted and truncated frames, stalled and dropped responses, a
+slow-loris client that trickles half a header and goes silent — while
+the engine (:mod:`repro.resilience.campaign`) proves the transport's
+guarantees: every request driven through the faulty wire returns
+exactly the serial in-process result (the per-frame checksum turns
+corruption into reconnects, never wrong data), a figure rendered
+through the faulty transport is byte-identical to the direct
+rendering, every fired wire fault is token-accounted in the incident
+log, and no connection or cache temp file is orphaned.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 import socket
-import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
 
-import numpy as np
-
-from repro import perf
-from repro.errors import ReproError
+from repro import api
 from repro.faults import infra
-from repro.resilience import integrity
-from repro.resilience.incidents import incident_log, read_jsonl
+from repro.resilience.campaign import (
+    FAULT_FREE,
+    Campaign,
+    Plugin,
+    Scenario,
+)
 from repro.service import wire
 from repro.service.client import LoopClient, RetryPolicy
 from repro.service.loadgen import request_corpus
@@ -48,359 +35,140 @@ from repro.service.net import NetConfig, NetServer
 from repro.service.server import ServiceConfig
 from repro.vm.translator import translate_loop
 
-#: Fault families the campaign must exercise at least once each.
-FAMILIES = tuple(mode.value for mode in infra.NET_FAULT_MODES) \
-    + ("slow-client",)
+#: Server slow-loris guard for the campaign: short, so the slow-client
+#: scenario costs seconds, not the production minute.
+IDLE_TIMEOUT_S = 2.0
+#: Per-attempt response wait for the campaign client; stalls and drops
+#: must outlast it to actually force a retry.
+ATTEMPT_TIMEOUT_S = 0.6
 
 
-@dataclass(frozen=True)
-class NetChaosConfig:
-    """One seeded network chaos campaign."""
+class Transport(Plugin):
+    name = "netchaos"
+    title = "Network chaos campaign"
+    guarantee = ("zero client-visible corruption, zero orphans, every "
+                 "wire fault accounted for")
+    # One proven slow-loris cutoff is enough; it costs a full idle
+    # timeout per scenario.
+    once = ("slow-client",)
 
-    #: Minimum wire faults to inject across all families.
-    faults: int = 20
-    seed: int = 2008
-    #: Figure rendered through the faulty transport and compared
-    #: byte-for-byte against the direct serial rendering.
-    figure: str = "fig2"
-    #: Campaign scratch space (cache dir, sentinels, incident log);
-    #: a fresh temp directory when None.
-    workdir: Optional[str] = None
-    #: Server slow-loris guard for this campaign (short, so the
-    #: slow-client scenario costs seconds, not the production minute).
-    idle_timeout_s: float = 2.0
-    #: Per-attempt response wait for the campaign client; stalls and
-    #: drops must outlast it to actually force a retry.
-    attempt_timeout_s: float = 0.6
+    def __init__(self, figure: str = "fig2"):
+        self.figure = figure
+        self.server = None
+        self.client = None
+        self.families = {mode.value: functools.partial(self._wire_fault,
+                                                       mode)
+                         for mode in infra.NET_FAULT_MODES}
+        self.families["slow-client"] = self._slowloris
 
+    def describe(self) -> str:
+        return f"figure {self.figure}"
 
-@dataclass
-class NetChaosScenario:
-    """One faulted request driven through the transport."""
-
-    index: int
-    family: str
-    target: str
-    #: Faults that actually fired (claimed their sentinel).
-    injected: int
-    #: Fired faults with a token-matched incident record.
-    accounted: int
-    #: The client saw exactly the serial path's result.
-    correct: bool
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.correct and self.accounted == self.injected
-
-
-@dataclass
-class NetChaosReport:
-    config: NetChaosConfig
-    scenarios: list[NetChaosScenario] = field(default_factory=list)
-    #: Figure through the faulty transport == direct rendering.
-    figure_identical: bool = False
-    #: Fault-free closing figure through the transport still matches.
-    final_figure_identical: bool = False
-    orphaned_connections: int = 0
-    orphaned_tmp: list[str] = field(default_factory=list)
-    client_stats: dict = field(default_factory=dict)
-    admission_stats: dict = field(default_factory=dict)
-    incident_counts: dict[str, int] = field(default_factory=dict)
-    incident_log_path: str = ""
-
-    @property
-    def injected(self) -> int:
-        return sum(s.injected for s in self.scenarios)
-
-    @property
-    def accounted(self) -> int:
-        return sum(s.accounted for s in self.scenarios)
-
-    @property
-    def by_family(self) -> dict[str, int]:
-        table: dict[str, int] = {}
-        for s in self.scenarios:
-            table[s.family] = table.get(s.family, 0) + s.injected
-        return dict(sorted(table.items()))
-
-    @property
-    def ok(self) -> bool:
-        """Every guarantee held — and enough faults actually fired
-        across every family (an empty campaign proves nothing)."""
-        return (self.injected >= self.config.faults
-                and all(self.by_family.get(f, 0) > 0 for f in FAMILIES)
-                and all(s.ok for s in self.scenarios)
-                and self.figure_identical
-                and self.final_figure_identical
-                and self.orphaned_connections == 0
-                and not self.orphaned_tmp
-                and self.accounted == self.injected)
-
-
-def _fingerprint(result) -> tuple:
-    """The client-visible identity of a translation result."""
-    return (result.ok, result.loop_name,
-            result.image.schedule.ii if result.ok
-            else result.failure_kind,
-            result.meter.total_units())
-
-
-def _token_accounted(records: list[dict], family: str,
-                     token: str) -> int:
-    return min(1, sum(
-        1 for r in records
-        if r.get("kind") == family
-        and r.get("details", {}).get("token") == token))
-
-
-def run_netchaos(config: NetChaosConfig = NetChaosConfig(),
-                 progress: Optional[Callable[[str], None]] = None
-                 ) -> NetChaosReport:
-    """Drive one campaign to its fault target; restores all global
-    engine state (caches, sinks, injection arming) on the way out."""
-
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    from repro import api
-
-    workdir = config.workdir or tempfile.mkdtemp(prefix="repro-netchaos-")
-    cache_dir = os.path.join(workdir, "cache")
-    state_dir = os.path.join(workdir, "state")
-    log_path = os.path.join(workdir, "incidents.jsonl")
-    os.makedirs(state_dir, exist_ok=True)
-
-    report = NetChaosReport(config=config, incident_log_path=log_path)
-    cache = perf.translation_cache()
-    previous_disk = cache.disk_dir
-    server: Optional[NetServer] = None
-    client: Optional[LoopClient] = None
-    try:
-        perf.clear_caches()
-        cache.attach_disk(cache_dir, strict=True)
-        incident_log().configure_sink(log_path)
-
-        note(f"baseline {config.figure} (direct serial path)")
-        baseline_figure = api.run_figure(config.figure)
-
-        server = NetServer(NetConfig(
-            idle_timeout_s=config.idle_timeout_s,
+    def setup(self, campaign: Campaign) -> None:
+        campaign.note(f"baseline {self.figure} (direct serial path)")
+        self.baseline = api.run_figure(self.figure)
+        self.server = NetServer(NetConfig(
+            idle_timeout_s=IDLE_TIMEOUT_S,
             service=ServiceConfig(workers=1))).start()
-        client = LoopClient(
-            server.host, server.port, session="netchaos",
-            seed=config.seed, deadline_s=30.0,
+        self.client = LoopClient(
+            self.server.host, self.server.port, session="netchaos",
+            seed=campaign.report.seed, deadline_s=30.0,
             retry=RetryPolicy(
                 attempts=6, base_delay_s=0.01, max_delay_s=0.1,
-                attempt_timeout_s=config.attempt_timeout_s))
+                attempt_timeout_s=ATTEMPT_TIMEOUT_S))
+        self.corpus = request_corpus()
 
-        corpus = request_corpus()
-        rng = np.random.default_rng(config.seed)
-        net_families = [mode.value for mode in infra.NET_FAULT_MODES]
-        seen = len(read_jsonl(log_path))
-        scenario_index = 0
-        max_scenarios = max(len(FAMILIES), config.faults) * 4
-        while (report.injected < config.faults
-               or any(report.by_family.get(f, 0) == 0 for f in FAMILIES)) \
-                and scenario_index < max_scenarios:
-            family = FAMILIES[scenario_index % len(FAMILIES)]
-            if (family == "slow-client"
-                    and report.by_family.get("slow-client", 0) > 0):
-                # One proven slow-loris cutoff is enough; it costs a
-                # full idle timeout per scenario.
-                family = net_families[scenario_index % len(net_families)]
-            note(f"scenario {scenario_index}: {family} "
-                 f"({report.injected}/{config.faults} faults)")
-            if family == "slow-client":
-                scenario = _slowloris_scenario(
-                    scenario_index, server, config.idle_timeout_s,
-                    log_path, seen)
-            else:
-                scenario = _wire_fault_scenario(
-                    scenario_index, family, client, corpus, state_dir,
-                    rng, log_path, seen, config)
-            seen = len(read_jsonl(log_path))
-            report.scenarios.append(scenario)
-            scenario_index += 1
+    def _figure(self) -> str:
+        return self.client.run_figure(self.figure, deadline_s=1800.0,
+                                      attempt_timeout_s=900.0)
 
+    def _wire_fault(self, mode: infra.InfraFaultMode,
+                    campaign: Campaign) -> Scenario:
+        """Arm one wire fault against the next response, then drive a
+        translate request through it and compare against the serial
+        path."""
+        loop, accel, options = self.corpus[
+            int(campaign.rng.integers(0, len(self.corpus)))]
+        token = f"{mode.value}-{campaign.index}"
+        # Stalls must outlast the client's per-attempt wait or they are
+        # absorbed invisibly instead of forcing a retry.
+        delay = (ATTEMPT_TIMEOUT_S * 2.5
+                 if mode is infra.InfraFaultMode.NET_STALL else None)
+        spec = infra.InfraFaultSpec(mode=mode, token=token, delay_s=delay)
+        want = translate_loop(loop, accel, options)
+        return campaign.drive(
+            mode.value, loop.name, [spec],
+            lambda: self.client.translate(loop, accel, options,
+                                          deadline_s=30.0),
+            want, done=f"{token} on {loop.name}")
+
+    def _slowloris(self, campaign: Campaign) -> Scenario:
+        """Trickle half a frame header, then go silent; the server must
+        cut the connection off at its idle timeout, not hold it
+        forever."""
+        closed = False
+        started = time.monotonic()
+        try:
+            with socket.create_connection(
+                    (self.server.host, self.server.port),
+                    timeout=IDLE_TIMEOUT_S + 10.0) as sock:
+                sock.sendall(wire.MAGIC[:2])  # half a magic, then nothing
+                sock.settimeout(IDLE_TIMEOUT_S + 10.0)
+                try:
+                    closed = sock.recv(64) == b""
+                except socket.timeout:
+                    closed = False  # never cut off: the guard failed
+                except (ConnectionResetError, OSError):
+                    closed = True   # an abortive close still counts
+        except OSError:
+            closed = False
+        waited = time.monotonic() - started
+        logged = any(r.get("kind") == "slow-client"
+                     for r in campaign.new_records())
+        return Scenario(
+            index=campaign.index, family="slow-client",
+            target="raw-socket", injected=int(closed),
+            accounted=int(closed and logged), correct=closed,
+            detail=(f"server cut the stalled connection after "
+                    f"{waited:.1f}s" if closed else
+                    f"connection NOT closed within {waited:.1f}s"))
+
+    def finish(self, campaign: Campaign) -> None:
         # The tentpole assertion: a figure rendered *through* the
         # faulty transport — a wire fault armed against its response —
         # must be byte-identical to the direct serial rendering.
-        note(f"{config.figure} via client under an injected wire fault")
-        spec = infra.InfraFaultSpec(
-            mode=infra.InfraFaultMode.NET_TRUNCATE,
-            token="net-truncate-figure")
-        infra.arm([spec], state_dir)
-        try:
-            faulted_text = client.run_figure(
-                config.figure, deadline_s=1800.0,
-                attempt_timeout_s=900.0)
-        finally:
-            infra.disarm()
-        fired = 1 if infra.fired(state_dir, spec.token) else 0
-        records = read_jsonl(log_path)[seen:]
-        report.figure_identical = faulted_text == baseline_figure
-        report.scenarios.append(NetChaosScenario(
-            index=scenario_index, family="net-truncate",
-            target=f"figure:{config.figure}", injected=fired,
-            accounted=_token_accounted(records, "net-truncate",
-                                       spec.token),
-            correct=report.figure_identical,
-            detail="figure response truncated mid-frame; client "
-                   "reconnected and resubmitted"))
-        seen = len(read_jsonl(log_path))
+        campaign.note(f"{self.figure} via client under an injected "
+                      f"wire fault")
+        faulted = campaign.add(campaign.drive(
+            "net-truncate", f"figure:{self.figure}",
+            [infra.InfraFaultSpec(mode=infra.InfraFaultMode.NET_TRUNCATE,
+                                  token="net-truncate-figure")],
+            self._figure, self.baseline,
+            done="figure response truncated mid-frame; client "
+                 "reconnected and resubmitted"))
+        campaign.note(f"{self.figure} via client, fault-free closing "
+                      f"pass")
+        final = campaign.add(campaign.drive(
+            FAULT_FREE, f"figure:{self.figure}", [], self._figure,
+            self.baseline))
+        campaign.report.tables["client recovery"] = dict(
+            sorted(self.client.stats.as_dict().items()))
+        self.client.close()
+        self.client = None
+        self.server.stop()
+        orphans = self.server.active_connections()
+        self.server = None
+        campaign.check("orphaned connections", orphans == 0, str(orphans))
+        for name, scenario in (("figure under faults", faulted),
+                               ("figure after campaign", final)):
+            campaign.check(name, scenario.correct,
+                           "byte-identical" if scenario.correct
+                           else "DIVERGED")
 
-        note(f"{config.figure} via client, fault-free closing pass")
-        report.final_figure_identical = client.run_figure(
-            config.figure, deadline_s=1800.0,
-            attempt_timeout_s=900.0) == baseline_figure
-
-        report.client_stats = client.stats.as_dict()
-        client.close()
-        client = None
-        stats = server.stop()
-        report.admission_stats = dict(stats.admission)
-        report.orphaned_connections = server.active_connections()
-        server = None
-
-        report.orphaned_tmp = integrity.orphaned_temp_files(cache_dir)
-        report.incident_counts = {}
-        for record in read_jsonl(log_path):
-            kind = record.get("kind", "?")
-            report.incident_counts[kind] = \
-                report.incident_counts.get(kind, 0) + 1
-        return report
-    finally:
-        infra.disarm()
-        if client is not None:
-            client.close()
-        if server is not None:
-            server.stop()
-        incident_log().configure_sink(None)
-        cache.detach_disk()
-        perf.clear_caches()
-        if previous_disk is not None:
-            cache.attach_disk(previous_disk)
-
-
-def _wire_fault_scenario(index: int, family: str, client: LoopClient,
-                         corpus: list[tuple], state_dir: str, rng,
-                         log_path: str, seen: int,
-                         config: NetChaosConfig) -> NetChaosScenario:
-    """Arm one wire fault against the next response, then drive a
-    translate request through it and compare against the serial path."""
-    loop, accel, options = corpus[int(rng.integers(0, len(corpus)))]
-    mode = infra.InfraFaultMode(family)
-    token = f"{family}-{index}"
-    # Stalls must outlast the client's per-attempt wait or they are
-    # absorbed invisibly instead of forcing a retry.
-    delay = (config.attempt_timeout_s * 2.5
-             if mode is infra.InfraFaultMode.NET_STALL else None)
-    expected = translate_loop(loop, accel, options)
-    spec = infra.InfraFaultSpec(mode=mode, token=token, delay_s=delay)
-    infra.arm([spec], state_dir)
-    detail = ""
-    try:
-        result = client.translate(loop, accel, options, deadline_s=30.0)
-        correct = _fingerprint(result) == _fingerprint(expected)
-        if not correct:
-            detail = (f"result diverged: {_fingerprint(result)} != "
-                      f"{_fingerprint(expected)}")
-    except ReproError as exc:
-        correct = False
-        detail = f"client gave up: {type(exc).__name__}: {exc}"
-    finally:
-        infra.disarm()
-    fired = 1 if infra.fired(state_dir, token) else 0
-    records = read_jsonl(log_path)[seen:]
-    return NetChaosScenario(
-        index=index, family=family, target=loop.name,
-        injected=fired,
-        accounted=_token_accounted(records, family, token),
-        correct=correct,
-        detail=detail or f"{token} on {loop.name}"
-                         f"{'' if fired else ' (never fired)'}")
-
-
-def _slowloris_scenario(index: int, server: NetServer,
-                        idle_timeout_s: float, log_path: str,
-                        seen: int) -> NetChaosScenario:
-    """Trickle half a frame header, then go silent; the server must
-    cut the connection off at its idle timeout, not hold it forever."""
-    closed = False
-    started = time.monotonic()
-    try:
-        with socket.create_connection(
-                (server.host, server.port),
-                timeout=idle_timeout_s + 10.0) as sock:
-            sock.sendall(wire.MAGIC[:2])  # half a magic, then nothing
-            sock.settimeout(idle_timeout_s + 10.0)
-            try:
-                closed = sock.recv(64) == b""
-            except socket.timeout:
-                closed = False  # server never cut us off: guard failed
-            except (ConnectionResetError, OSError):
-                closed = True   # an abortive close still counts
-    except OSError:
-        closed = False
-    waited = time.monotonic() - started
-    records = read_jsonl(log_path)[seen:]
-    accounted = min(1, sum(1 for r in records
-                           if r.get("kind") == "slow-client"))
-    injected = 1 if closed else 0
-    return NetChaosScenario(
-        index=index, family="slow-client", target="raw-socket",
-        injected=injected, accounted=accounted if closed else 0,
-        correct=closed,
-        detail=(f"server cut the stalled connection after {waited:.1f}s"
-                if closed else
-                f"connection NOT closed within {waited:.1f}s"))
-
-
-def format_netchaos(report: NetChaosReport) -> str:
-    """Human-readable campaign summary (CLI output)."""
-    config = report.config
-    lines = [
-        f"Network chaos campaign (seed {config.seed}, "
-        f"figure {config.figure})",
-        "=" * 66,
-        f"  scenarios run         : {len(report.scenarios)}",
-        f"  wire faults injected  : {report.injected} "
-        f"(target {config.faults})",
-        f"  faults accounted      : {report.accounted}/{report.injected}"
-        f" in {report.incident_log_path}",
-        f"  orphaned connections  : {report.orphaned_connections}",
-        f"  orphaned temp files   : {len(report.orphaned_tmp)}",
-        f"  figure under faults   : "
-        f"{'byte-identical' if report.figure_identical else 'DIVERGED'}",
-        f"  figure after campaign : "
-        f"{'byte-identical' if report.final_figure_identical else 'DIVERGED'}",
-        "",
-        "  injected by family:",
-    ]
-    for family in FAMILIES:
-        lines.append(f"    {family:18s} {report.by_family.get(family, 0):4d}")
-    lines.append("")
-    lines.append("  client recovery:")
-    for key, value in sorted(report.client_stats.items()):
-        lines.append(f"    {key:18s} {value:4d}")
-    lines.append("")
-    lines.append("  incident log by kind:")
-    for kind, count in sorted(report.incident_counts.items()):
-        lines.append(f"    {kind:18s} {count:4d}")
-    failed = [s for s in report.scenarios if not s.ok]
-    for s in failed:
-        lines.append(f"  FAILED: scenario {s.index} ({s.family} on "
-                     f"{s.target}): {s.detail}")
-    lines.append("")
-    if report.ok:
-        verdict = ("PASS — zero client-visible corruption, zero "
-                   "orphans, every wire fault accounted for")
-    elif report.injected < config.faults:
-        verdict = (f"FAIL — only {report.injected}/{config.faults} "
-                   f"wire faults fired")
-    else:
-        verdict = "FAIL — transport guarantee violated"
-    lines.append("  verdict: " + verdict)
-    return "\n".join(lines)
+    def close(self) -> None:
+        if self.client is not None:
+            self.client.close()
+            self.client = None
+        if self.server is not None:
+            self.server.stop()
+            self.server = None

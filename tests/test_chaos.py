@@ -1,9 +1,11 @@
 """Seeded chaos campaign: figures survive infrastructure faults.
 
-A deliberately small campaign (one cheap figure, a handful of faults)
-so the tier-1 suite stays fast; the full default campaign
-(``python -m repro chaos``) runs 24 faults over all four sweep figures
-in CI's chaos-smoke job and locally on demand.
+A deliberately small campaign (one cheap figure, a handful of faults),
+run once and shared by every test here so the tier-1 suite stays fast;
+the full default campaign (``python -m repro chaos``) runs 24 faults
+over all four sweep figures on demand, and CI's chaos-smoke job runs
+8 over two.  The schedule itself (seed determinism, the cap, token
+accounting, the verdict) is pinned by ``test_chaos_engine``.
 """
 
 from __future__ import annotations
@@ -14,33 +16,49 @@ import pytest
 
 from repro import perf
 from repro.faults import infra
-from repro.resilience.chaos import ChaosConfig, format_chaos, run_chaos
+from repro.resilience import campaign
+from repro.resilience.chaos import Sweep
 from repro.resilience.incidents import incident_log, read_jsonl
 
-
-@pytest.fixture(autouse=True)
-def clean_state(monkeypatch):
-    monkeypatch.delenv(infra.CHAOS_SPEC_ENV, raising=False)
-    monkeypatch.delenv(perf.IN_WORKER_ENV, raising=False)
-    incident_log().clear()
-    yield
-    infra.disarm()
-    incident_log().clear()
-    incident_log().configure_sink(None)
+FAULTS = 5
 
 
-def test_small_seeded_campaign_passes(tmp_path):
-    config = ChaosConfig(faults=5, seed=11, figures=("fig4b",), jobs=2,
-                         workdir=str(tmp_path / "chaos"))
-    report = run_chaos(config)
+@pytest.fixture(scope="module")
+def chaos_run(tmp_path_factory):
+    """(report, globals right after the run, globals before it)."""
+    def snapshot() -> dict:
+        return {"jobs": perf.get_jobs(),
+                "disk_dir": perf.translation_cache().disk_dir,
+                "spec": os.environ.get(infra.CHAOS_SPEC_ENV),
+                "spec_file": os.environ.get(infra.CHAOS_SPEC_FILE_ENV),
+                "sink": incident_log().sink_path}
 
-    assert report.ok, format_chaos(report)
-    assert report.injected >= config.faults
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(infra.CHAOS_SPEC_ENV, raising=False)
+        mp.delenv(perf.IN_WORKER_ENV, raising=False)
+        incident_log().clear()
+        before = snapshot()
+        try:
+            report = campaign.run(
+                Sweep(("fig4b",)), FAULTS, seed=11,
+                workdir=str(tmp_path_factory.mktemp("chaos")))
+            yield report, snapshot(), before
+        finally:
+            infra.disarm()
+            incident_log().clear()
+            incident_log().configure_sink(None)
+
+
+def test_small_seeded_campaign_passes(chaos_run):
+    report, _after, _before = chaos_run
+    text = campaign.format_report(report)
+    assert report.ok, text
+    assert report.injected >= FAULTS
     assert report.accounted == report.injected
     # Every injector family exercised, even in a small campaign.
     for family in ("cache-corruption", "worker-kill", "io-error"):
         assert report.by_family.get(family, 0) > 0, family
-    assert report.final_identical
+    assert report.checks["final figures intact"].ok
     assert report.orphaned_tmp == []
 
     # Each fault left a JSONL incident record with a taxonomy kind.
@@ -51,27 +69,13 @@ def test_small_seeded_campaign_passes(tmp_path):
                      "worker-timeout", "retry-exhausted",
                      "serial-fallback"}
 
-    text = format_chaos(report)
     assert "verdict: PASS" in text
-    assert f"target {config.faults}" in text
+    assert f"target {FAULTS}" in text
 
 
-def test_campaign_is_deterministic_in_fault_schedule(tmp_path):
-    """Same seed => same scenario schedule (families and figures)."""
-    a = run_chaos(ChaosConfig(faults=3, seed=7, figures=("fig4b",),
-                              jobs=2, workdir=str(tmp_path / "a")))
-    b = run_chaos(ChaosConfig(faults=3, seed=7, figures=("fig4b",),
-                              jobs=2, workdir=str(tmp_path / "b")))
-    assert [(s.family, s.figure) for s in a.scenarios] == \
-        [(s.family, s.figure) for s in b.scenarios]
-    assert a.ok and b.ok
-
-
-def test_campaign_leaves_global_state_clean(tmp_path):
-    previous_jobs = perf.get_jobs()
-    run_chaos(ChaosConfig(faults=3, seed=5, figures=("fig4b",), jobs=2,
-                          workdir=str(tmp_path / "chaos")))
-    assert perf.get_jobs() == previous_jobs
-    assert perf.translation_cache().disk_dir is None
-    assert os.environ.get(infra.CHAOS_SPEC_ENV) is None
-    assert incident_log().sink_path is None
+def test_campaign_leaves_global_state_clean(chaos_run):
+    _report, after, before = chaos_run
+    assert after == before
+    assert after["disk_dir"] is None
+    assert after["spec"] is None
+    assert after["sink"] is None

@@ -234,25 +234,22 @@ def test_restarted_shards_admission_starts_cold():
 # -- the chaos campaign -------------------------------------------------------
 
 def test_small_seeded_cluster_campaign_passes(tmp_path):
-    from repro.resilience.clusterchaos import (
-        FAMILIES,
-        ClusterChaosConfig,
-        format_clusterchaos,
-        run_clusterchaos,
-    )
-    report = run_clusterchaos(ClusterChaosConfig(
-        faults=4, seed=5, shards=2, figure="fig2",
-        workdir=str(tmp_path)))
-    assert report.ok, format_clusterchaos(report)
+    from repro.resilience import campaign
+    from repro.resilience.clusterchaos import Cluster
+    report = campaign.run(Cluster(shards=2, figure="fig2"), 4, seed=5,
+                          workdir=str(tmp_path))
+    text = campaign.format_report(report)
+    assert report.ok, text
     assert report.injected >= 4
-    assert set(report.by_family) == set(FAMILIES)
+    assert set(report.by_family) == {
+        mode.value for mode in infra.SHARD_FAULT_MODES}
     assert all(count > 0 for count in report.by_family.values())
     assert report.accounted == report.injected
-    assert report.exactly_once
-    assert report.core_runs_second_pass == report.core_runs_first_pass
-    assert report.figure_identical and report.final_figure_identical
-    assert report.converged
-    assert report.orphaned_processes == 0
+    assert report.checks["exactly-once"].ok
+    assert "+0 after pass 2" in report.checks["exactly-once"].shown
+    assert report.checks["figure under SIGKILL"].ok
+    assert report.checks["figure after campaign"].ok
+    assert report.checks["fleet converged"].ok
+    assert report.checks["orphaned processes"].shown == "0"
     assert report.orphaned_tmp == []
-    text = format_clusterchaos(report)
     assert "verdict: PASS" in text

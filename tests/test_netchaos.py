@@ -21,45 +21,44 @@ def _clean_slate():
     incident_log().configure_sink(None)
 
 
-def test_small_seeded_campaign_passes(tmp_path):
-    from repro.resilience.netchaos import (
-        FAMILIES,
-        NetChaosConfig,
-        format_netchaos,
-        run_netchaos,
-    )
-    config = NetChaosConfig(faults=6, seed=7, figure="fig2",
-                            workdir=str(tmp_path))
-    report = run_netchaos(config)
-    assert report.ok, format_netchaos(report)
+@pytest.fixture(scope="module")
+def netchaos_report(tmp_path_factory):
+    """One small seeded campaign, shared by the tests below (the seeded
+    schedule itself is pinned by ``test_chaos_engine``)."""
+    from repro.resilience import campaign
+    from repro.resilience.netchaos import Transport
+    try:
+        yield campaign.run(Transport("fig2"), 6, seed=7,
+                           workdir=str(tmp_path_factory.mktemp("net")))
+    finally:
+        infra.disarm()
+        incident_log().clear()
+        incident_log().configure_sink(None)
+
+
+def test_small_seeded_campaign_passes(netchaos_report):
+    from repro.resilience.campaign import format_report
+    report = netchaos_report
+    assert report.ok, format_report(report)
     assert report.injected >= 6
     # Every family fired at least once, every fired fault is
     # token-accounted in the incident log, nothing leaked.
-    assert set(report.by_family) == set(FAMILIES)
+    assert set(report.by_family) == {
+        mode.value for mode in infra.NET_FAULT_MODES} | {"slow-client"}
     assert all(count > 0 for count in report.by_family.values())
     assert report.accounted == report.injected
-    assert report.figure_identical and report.final_figure_identical
-    assert report.orphaned_connections == 0
+    assert report.checks["figure under faults"].ok
+    assert report.checks["figure after campaign"].ok
+    assert report.checks["orphaned connections"].shown == "0"
     assert report.orphaned_tmp == []
-    # Determinism: the campaign's fault plan comes from the seed.
-    replay = run_netchaos(NetChaosConfig(
-        faults=6, seed=7, figure="fig2",
-        workdir=str(tmp_path / "replay")))
-    assert ([s.family for s in replay.scenarios]
-            == [s.family for s in report.scenarios])
 
 
-def test_campaign_formatter_names_verdict(tmp_path):
-    from repro.resilience.netchaos import (
-        NetChaosConfig,
-        format_netchaos,
-        run_netchaos,
-    )
-    report = run_netchaos(NetChaosConfig(
-        faults=6, seed=11, figure="fig2", workdir=str(tmp_path)))
-    text = format_netchaos(report)
+def test_campaign_formatter_names_verdict(netchaos_report):
+    from repro.resilience.campaign import format_report
+    text = format_report(netchaos_report)
     assert "verdict: PASS" in text
     assert "faults accounted" in text
+    assert "target 6" in text
 
 
 def test_saturation_probe_shows_degraded_but_progressing():
