@@ -8,13 +8,13 @@
 
 from repro.accelerator import PROPOSED_LA
 from repro.analysis import partition_loop
+from repro.api import run_suite
 from repro.cca import map_cca
 from repro.cpu import ARM11
 from repro.experiments.common import (
     arithmetic_mean,
     baseline_runs,
     format_table,
-    run_suite,
     speedups,
 )
 from repro.ir import build_dfg

@@ -90,7 +90,7 @@ class BuildReport:
 def default_corpus() -> list[tuple]:
     """The workload suite an artifact precompiles by default.
 
-    The loadgen translate corpus: suite kernels crossed with the
+    The service translate corpus: suite kernels crossed with the
     demand-clamped accelerator variants.  The serve smoke drives the
     same corpus, so an artifact built from it makes a cold
     ``serve --artifact`` boot answer every translate with **zero**

@@ -118,8 +118,8 @@ class Settings:
     jit_cache: Optional[int] = None
     #: Repeats per ``xp run`` invocation (``--repeat`` wins over this).
     bench_repeat: int = 1
-    #: Benchmark results root the run store, baselines and the legacy
-    #: reports all live under (None = ``benchmarks/results``).
+    #: Benchmark results root the run store and baselines live under
+    #: (None = ``benchmarks/results``).
     bench_dir: Optional[str] = None
 
     @classmethod

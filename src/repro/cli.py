@@ -10,13 +10,14 @@ inspects a kernel's translation without writing code:
     python -m repro kernels                    # the workload library
     python -m repro faults -n 120 --seed 2008  # guarded-mode fault campaign
     python -m repro fig3a --jobs 4             # parallel sweep evaluation
-    python -m repro bench --jobs 2             # time engine vs reference
+    python -m repro xp run --preset smoke      # time the engine tiers
+    python -m repro xp run -p service-workers  # time the service, dedup gate
+    python -m repro xp compare -p smoke        # regression gate vs baseline
     python -m repro chaos -n 24 --seed 2008    # infrastructure chaos campaign
     python -m repro trace fig8 --jobs 2        # figure + JSONL span trace
     python -m repro stats TRACE_fig8.jsonl     # summarise a trace file
     python -m repro serve --workers 2          # service smoke: serve + drain
     python -m repro serve --port 0             # same smoke over TCP loopback
-    python -m repro loadgen                    # service scaling/dedup bench
     python -m repro netchaos -n 20 --seed 2008 # network-fault chaos campaign
     python -m repro serve --shards 3           # supervised shard cluster smoke
     python -m repro clusterchaos --seed 2008   # shard-fault chaos campaign
@@ -397,27 +398,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="guard mode under test (default checked)")
     for name in _CAMPAIGNS:
         _add_campaign_parser(sub, name)
-    bench = sub.add_parser("bench",
-                           help="benchmark the experiment engine vs the "
-                                "reference serial path")
-    bench.add_argument("--jobs", "-j", type=int, default=None,
-                       help="worker processes for sweep fan-out "
-                            "(default: REPRO_JOBS or 1)")
-    bench.add_argument("--figures", default=None,
-                       help="comma-separated figure names (default: "
-                            "fig3a,fig3b,fig4a,fig4b,utilization)")
-    bench.add_argument("--output", "-o", default=None,
-                       help="JSON report path (default "
-                            "benchmarks/results/BENCH_experiments.json)")
-    bench.add_argument("--skip-reference", action="store_true",
-                       help="skip the slow engine-off reference pass")
-    bench.add_argument("--disk-cache", action="store_true",
-                       help="attach the on-disk translation cache layer")
-    bench.add_argument("--compare", action="store_true",
-                       help="regression gate: exit nonzero when a "
-                            "figure's warm speedup drops >10%% below "
-                            "the committed report (deprecated: use "
-                            "`repro xp compare`)")
     xp = sub.add_parser(
         "xp",
         help="experiment manager: named configs, timestamped run "
@@ -456,10 +436,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     xp.add_argument("--all", action="store_true", dest="all_records",
                     help="report: aggregate every stored record for "
                          "the config, not just the latest run")
-    xp.add_argument("--summary", action="store_true",
-                    help="run: regenerate the legacy "
-                         "BENCH_experiments.json as a summary of this "
-                         "run (figures configs only)")
     trace = sub.add_parser("trace",
                            help="run one figure with span tracing on and "
                                 "write a JSONL trace file")
@@ -526,25 +502,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     cache.add_argument("--budget", type=int, default=None,
                        help="size budget in bytes (default: "
                             "REPRO_CACHE_BUDGET or 256 MiB)")
-    loadgen = sub.add_parser("loadgen",
-                             help="multi-client service load driver: "
-                                  "throughput scaling, single-flight "
-                                  "dedup and figure-identity checks")
-    loadgen.add_argument("--workers", "-w", default=None,
-                         help="comma-separated worker counts to compare "
-                              "(default 1,2)")
-    loadgen.add_argument("--shards", default=None,
-                         help="comma-separated shard counts for the "
-                              "cluster throughput series + failover "
-                              "probe (default 1,2,4; 0 disables)")
-    loadgen.add_argument("--clients", type=int, default=None,
-                         help="client threads (default 3)")
-    loadgen.add_argument("--runs", type=int, default=None,
-                         help="measured loop executions per client "
-                              "(default 6)")
-    loadgen.add_argument("--output", "-o", default=None,
-                         help="JSON report path (default "
-                              "benchmarks/results/BENCH_service.json)")
     stats = sub.add_parser("stats",
                            help="summarise a JSONL trace/metrics dump")
     stats.add_argument("path", nargs="?", default=None,
@@ -600,8 +557,6 @@ def main(argv: Optional[list[str]] = None) -> int:
               f"dump")
         print(f"  {'serve'.ljust(width)}  loop-acceleration service smoke "
               f"(serve a workload, drain; --port for TCP)")
-        print(f"  {'loadgen'.ljust(width)}  service load driver "
-              f"(scaling, dedup, identity, saturation)")
         print(f"  {'netchaos'.ljust(width)}  network-fault campaign "
               f"(TCP transport)")
         print(f"  {'clusterchaos'.ljust(width)}  shard-fault campaign "
@@ -610,8 +565,8 @@ def main(argv: Optional[list[str]] = None) -> int:
               f"translation artifacts")
         print(f"  {'cache'.ljust(width)}  disk translation-cache "
               f"maintenance (gc)")
-        print(f"  {'xp'.ljust(width)}  experiment manager "
-              f"(run/report/compare/baseline/list)")
+        print(f"  {'xp'.ljust(width)}  experiment manager: time figures "
+              f"and the service (run/report/compare/baseline/list)")
         return 0
     if args.command == "kernels":
         print(cmd_kernels())
@@ -639,41 +594,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 progress=lambda msg: print(f"... {msg}", file=sys.stderr))
         print(campaign.format_report(report))
         return 0 if report.ok else 1
-    if args.command == "bench":
-        from repro.experiments.bench import (
-            DEFAULT_OUTPUT,
-            compare_report,
-            format_bench,
-            load_baseline,
-            run_bench,
-            write_report,
-        )
-        from repro.xp.store import results_dir
-        output = args.output or (
-            os.path.join(results_dir(), "BENCH_experiments.json")
-            if os.environ.get("REPRO_BENCH_DIR") else DEFAULT_OUTPUT)
-        # The committed report is the --compare baseline; read it
-        # before write_report overwrites it with this run.
-        baseline = load_baseline(output) if args.compare else None
-        figures = (args.figures.split(",") if args.figures else None)
-        report = run_bench(
-            figures=figures, jobs=args.jobs,
-            skip_reference=args.skip_reference,
-            disk_cache=args.disk_cache,
-            progress=lambda msg: print(f"... {msg}", file=sys.stderr))
-        path = write_report(report, output)
-        print(format_bench(report))
-        print(f"report written to {path}")
-        if args.compare:
-            problems = compare_report(report, baseline)
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            if baseline is None:
-                print("--compare: no committed baseline report; "
-                      "identity checks only", file=sys.stderr)
-            if problems:
-                return 1
-        return 0 if report.all_identical else 1
     if args.command == "xp":
         from repro import xp as xpm
         say = (lambda msg: print(f"... {msg}", file=sys.stderr))
@@ -698,10 +618,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 agg = run.aggregate()
                 print(xpm.format_aggregate(agg))
                 print(f"{len(run.records)} record(s) -> {run.path}")
-                if args.summary and config.kind == "figures":
-                    path = xpm.write_experiments_summary(
-                        run.records, directory=args.dir)
-                    print(f"legacy summary written to {path}")
                 return 0 if agg.all_ok else 1
             records = xpm.load_records(config.name,
                                        xpm.config_digest(config),
@@ -810,38 +726,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             text, ok = _serve()
         print(text)
         return 0 if ok else 1
-    if args.command == "loadgen":
-        from repro.service.loadgen import (
-            DEFAULT_CLIENTS,
-            DEFAULT_OUTPUT,
-            DEFAULT_RUN_KERNELS,
-            DEFAULT_SHARDS,
-            DEFAULT_WORKERS,
-            format_loadgen,
-            run_loadgen,
-            write_report,
-        )
-        workers = (tuple(int(w) for w in args.workers.split(","))
-                   if args.workers else DEFAULT_WORKERS)
-        if args.shards is None:
-            shard_counts = DEFAULT_SHARDS
-        else:
-            shard_counts = tuple(
-                int(s) for s in args.shards.split(",") if int(s) > 0)
-        report = run_loadgen(
-            workers=workers,
-            clients=args.clients or DEFAULT_CLIENTS,
-            run_kernel_count=args.runs or DEFAULT_RUN_KERNELS,
-            shard_counts=shard_counts,
-            progress=lambda msg: print(f"... {msg}", file=sys.stderr))
-        from repro.xp.store import results_dir
-        output = args.output or (
-            os.path.join(results_dir(), "BENCH_service.json")
-            if os.environ.get("REPRO_BENCH_DIR") else DEFAULT_OUTPUT)
-        path = write_report(report, output)
-        print(format_loadgen(report))
-        print(f"report written to {path}")
-        return 0 if report.ok else 1
     if args.command == "stats":
         from repro.obs.schema import validate_trace_file
         from repro.obs.stats import format_trace_stats, load_trace

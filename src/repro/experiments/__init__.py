@@ -17,11 +17,10 @@ from repro.experiments.common import (
     baseline_runs,
     format_table,
     geometric_mean,
-    run_suite,
     speedups,
 )
 
 __all__ = [
     "annotate_benchmark", "arithmetic_mean", "baseline_runs",
-    "format_table", "geometric_mean", "run_suite", "speedups",
+    "format_table", "geometric_mean", "speedups",
 ]

@@ -89,17 +89,6 @@ def _run_suite(config: VMConfig,
     return {bench.name: run for bench, run in zip(benches, runs)}
 
 
-def run_suite(config: VMConfig,
-              benchmarks: Optional[list[Benchmark]] = None,
-              annotate: bool = False,
-              jobs: Optional[int] = None) -> dict[str, AppRun]:
-    """Deprecated alias of :func:`repro.api.run_suite`."""
-    from repro.deprecation import warn_once
-    warn_once("repro.experiments.common.run_suite", "repro.api.run_suite")
-    return _run_suite(config, benchmarks=benchmarks, annotate=annotate,
-                      jobs=jobs)
-
-
 def baseline_runs(benchmarks: Optional[list[Benchmark]] = None
                   ) -> dict[str, AppRun]:
     """The ARM11-without-accelerator baseline every speedup divides by."""

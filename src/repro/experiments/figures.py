@@ -3,8 +3,8 @@
 Maps figure name -> ``(description, thunk)`` where the thunk returns
 the figure's formatted text.  Lives in :mod:`repro.experiments` (not
 the CLI) so every driver — ``python -m repro <figure>``, the service
-layer's figure requests, :func:`repro.api.run_figure`, the bench and
-chaos harnesses — dispatches through one registry and produces
+layer's figure requests, :func:`repro.api.run_figure`, the ``xp``
+runner and the chaos harnesses — dispatches through one registry and produces
 byte-identical text.  Experiment modules are imported lazily inside
 each thunk: listing figures must stay instant.
 """

@@ -85,16 +85,6 @@ def _fraction_of_infinite(config: LAConfig,
     return _sweep_point((config, benches, base, infinite))
 
 
-def fraction_of_infinite(config: LAConfig,
-                         benchmarks: Optional[list[Benchmark]] = None
-                         ) -> float:
-    """Deprecated alias of :func:`repro.api.fraction_of_infinite`."""
-    from repro.deprecation import warn_once
-    warn_once("repro.experiments.sweeps.fraction_of_infinite",
-              "repro.api.fraction_of_infinite")
-    return _fraction_of_infinite(config, benchmarks=benchmarks)
-
-
 def _sweep(label: str, xs: list[int],
            make_config: Callable[[int], LAConfig],
            benchmarks: Optional[list[Benchmark]] = None,
@@ -117,16 +107,6 @@ def _sweep(label: str, xs: list[int],
     fractions = parallel_map(_sweep_point, payloads, jobs=jobs,
                              label_of=lambda i: f"{label}[x={xs[i]}]")
     return SweepSeries(label=label, xs=xs, fractions=fractions)
-
-
-def sweep(label: str, xs: list[int],
-          make_config: Callable[[int], LAConfig],
-          benchmarks: Optional[list[Benchmark]] = None,
-          jobs: Optional[int] = None) -> SweepSeries:
-    """Deprecated alias of :func:`repro.api.sweep`."""
-    from repro.deprecation import warn_once
-    warn_once("repro.experiments.sweeps.sweep", "repro.api.sweep")
-    return _sweep(label, xs, make_config, benchmarks=benchmarks, jobs=jobs)
 
 
 # -- Figure 3(a): function units ---------------------------------------------

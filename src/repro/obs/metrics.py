@@ -10,7 +10,7 @@ scheduling attempts keyed by candidate II).
 Metrics are always on — one dict update under a lock per event, cheap
 enough for every instrumented path — and never influence figure text;
 they are read out via :func:`MetricsRegistry.snapshot` (the JSON-ready
-dump the ``trace``/``bench`` commands embed) and merged across worker
+dump the ``trace`` command embeds) and merged across worker
 processes with :meth:`delta`/:meth:`merge`:
 
 * a worker snapshots the registry before running an item, computes the

@@ -11,7 +11,7 @@ result bit (see DESIGN.md, "Performance engineering"):
 This module owns the global switches those layers consult: the engine
 *level* (``REPRO_ENGINE``: ``0`` = reference interpreter only, ``1`` =
 compiled per-op closures and caching, ``2`` = specialized kernels from
-:mod:`repro.accelerator.jit`; :func:`engine_disabled` reverts every hot
+:mod:`repro.accelerator.jit`; ``engine_at(0)`` reverts every hot
 path to the reference implementation), how many worker processes sweeps
 may use (``--jobs`` / ``REPRO_JOBS``), and the process-wide cache
 instances with their aggregate statistics.
@@ -108,14 +108,6 @@ def engine_at(level: int) -> Iterator[None]:
         _engine_level = previous
 
 
-@contextmanager
-def engine_disabled() -> Iterator[None]:
-    """Run a block on the pre-engine reference paths (used by
-    ``python -m repro bench`` to time the serial baseline honestly)."""
-    with engine_at(0):
-        yield
-
-
 def get_jobs() -> int:
     """Worker processes experiment fan-out may use (1 = serial)."""
     if os.environ.get(IN_WORKER_ENV):
@@ -210,7 +202,7 @@ def _specialized_stats() -> dict:
 
 
 def cache_stats() -> dict:
-    """Aggregate statistics for ``BENCH_experiments.json``."""
+    """Aggregate cache statistics (stamped on every figure run record)."""
     from repro.resilience.incidents import incident_log
     t = translation_cache().stats
     return {

@@ -14,9 +14,10 @@ package realises that posture at the process level:
   per-session translation budgets) rejects excess load with typed
   :class:`~repro.errors.ServiceOverload` backpressure instead of
   queueing unboundedly.
-* :mod:`~repro.service.loadgen` — a synthetic multi-client load driver
-  (``python -m repro loadgen``) that measures throughput scaling with
-  worker count and proves the dedup/identity contracts.
+* :mod:`~repro.service.loadgen` — the shared translate corpus and the
+  multi-client worker/shard series that ``python -m repro xp run
+  --preset service-workers|service-2shard`` times; a worker row passes
+  only if single-flight dedup was exact.
 * :mod:`~repro.service.net` / :mod:`~repro.service.client` — the TCP
   front end (``python -m repro serve --port``): a length-framed,
   checksummed wire protocol (:mod:`~repro.service.wire`), a

@@ -2,7 +2,7 @@
 
 PR 5 shed load with one blunt instrument — a full queue raised
 ``ServiceOverload`` no matter who asked or what for (972 rejections at
-``workers=2`` in the committed ``BENCH_service.json``).  This module
+``workers=2`` in the service benchmark report of the time).  This module
 replaces that with a graded policy the service consults *before*
 enqueueing:
 
@@ -120,7 +120,7 @@ class TokenBucket:
 
 @dataclass
 class AdmissionStats:
-    """Decision tag -> count, for the service stats and loadgen."""
+    """Decision tag -> count, for the service stats."""
 
     decisions: dict[str, int] = field(default_factory=dict)
 

@@ -2,8 +2,7 @@
 
 ``--repeat N`` turns every metric into a sample list; this module
 collapses them to median / min / max / quartiles / IQR with Tukey
-outlier flagging (outside ``[q1 - 1.5*IQR, q3 + 1.5*IQR]``), replacing
-the single-sample wall clocks the old bench report quoted.  The
+outlier flagging (outside ``[q1 - 1.5*IQR, q3 + 1.5*IQR]``).  The
 degenerate ``repeat=1`` case is well-defined: median == min == max ==
 the sample, IQR 0, nothing flagged.
 """

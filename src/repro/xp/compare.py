@@ -1,7 +1,7 @@
 """The regression gate: aggregated run vs. the committed baseline.
 
-Generalizes the old ``bench --compare`` warm-speedup check to every
-gated metric — compiled/specialized speedups for figure configs,
+Every gated metric is checked — compiled/specialized speedups for
+figure configs,
 throughput and latency percentiles for service configs — plus the
 identity verdicts, which *always* gate: a figure whose text diverged
 across engine tiers is a correctness bug, whatever the timings say.
@@ -23,8 +23,8 @@ from typing import Optional
 from repro.xp import store
 from repro.xp.aggregate import Aggregate
 
-#: ``--compare`` fails on a gated metric more than this far past the
-#: committed baseline's (same 10% the legacy bench gate used).
+#: ``xp compare`` fails on a gated metric more than this far past the
+#: committed baseline's.
 DEFAULT_THRESHOLD = 0.10
 
 #: metric -> True when larger is better.  Only metrics listed here
@@ -187,37 +187,3 @@ def write_baseline(agg: Aggregate, path: Optional[str] = None,
         handle.write("\n")
     return target
 
-
-def legacy_compare_report(report, baseline: Optional[dict],
-                          threshold: float = DEFAULT_THRESHOLD
-                          ) -> list[str]:
-    """The historical ``bench --compare`` check, message-for-message.
-
-    *report* is an ``experiments.bench.BenchReport``, *baseline* the
-    last committed ``BENCH_experiments.json`` payload.  Kept verbatim
-    so the deprecation shim's output stays byte-identical; new code
-    gates through :func:`compare_aggregate`.
-    """
-    problems: list[str] = []
-    for f in report.figures:
-        if not f.identical:
-            problems.append(f"{f.name}: figure text not identical "
-                            f"across engine tiers")
-    if baseline is None:
-        return problems
-    baseline_warm = {
-        f["name"]: float(f["speedup_warm"])
-        for f in baseline.get("figures", [])
-        if isinstance(f, dict) and f.get("speedup_warm") is not None
-    }
-    for f in report.figures:
-        base = baseline_warm.get(f.name)
-        if base is None or f.speedup_warm is None or base <= 0:
-            continue
-        if f.speedup_warm < base * (1.0 - threshold):
-            problems.append(
-                f"{f.name}: warm speedup {f.speedup_warm:.2f}x is "
-                f"{(1.0 - f.speedup_warm / base):.0%} below the "
-                f"committed baseline's {base:.2f}x "
-                f"(threshold {threshold:.0%})")
-    return problems

@@ -1,8 +1,8 @@
 """Named, hashable benchmark configurations — the ``xp.Config`` axis.
 
-One declared configuration schema that every measurement driver (the
-figure bench passes, the service load generator) executes and reports
-against, instead of one ad-hoc flag set per driver.  A ``Config`` is a
+One declared configuration schema that both measurement drivers in
+:mod:`repro.xp.runner` (the engine-tier figure passes and the service
+worker/shard series) execute and report against.  A ``Config`` is a
 frozen dataclass, so it is hashable and its :func:`config_digest` is
 stable across processes and machines — the key under which the run
 store (:mod:`repro.xp.store`) files records and the compare gate
@@ -29,8 +29,7 @@ from typing import Optional
 
 from repro.errors import SettingsError
 
-#: The Figure 3/4 design-space sweeps — the canonical aggregate set
-#: (``repro.experiments.bench`` re-exports this for its legacy report).
+#: The Figure 3/4 design-space sweeps.
 SWEEP_FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
 
 #: The default figure set: the sweeps plus the hot figure the
@@ -38,12 +37,12 @@ SWEEP_FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
 DEFAULT_FIGURES = SWEEP_FIGURES + ("utilization",)
 
 #: What a figure Config measures: ``figures`` runs the engine-tier
-#: passes per figure; ``service`` drives the loadgen worker/shard
-#: series.
+#: passes per figure; ``service`` drives
+#: ``service.loadgen.measure_service``'s worker/shard series.
 KINDS = ("figures", "service")
 
 #: Translation-cache mode for a run: in-memory only, or with the
-#: on-disk layer attached (``bench --disk-cache`` in the old API).
+#: on-disk layer attached.
 CACHE_MODES = ("memory", "disk")
 
 
@@ -56,8 +55,9 @@ class Config:
     pass), ``jobs`` the sweep fan-out, ``cache`` the translation-cache
     mode, ``trace`` whether the run writes a span trace next to its
     records, ``figures`` the set measured.  ``skip_reference`` reuses
-    the last committed measured reference wall clocks instead of
-    paying the slow engine-off pass (the ``warm-l2`` preset).
+    the reference wall clocks of the committed ``default`` baseline
+    instead of paying the slow engine-off pass (the ``warm-l2``
+    preset).
 
     Service axes (``kind="service"``): ``workers`` and ``shards`` are
     the series of pool/fleet sizes driven, ``clients`` the racing
@@ -220,15 +220,17 @@ register_preset(Config(
     description="the Figure 3/4 design-space sweeps only"))
 register_preset(Config(
     name="warm-l2", figures=DEFAULT_FIGURES, skip_reference=True,
-    description="steady-state top tier vs the committed reference "
-                "wall clocks (no engine-off pass)"))
+    description="steady-state top tier vs the reference wall clocks "
+                "of the committed default baseline (no engine-off "
+                "pass)"))
 register_preset(Config(
     name="cold-l1", engine=1, figures=DEFAULT_FIGURES,
     description="compiled tier only: reference + cold/warm level-1 "
                 "passes, no specialization"))
 register_preset(Config(
     name="service-workers", kind="service", workers=(1, 2),
-    description="loadgen worker-pool throughput/latency series"))
+    description="worker-pool throughput/latency series, "
+                "dedup-exact verdict"))
 register_preset(Config(
     name="service-2shard", kind="service", shards=(1, 2),
     description="sharded-cluster throughput/latency series"))

@@ -1,13 +1,13 @@
 """Execute a :class:`~repro.xp.config.Config` and file its records.
 
-The engine-tier measurement core that used to live inside
-``experiments.bench.run_bench`` lives here now (:func:`measure_figures`
-— the legacy entry point is a thin deprecation shim over it), next to
-the service series driver from ``service.loadgen``.  Both yield rows
-of samples; :func:`run_config` repeats them ``--repeat N`` times and
-writes one timestamped record per repeat into the run store, so every
-number the repo quotes has provenance: config digest, git SHA, machine
-stamp, and the raw per-repeat samples the aggregates came from.
+This is the only code that times the repo.  :func:`measure_figures`
+runs the engine-tier passes for figure configs and
+``service.loadgen.measure_service`` drives the worker/shard series
+for service configs.  Both yield rows of samples; :func:`run_config`
+repeats them ``--repeat N`` times and writes one timestamped record
+per repeat into the run store, so every number the repo quotes has
+provenance: config digest, git SHA, machine stamp, and the raw
+per-repeat samples the aggregates came from.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ from repro.errors import SettingsError
 from repro.xp import store
 from repro.xp.config import Config, config_digest, validate
 
-#: The numeric per-figure fields a record row may carry (the
-#: aggregator summarises exactly these).
-FIGURE_METRICS = ("reference_s", "engine_s", "warm_s", "specialized_s",
-                  "speedup_cold", "speedup_warm", "speedup_specialized")
-
-#: The numeric per-series fields of a service row.
-SERVICE_METRICS = ("elapsed_s", "throughput_rps", "p50_ms", "p95_ms",
-                   "p99_ms")
-
 
 def _timed(fn: Callable[[], str], name: str = "",
            mode: str = "") -> tuple[float, str]:
@@ -41,29 +32,24 @@ def _timed(fn: Callable[[], str], name: str = "",
         return time.perf_counter() - started, text
 
 
-def baseline_references(path: Optional[str] = None) -> dict[str, float]:
-    """Measured reference wall clocks from the last committed summary.
+def baseline_references(directory: Optional[str] = None,
+                        settings=None) -> dict[str, float]:
+    """Reference wall clocks from the committed ``default`` baseline.
 
-    ``skip_reference`` runs compare the engine passes against the
-    baseline's *measured* reference times (never against another
-    baseline-sourced number, so stale chains cannot form).
-    Missing/unreadable summary: empty dict.
+    ``skip_reference`` runs compare the engine passes against these
+    medians.  The ``default`` config always runs the reference pass,
+    so every number here was measured, never itself borrowed from a
+    baseline: stale chains cannot form.  No baseline: empty dict.
     """
-    import json
-    if path is None:
-        path = os.path.join(store.results_dir(),
-                            "BENCH_experiments.json")
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-        return {
-            f["name"]: float(f["reference_s"])
-            for f in payload.get("figures", [])
-            if f.get("reference_s") is not None
-            and f.get("reference_source", "measured") == "measured"
-        }
-    except (OSError, ValueError, KeyError, TypeError):
-        return {}
+    payload = store.load_baseline("default", directory=directory,
+                                  settings=settings) or {}
+    references: dict[str, float] = {}
+    for name, row in (payload.get("rows") or {}).items():
+        try:
+            references[name] = float(row["metrics"]["reference_s"])
+        except (KeyError, TypeError, ValueError):
+            continue
+    return references
 
 
 def measure_figures(names: list[str],
@@ -77,8 +63,7 @@ def measure_figures(names: list[str],
                     ) -> tuple[list[dict], int]:
     """Time *names* once per engine tier; returns (rows, effective jobs).
 
-    The pass structure is the historical ``python -m repro bench``
-    contract, unchanged: reference (engine 0, serial, cold caches),
+    The passes: reference (engine 0, serial, cold caches),
     engine cold (level 1, caches cleared), engine warm (level 1, hot),
     specialized warm (level 2 after one warm-up regeneration).
     *top_level* caps the tiers measured (2 = all passes, 1 = stop at
@@ -240,7 +225,7 @@ def run_config(config: Config,
             started = store.utc_now()
             t0 = time.perf_counter()
             if config.kind == "figures":
-                baseline_refs = (baseline_references()
+                baseline_refs = (baseline_references(directory, settings)
                                  if config.skip_reference else None)
                 rows, effective_jobs = measure_figures(
                     list(config.figures), jobs=config.jobs,

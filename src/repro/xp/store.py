@@ -5,11 +5,13 @@ machine-stamped, git-SHA-stamped — into a per-invocation file under
 ``<results>/runs/``.  Files are opened exclusively (``"x"``) and named
 with a collision-bumped suffix, so the store *never* overwrites: the
 benchmark trajectory of the repo is the directory's history, not the
-last run to win a write race.
+last run to win a write race.  Committed baselines sit next to it
+under ``<results>/baselines/<config>.json``: the compare gate judges
+against them, and ``skip_reference`` runs borrow the ``default``
+baseline's measured reference wall clocks.
 
 The results directory resolves through one config source,
-:class:`repro.api.Settings` (``REPRO_BENCH_DIR``), shared with the
-legacy ``bench``/``loadgen`` report writers.
+:class:`repro.api.Settings` (``REPRO_BENCH_DIR``).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ BASELINES_SUBDIR = "baselines"
 
 def results_dir(settings=None) -> str:
     """The benchmark results root (``REPRO_BENCH_DIR`` or the repo
-    default ``benchmarks/results``) — the one directory `xp`, `bench`
-    and `loadgen` all write under."""
+    default ``benchmarks/results``), holding ``runs/`` and
+    ``baselines/``."""
     if settings is None:
         from repro.api import Settings
         settings = Settings.from_env()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 
 import pytest
 
@@ -382,6 +383,80 @@ def test_serve_with_artifact_pays_zero_core_runs(tmp_path):
     assert delta.get("translator.core_runs", 0) == 0
     assert delta.get("aot.artifact_hits", 0) >= len(corpus)
     assert delta.get("aot.entries_adopted", 0) > 0
+
+
+def test_restarted_shard_pulls_a_missed_key_from_its_peer(tmp_path):
+    """Fleet-warm cache end to end: a restarted shard pulls, never pays.
+
+    Every shard installs the same artifact and registers a peer.  The
+    corpus crosses the fleet with zero core runs.  A key outside the
+    artifact is translated (its owner pays once), the owner is
+    SIGKILLed, and the key is translated again during the outage (a
+    survivor pays once, so the fleet holds the entry).  Once the fleet
+    heals, the restarted owner serves the key with zero core runs and
+    at least one registry hit: it pulled the entry from its peer.
+    """
+    from repro.service.client import LoopClient, RetryPolicy
+    from repro.service.cluster import (ClusterClient, ClusterConfig,
+                                       ShardSupervisor)
+    from repro.service.server import ServiceConfig
+
+    # The cluster layer owns failover, so the per-connection breaker
+    # must never latch open.
+    retry = RetryPolicy(attempts=2, base_delay_s=0.02, max_delay_s=0.2,
+                        attempt_timeout_s=60.0, breaker_threshold=1 << 30)
+    corpus = _corpus()
+    extra = (corpus[0][0], PROPOSED_LA.with_(num_int_units=1),
+             TranslationOptions())
+    path, _report = _build(tmp_path, corpus)
+    assert translation_key(*extra) not in aot.load_artifact(path).entries
+    perf.clear_caches()
+    supervisor = ShardSupervisor(ClusterConfig(
+        shards=2,
+        service=ServiceConfig(workers=1, artifact_path=path))).start()
+    try:
+        host, port = supervisor.seed_address()
+        with ClusterClient(host, port, session="registry-probe",
+                           shard_retry=retry).connect() as client:
+            for loop, config, options in corpus:
+                client.translate(loop, config, options, deadline_s=120.0)
+            corpus_core_runs = sum(
+                s["counters"].get("translator.core_runs", 0)
+                for s in supervisor.shard_stats().values())
+            # The owner pays the single core run for the extra key.
+            client.translate(*extra, deadline_s=120.0)
+            owners = [sid for sid, s in supervisor.shard_stats().items()
+                      if s["counters"].get("translator.core_runs", 0)]
+            owner = owners[0] if owners else 0
+            supervisor.kill_shard(owner)
+            # Failover routes to a survivor, which pays the core run.
+            client.translate(*extra, deadline_s=120.0)
+        healed = supervisor.wait_converged(60.0)
+        # Ask the restarted owner directly: it owns the key again,
+        # misses locally and must pull from its registry peer.  Retry
+        # briefly: the shard accepts connections a beat before the
+        # pushed shard map lands.
+        info = supervisor.map.shards[owner]
+        deadline = time.monotonic() + 15.0
+        while True:
+            try:
+                with LoopClient(info.host, info.port,
+                                session="registry-probe-direct",
+                                retry=retry) as direct:
+                    direct.translate(*extra, deadline_s=120.0)
+                break
+            except Exception:  # noqa: BLE001 — map push race
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.2)
+        restarted = supervisor.shard_stats()[owner]["counters"]
+    finally:
+        supervisor.stop()
+    assert corpus_core_runs == 0
+    assert restarted.get("translator.core_runs", 0) == 0
+    assert restarted.get("aot.registry_hits", 0) >= 1
+    assert healed
+    assert supervisor.orphan_pids() == []
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -1,14 +1,11 @@
-"""The ``repro.api`` facade: Settings, Session, shims, exports."""
+"""The ``repro.api`` facade: Settings, Session, exports."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro import api
 from repro.api import Session, Settings
-from repro.deprecation import reset_warned
 from repro.errors import SettingsError
 from repro.vm.translator import TranslationOptions, translate_loop
 from repro.workloads import kernels as K
@@ -140,36 +137,6 @@ class TestSessionEquivalence:
         names = api.figures()
         assert "fig2" in names and "fig10" in names
         assert all(isinstance(d, str) and d for d in names.values())
-
-
-# -- deprecation shims --------------------------------------------------------
-
-class TestShims:
-    def test_shim_warns_exactly_once(self):
-        from repro.experiments.common import run_suite as shimmed
-        reset_warned()
-        bench = tiny_benchmark()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = shimmed(Session().vm_config(), benchmarks=[bench])
-            second = shimmed(Session().vm_config(), benchmarks=[bench])
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)
-                        and "run_suite" in str(w.message)]
-        assert len(deprecations) == 1
-        assert "repro.api.run_suite" in str(deprecations[0].message)
-        assert first["tiny"].total_cycles == second["tiny"].total_cycles
-
-    def test_sweep_shims_point_at_api(self):
-        from repro.experiments import sweeps
-        reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sweeps.fraction_of_infinite(
-                Session().accelerator, benchmarks=[tiny_benchmark()])
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("repro.api.fraction_of_infinite" in m for m in messages)
 
 
 # -- package exports ----------------------------------------------------------

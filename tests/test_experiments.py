@@ -8,13 +8,13 @@ qualitative claims the paper makes.
 import pytest
 
 from repro.accelerator import INFINITE_LA, PROPOSED_LA
+from repro.api import fraction_of_infinite, sweep
 from repro.experiments.common import (
     annotate_benchmark,
     arithmetic_mean,
     baseline_runs,
     format_table,
     geometric_mean,
-    run_suite,
     speedups,
 )
 from repro.experiments.design_point import run_area_table, run_design_point
@@ -26,7 +26,6 @@ from repro.experiments.fig8_translation import (
     suite_average,
 )
 from repro.experiments.fig10_speedup import run_speedup_matrix
-from repro.experiments.sweeps import fraction_of_infinite, sweep
 from repro.workloads.suite import (
     all_benchmarks,
     benchmark_by_name,

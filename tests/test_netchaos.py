@@ -1,6 +1,10 @@
-"""The network chaos campaign and the loadgen saturation probe."""
+"""The network chaos campaign and the admission saturation probe."""
 
 from __future__ import annotations
+
+import threading
+import time
+from typing import Optional
 
 import pytest
 
@@ -61,8 +65,176 @@ def test_campaign_formatter_names_verdict(netchaos_report):
     assert "target 6" in text
 
 
+def saturation_probe(drivers: int = 4, queue_depth: int = 8) -> dict:
+    """Prove the degradation ladder over TCP: saturate a one-worker
+    server with a standing backlog of cached executions, then show
+    that (a) an uncached translate is shed with a positive retry hint,
+    (b) a cached translate still progresses through the saturated
+    queue, and (c) a retrying client honouring the hints eventually
+    lands the shed translate.  Returns the evidence dict.
+    """
+    from repro.accelerator import PROPOSED_LA
+    from repro.errors import (AdmissionRejected, ServiceOverload,
+                              TransportError)
+    from repro.service.admission import AdmissionPolicy
+    from repro.service.client import LoopClient, RetryPolicy
+    from repro.service.loadgen import run_kernels
+    from repro.service.net import NetConfig, NetServer
+    from repro.service.server import ServiceConfig
+    from repro.vm.translator import TranslationOptions
+
+    perf.clear_caches()
+    heavy = run_kernels(drivers)
+    warm_kernel = heavy[0]
+    shed_kernel = heavy[-1]
+    # Distinct digests per probe attempt: once a variant is admitted it
+    # is cached, and cached work is *supposed* to dodge the shedding
+    # this probe is trying to observe.
+    shed_variants = [
+        (shed_kernel, PROPOSED_LA.with_(num_int_units=units,
+                                        load_streams=streams),
+         TranslationOptions(priority_kind=kind))
+        for kind in ("swing", "height")
+        for units in (1, 2) for streams in (1, 2)]
+    evidence = {"drivers": drivers, "queue_depth": queue_depth,
+                "shed_seen": False, "retry_hint_s": 0.0,
+                "cached_ok": False, "retried_ok": False,
+                "admission_retries": 0, "admission": {}}
+    # high_watermark 0.25: a couple of queued items already count as
+    # saturation, so the shed window is the whole time the drivers
+    # keep a backlog, not a razor-thin race on the last queue slot.
+    threshold = max(1, int(queue_depth * 0.25))
+    server = NetServer(NetConfig(service=ServiceConfig(
+        workers=1, queue_depth=queue_depth,
+        admission=AdmissionPolicy(high_watermark=0.25)))).start()
+    stop = threading.Event()
+    threads: list[threading.Thread] = []
+    retry_thread: Optional[threading.Thread] = None
+    try:
+        # Pre-warm every driver kernel: driver traffic is then *cached*
+        # work, admitted straight through the watermark (the ladder's
+        # cached bypass), so the drivers can hold the queue saturated
+        # without shedding each other.
+        with LoopClient(server.host, server.port,
+                        session="sat-warm") as warm:
+            for kernel in heavy:
+                warm.translate(kernel, deadline_s=120.0)
+
+        def drive(index: int) -> None:
+            with LoopClient(server.host, server.port,
+                            session=f"sat-driver-{index}",
+                            deadline_s=600.0,
+                            retry=RetryPolicy(attempts=20,
+                                              attempt_timeout_s=120.0)
+                            ) as driver:
+                seed = 4000 + index
+                while not stop.is_set():
+                    driver.run_loop(heavy[index % len(heavy)],
+                                    seed=seed)
+                    seed += drivers
+
+        threads = [threading.Thread(target=drive, args=(i,),
+                                    daemon=True)
+                   for i in range(drivers)]
+        for thread in threads:
+            thread.start()
+
+        probe = LoopClient(server.host, server.port, session="sat-probe",
+                           deadline_s=120.0,
+                           retry=RetryPolicy(attempts=1,
+                                             attempt_timeout_s=60.0))
+        retrier = LoopClient(server.host, server.port,
+                             session="sat-retry", deadline_s=600.0,
+                             retry=RetryPolicy(attempts=50,
+                                               attempt_timeout_s=120.0))
+        backlog = server.service._queue  # intra-package: probe timing
+        cached: dict = {}
+        landing: dict = {}
+
+        def translate_cached() -> None:
+            try:
+                cached["result"] = probe.translate(warm_kernel,
+                                                   deadline_s=60.0)
+            except (ServiceOverload, TransportError):
+                pass
+
+        def retry_shed() -> None:
+            try:
+                landing["result"] = retrier.translate(
+                    shed_work[0], shed_work[1], shed_work[2],
+                    deadline_s=600.0)
+            except Exception as exc:  # noqa: BLE001 — evidence, not control
+                landing["error"] = f"{type(exc).__name__}: {exc}"
+
+        # The dispatcher is parked while the ladder is probed: the
+        # drivers' requests pile up to a standing backlog that no
+        # scheduling luck can drain before the probes see it.
+        with server.service.hold():
+            deadline = time.monotonic() + 30.0
+            while backlog.qsize() < threshold and \
+                    time.monotonic() < deadline:
+                time.sleep(0.002)
+            # (a) a single-shot client (attempts=1: rejections
+            # propagate) sees its uncached translate shed.
+            variant = 0
+            shed_work = shed_variants[0]
+            while time.monotonic() < deadline and \
+                    not evidence["shed_seen"]:
+                shed_work = shed_variants[variant % len(shed_variants)]
+                variant += 1
+                try:
+                    probe.translate(shed_work[0], shed_work[1],
+                                    shed_work[2], deadline_s=5.0)
+                except AdmissionRejected as exc:
+                    evidence["shed_seen"] = True
+                    evidence["retry_hint_s"] = round(exc.retry_after, 6)
+                    evidence["decision"] = exc.decision
+                except (ServiceOverload, TransportError):
+                    pass  # transport trouble: keep probing
+            # (b) cached work is admitted into the same backlog; it
+            # completes once the dispatcher resumes.
+            cached_thread = threading.Thread(target=translate_cached,
+                                             daemon=True)
+            cached_thread.start()
+            # (c) a retrying client honouring the hints is rejected at
+            # least once while the backlog stands ...
+            retry_thread = threading.Thread(target=retry_shed, daemon=True)
+            retry_thread.start()
+            while (time.monotonic() < deadline
+                   and retrier.stats.admission_retries < 1
+                   and retry_thread.is_alive()):
+                time.sleep(0.005)
+            stop.set()
+        # ... then the drivers stand down, the queue drains, and the
+        # shed request lands.
+        cached_thread.join(timeout=300.0)
+        evidence["cached_ok"] = "result" in cached and cached["result"].ok
+        retry_thread.join(timeout=300.0)
+        # "Landed" means the request completed through the saturated
+        # service; whether the translation itself schedules is the
+        # kernel's business, not the transport's.
+        evidence["retried_ok"] = "result" in landing
+        if "error" in landing:
+            evidence["retry_error"] = landing["error"]
+        evidence["admission_retries"] = retrier.stats.admission_retries
+        probe.close()
+        retrier.close()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=300.0)
+        if retry_thread is not None:
+            retry_thread.join(timeout=300.0)
+        stats = server.stop()
+    evidence["admission"] = dict(stats.admission)
+    evidence["ok"] = bool(
+        evidence["shed_seen"] and evidence["retry_hint_s"] > 0.0
+        and evidence["cached_ok"] and evidence["retried_ok"]
+        and evidence["admission_retries"] >= 1)
+    return evidence
+
+
 def test_saturation_probe_shows_degraded_but_progressing():
-    from repro.service.loadgen import saturation_probe
     evidence = saturation_probe()
     assert evidence["ok"], evidence
     # Uncached work was shed with an honest hint ...

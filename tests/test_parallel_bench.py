@@ -1,26 +1,21 @@
-"""Parallel experiment fan-out and the engine benchmark harness.
+"""Parallel experiment fan-out.
 
-Covers the tentpole's third layer: ``parallel_map`` determinism (item
-order, serial fallback, nested-worker safety), ``run_suite``/``sweep``
-producing identical results at any job count, the shared
-baseline/infinite memoisation that replaced the ``id()``-keyed cache,
-the ``python -m repro bench`` report, and the guard's interpreter
+Covers ``parallel_map`` determinism (item order, serial fallback,
+nested-worker safety), ``run_suite``/``sweep`` producing identical
+results at any job count, the shared baseline/infinite memoisation
+that replaced the ``id()``-keyed cache, and the guard's interpreter
 cross-check.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
 from repro import perf
 from repro.accelerator.config import INFINITE_LA, PROPOSED_LA
+from repro.api import fraction_of_infinite, run_suite, sweep
 from repro.cpu import standard_live_ins
-from repro.experiments.bench import format_bench, run_bench, write_report
-from repro.experiments.common import run_suite, suite_digest
-from repro.experiments.sweeps import fraction_of_infinite, sweep
+from repro.experiments.common import suite_digest
 from repro.perf.parallel import parallel_map
 from repro.vm import VMConfig, translate_loop
 from repro.vm.guard import GuardConfig, GuardedExecutor, \
@@ -132,66 +127,6 @@ def test_baseline_and_infinite_computed_once_per_suite():
     fraction_of_infinite(INFINITE_LA.with_(num_fp_units=2),
                          benchmarks=_small_suite())
     assert len(perf.baseline_cache) == 1
-
-
-def test_bench_report_smoke(tmp_path):
-    report = run_bench(figures=["fig4b"], jobs=1)
-    fig = report.figures[0]
-    assert fig.name == "fig4b"
-    assert fig.identical, "engine output must match the reference text"
-    assert fig.reference_s is not None
-    assert fig.speedup_cold is not None
-    assert fig.speedup_warm is not None
-    assert fig.specialized_s is not None
-    assert fig.speedup_specialized is not None
-    assert report.cache_stats["translation"]["hits"] > 0
-    assert report.all_identical
-
-    path = write_report(report, str(tmp_path / "BENCH.json"))
-    payload = json.loads(open(path).read())
-    assert payload["all_identical"] is True
-    assert payload["figures"][0]["name"] == "fig4b"
-    assert payload["sweep"]["figures"] == ["fig4b"]
-    assert "cpus" in payload["machine"]
-
-    text = format_bench(report)
-    assert "fig4b" in text and "translation cache" in text
-
-
-def test_bench_rejects_unknown_figures():
-    with pytest.raises(KeyError):
-        run_bench(figures=["fig99"])
-
-
-def test_compare_report_flags_warm_regressions():
-    from dataclasses import replace
-    from repro.experiments.bench import (BenchReport, FigureBench,
-                                         compare_report)
-    fig = FigureBench(name="figX", reference_s=1.0, engine_s=0.5,
-                      warm_s=0.5, specialized_s=0.4, speedup_cold=2.0,
-                      speedup_warm=2.0, speedup_specialized=2.5,
-                      identical=True)
-    report = BenchReport(
-        figures=[fig], sweep_reference_s=None, sweep_engine_s=None,
-        sweep_speedup=None, sweep_warm_s=None, sweep_speedup_warm=None,
-        jobs=1, disk_cache=False, cache_stats={}, machine={})
-
-    # >10% below the baseline's warm speedup: regression.
-    worse = {"figures": [{"name": "figX", "speedup_warm": 3.0}]}
-    assert compare_report(report, worse)
-    # Within the threshold, or improved: clean.
-    close = {"figures": [{"name": "figX", "speedup_warm": 2.1}]}
-    assert compare_report(report, close) == []
-    better = {"figures": [{"name": "figX", "speedup_warm": 1.0}]}
-    assert compare_report(report, better) == []
-    # No baseline / baseline without the column: identity checks only.
-    assert compare_report(report, None) == []
-    legacy = {"figures": [{"name": "figX", "speedup": 2.0}]}
-    assert compare_report(report, legacy) == []
-    # An identity failure is always a regression, whatever the timings.
-    broken = replace(report, figures=[replace(fig, identical=False)])
-    assert compare_report(broken, better)
-    assert compare_report(broken, None)
 
 
 def test_guard_interpreter_cross_check_clean_on_suite():

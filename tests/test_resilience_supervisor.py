@@ -150,7 +150,7 @@ def test_kill_hook_never_fires_in_parent(tmp_path, monkeypatch):
 def test_sweep_failure_names_the_originating_point():
     """The satellite fix: a failing sweep point surfaces typed with the
     series label and x value attached, never silently swallowed."""
-    from repro.experiments.sweeps import sweep
+    from repro.api import sweep
     from repro.workloads.suite import media_fp_benchmarks
 
     perf.clear_caches()

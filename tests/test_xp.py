@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 
 import pytest
 
 import repro
 import repro.xp as xp
 from repro.api import Settings
-from repro.deprecation import reset_warned
 from repro.errors import SettingsError
 from repro.xp import store
 from repro.xp.aggregate import aggregate_records, quantile, summarize
@@ -183,6 +181,31 @@ class TestRunner:
     def test_bad_repeat_is_a_settings_error(self, tmp_path):
         with pytest.raises(SettingsError, match="repeat"):
             run_fake(tmp_path, repeat=0)
+
+    def test_skip_reference_borrows_the_default_baseline(self, tmp_path):
+        target = store.baseline_path("default", directory=str(tmp_path))
+        os.makedirs(os.path.dirname(target))
+        with open(target, "w") as handle:
+            json.dump({"rows": {"f1": {"metrics": {"reference_s": 2.0}}}},
+                      handle)
+        run = run_fake(tmp_path, repeat=1, skip_reference=True)
+        borrowed, missing = run.records[0]["rows"]
+        assert borrowed["reference_source"] == "baseline"
+        assert borrowed["reference_s"] == 2.0
+        assert borrowed["speedup_warm"] is not None
+        # f2 has no baseline row: no reference, so no speedups.
+        assert missing["reference_source"] is None
+        assert missing["speedup_warm"] is None
+
+    def test_skip_reference_without_a_baseline_has_no_speedups(
+            self, tmp_path):
+        run = run_fake(tmp_path, repeat=1, skip_reference=True)
+        for row in run.records[0]["rows"]:
+            assert row["reference_source"] is None
+            assert row["reference_s"] is None
+            for metric in ("speedup_cold", "speedup_warm",
+                           "speedup_specialized"):
+                assert row[metric] is None
 
     def test_repeat_defaults_to_settings(self, tmp_path):
         config = Config(name="case", figures=("f1",))
@@ -471,121 +494,17 @@ class TestSettingsKnobs:
 
 class TestFigureRegistry:
     def test_bench_registry_is_the_figures_registry(self):
-        from repro.experiments.bench import _figure_registry
         from repro.experiments.figures import FIGURES, benchable_figures
-        registry = _figure_registry()
-        assert registry == benchable_figures()
+        registry = benchable_figures()
         assert "all" not in registry
         assert set(registry) == set(FIGURES) - {"all"}
+        assert all(registry[name] is FIGURES[name][1] for name in registry)
 
     def test_new_registration_is_automatically_benchable(self, monkeypatch):
         from repro.experiments import figures
-        from repro.experiments.bench import _figure_registry
         monkeypatch.setitem(figures.FIGURES, "brand-new",
                             ("desc", lambda: "x"))
-        assert "brand-new" in _figure_registry()
-
-
-# -- deprecation shims --------------------------------------------------------
-
-class TestLegacyShims:
-    def test_run_bench_and_compare_warn_exactly_once(self, monkeypatch):
-        from repro.experiments import bench
-        import repro.xp.runner as runner
-        rows = [{
-            "name": "fig4b", "reference_s": 2.0, "engine_s": 1.0,
-            "warm_s": 0.5, "specialized_s": 0.25, "speedup_cold": 2.0,
-            "speedup_warm": 4.0, "speedup_specialized": 8.0,
-            "identical": True, "reference_source": "measured",
-        }]
-        monkeypatch.setattr(runner, "measure_figures",
-                            lambda *a, **k: ([dict(r) for r in rows], 1))
-        reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = bench.run_bench(figures=["fig4b"])
-            problems = bench.compare_report(report, None)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)
-                        and "repro.experiments.bench" in str(w.message)]
-        assert len(deprecations) == 1
-        assert "repro.xp" in str(deprecations[0].message)
-        assert problems == []
-        assert report.figures[0].speedup_warm == 4.0
-        assert report.sweep_speedup == 2.0
-
-    def test_legacy_compare_messages_are_byte_identical(self):
-        from repro.experiments.bench import BenchReport, FigureBench
-        from repro.xp.compare import legacy_compare_report
-        fig = FigureBench(name="fig4b", reference_s=2.0, engine_s=1.0,
-                          warm_s=0.5, specialized_s=0.25,
-                          speedup_cold=2.0, speedup_warm=2.0,
-                          speedup_specialized=8.0, identical=False,
-                          reference_source="measured")
-        report = BenchReport(figures=[fig], sweep_reference_s=None,
-                             sweep_engine_s=None, sweep_speedup=None,
-                             sweep_warm_s=None, sweep_speedup_warm=None,
-                             jobs=1, disk_cache=False, cache_stats={},
-                             machine={})
-        baseline = {"figures": [{"name": "fig4b", "speedup_warm": 4.0}]}
-        problems = legacy_compare_report(report, baseline)
-        assert problems == [
-            "fig4b: figure text not identical across engine tiers",
-            "fig4b: warm speedup 2.00x is 50% below the committed "
-            "baseline's 4.00x (threshold 10%)",
-        ]
-
-    def test_format_bench_output_is_locked(self):
-        from repro.experiments.bench import (BenchReport, FigureBench,
-                                             format_bench)
-        fig = FigureBench(name="fig4b", reference_s=2.0, engine_s=1.0,
-                          warm_s=0.5, specialized_s=0.25,
-                          speedup_cold=2.0, speedup_warm=4.0,
-                          speedup_specialized=8.0, identical=True,
-                          reference_source="measured")
-        report = BenchReport(
-            figures=[fig], sweep_reference_s=2.0, sweep_engine_s=1.0,
-            sweep_speedup=2.0, sweep_warm_s=0.5, sweep_speedup_warm=4.0,
-            jobs=1, disk_cache=False,
-            cache_stats={"translation": {"hits": 3, "misses": 1,
-                                         "hit_rate": 0.75,
-                                         "exact_fallbacks": 0},
-                         "cycles_entries": 2},
-            machine={}, metrics={})
-        assert format_bench(report) == (
-            "Experiment engine benchmark\n"
-            "figure  reference [s]  cold [s]  warm [s]  spec [s]  "
-            "cold x  warm x  spec x  identical\n"
-            "------  -------------  --------  --------  --------  "
-            "------  ------  ------  ---------\n"
-            "fig4b   2.00           1.00      0.50      0.25      "
-            "2.00x   4.00x   8.00x   yes      \n"
-            "design-space sweeps (fig3a, fig3b, fig4a, fig4b): "
-            "2.00s reference -> 1.00s engine cold (2.00x, 4.00x warm)\n"
-            "translation cache: 3 hits / 1 misses (hit rate 75.0%, "
-            "0 exact-II fallbacks), 2 cycle-timing entries, jobs=1\n"
-            "figure text identical across passes: yes")
-
-
-# -- the generated legacy summary ---------------------------------------------
-
-class TestLegacySummary:
-    def test_summary_keeps_the_historical_schema(self, tmp_path):
-        run = run_fake(tmp_path, repeat=3)
-        path = xp.write_experiments_summary(run.records,
-                                            directory=str(tmp_path))
-        with open(path) as handle:
-            payload = json.load(handle)
-        assert set(payload) >= {"figures", "sweep", "all_identical",
-                                "jobs", "disk_cache", "cache_stats",
-                                "machine", "metrics", "provenance"}
-        assert payload["all_identical"] is True
-        assert payload["provenance"]["records"] == 3
-        assert payload["provenance"]["run_id"] == run.run_id
-        first = payload["figures"][0]
-        assert set(first) >= {"name", "reference_s", "warm_s",
-                              "speedup_warm", "identical",
-                              "reference_source"}
+        assert "brand-new" in figures.benchable_figures()
 
 
 # -- service series driver ----------------------------------------------------
@@ -594,6 +513,30 @@ class TestServiceDriver:
     def test_empty_series_is_a_noop(self):
         from repro.service.loadgen import measure_service
         assert measure_service(workers=(), shards=()) == []
+
+    def test_worker_row_gates_on_exact_dedup(self, monkeypatch):
+        from repro.accelerator import PROPOSED_LA
+        from repro.service import loadgen
+        from repro.vm.translator import TranslationOptions
+        from repro.workloads.suite import media_fp_benchmarks
+        kernels = [kernel for bench in media_fp_benchmarks()
+                   for kernel in bench.kernels][:3]
+        corpus = [(kernel, PROPOSED_LA, TranslationOptions())
+                  for kernel in kernels]
+        monkeypatch.setattr(loadgen, "request_corpus", lambda: corpus)
+        [row] = loadgen.measure_service(workers=(1,), clients=2,
+                                        run_kernel_count=0)
+        assert row["ok"], row
+        assert row["core_runs"] == row["unique_digests"] == 3
+        assert row["exact_fallbacks"] == 0
+        # Count every request as one digest: the service still pays
+        # three core runs, which no longer matches, so the row fails.
+        monkeypatch.setattr(loadgen, "translation_key",
+                            lambda *_item: "one-digest")
+        [row] = loadgen.measure_service(workers=(1,), clients=2,
+                                        run_kernel_count=0)
+        assert row["core_runs"] == 3 and row["unique_digests"] == 1
+        assert row["ok"] is False
 
     def test_service_config_validates(self):
         config = xp.preset("service-workers")
