@@ -11,13 +11,12 @@ inspects a kernel's translation without writing code:
     python -m repro faults -n 120 --seed 2008  # guarded-mode fault campaign
     python -m repro fig3a --jobs 4             # parallel sweep evaluation
     python -m repro xp run --preset smoke      # time the engine tiers
-    python -m repro xp run -p service-workers  # time the service, dedup gate
+    python -m repro xp run -p service          # time the service, dedup gate
     python -m repro xp compare -p smoke        # regression gate vs baseline
     python -m repro chaos -n 24 --seed 2008    # infrastructure chaos campaign
     python -m repro trace fig8 --jobs 2        # figure + JSONL span trace
     python -m repro stats TRACE_fig8.jsonl     # summarise a trace file
-    python -m repro serve --workers 2          # service smoke: serve + drain
-    python -m repro serve --port 0             # same smoke over TCP loopback
+    python -m repro serve --sessions 3         # service smoke over TCP loopback
     python -m repro netchaos -n 20 --seed 2008 # network-fault chaos campaign
     python -m repro serve --shards 3           # supervised shard cluster smoke
     python -m repro clusterchaos --seed 2008   # shard-fault chaos campaign
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from typing import Optional
@@ -114,179 +114,99 @@ def cmd_faults(injections: int, seed: int, mode: str):
         config, progress=lambda msg: print(f"... {msg}", file=sys.stderr))
 
 
-def cmd_serve(workers: int, sessions: int,
+def cmd_serve(sessions: int, shards: int = 1, host: str = "127.0.0.1",
+              port: int = 0, secret: Optional[str] = None,
               artifact: Optional[str] = None) -> tuple[str, bool]:
-    """Boot the loop-acceleration service, drive a short multi-session
-    workload through it, and drain.
+    """The ``serve`` smoke: boot the service, send the request corpus
+    from *sessions* clients through the client API over TCP, and stop.
 
-    Every session submits the same translate corpus, so the run
-    demonstrates the service's whole contract in a few hundred
-    milliseconds: concurrent duplicates collapse to one core
-    translation each (single-flight), all sessions share the process
-    cache, and the drain leaves nothing queued.  Returns the printable
-    summary and whether the service drained with every request served.
-    """
-    import time
-
-    from repro.errors import ServiceOverload
-    from repro.service import LoopService, ServiceConfig
-    from repro.service.loadgen import request_corpus
-
-    corpus = request_corpus()
-    service = LoopService(ServiceConfig(
-        workers=workers, artifact_path=artifact or None)).start()
-    try:
-        handles = [service.open_session(f"session-{i}")
-                   for i in range(sessions)]
-        futures = []
-        for session in handles:
-            for loop, config, options in corpus:
-                # Admission control pushes back when the queue is full;
-                # a well-behaved client waits and retries.
-                while True:
-                    try:
-                        futures.append(
-                            session.translate(loop, config, options))
-                        break
-                    except ServiceOverload:
-                        time.sleep(0.001)
-        served = sum(1 for future in futures
-                     if future.result(timeout=600) is not None)
-    finally:
-        stats = service.close()
-    lines = [
-        f"service: {workers} worker(s), {sessions} sessions x "
-        f"{len(corpus)} translate requests",
-        f"  submitted {stats.submitted}  completed {stats.completed}  "
-        f"served {served}",
-        f"  core translations {stats.translated}  "
-        f"single-flight dedup hits {stats.dedup_hits}",
-        f"  drained: {'yes' if stats.drained else 'NO'}",
-    ]
-    ok = stats.drained and served == len(futures)
-    return "\n".join(lines), ok
-
-
-def cmd_serve_net(host: str, port: int, workers: int,
-                  sessions: int,
-                  secret: Optional[str] = None,
-                  artifact: Optional[str] = None) -> tuple[str, bool]:
-    """The ``serve`` smoke over TCP: boot the network front end, drive
-    the same multi-session translate corpus through ``LoopClient``
-    connections (framed wire protocol, retries, admission hints all
-    exercised on a real socket), and drain.  Returns the printable
-    summary and whether everything was served with zero orphaned
-    connections.
+    With ``shards <= 1`` each session is a ``LoopClient`` connection to
+    one ``NetServer``; with more, a failover ``ClusterClient`` into a
+    supervised fleet, and shard 0 is SIGKILLed halfway through the last
+    session so the rest of it rides failover.  Every session sends the
+    same corpus, so each digest is translated once and every repeat is
+    a dedup hit.  Returns the printable summary and whether every
+    request was served and the service drained (or the fleet healed)
+    with nothing orphaned.
     """
     from repro.service.client import LoopClient
-    from repro.service.loadgen import request_corpus
-    from repro.service.net import NetConfig, NetServer
-    from repro.service.server import ServiceConfig
-
-    corpus = request_corpus()
-    served = 0
-    retries = 0
-    server = NetServer(NetConfig(
-        host=host, port=port, auth_secret=secret,
-        service=ServiceConfig(workers=workers,
-                              artifact_path=artifact or None))).start()
-    bound = f"{server.host}:{server.port}"
-    try:
-        for i in range(sessions):
-            with LoopClient(server.host, server.port,
-                            session=f"session-{i}",
-                            secret=secret) as client:
-                for loop, config, options in corpus:
-                    if client.translate(loop, config, options,
-                                        deadline_s=600.0) is not None:
-                        served += 1
-                retries += client.stats.retries
-    finally:
-        stats = server.stop()
-        orphans = server.active_connections()
-    expected = sessions * len(corpus)
-    lines = [
-        f"service: {workers} worker(s) on {bound}, {sessions} "
-        f"sessions x {len(corpus)} translate requests over TCP",
-        f"  submitted {stats.submitted}  completed {stats.completed}  "
-        f"served {served}/{expected}",
-        f"  core translations {stats.translated}  "
-        f"single-flight dedup hits {stats.dedup_hits}  "
-        f"client transport retries {retries}",
-        f"  drained: {'yes' if stats.drained else 'NO'}  "
-        f"orphaned connections: {orphans}",
-    ]
-    ok = stats.drained and served == expected and orphans == 0
-    return "\n".join(lines), ok
-
-
-def cmd_serve_cluster(host: str, shards: int, sessions: int,
-                      secret: Optional[str] = None,
-                      artifact: Optional[str] = None) -> tuple[str, bool]:
-    """The ``serve`` smoke as a sharded cluster: boot a supervised
-    N-shard fleet, drive the multi-session translate corpus through
-    failover :class:`~repro.service.cluster.ClusterClient` connections
-    (digest routing, shard-moved redirects and the shard map all
-    exercised on real sockets), kill one shard mid-workload to prove
-    supervised failover, and stop.  Returns the printable summary and
-    whether everything was served, the fleet healed, and zero shard
-    processes were orphaned.
-    """
     from repro.service.cluster import (
         ClusterClient,
         ClusterConfig,
         ShardSupervisor,
     )
     from repro.service.loadgen import request_corpus
+    from repro.service.net import NetConfig, NetServer
     from repro.service.server import ServiceConfig
 
     corpus = request_corpus()
+    expected = sessions * len(corpus)
+    service = ServiceConfig(artifact_path=artifact or None)
+    if shards > 1:
+        fleet = ShardSupervisor(ClusterConfig(
+            shards=shards, host=host, auth_secret=secret,
+            service=service)).start()
+        seed_host, seed_port = fleet.seed_address()
+
+        def connect(name: str):
+            return ClusterClient(seed_host, seed_port, session=name,
+                                 secret=secret).connect()
+        midway = functools.partial(fleet.kill_shard, 0)
+        stop = fleet.stop
+    else:
+        server = NetServer(NetConfig(
+            host=host, port=port, auth_secret=secret,
+            service=service)).start()
+
+        def connect(name: str):
+            return LoopClient(server.host, server.port, session=name,
+                              secret=secret)
+        midway = None
+        stop = server.stop
     served = 0
-    failovers = 0
-    moved = 0
-    supervisor = ShardSupervisor(ClusterConfig(
-        shards=shards, host=host, auth_secret=secret,
-        service=ServiceConfig(
-            workers=1, artifact_path=artifact or None))).start()
+    client_stats = []
     try:
-        seed_host, seed_port = supervisor.seed_address()
-        killed = False
         for i in range(sessions):
-            with ClusterClient(seed_host, seed_port,
-                               session=f"session-{i}",
-                               secret=secret).connect() as client:
+            with connect(f"session-{i}") as client:
                 for index, item in enumerate(corpus):
-                    if (not killed and shards > 1
-                            and i == sessions - 1
+                    if (midway is not None and i == sessions - 1
                             and index == len(corpus) // 2):
-                        # Mid-workload SIGKILL: the rest of this
-                        # session must ride the failover path.
-                        supervisor.kill_shard(0)
-                        killed = True
+                        midway()
                     if client.translate(*item,
                                         deadline_s=600.0) is not None:
                         served += 1
-                failovers += client.stats.failovers
-                moved += client.stats.moved
-        healed = supervisor.wait_converged(90.0)
-        final_map = supervisor.map
+            client_stats.append(client.stats)
+        settled = fleet.wait_converged(90.0) if shards > 1 else True
     finally:
-        supervisor.stop()
-    orphans = supervisor.orphan_pids()
-    expected = sessions * len(corpus)
-    lines = [
-        f"cluster: {shards} shard(s) on {host}, {sessions} sessions x "
-        f"{len(corpus)} translate requests through failover clients",
-        f"  served {served}/{expected}  failovers {failovers}  "
-        f"shard-moved redirects {moved}",
-        f"  shard 0 SIGKILLed mid-workload: "
-        f"{'yes' if killed else 'no (single shard)'}  "
-        f"healed: {'yes' if healed else 'NO'} "
-        f"(map v{final_map.version})",
-        f"  orphaned shard processes: {len(orphans)}",
-    ]
-    ok = served == expected and healed and not orphans
-    return "\n".join(lines), ok
+        stats = stop()
+    if shards > 1:
+        orphans = len(fleet.orphan_pids())
+        lines = [
+            f"cluster: {shards} shards on {host}, {sessions} sessions "
+            f"x {len(corpus)} translate requests through failover "
+            f"clients",
+            f"  served {served}/{expected}  failovers "
+            f"{sum(c.failovers for c in client_stats)}  shard-moved "
+            f"redirects {sum(c.moved for c in client_stats)}",
+            f"  shard 0 SIGKILLed mid-workload  healed: "
+            f"{'yes' if settled else 'NO'} (map v{fleet.map.version})",
+            f"  orphaned shard processes: {orphans}",
+        ]
+    else:
+        orphans = server.active_connections()
+        settled = stats.drained
+        lines = [
+            f"service on {server.host}:{server.port}, {sessions} "
+            f"sessions x {len(corpus)} translate requests over TCP",
+            f"  submitted {stats.submitted}  completed {stats.completed}  "
+            f"served {served}/{expected}",
+            f"  translated digests {stats.translated}  dedup hits "
+            f"{stats.dedup_hits}  client transport retries "
+            f"{sum(c.retries for c in client_stats)}",
+            f"  drained: {'yes' if settled else 'NO'}  "
+            f"orphaned connections: {orphans}",
+        ]
+    return "\n".join(lines), served == expected and settled and not orphans
 
 
 @contextlib.contextmanager
@@ -451,16 +371,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                            help="boot the loop-acceleration service, "
                                 "serve a short multi-session workload, "
                                 "drain")
-    serve.add_argument("--workers", "-w", type=int, default=1,
-                       help="translation worker processes (default 1)")
     serve.add_argument("--sessions", type=int, default=3,
-                       help="concurrent client sessions (default 3)")
+                       help="client sessions, served one after another "
+                            "(default 3)")
     serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address for --port mode "
-                            "(default 127.0.0.1)")
-    serve.add_argument("--port", "-p", type=int, default=None,
-                       help="serve over TCP on this port (0 = pick a "
-                            "free one); omit for the in-process smoke")
+                       help="bind address (default 127.0.0.1)")
+    serve.add_argument("--port", "-p", type=int, default=0,
+                       help="server port without --shards (default 0 = "
+                            "pick a free one)")
     serve.add_argument("--secret", default=os.environ.get(
                            "REPRO_SERVICE_SECRET"),
                        help="shared frame-auth secret (HMAC); required "
@@ -556,7 +474,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"  {'stats'.ljust(width)}  summarise a JSONL trace/metrics "
               f"dump")
         print(f"  {'serve'.ljust(width)}  loop-acceleration service smoke "
-              f"(serve a workload, drain; --port for TCP)")
+              f"(serve a workload over TCP, drain; --shards for a fleet)")
         print(f"  {'netchaos'.ljust(width)}  network-fault campaign "
               f"(TCP transport)")
         print(f"  {'clusterchaos'.ljust(width)}  shard-fault campaign "
@@ -704,24 +622,16 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         def _serve() -> tuple[str, bool]:
             try:
-                if shards > 1:
-                    return cmd_serve_cluster(args.host, shards,
-                                             args.sessions,
-                                             secret=args.secret,
-                                             artifact=args.artifact)
-                if args.port is not None:
-                    return cmd_serve_net(args.host, args.port,
-                                         args.workers, args.sessions,
-                                         secret=args.secret,
-                                         artifact=args.artifact)
-                return cmd_serve(args.workers, args.sessions,
+                return cmd_serve(args.sessions, shards=shards,
+                                 host=args.host, port=args.port,
+                                 secret=args.secret,
                                  artifact=args.artifact)
             except (TransportError, ArtifactError) as exc:
                 # A refused bind (non-loopback without --secret) or a
                 # missing named artifact is a configuration error, not
                 # a crash.
                 return f"error: [{exc.kind}] {exc}", False
-        with _traced(args.trace, "serve", workers=args.workers,
+        with _traced(args.trace, "serve", shards=shards,
                      sessions=args.sessions):
             text, ok = _serve()
         print(text)

@@ -298,7 +298,7 @@ class TransportError(ServiceError):
 
     Connection refused/reset, a read or connect deadline expired, or
     the retry budget ran out.  Transport failures say nothing about
-    the *request*: thanks to single-flight dedup keyed on the
+    the *request*: thanks to dedup keyed on the
     content-addressed transcache digest, resubmitting an identical
     request is always safe (exactly-once translation), which is what
     lets :class:`~repro.service.client.LoopClient` retry these

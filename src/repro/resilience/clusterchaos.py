@@ -12,7 +12,7 @@ slowly, clients that drop a shard-map update — while the engine
   result, and a figure rendered while its serving shard is SIGKILLed
   mid-sweep is byte-identical to the direct rendering;
 * **Exactly-once translation**: resubmission after failover is by
-  transcache digest into single-flight dedup, so a full-corpus pass
+  transcache digest into the shard's dedup, so a full-corpus pass
   repeated after the campaign adds *zero* core translation runs across
   the fleet (summed per-shard ``translator.core_runs``);
 * **Self-healing**: every injected shard fault ends with the fleet
@@ -52,13 +52,6 @@ ATTEMPT_TIMEOUT_S = 1.0
 #: How long one shard death may take to heal (SIGKILL detection,
 #: backoff, spawn, map push).
 HEAL_TIMEOUT_S = 90.0
-
-
-def _core_runs(supervisor: ShardSupervisor) -> int:
-    """Fleet-wide total of actual core translation runs."""
-    return sum(
-        snapshot.get("counters", {}).get("translator.core_runs", 0)
-        for snapshot in supervisor.shard_stats().values())
 
 
 def _await_incident(campaign: Campaign, kind: str, shard: int) -> bool:
@@ -257,7 +250,7 @@ class Cluster(Plugin):
             campaign.add(campaign.drive(
                 FAULT_FREE, f"corpus pass {n}", [], self._corpus_pass,
                 self.expected))
-            core_runs.append(_core_runs(self.supervisor))
+            core_runs.append(self.supervisor.core_runs())
         first, second = core_runs
         campaign.check("exactly-once", second == first,
                        f"{first} core runs after pass 1, "

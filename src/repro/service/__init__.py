@@ -7,19 +7,19 @@ package realises that posture at the process level:
 
 * :class:`~repro.service.server.LoopService` — a long-running server.
   Sessions submit translate/run/figure requests into one bounded
-  queue; concurrent identical translations are deduplicated
-  (single-flight on the content-addressed transcache digest: one
-  translation serves all waiters), every session shares the
+  queue drained by one dispatcher; identical translations are
+  deduplicated (on the content-addressed transcache digest: the
+  first request translates, every later one is a cache serve), every
+  session shares the
   process-wide translation cache, and admission control (queue depth,
   per-session translation budgets) rejects excess load with typed
   :class:`~repro.errors.ServiceOverload` backpressure instead of
   queueing unboundedly.
 * :mod:`~repro.service.loadgen` — the shared translate corpus and the
-  multi-client worker/shard series that ``python -m repro xp run
-  --preset service-workers|service-2shard`` times; a worker row passes
-  only if single-flight dedup was exact.
+  multi-client in-process/shard series that ``python -m repro xp run
+  --preset service`` times; a row passes only if dedup was exact.
 * :mod:`~repro.service.net` / :mod:`~repro.service.client` — the TCP
-  front end (``python -m repro serve --port``): a length-framed,
+  front end (``python -m repro serve``): a length-framed,
   checksummed wire protocol (:mod:`~repro.service.wire`), a
   :class:`~repro.service.net.NetServer` wrapping the service behind a
   socket, and a :class:`~repro.service.client.LoopClient` that owns
@@ -30,8 +30,8 @@ package realises that posture at the process level:
   uncached work first, and ``retry_after`` hints on every rejection.
 * :mod:`~repro.service.cluster` — the self-healing sharded tier
   (``python -m repro serve --shards N``): a
-  :class:`~repro.service.cluster.ShardSupervisor` runs N single-worker
-  shard processes, each owning a rendezvous-hashed slice of transcache
+  :class:`~repro.service.cluster.ShardSupervisor` runs N shard
+  processes (the service's one scale-out unit), each owning a rendezvous-hashed slice of transcache
   digest space, health-checks them over the wire and restarts crashed
   or hung shards with bounded backoff; a
   :class:`~repro.service.cluster.ClusterClient` learns the shard map,

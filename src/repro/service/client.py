@@ -15,7 +15,7 @@ typed error the service raised:
   campaign's retry schedule is reproducible.
 * **Idempotent resubmission** — translate/run_loop requests carry the
   content-addressed transcache digest as their idempotency key; the
-  service's single-flight dedup makes a resubmitted translation a
+  service's digest dedup makes a resubmitted translation a
   cache hit, never a second execution, which is what makes blind
   retry-after-unknown-outcome safe.
 * **Admission awareness** — an :class:`~repro.errors.AdmissionRejected`

@@ -29,7 +29,7 @@ into an N-shard cluster with supervised failover:
 * **Exactly-once through failure** — :class:`ClusterClient` treats a
   dead shard as a retryable event: it fails over to the next-best live
   shard (telling it ``allow_any`` so the ownership check stands down),
-  and because resubmission is by digest into single-flight dedup,
+  and because resubmission is by digest into the shard's dedup,
   translation remains exactly-once even when the original shard died
   with the request in flight.
 
@@ -287,9 +287,7 @@ class ClusterConfig:
     #: Propagated to every shard (wire HMAC) and to every control
     #: connection the supervisor itself opens.
     auth_secret: Optional[str] = None
-    #: Per-shard service configuration.  ``workers`` is forced to 1:
-    #: shards are daemonic processes (guaranteed reaping) and may not
-    #: fork a pool of their own — the cluster *is* the fan-out.
+    #: Per-shard service configuration.
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Health-check cadence and per-ping response budget.
     heartbeat_interval_s: float = 0.25
@@ -432,12 +430,8 @@ class ShardSupervisor:
         raise TransportError("no live shard to connect to")
 
     def shard_stats(self) -> dict[int, dict]:
-        """Per-shard ``stats`` snapshots (live shards only).
-
-        This is the fleet-wide accounting surface: summing
-        ``counters["translator.core_runs"]`` across shards is how the
-        cluster chaos campaign proves exactly-once translation.
-        """
+        """Per-shard ``stats`` snapshots (live shards only): the
+        fleet-wide accounting surface :meth:`core_runs` sums."""
         snapshots: dict[int, dict] = {}
         for shard_id, handle in sorted(self._shards.items()):
             if not handle.info.up:
@@ -457,6 +451,14 @@ class ShardSupervisor:
             finally:
                 client.close()
         return snapshots
+
+    def core_runs(self) -> int:
+        """Fleet-wide total of actual core translation runs — how the
+        cluster chaos campaign and the ``shards=N`` service rows prove
+        exactly-once translation."""
+        return sum(
+            snapshot.get("counters", {}).get("translator.core_runs", 0)
+            for snapshot in self.shard_stats().values())
 
     def _converged(self) -> bool:
         # A shard only counts as converged when the *process* is alive,
@@ -510,7 +512,7 @@ class ShardSupervisor:
 
     def _shard_config(self, cold: bool, port: int = 0,
                       registry_addr: Optional[tuple] = None) -> NetConfig:
-        service = replace(self.config.service, workers=1)
+        service = self.config.service
         if cold:
             service = replace(service, admission=replace(
                 service.admission,
@@ -738,7 +740,7 @@ class ClusterClient:
     over to the next-best live shard with ``allow_any`` set (the
     explicit "owner is unreachable" escape hatch).  Idempotent
     resubmission by digest makes the failover exactly-once: whichever
-    shard ends up serving the request dedups into single-flight.
+    shard ends up serving the request dedups it by digest.
 
     One ``secret`` covers every shard connection the client opens —
     shards learned from the map inherit it, so wire auth is uniform

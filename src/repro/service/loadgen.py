@@ -1,21 +1,24 @@
 """The service request corpus and the series driver ``repro.xp`` times.
 
 :func:`request_corpus` is the deterministic translate-request list
-every service measurement (and ``perfbench``, ``repro.aot`` and the
-chaos plugins) submits.  :func:`measure_service` is what a
-``kind="service"`` :class:`~repro.xp.config.Config` executes: per
-worker count it boots a :class:`~repro.service.server.LoopService`,
+every service measurement (and ``perfbench``, ``repro.aot``, the
+chaos plugins and the ``serve`` smoke) submits.
+:func:`measure_service` is what a ``kind="service"``
+:class:`~repro.xp.config.Config` executes: the in-process row
+(``workers=1``) boots a :class:`~repro.service.server.LoopService` and
 fires the corpus at it from several client threads (every client
-submits the *same* corpus, so most requests are concurrent duplicates)
-followed by each client's own measured loop executions; per shard
-count it drives the corpus through a supervised cluster.  Each point
-is one row of throughput, latency percentiles and an ``ok`` verdict.
+submits the *same* corpus, so most requests are duplicates), followed
+by each client's own measured loop executions; per shard count it
+drives the corpus through a supervised cluster.  Each point is one row
+of throughput, latency percentiles and an ``ok`` verdict.
 
-A worker row is ``ok`` only if the run drained with every request
-completed *and* single-flight dedup was exact: ``translator.core_runs``
-equals the number of unique content-addressed digests in the corpus,
-with zero exact-max-II fallbacks — however many clients race, each
-distinct translation runs exactly once.
+Every row is ``ok`` only if dedup was exact: ``translator.core_runs``
+(summed over the fleet for a shard row) equals the number of unique
+content-addressed digests in the corpus — however many clients race,
+each distinct translation runs exactly once.  The in-process row also
+requires a clean drain with every request completed and zero
+exact-max-II fallbacks; a shard row, every request answered, a
+converged fleet and no orphaned shard processes.
 
 The translate corpus varies the accelerator *below* kernel demand
 (fewer integer units / load streams than the proposed design) because
@@ -132,23 +135,22 @@ def _client_heavy(session, heavy: list, seed: int, futures: list,
                 latencies_ms)
 
 
-def _one_run(workers: int, corpus: list[tuple], heavy: list,
-             clients: int, queue_depth: int, unique: int) -> dict:
-    # Each worker count starts from a cold shared cache: the dedup
-    # contract is per-service-lifetime, and warm entries would turn the
-    # scaling measurement into a cache benchmark.
+def _one_run(corpus: list[tuple], heavy: list, clients: int,
+             queue_depth: int, unique: int) -> dict:
+    # Start from a cold shared cache: the dedup contract is
+    # per-service-lifetime, and warm entries would turn the
+    # measurement into a cache benchmark.
     perf.clear_caches()
     before = obs.metrics_snapshot()
     perf_before = perf.counter_snapshot()
-    service = LoopService(ServiceConfig(workers=workers,
-                                        queue_depth=queue_depth)).start()
+    service = LoopService(ServiceConfig(queue_depth=queue_depth)).start()
     sessions = [service.open_session(f"client-{i}")
                 for i in range(clients)]
     per_client: list[list] = [[] for _ in sessions]
     latencies_ms: list[float] = []
     started = time.perf_counter()
     # Wave one: every client races the shared translate corpus (the
-    # single-flight dedup measurement).  Wave two: each client's own
+    # dedup measurement).  Wave two: each client's own
     # measured loop executions, which reuse the translations wave one
     # just populated — the shared-code-cache amortization story.
     waves = [
@@ -176,7 +178,7 @@ def _one_run(workers: int, corpus: list[tuple], heavy: list,
         "translator.core_runs", 0)
     exact_fallbacks = perf.counter_delta(perf_before)["exact_fallbacks"]
     return _row(
-        f"workers={workers}", elapsed, requests, latencies_ms,
+        "workers=1", elapsed, requests, latencies_ms,
         ok=(stats.drained and stats.completed == requests
             and core_runs == unique and exact_fallbacks == 0),
         core_runs=core_runs, unique_digests=unique,
@@ -192,20 +194,19 @@ def _cluster_retry():
                        attempt_timeout_s=60.0, breaker_threshold=1 << 30)
 
 
-def _one_cluster_run(shards: int, corpus: list[tuple],
-                     clients: int) -> dict:
+def _one_cluster_run(shards: int, corpus: list[tuple], clients: int,
+                     unique: int) -> dict:
     """Throughput of the translate corpus through a ``shards``-wide
     supervised cluster, one :class:`ClusterClient` per client thread.
 
     Requests route by transcache digest, so the corpus spreads across
     the fleet; on a single-CPU host the series measures routing and
-    wire overhead, not parallel speedup (same caveat as workers).
+    wire overhead, not parallel speedup.
     """
     from repro.service.cluster import ClusterClient, ClusterConfig, \
         ShardSupervisor
     perf.clear_caches()
-    supervisor = ShardSupervisor(ClusterConfig(
-        shards=shards, service=ServiceConfig(workers=1))).start()
+    supervisor = ShardSupervisor(ClusterConfig(shards=shards)).start()
     latencies_ms: list[float] = []
     completed = [0] * clients
 
@@ -231,13 +232,15 @@ def _one_cluster_run(shards: int, corpus: list[tuple],
             thread.join()
         elapsed = time.perf_counter() - started
         converged = supervisor.wait_converged(30.0)
+        core_runs = supervisor.core_runs()
     finally:
         supervisor.stop()
     requests = clients * len(corpus)
     return _row(
         f"shards={shards}", elapsed, requests, latencies_ms,
         ok=(sum(completed) == requests and converged
-            and not supervisor.orphan_pids()))
+            and not supervisor.orphan_pids() and core_runs == unique),
+        core_runs=core_runs, unique_digests=unique)
 
 
 def measure_service(workers=(), shards=(), clients: int = 3,
@@ -247,24 +250,24 @@ def measure_service(workers=(), shards=(), clients: int = 3,
                     ) -> list[dict]:
     """The series driver for ``kind="service"`` experiment configs.
 
-    Runs the worker-pool series (*workers*) and/or the sharded-cluster
-    series (*shards*) and yields one row dict per point with the gated
-    metrics (throughput, latency percentiles) plus an ``ok`` verdict:
-    drained, complete and dedup-exact for the pool; complete,
-    converged and orphan-free for the cluster.
+    Runs the in-process row once per entry of *workers* (whose only
+    valid value is 1) and the sharded-cluster series (*shards*), and
+    yields one row dict per point with the gated metrics (throughput,
+    latency percentiles) plus the ``ok`` verdict described in the
+    module docstring.
     """
+    if not workers and not shards:
+        return []
     corpus = request_corpus()
     heavy = run_kernels(run_kernel_count) if workers else []
-    unique = (len({translation_key(*item) for item in corpus})
-              if workers else 0)
+    unique = len({translation_key(*item) for item in corpus})
     say = progress or (lambda _msg: None)
     rows: list[dict] = []
-    for count in workers or ():
+    for _ in workers:
         say(f"service: {clients} clients x {len(corpus)} translates "
-            f"+ {len(heavy)} runs, workers={count}")
-        rows.append(_one_run(count, corpus, heavy, clients, queue_depth,
-                             unique))
-    for count in shards or ():
+            f"+ {len(heavy)} runs, in process")
+        rows.append(_one_run(corpus, heavy, clients, queue_depth, unique))
+    for count in shards:
         say(f"service: cluster series, shards={count}")
-        rows.append(_one_cluster_run(count, corpus, clients))
+        rows.append(_one_cluster_run(count, corpus, clients, unique))
     return rows

@@ -2,7 +2,7 @@
 
 ``NetServer`` makes the in-process service reachable over a socket:
 one asyncio event loop (running on a dedicated thread, so the blocking
-dispatcher/pool machinery underneath is untouched) accepts
+dispatcher underneath is untouched) accepts
 connections, reads framed requests (:mod:`repro.service.wire`),
 submits them to the wrapped ``LoopService`` and writes framed
 responses back.  Everything that can go wrong on the wire is handled
@@ -419,8 +419,7 @@ class NetServer:
         ``rotation``) by identity.  The packed bytes are then the ones
         a fresh pack would give.  A retranslated core entry (after an
         eviction or an invalidation) has fresh ``registers`` and
-        ``rotation`` and is packed again; so is every result of a
-        process pool, which arrives freshly unpickled.
+        ``rotation`` and is packed again.
         """
         image = result.image
         if image is None or image.digest is None:

@@ -11,24 +11,23 @@ clients.  The control flow per request:
    recorded as an incident, so backpressure shows up on the same
    surface as cache corruption and worker losses.
 2. **Dispatch**: admitted requests enter one bounded FIFO shared by
-   every session, drained by ``workers`` dispatcher threads.
-3. **Single-flight dedup** (translate requests): the dispatcher
-   computes the content-addressed transcache digest
+   every session, drained by one dispatcher thread.
+3. **Dedup** (translate requests): the dispatcher computes the
+   content-addressed transcache digest
    (:func:`repro.vm.translator.translation_key`).  The first request
-   for a digest is the *leader* and actually translates; concurrent
-   duplicates wait for the leader, then finalize from the shared
-   translation cache (register-capacity checks are per-request, so a
-   follower with a different register file still gets *its* correct
-   result — the expensive core pipeline runs once per digest).
-4. **Execution**: with ``workers == 1`` requests run in-process — the
-   byte-identical serial reference path.  With more, leaders fan out
-   to a forked process pool; each pool task ships back its result plus
-   the new cache entries and its perf/obs counter deltas, which the
-   parent merges exactly like ``parallel_map`` does, so aggregate
-   statistics describe the whole run at any worker count.
+   for a digest pays the core translation; every later one is a
+   ``dedup_hits`` cache serve plus its own register-capacity
+   finalization (so a duplicate with a different register file still
+   gets *its* correct result — the core pipeline runs once per
+   digest).  One dispatcher means no two requests ever run at once,
+   so no duplicate can overtake the first.
+4. **Execution**: requests run in-process, on the dispatcher — the
+   byte-identical serial reference path.  The service scales out as
+   a supervised shard fleet (:mod:`repro.service.cluster`), one
+   ``LoopService`` per shard process.
 5. **Drain**: ``close()`` (or leaving the ``with`` block) stops
-   admission, lets queued work finish, then joins the threads and
-   shuts the pool down — no request is dropped, no temp files orphaned.
+   admission, lets queued work finish, then joins the dispatcher — no
+   request is dropped, no temp files orphaned.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import os
 import queue
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
@@ -47,6 +46,7 @@ from repro.errors import (
     AdmissionRejected,
     ServiceClosed,
     SessionBudgetExceeded,
+    SettingsError,
 )
 from repro.resilience.incidents import record_incident
 from repro.service.admission import AdmissionController, AdmissionPolicy
@@ -64,8 +64,10 @@ _SENTINEL = None
 class ServiceConfig:
     """How a :class:`LoopService` admits and executes work."""
 
-    #: Dispatcher threads, and pool processes when > 1 (1 = in-process
-    #: serial execution, the byte-identical reference path).
+    #: Always 1: the service runs one dispatcher and scales out as
+    #: shards.  The field stays only because callers still pass
+    #: ``workers=1``; any other value raises
+    #: :class:`~repro.errors.SettingsError`.
     workers: int = 1
     #: Bounded request-queue depth; submissions beyond it are rejected
     #: with :class:`~repro.errors.ServiceOverload`.
@@ -80,8 +82,7 @@ class ServiceConfig:
     #: Graded admission control (token buckets, watermark shedding,
     #: cached-work passthrough); see :mod:`repro.service.admission`.
     admission: AdmissionPolicy = AdmissionPolicy()
-    #: AOT artifact installed into the translation cache at ``start()``
-    #: (before the pool forks, so children inherit the warm entries).
+    #: AOT artifact installed into the translation cache at ``start()``.
     #: A corrupt/stale file is quarantined and the service boots cold;
     #: a *missing* one raises :class:`~repro.errors.ArtifactError`.
     artifact_path: Optional[str] = None
@@ -93,6 +94,13 @@ class ServiceConfig:
     #: Frame-auth secret for the registry link (the peer's
     #: ``auth_secret``).
     registry_secret: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.workers != 1:
+            raise SettingsError(
+                f"ServiceConfig.workers must be 1, got {self.workers!r}: "
+                f"the service runs one dispatcher; scale out with shards",
+                name="workers", value=str(self.workers))
 
 
 @dataclass
@@ -184,18 +192,14 @@ class LoopService:
         self.config = config
         self.stats = ServiceStats()
         self._queue: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-        self._threads: list[threading.Thread] = []
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self._accepting = True
-        self._started = False
         self._closed = False
-        # Single-flight bookkeeping: digest -> Event the leader sets
-        # once the shared cache holds the core entry; plus every digest
-        # ever completed (late duplicates are dedup hits too).
-        self._inflight: dict[str, threading.Event] = {}
+        # Every digest translated successfully in this lifetime: later
+        # requests for it are dedup hits.
         self._done_keys: set[str] = set()
-        #: Cleared while :meth:`hold` parks the dispatchers.
+        #: Cleared while :meth:`hold` parks the dispatcher.
         self._dispatching = threading.Event()
         self._dispatching.set()
         self._sessions: dict[str, ServiceSession] = {}
@@ -210,43 +214,27 @@ class LoopService:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "LoopService":
-        """Boot the dispatchers (and the process pool when workers > 1).
+        """Boot the dispatcher thread.
 
         Separate from construction so tests and callers may enqueue
         work first: requests submitted before ``start()`` simply wait
         in the bounded queue.
         """
-        if self._started:
+        if self._thread is not None:
             return self
         if self.config.settings is not None:
             self.config.settings.apply()
         if self.config.artifact_path:
-            # Before the fork: children inherit the adopted entries.
             from repro import aot
             adopted = aot.install(self.config.artifact_path)
             obs.set_gauge("service.artifact_entries", adopted)
-        if self.config.workers > 1:
-            # Fork *before* the dispatcher threads exist: forking a
-            # multithreaded process can deadlock the children.
-            import multiprocessing
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_pool_init)
         if self.config.registry_addr is not None:
-            # After the fork: pool children must not inherit a live
-            # fetcher (their misses ship home as hints instead — see
-            # _cache_hints).
             self._prev_fetcher = perf.translation_cache().set_fetcher(
                 self._registry_fetch)
             self._registry_installed = True
-        self._started = True
-        for index in range(self.config.workers):
-            thread = threading.Thread(target=self._dispatch_loop,
-                                      name=f"repro-service-{index}",
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._thread = threading.Thread(target=self._dispatch_loop,
+                                        name="repro-service", daemon=True)
+        self._thread.start()
         return self
 
     def __enter__(self) -> "LoopService":
@@ -259,7 +247,7 @@ class LoopService:
         """Stop admission, optionally drain queued work, shut down.
 
         With ``drain`` every admitted request completes before the
-        dispatchers exit; without it, still-queued requests fail with
+        dispatcher exits; without it, still-queued requests fail with
         :class:`~repro.errors.ServiceClosed`.  Idempotent.
         """
         with self._lock:
@@ -270,21 +258,15 @@ class LoopService:
         if not drain:
             self._cancel_pending()
         self._dispatching.set()
-        if self._started:
-            for _ in self._threads:
-                self._queue.put(_SENTINEL)
-            deadline = time.monotonic() + self.config.drain_timeout_s
-            for thread in self._threads:
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
-                if thread.is_alive():
-                    self.stats.drained = False
-                    record_incident(
-                        "service-stall", "service",
-                        f"dispatcher {thread.name} still running after "
-                        f"{self.config.drain_timeout_s:.0f}s drain window")
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        if self._thread is not None:
+            self._queue.put(_SENTINEL)
+            self._thread.join(timeout=self.config.drain_timeout_s)
+            if self._thread.is_alive():
+                self.stats.drained = False
+                record_incident(
+                    "service-stall", "service",
+                    f"dispatcher {self._thread.name} still running after "
+                    f"{self.config.drain_timeout_s:.0f}s drain window")
         else:
             self._cancel_pending()
         if self._registry_installed:
@@ -500,9 +482,9 @@ class LoopService:
 
     @contextmanager
     def hold(self) -> Iterator[None]:
-        """Park the dispatchers while the block runs.
+        """Park the dispatcher while the block runs.
 
-        No request starts executing inside the block: each dispatcher
+        No request starts executing inside the block: the dispatcher
         finishes the one it is running, then parks holding at most one
         more.  Admitted work piles up, so admission grades every
         submission against a standing backlog — a known queue state
@@ -553,91 +535,28 @@ class LoopService:
     def _execute(self, request: _Request):
         if request.kind == "translate":
             return self._execute_translate(request)
-        if self._pool is not None:
-            return self._in_pool(request.kind, request.payload)
         return _execute_local(request.kind, request.payload)
 
     def _execute_translate(self, request: _Request):
         loop, config, options = request.payload
         key = translation_key(loop, config, options)
-        leader = False
+        result = translate_loop(loop, config, options)
+        # Recorded only once translate_loop has returned: a translation
+        # that raised is not cached work, so admission must not wave a
+        # later copy through as ``ok-cached``.
         with self._lock:
             if key in self._done_keys:
-                event = None          # already translated: cache serve
-            elif key in self._inflight:
-                event = self._inflight[key]
+                self.stats.dedup_hits += 1
+                counter = "service.dedup_hits"
             else:
-                event = self._inflight[key] = threading.Event()
-                leader = True
-        if leader:
-            try:
-                if self._pool is not None:
-                    result = self._in_pool("translate", request.payload)
-                else:
-                    result = translate_loop(loop, config, options)
-            finally:
-                with self._lock:
-                    self._done_keys.add(key)
-                    self._inflight.pop(key, None).set()
-            with self._lock:
+                self._done_keys.add(key)
                 self.stats.translated += 1
-            obs.inc("service.translated")
-            return result
-        if event is not None:
-            event.wait()
-        # Follower: the shared cache now holds the core entry, so this
-        # re-translation is a cache hit plus this request's *own*
-        # capacity finalization — correct even when the duplicate asked
-        # with a different register file than the leader.
-        with self._lock:
-            self.stats.dedup_hits += 1
-        obs.inc("service.dedup_hits")
-        return translate_loop(loop, config, options)
-
-    def _in_pool(self, kind: str, payload: tuple):
-        future = self._pool.submit(_pool_task, kind, payload,
-                                   self._cache_hints(kind, payload))
-        result, entries, perf_delta, obs_delta = future.result()
-        cache = perf.translation_cache()
-        for key, entry in entries.items():
-            cache.seed(key, entry)
-        perf.merge_counters(perf_delta)
-        obs.merge_metrics(obs_delta)
+                counter = "service.translated"
+        obs.inc(counter)
         return result
 
-    def _cache_hints(self, kind: str, payload: tuple) -> dict:
-        """Shared-code-cache entries to ship with a pool request.
-
-        Pool children have their own cache instances; a request whose
-        translation the service already holds must not be translated
-        again in a cold child — the parent sends the entry along and
-        the child seeds it, so the child's lookup is the same cache
-        hit the in-process path would take.
-        """
-        if kind == "run_loop":
-            loop, accelerator, options = payload[:3]
-        elif kind == "translate":
-            loop, accelerator, options = payload
-        else:
-            return {}
-        if accelerator is None:
-            return {}
-        key = translation_key(loop, accelerator, options)
-        cache = perf.translation_cache()
-        # Pool children have no registry link (forked before the
-        # fetcher installed): pull on their behalf, stats-neutral, so
-        # a fleet-warm entry rides the hint instead of re-translating.
-        cache.fetch_remote(key)
-        entry = cache.peek(key)
-        return {} if entry is None else {key: entry}
-
-
-# -- execution bodies (shared by in-process and pool paths) -------------------
 
 def _execute_local(kind: str, payload: tuple):
-    if kind == "translate":
-        loop, config, options = payload
-        return translate_loop(loop, config, options)
     if kind == "run_loop":
         from repro.cpu.pipeline import ARM11
         from repro.vm.runtime import VMConfig, VirtualMachine
@@ -655,34 +574,6 @@ def _execute_local(kind: str, payload: tuple):
         config, benchmarks, annotate = payload
         return run_suite(config, benchmarks=benchmarks, annotate=annotate)
     raise ValueError(f"unknown request kind {kind!r}")
-
-
-def _pool_init() -> None:
-    os.environ[perf.IN_WORKER_ENV] = "1"
-
-
-def _pool_task(kind: str, payload: tuple, hints: Optional[dict] = None):
-    """Top-level (picklable) pool body.
-
-    Seeds the parent's shipped cache ``hints`` first (the shared code
-    cache follows the request into the child), then ships home
-    everything the parent must merge for aggregate state to match a
-    serial run: the result, the cache entries this task newly computed
-    (the parent *seeds* them — stats-neutral — so followers and later
-    sessions hit them in-process), and the perf/obs counter deltas,
-    mirroring ``parallel_map``'s worker accounting.
-    """
-    cache = perf.translation_cache()
-    for key, entry in (hints or {}).items():
-        cache.seed(key, entry)
-    before_keys = set(cache._entries)
-    perf_before = perf.counter_snapshot()
-    obs_before = obs.metrics_snapshot()
-    result = _execute_local(kind, payload)
-    new_entries = {key: cache._entries[key]
-                   for key in set(cache._entries) - before_keys}
-    return (result, new_entries, perf.counter_delta(perf_before),
-            obs.metrics_delta(obs_before))
 
 
 def _observe_latency(request: _Request) -> None:

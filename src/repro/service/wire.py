@@ -30,7 +30,7 @@ to hold the header length, or a header length that overruns the
 payload, is ``bad-json``.
 A protocol error means the stream may no longer be frame-aligned; both
 peers respond by closing the connection (the client reconnects and
-resubmits — safe, because single-flight dedup on the transcache digest
+resubmits — safe, because dedup on the transcache digest
 makes identical translations exactly-once).
 
 Trust model

@@ -539,7 +539,7 @@ def _translate_core(loop: Loop, core_config: LAConfig,
     entry = CoreEntry(loop_name=loop.name)
     # One increment per *actual* pipeline execution.  Unlike
     # ``translator.translations`` (per call, cache hits included) this
-    # is the counter that proves single-flight dedup: N concurrent
+    # is the counter that proves the service's digest dedup: N
     # submissions of one digest must move it by exactly 1.
     obs.inc("translator.core_runs")
 

@@ -2,14 +2,14 @@
 
 One declared configuration schema that both measurement drivers in
 :mod:`repro.xp.runner` (the engine-tier figure passes and the service
-worker/shard series) execute and report against.  A ``Config`` is a
+in-process/shard series) execute and report against.  A ``Config`` is a
 frozen dataclass, so it is hashable and its :func:`config_digest` is
 stable across processes and machines — the key under which the run
 store (:mod:`repro.xp.store`) files records and the compare gate
 (:mod:`repro.xp.compare`) matches baselines.
 
 ``PRESETS`` is the registry of named configurations (``smoke``,
-``default``, ``warm-l2``, ``cold-l1``, ``service-2shard``, ...);
+``default``, ``warm-l2``, ``cold-l1``, ``service``, ...);
 :func:`preset` resolves a name or raises
 :class:`~repro.errors.SettingsError` listing what exists — a typo must
 fail loudly, exactly like a bad ``REPRO_*`` variable.
@@ -38,7 +38,7 @@ DEFAULT_FIGURES = SWEEP_FIGURES + ("utilization",)
 
 #: What a figure Config measures: ``figures`` runs the engine-tier
 #: passes per figure; ``service`` drives
-#: ``service.loadgen.measure_service``'s worker/shard series.
+#: ``service.loadgen.measure_service``'s in-process/shard series.
 KINDS = ("figures", "service")
 
 #: Translation-cache mode for a run: in-memory only, or with the
@@ -59,9 +59,12 @@ class Config:
     instead of paying the slow engine-off pass (the ``warm-l2``
     preset).
 
-    Service axes (``kind="service"``): ``workers`` and ``shards`` are
-    the series of pool/fleet sizes driven, ``clients`` the racing
-    client threads, ``run_kernels`` the measured executions per client.
+    Service axes (``kind="service"``): ``workers`` runs the in-process
+    row once per entry, and its only valid value is 1 (a service runs
+    one dispatcher; the field stays because it is part of every
+    committed baseline's config digest).  ``shards`` is the series of
+    fleet sizes driven, ``clients`` the racing client threads,
+    ``run_kernels`` the measured executions per client.
     """
 
     name: str
@@ -175,6 +178,10 @@ def validate(config: Config, figure_names=None) -> Config:
             series = getattr(config, axis)
             if any(not isinstance(v, int) or v < 1 for v in series):
                 bad(axis, series, "must be integers >= 1")
+        if any(v != 1 for v in config.workers):
+            bad("workers", config.workers,
+                "must be 1 (one dispatcher per service); scale out "
+                "with shards")
         if not isinstance(config.clients, int) or config.clients < 1:
             bad("clients", config.clients, "must be an integer >= 1")
         if not isinstance(config.run_kernels, int) or config.run_kernels < 0:
@@ -228,9 +235,6 @@ register_preset(Config(
     description="compiled tier only: reference + cold/warm level-1 "
                 "passes, no specialization"))
 register_preset(Config(
-    name="service-workers", kind="service", workers=(1, 2),
-    description="worker-pool throughput/latency series, "
-                "dedup-exact verdict"))
-register_preset(Config(
-    name="service-2shard", kind="service", shards=(1, 2),
-    description="sharded-cluster throughput/latency series"))
+    name="service", kind="service", workers=(1,), shards=(1, 2),
+    description="in-process and sharded-cluster throughput/latency "
+                "series, dedup-exact verdict"))

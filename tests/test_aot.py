@@ -420,9 +420,7 @@ def test_restarted_shard_pulls_a_missed_key_from_its_peer(tmp_path):
                            shard_retry=retry).connect() as client:
             for loop, config, options in corpus:
                 client.translate(loop, config, options, deadline_s=120.0)
-            corpus_core_runs = sum(
-                s["counters"].get("translator.core_runs", 0)
-                for s in supervisor.shard_stats().values())
+            corpus_core_runs = supervisor.core_runs()
             # The owner pays the single core run for the extra key.
             client.translate(*extra, deadline_s=120.0)
             owners = [sid for sid, s in supervisor.shard_stats().items()

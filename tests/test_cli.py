@@ -102,3 +102,14 @@ def test_stats_strict_rejects_bad_records(tmp_path, capsys):
                    '"component": "c", "message": "m", "details": {}}\n')
     assert main(["stats", "--strict", str(bad)]) == 1
     assert "schema violation" in capsys.readouterr().err
+
+
+def test_serve_command_serves_every_request(monkeypatch, capsys):
+    from repro.service import loadgen
+    corpus = loadgen.request_corpus()[:3]
+    monkeypatch.setattr(loadgen, "request_corpus", lambda: corpus)
+    assert main(["serve", "--sessions", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "2 sessions x 3 translate requests over TCP" in out
+    assert "served 6/6" in out
+    assert "drained: yes  orphaned connections: 0" in out

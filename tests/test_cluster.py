@@ -168,18 +168,13 @@ def test_failover_serves_through_kill_then_replay_adds_no_runs():
             # across routing, failover and restart).
             for loop in corpus:
                 assert client.translate(loop).ok
-            baseline = _fleet_core_runs(supervisor)
+            baseline = supervisor.core_runs()
             for loop in corpus:
                 assert client.translate(loop).ok
-            assert _fleet_core_runs(supervisor) == baseline
+            assert supervisor.core_runs() == baseline
     finally:
         supervisor.stop()
     assert supervisor.orphan_pids() == []
-
-
-def _fleet_core_runs(supervisor: ShardSupervisor) -> int:
-    return sum(s.get("counters", {}).get("translator.core_runs", 0)
-               for s in supervisor.shard_stats().values())
 
 
 # -- auth propagation (wire HMAC across the whole map) ------------------------

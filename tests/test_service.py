@@ -116,19 +116,44 @@ def test_hold_parks_dispatch_until_released():
         assert all(f.result(timeout=60).ok for f in futures)
 
 
-def test_pool_workers_return_identical_results():
-    from repro.accelerator import PROPOSED_LA
-    loop = K.checksum(trip_count=64)
-    with LoopService(ServiceConfig(workers=2)) as service:
-        session = service.open_session("pool")
-        translated = session.translate(loop).result(timeout=120)
-        ran = session.run_loop(loop, seed=5).result(timeout=120)
-    assert translated.ok
-    perf.clear_caches()
-    direct = translate_loop(loop, PROPOSED_LA, TranslationOptions())
-    assert translated.image.schedule.times == direct.image.schedule.times
-    perf.clear_caches()
-    assert ran == api.run_loop(loop, seed=5)
+def test_failed_translation_is_not_admitted_as_cached_work(monkeypatch):
+    """A translation that raised leaves nothing in the cache, so under
+    load a later copy must be graded as uncached work, not waved
+    through as ``ok-cached`` to pay (and fail) the translation again."""
+    from repro.service import server as server_mod
+    from repro.service.admission import AdmissionPolicy
+    from repro.vm.translator import translation_key
+
+    def broken(*_args):
+        raise RuntimeError("translator crashed")
+
+    monkeypatch.setattr(server_mod, "translate_loop", broken)
+    loop = K.fir_filter(taps=4)
+    # Low watermark 0: every priority-0 submission is shed unless it
+    # is cached work; priority-1 sessions are admitted as usual.
+    service = LoopService(ServiceConfig(
+        admission=AdmissionPolicy(low_watermark=0.0))).start()
+    try:
+        first = service.open_session("standard").translate(loop)
+        with pytest.raises(RuntimeError, match="translator crashed"):
+            first.result(timeout=60)
+        with pytest.raises(AdmissionRejected) as info:
+            service.open_session("best-effort", priority=0) \
+                .translate(loop)
+        assert info.value.decision == "shed-low-priority"
+    finally:
+        stats = service.close()
+    key = translation_key(loop, PROPOSED_LA, TranslationOptions())
+    assert perf.translation_cache().peek(key) is None
+    assert stats.admission.get("ok-cached") is None
+    assert stats.translated == 0
+
+
+def test_service_config_allows_only_one_worker():
+    from repro.errors import SettingsError
+    assert ServiceConfig(workers=1).workers == 1
+    with pytest.raises(SettingsError, match="scale out with shards"):
+        ServiceConfig(workers=2)
 
 
 def test_overload_rejects_and_records_incident():

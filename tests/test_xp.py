@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
@@ -15,6 +16,9 @@ from repro.xp import store
 from repro.xp.aggregate import aggregate_records, quantile, summarize
 from repro.xp.compare import compare_aggregate
 from repro.xp.config import Config
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def fake_registry():
@@ -98,11 +102,27 @@ class TestConfig:
             xp.validate(Config(name="svc", kind="service"))
         with pytest.raises(SettingsError, match="integers >= 1"):
             xp.validate(Config(name="svc", kind="service", workers=(0,)))
+        with pytest.raises(SettingsError, match="scale out with shards"):
+            xp.validate(Config(name="svc", kind="service", workers=(2,)))
 
     def test_presets_validate_against_the_real_registry(self):
         for config in xp.PRESETS.values():
             if config.kind == "figures":
                 xp.validate(config)
+
+    def test_committed_baselines_match_their_preset_digests(self):
+        """Every committed baseline still matches its preset: a change
+        to the Config schema (adding or dropping a field) moves every
+        digest and would orphan these files."""
+        paths = sorted(glob.glob(os.path.join(
+            ROOT, "benchmarks", "results", "baselines", "*.json")))
+        assert paths
+        for path in paths:
+            with open(path) as handle:
+                baseline = json.load(handle)
+            name = os.path.splitext(os.path.basename(path))[0]
+            assert baseline["config_digest"] == \
+                xp.config_digest(xp.preset(name)), name
 
 
 # -- the run store ------------------------------------------------------------
@@ -538,7 +558,29 @@ class TestServiceDriver:
         assert row["core_runs"] == 3 and row["unique_digests"] == 1
         assert row["ok"] is False
 
+    def test_shard_row_gates_on_exact_dedup(self, monkeypatch):
+        from repro.accelerator import PROPOSED_LA
+        from repro.service import loadgen
+        from repro.vm.translator import TranslationOptions
+        from repro.workloads.suite import media_fp_benchmarks
+        kernels = [kernel for bench in media_fp_benchmarks()
+                   for kernel in bench.kernels][:3]
+        corpus = [(kernel, PROPOSED_LA, TranslationOptions())
+                  for kernel in kernels]
+        monkeypatch.setattr(loadgen, "request_corpus", lambda: corpus)
+        [row] = loadgen.measure_service(shards=(1,), clients=2)
+        assert row["ok"], row
+        assert row["core_runs"] == row["unique_digests"] == 3
+        # One digest counted for three distinct kernels: the fleet
+        # still pays three core runs, so the row fails.
+        monkeypatch.setattr(loadgen, "translation_key",
+                            lambda *_item: "one-digest")
+        [row] = loadgen.measure_service(shards=(1,), clients=2)
+        assert row["core_runs"] == 3 and row["unique_digests"] == 1
+        assert row["ok"] is False
+
     def test_service_config_validates(self):
-        config = xp.preset("service-workers")
+        config = xp.preset("service")
         assert config.kind == "service"
+        assert (config.workers, config.shards) == ((1,), (1, 2))
         xp.validate(config)
