@@ -16,21 +16,6 @@ import pytest
 RESULTS = pathlib.Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--repro-jobs", type=int, default=None,
-        help="worker processes for experiment sweep fan-out "
-             "(default: REPRO_JOBS or 1); results are identical at "
-             "any job count")
-
-
-def pytest_configure(config):
-    jobs = config.getoption("--repro-jobs")
-    if jobs is not None:
-        from repro import perf
-        perf.set_jobs(jobs)
-
-
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
     RESULTS.mkdir(exist_ok=True)

@@ -101,7 +101,7 @@ __all__ = [
 def __getattr__(name: str):
     # ``repro.service`` stays a lazy attribute: the service pulls in
     # concurrent.futures/multiprocessing machinery that plain library
-    # use (and every forked pool worker) should not pay for.
+    # use should not pay for.
     if name == "service":
         import repro.service as service
         return service

@@ -148,7 +148,7 @@ def code_cache_limit() -> int:
         return _code_cache_limit_override
     raw = os.environ.get(JIT_CACHE_ENV)
     if raw:
-        # Permissive like REPRO_JOBS: Settings.from_env rejects loudly.
+        # Permissive on purpose: Settings.from_env rejects loudly.
         try:
             return max(1, int(raw))
         except ValueError:

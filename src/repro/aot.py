@@ -264,8 +264,8 @@ def install(path: str) -> int:
 
     Returns the number of entries adopted (0 when the artifact was
     quarantined — the transparent-fallback path).  Adoption is
-    stats-neutral first-writer-wins, exactly like pool-worker seeding,
-    so figures stay byte-identical through the artifact path.
+    stats-neutral first-writer-wins, so figures stay byte-identical
+    through the artifact path.
     """
     from repro import perf
     artifact = load_artifact(path)

@@ -3,11 +3,11 @@
 Every way of driving the system from outside — examples, the CLI, the
 loop-acceleration service (:mod:`repro.service`), tests, notebooks —
 goes through this one facade instead of reaching into the internals
-(``vm.runtime``, ``experiments.*``, ``perf.parallel``):
+(``vm.runtime``, ``experiments.*``, ``perf``):
 
 * :class:`Settings` — one consolidated, validated configuration object
-  for the whole stack (worker count, engine switch, disk cache, trace
-  sink, incident log), loadable from the environment with
+  for the whole stack (engine switch, disk cache, trace sink, incident
+  log, service endpoint), loadable from the environment with
   :meth:`Settings.from_env`;
 * :class:`Session` — a configured (accelerator, options, CPU, guard)
   context with ``translate`` / ``run_loop`` / ``run_suite`` methods;
@@ -39,7 +39,6 @@ from repro.vm.translator import (
 )
 
 #: The env vars :meth:`Settings.from_env` consolidates, in one place.
-JOBS_ENV = "REPRO_JOBS"
 ENGINE_ENV = "REPRO_ENGINE"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 TRACE_ENV = "REPRO_TRACE"
@@ -72,15 +71,13 @@ class Settings:
     """One validated configuration for the whole stack.
 
     Replaces the scattered knobs (``REPRO_CACHE_DIR`` handling in the
-    CLI, ``perf.set_jobs`` calls, ``REPRO_TRACE``/``REPRO_INCIDENT_LOG``
-    read in three different modules) with a single object the service,
-    the CLI and the tests all construct the same way.  :meth:`apply`
+    CLI, ``REPRO_TRACE``/``REPRO_INCIDENT_LOG`` read in three different
+    modules) with a single object the service, the CLI and the tests
+    all construct the same way.  :meth:`apply`
     pushes the values into the global switches; nothing is applied at
     construction time, so a ``Settings`` is inert data until then.
     """
 
-    #: Worker processes experiment fan-out may use (1 = serial).
-    jobs: int = 1
     #: Engine tier: 0 = reference interpreter only, 1 = compiled per-op
     #: closures + caching, 2 = specialized kernels (the default).
     #: Boolean spellings still parse (False -> 0, True -> 2).
@@ -124,7 +121,6 @@ class Settings:
 
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None, *,
-                 jobs: Optional[int | str] = None,
                  engine: Optional[bool | int | str] = None,
                  cache_dir: Optional[str] = None,
                  trace_path: Optional[str] = None,
@@ -143,18 +139,13 @@ class Settings:
                  ) -> "Settings":
         """Load settings from *environ* (default ``os.environ``).
 
-        Explicit keyword overrides (e.g. a ``--jobs`` CLI flag) win
+        Explicit keyword overrides (e.g. a ``--shards`` CLI flag) win
         over the environment.  Invalid values raise
         :class:`~repro.errors.SettingsError` naming the offending
         variable — a typo must fail loudly at startup, not silently
         fall back to a default.
         """
         env = os.environ if environ is None else environ
-        if jobs is not None:
-            job_count = cls._parse_jobs(jobs, "--jobs")
-        else:
-            raw = env.get(JOBS_ENV)
-            job_count = cls._parse_jobs(raw, JOBS_ENV) if raw else 1
         engine_source = "engine" if engine is not None else ENGINE_ENV
         if engine is None:
             engine = env.get(ENGINE_ENV)
@@ -174,7 +165,6 @@ class Settings:
         if bench_repeat is None:
             bench_repeat = env.get(BENCH_REPEAT_ENV, 1)
         return cls(
-            jobs=job_count,
             engine=engine_level,
             cache_dir=cache_dir or env.get(CACHE_DIR_ENV) or None,
             trace_path=trace_path or env.get(TRACE_ENV) or None,
@@ -214,20 +204,6 @@ class Settings:
                 f"{source} must be an engine level 0..2 or a boolean "
                 f"spelling, got {value!r}",
                 name=source, value=str(value)) from None
-
-    @staticmethod
-    def _parse_jobs(value: int | str, source: str) -> int:
-        try:
-            jobs = int(value)
-        except (TypeError, ValueError):
-            raise SettingsError(
-                f"{source} must be an integer, got {value!r}",
-                name=source, value=str(value)) from None
-        if jobs < 1:
-            raise SettingsError(
-                f"{source} must be >= 1, got {jobs}",
-                name=source, value=str(value))
-        return jobs
 
     @staticmethod
     def _parse_int(value: int | str, source: str, minimum: int = 0,
@@ -281,7 +257,6 @@ class Settings:
         from repro.perf import transcache
         from repro.resilience.incidents import incident_log
         perf.set_engine_level(self.engine)
-        perf.set_jobs(self.jobs)
         if self.cache_budget is not None:
             transcache.set_gc_budget(self.cache_budget)
         if self.jit_cache is not None:
@@ -362,12 +337,11 @@ class Session:
         return self._machine().run_benchmark(benchmark)
 
     def run_suite(self, benchmarks: Optional[list] = None,
-                  annotate: bool = False,
-                  jobs: Optional[int] = None) -> dict[str, AppRun]:
+                  annotate: bool = False) -> dict[str, AppRun]:
         """Run the benchmark suite under this session's config."""
         from repro.experiments.common import _run_suite
         return _run_suite(self.vm_config(), benchmarks=benchmarks,
-                          annotate=annotate, jobs=jobs)
+                          annotate=annotate)
 
 
 # -- one-shot conveniences ----------------------------------------------------
@@ -395,33 +369,28 @@ def run_loop(loop, config: Optional[LAConfig] = None,
 
 def run_suite(config: Optional[VMConfig] = None,
               benchmarks: Optional[list] = None,
-              annotate: bool = False,
-              jobs: Optional[int] = None) -> dict[str, AppRun]:
+              annotate: bool = False) -> dict[str, AppRun]:
     """Run every benchmark under *config*; returns runs by name.
 
     *config* is a full :class:`~repro.vm.runtime.VMConfig` (default:
-    ARM11 + the proposed LA).  ``jobs`` > 1 fans benchmarks over worker
-    processes; the result is byte-identical at any job count.
+    ARM11 + the proposed LA).
     """
     from repro.experiments.common import _run_suite
     if config is None:
         config = VMConfig(cpu=ARM11, accelerator=_default_accelerator())
-    return _run_suite(config, benchmarks=benchmarks, annotate=annotate,
-                      jobs=jobs)
+    return _run_suite(config, benchmarks=benchmarks, annotate=annotate)
 
 
 def sweep(label: str, xs: Sequence[int],
           make_config: Callable[[int], LAConfig],
-          benchmarks: Optional[list] = None,
-          jobs: Optional[int] = None):
+          benchmarks: Optional[list] = None):
     """Design-space sweep: ``make_config(x)`` for every x.
 
     Returns a :class:`~repro.experiments.sweeps.SweepSeries` whose
-    fractions come back in x order at any job count.
+    fractions come back in x order.
     """
     from repro.experiments.sweeps import _sweep
-    return _sweep(label, list(xs), make_config, benchmarks=benchmarks,
-                  jobs=jobs)
+    return _sweep(label, list(xs), make_config, benchmarks=benchmarks)
 
 
 def fraction_of_infinite(config: LAConfig,
@@ -432,14 +401,21 @@ def fraction_of_infinite(config: LAConfig,
 
 
 def run_figure(name: str, jobs: Optional[int] = None) -> str:
-    """Regenerate one paper figure/table by name; returns its text."""
-    from repro import perf
+    """Regenerate one paper figure/table by name; returns its text.
+
+    A figure pass runs in one process.  *jobs* accepts only ``None`` or
+    ``1`` and exists because the committed benchmark harness still
+    passes ``jobs=1``; any other value raises
+    :class:`~repro.errors.SettingsError`.
+    """
     from repro.experiments.figures import FIGURES
+    if jobs not in (None, 1):
+        raise SettingsError(
+            f"jobs must be 1 (a figure pass runs in one process), "
+            f"got {jobs!r}", name="jobs", value=str(jobs))
     if name not in FIGURES:
         raise KeyError(f"unknown figure {name!r}; available: "
                        + ", ".join(sorted(FIGURES)))
-    if jobs is not None:
-        perf.set_jobs(jobs)
     _description, fn = FIGURES[name]
     return fn()
 

@@ -9,12 +9,11 @@ inspects a kernel's translation without writing code:
     python -m repro translate adpcm_dec        # one loop, full detail
     python -m repro kernels                    # the workload library
     python -m repro faults -n 120 --seed 2008  # guarded-mode fault campaign
-    python -m repro fig3a --jobs 4             # parallel sweep evaluation
     python -m repro xp run --preset smoke      # time the engine tiers
     python -m repro xp run -p service          # time the service, dedup gate
     python -m repro xp compare -p smoke        # regression gate vs baseline
     python -m repro chaos -n 24 --seed 2008    # infrastructure chaos campaign
-    python -m repro trace fig8 --jobs 2        # figure + JSONL span trace
+    python -m repro trace fig8                 # figure + JSONL span trace
     python -m repro stats TRACE_fig8.jsonl     # summarise a trace file
     python -m repro serve --sessions 3         # service smoke over TCP loopback
     python -m repro netchaos -n 20 --seed 2008 # network-fault chaos campaign
@@ -335,8 +334,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     xp.add_argument("--figures", default=None,
                     help="override the preset's figure set (changes "
                          "the config digest, so baselines won't match)")
-    xp.add_argument("--jobs", "-j", type=int, default=None,
-                    help="override the preset's sweep fan-out")
     xp.add_argument("--repeat", "-n", type=int, default=None,
                     help="repeats per run (default: REPRO_BENCH_REPEAT "
                          "or 1)")
@@ -364,9 +361,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     trace.add_argument("--output", "-o", default=None,
                        help="trace file path (default benchmarks/results/"
                             "TRACE_<figure>.jsonl)")
-    trace.add_argument("--jobs", "-j", type=int, default=None,
-                       help="worker processes for sweep fan-out "
-                            "(default: REPRO_JOBS or 1)")
     serve = sub.add_parser("serve",
                            help="boot the loop-acceleration service, "
                                 "serve a short multi-session workload, "
@@ -432,15 +426,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         fig = sub.add_parser(name, help=description)
         fig.add_argument("--output", "-o", default=None,
                          help="also write the table to this file")
-        fig.add_argument("--jobs", "-j", type=int, default=None,
-                         help="worker processes for sweep fan-out "
-                              "(default: REPRO_JOBS or 1)")
         fig.add_argument("--trace", default=None, metavar="PATH",
                          help="also write a JSONL span trace to PATH")
     args = parser.parse_args(argv)
 
-    # One validated Settings loader covers every knob (--jobs,
-    # REPRO_JOBS, REPRO_CACHE_DIR, REPRO_INCIDENT_LOG); an unusable
+    # One validated Settings loader covers every knob (REPRO_ENGINE,
+    # REPRO_CACHE_DIR, REPRO_INCIDENT_LOG, ...); an unusable
     # explicit override is a configuration error the user must see at
     # startup, not a silent fallback.
     from repro.api import Settings
@@ -453,8 +444,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         environ = {k: v for k, v in os.environ.items()
                    if k != "REPRO_ARTIFACT"}
     try:
-        Settings.from_env(environ,
-                          jobs=getattr(args, "jobs", None)).apply()
+        Settings.from_env(environ).apply()
     except (SettingsError, CacheConfigError, ArtifactError) as exc:
         print(f"error: [{exc.kind}] {exc}", file=sys.stderr)
         return 2
@@ -523,13 +513,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
         try:
             config = xpm.preset(args.preset or xpm.DEFAULT_PRESET)
-            overrides = {}
             if args.figures:
-                overrides["figures"] = tuple(args.figures.split(","))
-            if args.jobs is not None:
-                overrides["jobs"] = args.jobs
-            if overrides:
-                config = config.with_(**overrides)
+                config = config.with_(
+                    figures=tuple(args.figures.split(",")))
             if args.action == "run":
                 run = xpm.run_config(config, repeat=args.repeat,
                                      directory=args.dir, progress=say)

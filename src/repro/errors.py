@@ -20,11 +20,11 @@ The taxonomy has two trunks:
   semantic divergence).  These trigger deoptimization in the guarded
   runtime (:mod:`repro.vm.guard`).
 * :class:`InfrastructureError` — the *experiment infrastructure* (the
-  on-disk translation cache, the worker pool) misbehaved.  These never
+  on-disk translation cache, an AOT artifact) misbehaved.  These never
   change a result: the resilience layer (:mod:`repro.resilience`)
-  quarantines, retries or degrades to the serial/rebuild path, and
-  records an incident under the same ``kind`` taxonomy so guard deopts
-  and infrastructure faults share one observability surface.
+  quarantines, retries or rebuilds, and records an incident under the
+  same ``kind`` taxonomy so guard deopts and infrastructure faults
+  share one observability surface.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class SettingsError(ReproError):
     """A configuration value (env var or explicit override) is invalid.
 
     Raised by :meth:`repro.api.Settings.from_env` so a mistyped
-    ``REPRO_JOBS=banana`` fails loudly at startup with the offending
+    ``REPRO_SHARDS=banana`` fails loudly at startup with the offending
     variable named, instead of silently defaulting — the same posture
     :class:`CacheConfigError` takes for an unusable cache directory.
     """
@@ -239,7 +239,7 @@ class ServiceOverload(ServiceError):
     Raised at submission time when the bounded request queue is full —
     the typed signal a client uses to back off and retry.  Every
     rejection is also an incident record, so overload shows up on the
-    same observability surface as cache corruption and worker losses.
+    same observability surface as cache corruption and shard deaths.
     """
 
     kind = "service-overload"
@@ -376,11 +376,11 @@ class CircuitOpenError(TransportError):
 # -- infrastructure failures --------------------------------------------------
 
 class InfrastructureError(ReproError):
-    """The experiment infrastructure (cache, worker pool) misbehaved.
+    """The experiment infrastructure (cache, artifact) misbehaved.
 
     Unlike translation/execution failures these say nothing about the
     *workload*: the resilience layer recovers (quarantine + rebuild,
-    retry + serial fallback) and results stay bit-identical.  They are
+    retry) and results stay bit-identical.  They are
     raised to callers only when recovery itself is impossible (a task
     that fails deterministically, an explicitly configured cache
     directory that cannot be used).
@@ -446,14 +446,14 @@ class ArtifactError(InfrastructureError):
 
 
 class WorkerTaskError(InfrastructureError):
-    """A sweep task raised inside a worker (or on the serial path).
+    """A sweep task raised.
 
     Deterministic task failures are not retried — the same inputs would
     fail again — so the original exception is re-raised in this typed
     form with the originating item attached (``item_index`` into the
-    fan-out batch plus the caller's human-readable ``point`` label,
-    e.g. ``"fig3a:IEx (1 CCA)[x=8]"``).  The original exception rides
-    on ``__cause__``.
+    sweep batch plus the caller's human-readable ``point`` label,
+    e.g. ``"IEx (1 CCA)[x=8]"``).  The original exception rides on
+    ``__cause__``.
     """
 
     kind = "worker-task"
@@ -463,23 +463,6 @@ class WorkerTaskError(InfrastructureError):
         super().__init__(message, **kw)
         self.item_index = item_index
         self.point = point
-
-
-class WorkerLostError(InfrastructureError):
-    """A worker process died (crash, OOM kill, signal) mid-task.
-
-    Recorded per loss; raised only if the bounded retry budget and the
-    serial fallback both fail, which indicates the parent process
-    itself is unhealthy.
-    """
-
-    kind = "worker-lost"
-
-
-class WorkerStallError(InfrastructureError):
-    """The pool made no progress for longer than the stall deadline."""
-
-    kind = "worker-timeout"
 
 
 __all__ = [
@@ -508,7 +491,5 @@ __all__ = [
     "TranslationBudgetExceeded",
     "TranslationError",
     "TransportError",
-    "WorkerLostError",
-    "WorkerStallError",
     "WorkerTaskError",
 ]

@@ -8,11 +8,13 @@ harness under ``benchmarks/`` simply calls these and prints the output.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.accelerator.config import LAConfig
 from repro.cpu.pipeline import ARM11
+from repro.errors import WorkerTaskError
 from repro.isa.annotations import annotate_for_veal
 from repro.vm.runtime import AppRun, VMConfig, VirtualMachine
 from repro.vm.translator import TranslationOptions
@@ -46,9 +48,9 @@ def suite_digest(benchmarks: Sequence[Benchmark]) -> str:
     Two suite objects with identical contents (names, kernel loops,
     scalars, seeds, acyclic fractions) digest identically no matter
     when or where they were constructed — the key under which
-    baseline/infinite runs are shared across sweep series and worker
-    processes (unlike an ``id()``-based key, which a garbage collector
-    can reuse for a different list).
+    baseline/infinite runs are shared across sweep series (unlike an
+    ``id()``-based key, which a garbage collector can reuse for a
+    different list).
     """
     from repro.perf.digest import digest_of, loop_digest
     parts = []
@@ -62,31 +64,39 @@ def suite_digest(benchmarks: Sequence[Benchmark]) -> str:
     return digest_of("suite", parts)
 
 
-def _run_one_benchmark(payload) -> AppRun:
-    """Top-level (picklable) worker: one benchmark under one config."""
-    config, bench, annotate = payload
-    if annotate:
-        bench = annotate_benchmark(bench)
-    vm = VirtualMachine(config)
-    return vm.run_benchmark(bench)
+@contextmanager
+def sweep_point(point: str, index: int) -> Iterator[None]:
+    """Re-raise a failure inside one sweep point as a typed
+    :class:`~repro.errors.WorkerTaskError` labelled *point*.
+
+    Nested points chain: a benchmark failing inside sweep point x=8
+    raises ``"IEx[x=8]"`` around ``"benchmark epic"``, so the
+    ``__cause__`` chain reads like a stack of sweep coordinates down to
+    the real exception, whose own ``kind`` survives on the innermost
+    link.
+    """
+    try:
+        yield
+    except Exception as exc:
+        kind = getattr(exc, "kind", type(exc).__name__)
+        raise WorkerTaskError(
+            f"sweep task failed at {point}: [{kind}] {exc}",
+            item_index=index, point=point) from exc
 
 
 def _run_suite(config: VMConfig,
                benchmarks: Optional[list[Benchmark]] = None,
-               annotate: bool = False,
-               jobs: Optional[int] = None) -> dict[str, AppRun]:
-    """Run every benchmark under *config*; returns runs by name.
-
-    ``jobs`` > 1 fans the benchmarks over worker processes (default:
-    the global ``--jobs`` setting); results merge in benchmark order
-    either way, so the returned mapping is identical to a serial run.
-    """
-    from repro.perf.parallel import parallel_map
+               annotate: bool = False) -> dict[str, AppRun]:
+    """Run every benchmark under *config*, each on a fresh VM; returns
+    runs by name, in benchmark order."""
     benches = media_fp_benchmarks() if benchmarks is None else benchmarks
-    payloads = [(config, bench, annotate) for bench in benches]
-    runs = parallel_map(_run_one_benchmark, payloads, jobs=jobs,
-                        label_of=lambda i: f"benchmark {benches[i].name}")
-    return {bench.name: run for bench, run in zip(benches, runs)}
+    runs: dict[str, AppRun] = {}
+    for index, bench in enumerate(benches):
+        with sweep_point(f"benchmark {bench.name}", index):
+            if annotate:
+                bench = annotate_benchmark(bench)
+            runs[bench.name] = VirtualMachine(config).run_benchmark(bench)
+    return runs
 
 
 def baseline_runs(benchmarks: Optional[list[Benchmark]] = None

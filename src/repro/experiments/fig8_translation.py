@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro import obs
 from repro.accelerator.config import PROPOSED_LA, LAConfig
-from repro.experiments.common import format_table, fmt
+from repro.experiments.common import format_table, fmt, sweep_point
 from repro.vm.costmodel import PHASES
 from repro.vm.translator import TranslationOptions, translate_loop
 from repro.workloads.suite import Benchmark, media_fp_benchmarks
@@ -46,15 +46,16 @@ class TranslationProfile:
     phase_totals: dict[str, float] = field(default_factory=dict)
 
 
-def _profile_one_benchmark(payload) -> TranslationProfile:
-    """Translate one benchmark's loops (pool-worker task).
+def _profile_one_benchmark(bench: Benchmark, config: LAConfig,
+                           options: TranslationOptions
+                           ) -> TranslationProfile:
+    """Translate one benchmark's loops.
 
     Consumes the translator's own ``translate`` spans — captured
     in-process via :func:`repro.obs.collect`, no file sink needed —
     instead of reading meters directly, so the figure is built from the
     same records a trace file would carry.
     """
-    bench, config, options = payload
     totals = {p: 0.0 for p in PHASES}
     count = 0
     skipped: dict[str, int] = {}
@@ -88,14 +89,13 @@ def run_translation_profile(
         benchmarks: Optional[list[Benchmark]] = None,
         config: LAConfig = PROPOSED_LA,
         options: TranslationOptions = TranslationOptions(),
-        jobs: Optional[int] = None,
 ) -> list[TranslationProfile]:
-    from repro.perf.parallel import parallel_map
-
     benches = media_fp_benchmarks() if benchmarks is None else benchmarks
-    payloads = [(bench, config, options) for bench in benches]
-    return parallel_map(_profile_one_benchmark, payloads, jobs=jobs,
-                        label_of=lambda i: benches[i].name)
+    profiles = []
+    for index, bench in enumerate(benches):
+        with sweep_point(bench.name, index):
+            profiles.append(_profile_one_benchmark(bench, config, options))
+    return profiles
 
 
 def suite_average(profiles: list[TranslationProfile]) -> dict[str, float]:

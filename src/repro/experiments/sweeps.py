@@ -24,6 +24,7 @@ from repro.experiments.common import (
     format_table,
     fmt,
     speedups,
+    sweep_point,
 )
 from repro.vm.runtime import VMConfig
 from repro.workloads.suite import Benchmark, media_fp_benchmarks
@@ -64,9 +65,9 @@ def _baseline_and_infinite(benches: list[Benchmark]) -> tuple[dict, dict]:
     return cached
 
 
-def _sweep_point(payload) -> float:
-    """Top-level (picklable) worker: one design point's mean fraction."""
-    config, benches, base, infinite = payload
+def _mean_fraction(config: LAConfig, benches: list[Benchmark],
+                   base: dict, infinite: dict) -> float:
+    """One design point's mean fraction of the infinite speedup."""
     point = speedups(base, _run_suite(_config_vm(config), benchmarks=benches))
     fractions = []
     for name in point:
@@ -82,30 +83,25 @@ def _fraction_of_infinite(config: LAConfig,
     """Mean fraction of infinite-resource speedup under *config*."""
     benches = media_fp_benchmarks() if benchmarks is None else benchmarks
     base, infinite = _baseline_and_infinite(benches)
-    return _sweep_point((config, benches, base, infinite))
+    return _mean_fraction(config, benches, base, infinite)
 
 
 def _sweep(label: str, xs: list[int],
            make_config: Callable[[int], LAConfig],
-           benchmarks: Optional[list[Benchmark]] = None,
-           jobs: Optional[int] = None) -> SweepSeries:
-    """Evaluate ``make_config(x)`` for every x.
-
-    The configs are materialised up front (``make_config`` may be a
-    lambda, which cannot cross a process boundary) and the points fan
-    out over :func:`~repro.perf.parallel.parallel_map`; fractions come
-    back in x order, so the series is identical at any job count.
+           benchmarks: Optional[list[Benchmark]] = None) -> SweepSeries:
+    """Evaluate ``make_config(x)`` for every x, in x order.
 
     A failing point is never silently swallowed: it surfaces as a
     typed :class:`~repro.errors.WorkerTaskError` naming the series and
     the x value that produced it (``"IEx (1 CCA)[x=8]"``).
     """
-    from repro.perf.parallel import parallel_map
     benches = media_fp_benchmarks() if benchmarks is None else benchmarks
     base, infinite = _baseline_and_infinite(benches)
-    payloads = [(make_config(x), benches, base, infinite) for x in xs]
-    fractions = parallel_map(_sweep_point, payloads, jobs=jobs,
-                             label_of=lambda i: f"{label}[x={xs[i]}]")
+    fractions = []
+    for index, x in enumerate(xs):
+        with sweep_point(f"{label}[x={x}]", index):
+            fractions.append(
+                _mean_fraction(make_config(x), benches, base, infinite))
     return SweepSeries(label=label, xs=xs, fractions=fractions)
 
 

@@ -7,10 +7,9 @@ Two injector families:
   pipeline executor; campaigns (:mod:`repro.faults.campaign`,
   ``python -m repro faults``) prove the differential guard detects,
   deoptimizes and recovers every observable corruption.
-* **Infrastructure faults** (:mod:`repro.faults.infra`) kill sweep
-  workers mid-task, corrupt/truncate on-disk translation-cache entries,
-  inject I/O errors, and attack the service's wire and shard
-  processes; the chaos engine (:mod:`repro.resilience.campaign`,
+* **Infrastructure faults** (:mod:`repro.faults.infra`)
+  corrupt/truncate on-disk translation-cache entries, inject I/O
+  errors, and attack the service's wire and shard processes; the chaos engine (:mod:`repro.resilience.campaign`,
   ``python -m repro chaos``/``netchaos``/``clusterchaos``) proves the
   resilience layer keeps results byte-identical through them.  The
   datapath campaign stays separate: it has no workdir, incident log or

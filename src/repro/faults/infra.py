@@ -1,12 +1,11 @@
-"""Infrastructure fault injectors: kill workers, corrupt caches, fail I/O.
+"""Infrastructure fault injectors: corrupt caches, fail I/O, break shards.
 
 PR 1's injectors flip datapath bits to prove the differential guard;
 these injectors attack the *experiment infrastructure* instead — the
-worker pool and the on-disk translation cache — to prove the
-resilience layer (:mod:`repro.resilience`).  Three families:
+on-disk translation cache, the service wire and the shard fleet — to
+prove the resilience layer (:mod:`repro.resilience`).  The cache
+families:
 
-* **Worker kill** — a worker SIGKILLs itself at the start of a chosen
-  task index, exactly once, simulating an OOM kill / crash mid-task.
 * **I/O errors** — the cache's load/store paths consult
   :func:`check_io` and receive an injected :class:`OSError`, exactly
   once per armed fault, simulating transient disk failures.
@@ -15,12 +14,11 @@ resilience layer (:mod:`repro.resilience`).  Three families:
   between runs, modelling a torn write or bitrot found at read time).
 
 Arming crosses process boundaries through the environment
-(``REPRO_CHAOS_SPEC`` holds a JSON fault list; forked and spawned
-workers inherit it), and *fire-once* semantics survive retries and
-pool restarts through sentinel files: a fault fires only if its
-``O_CREAT|O_EXCL`` sentinel creation wins, so a retried task is not
-re-killed and a rebuilt store is not re-failed.  When nothing is armed
-the hot-path checks are a single falsy test.
+(``REPRO_CHAOS_SPEC`` holds a JSON fault list; spawned processes
+inherit it), and *fire-once* semantics survive retries and restarts
+through sentinel files: a fault fires only if its ``O_CREAT|O_EXCL``
+sentinel creation wins, so a rebuilt store is not re-failed.  When
+nothing is armed the hot-path checks are a single falsy test.
 
 Long-lived processes (cluster shards) cannot see faults armed in the
 parent *after* they started — the environment is a spawn-time
@@ -35,7 +33,6 @@ from __future__ import annotations
 import enum
 import json
 import os
-import signal
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +45,6 @@ CHAOS_SPEC_FILE_ENV = "REPRO_CHAOS_SPEC_FILE"
 class InfraFaultMode(enum.Enum):
     """Which piece of infrastructure the fault attacks."""
 
-    WORKER_KILL = "worker-kill"
     IO_ERROR = "io-error"
     CACHE_TRUNCATE = "cache-truncate"
     CACHE_FLIP = "cache-flip"
@@ -94,14 +90,12 @@ class InfraFaultSpec:
     """One armed infrastructure fault.
 
     ``token`` names the fault (unique per campaign) and doubles as its
-    fire-once sentinel filename; ``task_index`` targets worker-kill
-    faults at one fan-out item; ``io_op`` targets I/O faults at the
+    fire-once sentinel filename; ``io_op`` targets I/O faults at the
     cache's ``"load"`` or ``"store"`` path.
     """
 
     mode: InfraFaultMode
     token: str
-    task_index: Optional[int] = None
     io_op: Optional[str] = None
     #: Stall duration for ``NET_STALL`` / ``SHARD_HANG``, boot delay
     #: for ``SHARD_SLOW_START`` (seconds).
@@ -111,20 +105,19 @@ class InfraFaultSpec:
 
     def to_json(self) -> dict:
         return {"mode": self.mode.value, "token": self.token,
-                "task_index": self.task_index, "io_op": self.io_op,
+                "io_op": self.io_op,
                 "delay_s": self.delay_s, "shard_id": self.shard_id}
 
     @staticmethod
     def from_json(data: dict) -> "InfraFaultSpec":
         return InfraFaultSpec(mode=InfraFaultMode(data["mode"]),
                               token=data["token"],
-                              task_index=data.get("task_index"),
                               io_op=data.get("io_op"),
                               delay_s=data.get("delay_s"),
                               shard_id=data.get("shard_id"))
 
 
-# -- arming (environment-carried, so workers inherit it) ----------------------
+# -- arming (environment-carried, so spawned processes inherit it) ------------
 
 def arm(specs: list[InfraFaultSpec], state_dir: str) -> None:
     """Arm *specs*; sentinels for fire-once live under *state_dir*.
@@ -164,7 +157,7 @@ def _armed() -> tuple[Optional[str], list[InfraFaultSpec]]:
     # The live spec file, when configured, is authoritative: a shard
     # spawned while some earlier fault was armed carries that stale
     # spec in its environment snapshot forever, so the env is only a
-    # fallback (for short-lived workers with no file channel).
+    # fallback (for processes with no file channel).
     raw = None
     spec_file = os.environ.get(CHAOS_SPEC_FILE_ENV)
     if spec_file:
@@ -204,28 +197,6 @@ def fired(state_dir: str, token: str) -> bool:
 
 
 # -- hot-path hooks -----------------------------------------------------------
-
-def maybe_kill_worker(task_index: int) -> None:
-    """Called by the pool worker before running task *task_index*.
-
-    SIGKILL leaves no chance for cleanup handlers — the honest model of
-    an OOM kill.  The sentinel is claimed *first*, so the retried task
-    runs to completion.  Fires only inside a real pool worker
-    (``REPRO_IN_WORKER`` set): when supervision has degraded the task
-    to the parent process, killing it would take down the experiment
-    the layer exists to protect.
-    """
-    if not os.environ.get("REPRO_IN_WORKER"):
-        return
-    state_dir, specs = _armed()
-    if state_dir is None:
-        return
-    for spec in specs:
-        if (spec.mode is InfraFaultMode.WORKER_KILL
-                and spec.task_index == task_index
-                and _claim(state_dir, spec.token)):
-            os.kill(os.getpid(), signal.SIGKILL)
-
 
 def check_io(op: str, path: str) -> None:
     """Called by the disk cache before a load/store touches *path*.

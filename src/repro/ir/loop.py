@@ -83,7 +83,7 @@ class Loop:
 
     def __getstate__(self) -> dict:
         """Drop runtime caches (``_veal_*``: compiled closure tables,
-        content digests) when pickling — workers rebuild them lazily."""
+        content digests) when pickling — receivers rebuild them lazily."""
         return {k: v for k, v in self.__dict__.items()
                 if not k.startswith("_veal_")}
 

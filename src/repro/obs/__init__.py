@@ -1,8 +1,7 @@
 """``repro.obs`` — zero-dependency observability for the pipeline.
 
 Three facilities, shared by every layer of the system (translator,
-scheduler, CCA mapper, VM runtime/guard, translation cache, parallel
-sweeps):
+scheduler, CCA mapper, VM runtime/guard, translation cache, service):
 
 * **Spans** (:mod:`repro.obs.trace`): ``with obs.span("priority_calc",
   component="translator", meter=meter, loop=...)`` — nested, timed,
@@ -10,8 +9,8 @@ sweeps):
   the incident-log envelope.  Off by default, near-zero overhead,
   enabled by ``REPRO_TRACE`` / ``--trace`` / :func:`collect`.
 * **Metrics** (:mod:`repro.obs.metrics`): a process-global registry of
-  counters, gauges and histograms, merged deterministically across
-  worker processes by ``parallel_map``.
+  counters, gauges and histograms, read as snapshots or as the delta
+  since one.
 * **Stats** (:mod:`repro.obs.stats`, :mod:`repro.obs.schema`): trace
   summarisation and strict schema validation behind ``python -m repro
   trace <figure>`` and ``python -m repro stats``.
@@ -48,7 +47,6 @@ from repro.obs.trace import (
 
 MetricsRegistry = _metrics.MetricsRegistry
 metrics = _metrics.registry
-empty_delta = _metrics.empty_delta
 
 
 def inc(name: str, amount=1) -> None:
@@ -62,7 +60,7 @@ def observe(name: str, value) -> None:
 
 
 def set_gauge(name: str, value) -> None:
-    """Set gauge *name* (process-local; never merged across workers)."""
+    """Set gauge *name* (process-local; never part of a delta)."""
     _metrics.registry().set_gauge(name, value)
 
 
@@ -74,18 +72,14 @@ def metrics_delta(before: dict[str, Any]) -> dict[str, Any]:
     return _metrics.registry().delta(before)
 
 
-def merge_metrics(delta: dict[str, Any]) -> None:
-    _metrics.registry().merge(delta)
-
-
 def reset_metrics() -> None:
     _metrics.registry().reset()
 
 
 __all__ = [
     "METRICS_KIND", "MetricsRegistry", "NULL_SPAN", "SPAN_KIND", "Span",
-    "SpanLog", "TRACE_ENV", "Tracer", "collect", "empty_delta", "inc",
-    "iter_trace", "merge_metrics", "metrics", "metrics_delta",
+    "SpanLog", "TRACE_ENV", "Tracer", "collect", "inc",
+    "iter_trace", "metrics", "metrics_delta",
     "metrics_snapshot", "observe", "reset_metrics", "reset_tracing",
     "set_gauge", "span", "start_trace", "stop_trace", "tracer",
     "tracing_active", "write_metrics_record",

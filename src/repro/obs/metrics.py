@@ -10,19 +10,12 @@ scheduling attempts keyed by candidate II).
 Metrics are always on — one dict update under a lock per event, cheap
 enough for every instrumented path — and never influence figure text;
 they are read out via :func:`MetricsRegistry.snapshot` (the JSON-ready
-dump the ``trace`` command embeds) and merged across worker
-processes with :meth:`delta`/:meth:`merge`:
-
-* a worker snapshots the registry before running an item, computes the
-  increment afterwards, and ships that delta back with the result;
-* the parent folds deltas in **item order** (see
-  :func:`repro.perf.parallel.parallel_map`), and because counter and
-  histogram merges are pure additions the aggregate is identical for
-  any job count or completion order — the determinism the figure
-  pipeline demands of every shared accounting structure.
-
-Gauges are excluded from cross-process merging (a last-written
-instantaneous value has no meaningful sum); they stay process-local.
+dump the ``trace`` command embeds), and :meth:`MetricsRegistry.delta`
+gives the counter and histogram increments since an earlier snapshot —
+how a measured run (``aot build``, the ``loadgen`` service series)
+isolates its own share of the process-wide totals.  Gauges are excluded
+from deltas (a last-written instantaneous value has no meaningful
+difference).
 """
 
 from __future__ import annotations
@@ -34,14 +27,14 @@ Number = Union[int, float]
 
 
 class MetricsRegistry:
-    """Thread-safe counters/gauges/histograms with additive merging."""
+    """Thread-safe counters/gauges/histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.counters: dict[str, Number] = {}
         self.gauges: dict[str, Number] = {}
         #: name -> {observed value -> occurrence count}.  Exact values
-        #: are kept (not pre-bucketed ranges) so merges stay lossless
+        #: are kept (not pre-bucketed ranges) so deltas stay lossless
         #: and deterministic; summary statistics derive on demand.
         self.histograms: dict[str, dict[Number, int]] = {}
 
@@ -84,13 +77,13 @@ class MetricsRegistry:
                     "min": min(bucket), "max": max(bucket),
                     "mean": total / count}
 
-    # -- cross-process merging --------------------------------------------
+    # -- deltas ------------------------------------------------------------
 
     def delta(self, before: dict[str, Any]) -> dict[str, Any]:
         """Counter/histogram increments since *before* (a snapshot).
 
-        Gauges are deliberately absent — they do not merge additively.
-        Zero entries are dropped so an idle worker ships an empty dict.
+        Gauges are deliberately absent — they do not add up.  Zero
+        entries are dropped, so an idle interval yields an empty delta.
         """
         now = self.snapshot()
         before_counters = before.get("counters", {})
@@ -108,17 +101,6 @@ class MetricsRegistry:
                 histograms[name] = diff
         return {"counters": counters, "histograms": histograms}
 
-    def merge(self, delta: dict[str, Any]) -> None:
-        """Fold a :meth:`delta` into this registry (pure addition)."""
-        with self._lock:
-            for name in sorted(delta.get("counters", {})):
-                amount = delta["counters"][name]
-                self.counters[name] = self.counters.get(name, 0) + amount
-            for name in sorted(delta.get("histograms", {})):
-                bucket = self.histograms.setdefault(name, {})
-                for value, n in sorted(delta["histograms"][name].items()):
-                    bucket[value] = bucket.get(value, 0) + n
-
     def reset(self) -> None:
         with self._lock:
             self.counters.clear()
@@ -135,8 +117,3 @@ def registry() -> MetricsRegistry:
     if _registry is None:
         _registry = MetricsRegistry()
     return _registry
-
-
-def empty_delta() -> dict[str, Any]:
-    """The zero increment (what a parent-degraded task reports)."""
-    return {"counters": {}, "histograms": {}}

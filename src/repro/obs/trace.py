@@ -14,9 +14,10 @@ attribute read and one falsy check per call site) and nothing is
 allocated or written.  It activates through
 
 * ``REPRO_TRACE=<path>`` in the environment (read at import, inherited
-  by worker processes so their spans append to the same file), or
+  by child processes such as cluster shards so their spans append to
+  the same file), or
 * :func:`start_trace` / the ``--trace`` CLI flag, which also export
-  the environment variable for workers, or
+  the environment variable for child processes, or
 * :func:`collect`, which captures spans into an in-process list for
   the duration of a block — the profiling hook ``fig8_translation``
   uses to consume span data without any file I/O.
@@ -40,7 +41,7 @@ import time
 from typing import Any, Iterator, Optional
 
 #: Environment variable naming the JSONL trace sink; inherited by
-#: worker processes so a parallel sweep traces into one file.
+#: child processes (cluster shards) so a whole run traces into one file.
 TRACE_ENV = "REPRO_TRACE"
 
 SPAN_KIND = "span"
@@ -311,7 +312,7 @@ def start_trace(path: str, export_env: bool = True,
                 truncate: bool = True) -> None:
     """Start writing trace records to *path* (truncating by default).
 
-    With ``export_env`` the path is placed in ``REPRO_TRACE`` so worker
+    With ``export_env`` the path is placed in ``REPRO_TRACE`` so child
     processes append their spans to the same file.
     """
     tracer().configure_sink(path, export_env=export_env,
@@ -319,7 +320,7 @@ def start_trace(path: str, export_env: bool = True,
 
 
 def stop_trace() -> None:
-    """Detach the trace sink and clear the worker environment hint."""
+    """Detach the trace sink and clear the child environment hint."""
     tracer().configure_sink(None, export_env=True)
 
 
@@ -347,8 +348,7 @@ def write_metrics_record() -> None:
     """Emit the metrics-registry snapshot as one trace record.
 
     The ``trace`` CLI command calls this exactly once, after the traced
-    figure completes (worker increments are already merged back by
-    then), so a trace file carries its own metrics dump for
+    figure completes, so a trace file carries its own metrics dump for
     ``python -m repro stats``.
     """
     from repro.obs.metrics import registry

@@ -1,20 +1,20 @@
-"""The performance engine: switches, shared caches, parallelism.
+"""The performance engine: switches and shared caches.
 
-Three layers make the experiment pipeline fast without changing any
+Two layers make the experiment pipeline fast without changing any
 result bit (see DESIGN.md, "Performance engineering"):
 
 1. a compiled interpreter fast path (:mod:`repro.cpu.compiled`),
 2. content-addressed memoisation of translation products and scalar
-   timing (:mod:`repro.perf.transcache`, :mod:`repro.perf.digest`),
-3. process-parallel experiment fan-out (:mod:`repro.perf.parallel`).
+   timing (:mod:`repro.perf.transcache`, :mod:`repro.perf.digest`).
 
-This module owns the global switches those layers consult: the engine
-*level* (``REPRO_ENGINE``: ``0`` = reference interpreter only, ``1`` =
-compiled per-op closures and caching, ``2`` = specialized kernels from
-:mod:`repro.accelerator.jit`; ``engine_at(0)`` reverts every hot
-path to the reference implementation), how many worker processes sweeps
-may use (``--jobs`` / ``REPRO_JOBS``), and the process-wide cache
-instances with their aggregate statistics.
+Every figure pass runs in one process, so one set of caches serves
+every sweep point.  This module owns the global switch those layers
+consult — the engine *level* (``REPRO_ENGINE``: ``0`` = reference
+interpreter only, ``1`` = compiled per-op closures and caching, ``2`` =
+specialized kernels from :mod:`repro.accelerator.jit`;
+``engine_at(0)`` reverts every hot path to the reference
+implementation) — and the process-wide cache instances with their
+aggregate statistics.
 """
 
 from __future__ import annotations
@@ -32,25 +32,29 @@ def parse_engine_level(value: Union[str, bool, int, None]) -> int:
 
     Accepts the historical boolean spellings (``"0"``/``"false"``/
     ``"off"`` disable everything; ``"true"``/``"on"`` mean the full
-    engine) alongside the numeric tiers.  Raises ValueError on junk.
+    engine) alongside the numeric tiers.  Raises ValueError on junk,
+    including a level outside 0..MAX_ENGINE_LEVEL.
     """
     if value is None:
         return MAX_ENGINE_LEVEL
     if isinstance(value, bool):
         return MAX_ENGINE_LEVEL if value else 0
-    if isinstance(value, int):
-        return max(0, min(MAX_ENGINE_LEVEL, value))
-    text = str(value).strip().lower()
-    if text in ("", "true", "on"):
-        return MAX_ENGINE_LEVEL
-    if text in ("false", "off"):
-        return 0
-    return max(0, min(MAX_ENGINE_LEVEL, int(text)))
+    if not isinstance(value, int):
+        text = str(value).strip().lower()
+        if text in ("", "true", "on"):
+            return MAX_ENGINE_LEVEL
+        if text in ("false", "off"):
+            return 0
+        value = int(text)
+    if not 0 <= value <= MAX_ENGINE_LEVEL:
+        raise ValueError(f"engine level {value} is outside "
+                         f"0..{MAX_ENGINE_LEVEL}")
+    return value
 
 
 def _level_from_env() -> int:
-    # Permissive on purpose (like REPRO_JOBS below): a malformed value
-    # must not blow up `import repro`; Settings.from_env rejects loudly.
+    # Permissive on purpose: a malformed value must not blow up
+    # `import repro`; Settings.from_env rejects it loudly.
     try:
         return parse_engine_level(os.environ.get("REPRO_ENGINE"))
     except ValueError:
@@ -58,22 +62,6 @@ def _level_from_env() -> int:
 
 
 _engine_level = _level_from_env()
-
-
-def _jobs_from_env() -> int:
-    # Permissive on purpose: a malformed REPRO_JOBS must not blow up
-    # `import repro`.  The loud, validated rejection happens in
-    # repro.api.Settings.from_env, which every entry point runs.
-    try:
-        return int(os.environ.get("REPRO_JOBS", "1") or "1")
-    except ValueError:
-        return 1
-
-
-_jobs = _jobs_from_env()
-
-#: Set in worker processes so nested parallel_map calls stay serial.
-IN_WORKER_ENV = "REPRO_IN_WORKER"
 
 
 def engine_level() -> int:
@@ -106,19 +94,6 @@ def engine_at(level: int) -> Iterator[None]:
         yield
     finally:
         _engine_level = previous
-
-
-def get_jobs() -> int:
-    """Worker processes experiment fan-out may use (1 = serial)."""
-    if os.environ.get(IN_WORKER_ENV):
-        return 1
-    return max(1, _jobs)
-
-
-def set_jobs(jobs: Optional[int]) -> None:
-    global _jobs
-    if jobs is not None:
-        _jobs = max(1, int(jobs))
 
 
 # -- process-wide caches ------------------------------------------------------
@@ -168,16 +143,15 @@ def clear_caches() -> None:
     suite._suite_cache.clear()
 
 
-#: The translation-cache counters that worker processes report back to
-#: the parent (see :func:`repro.perf.parallel.parallel_map`): cache
-#: *entries* stay worker-local, but the aggregate hit/miss accounting
-#: must describe the whole run, whatever the job count.
+#: The translation-cache counters :func:`counter_snapshot` reports;
+#: :func:`counter_delta` gives one measured run's increments (the
+#: ``loadgen`` service series uses it).
 COUNTER_FIELDS = ("hits", "misses", "disk_hits", "stores",
                   "exact_fallbacks", "quarantined", "disk_errors")
 
 
 def counter_snapshot() -> dict:
-    """Current values of the mergeable translation-cache counters."""
+    """Current values of the translation-cache counters."""
     stats = translation_cache().stats
     return {name: getattr(stats, name) for name in COUNTER_FIELDS}
 
@@ -187,13 +161,6 @@ def counter_delta(before: dict) -> dict:
     now = counter_snapshot()
     return {name: now[name] - before.get(name, 0)
             for name in COUNTER_FIELDS}
-
-
-def merge_counters(delta: dict) -> None:
-    """Fold a worker's counter increments into this process's stats."""
-    stats = translation_cache().stats
-    for name in COUNTER_FIELDS:
-        setattr(stats, name, getattr(stats, name) + delta.get(name, 0))
 
 
 def _specialized_stats() -> dict:
@@ -219,6 +186,6 @@ def cache_stats() -> dict:
         "analysis_entries": len(analysis_cache),
         "specialized": _specialized_stats(),
         #: kind -> count of resilience-layer recoveries this process
-        #: took (quarantines, worker losses, serial fallbacks, ...).
+        #: took (quarantines, I/O errors, ...).
         "incidents": incident_log().counts(),
     }

@@ -4,7 +4,7 @@ A digest is a SHA-256 over a canonical, order-stable rendering of the
 object — *what* the translator/timing model reads, not object identity.
 Two structurally identical loops built in different processes digest
 identically, which is what lets the translation cache persist on disk
-across runs and be shared by parallel sweep workers.
+across runs and be shared by the shards of a cluster.
 
 Cosmetic fields (``Operation.comment``) are excluded; everything with
 semantic weight (opcode, operands, predicates, CCA inner ops, stream

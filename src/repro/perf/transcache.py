@@ -11,8 +11,8 @@ schedule serves every point of a register sweep).
 
 Two layers:
 
-* in-memory dict — shared by every ``VirtualMachine`` in the process
-  (and, via fork, by parallel sweep workers);
+* in-memory dict — shared by every ``VirtualMachine`` in the process,
+  so one figure pass translates each loop once;
 * optional on-disk files under ``benchmarks/results/.cache/`` (or
   ``REPRO_CACHE_DIR``) — shared across processes and CLI invocations.
 
@@ -73,7 +73,7 @@ def effective_gc_budget() -> int:
         return _gc_budget_override
     raw = os.environ.get(CACHE_BUDGET_ENV)
     if raw:
-        # Permissive like REPRO_JOBS: Settings.from_env rejects loudly.
+        # Permissive on purpose: Settings.from_env rejects loudly.
         try:
             return max(0, int(raw))
         except ValueError:
@@ -409,10 +409,10 @@ class TranslationCache:
     def adopt_artifact(self, entries: Mapping[str, CoreEntry]) -> int:
         """Seed AOT-artifact entries, statistics-untouched.
 
-        First-writer-wins like :meth:`seed` — an entry this process
-        already translated is authoritative over the artifact's copy
-        (they are byte-identical by construction, but the live one has
-        already been handed out).  Returns the number adopted.
+        First-writer-wins — an entry this process already translated
+        is authoritative over the artifact's copy (they are
+        byte-identical by construction, but the live one has already
+        been handed out).  Returns the number adopted.
         """
         adopted = 0
         for key, entry in entries.items():
@@ -528,17 +528,6 @@ class TranslationCache:
         self.stats.stores += 1
         obs.inc("transcache.stores")
         self._disk_store(key, entry)
-
-    def seed(self, key: str, entry: CoreEntry) -> None:
-        """Adopt a worker-computed entry, statistics-untouched.
-
-        The service's process pool translates in children and ships the
-        new ``(key, entry)`` pairs home; folding them in must not count
-        as stores (the worker already reported its counter delta) and
-        must not overwrite — the parent may have raced to the same
-        digest, and first-writer-wins keeps the two copies identical.
-        """
-        self._entries.setdefault(key, entry)
 
     def invalidate(self, key: str) -> bool:
         """Deoptimisation support: drop one translation everywhere."""

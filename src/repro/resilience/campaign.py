@@ -6,7 +6,7 @@ campaigns prove it for the infrastructure, each a small family plugin
 driven by this engine:
 
 * ``python -m repro chaos`` (:mod:`repro.resilience.chaos`) — the
-  figure sweeps under cache corruption, worker kills and I/O errors;
+  figure sweeps under cache corruption and I/O errors;
 * ``python -m repro netchaos`` (:mod:`repro.resilience.netchaos`) —
   the client/server wire under resets, corruption, truncation, stalls,
   drops and a slow-loris client;
@@ -112,9 +112,6 @@ class Plugin:
     #: Families that run only until they have fired once (each costs a
     #: long timeout); their slots go to the other families afterwards.
     once: tuple[str, ...] = ()
-    #: Incident kind a family's faults are tallied under, where it is
-    #: not the family name itself.
-    kinds: dict[str, str] = {}
     #: Share a live chaos spec file with already-running processes.
     spec_file = False
 
@@ -168,8 +165,7 @@ class Report:
         """Families that fired more often than the whole incident log
         holds records of their kind."""
         return [family for family, count in self.by_family.items()
-                if self.incident_counts.get(
-                    self.plugin.kinds.get(family, family), 0) < count]
+                if self.incident_counts.get(family, 0) < count]
 
     @property
     def ok(self) -> bool:
@@ -283,7 +279,6 @@ def run(plugin: Plugin, faults: int, seed: int = 2008,
     report = campaign.report
     os.makedirs(campaign.state_dir, exist_ok=True)
     cache = perf.translation_cache()
-    previous_jobs = perf.get_jobs()
     previous_disk = cache.disk_dir
     previous_spec_file = os.environ.get(infra.CHAOS_SPEC_FILE_ENV)
     try:
@@ -332,7 +327,6 @@ def run(plugin: Plugin, faults: int, seed: int = 2008,
             perf.clear_caches()
             if previous_disk is not None:
                 cache.attach_disk(previous_disk)
-            perf.set_jobs(previous_jobs)
 
 
 def format_report(report: Report) -> str:
@@ -362,8 +356,7 @@ def format_report(report: Report) -> str:
     lines += [f"  FAILED: {name}: {check.shown}"
               for name, check in report.checks.items() if not check.ok]
     lines += [f"  FAILED: {family} fired more often than the incident "
-              f"log records {plugin.kinds.get(family, family)}"
-              for family in report.untallied]
+              "log records it" for family in report.untallied]
     lines.append("")
     if report.ok:
         verdict = f"PASS — {plugin.guarantee}"

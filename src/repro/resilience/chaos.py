@@ -4,8 +4,8 @@
 ``python -m repro faults``: where a fault campaign flips datapath bits
 to prove the differential guard, this campaign attacks the *machinery
 that regenerates figures* — corrupting and truncating on-disk
-translation-cache entries, killing sweep workers mid-task, injecting
-I/O errors — while the engine (:mod:`repro.resilience.campaign`)
+translation-cache entries and injecting I/O errors into the cache's
+load and store paths — while the engine (:mod:`repro.resilience.campaign`)
 proves every figure regenerated under faults byte-identical to its
 fault-free baseline, zero orphaned temp files, and every fired fault
 accounted for in the incident log.
@@ -22,15 +22,10 @@ from repro.resilience.campaign import Campaign, Plugin, Scenario
 #: The Figure 3/4 design-space sweeps — the campaign's default targets.
 SWEEP_FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
 
-#: Worker processes for the faulted runs.  A worker-kill fault fires
-#: only inside a pool worker and one job runs serially, so a kill needs
-#: at least two.
-JOBS = 2
-
 
 def _cold(figure: str) -> str:
     """Render *figure* from a cold memory layer, so cache loads hit the
-    (attacked) disk in the parent and in the workers."""
+    (attacked) disk."""
     perf.clear_caches()
     return api.run_figure(figure)
 
@@ -40,20 +35,17 @@ class Sweep(Plugin):
     title = "Chaos campaign"
     guarantee = ("byte-identical figures, zero orphans, every fault "
                  "accounted for")
-    kinds = {"worker-kill": "worker-lost"}
 
     def __init__(self, figures: tuple[str, ...] = SWEEP_FIGURES):
         self.figures = tuple(figures)
         self.baseline: dict[str, str] = {}
         self.families = {"cache-corruption": self._corrupt,
-                         "worker-kill": self._kill,
                          "io-error": self._io}
 
     def describe(self) -> str:
-        return f"figures {', '.join(self.figures)}, jobs {JOBS}"
+        return f"figures {', '.join(self.figures)}"
 
     def setup(self, campaign: Campaign) -> None:
-        perf.set_jobs(JOBS)
         # Fault-free baseline: establishes the byte-exact expectation
         # and populates the disk cache the corruption faults attack.
         for name in self.figures:
@@ -112,21 +104,6 @@ class Sweep(Plugin):
             target=figure, injected=len(corrupted),
             accounted=sum(1 for p in corrupted if p in quarantined()),
             correct=identical, detail=detail)
-
-    def _kill(self, campaign: Campaign) -> Scenario:
-        """Arm a one-shot worker SIGKILL at a random early task index;
-        it is accounted by the pool's worker-lost incident."""
-        figure = self._pick(campaign)
-        spec = infra.InfraFaultSpec(
-            mode=infra.InfraFaultMode.WORKER_KILL,
-            token=f"kill-{campaign.index}",
-            task_index=int(campaign.rng.integers(0, 2)))
-        return campaign.drive(
-            "worker-kill", figure, [spec], lambda: _cold(figure),
-            self.baseline[figure],
-            account=lambda records, _spec: any(
-                r.get("kind") == "worker-lost" for r in records),
-            done=f"SIGKILL at task {spec.task_index}")
 
     def _io(self, campaign: Campaign) -> Scenario:
         """Arm one-shot I/O failures on the cache's load and store

@@ -1,7 +1,7 @@
 """Structured incident records for infrastructure faults.
 
 Every recovery action the resilience layer takes — a quarantined cache
-entry, a lost worker, a retry, a serial fallback — is recorded as an
+entry, a failed cache I/O, a shard death and restart — is recorded as an
 :class:`Incident` carrying a ``kind`` tag from the
 :mod:`repro.errors` taxonomy.  Incidents accumulate in a process-wide
 :class:`IncidentLog` and, when a sink path is configured (directly or
@@ -11,9 +11,10 @@ per line:
     {"seq": 3, "ts": 1754460000.123, "kind": "cache-corruption",
      "component": "transcache", "message": "...", "details": {...}}
 
-Worker processes inherit the sink path through the environment and
-append to the same file; each record is a single short ``O_APPEND``
-write, so concurrent appenders interleave whole lines.  The in-memory
+Child processes (cluster shards) inherit the sink path through the
+environment and append to the same file; each record is a single
+short ``O_APPEND`` write, so concurrent appenders interleave whole
+lines.  The in-memory
 list only sees the current process's incidents; the JSONL file sees
 everyone's.  Recording must never be able to fail a sweep: sink I/O
 errors are swallowed (the in-memory record survives).
@@ -28,7 +29,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-#: Environment variable naming the JSONL sink; inherited by workers.
+#: Environment variable naming the JSONL sink; inherited by child
+#: processes.
 INCIDENT_LOG_ENV = "REPRO_INCIDENT_LOG"
 
 
@@ -39,10 +41,9 @@ class Incident:
     seq: int
     ts: float
     #: Stable tag from the repro.errors taxonomy (``cache-corruption``,
-    #: ``worker-lost``, ``worker-timeout``, ``io-error``,
-    #: ``retry-exhausted``, ``serial-fallback``, ...).
+    #: ``io-error``, ``shard-death``, ``shard-restart``, ...).
     kind: str
-    #: Which subsystem recovered (``transcache``, ``parallel``,
+    #: Which subsystem recovered (``transcache``, ``cluster``,
     #: ``chaos``).
     component: str
     message: str
@@ -69,7 +70,7 @@ class IncidentLog:
         """Point the JSONL sink at *path* (None disables it).
 
         With ``export_env`` the path is also placed in the environment
-        so forked/spawned worker processes append to the same file.
+        so spawned child processes append to the same file.
         """
         self.sink_path = path
         if export_env:

@@ -15,9 +15,8 @@ store (:mod:`repro.xp.store`) files records and the compare gate
 fail loudly, exactly like a bad ``REPRO_*`` variable.
 :meth:`Config.from_settings` bridges the existing
 :class:`repro.api.Settings` so the environment knobs
-(``REPRO_ENGINE``, ``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
-``REPRO_TRACE``) and a declared configuration are one config source,
-not two.
+(``REPRO_ENGINE``, ``REPRO_CACHE_DIR``, ``REPRO_TRACE``) and a declared
+configuration are one config source, not two.
 """
 
 from __future__ import annotations
@@ -52,12 +51,13 @@ class Config:
 
     Figure axes: ``engine`` is the *top* tier measured (0 = reference
     pass only, 1 = + compiled cold/warm passes, 2 = + the specialized
-    pass), ``jobs`` the sweep fan-out, ``cache`` the translation-cache
-    mode, ``trace`` whether the run writes a span trace next to its
-    records, ``figures`` the set measured.  ``skip_reference`` reuses
-    the reference wall clocks of the committed ``default`` baseline
-    instead of paying the slow engine-off pass (the ``warm-l2``
-    preset).
+    pass), ``cache`` the translation-cache mode, ``trace`` whether the
+    run writes a span trace next to its records, ``figures`` the set
+    measured.  ``skip_reference`` reuses the reference wall clocks of
+    the committed ``default`` baseline instead of paying the slow
+    engine-off pass (the ``warm-l2`` preset).  ``jobs`` must be 1: a
+    figure pass runs in one process, and the field stays because it is
+    part of every committed baseline's config digest.
 
     Service axes (``kind="service"``): ``workers`` runs the in-process
     row once per entry, and its only valid value is 1 (a service runs
@@ -102,14 +102,13 @@ class Config:
                       **overrides) -> "Config":
         """Bridge a :class:`repro.api.Settings` into a Config.
 
-        The consolidated environment knobs (engine level, jobs, disk
-        cache, trace) become configuration axes; explicit keyword
+        The consolidated environment knobs (engine level, disk cache,
+        trace) become configuration axes; explicit keyword
         *overrides* win, exactly like ``Settings.from_env``.
         """
         axes = dict(
             name=name,
             engine=settings.engine,
-            jobs=settings.jobs,
             cache="disk" if settings.cache_dir else "memory",
             trace=settings.trace_path is not None,
         )
@@ -149,8 +148,9 @@ def validate(config: Config, figure_names=None) -> Config:
         bad("kind", config.kind, f"must be one of {', '.join(KINDS)}")
     if not isinstance(config.engine, int) or not 0 <= config.engine <= 2:
         bad("engine", config.engine, "must be an engine level 0..2")
-    if not isinstance(config.jobs, int) or config.jobs < 1:
-        bad("jobs", config.jobs, "must be an integer >= 1")
+    if config.jobs != 1:
+        bad("jobs", config.jobs,
+            "must be 1 (a figure pass runs in one process)")
     if config.cache not in CACHE_MODES:
         bad("cache", config.cache,
             f"must be one of {', '.join(CACHE_MODES)}")

@@ -53,17 +53,16 @@ def baseline_references(directory: Optional[str] = None,
 
 
 def measure_figures(names: list[str],
-                    jobs: Optional[int] = None,
                     skip_reference: bool = False,
                     disk_cache: bool = False,
                     top_level: int = 2,
                     registry: Optional[dict] = None,
                     baseline_refs: Optional[dict] = None,
                     progress: Optional[Callable[[str], None]] = None
-                    ) -> tuple[list[dict], int]:
-    """Time *names* once per engine tier; returns (rows, effective jobs).
+                    ) -> list[dict]:
+    """Time *names* once per engine tier; returns one row per figure.
 
-    The passes: reference (engine 0, serial, cold caches),
+    The passes: reference (engine 0, cold caches),
     engine cold (level 1, caches cleared), engine warm (level 1, hot),
     specialized warm (level 2 after one warm-up regeneration).
     *top_level* caps the tiers measured (2 = all passes, 1 = stop at
@@ -80,9 +79,6 @@ def measure_figures(names: list[str],
     if unknown:
         raise KeyError(f"unknown figures: {', '.join(unknown)}; "
                        f"available: {', '.join(sorted(registry))}")
-    if jobs is not None:
-        perf.set_jobs(jobs)
-    effective_jobs = perf.get_jobs()
 
     def note(msg: str) -> None:
         if progress is not None:
@@ -94,16 +90,11 @@ def measure_figures(names: list[str],
         baseline_refs = {}
     if not skip_reference:
         perf.clear_caches()
-        previous_jobs = perf.get_jobs()
-        perf.set_jobs(1)
-        try:
-            with perf.engine_at(0):
-                for name in names:
-                    note(f"{name}: reference (engine off, serial)")
-                    reference_times[name], reference_texts[name] = \
-                        _timed(registry[name], name, "reference")
-        finally:
-            perf.set_jobs(previous_jobs)
+        with perf.engine_at(0):
+            for name in names:
+                note(f"{name}: reference (engine off)")
+                reference_times[name], reference_texts[name] = \
+                    _timed(registry[name], name, "reference")
 
     engine_times: dict[str, float] = {}
     engine_texts: dict[str, str] = {}
@@ -115,7 +106,7 @@ def measure_figures(names: list[str],
             perf.enable_disk_cache()
         with perf.engine_at(1):
             for name in names:
-                note(f"{name}: engine cold ({effective_jobs} jobs)")
+                note(f"{name}: engine cold")
                 engine_times[name], engine_texts[name] = \
                     _timed(registry[name], name, "cold")
             for name in names:
@@ -167,7 +158,7 @@ def measure_figures(names: list[str],
             "identical": identical,
             "reference_source": source,
         })
-    return rows, effective_jobs
+    return rows
 
 
 @dataclass
@@ -227,14 +218,13 @@ def run_config(config: Config,
             if config.kind == "figures":
                 baseline_refs = (baseline_references(directory, settings)
                                  if config.skip_reference else None)
-                rows, effective_jobs = measure_figures(
-                    list(config.figures), jobs=config.jobs,
+                rows = measure_figures(
+                    list(config.figures),
                     skip_reference=config.skip_reference,
                     disk_cache=(config.cache == "disk"),
                     top_level=config.engine, registry=registry,
                     baseline_refs=baseline_refs, progress=progress)
-                extra = {"jobs": effective_jobs,
-                         "cache_stats": perf.cache_stats()}
+                extra = {"cache_stats": perf.cache_stats()}
             else:
                 from repro.service.loadgen import measure_service
                 rows = measure_service(

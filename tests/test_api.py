@@ -23,15 +23,14 @@ def tiny_benchmark() -> Benchmark:
 class TestSettings:
     def test_defaults(self):
         settings = Settings.from_env({})
-        assert settings == Settings(jobs=1, engine=2, cache_dir=None,
+        assert settings == Settings(engine=2, cache_dir=None,
                                     trace_path=None, incident_log=None)
 
     def test_env_values(self):
         settings = Settings.from_env({
-            "REPRO_JOBS": "3", "REPRO_ENGINE": "0",
+            "REPRO_ENGINE": "0",
             "REPRO_CACHE_DIR": "/tmp/c", "REPRO_TRACE": "/tmp/t.jsonl",
             "REPRO_INCIDENT_LOG": "/tmp/i.jsonl"})
-        assert settings.jobs == 3
         assert settings.engine == 0
         assert settings.cache_dir == "/tmp/c"
         assert settings.trace_path == "/tmp/t.jsonl"
@@ -39,31 +38,16 @@ class TestSettings:
 
     def test_overrides_beat_env(self):
         settings = Settings.from_env(
-            {"REPRO_JOBS": "2", "REPRO_CACHE_DIR": "/tmp/env"},
-            jobs=4, cache_dir="/tmp/flag")
-        assert settings.jobs == 4
+            {"REPRO_SHARDS": "2", "REPRO_CACHE_DIR": "/tmp/env"},
+            shards=4, cache_dir="/tmp/flag")
+        assert settings.shards == 4
         assert settings.cache_dir == "/tmp/flag"
-
-    @pytest.mark.parametrize("raw", ["abc", "1.5", "", " "])
-    def test_bad_env_jobs_raise(self, raw):
-        with pytest.raises(SettingsError) as info:
-            Settings.from_env({"REPRO_JOBS": raw or "x"})
-        assert info.value.kind == "settings"
-        assert "REPRO_JOBS" in str(info.value)
-
-    def test_bad_jobs_override_raises(self):
-        with pytest.raises(SettingsError) as info:
-            Settings.from_env({}, jobs="zero")
-        assert "--jobs" in str(info.value)
-        with pytest.raises(SettingsError):
-            Settings.from_env({}, jobs=0)
 
     def test_engine_levels_and_boolean_spellings(self):
         assert Settings.from_env({"REPRO_ENGINE": "1"}).engine == 1
         assert Settings.from_env({"REPRO_ENGINE": "2"}).engine == 2
         assert Settings.from_env({"REPRO_ENGINE": "false"}).engine == 0
         assert Settings.from_env({"REPRO_ENGINE": "on"}).engine == 2
-        assert Settings.from_env({"REPRO_ENGINE": "9"}).engine == 2
         assert Settings.from_env({}, engine=True).engine == 2
         assert Settings.from_env({}, engine=False).engine == 0
         assert Settings.from_env({}, engine=1).engine == 1
@@ -76,19 +60,38 @@ class TestSettings:
             Settings.from_env({}, engine="maybe")
         assert "engine" in str(info.value)
 
-    def test_apply_pushes_jobs_and_engine(self):
+    @pytest.mark.parametrize("environ,override", [
+        ({"REPRO_ENGINE": "5"}, None),
+        ({"REPRO_ENGINE": "3"}, None),
+        ({"REPRO_ENGINE": "-1"}, None),
+        ({}, 7),
+        ({}, -1),
+        ({}, "9"),
+    ])
+    def test_out_of_range_engine_level_raises(self, environ, override):
+        """A level outside 0..2 is a typo to reject, not a value to
+        clamp: clamping "-1" would quietly pick the slow reference tier."""
+        with pytest.raises(SettingsError) as info:
+            Settings.from_env(environ, engine=override)
+        assert "engine level 0..2" in str(info.value)
+
+    def test_apply_pushes_engine(self):
         from repro import perf
-        jobs_before, level_before = perf.get_jobs(), perf.engine_level()
+        level_before = perf.engine_level()
         try:
-            Settings(jobs=2, engine=0).apply()
-            assert perf.get_jobs() == 2
+            Settings(engine=0).apply()
             assert not perf.engine_enabled()
             assert perf.engine_level() == 0
-            Settings(jobs=2, engine=1).apply()
+            Settings(engine=1).apply()
             assert perf.engine_level() == 1
         finally:
-            perf.set_jobs(jobs_before)
             perf.set_engine_level(level_before)
+
+    def test_run_figure_accepts_only_one_job(self):
+        """A figure pass runs in one process: ``jobs`` survives only as
+        ``None``/``1`` for callers that still pass it."""
+        with pytest.raises(SettingsError, match="one process"):
+            api.run_figure("fig4b", jobs=2)
 
 
 # -- Session / one-shot helpers ----------------------------------------------

@@ -48,7 +48,6 @@ class Fake(campaign.Plugin):
         return "in-process"
 
     def setup(self, run: campaign.Campaign) -> None:
-        perf.set_jobs(3)
         self.seen_env = {
             "spec_file": os.environ.get(infra.CHAOS_SPEC_FILE_ENV, "")}
         if self.fail_setup:
@@ -213,7 +212,6 @@ def test_every_global_restored_on_exception(tmp_path, monkeypatch):
     outer_disk = str(tmp_path / "outer-cache")
     cache = perf.translation_cache()
     previous_disk = cache.disk_dir
-    previous_jobs = perf.get_jobs()
     cache.attach_disk(outer_disk)
     plugin = Fake(fail_setup=True, spec_file=True)
     try:
@@ -224,7 +222,6 @@ def test_every_global_restored_on_exception(tmp_path, monkeypatch):
             tmp_path / "run" / "chaos-spec.json")
         # ... and put every one back.
         assert plugin.closed
-        assert perf.get_jobs() == previous_jobs
         assert cache.disk_dir == outer_disk
         assert os.environ[infra.CHAOS_SPEC_FILE_ENV] == previous_spec_file
         assert os.environ.get(infra.CHAOS_SPEC_ENV) is None

@@ -49,6 +49,14 @@ def test_figure_command_runs_and_writes(tmp_path, capsys):
     assert out_file.read_text().strip() in printed.strip()
 
 
+def test_jobs_flag_is_gone(capsys):
+    """A figure pass runs in one process; ``--jobs`` is a usage error."""
+    with pytest.raises(SystemExit) as info:
+        main(["fig3a", "--jobs", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 def test_translate_command_via_main(capsys):
     assert main(["translate", "daxpy"]) == 0
     assert "II=" in capsys.readouterr().out

@@ -7,8 +7,10 @@ qualitative claims the paper makes.
 
 import pytest
 
+from repro import perf
 from repro.accelerator import INFINITE_LA, PROPOSED_LA
 from repro.api import fraction_of_infinite, sweep
+from repro.errors import WorkerTaskError
 from repro.experiments.common import (
     annotate_benchmark,
     arithmetic_mean,
@@ -16,6 +18,7 @@ from repro.experiments.common import (
     format_table,
     geometric_mean,
     speedups,
+    sweep_point,
 )
 from repro.experiments.design_point import run_area_table, run_design_point
 from repro.experiments.fig2_coverage import format_coverage, run_coverage
@@ -230,3 +233,38 @@ def test_report_sections_registered():
     titles = [t for t, _fn in SECTIONS]
     assert "Figure 2" in titles and "Figure 10" in titles
     assert len(SECTIONS) >= 12
+
+
+def test_sweep_failure_names_the_originating_point():
+    """A failing sweep point surfaces typed with the series label and x
+    value attached, never silently swallowed."""
+    perf.clear_caches()
+    try:
+        with pytest.raises(WorkerTaskError) as info:
+            # A nonsense config blows up deep inside the VM; the error
+            # must climb out with every sweep level's coordinates.
+            sweep("IEx demo", [1], lambda x: object(),
+                  benchmarks=media_fp_benchmarks()[:1])
+    finally:
+        perf.clear_caches()
+    assert info.value.kind == "worker-task"
+    assert info.value.point == "IEx demo[x=1]"
+    # The inner level (run_suite) contributed the benchmark name.
+    inner = info.value.__cause__
+    assert isinstance(inner, WorkerTaskError)
+    assert inner.point.startswith("benchmark ")
+
+
+def test_sweep_point_raises_typed_failures():
+    """A failure inside a sweep point surfaces as WorkerTaskError with
+    the point's index and label attached and the real exception
+    chained."""
+    with pytest.raises(WorkerTaskError) as info:
+        for index, x in enumerate([1, 0]):
+            with sweep_point(f"recip[x={x}]", index):
+                1 // x
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    assert info.value.item_index == 1
+    assert info.value.point == "recip[x=0]"
+    assert info.value.kind == "worker-task"
+    assert "[ZeroDivisionError]" in str(info.value)

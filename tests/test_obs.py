@@ -17,7 +17,12 @@ import pytest
 from repro import obs
 from repro.accelerator.config import PROPOSED_LA
 from repro.obs.schema import validate_record, validate_trace_file
-from repro.obs.stats import format_trace_stats, load_trace, phase_totals
+from repro.obs.stats import (
+    format_trace_stats,
+    load_trace,
+    phase_totals,
+    span_records,
+)
 from repro.vm.costmodel import TranslationMeter
 from repro.vm.translator import translate_loop
 from repro.workloads import kernels as K
@@ -39,7 +44,7 @@ class TestMetricsRegistry:
         assert obs.metrics().summary("h") == {
             "count": 3, "sum": 13, "min": 3, "max": 7, "mean": 13 / 3}
 
-    def test_delta_and_merge_roundtrip(self):
+    def test_delta_counts_increments_since_snapshot(self):
         obs.inc("a", 2)
         before = obs.metrics_snapshot()
         obs.inc("a", 3)
@@ -48,32 +53,13 @@ class TestMetricsRegistry:
         delta = obs.metrics_delta(before)
         assert delta == {"counters": {"a": 3, "b": 1},
                          "histograms": {"h": {5: 1}}}
-        obs.merge_metrics(delta)  # double the increment
-        snap = obs.metrics_snapshot()
-        assert snap["counters"] == {"a": 8, "b": 2}
-        assert snap["histograms"]["h"] == {5: 2}
 
     def test_delta_drops_zero_entries_and_gauges(self):
         obs.set_gauge("g", 1.5)
         before = obs.metrics_snapshot()
         obs.set_gauge("g", 2.5)
         delta = obs.metrics_delta(before)
-        assert delta == obs.empty_delta()
-
-    def test_merge_order_independent(self):
-        deltas = [{"counters": {"a": 1}, "histograms": {"h": {2: 1}}},
-                  {"counters": {"a": 4, "b": 2},
-                   "histograms": {"h": {2: 2, 9: 1}}}]
-        forward = obs.MetricsRegistry()
-        for d in deltas:
-            forward.merge(d)
-        backward = obs.MetricsRegistry()
-        for d in reversed(deltas):
-            backward.merge(d)
-        assert forward.snapshot()["counters"] == \
-            backward.snapshot()["counters"]
-        assert forward.snapshot()["histograms"] == \
-            backward.snapshot()["histograms"]
+        assert delta == {"counters": {}, "histograms": {}}
 
 
 # -- spans --------------------------------------------------------------------
@@ -216,8 +202,8 @@ class TestSchema:
         assert any("units" in e for e in validate_record(record))
 
     def test_unknown_kind_checks_envelope_only(self):
-        record = {"seq": 0, "ts": 1.0, "kind": "worker-lost",
-                  "component": "parallel", "message": "m", "details": {}}
+        record = {"seq": 0, "ts": 1.0, "kind": "io-error",
+                  "component": "transcache", "message": "m", "details": {}}
         assert validate_record(record) == []
 
 
@@ -261,7 +247,12 @@ class TestFigureInvariance:
             profiles = run_translation_profile(benchmarks=benches)
         finally:
             obs.stop_trace()
-        _units, instructions = phase_totals(load_trace(path))
+        records = load_trace(path)
+        # One translate span per kernel in the trace file.
+        assert len(span_records(records, name="translate",
+                                component="translator")) == \
+            sum(len(b.kernels) for b in benches)
+        _units, instructions = phase_totals(records)
         expected = {p: 0.0 for p in PHASES}
         for prof in profiles:
             for p in PHASES:

@@ -1,96 +1,64 @@
-"""Cross-process observability: deterministic merge at any job count.
+"""Deterministic metrics across repeat runs of one figure pass.
 
-``parallel_map`` ships each worker's metrics-registry delta back with
-its result and folds the deltas in item order.  Deterministic metrics
-(translation counts, per-phase unit totals — exact at any job count
-because the cache replays meters exactly) must come out identical for
-jobs=1 and jobs=2; trace files must carry the same span population.
+Translation counts and per-phase unit totals are exact: every benchmark
+is profiled once per run, and cached translations replay their meter
+charges exactly.  So two cold runs of the Figure 8 profile must report
+identical counters, and two traced runs identical trace-file spans.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro import obs, perf
 from repro.obs.stats import load_trace, phase_totals, span_records
-from repro.perf.parallel import parallel_map
 from repro.vm.costmodel import PHASES
 from repro.workloads.suite import media_fp_benchmarks
 
-#: Counters whose totals are independent of job count: every item is
-#: processed exactly once, and cached translations replay their meter
-#: charges exactly.  (transcache.* hit/miss counters are deliberately
-#: absent — worker-local caches make those depend on the fan-out.)
+#: Counters whose totals are fixed by the work done.  (transcache.*
+#: hit/miss counters are deliberately absent — they describe the cache,
+#: not the work.)
 DETERMINISTIC = ("translator.translations", "translator.ok",
                  *(f"translator.units.{p}" for p in PHASES))
 
 
-def _run_profile(jobs: int) -> dict:
+def _run_profile() -> dict:
     from repro.experiments.fig8_translation import run_translation_profile
     obs.reset_metrics()
     perf.clear_caches()
-    run_translation_profile(benchmarks=media_fp_benchmarks()[:6],
-                            jobs=jobs)
+    run_translation_profile(benchmarks=media_fp_benchmarks()[:6])
     return obs.metrics_snapshot()
 
 
-def test_counters_identical_across_job_counts():
-    serial = _run_profile(jobs=1)
-    fanned = _run_profile(jobs=2)
-    for name in DETERMINISTIC:
-        assert serial["counters"].get(name) == \
-            fanned["counters"].get(name), name
-    assert serial["counters"]["translator.translations"] > 0
-
-
 def test_counters_reproducible_across_repeat_runs():
-    first = _run_profile(jobs=2)
-    second = _run_profile(jobs=2)
+    first = _run_profile()
+    second = _run_profile()
     for name in DETERMINISTIC:
         assert first["counters"].get(name) == \
             second["counters"].get(name), name
-
-
-def test_worker_increments_merge_back_to_parent():
-    def task(n: int) -> int:
-        obs.inc("parallel.test.items")
-        obs.observe("parallel.test.values", n)
-        return n * 2
-
-    results = parallel_map(task, list(range(8)), jobs=2)
-    assert results == [n * 2 for n in range(8)]
-    snap = obs.metrics_snapshot()
-    assert snap["counters"]["parallel.test.items"] == 8
-    assert snap["histograms"]["parallel.test.values"] == {
-        n: 1 for n in range(8)}
+    assert first["counters"]["translator.translations"] > 0
 
 
 def test_trace_file_spans_deterministic_across_job_counts(tmp_path):
+    # There is one job count now; two traced cold runs of the same
+    # profile must carry the same span population and phase totals.
     from repro.experiments.fig8_translation import run_translation_profile
 
-    def traced(jobs: int, path: str):
+    def traced(path: str):
         obs.reset_metrics()
         perf.clear_caches()
         obs.start_trace(path)
         try:
-            run_translation_profile(
-                benchmarks=media_fp_benchmarks()[:6], jobs=jobs)
+            run_translation_profile(benchmarks=media_fp_benchmarks()[:6])
         finally:
             obs.stop_trace()
         return load_trace(path)
 
-    serial = traced(1, str(tmp_path / "serial.jsonl"))
-    fanned = traced(2, str(tmp_path / "fanned.jsonl"))
-    # Same translate-span population (one per kernel) whatever the
-    # fan-out; worker spans land in the same file via the env hint.
-    for records in (serial, fanned):
+    first = traced(str(tmp_path / "first.jsonl"))
+    second = traced(str(tmp_path / "second.jsonl"))
+    # One translate span per kernel in each trace file.
+    kernels = sum(len(b.kernels) for b in media_fp_benchmarks()[:6])
+    for records in (first, second):
         spans = span_records(records, name="translate",
                              component="translator")
-        kernels = sum(len(b.kernels)
-                      for b in media_fp_benchmarks()[:6])
         assert len(spans) == kernels
     # And identical exact per-phase totals.
-    assert phase_totals(serial) == phase_totals(fanned)
-    pids = {r["details"]["pid"]
-            for r in span_records(fanned, name="translate")}
-    assert len(pids) >= 1  # workers appended to the shared file
+    assert phase_totals(first) == phase_totals(second)

@@ -36,8 +36,8 @@ def run_fake(tmp_path, name="case", repeat=3, registry=None,
 
 class TestConfig:
     def test_hash_and_digest_stability(self):
-        a = Config(name="x", figures=("f1",), jobs=2)
-        b = Config(name="x", figures=("f1",), jobs=2)
+        a = Config(name="x", figures=("f1",), engine=1)
+        b = Config(name="x", figures=("f1",), engine=1)
         assert a == b and hash(a) == hash(b)
         assert xp.config_digest(a) == xp.config_digest(b)
 
@@ -67,11 +67,11 @@ class TestConfig:
         assert xp.config_digest(rebuilt) == xp.config_digest(config)
 
     def test_from_settings_bridges_the_env_knobs(self):
-        settings = Settings(jobs=4, engine=1, cache_dir="/tmp/c",
+        settings = Settings(engine=1, cache_dir="/tmp/c",
                             trace_path="/tmp/t.jsonl")
         config = Config.from_settings(settings, name="bridged",
                                       figures=("f1",))
-        assert (config.jobs, config.engine) == (4, 1)
+        assert (config.jobs, config.engine) == (1, 1)
         assert config.cache == "disk" and config.trace
         assert config.figures == ("f1",)
 
@@ -86,6 +86,7 @@ class TestConfig:
         (dict(kind="nope"), "kind"),
         (dict(figures=()), "figures"),
         (dict(engine=0, skip_reference=True), "skip_reference"),
+        (dict(jobs=2), "one process"),
     ])
     def test_validate_rejects_bad_axes(self, axes, match):
         config = Config(name="bad", **{"figures": ("f1",), **axes})
@@ -267,7 +268,7 @@ class TestAggregate:
 
     def test_mixed_digests_refuse_to_aggregate(self, tmp_path):
         run_fake(tmp_path, name="a", repeat=1)
-        run_fake(tmp_path, name="a", repeat=1, jobs=2)
+        run_fake(tmp_path, name="a", repeat=1, engine=1)
         records = store.load_records("a", directory=str(tmp_path))
         with pytest.raises(ValueError, match="digest"):
             aggregate_records(records)
