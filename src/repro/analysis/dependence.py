@@ -100,4 +100,4 @@ def refine_memory_edges(loop: Loop, dfg: DataflowGraph,
                                  else (b, a))
                 refined.append(Edge(first.opid, second.opid, 1, 0,
                                     kind="mem"))
-    return DataflowGraph(loop, refined, dfg.latency_model)
+    return dfg.with_edges(refined)

@@ -45,11 +45,23 @@ class Edge:
     kind: str = "flow"
 
 
+def latency_table(loop: Loop, latency_model: LatencyModel) -> dict[int, int]:
+    """Each body op's latency under *latency_model*, by opid."""
+    return {op.opid: latency_model.latency(op.opcode) for op in loop.body}
+
+
 class DataflowGraph:
-    """Dependence graph over the operations of one loop body."""
+    """Dependence graph over the operations of one loop body.
+
+    Per-op latencies are resolved once into a plain ``opid -> int``
+    table (``_lat``) that :meth:`latency` reads.  The table is derived
+    state: it is left out of pickles, so a pickled graph's bytes do not
+    depend on it, and rebuilt on unpickling.
+    """
 
     def __init__(self, loop: Loop, edges: Iterable[Edge],
-                 latency_model: LatencyModel = DEFAULT_LATENCY) -> None:
+                 latency_model: LatencyModel = DEFAULT_LATENCY,
+                 latencies: Optional[dict[int, int]] = None) -> None:
         self.loop = loop
         self.latency_model = latency_model
         self.nodes: list[int] = [op.opid for op in loop.body]
@@ -59,6 +71,19 @@ class DataflowGraph:
         for e in self.edges:
             self._succ[e.src].append(e)
             self._pred[e.dst].append(e)
+        self._lat = (latencies if latencies is not None
+                     else latency_table(loop, latency_model))
+
+    def with_edges(self, edges: Iterable[Edge]) -> "DataflowGraph":
+        """The same loop and latencies over a different edge set."""
+        return DataflowGraph(self.loop, edges, self.latency_model, self._lat)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_lat"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lat = latency_table(self.loop, self.latency_model)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -78,7 +103,7 @@ class DataflowGraph:
         return [e.src for e in self._pred[opid]]
 
     def latency(self, opid: int) -> int:
-        return self.latency_model.latency(self.op(opid).opcode)
+        return self._lat[opid]
 
     # -- recurrences --------------------------------------------------------
 
@@ -141,6 +166,7 @@ def build_dfg(loop: Loop,
         if work is not None:
             work(n)
 
+    lat = latency_table(loop, latency_model)
     edges: list[Edge] = []
     last_def: dict[tuple[str, str], int] = {}
     final_def: dict[tuple[str, str], int] = {}
@@ -156,12 +182,10 @@ def build_dfg(loop: Loop,
             charge(1)
             if key in last_def:
                 src = last_def[key]
-                edges.append(Edge(src, op.opid,
-                                  latency_model.latency(loop.op(src).opcode), 0))
+                edges.append(Edge(src, op.opid, lat[src], 0))
             elif key in final_def:
                 src = final_def[key]
-                edges.append(Edge(src, op.opid,
-                                  latency_model.latency(loop.op(src).opcode), 1))
+                edges.append(Edge(src, op.opid, lat[src], 1))
         for d in op.dests:
             last_def[_reg_key(d)] = op.opid
 
@@ -194,4 +218,4 @@ def build_dfg(loop: Loop,
             edges.append(Edge(a.opid, b.opid, 1, 0, kind="mem"))
             edges.append(Edge(b.opid, a.opid, 1, 1, kind="mem"))
 
-    return DataflowGraph(loop, edges, latency_model)
+    return DataflowGraph(loop, edges, latency_model, lat)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
+from repro.ir.work import charge_run
+
 Node = Hashable
 
 
@@ -24,8 +26,10 @@ def strongly_connected_components(
     Args:
         nodes: All graph nodes.
         successors: Adjacency function.
-        work: Optional callback charged once per node/edge visit, used by
-            the VM translation cost model to meter this linear-time pass.
+        work: Optional callback charged one unit per root and per edge
+            visit (one run, see :func:`repro.ir.work.charge_run`), used
+            by the VM translation cost model to meter this linear-time
+            pass.
 
     Tarjan's algorithm, implemented iteratively so deep dataflow graphs
     from aggressively inlined loops (Section 3.1 notes some loops are
@@ -38,10 +42,7 @@ def strongly_connected_components(
     stack: list[Node] = []
     sccs: list[list[Node]] = []
     counter = 0
-
-    def charge(n: int) -> None:
-        if work is not None:
-            work(n)
+    units = 0
 
     for root in nodes:
         if root in index:
@@ -52,12 +53,12 @@ def strongly_connected_components(
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        charge(1)
+        units += 1
         while call_stack:
             node, succ_iter = call_stack[-1]
             advanced = False
             for succ in succ_iter:
-                charge(1)
+                units += 1
                 if succ not in index:
                     index[succ] = lowlink[succ] = counter
                     counter += 1
@@ -83,6 +84,7 @@ def strongly_connected_components(
                     if member == node:
                         break
                 sccs.append(component)
+    charge_run(work, units)
     return sccs
 
 

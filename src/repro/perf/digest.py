@@ -100,7 +100,16 @@ def options_digest(options) -> str:
     )
 
 
+def latency_key(latency_model: LatencyModel) -> tuple:
+    """Hashable identity of a latency model's *content*.
+
+    ``LatencyModel`` is mutable and unhashable, so memos keyed on one
+    use this instead of the object.
+    """
+    return tuple(sorted(
+        (op.name, lat) for op, lat in latency_model.overrides.items()))
+
+
 def cpu_key(config, latency_model: LatencyModel) -> tuple:
     """Hashable identity of a scalar-pipeline timing model."""
-    return (config, tuple(sorted(
-        (op.name, lat) for op, lat in latency_model.overrides.items())))
+    return (config, latency_key(latency_model))

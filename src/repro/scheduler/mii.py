@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 from repro.ir.dfg import DataflowGraph
 from repro.ir.opcodes import Opcode, OpKind
+from repro.ir.work import charge_run
 
 #: Value used for "this resource has demand but zero units".
 INFEASIBLE = 10 ** 9
@@ -75,10 +76,9 @@ def compute_res_mii(dfg: DataflowGraph, schedulable: set[int],
     generators they issue through; a class with zero available units and
     at least one op yields an infeasible ResMII (:data:`INFEASIBLE`).
     """
+    charge_run(work, len(schedulable))
     counts: dict[str, int] = {}
     for opid in schedulable:
-        if work is not None:
-            work(1)
         rc = sched_resource(dfg.op(opid))
         counts[rc] = counts.get(rc, 0) + 1
     per_resource: dict[str, int] = {}
@@ -98,14 +98,15 @@ def _has_positive_cycle(nodes: list[int],
                         ii: int,
                         work: Optional[Callable[[int], None]] = None) -> bool:
     """Bellman-Ford longest-path relaxation; True if some cycle has
-    positive weight ``latency - ii * distance``."""
+    positive weight ``latency - ii * distance``.  Each relaxation pass
+    charges one unit per edge."""
+    weighted = [(src, dst, latency - ii * distance)
+                for src, dst, latency, distance in edges]
     dist = {n: 0 for n in nodes}
     for _ in range(len(nodes)):
+        charge_run(work, len(weighted))
         changed = False
-        for src, dst, latency, distance in edges:
-            if work is not None:
-                work(1)
-            w = latency - ii * distance
+        for src, dst, w in weighted:
             if dist[src] + w > dist[dst]:
                 dist[dst] = dist[src] + w
                 changed = True

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.ir.dfg import DataflowGraph, Edge
+from repro.ir.work import charge_run
 from repro.scheduler.mii import compute_rec_mii
 
 
@@ -63,31 +64,32 @@ def _asap_alap(dfg: DataflowGraph, nodes: set[int], ii: int,
     """Earliest/latest start times at initiation interval *ii*.
 
     Longest-path fixpoints with edge weight ``latency - ii * distance``;
-    converges because ii >= RecMII guarantees no positive cycles.
+    converges because ii >= RecMII guarantees no positive cycles.  Each
+    relaxation pass charges one unit per edge.
     """
-    edges = _sub_edges(dfg, nodes)
+    edges = [(e.src, e.dst, e.latency - ii * e.distance)
+             for e in _sub_edges(dfg, nodes)]
     earliest = {n: 0 for n in nodes}
     for _ in range(len(nodes) + 1):
+        charge_run(work, len(edges))
         changed = False
-        for e in edges:
-            if work is not None:
-                work(1)
-            t = earliest[e.src] + e.latency - ii * e.distance
-            if t > earliest[e.dst]:
-                earliest[e.dst] = t
+        for src, dst, weight in edges:
+            t = earliest[src] + weight
+            if t > earliest[dst]:
+                earliest[dst] = t
                 changed = True
         if not changed:
             break
-    end = max((earliest[n] + dfg.latency(n) for n in nodes), default=0)
-    latest = {n: end - dfg.latency(n) for n in nodes}
+    latency = dfg.latency
+    end = max((earliest[n] + latency(n) for n in nodes), default=0)
+    latest = {n: end - latency(n) for n in nodes}
     for _ in range(len(nodes) + 1):
+        charge_run(work, len(edges))
         changed = False
-        for e in edges:
-            if work is not None:
-                work(1)
-            t = latest[e.dst] - e.latency + ii * e.distance
-            if t < latest[e.src]:
-                latest[e.src] = t
+        for src, dst, weight in edges:
+            t = latest[dst] - weight
+            if t < latest[src]:
+                latest[src] = t
                 changed = True
         if not changed:
             break
@@ -116,15 +118,16 @@ def _reachable(dfg: DataflowGraph, sources: set[int], within: set[int],
     """Nodes of *within* reachable from *sources* along flow edges."""
     seen = set(sources)
     frontier = list(sources)
+    units = 0
     while frontier:
         node = frontier.pop()
         neighbours = dfg.successors(node) if forward else dfg.predecessors(node)
+        units += len(neighbours)
         for n in neighbours:
-            if work is not None:
-                work(1)
             if n in within and n not in seen:
                 seen.add(n)
                 frontier.append(n)
+    charge_run(work, units)
     return seen
 
 
@@ -182,13 +185,12 @@ def swing_priority(dfg: DataflowGraph, schedulable: set[int], ii: int,
     mobility = {n: latest[n] - earliest[n] for n in schedulable}
     sets, scored = _build_sets(dfg, schedulable, work)
 
-    def flow_succs(n: int) -> list[int]:
-        return [e.dst for e in dfg.out_edges(n)
-                if e.kind == "flow" and e.dst in schedulable]
-
-    def flow_preds(n: int) -> list[int]:
-        return [e.src for e in dfg.in_edges(n)
-                if e.kind == "flow" and e.src in schedulable]
+    flow_succs = {n: [e.dst for e in dfg.out_edges(n)
+                      if e.kind == "flow" and e.dst in schedulable]
+                  for n in schedulable}
+    flow_preds = {n: [e.src for e in dfg.in_edges(n)
+                      if e.kind == "flow" and e.src in schedulable]
+                  for n in schedulable}
 
     order: list[int] = []
     placed: set[int] = set()
@@ -196,9 +198,9 @@ def swing_priority(dfg: DataflowGraph, schedulable: set[int], ii: int,
         unplaced = set(node_set) - placed
         while unplaced:
             with_pred = {v for v in unplaced
-                         if any(p in placed for p in flow_preds(v))}
+                         if not placed.isdisjoint(flow_preds[v])}
             with_succ = {v for v in unplaced
-                         if any(s in placed for s in flow_succs(v))}
+                         if not placed.isdisjoint(flow_succs[v])}
             if work is not None:
                 work(len(unplaced))
             if with_pred and not with_succ:
@@ -224,7 +226,7 @@ def swing_priority(dfg: DataflowGraph, schedulable: set[int], ii: int,
                 placed.add(v)
                 unplaced.discard(v)
                 ready.discard(v)
-                grow = flow_succs(v) if direction == "down" else flow_preds(v)
+                grow = flow_succs[v] if direction == "down" else flow_preds[v]
                 for n in grow:
                     if n in unplaced:
                         ready.add(n)

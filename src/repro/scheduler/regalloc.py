@@ -23,6 +23,7 @@ from repro.analysis.partition import LoopPartition
 from repro.ir.dfg import DataflowGraph
 from repro.ir.loop import Loop
 from repro.ir.ops import Imm, Reg
+from repro.ir.work import charge_run
 from repro.scheduler.schedule import ModuloSchedule
 
 
@@ -55,12 +56,9 @@ def register_requirements(loop: Loop, dfg: DataflowGraph,
     Uses a one-to-one mapping from baseline virtual registers to
     accelerator registers (Section 4.2: "The register assignment process
     uses a one-to-one mapping from the baseline ISA to the accelerator
-    registers"), with FIFO and interconnect exemptions applied.
+    registers"), with FIFO and interconnect exemptions applied.  Charges
+    one unit per op, operand and out-edge inspected, as one run.
     """
-    def charge(n: int) -> None:
-        if work is not None:
-            work(n)
-
     compute = partition.compute
     ii = schedule.ii
     demand: dict[Reg, int] = {}
@@ -70,10 +68,11 @@ def register_requirements(loop: Loop, dfg: DataflowGraph,
     # state consumed only by address generators and loop control live in
     # that hardware's own configuration storage.
     live_in_set = set(loop.live_ins)
+    ticks = 0
     for op in loop.body:
         if op.opid not in compute:
             continue
-        charge(1)
+        ticks += 1
         for reg in op.src_regs():
             if reg in live_in_set:
                 demand[reg] = max(demand.get(reg, 0), 1)
@@ -87,21 +86,21 @@ def register_requirements(loop: Loop, dfg: DataflowGraph,
     # Figure 3(b)'s "constants" accounting.
     constants: dict[tuple[str, object], int] = {}
 
-    def note_constants(srcs) -> None:
+    def note_constants(srcs) -> int:
         for src in srcs:
-            charge(1)
             if isinstance(src, Imm):
                 if isinstance(src.value, int) and -128 <= src.value <= 127:
                     continue
                 space = "fp" if isinstance(src.value, float) else "int"
                 constants.setdefault((space, src.value), len(constants))
+        return len(srcs)
 
     for op in loop.body:
         if op.opid not in compute or op.is_memory:
             continue
-        note_constants(op.srcs)
+        ticks += note_constants(op.srcs)
         for inner in op.inner:  # CCA compounds carry their own literals
-            note_constants(inner.srcs)
+            ticks += note_constants(inner.srcs)
 
     # Temporaries: producer in compute, consumer in compute.
     for op in loop.body:
@@ -113,8 +112,9 @@ def register_requirements(loop: Loop, dfg: DataflowGraph,
         for dest in op.dests:
             lifetime = 0
             is_live_out = dest in loop.live_outs
-            for e in dfg.out_edges(op.opid):
-                charge(1)
+            out_edges = dfg.out_edges(op.opid)
+            ticks += len(out_edges)
+            for e in out_edges:
                 if e.kind != "flow" or e.dst not in schedule.times:
                     continue
                 consumer = loop.op(e.dst)
@@ -136,6 +136,8 @@ def register_requirements(loop: Loop, dfg: DataflowGraph,
                 copies = -(-lifetime // ii)  # ceil
                 demand[dest] = max(demand.get(dest, 0), copies)
                 reg_space[dest] = dest.space
+
+    charge_run(work, ticks)
 
     int_total = sum(c for r, c in demand.items()
                     if reg_space.get(r, "int") == "int")

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.ir.dfg import DataflowGraph
+from repro.ir.work import charge_run
 from repro.scheduler.mii import MIIResult, compute_mii, sched_resource
 from repro.scheduler.mrt import ModuloReservationTable
 from repro.scheduler.priority import PriorityResult, height_priority, swing_priority
@@ -118,23 +119,26 @@ def _try_schedule(dfg: DataflowGraph, order: list[int],
                   units: dict[str, int],
                   work: Optional[Callable[[int], None]] = None
                   ) -> dict[int, int] | _PlacementFailure:
-    """One list-scheduling attempt at a fixed II."""
+    """One list-scheduling attempt at a fixed II.
+
+    Charges one unit per edge inspected and per slot probed, as one run
+    when the attempt ends.
+    """
     mrt = ModuloReservationTable(ii, units)
     times: dict[int, int] = {}
-    scheduled = set()
+    ticks = 0
     for opid in order:
         resource = sched_resource(dfg.op(opid))
         estart: Optional[int] = None
         lstart: Optional[int] = None
-        for e in dfg.in_edges(opid):
-            if work is not None:
-                work(1)
+        in_edges = dfg.in_edges(opid)
+        out_edges = dfg.out_edges(opid)
+        ticks += len(in_edges) + len(out_edges)
+        for e in in_edges:
             if e.src in times:
                 bound = times[e.src] + e.latency - ii * e.distance
                 estart = bound if estart is None else max(estart, bound)
-        for e in dfg.out_edges(opid):
-            if work is not None:
-                work(1)
+        for e in out_edges:
             if e.dst in times:
                 bound = times[e.dst] - dfg.latency(opid) + ii * e.distance
                 lstart = bound if lstart is None else min(lstart, bound)
@@ -152,20 +156,21 @@ def _try_schedule(dfg: DataflowGraph, order: list[int],
         else:
             top = min(lstart, estart + ii - 1)
             if top < estart:
+                charge_run(work, ticks)
                 return _PlacementFailure(opid, resource, "window closed")
             candidates = range(estart, top + 1)
         placed_at: Optional[int] = None
         for t in candidates:
-            if work is not None:
-                work(1)
+            ticks += 1
             if mrt.available(t, resource):
                 placed_at = t
                 break
         if placed_at is None:
+            charge_run(work, ticks)
             return _PlacementFailure(opid, resource, "resource conflict")
         mrt.reserve(placed_at, resource)
         times[opid] = placed_at
-        scheduled.add(opid)
+    charge_run(work, ticks)
     if times:
         low = min(times.values())
         if low != 0:

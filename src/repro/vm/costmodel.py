@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import TranslationBudgetExceeded
 
@@ -65,7 +65,8 @@ class TranslationMeter:
     blow-up over a huge body) costs a bounded amount of VM time instead
     of hanging a sweep.  ``deadline_s`` adds an optional wall-clock
     guard checked on the same path (coarse, since it only triggers on a
-    charge, but every phase charges per unit of work).
+    charge, and a hot loop's unit ticks arrive as one :meth:`charge_run`
+    per pass or attempt).
     """
 
     units: dict[str, int] = field(default_factory=dict)
@@ -83,6 +84,26 @@ class TranslationMeter:
         self.units[phase] = self.units.get(phase, 0) + amount
         self._total += amount
         self._enforce(phase, check_deadline=True)
+
+    def charge_run(self, phase: str, n: int) -> None:
+        """Charge *n* unit work items in one call.
+
+        Leaves the meter exactly as ``n`` calls of ``charge(phase, 1)``
+        would: past ``budget_units`` only the units up to the one that
+        crosses the budget are recorded, and a deadline that has already
+        passed trips on the first unit.  ``charge(phase, n)`` is the
+        other shape — one item worth *n* units, all recorded before the
+        check.
+        """
+        if n <= 0:
+            return
+        if self.deadline_s is not None and \
+                time.monotonic() - self._started_at > self.deadline_s:
+            n = 1
+        elif self.budget_units is not None and \
+                self._total + n > self.budget_units:
+            n = max(self.budget_units + 1 - self._total, 1)
+        self.charge(phase, n)
 
     def _enforce(self, phase: str, check_deadline: bool) -> None:
         """Charge-then-check limit enforcement, in one place.
@@ -132,11 +153,9 @@ class TranslationMeter:
             self._total += amount
             self._enforce(phase, check_deadline=False)
 
-    def charger(self, phase: str) -> Callable[[int], None]:
-        """A callback bound to *phase*, in the shape analyses expect."""
-        def _charge(amount: int) -> None:
-            self.charge(phase, amount)
-        return _charge
+    def charger(self, phase: str) -> "PhaseCharger":
+        """A work callback bound to *phase*, in the shape analyses expect."""
+        return PhaseCharger(self, phase)
 
     def instructions(self, weights: dict[str, float] | None = None
                      ) -> dict[str, float]:
@@ -187,6 +206,27 @@ class TranslationMeter:
         # The deadline clock restarts on this side of the boundary.
         self.__dict__.update(state)
         self._started_at = time.monotonic()
+
+
+class PhaseCharger:
+    """The work callback an analysis receives for one phase.
+
+    ``charger(n)`` is :meth:`TranslationMeter.charge`; ``charger.run(n)``
+    is :meth:`TranslationMeter.charge_run`, which
+    :func:`repro.ir.work.charge_run` uses for a hot loop's unit ticks.
+    """
+
+    __slots__ = ("meter", "phase")
+
+    def __init__(self, meter: TranslationMeter, phase: str) -> None:
+        self.meter = meter
+        self.phase = phase
+
+    def __call__(self, amount: int) -> None:
+        self.meter.charge(self.phase, amount)
+
+    def run(self, n: int) -> None:
+        self.meter.charge_run(self.phase, n)
 
 
 def translation_cycles(instructions: float, cpi: float = 1.0) -> float:

@@ -438,6 +438,36 @@ def _clamp(available: int, demand: int) -> int:
     return min(available, max(demand, 1))
 
 
+#: Per-loop memo of :func:`_census`, keyed by the latency model's
+#: content (:func:`~repro.perf.digest.latency_key`).
+_CENSUS_ATTR = "_veal_census"
+
+
+def _census(loop: Loop, lat: LatencyModel) -> tuple[dict[str, int], int]:
+    """Resource-class op counts and latency sum over *loop*'s ops
+    (CCA inner ops included) — everything the projection reads of the
+    loop, independent of the config."""
+    from repro.perf.digest import latency_key
+
+    memo = loop.__dict__.get(_CENSUS_ATTR)
+    if memo is None:
+        memo = loop.__dict__.setdefault(_CENSUS_ATTR, {})
+    lat_key = latency_key(lat)
+    census = memo.get(lat_key)
+    if census is None:
+        counts: dict[str, int] = {}
+        latency_sum = 0
+        stack = list(loop.body)
+        while stack:
+            op = stack.pop()
+            rc = sched_resource(op)
+            counts[rc] = counts.get(rc, 0) + 1
+            latency_sum += max(int(lat.latency(op.opcode)), 1)
+            stack.extend(op.inner)
+        census = memo[lat_key] = (counts, latency_sum)
+    return census
+
+
 def _schedule_projection(loop: Loop, config: LAConfig,
                          options: TranslationOptions
                          ) -> tuple[LAConfig, int]:
@@ -447,16 +477,7 @@ def _schedule_projection(loop: Loop, config: LAConfig,
     loop's own upper bound on any achievable II — the max-II value that
     behaves as unbounded for this loop.
     """
-    lat = options.latency_model
-    counts: dict[str, int] = {}
-    latency_sum = 0
-    stack = list(loop.body)
-    while stack:
-        op = stack.pop()
-        rc = sched_resource(op)
-        counts[rc] = counts.get(rc, 0) + 1
-        latency_sum += max(int(lat.latency(op.opcode)), 1)
-        stack.extend(op.inner)
+    counts, latency_sum = _census(loop, options.latency_model)
     loads = counts.get(LOAD_GEN, 0)
     stores = counts.get(STORE_GEN, 0)
     # No schedule of this body can need an II beyond a fully serial

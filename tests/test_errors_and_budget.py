@@ -1,6 +1,9 @@
 """The structured failure taxonomy and translation budgets."""
 
+import json
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.accelerator import PROPOSED_LA
 from repro.errors import (
@@ -10,11 +13,13 @@ from repro.errors import (
     TranslationBudgetExceeded,
     TranslationError,
 )
+from repro.ir.work import charge_run
 from repro.vm import TranslationMeter, TranslationOptions, translate_loop
 from repro.vm.guard import GuardConfig, GuardedExecutor
 from repro.vm.runtime import VMConfig, VirtualMachine
 from repro.workloads import kernels as K
 from repro.workloads.generator import GeneratorSpec, generate_loop
+from tests import budget_golden
 from tests.conftest import seeded_memory
 
 
@@ -144,3 +149,61 @@ def test_wall_clock_deadline():
     meter = TranslationMeter(deadline_s=0.0)
     with pytest.raises(TranslationBudgetExceeded):
         meter.charge("identify", 1)
+
+
+# -- run charges ----------------------------------------------------------------
+
+def _unit_charges(meter, phase, n):
+    for _ in range(n):
+        meter.charge(phase, 1)
+
+
+def _meter_after(charges, budget, run):
+    """(meter units, total, abort) after *charges* on a fresh meter."""
+    meter = TranslationMeter(budget_units=budget)
+    abort = None
+    try:
+        for phase, n, bulk in charges:
+            if bulk:
+                meter.charge(phase, n)
+            elif run:
+                meter.charge_run(phase, n)
+            else:
+                _unit_charges(meter, phase, n)
+    except TranslationBudgetExceeded as exc:
+        abort = (exc.phase, exc.spent_units, exc.budget_units)
+    return meter.units, meter.total_units(), abort
+
+
+@settings(max_examples=300, deadline=None)
+@given(charges=st.lists(st.tuples(
+           st.sampled_from(["cca", "priority", "scheduling"]),
+           st.integers(0, 12), st.booleans()), max_size=12),
+       budget=st.one_of(st.none(), st.integers(0, 60)))
+@example(charges=[("cca", 0, False), ("priority", 5, False)], budget=2)
+@example(charges=[("cca", 4, True), ("priority", 3, False)], budget=2)
+def test_run_charge_equals_unit_charges(charges, budget):
+    """``charge_run(phase, n)`` leaves the meter exactly as n
+    ``charge(phase, 1)`` calls: same units (no entry for an empty run),
+    same total, same abort."""
+    assert _meter_after(charges, budget, run=True) == \
+        _meter_after(charges, budget, run=False)
+
+
+def test_charge_run_helper_falls_back_to_unit_calls():
+    calls = []
+    charge_run(calls.append, 3)
+    charge_run(None, 3)
+    assert calls == [1, 1, 1]
+
+
+def test_budget_aborts_match_the_golden_table():
+    """Budget aborts of 12 loops at ~30 budgets each, through the cache
+    and around it, are where the unit-at-a-time meter put them: a run
+    charge that moved any abort fails here."""
+    with open(budget_golden.TABLE_PATH, encoding="utf-8") as handle:
+        want = json.load(handle)
+    got = json.loads(json.dumps(budget_golden.build_table()))
+    assert sorted(got) == sorted(want)
+    for label in want:
+        assert got[label] == want[label], label

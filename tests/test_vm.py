@@ -1,6 +1,7 @@
 """The co-designed VM: translator modes, code cache, runtime accounting."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.accelerator import PROPOSED_LA
 from repro.cpu import ARM11, CORTEX_A8
@@ -15,6 +16,7 @@ from repro.vm import (
     translation_cycles,
 )
 from repro.vm.costmodel import DEFAULT_WEIGHTS, PHASES
+from repro.vm.runtime import LoopOutcome
 from repro.workloads import kernels as K
 from repro.workloads.suite import benchmark_by_name, media_fp_benchmarks
 
@@ -238,6 +240,67 @@ def test_code_cache_hot_loops_translate_once():
         if outcome.accelerated:
             assert outcome.translations_performed == 1
     assert run.cache_hit_rate > 0.95  # "very close to 100%"
+
+
+def _replay_translations(vm, outcomes):
+    """The per-invocation code-cache replay ``_count_translations``
+    replaced: round-robin over the accelerated loops, one lookup per
+    invocation, a translation per miss."""
+    accelerated = [o for o in outcomes if o.accelerated]
+    remaining = {o.name: o.invocations for o in accelerated}
+    translations = {o.name: 0 for o in accelerated}
+    while any(v > 0 for v in remaining.values()):
+        for o in accelerated:
+            if remaining[o.name] <= 0:
+                continue
+            remaining[o.name] -= 1
+            if vm.code_cache.lookup(o.name) is None:
+                vm.code_cache.insert(o.name, o.name)
+                translations[o.name] += 1
+    return translations
+
+
+def _counting_vm(capacity, preload):
+    vm = _vm(accelerator=PROPOSED_LA.with_(code_cache_entries=capacity))
+    for key in preload:
+        if vm.code_cache.lookup(key) is None:
+            vm.code_cache.insert(key, key)
+    return vm
+
+
+def _outcomes(invocations, accelerated):
+    return [LoopOutcome(name=f"L{i}", accelerated=acc, reason=None,
+                        invocations=n, trip_count=1,
+                        scalar_cycles_per_invocation=1.0,
+                        accel_cycles_per_invocation=1.0,
+                        translation_instructions=0.0,
+                        translations_performed=0)
+            for i, (n, acc) in enumerate(zip(invocations, accelerated))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(invocations=st.lists(st.integers(0, 40), max_size=24),
+       accelerated=st.lists(st.booleans(), min_size=24, max_size=24),
+       capacity=st.integers(1, 20),
+       preload=st.lists(st.sampled_from(
+           [f"L{i}" for i in range(24)] + [f"old{i}" for i in range(6)]),
+           max_size=24))
+@example(invocations=[1] * 20 + [0, 3, 3, 40],
+         accelerated=[True] * 24, capacity=16,
+         preload=["old0", "L3", "old1"])
+def test_code_cache_count_equals_per_invocation_replay(
+        invocations, accelerated, capacity, preload):
+    """Per-round counting matches the one-invocation-at-a-time replay:
+    translations per loop, cache stats and the final LRU order, from a
+    cache that starts non-empty."""
+    vm, ref = _counting_vm(capacity, preload), _counting_vm(capacity, preload)
+    outcomes = _outcomes(invocations, accelerated)
+    vm._count_translations(outcomes)
+    want = _replay_translations(ref, _outcomes(invocations, accelerated))
+    assert {o.name: o.translations_performed for o in outcomes
+            if o.accelerated} == want
+    assert vm.code_cache.stats == ref.code_cache.stats
+    assert vm.code_cache.keys() == ref.code_cache.keys()
 
 
 def test_miss_rate_override_scales_translations():
