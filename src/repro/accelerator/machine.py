@@ -41,6 +41,7 @@ from repro.ir.dfg import DataflowGraph
 from repro.ir.loop import Loop
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Reg
+from repro.perf.memo import RuntimeMemos
 from repro.scheduler.regalloc import RegisterAssignment
 from repro.scheduler.rotation import PhysicalAssignment
 from repro.scheduler.schedule import ModuloSchedule
@@ -51,8 +52,12 @@ from repro.scheduler.schedule import ModuloSchedule
 from repro.errors import AcceleratorFault  # noqa: E402  (re-export)
 
 
+#: Per-image memo of :meth:`KernelImage.timing_constants`.
+_TIMING_ATTR = "_veal_timing"
+
+
 @dataclass
-class KernelImage:
+class KernelImage(RuntimeMemos):
     """Everything the VM installs into the code cache for one loop.
 
     Attributes:
@@ -82,6 +87,21 @@ class KernelImage:
     config: LAConfig
     rotation: Optional[PhysicalAssignment] = None
     digest: Optional[str] = None
+
+    def timing_constants(self) -> tuple[int, int]:
+        """``(scalar live-ins mapped to the register files, completion
+        time of one iteration)``: the per-image parts of an estimate.
+
+        Memoised on the image, which is never mutated once built.
+        """
+        consts = self.__dict__.get(_TIMING_ATTR)
+        if consts is None:
+            live_ins = set(self.loop.live_ins)
+            scalar_ins = sum(1 for reg in self.registers.mapping
+                             if reg in live_ins)
+            consts = self.__dict__[_TIMING_ATTR] = (
+                scalar_ins, self.schedule.completion_time(self.dfg))
+        return consts
 
     @property
     def ii(self) -> int:
@@ -165,9 +185,11 @@ class LoopAccelerator:
             raise AcceleratorFault(reason)
         loop = image.loop
         trips = loop.trip_count if trip_count is None else trip_count
-        scalar_ins = sum(1 for reg in image.registers.mapping
-                         if reg in set(loop.live_ins))
-        kernel = image.schedule.kernel_cycles(trips, image.dfg)
+        scalar_ins, completion = image.timing_constants()
+        schedule = image.schedule
+        # ModuloSchedule.kernel_cycles, with the completion time recalled.
+        kernel = ((trips - 1) * schedule.ii + completion
+                  if trips > 0 and schedule.times else 0)
         overhead = (2 * self.config.bus_latency + scalar_ins
                     + len(loop.live_outs))
         return AcceleratorRun(iterations=trips, kernel_cycles=kernel,

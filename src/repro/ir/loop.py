@@ -18,6 +18,7 @@ from typing import Optional
 
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Imm, Operation, Reg, defined_regs
+from repro.perf.memo import RuntimeMemos
 
 
 @dataclass
@@ -43,7 +44,7 @@ class ArrayDecl:
 
 
 @dataclass
-class Loop:
+class Loop(RuntimeMemos):
     """An innermost loop in baseline-ISA form.
 
     Attributes:
@@ -80,18 +81,6 @@ class Loop:
         self._by_id = {op.opid: op for op in self.body}
         if len(self._by_id) != len(self.body):
             raise ValueError(f"duplicate opids in loop {self.name!r}")
-
-    def __getstate__(self) -> dict:
-        """Drop runtime caches (``_veal_*``: compiled closure tables,
-        content digests) when pickling — receivers rebuild them lazily."""
-        return {k: v for k, v in self.__dict__.items()
-                if not k.startswith("_veal_")}
-
-    def __setstate__(self, state: dict) -> None:
-        # A crafted pickle must not plant a digest or key memo: every
-        # receiver derives those from the loop's own content.
-        self.__dict__.update({k: v for k, v in state.items()
-                              if not k.startswith("_veal_")})
 
     # -- lookups ----------------------------------------------------------
 

@@ -192,6 +192,17 @@ COMPARE_OPCODES = frozenset({
 LOAD_OPCODES = frozenset({Opcode.LOAD, Opcode.FLOAD})
 STORE_OPCODES = frozenset({Opcode.STORE, Opcode.FSTORE})
 MEMORY_OPCODES = LOAD_OPCODES | STORE_OPCODES
+CALL_OPCODES = frozenset({Opcode.CALL, Opcode.BRL})
+
+# Per-member copies of the memory and call classes.  The hot
+# ``Operation.is_load``/``is_store``/``is_memory``/``is_call``
+# predicates read these plain attributes: a frozenset membership test
+# would run the Python-level ``Enum.__hash__`` on every call.
+for _op in Opcode:
+    _op.is_load = _op in LOAD_OPCODES
+    _op.is_store = _op in STORE_OPCODES
+    _op.is_memory = _op in MEMORY_OPCODES
+    _op.is_call = _op in CALL_OPCODES
 
 #: Opcodes the CCA can execute.  The CCA supports simple arithmetic
 #: (add, subtract, comparison) and bitwise logical ops; it does not

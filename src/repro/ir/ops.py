@@ -13,14 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
-from repro.ir.opcodes import (
-    MEMORY_OPCODES,
-    LOAD_OPCODES,
-    STORE_OPCODES,
-    OpKind,
-    Opcode,
-    info,
-)
+from repro.ir.opcodes import OpKind, Opcode, info
 
 
 @dataclass(frozen=True)
@@ -88,15 +81,15 @@ class Operation:
 
     @property
     def is_load(self) -> bool:
-        return self.opcode in LOAD_OPCODES
+        return self.opcode.is_load
 
     @property
     def is_store(self) -> bool:
-        return self.opcode in STORE_OPCODES
+        return self.opcode.is_store
 
     @property
     def is_memory(self) -> bool:
-        return self.opcode in MEMORY_OPCODES
+        return self.opcode.is_memory
 
     @property
     def is_control(self) -> bool:
@@ -104,7 +97,7 @@ class Operation:
 
     @property
     def is_call(self) -> bool:
-        return self.opcode in (Opcode.CALL, Opcode.BRL)
+        return self.opcode.is_call
 
     # -- operand helpers --------------------------------------------------
 

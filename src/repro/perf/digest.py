@@ -14,6 +14,7 @@ ids, array shapes/aliasing, trip counts, annotations) is included.
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Any
 
 from repro.ir.loop import ArrayDecl, Loop
@@ -91,13 +92,46 @@ def loop_digest(loop: Loop) -> str:
     return value
 
 
+#: The :class:`~repro.vm.translator.TranslationOptions` fields that
+#: reach a translation, in digest order.  ``deadline_s`` is left out:
+#: a deadline bypasses the cache altogether.
+OPTIONS_FIELDS = ("use_static_cca", "use_static_priority", "use_static_mii",
+                  "priority_kind", "latency_model", "work_budget")
+_options_values = operator.attrgetter(*OPTIONS_FIELDS)
+_LATENCY_AT = OPTIONS_FIELDS.index("latency_model")
+
+#: :func:`options_digest` memo, keyed by :func:`options_key`.
+_options_digests: dict[tuple, str] = {}
+#: Distinct options the memo keeps digests for; past it, it starts over.
+_OPTIONS_DIGEST_SLOTS = 256
+
+
+def options_key(options) -> tuple:
+    """Hashable identity of a translation options' *content*.
+
+    The :data:`OPTIONS_FIELDS` values with the (mutable, unhashable)
+    latency model replaced by its :func:`latency_key` — computed afresh
+    on every call, so a latency model edited in place gives a new key.
+    """
+    values = _options_values(options)
+    return (values[:_LATENCY_AT] + (latency_key(values[_LATENCY_AT]),)
+            + values[_LATENCY_AT + 1:])
+
+
 def options_digest(options) -> str:
-    """Digest of a :class:`~repro.vm.translator.TranslationOptions`."""
-    return digest_of(
-        "options", options.use_static_cca, options.use_static_priority,
-        options.use_static_mii, options.priority_kind,
-        options.latency_model, options.work_budget,
-    )
+    """Digest of a :class:`~repro.vm.translator.TranslationOptions`.
+
+    Memoised on :func:`options_key`; the digest bytes are those of
+    ``digest_of("options", <OPTIONS_FIELDS values>)``.
+    """
+    key = options_key(options)
+    value = _options_digests.get(key)
+    if value is None:
+        if len(_options_digests) >= _OPTIONS_DIGEST_SLOTS:
+            _options_digests.clear()
+        value = _options_digests[key] = digest_of(
+            "options", *_options_values(options))
+    return value
 
 
 def latency_key(latency_model: LatencyModel) -> tuple:
@@ -106,8 +140,10 @@ def latency_key(latency_model: LatencyModel) -> tuple:
     ``LatencyModel`` is mutable and unhashable, so memos keyed on one
     use this instead of the object.
     """
-    return tuple(sorted(
-        (op.name, lat) for op, lat in latency_model.overrides.items()))
+    overrides = latency_model.overrides
+    if not overrides:
+        return ()
+    return tuple(sorted((op.name, lat) for op, lat in overrides.items()))
 
 
 def cpu_key(config, latency_model: LatencyModel) -> tuple:

@@ -39,6 +39,7 @@ from typing import Callable, Mapping, Optional
 
 from repro import obs
 from repro.errors import CacheConfigError, CacheIntegrityError
+from repro.perf.memo import RuntimeMemos
 
 DEFAULT_DISK_DIR = os.path.join("benchmarks", "results", ".cache")
 
@@ -224,7 +225,7 @@ class MeterSnapshot:
 
 
 @dataclass
-class CoreEntry:
+class CoreEntry(RuntimeMemos):
     """One cached capacity-independent translation outcome.
 
     Exactly one of (``image``, ``failure``) is set... with one

@@ -24,6 +24,7 @@ from repro.cpu.pipeline import ARM11, CPUConfig, InOrderPipeline
 from repro.ir.cfg import Program, identify_loops, linear_program
 from repro.ir.loop import Loop
 from repro.errors import AcceleratorFault
+from repro.perf.memo import memo_table
 from repro.vm.codecache import CodeCache
 from repro.vm.costmodel import translation_cycles
 from repro.vm.guard import GuardConfig, differential_check
@@ -154,6 +155,33 @@ def _prepare_memory(loop: Loop, seed: int) -> Memory:
     return memory
 
 
+#: Per-benchmark memo of :func:`_identified_loops`:
+#: ``tuple(id(k) for k in kernels)`` -> (kernels, loops).
+_LOOPS_ATTR = "_veal_loops"
+
+
+def _identified_loops(benchmark, kernels: list[Loop]) -> list[Loop]:
+    """The loops dynamic identification finds in *benchmark*'s program
+    built from *kernels*, in identification order.
+
+    Memoised on the benchmark, keyed by the identity of the kernel
+    objects (not of the list), so an in-place edit of the kernel list
+    misses and is identified afresh.  The entry holds the kernels,
+    keeping their ids from being reused; ``Benchmark.__getstate__``
+    keeps the memo out of pickles.
+    """
+    memo = memo_table(benchmark, _LOOPS_ATTR)
+    key = tuple(map(id, kernels))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
+    program: Program = linear_program(benchmark.name, kernels)
+    identified = identify_loops(program.entry_function().cfg)
+    loops = [il.loop for il in identified if il.loop is not None]
+    memo[key] = (tuple(kernels), loops)
+    return loops
+
+
 class VirtualMachine:
     """Executes benchmarks under a system configuration."""
 
@@ -164,18 +192,21 @@ class VirtualMachine:
         self.accelerator = (LoopAccelerator(config.accelerator)
                             if config.accelerator is not None else None)
         self.code_cache: CodeCache = CodeCache(config.code_cache_entries)
-        self._translations: dict[str, TranslationResult] = {}
+        #: id(loop) -> (loop, its translation).  Keyed by the loop
+        #: object, not its name: two different loops may share a name.
+        self._translations: dict[int, tuple[Loop, TranslationResult]] = {}
 
     # -- translation ---------------------------------------------------------
 
     def translate(self, loop: Loop) -> TranslationResult:
         """Translate (memoised — retranslation costs are charged via the
         code-cache model, the work itself is deterministic)."""
-        if loop.name not in self._translations:
+        hit = self._translations.get(id(loop))
+        if hit is None:
             assert self.config.accelerator is not None
-            self._translations[loop.name] = translate_loop(
-                loop, self.config.accelerator, self.config.options)
-        return self._translations[loop.name]
+            hit = self._translations[id(loop)] = (loop, translate_loop(
+                loop, self.config.accelerator, self.config.options))
+        return hit[1]
 
     # -- per-loop execution -----------------------------------------------------
 
@@ -266,7 +297,7 @@ class VirtualMachine:
         """Fall back to scalar: drop the translation, record why."""
         obs.inc("guard.deopts")
         obs.inc("vm.deopt")
-        self._translations.pop(loop.name, None)
+        self._translations.pop(id(loop), None)
         self.code_cache.invalidate(loop.name)
         from repro.accelerator import jit
         jit.invalidate_loop(loop.name)
@@ -388,9 +419,7 @@ class VirtualMachine:
     def _run_benchmark(self, benchmark) -> AppRun:
         kernels = (benchmark.kernels if self.config.static_transforms_applied
                    else benchmark.untransformed())
-        program: Program = linear_program(benchmark.name, kernels)
-        identified = identify_loops(program.entry_function().cfg)
-        loops = [il.loop for il in identified if il.loop is not None]
+        loops = _identified_loops(benchmark, kernels)
 
         outcomes: list[LoopOutcome] = []
         for loop in loops:

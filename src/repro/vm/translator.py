@@ -52,6 +52,7 @@ from repro.isa.annotations import (
     STATIC_MII_KEY,
     STATIC_PRIORITY_KEY,
 )
+from repro.perf.memo import memo_table
 from repro.scheduler.mii import (
     FP_UNIT,
     INT_UNIT,
@@ -449,9 +450,7 @@ def _census(loop: Loop, lat: LatencyModel) -> tuple[dict[str, int], int]:
     loop, independent of the config."""
     from repro.perf.digest import latency_key
 
-    memo = loop.__dict__.get(_CENSUS_ATTR)
-    if memo is None:
-        memo = loop.__dict__.setdefault(_CENSUS_ATTR, {})
+    memo = memo_table(loop, _CENSUS_ATTR)
     lat_key = latency_key(lat)
     census = memo.get(lat_key)
     if census is None:
@@ -518,7 +517,7 @@ class _CacheKeys(NamedTuple):
 
 
 #: Per-loop memo of :func:`_cache_keys`, keyed by (config, options
-#: digest).  Like the ``loop_digest`` memo it relies on loops being
+#: content key).  Like the ``loop_digest`` memo it relies on loops being
 #: immutable once built, and ``Loop.__getstate__`` drops it (every
 #: ``_veal_*`` attribute) from pickles, the wire and the disk.
 _KEYS_ATTR = "_veal_cache_keys"
@@ -531,15 +530,19 @@ def _core_key(loop: Loop, core_config: LAConfig, opts_key: str) -> str:
 
 def _cache_keys(loop: Loop, config: LAConfig,
                options: TranslationOptions) -> _CacheKeys:
-    """Derive (or recall) this input's projection and cache keys."""
-    from repro.perf.digest import options_digest
+    """Derive (or recall) this input's projection and cache keys.
 
-    opts_key = options_digest(options)
-    memo = loop.__dict__.get(_KEYS_ATTR)
-    if memo is None:
-        memo = loop.__dict__.setdefault(_KEYS_ATTR, {})
-    keys = memo.get((config, opts_key))
+    The memo is looked up with the options' content key
+    (:func:`~repro.perf.digest.options_key`), so a hit runs no SHA-256;
+    the options digest is computed only on a miss.
+    """
+    from repro.perf.digest import options_digest, options_key
+
+    memo = memo_table(loop, _KEYS_ATTR)
+    content = options_key(options)
+    keys = memo.get((config, content))
     if keys is None:
+        opts_key = options_digest(options)
         core_config, ii_bound = _schedule_projection(loop, config, options)
         canon_key = None
         if core_config.max_ii < ii_bound:
@@ -547,7 +550,7 @@ def _cache_keys(loop: Loop, config: LAConfig,
                                   opts_key)
         keys = _CacheKeys(core_config, ii_bound,
                          _core_key(loop, core_config, opts_key), canon_key)
-        memo[(config, opts_key)] = keys
+        memo[(config, content)] = keys
     return keys
 
 
@@ -633,6 +636,13 @@ def _cached_core(loop: Loop, config: LAConfig,
     return entry
 
 
+#: Per-entry memo of :func:`_finalize`'s rebound images, keyed by the
+#: caller config.  It lives and dies with the cached
+#: entry (so invalidation drops it), and ``CoreEntry.__getstate__``
+#: keeps it out of the disk layer, ``.rvaf`` bundles and the wire.
+_FINAL_ATTR = "_veal_finalized"
+
+
 def _finalize(loop: Loop, config: LAConfig, entry) -> TranslationResult:
     """Apply the one capacity-dependent step to a cached core entry.
 
@@ -661,9 +671,15 @@ def _finalize(loop: Loop, config: LAConfig, entry) -> TranslationResult:
     # identically but are *recorded* on the schedule (utilization
     # reporting divides occupancy by them) — rebind both the config and
     # the schedule's unit pools to what the reference pipeline would
-    # have recorded for this caller.
-    schedule = replace(entry.image.schedule, units=config.units())
-    image = replace(entry.image, config=config, schedule=schedule)
+    # have recorded for this caller.  The rebound image is made once per
+    # caller config and shared by every VM that hits this entry (images
+    # are never mutated once built).
+    memo = memo_table(entry, _FINAL_ATTR)
+    image = memo.get(config)
+    if image is None:
+        schedule = replace(entry.image.schedule, units=config.units())
+        image = memo[config] = replace(entry.image, config=config,
+                                       schedule=schedule)
     return TranslationResult(loop.name, image, None, meter)
 
 

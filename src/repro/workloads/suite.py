@@ -26,6 +26,7 @@ from typing import Optional
 from repro.cpu.pipeline import ARM11, CPUConfig, InOrderPipeline
 from repro.ir.builder import LoopBuilder
 from repro.ir.loop import Loop
+from repro.perf.memo import RuntimeMemos
 from repro.transform.fission import fission_loop
 from repro.workloads import kernels as K
 
@@ -94,7 +95,7 @@ def acyclic_probe() -> Loop:
 
 
 @dataclass
-class Benchmark:
+class Benchmark(RuntimeMemos):
     """One application of the evaluation suite.
 
     Attributes:

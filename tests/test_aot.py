@@ -480,3 +480,34 @@ def test_cli_aot_inspect_missing_artifact_fails_loud(tmp_path, capsys):
     from repro.cli import main
     assert main(["aot", "inspect", str(tmp_path / "nope.rvaf")]) == 2
     assert "does not exist" in capsys.readouterr().err
+
+
+def test_warm_hits_leave_the_bundle_bytes_unchanged(tmp_path):
+    """Runtime memos on cached entries (finalized images per caller
+    config, their timing constants) never reach a bundle: a build after
+    warm hits writes the bytes a cold build wrote."""
+    from repro.vm.runtime import VMConfig, VirtualMachine
+
+    # An unclamped max II keeps alias keys out, so both builds snapshot
+    # exactly the corpus keys.
+    config = PROPOSED_LA.with_(max_ii=4096)
+    corpus = [(loop, config, options) for loop, _config, options
+              in _corpus(count=6)]
+    cold = aot.build_artifact(str(tmp_path / "cold.rvaf"), corpus=corpus)
+    entries = [perf.translation_cache().peek(translation_key(*item))
+               for item in corpus]
+    before = [pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+              for entry in entries]
+    for variant in (config, config.with_(num_int_regs=64),
+                    config.with_(name="LA-twin")):
+        vm = VirtualMachine(VMConfig(accelerator=variant, functional=False))
+        for loop, _config, _options in corpus:
+            vm.run_loop(loop)
+    assert any(len(entry.__dict__.get("_veal_finalized", ())) == 3
+               for entry in entries)
+    warm = aot.build_artifact(str(tmp_path / "warm.rvaf"), corpus=corpus)
+    assert warm.core_runs == 0
+    assert warm.entries == cold.entries
+    assert warm.content_sha256 == cold.content_sha256
+    assert [pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+            for entry in entries] == before

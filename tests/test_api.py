@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import api
@@ -116,6 +118,21 @@ class TestSessionEquivalence:
         direct = VirtualMachine(config).run_loop(loop)
         assert Session().run_loop(loop) == direct
         assert api.run_loop(loop) == direct
+
+    def test_reused_session_keeps_same_named_loops_apart(self):
+        """A session's VM memoises translations per loop object, so a
+        second, different loop under the same name is translated as
+        itself rather than served the first loop's translation."""
+        first = replace(K.checksum(trip_count=64), name="shared")
+        second = replace(K.fir_filter(taps=4), name="shared")
+        session = Session()
+        session.run_loop(first)
+        reused = session.run_loop(second)
+        fresh = Session().run_loop(second)
+        assert reused == fresh
+        assert reused.ii == fresh.ii
+        assert reused.translation_instructions == \
+            fresh.translation_instructions
 
     def test_scalar_session_is_explicit(self):
         session = Session(accelerator=None)

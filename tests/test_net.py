@@ -610,3 +610,44 @@ def test_reply_memo_evicts_least_recently_used(monkeypatch):
     packed = [result.loop_name for result in replies_packed()]
     # "a" was refreshed before "c" arrived, so "b" was the one evicted.
     assert [packed.count(loops[name].name) for name in "abc"] == [1, 2, 1]
+
+
+
+def test_hot_translate_reply_body_is_unchanged(monkeypatch):
+    """A cache-served reply carries the finalized image every VM shares;
+    the timing constants an estimate memoised on it stay out of the
+    body, which is byte-identical with and without that estimate."""
+    from repro.service import wire
+    from repro.vm.runtime import VMConfig, VirtualMachine
+    from repro.vm.translator import TranslationResult
+
+    loop = K.fir_filter(taps=4)
+    bodies: list = []
+    original = wire.pack_body
+
+    def recording(obj):
+        data = original(obj)
+        if isinstance(obj, TranslationResult):
+            bodies.append((obj.image, data))
+        return data
+
+    monkeypatch.setattr(wire, "pack_body", recording)
+
+    def served_body(estimate: bool) -> bytes:
+        perf.clear_caches()
+        bodies.clear()
+        local = translate_loop(loop, PROPOSED_LA, TranslationOptions())
+        if estimate:
+            vm = VirtualMachine(VMConfig(accelerator=PROPOSED_LA,
+                                         functional=False))
+            assert vm.run_loop(loop).accel_cycles_per_invocation is not None
+            assert "_veal_timing" in local.image.__dict__
+        with _server() as server:
+            with LoopClient(server.host, server.port,
+                            session="hot") as client:
+                served = client.translate(loop)
+        assert "_veal_timing" not in served.image.__dict__
+        assert len(bodies) == 1 and bodies[0][0] is local.image
+        return bodies[0][1]
+
+    assert served_body(estimate=True) == served_body(estimate=False)

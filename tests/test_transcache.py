@@ -10,6 +10,8 @@ failures surviving a pickle round-trip with their attributes).
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro import perf
@@ -420,3 +422,92 @@ def test_engine_off_and_on_agree_on_meter_and_image():
                 assert ref.image.schedule.units == eng.image.schedule.units
                 assert ref.image.config == eng.image.config
                 assert ref.image.registers == eng.image.registers
+
+
+# -- options content key ------------------------------------------------------
+
+#: ``options_digest`` values of the standard option sets, as computed by
+#: the original (unmemoised) SHA-256 over the canonical options.  The
+#: digest is part of every cache key on disk and in ``.rvaf`` bundles,
+#: so memoising it must not move a single byte.
+_OPTIONS_DIGESTS = {
+    "fully_dynamic":
+        "cbbc4b5d8b44378de98d909b416703b6d1c4d6940cf4b4af6c16164509c3708d",
+    "fully_dynamic_height":
+        "d2b6204080823d257778b952a82ba325228c6891ac96c5d447b678bca5a658d4",
+    "hybrid":
+        "728bcfcf719a668c10bfaedff1e7e736d9aff8cb8b1ac110c7e37df46d1176d8",
+    "latency_override":
+        "1d43eaa8e418ec3beb42c15c84a70973c101c280f201686dd0d7f833a87f34de",
+}
+
+
+def _latency_override_options() -> TranslationOptions:
+    from repro.ir.opcodes import LatencyModel, Opcode
+    return TranslationOptions(latency_model=LatencyModel(
+        {Opcode.MUL: 4, Opcode.FADD: 6}))
+
+
+def test_options_digest_bytes_are_pinned():
+    from repro.perf.digest import DIGEST_VERSION, options_digest
+    assert DIGEST_VERSION == "veal-perf-2"
+    options = {
+        "fully_dynamic": TranslationOptions.fully_dynamic(),
+        "fully_dynamic_height": TranslationOptions.fully_dynamic_height(),
+        "hybrid": TranslationOptions.hybrid(),
+        "latency_override": _latency_override_options(),
+    }
+    for _round in range(2):  # a miss, then a memo hit
+        assert {name: options_digest(opts)
+                for name, opts in options.items()} == _OPTIONS_DIGESTS
+
+
+def test_latency_model_edited_in_place_gets_a_fresh_key():
+    """The key memo and the digest memo read the latency model's content
+    on every lookup, so an in-place edit after a lookup is seen."""
+    from repro.ir.opcodes import LatencyModel, Opcode
+    from repro.perf.digest import options_digest
+
+    loop = _suite_loop()
+    lat = LatencyModel()
+    options = TranslationOptions(latency_model=lat)
+    assert options_digest(options) == _OPTIONS_DIGESTS["fully_dynamic"]
+    before = translation_key(loop, PROPOSED_LA, options)
+    assert before == translation_key(loop, PROPOSED_LA)
+
+    lat.overrides.update({Opcode.MUL: 4, Opcode.FADD: 6})
+    assert options_digest(options) == _OPTIONS_DIGESTS["latency_override"]
+    after = translation_key(loop, PROPOSED_LA, options)
+    assert after != before
+    assert after == translation_key(loop, PROPOSED_LA,
+                                    _latency_override_options())
+    edited = translate_loop(loop, PROPOSED_LA, options)
+    perf.clear_caches()
+    fresh = translate_loop(loop, PROPOSED_LA, _latency_override_options())
+    assert edited.meter.units == fresh.meter.units
+    assert edited.image.schedule.times == fresh.image.schedule.times
+
+
+def test_warm_hits_leave_core_entry_bytes_unchanged():
+    """Finalized images and their timing constants ride on the cached
+    entry and image as runtime memos, never in the entry's pickle."""
+    import pickle
+
+    from repro.vm.runtime import VMConfig, VirtualMachine
+
+    loop = _suite_loop()
+    image_before = pickle.dumps(translate_loop(loop, PROPOSED_LA).image)
+    entry = perf.translation_cache().peek(translation_key(loop, PROPOSED_LA))
+    before = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    configs = [PROPOSED_LA, PROPOSED_LA.with_(num_int_regs=64),
+               PROPOSED_LA.with_(name="LA-twin")]
+    for config in configs:
+        vm = VirtualMachine(VMConfig(accelerator=config, functional=False))
+        vm.run_loop(loop)
+    assert len(entry.__dict__["_veal_finalized"]) == len(configs)
+    hot = translate_loop(loop, PROPOSED_LA)
+    assert "_veal_timing" in hot.image.__dict__
+    assert pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL) == before
+    copy = pickle.loads(before)
+    assert set(vars(copy)) == {f.name for f in fields(CoreEntry)}
+    assert pickle.dumps(hot.image) == image_before

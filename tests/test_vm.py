@@ -422,3 +422,71 @@ def test_speculative_while_loop_accelerates_and_matches():
             standard_live_ins(spec.image.loop, mem_acc))
         assert run.iterations == ref.iterations
         assert mem_ref.snapshot() == mem_acc.snapshot()
+
+
+# -- warm figure passes ---------------------------------------------------------
+
+def _count_work(monkeypatch):
+    """Record loop identifications, program builds and options SHAs."""
+    from repro.perf import digest
+    from repro.vm import runtime
+
+    calls = {"identify_loops": 0, "linear_program": 0, "options": []}
+    for name in ("identify_loops", "linear_program"):
+        original = getattr(runtime, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, name, counted)
+    digest_of = digest.digest_of
+
+    def counted_digest(*parts):
+        if parts and parts[0] == "options":
+            calls["options"].append(repr(parts))
+        return digest_of(*parts)
+
+    monkeypatch.setattr(digest, "digest_of", counted_digest)
+    return calls
+
+
+def test_warm_figure_pass_identifies_no_loops(monkeypatch):
+    """A warm fig3a pass recalls each benchmark's identified loops and
+    each options digest instead of re-deriving them, and prints the
+    committed figure."""
+    import pathlib
+
+    from repro import api, perf
+
+    committed = (pathlib.Path(__file__).parent.parent / "benchmarks"
+                 / "results" / "fig3a_function_units.txt").read_text()
+    perf.clear_caches()
+    try:
+        assert api.run_figure("fig3a") == committed.rstrip("\n")
+        calls = _count_work(monkeypatch)
+        assert api.run_figure("fig3a") == committed.rstrip("\n")
+    finally:
+        perf.clear_caches()
+    assert calls["identify_loops"] == 0
+    assert calls["linear_program"] == 0
+    assert len(calls["options"]) == len(set(calls["options"]))
+
+
+def test_kernel_list_edited_in_place_is_identified_afresh(monkeypatch):
+    from repro.workloads.suite import Benchmark
+
+    bench = Benchmark(name="edited", suite="test",
+                      kernels=[K.checksum(trip_count=64)],
+                      acyclic_fraction=0.0)
+    calls = _count_work(monkeypatch)
+    first = _vm().run_benchmark(bench)
+    again = _vm().run_benchmark(bench)
+    assert calls["identify_loops"] == 1
+    assert [o.name for o in again.outcomes] == \
+        [o.name for o in first.outcomes] == ["checksum"]
+    bench.kernels[0] = K.fir_filter(taps=4)
+    edited = _vm().run_benchmark(bench)
+    assert calls["identify_loops"] == 2
+    assert calls["linear_program"] == 2
+    assert [o.name for o in edited.outcomes] == [bench.kernels[0].name]
