@@ -1,76 +1,43 @@
 """Ahead-of-time translation artifacts (``python -m repro aot``).
 
-The paper's Section 4 headline is that most of the translation cost
-(CCA identification + priority computation, ~69 %) can be hoisted to
-static compile time, turning the dynamic-vs-static tradeoff into a
-deployment decision.  This module is that deployment artifact: a whole
-workload suite translated *once*, at build time, into a single
-versioned, content-addressed file that any later process — a CLI
-figure run, a cold service worker, a freshly restarted cluster shard —
-loads into its translation cache instead of paying cold translation.
-
-The file format reuses the disk cache's integrity framing
-(:mod:`repro.resilience.integrity`): ``magic | format version |
-payload length | sha256 | payload``, written atomically
-(mkstemp + fsync + ``os.replace``).  The payload is a pickled bundle
-carrying
-
-* the :data:`~repro.perf.digest.DIGEST_VERSION` that keyed its
-  entries — digests bake the version into the *pre-hash* (filenames
-  and keys do not reveal it), so the explicit stamp is the only way a
-  reader can tell an artifact built under an older digest scheme from
-  a current one; and
-* ``{transcache digest -> CoreEntry}`` — exactly what the disk cache
-  stores per entry, batched.
-
-Trust model: artifacts are *untrusted input* like any cache file.  A
-truncated, bit-flipped, wrong-magic, checksum-failing, unpicklable or
-digest-stale artifact is **quarantined** (moved aside with an incident
-record) and the run transparently falls back to dynamic translation —
-results stay byte-identical either way.  The one loud failure is an
-artifact the user named that does not exist
-(:class:`~repro.errors.ArtifactError`), mirroring the
-``REPRO_CACHE_DIR`` contract.
+Section 4 of the paper moves most translation cost to static compile
+time.  An artifact is a workload suite translated once at build time,
+as a translation-cache directory: ``aot build`` attaches it as the
+disk layer of :mod:`repro.perf.transcache`, so every entry (alias keys
+included) lands by write-through as its own framed file next to the
+``digest.version`` stamp.  A later process adopts it instead of paying
+cold translation.  Entry files are untrusted input, read by the disk
+layer's own loader: a corrupt one is quarantined on its own, a missing
+or stale stamp adopts nothing, and the run falls back to dynamic
+translation with byte-identical results.  Serving never writes into
+the artifact.  A named path that does not exist is the one loud
+failure (:class:`~repro.errors.ArtifactError`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
-import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from repro import obs
-from repro.errors import ArtifactError, CacheIntegrityError
+from repro.errors import ArtifactError, CacheConfigError, CacheIntegrityError
 
-#: Bumped when the *bundle* layout changes (the outer frame version is
-#: :data:`repro.resilience.integrity.FORMAT_VERSION`, shared with the
-#: disk cache).
-BUNDLE_VERSION = 1
-
-#: Environment override every entry point honours (Settings.from_env):
-#: load this artifact into the process translation cache at startup.
-ARTIFACT_ENV = "REPRO_ARTIFACT"
-
-DEFAULT_ARTIFACT = os.path.join("benchmarks", "results", "suite.rvaf")
+DEFAULT_ARTIFACT = os.path.join("benchmarks", "results", "aot")
 
 
 @dataclass
 class Artifact:
-    """A loaded (validated) artifact: manifest facts + entries."""
+    """A loaded artifact: manifest facts + the entries it adopts."""
 
     path: str
     digest_version: str
-    #: sha256 hex of the framed payload — the artifact's content
-    #: address, straight from the integrity header.
+    #: sha256 over the sorted (file name, bytes) pairs of the entries.
     content_sha256: str
     entries: dict = field(default_factory=dict)
-    #: loop name -> entry count, for ``aot inspect``.
+    #: loop name -> entry count.
     loops: dict = field(default_factory=dict)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.entries)
 
 
 @dataclass
@@ -82,191 +49,106 @@ class BuildReport:
     loops: int
     corpus: int
     content_sha256: str
-    #: Core translation runs the build itself paid (== entries on a
-    #: cold cache; fewer when the process cache was already warm).
+    #: Core translation runs the build paid (none for warm entries).
     core_runs: int
 
-
-def default_corpus() -> list[tuple]:
-    """The workload suite an artifact precompiles by default.
-
-    The service translate corpus: suite kernels crossed with the
-    demand-clamped accelerator variants.  The serve smoke drives the
-    same corpus, so an artifact built from it makes a cold
-    ``serve --artifact`` boot answer every translate with **zero**
-    ``translator.core_runs`` — the aot-smoke CI gate.
-    """
-    from repro.service.loadgen import request_corpus
-    return request_corpus()
-
-
-# -- building -----------------------------------------------------------------
 
 def build_artifact(path: str, corpus: Optional[list] = None,
                    progress: Optional[Callable[[str], None]] = None
                    ) -> BuildReport:
-    """Translate *corpus* and write the artifact bundle to *path*.
+    """Translate *corpus* (default: the service request corpus, which
+    the serve smoke drives) into the artifact directory *path*.
 
-    Translations run through the normal pipeline against the process
-    cache (warm entries are reused, not re-run); the bundle then
-    snapshots the entry for every corpus digest *plus* any alias
-    entries the pipeline stored alongside (the max-II canonical keys),
-    so serving the same corpus later needs no translation at all.
+    Cold translations reach *path* by write-through; entries this
+    process had already translated are written out without a re-run.
     """
-    import hashlib
-
     from repro import perf
-    from repro.perf.digest import DIGEST_VERSION
-    from repro.resilience import integrity
-    from repro.vm.translator import translate_loop, translation_key
-
-    say = progress or (lambda _msg: None)
+    from repro.vm.translator import translate_loop, translation_keys
     if corpus is None:
-        corpus = default_corpus()
+        from repro.service.loadgen import request_corpus
+        corpus = request_corpus()
     cache = perf.translation_cache()
-    before_keys = set(cache._entries)
-    before = obs.metrics_snapshot()
-    entries: dict = {}
-    loops: dict[str, int] = {}
-    for index, (loop, config, options) in enumerate(corpus):
-        key = translation_key(loop, config, options)
-        if key in entries:
-            continue
-        translate_loop(loop, config, options)
-        entry = cache.peek(key)
-        if entry is None:
-            continue  # unkeyable outcome: nothing cacheable to ship
-        entries[key] = entry
-        loops[loop.name] = loops.get(loop.name, 0) + 1
-        say(f"aot: [{index + 1}/{len(corpus)}] {loop.name}")
-    # Alias entries (e.g. the canonical max-II key) ride along so a
-    # served lookup path never degrades to a re-translation.
-    for key in set(cache._entries) - before_keys:
-        entries.setdefault(key, cache._entries[key])
-    payload = pickle.dumps(
-        {"bundle_version": BUNDLE_VERSION,
-         "digest_version": DIGEST_VERSION,
-         "entries": entries, "loops": loops},
-        protocol=pickle.HIGHEST_PROTOCOL)
-    directory = os.path.dirname(path)
-    if directory:
-        try:
-            os.makedirs(directory, exist_ok=True)
-        except OSError as exc:
-            raise ArtifactError(
-                f"artifact directory {directory!r} cannot be created: "
-                f"{exc}", path=path) from exc
+    previous = cache.disk_dir
     try:
-        integrity.write_atomic(path, integrity.frame(payload))
-    except OSError as exc:
-        raise ArtifactError(
-            f"artifact {path!r} cannot be written: {exc}",
-            path=path) from exc
-    delta = obs.metrics_delta(before)["counters"]
-    report = BuildReport(
-        path=path, entries=len(entries), loops=len(loops),
-        corpus=len(corpus),
-        content_sha256=hashlib.sha256(payload).hexdigest(),
-        core_runs=delta.get("translator.core_runs", 0))
+        cache.attach_disk(path, strict=True)
+    except CacheConfigError as exc:
+        raise ArtifactError(str(exc), path=path) from exc
+    before = obs.metrics_snapshot()
+    try:
+        for index, (loop, config, options) in enumerate(corpus):
+            translate_loop(loop, config, options)
+            for key in translation_keys(loop, config, options):
+                cache.persist(key)
+            if progress is not None:
+                progress(f"aot: [{index + 1}/{len(corpus)}] {loop.name}")
+    finally:
+        cache.disk_dir = previous
+    core_runs = obs.metrics_delta(before)["counters"].get(
+        "translator.core_runs", 0)
+    artifact = load_artifact(path)
     obs.inc("aot.builds")
-    return report
+    return BuildReport(
+        path=path, entries=len(artifact.entries), loops=len(artifact.loops),
+        corpus=len(corpus), content_sha256=artifact.content_sha256,
+        core_runs=core_runs)
 
 
-# -- loading ------------------------------------------------------------------
-
-def _quarantine(path: str, reason: str, detail: str) -> None:
+def _reject(path: str, reason: str, detail: str, move: bool) -> None:
+    """Incident for an untrusted entry file (*move*: quarantine it) or
+    a refused directory."""
     from repro.resilience import integrity
     from repro.resilience.incidents import record_incident
-    moved = integrity.quarantine(path, reason)
+    moved = integrity.quarantine(path, reason) if move else None
     obs.inc("aot.quarantined")
     record_incident(
         "cache-corruption", "aot",
-        f"quarantined AOT artifact ({reason}): {detail}; falling back "
-        f"to dynamic translation", path=path, reason=reason,
-        quarantined_to=moved)
+        f"rejected AOT artifact {'entry' if move else 'directory'} "
+        f"({reason}): {detail}; falling back to dynamic translation",
+        path=path, reason=reason, quarantined_to=moved)
 
 
 def load_artifact(path: str) -> Optional[Artifact]:
-    """Load and validate one artifact file.
-
-    Returns ``None`` when the artifact cannot be trusted — corrupt,
-    unpicklable, or stamped with a different ``DIGEST_VERSION`` — after
-    quarantining it with an incident record: the caller simply
-    proceeds without AOT entries and dynamic translation rebuilds
-    everything byte-identically.  A *missing* file is the one loud
-    failure (:class:`~repro.errors.ArtifactError`): the artifact was
-    configured by name, so a typo must not silently disable AOT.
-    """
-    import hashlib
-
+    """Load and validate one artifact directory; ``None`` when its
+    stamp is missing or stale.  Each invalid entry file is quarantined
+    and left out."""
     from repro.perf.digest import DIGEST_VERSION
-    from repro.perf.transcache import CoreEntry
-    from repro.resilience import integrity
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except FileNotFoundError:
-        raise ArtifactError(
-            f"AOT artifact {path!r} does not exist (build one with "
-            f"'python -m repro aot build')", path=path) from None
-    except OSError as exc:
-        raise ArtifactError(
-            f"AOT artifact {path!r} cannot be read: {exc}",
-            path=path) from exc
-    try:
-        payload = integrity.unframe(blob, path=path)
-    except CacheIntegrityError as exc:
-        _quarantine(path, exc.reason or "invalid", exc.message)
-        return None
-    try:
-        bundle = pickle.loads(payload)
-    except (pickle.PickleError, EOFError, AttributeError, ImportError,
-            IndexError, TypeError, ValueError) as exc:
-        _quarantine(path, "unpickle", f"{type(exc).__name__}: {exc}")
-        return None
-    if (not isinstance(bundle, dict)
-            or not isinstance(bundle.get("entries"), dict)):
-        _quarantine(path, "wrong-type",
-                    f"bundle is {type(bundle).__name__}")
-        return None
-    if bundle.get("bundle_version") != BUNDLE_VERSION:
-        _quarantine(path, "bundle-version",
-                    f"bundle version {bundle.get('bundle_version')!r} "
-                    f"!= {BUNDLE_VERSION}")
-        return None
-    stamped = bundle.get("digest_version")
+    from repro.perf.transcache import ENTRY_SUFFIX, decode_entry, read_stamp
+    if not os.path.isdir(path):
+        raise ArtifactError(f"AOT artifact directory {path!r} does not "
+                            f"exist (build one with 'python -m repro aot "
+                            f"build')", path=path)
+    stamped = read_stamp(path)
     if stamped != DIGEST_VERSION:
-        # The stale-artifact case the digest scheme hides: keys bake
-        # the version into the pre-hash, so only this stamp reveals
-        # that every entry in the bundle is unreachable dead weight
-        # (or worse, a hash collision waiting to be trusted).
-        _quarantine(path, "digest-stale",
-                    f"artifact digest version {stamped!r} != "
-                    f"{DIGEST_VERSION!r}")
+        _reject(path, "digest-stale", f"artifact digest version "
+                f"{stamped!r} != {DIGEST_VERSION!r}", move=False)
         return None
-    entries = {}
-    for key, entry in bundle["entries"].items():
-        if not isinstance(key, str) or not isinstance(entry, CoreEntry):
-            _quarantine(path, "wrong-type",
-                        f"entry {key!r} is "
-                        f"{type(entry).__name__}")
-            return None
-        entries[key] = entry
+    content = hashlib.sha256()
+    entries: dict = {}
+    loops: dict[str, int] = {}
+    for name in sorted(os.listdir(path)):
+        if not name.endswith(ENTRY_SUFFIX):
+            continue  # the stamp, quarantine/, .tmp orphans
+        full = os.path.join(path, name)
+        try:
+            with open(full, "rb") as handle:
+                blob = handle.read()
+            entry = decode_entry(blob, full)
+        except OSError as exc:
+            _reject(full, "unreadable", str(exc), move=False)
+            continue
+        except CacheIntegrityError as exc:
+            _reject(full, exc.reason or "invalid", exc.message, move=True)
+            continue
+        entries[name[:-len(ENTRY_SUFFIX)]] = entry
+        loops[entry.loop_name] = loops.get(entry.loop_name, 0) + 1
+        content.update(b"%s\0%d\0" % (name.encode(), len(blob)) + blob)
     obs.inc("aot.artifact_loads")
-    return Artifact(
-        path=path, digest_version=stamped,
-        content_sha256=hashlib.sha256(payload).hexdigest(),
-        entries=entries, loops=dict(bundle.get("loops") or {}))
+    return Artifact(path, stamped, content.hexdigest(), entries, loops)
 
 
 def install(path: str) -> int:
-    """Load *path* and seed the process translation cache.
-
-    Returns the number of entries adopted (0 when the artifact was
-    quarantined — the transparent-fallback path).  Adoption is
-    stats-neutral first-writer-wins, so figures stay byte-identical
-    through the artifact path.
-    """
+    """Load *path* into the process translation cache; returns the
+    entries adopted (stats-neutral, first-writer-wins)."""
     from repro import perf
     artifact = load_artifact(path)
     if artifact is None:
@@ -276,36 +158,21 @@ def install(path: str) -> int:
     return adopted
 
 
-def install_from_env(environ: Optional[Mapping[str, str]] = None) -> int:
-    """Honour ``REPRO_ARTIFACT`` if set; returns entries adopted."""
-    env = os.environ if environ is None else environ
-    path = env.get(ARTIFACT_ENV)
-    if not path:
-        return 0
-    return install(path)
-
-
-# -- inspection ----------------------------------------------------------------
-
 def format_artifact(artifact: Artifact) -> str:
-    lines = [
-        f"artifact {artifact.path}",
-        f"  digest version {artifact.digest_version}  "
-        f"sha256 {artifact.content_sha256[:16]}…",
-        f"  {artifact.entry_count} entries across "
-        f"{len(artifact.loops)} loops",
-    ]
-    for name in sorted(artifact.loops):
-        lines.append(f"    {name:20s} {artifact.loops[name]} "
-                     f"translation(s)")
+    lines = [f"artifact {artifact.path}",
+             f"  digest version {artifact.digest_version}  "
+             f"sha256 {artifact.content_sha256[:16]}…",
+             f"  {len(artifact.entries)} entries across "
+             f"{len(artifact.loops)} loops"]
+    lines += [f"    {name:20s} {count} entries"
+              for name, count in sorted(artifact.loops.items())]
     return "\n".join(lines)
 
 
 def format_build(report: BuildReport) -> str:
-    return (
-        f"artifact written to {report.path}\n"
-        f"  {report.entries} entries ({report.loops} loops) from a "
-        f"{report.corpus}-item corpus\n"
-        f"  {report.core_runs} core translation runs paid at build "
-        f"time\n"
-        f"  sha256 {report.content_sha256[:16]}…")
+    return (f"artifact written to {report.path}\n"
+            f"  {report.entries} entries ({report.loops} loops) from a "
+            f"{report.corpus}-item corpus\n"
+            f"  {report.core_runs} core translation runs paid at build "
+            f"time\n"
+            f"  sha256 {report.content_sha256[:16]}…")

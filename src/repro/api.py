@@ -18,7 +18,8 @@ goes through this one facade instead of reaching into the internals
 The facade adds no behaviour of its own: results are byte-identical to
 calling the underlying layers directly, which is what lets the service
 path and the serial reference path be compared bit for bit.  The old
-scattered helpers remain as :class:`DeprecationWarning` shims.
+scattered helpers and their ``DeprecationWarning`` shims have been
+removed; this module replaces them.
 """
 
 from __future__ import annotations
@@ -102,10 +103,11 @@ class Settings:
     #: Network client retry policy (attempts and backoff base).
     retry_attempts: int = 5
     retry_backoff_s: float = 0.02
-    #: AOT artifact installed into the translation cache by
-    #: :meth:`apply` (None = no artifact).  A missing file raises
-    #: :class:`~repro.errors.ArtifactError`; a corrupt/stale one is
-    #: quarantined and the run proceeds with dynamic translation.
+    #: AOT artifact directory :meth:`apply` installs (None = none); the
+    #: one way to name an artifact (``REPRO_ARTIFACT``, ``serve
+    #: --artifact``).  A missing path raises
+    #: :class:`~repro.errors.ArtifactError`; a corrupt or stale one
+    #: falls back to dynamic translation.
     artifact_path: Optional[str] = None
     #: Disk-cache size budget in bytes for the GC sweep (None = the
     #: transcache default, 256 MiB).

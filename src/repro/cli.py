@@ -21,7 +21,7 @@ inspects a kernel's translation without writing code:
     python -m repro clusterchaos --seed 2008   # shard-fault chaos campaign
     python -m repro aot build                  # precompile the workload suite
     python -m repro aot inspect                # show an artifact's manifest
-    python -m repro serve --artifact suite.rvaf  # boot warm from an artifact
+    python -m repro serve --artifact DIR       # boot warm from an artifact
     python -m repro cache gc                   # sweep stale/over-budget cache
 """
 
@@ -128,6 +128,8 @@ def cmd_serve(sessions: int, shards: int = 1, host: str = "127.0.0.1",
     request was served and the service drained (or the fleet healed)
     with nothing orphaned.
     """
+    from repro import perf
+    from repro.api import Settings
     from repro.service.client import LoopClient
     from repro.service.cluster import (
         ClusterClient,
@@ -140,7 +142,10 @@ def cmd_serve(sessions: int, shards: int = 1, host: str = "127.0.0.1",
 
     corpus = request_corpus()
     expected = sessions * len(corpus)
-    service = ServiceConfig(artifact_path=artifact or None)
+    # Every server and shard applies these Settings at start.
+    service = ServiceConfig(settings=Settings(
+        engine=perf.engine_level(), artifact_path=artifact)
+        if artifact else None)
     if shards > 1:
         fleet = ShardSupervisor(ClusterConfig(
             shards=shards, host=host, auth_secret=secret,
@@ -387,7 +392,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                        help="also write a JSONL span trace to PATH")
     serve.add_argument("--artifact", default=os.environ.get(
                            "REPRO_ARTIFACT"),
-                       help="AOT artifact file loaded into each "
+                       help="AOT artifact directory loaded into each "
                             "server/shard at startup (default: "
                             "REPRO_ARTIFACT)")
     aot = sub.add_parser("aot",
@@ -395,11 +400,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                               "translation artifacts")
     aot.add_argument("action", choices=("build", "inspect"),
                      help="build: translate the workload suite into an "
-                          "artifact; inspect: print an artifact's "
-                          "manifest")
+                          "artifact directory; inspect: print its "
+                          "entries per loop and content sha256")
     aot.add_argument("path", nargs="?", default=None,
-                     help="artifact file (default benchmarks/results/"
-                          "suite.rvaf)")
+                     help="artifact directory (default benchmarks/"
+                          "results/aot)")
     aot.add_argument("--output", "-o", default=None,
                      help="build output path (overrides the positional "
                           "path)")
@@ -582,9 +587,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             path = args.path or aot_mod.DEFAULT_ARTIFACT
             artifact = aot_mod.load_artifact(path)
             if artifact is None:
-                print(f"artifact {path!r} failed validation and was "
-                      f"quarantined (see the incident log)",
-                      file=sys.stderr)
+                print(f"artifact {path!r} has a stale or missing digest "
+                      f"stamp (see the incident log)", file=sys.stderr)
                 return 1
             print(aot_mod.format_artifact(artifact))
             return 0

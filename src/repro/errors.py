@@ -430,11 +430,11 @@ class ArtifactError(InfrastructureError):
 
     Raised only when the artifact was configured by name
     (``REPRO_ARTIFACT`` / ``serve --artifact`` / ``aot build -o``) and
-    the file is missing or its directory unwritable — a loud early
-    error, like :class:`CacheConfigError`.  A *corrupt* or
-    version-stale artifact is never this: it is quarantined with an
-    incident record and the run transparently falls back to dynamic
-    translation.
+    the directory is missing, not a directory, or unwritable for a
+    build — a loud early error, like :class:`CacheConfigError`.  A
+    *corrupt* or version-stale artifact is never this: it is refused
+    with an incident record and the run transparently falls back to
+    dynamic translation.
     """
 
     kind = "artifact"

@@ -5,8 +5,8 @@ never mutated once built, so derived facts (content digests, cache
 keys, identified loops, finalized images, timing constants) are
 memoised on the objects themselves under ``_veal_*`` attributes.
 Those memos are per-process caches: they must never change the bytes
-an object pickles to (disk cache, ``.rvaf`` bundles, wire bodies), and
-a received pickle must never plant one.
+an object pickles to (disk-cache entry files, AOT artifacts included,
+and wire bodies), and a received pickle must never plant one.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ Two layers:
 * in-memory dict — shared by every ``VirtualMachine`` in the process,
   so one figure pass translates each loop once;
 * optional on-disk files under ``benchmarks/results/.cache/`` (or
-  ``REPRO_CACHE_DIR``) — shared across processes and CLI invocations.
+  ``REPRO_CACHE_DIR``) — shared across processes and CLI invocations;
+  AOT artifacts and a cluster's fleet directory are such directories.
 
 The disk layer treats its own files as untrusted (DESIGN.md, "Failure
 model & recovery"): every entry is framed with a format version and a
@@ -35,7 +36,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro import obs
 from repro.errors import CacheConfigError, CacheIntegrityError
@@ -59,6 +60,9 @@ CACHE_BUDGET_ENV = "REPRO_CACHE_BUDGET"
 #: indistinguishable from live ones and accumulate as dead files
 #: forever.
 STAMP_NAME = "digest.version"
+
+#: Every entry is one ``<digest>.pkl`` file in the cache directory.
+ENTRY_SUFFIX = ".pkl"
 
 _gc_budget_override: Optional[int] = None
 
@@ -85,6 +89,15 @@ def effective_gc_budget() -> int:
 def default_disk_dir() -> str:
     """The disk layer's default location (``REPRO_CACHE_DIR`` wins)."""
     return os.environ.get(CACHE_DIR_ENV) or DEFAULT_DISK_DIR
+
+
+def read_stamp(path: str) -> Optional[str]:
+    """The digest version cache directory *path* is stamped with."""
+    try:
+        with open(os.path.join(path, STAMP_NAME)) as handle:
+            return handle.read().strip()
+    except OSError:
+        return None
 
 
 def gc_disk_dir(path: str, budget: Optional[int] = None) -> dict:
@@ -117,15 +130,10 @@ def gc_disk_dir(path: str, budget: Optional[int] = None) -> dict:
         names = os.listdir(path)
     except OSError:
         return summary
-    stamp_path = os.path.join(path, STAMP_NAME)
-    try:
-        with open(stamp_path, "r") as handle:
-            stamped: Optional[str] = handle.read().strip()
-    except OSError:
-        stamped = None
+    stamped = read_stamp(path)
     entries = []
     for name in names:
-        if not name.endswith(".pkl"):
+        if not name.endswith(ENTRY_SUFFIX):
             continue  # quarantine/, .tmp orphans, the stamp: all kept
         full = os.path.join(path, name)
         try:
@@ -145,7 +153,8 @@ def gc_disk_dir(path: str, budget: Optional[int] = None) -> dict:
     if stamped != DIGEST_VERSION:
         try:
             integrity.write_atomic(
-                stamp_path, (DIGEST_VERSION + "\n").encode("utf-8"),
+                os.path.join(path, STAMP_NAME),
+                (DIGEST_VERSION + "\n").encode("utf-8"),
                 fsync=False)
         except OSError:
             pass
@@ -253,6 +262,26 @@ class CoreEntry(RuntimeMemos):
         default_factory=lambda: MeterSnapshot({}, 0))
 
 
+def decode_entry(blob: bytes, path: str) -> CoreEntry:
+    """The one entry loader (disk layer and AOT artifacts): frame check,
+    unpickle, type check; raises :class:`CacheIntegrityError`."""
+    from repro.resilience import integrity
+    payload = integrity.unframe(blob, path=path)
+    try:
+        entry = pickle.loads(payload)
+    except (pickle.PickleError, EOFError, AttributeError,
+            ImportError, IndexError, TypeError, ValueError) as exc:
+        # Checksum-valid bytes that no longer unpickle: written by an
+        # incompatible code revision under the same format version —
+        # stale, not torn, but quarantined all the same.
+        raise CacheIntegrityError(f"{type(exc).__name__}: {exc}",
+                                  path=path, reason="unpickle") from None
+    if not isinstance(entry, CoreEntry):
+        raise CacheIntegrityError(f"payload is {type(entry).__name__}",
+                                  path=path, reason="wrong-type")
+    return entry
+
+
 @dataclass
 class TransCacheStats:
     hits: int = 0
@@ -280,12 +309,6 @@ class TranslationCache:
         self._entries: dict[str, CoreEntry] = {}
         self.disk_dir: Optional[str] = None
         self.stats = TransCacheStats()
-        #: Last-resort lookup layer: a callable ``key -> CoreEntry | None``
-        #: that asks the fleet's artifact registry (a designated peer
-        #: shard) before this process pays a cold translation.  Installed
-        #: by the service when a registry address is configured.
-        self._fetcher: Optional[Callable[[str], Optional[CoreEntry]]] = None
-        self._fetching = False
         #: Keys seeded from an AOT artifact, so hits on them can be
         #: attributed (``aot.artifact_hits``) separately from entries
         #: this process translated or pulled from disk.
@@ -327,7 +350,7 @@ class TranslationCache:
 
     def _disk_path(self, key: str) -> str:
         assert self.disk_dir is not None
-        return os.path.join(self.disk_dir, f"{key}.pkl")
+        return os.path.join(self.disk_dir, key + ENTRY_SUFFIX)
 
     def _io_incident(self, op: str, path: str, exc: Exception) -> None:
         from repro.resilience.incidents import record_incident
@@ -355,7 +378,6 @@ class TranslationCache:
         if self.disk_dir is None:
             return None
         from repro.faults import infra
-        from repro.resilience import integrity
         path = self._disk_path(key)
         try:
             infra.check_io("load", path)
@@ -367,25 +389,10 @@ class TranslationCache:
             self._io_incident("load", path, exc)
             return None
         try:
-            payload = integrity.unframe(blob, path=path)
+            return decode_entry(blob, path)
         except CacheIntegrityError as exc:
             self._quarantine(path, exc.reason or "invalid", exc.message)
             return None
-        try:
-            entry = pickle.loads(payload)
-        except (pickle.PickleError, EOFError, AttributeError,
-                ImportError, IndexError, TypeError, ValueError) as exc:
-            # Checksum-valid bytes that no longer unpickle: written by
-            # an incompatible code revision under the same format
-            # version — stale, not torn, but quarantined all the same.
-            self._quarantine(path, "unpickle",
-                             f"{type(exc).__name__}: {exc}")
-            return None
-        if not isinstance(entry, CoreEntry):
-            self._quarantine(path, "wrong-type",
-                             f"payload is {type(entry).__name__}")
-            return None
-        return entry
 
     def _disk_store(self, key: str, entry: CoreEntry) -> None:
         if self.disk_dir is None:
@@ -405,7 +412,7 @@ class TranslationCache:
         except OSError as exc:
             self._io_incident("store", path, exc)
 
-    # -- artifact / registry layers ----------------------------------------
+    # -- artifact layer ----------------------------------------------------
 
     def adopt_artifact(self, entries: Mapping[str, CoreEntry]) -> int:
         """Seed AOT-artifact entries, statistics-untouched.
@@ -424,91 +431,46 @@ class TranslationCache:
         obs.set_gauge("aot.artifact_entries", len(self._artifact_keys))
         return adopted
 
-    def set_fetcher(self, fetcher: Optional[Callable[[str],
-                    Optional[CoreEntry]]]
-                    ) -> Optional[Callable[[str], Optional[CoreEntry]]]:
-        """Install (or clear) the registry fetcher; returns the old one."""
-        previous = self._fetcher
-        self._fetcher = fetcher
-        return previous
-
-    def _remote_fetch(self, key: str) -> Optional[CoreEntry]:
-        """Ask the registry for *key*; never raises, never recurses.
-
-        The reentrancy guard matters because the fetcher's transport
-        may itself translate (e.g. building a request that consults
-        this cache): a nested lookup degrades to a local miss rather
-        than deadlocking or looping.
-        """
-        if self._fetcher is None or self._fetching:
-            return None
-        self._fetching = True
-        try:
-            entry = self._fetcher(key)
-        except Exception:
-            # The fetcher is expected to catch its own transport
-            # errors; this backstop keeps a buggy fetcher from turning
-            # a cache miss into a run failure.
-            obs.inc("aot.registry_errors")
-            return None
-        finally:
-            self._fetching = False
-        if entry is None:
-            obs.inc("aot.registry_misses")
-            return None
-        if not isinstance(entry, CoreEntry):
-            obs.inc("aot.registry_errors")
-            return None
-        obs.inc("aot.registry_hits")
-        return entry
-
-    def fetch_remote(self, key: str) -> bool:
-        """Stats-neutral registry prefetch (admission-hint path).
-
-        Pulls *key* into memory if the registry has it; hit/miss
-        counters stay untouched so prefetching cannot skew the
-        figure-facing cache statistics.
-        """
-        if key in self._entries:
-            return True
-        if self.peek(key) is not None:
-            return True
-        entry = self._remote_fetch(key)
-        if entry is None:
-            return False
-        self._entries[key] = entry
-        return True
+    def persist(self, key: str) -> None:
+        """Write *key*'s memory entry to the disk layer unless its file
+        exists (``aot build`` ships warm entries this way)."""
+        entry = self._entries.get(key)
+        if entry is not None and self.disk_dir is not None and \
+                not os.path.exists(self._disk_path(key)):
+            self._disk_store(key, entry)
 
     # -- lookup/insert -----------------------------------------------------
 
-    def get(self, key: str) -> Optional[CoreEntry]:
+    def get(self, key: str, count_miss: bool = True
+            ) -> Optional[CoreEntry]:
+        """Counted lookup, memory then disk; with ``count_miss=False`` the
+        caller classifies a miss via :meth:`count_lookup`."""
         entry = self._entries.get(key)
         if entry is not None:
-            self.stats.hits += 1
-            obs.inc("transcache.hits")
+            self.count_lookup(hit=True)
             if key in self._artifact_keys:
                 obs.inc("aot.artifact_hits")
             return entry
         entry = self._disk_load(key)
         if entry is not None:
             self._entries[key] = entry
-            self.stats.hits += 1
+            self.count_lookup(hit=True)
             self.stats.disk_hits += 1
-            obs.inc("transcache.hits")
             obs.inc("transcache.disk_hits")
             return entry
-        entry = self._remote_fetch(key)
-        if entry is not None:
-            # A registry pull is a hit for exactly-once accounting —
-            # some fleet member paid the core run; this process must
-            # not pay it again.
-            self._entries[key] = entry
+        if count_miss:
+            self.count_lookup(hit=False)
+        return None
+
+    def count_lookup(self, hit: bool) -> None:
+        """Record one lookup outcome in ``stats`` and the obs counters
+        alike, so the two ledgers never disagree."""
+        if hit:
             self.stats.hits += 1
             obs.inc("transcache.hits")
-            return entry
-        self.stats.misses += 1
-        obs.inc("transcache.misses")
-        return None
+        else:
+            self.stats.misses += 1
+            obs.inc("transcache.misses")
 
     def peek(self, key: str) -> Optional[CoreEntry]:
         """Lookup that leaves the hit/miss statistics untouched.
@@ -546,12 +508,7 @@ class TranslationCache:
         return found
 
     def clear(self) -> None:
-        """Drop the in-memory layer (disk files are left in place).
-
-        The registry fetcher survives — ``perf.clear_caches`` resets
-        entries between cold runs, and a service worker must keep its
-        registry link across those resets.
-        """
+        """Drop the in-memory layer (disk files are left in place)."""
         self._entries.clear()
         self._artifact_keys.clear()
         self.stats = TransCacheStats()

@@ -32,11 +32,17 @@ into an N-shard cluster with supervised failover:
   and because resubmission is by digest into the shard's dedup,
   translation remains exactly-once even when the original shard died
   with the request in flight.
+* **One fleet cache directory** — shards are local children of one
+  supervisor, so each attaches the supervisor's private ``mkdtemp``
+  directory (mode 0700, removed at ``stop()``) as its disk layer: a
+  translation any shard paid for is a disk hit for every sibling and
+  for a restarted incarnation.
 
 What *is* lost on a shard death: that shard's in-memory translation
 cache, admission-bucket state and counters.  Correctness never depends
-on any of it — results are recomputed byte-identically — and restarted
-shards boot their admission buckets at a conservative
+on any of it — results are recomputed byte-identically, and the fleet
+directory still holds every translation the shard wrote through — and
+restarted shards boot their admission buckets at a conservative
 ``cold_start_fraction`` so returning sessions cannot stampede a fresh
 empty queue (see :mod:`repro.service.admission`).
 """
@@ -47,7 +53,9 @@ import asyncio
 import hashlib
 import multiprocessing
 import os
+import shutil
 import signal
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -236,13 +244,14 @@ class ShardRouter:
 # -- the shard process --------------------------------------------------------
 
 def _shard_main(shard_id: int, epoch: int, config: NetConfig,
-                conn) -> None:
+                fleet_dir: str, conn) -> None:
     """Entry point of one spawned shard process.
 
-    Reports ``{"ok": True, "port": ...}`` (or the boot failure) back
-    through *conn*, then serves until SIGTERM.  The incident-log sink
-    and the chaos spec-file path arrive through the environment, so
-    shard-side faults land in the same JSONL log the parent reads.
+    Attaches *fleet_dir* as the cache's disk layer, reports ``{"ok":
+    True, "port": ...}`` (or the boot failure) back through *conn*,
+    then serves until SIGTERM.  The incident-log sink and the chaos
+    spec-file path arrive through the environment, so shard-side faults
+    land in the same JSONL log the parent reads.
     """
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_args: stop.set())
@@ -257,6 +266,8 @@ def _shard_main(shard_id: int, epoch: int, config: NetConfig,
                 f"{epoch}: bind delayed {delay:.1f}s ({spec.token})",
                 token=spec.token, shard=shard_id, epoch=epoch)
             time.sleep(delay)
+        from repro import perf
+        perf.translation_cache().attach_disk(fleet_dir, strict=True)
         router = ShardRouter(shard_id, epoch)
         server = NetServer(config, router=router)
         server.start()
@@ -306,12 +317,6 @@ class ClusterConfig:
     #: conservative cold start that prevents a thundering-herd admit
     #: after bucket state died with the old process.
     cold_start_fraction: float = 0.25
-    #: Give every spawned shard a live peer as its artifact registry
-    #: (``ServiceConfig.registry_addr``): a freshly (re)started shard
-    #: pulls fleet-warm translations over ``artifact-fetch`` instead of
-    #: paying cold translation.  Opt out for strict per-shard isolation
-    #: experiments.
-    registry: bool = True
 
 
 class _ShardHandle:
@@ -336,7 +341,9 @@ class ShardSupervisor:
     ``hello``/``shard-moved`` envelopes clients learn routing from stay
     current.  All spawns use the *spawn* start method: the supervisor
     restarts shards from its health thread, and forking a
-    multi-threaded parent would inherit held locks.
+    multi-threaded parent would inherit held locks.  The fleet cache
+    directory (module docstring) lives from :meth:`start` to
+    :meth:`stop`.
     """
 
     def __init__(self, config: ClusterConfig = ClusterConfig()) -> None:
@@ -353,6 +360,8 @@ class ShardSupervisor:
         self._health_thread: Optional[threading.Thread] = None
         self._started = False
         self._stopped = False
+        #: The fleet's shared translation-cache directory.
+        self.fleet_dir: Optional[str] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -361,14 +370,14 @@ class ShardSupervisor:
             return self
         self._started = True
         self._ensure_importable()
-        for shard_id in range(self.config.shards):
-            # Sequential boot fills self._shards as it goes, so every
-            # shard after the first gets an already-live peer as its
-            # artifact registry.
-            info, process = self._spawn(
-                shard_id, epoch=0, cold=False,
-                registry_addr=self._registry_peer(shard_id))
-            self._shards[shard_id] = _ShardHandle(info, process)
+        self.fleet_dir = tempfile.mkdtemp(prefix="repro-fleet-")
+        try:
+            for shard_id in range(self.config.shards):
+                info, process = self._spawn(shard_id, epoch=0, cold=False)
+                self._shards[shard_id] = _ShardHandle(info, process)
+        except BaseException:
+            self.stop()  # reap the shards already up, drop the directory
+            raise
         self._bump_and_push("cluster booted")
         self._health_thread = threading.Thread(
             target=self._health_loop, name="repro-shard-supervisor",
@@ -387,7 +396,8 @@ class ShardSupervisor:
 
         Guarantees zero orphans: SIGTERM first (clean drain), SIGKILL
         any straggler, and join every process ever spawned — including
-        long-dead incarnations — so nothing is left unreaped.
+        long-dead incarnations — so nothing is left unreaped.  The
+        fleet directory goes with the fleet.
         """
         if self._stopped:
             return
@@ -407,6 +417,8 @@ class ShardSupervisor:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=5.0)
+        if self.fleet_dir is not None:
+            shutil.rmtree(self.fleet_dir, ignore_errors=True)
 
     def orphan_pids(self) -> list[int]:
         """PIDs of spawned shard processes still alive (0 expected
@@ -500,41 +512,24 @@ class ShardSupervisor:
             os.environ["PYTHONPATH"] = (
                 pkg_root + (os.pathsep + existing if existing else ""))
 
-    def _registry_peer(self, shard_id: int) -> Optional[tuple]:
-        """A live peer's (host, port) for *shard_id*'s registry link."""
-        if not self.config.registry:
-            return None
-        for sid in sorted(self._shards):
-            handle = self._shards[sid]
-            if sid != shard_id and handle.info.up:
-                return (handle.info.host, handle.info.port)
-        return None
-
-    def _shard_config(self, cold: bool, port: int = 0,
-                      registry_addr: Optional[tuple] = None) -> NetConfig:
+    def _shard_config(self, cold: bool, port: int = 0) -> NetConfig:
         service = self.config.service
         if cold:
             service = replace(service, admission=replace(
                 service.admission,
                 cold_start_fraction=self.config.cold_start_fraction))
-        if registry_addr is not None:
-            service = replace(
-                service, registry_addr=registry_addr,
-                registry_secret=self.config.auth_secret)
         return NetConfig(host=self.config.host, port=port,
                          auth_secret=self.config.auth_secret,
                          service=service)
 
     def _spawn(self, shard_id: int, epoch: int, cold: bool,
-               port: int = 0, registry_addr: Optional[tuple] = None
-               ) -> tuple[ShardInfo, Any]:
+               port: int = 0) -> tuple[ShardInfo, Any]:
         """Spawn one shard incarnation; returns its info + process."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_shard_main,
-            args=(shard_id, epoch,
-                  self._shard_config(cold, port, registry_addr),
-                  child_conn),
+            args=(shard_id, epoch, self._shard_config(cold, port),
+                  self.fleet_dir, child_conn),
             name=f"repro-shard-{shard_id}.{epoch}", daemon=True)
         process.start()
         child_conn.close()
@@ -679,19 +674,12 @@ class ShardSupervisor:
         """
         shard_id = handle.info.shard_id
         epoch = handle.info.epoch + 1
-        # The restarted shard's registry peer: any live sibling — the
-        # fleet-warm cache that makes this restart's translations pulls
-        # instead of cold re-runs (the down shard is excluded by its
-        # own up=False).
-        registry_addr = self._registry_peer(shard_id)
         try:
             try:
                 info, process = self._spawn(
-                    shard_id, epoch, cold=True, port=handle.info.port,
-                    registry_addr=registry_addr)
+                    shard_id, epoch, cold=True, port=handle.info.port)
             except TransportError:
-                info, process = self._spawn(shard_id, epoch, cold=True,
-                                            registry_addr=registry_addr)
+                info, process = self._spawn(shard_id, epoch, cold=True)
         except TransportError as exc:
             backoff = min(self.config.restart_backoff_max_s,
                           self.config.restart_backoff_s

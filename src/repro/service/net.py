@@ -41,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ProtocolError, ReproError, TransportError
 from repro.faults import infra
 from repro.resilience.incidents import record_incident
@@ -328,21 +328,6 @@ class NetServer:
                 return early
         if op == "ping":
             return wire.ok_response(req_id, {"pong": True})
-        if op == "artifact-fetch":
-            # Registry serve: a peer shard missed locally and asks for
-            # our copy.  Answered right here on the asyncio thread —
-            # a stats-neutral cache peek, never a translation, never a
-            # dispatcher slot — so mutually-registered shards cannot
-            # deadlock each other's request pipelines.
-            key = wire.unpack_body(message.get("body"))
-            entry = None
-            if isinstance(key, str):
-                entry = perf.translation_cache().peek(key)
-            if entry is not None:
-                obs.inc("aot.registry_serves")
-            else:
-                obs.inc("aot.registry_serve_misses")
-            return wire.ok_response(req_id, entry)
         if op == "hello":
             opts = wire.unpack_body(message.get("body")) or {}
             session = self.service.get_or_open_session(session_name,

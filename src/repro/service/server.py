@@ -32,7 +32,6 @@ clients.  The control flow per request:
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -77,23 +76,12 @@ class ServiceConfig:
     default_session_budget: Optional[int] = None
     #: How long ``close(drain=True)`` waits for queued work.
     drain_timeout_s: float = 60.0
-    #: Optional stack configuration applied at ``start()``.
+    #: Optional stack configuration (:class:`repro.api.Settings`)
+    #: applied at ``start()`` — including its AOT ``artifact_path``.
     settings: Optional[Any] = None
     #: Graded admission control (token buckets, watermark shedding,
     #: cached-work passthrough); see :mod:`repro.service.admission`.
     admission: AdmissionPolicy = AdmissionPolicy()
-    #: AOT artifact installed into the translation cache at ``start()``.
-    #: A corrupt/stale file is quarantined and the service boots cold;
-    #: a *missing* one raises :class:`~repro.errors.ArtifactError`.
-    artifact_path: Optional[str] = None
-    #: ``(host, port)`` of a peer shard acting as the fleet's artifact
-    #: registry: a local translate miss asks it (``artifact-fetch``)
-    #: before paying a cold translation.  Picklable, so a cluster
-    #: supervisor can ship it to spawned shard processes.
-    registry_addr: Optional[tuple] = None
-    #: Frame-auth secret for the registry link (the peer's
-    #: ``auth_secret``).
-    registry_secret: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers != 1:
@@ -205,11 +193,6 @@ class LoopService:
         self._sessions: dict[str, ServiceSession] = {}
         self._admission = AdmissionController(config.admission,
                                               config.queue_depth)
-        # Artifact-registry link (lazy; see _registry_fetch).
-        self._registry_client = None
-        self._registry_lock = threading.Lock()
-        self._registry_installed = False
-        self._prev_fetcher = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -224,14 +207,6 @@ class LoopService:
             return self
         if self.config.settings is not None:
             self.config.settings.apply()
-        if self.config.artifact_path:
-            from repro import aot
-            adopted = aot.install(self.config.artifact_path)
-            obs.set_gauge("service.artifact_entries", adopted)
-        if self.config.registry_addr is not None:
-            self._prev_fetcher = perf.translation_cache().set_fetcher(
-                self._registry_fetch)
-            self._registry_installed = True
         self._thread = threading.Thread(target=self._dispatch_loop,
                                         name="repro-service", daemon=True)
         self._thread.start()
@@ -269,14 +244,6 @@ class LoopService:
                     f"{self.config.drain_timeout_s:.0f}s drain window")
         else:
             self._cancel_pending()
-        if self._registry_installed:
-            perf.translation_cache().set_fetcher(self._prev_fetcher)
-            self._registry_installed = False
-            with self._registry_lock:
-                client, self._registry_client = \
-                    self._registry_client, None
-            if client is not None:
-                client.close()
         obs.set_gauge("service.queue_depth", 0)
         self.stats.admission = self._admission.stats.as_dict()
         return self.stats
@@ -440,43 +407,6 @@ class LoopService:
         if session is None:
             return 0, None
         return session.spent_units, session.budget_units
-
-    # -- artifact registry link --------------------------------------------
-
-    def _registry_fetch(self, key: str):
-        """The translation cache's last-resort layer: ask the fleet's
-        registry peer for *key* before paying a cold translation.
-
-        Installed via ``TranslationCache.set_fetcher`` when
-        ``registry_addr`` is configured.  Never raises: any transport
-        trouble (peer down, circuit open, auth mismatch) degrades to a
-        local miss — the registry is an optimisation, never a
-        correctness dependency.  Serialized under a lock because
-        :class:`~repro.service.client.LoopClient` is one socket; cold
-        misses are rare enough that the serialization is invisible.
-        """
-        from repro.perf.transcache import CoreEntry
-        with self._registry_lock:
-            try:
-                client = self._registry_client_locked()
-                entry = client.call("artifact-fetch", key,
-                                    deadline_s=2.0)
-            except Exception:  # noqa: BLE001 — registry is best-effort
-                obs.inc("aot.registry_errors")
-                return None
-        return entry if isinstance(entry, CoreEntry) else None
-
-    def _registry_client_locked(self):
-        if self._registry_client is None:
-            from repro.service.client import LoopClient, RetryPolicy
-            host, port = self.config.registry_addr
-            self._registry_client = LoopClient(
-                host, port,
-                session=f"registry-{os.getpid()}",
-                deadline_s=2.0,
-                retry=RetryPolicy(attempts=2, attempt_timeout_s=1.0),
-                secret=self.config.registry_secret)
-        return self._registry_client
 
     # -- dispatch ----------------------------------------------------------
 

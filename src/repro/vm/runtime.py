@@ -10,6 +10,7 @@ overhead — the quantity behind Figures 6, 7 and 10.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -144,7 +145,8 @@ def _prepare_memory(loop: Loop, seed: int) -> Memory:
     """Fresh memory with every array allocated and seeded with data."""
     memory = Memory()
     memory.allocate_arrays(loop.arrays)
-    rng = np.random.default_rng(seed ^ hash(loop.name) % (2 ** 31))
+    # crc32, not hash(): every process must seed the same data.
+    rng = np.random.default_rng(seed ^ zlib.crc32(loop.name.encode()))
     for arr in loop.arrays:
         if arr.is_float:
             memory.write_array(arr.name,

@@ -596,7 +596,7 @@ def _cached_core(loop: Loop, config: LAConfig,
 
     cache = perf.translation_cache()
     core_config, _, key, canon_key = _cache_keys(loop, config, options)
-    entry = cache.get(key)
+    entry = cache.get(key, count_miss=canon_key is None)
     # Max-II sweep points share one schedule: the candidate-II search
     # tries MII upward and stops at the first feasible II*, so a success
     # under the loop's full II bound with II* within this point's bound
@@ -606,15 +606,14 @@ def _cached_core(loop: Loop, config: LAConfig,
     # budget abort or II exhaustion depends on where the search stops).
     if entry is None and canon_key is not None:
         canon = cache.peek(canon_key)
-        if canon is not None and canon.image is not None and \
-                canon.image.schedule.ii <= core_config.max_ii:
+        aliased = (canon is not None and canon.image is not None
+                   and canon.image.schedule.ii <= core_config.max_ii)
+        cache.count_lookup(hit=aliased)  # an avoided core run is a hit
+        if aliased:
             entry = canon
             cache.put(key, entry)
-            # A core run was avoided: reclassify the recorded miss.
-            cache.stats.misses -= 1
-            cache.stats.hits += 1
     if entry is None:
-        entry = _translate_core(loop, core_config, options)
+        entry = _stamped(_translate_core(loop, core_config, options), key)
         cache.put(key, entry)
         if canon_key is not None and entry.image is not None:
             cache.put(canon_key, entry)
@@ -626,12 +625,16 @@ def _cached_core(loop: Loop, config: LAConfig,
         exact_key = _core_key(loop, exact_config, options_digest(options))
         entry = cache.get(exact_key)
         if entry is None:
-            entry = _translate_core(loop, exact_config, options)
+            entry = _stamped(_translate_core(loop, exact_config, options),
+                             key)
             cache.put(exact_key, entry)
-    if entry.image is not None and \
-            getattr(entry.image, "digest", None) is None:
-        # Stamp the content-addressed cache key onto the image so the
-        # specialization tier can key its compiled-function cache on it.
+    return entry
+
+
+def _stamped(entry, key: str):
+    """Stamp *key* on a fresh entry's image before it is stored: the JIT
+    keys its code cache on it, and disk bytes then equal memory bytes."""
+    if entry.image is not None:
         entry.image = replace(entry.image, digest=key)
     return entry
 
@@ -639,7 +642,8 @@ def _cached_core(loop: Loop, config: LAConfig,
 #: Per-entry memo of :func:`_finalize`'s rebound images, keyed by the
 #: caller config.  It lives and dies with the cached
 #: entry (so invalidation drops it), and ``CoreEntry.__getstate__``
-#: keeps it out of the disk layer, ``.rvaf`` bundles and the wire.
+#: keeps it out of disk-layer entry files (AOT artifacts included) and
+#: the wire.
 _FINAL_ATTR = "_veal_finalized"
 
 
@@ -690,20 +694,13 @@ def translation_key(loop: Loop, config: LAConfig,
     return _cache_keys(loop, config, options).key
 
 
-def invalidate_translation(loop: Loop, config: LAConfig,
-                           options: TranslationOptions = TranslationOptions()
-                           ) -> bool:
-    """Drop this input's cached translation (deoptimisation support).
-
-    The entry may be reachable under up to three keys — the clamped
-    projection, the canonical full-II-bound alias, and the exact-max-II
-    fallback — and a deoptimised image must not survive under any of
-    them.
-    """
-    from repro import perf
+def translation_keys(loop: Loop, config: LAConfig,
+                     options: TranslationOptions = TranslationOptions()
+                     ) -> set[str]:
+    """Every key this input's translation may be cached under: the
+    clamped projection, the canonical full-II-bound alias, and the
+    exact-max-II fallback."""
     from repro.perf.digest import options_digest
-
-    cache = perf.translation_cache()
     core_config, _, key, canon_key = _cache_keys(loop, config, options)
     keys = {key}
     if canon_key is not None:
@@ -711,7 +708,21 @@ def invalidate_translation(loop: Loop, config: LAConfig,
     if core_config.max_ii != config.max_ii:
         keys.add(_core_key(loop, core_config.with_(max_ii=config.max_ii),
                            options_digest(options)))
-    dropped = [cache.invalidate(k) for k in keys]
+    return keys
+
+
+def invalidate_translation(loop: Loop, config: LAConfig,
+                           options: TranslationOptions = TranslationOptions()
+                           ) -> bool:
+    """Drop this input's cached translation (deoptimisation support).
+
+    The entry may be reachable under any of :func:`translation_keys`,
+    and a deoptimised image must not survive under any of them.
+    """
+    from repro import perf
+    cache = perf.translation_cache()
+    dropped = [cache.invalidate(k)
+               for k in translation_keys(loop, config, options)]
     return any(dropped)
 
 

@@ -12,7 +12,7 @@ from repro.errors import TransportError
 from repro.faults import infra
 from repro.resilience.incidents import incident_log
 from repro.service import ServiceConfig
-from repro.service.client import RetryPolicy, idempotency_key_for
+from repro.service.client import LoopClient, RetryPolicy, idempotency_key_for
 from repro.service.cluster import (
     ClusterClient,
     ClusterConfig,
@@ -175,6 +175,88 @@ def test_failover_serves_through_kill_then_replay_adds_no_runs():
     finally:
         supervisor.stop()
     assert supervisor.orphan_pids() == []
+
+
+# -- the fleet cache directory ------------------------------------------------
+
+def test_restarted_shard_serves_a_fleet_warm_key_from_disk(tmp_path):
+    """The fleet pays one core run per key, through a kill and restart.
+
+    Every shard installs the same artifact and attaches the fleet
+    directory.  The corpus crosses the fleet with zero core runs.  A key
+    outside the artifact is translated: its owner pays the one core run
+    and writes the entry through to the fleet directory.  The owner is
+    SIGKILLed and the key translated again during the outage: the
+    survivor serves it from disk.  Once the fleet heals, the restarted
+    owner serves it from disk too.
+    """
+    import os
+    import stat
+
+    from repro import aot
+    from repro.accelerator import PROPOSED_LA
+    from repro.api import Settings
+    from repro.workloads.suite import media_fp_benchmarks
+
+    kernels = [kernel for bench in media_fp_benchmarks()
+               for kernel in bench.kernels][:3]
+    corpus = [(kernel, PROPOSED_LA, TranslationOptions())
+              for kernel in kernels]
+    extra = (kernels[0], PROPOSED_LA.with_(num_int_units=1),
+             TranslationOptions())
+    path = str(tmp_path / "suite")
+    aot.build_artifact(path, corpus=corpus)
+    perf.clear_caches()
+    supervisor = ShardSupervisor(_config(
+        shards=2, service=ServiceConfig(
+            workers=1, settings=Settings(artifact_path=path)))).start()
+    fleet_dir = supervisor.fleet_dir
+    try:
+        assert stat.S_IMODE(os.stat(fleet_dir).st_mode) == 0o700
+        host, port = supervisor.seed_address()
+        with ClusterClient(host, port, session="fleet-probe",
+                           shard_retry=_retry()).connect() as client:
+            for item in corpus:
+                client.translate(*item, deadline_s=120.0)
+            corpus_core_runs = supervisor.core_runs()
+            client.translate(*extra, deadline_s=120.0)
+            paid = {sid: s["counters"].get("translator.core_runs", 0)
+                    for sid, s in supervisor.shard_stats().items()}
+            owner = max(paid, key=paid.get)
+            supervisor.kill_shard(owner)
+            # Failover routes to the survivor, which reads the entry
+            # the owner wrote through to the fleet directory.
+            client.translate(*extra, deadline_s=120.0)
+        healed = supervisor.wait_converged(60.0)
+        # Ask the restarted owner directly: it owns the key again and
+        # misses in memory.  Retry briefly: the shard accepts
+        # connections a beat before the pushed shard map lands.
+        info = supervisor.map.shards[owner]
+        deadline = time.monotonic() + 15.0
+        while True:
+            try:
+                with LoopClient(info.host, info.port,
+                                session="fleet-probe-direct",
+                                retry=_retry()) as direct:
+                    direct.translate(*extra, deadline_s=120.0)
+                break
+            except Exception:  # noqa: BLE001 — map push race
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.2)
+        after = {sid: s["counters"]
+                 for sid, s in supervisor.shard_stats().items()}
+    finally:
+        supervisor.stop()
+    assert healed
+    assert corpus_core_runs == 0
+    assert sum(paid.values()) == 1
+    # After the kill no shard paid again: the fleet paid once in total.
+    assert sum(c.get("translator.core_runs", 0)
+               for c in after.values()) == 0
+    assert after[owner].get("transcache.disk_hits", 0) >= 1
+    assert supervisor.orphan_pids() == []
+    assert not os.path.exists(fleet_dir)
 
 
 # -- auth propagation (wire HMAC across the whole map) ------------------------

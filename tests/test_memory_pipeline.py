@@ -1,5 +1,7 @@
 """Memory model and in-order pipeline timing."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ def test_prepared_memory_element_types():
                    builder.fload(builder.add(floats, i)))
     loop = builder.finish()
     memory = _prepare_memory(loop, seed=5)
-    rng = np.random.default_rng(5 ^ hash(loop.name) % (2 ** 31))
+    rng = np.random.default_rng(5 ^ zlib.crc32(loop.name.encode()))
     for arr in loop.arrays:
         got = memory.read_array(arr.name)
         if arr.is_float:

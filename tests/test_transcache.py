@@ -117,6 +117,25 @@ def test_max_ii_points_alias_onto_the_canonical_schedule():
     assert clamped.image.config.max_ii == achieved + 1
 
 
+def test_alias_hits_count_alike_in_stats_and_obs_counters():
+    """A max-II alias hit avoids a core run, so it is a hit in the
+    cache's own ``stats`` and in the ``transcache.*`` obs counters
+    alike — the obs counters are what trace-derived hit ratios read."""
+    from repro import obs
+
+    loop = _suite_loop()
+    stats = perf.translation_cache().stats
+    before = obs.metrics_snapshot()
+    achieved = translate_loop(loop, INFINITE_LA).image.schedule.ii
+    for max_ii in (achieved, achieved + 1, achieved + 2):
+        assert translate_loop(loop, INFINITE_LA.with_(max_ii=max_ii)).ok
+    delta = obs.metrics_delta(before)["counters"]
+    assert (stats.hits, stats.misses) == (3, 1)
+    assert delta.get("transcache.hits", 0) == stats.hits
+    assert delta.get("transcache.misses", 0) == stats.misses
+    assert delta.get("translator.core_runs", 0) == 1
+
+
 def test_ii_exhaustion_under_a_clamp_forces_exact_retranslation():
     """A scheduling failure under a clamped max II proves nothing about
     the true bound (its message even embeds the clamp), so the cache
@@ -428,8 +447,8 @@ def test_engine_off_and_on_agree_on_meter_and_image():
 
 #: ``options_digest`` values of the standard option sets, as computed by
 #: the original (unmemoised) SHA-256 over the canonical options.  The
-#: digest is part of every cache key on disk and in ``.rvaf`` bundles,
-#: so memoising it must not move a single byte.
+#: digest is part of every cache key on disk (AOT artifact directories
+#: included), so memoising it must not move a single byte.
 _OPTIONS_DIGESTS = {
     "fully_dynamic":
         "cbbc4b5d8b44378de98d909b416703b6d1c4d6940cf4b4af6c16164509c3708d",

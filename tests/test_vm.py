@@ -490,3 +490,27 @@ def test_kernel_list_edited_in_place_is_identified_afresh(monkeypatch):
     assert calls["identify_loops"] == 2
     assert calls["linear_program"] == 2
     assert [o.name for o in edited.outcomes] == [bench.kernels[0].name]
+
+
+def test_loop_memory_does_not_depend_on_the_hash_seed():
+    """Two processes with different string-hash seeds seed the same
+    arrays for the same (loop, seed): a spawned shard and its client
+    must agree on the data a loop runs over."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    script = ("from repro.vm.runtime import _prepare_memory\n"
+              "from repro.workloads import kernels as K\n"
+              "for loop in (K.fir_filter(taps=8), K.daxpy()):\n"
+              "    print(sorted(_prepare_memory(loop, 7)"
+              ".snapshot().items()))\n")
+    snapshots = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        snapshots.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert snapshots[0] and snapshots[0] == snapshots[1]

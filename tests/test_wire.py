@@ -309,9 +309,9 @@ def test_body_rejects_forbidden_global():
 
 
 def test_body_rejects_module_attribute_escape():
-    # Modules imported *by* repro modules (repro.service.server.os)
+    # Modules imported *by* repro modules (repro.service.cluster.os)
     # must not be reachable through the repro.* allow prefix.
-    evil = b"crepro.service.server\nos\n."
+    evil = b"crepro.service.cluster\nos\n."
     with pytest.raises(ProtocolError) as info:
         wire.unpack_body(evil)
     assert _reason(info) == "forbidden-global"
@@ -333,12 +333,12 @@ def test_approved_globals_never_admit_a_refused_one():
         wire.unpack_body(wire.pack_body(value))
     approved = wire._RestrictedUnpickler._approved
     assert len(approved) > 5
-    for evil in (b"cos\nsystem\n.", b"crepro.service.server\nos\n.") * 2:
+    for evil in (b"cos\nsystem\n.", b"crepro.service.cluster\nos\n.") * 2:
         with pytest.raises(ProtocolError) as info:
             wire.unpack_body(evil)
         assert _reason(info) == "forbidden-global"
     assert ("os", "system") not in approved
-    assert ("repro.service.server", "os") not in approved
+    assert ("repro.service.cluster", "os") not in approved
     for (module, name), obj in approved.items():
         if module == "builtins":
             assert name in wire._SAFE_BUILTINS
