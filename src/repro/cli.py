@@ -113,20 +113,20 @@ def cmd_faults(injections: int, seed: int, mode: str):
         config, progress=lambda msg: print(f"... {msg}", file=sys.stderr))
 
 
-def cmd_serve(sessions: int, shards: int = 1, host: str = "127.0.0.1",
-              port: int = 0, secret: Optional[str] = None,
-              artifact: Optional[str] = None) -> tuple[str, bool]:
+def cmd_serve(sessions: int, settings, host: str = "127.0.0.1",
+              port: int = 0) -> tuple[str, bool]:
     """The ``serve`` smoke: boot the service, send the request corpus
     from *sessions* clients through the client API over TCP, and stop.
 
-    With ``shards <= 1`` each session is a ``LoopClient`` connection to
-    one ``NetServer``; with more, a failover ``ClusterClient`` into a
-    supervised fleet, and shard 0 is SIGKILLed halfway through the last
-    session so the rest of it rides failover.  Every session sends the
-    same corpus, so each digest is translated once and every repeat is
-    a dedup hit.  Returns the printable summary and whether every
-    request was served and the service drained (or the fleet healed)
-    with nothing orphaned.
+    *settings* are the CLI bootstrap's, already applied here (so the
+    artifact is installed once).  With ``settings.shards <= 1`` each
+    session is a ``LoopClient`` connection to one ``NetServer``; with
+    more, a failover ``ClusterClient`` into a supervised fleet, and
+    shard 0 is SIGKILLed halfway through the last session so the rest
+    of it rides failover.  Every session sends the same corpus, so each
+    digest is translated once and every repeat is a dedup hit.  Returns
+    the printable summary and whether every request was served and the
+    service drained (or the fleet healed) with nothing orphaned.
     """
     from repro import perf
     from repro.api import Settings
@@ -142,11 +142,13 @@ def cmd_serve(sessions: int, shards: int = 1, host: str = "127.0.0.1",
 
     corpus = request_corpus()
     expected = sessions * len(corpus)
-    # Every server and shard applies these Settings at start.
-    service = ServiceConfig(settings=Settings(
-        engine=perf.engine_level(), artifact_path=artifact)
-        if artifact else None)
+    shards, secret = settings.shards, settings.service_secret
     if shards > 1:
+        # Shard processes skip the bootstrap: they install at start.
+        artifact = settings.artifact_path
+        service = ServiceConfig(settings=Settings(
+            engine=perf.engine_level(), artifact_path=artifact)
+            if artifact else None)
         fleet = ShardSupervisor(ClusterConfig(
             shards=shards, host=host, auth_secret=secret,
             service=service)).start()
@@ -159,8 +161,7 @@ def cmd_serve(sessions: int, shards: int = 1, host: str = "127.0.0.1",
         stop = fleet.stop
     else:
         server = NetServer(NetConfig(
-            host=host, port=port, auth_secret=secret,
-            service=service)).start()
+            host=host, port=port, auth_secret=secret)).start()
 
         def connect(name: str):
             return LoopClient(server.host, server.port, session=name,
@@ -378,8 +379,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     serve.add_argument("--port", "-p", type=int, default=0,
                        help="server port without --shards (default 0 = "
                             "pick a free one)")
-    serve.add_argument("--secret", default=os.environ.get(
-                           "REPRO_SERVICE_SECRET"),
+    serve.add_argument("--secret", default=None,
                        help="shared frame-auth secret (HMAC); required "
                             "for any non-loopback --host (default: "
                             "REPRO_SERVICE_SECRET)")
@@ -390,8 +390,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                             "(default: REPRO_SHARDS or 1)")
     serve.add_argument("--trace", default=None, metavar="PATH",
                        help="also write a JSONL span trace to PATH")
-    serve.add_argument("--artifact", default=os.environ.get(
-                           "REPRO_ARTIFACT"),
+    serve.add_argument("--artifact", default=None,
                        help="AOT artifact directory loaded into each "
                             "server/shard at startup (default: "
                             "REPRO_ARTIFACT)")
@@ -448,8 +447,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         # existing file — `aot build` is how it comes to exist.
         environ = {k: v for k, v in os.environ.items()
                    if k != "REPRO_ARTIFACT"}
+    overrides = {}
+    if args.command == "serve":
+        # Flags win over the environment; cmd_serve reads them back.
+        overrides = dict(service_secret=args.secret,
+                         artifact_path=args.artifact, shards=args.shards)
     try:
-        Settings.from_env(environ).apply()
+        settings = Settings.from_env(environ, **overrides).apply()
     except (SettingsError, CacheConfigError, ArtifactError) as exc:
         print(f"error: [{exc.kind}] {exc}", file=sys.stderr)
         return 2
@@ -607,21 +611,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
     if args.command == "serve":
         from repro.errors import TransportError
-        shards = (args.shards if args.shards is not None
-                  else int(os.environ.get("REPRO_SHARDS", "1")))
 
         def _serve() -> tuple[str, bool]:
             try:
-                return cmd_serve(args.sessions, shards=shards,
-                                 host=args.host, port=args.port,
-                                 secret=args.secret,
-                                 artifact=args.artifact)
-            except (TransportError, ArtifactError) as exc:
-                # A refused bind (non-loopback without --secret) or a
-                # missing named artifact is a configuration error, not
-                # a crash.
+                return cmd_serve(args.sessions, settings,
+                                 host=args.host, port=args.port)
+            except TransportError as exc:
+                # A refused bind (non-loopback without --secret) is a
+                # configuration error, not a crash.
                 return f"error: [{exc.kind}] {exc}", False
-        with _traced(args.trace, "serve", shards=shards,
+        with _traced(args.trace, "serve", shards=settings.shards,
                      sessions=args.sessions):
             text, ok = _serve()
         print(text)

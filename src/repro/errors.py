@@ -319,10 +319,10 @@ class ProtocolError(TransportError):
 
     ``reason`` is a stable sub-tag mirroring the disk-cache integrity
     taxonomy: ``bad-magic``, ``version-mismatch``, ``truncated``,
-    ``checksum-mismatch``, ``empty-payload``, ``oversize`` or
-    ``bad-json``.  A protocol error means the stream can no longer be
-    trusted to be frame-aligned, so both sides respond by closing the
-    connection; the retrying client then reconnects cleanly.
+    ``checksum-mismatch``, ``auth-mismatch``, ``empty-payload``,
+    ``oversize``, ``bad-json`` or ``forbidden-global``.  A bad frame
+    means the stream can no longer be trusted to be frame-aligned, so
+    both sides close the connection; the client reconnects cleanly.
     """
 
     kind = "protocol"
@@ -393,10 +393,10 @@ class CacheIntegrityError(InfrastructureError):
     """An on-disk cache entry failed its integrity checks.
 
     ``reason`` is a stable sub-tag: ``bad-magic``, ``version-mismatch``,
-    ``truncated``, ``checksum-mismatch``, ``unpickle`` or
-    ``wrong-type``.  The cache never lets this escape a lookup — the
-    entry is quarantined and the lookup degrades to a miss — but the
-    typed form is what the quarantine step records in the incident log.
+    ``truncated``, ``checksum-mismatch``, ``unpickle``,
+    ``forbidden-global`` or ``wrong-type``.  It never escapes a lookup
+    — the entry is quarantined and the lookup degrades to a miss — but
+    the typed form is what the quarantine step records as an incident.
     """
 
     kind = "cache-corruption"
@@ -465,6 +465,17 @@ class WorkerTaskError(InfrastructureError):
         self.point = point
 
 
+def _subclasses(cls: type) -> list[type]:
+    return [c for s in cls.__subclasses__() for c in (s, *_subclasses(s))]
+
+
+#: ``kind`` -> class of every :class:`ReproError` subclass (all defined
+#: above): how :func:`repro.service.wire.raise_error` rebuilds a typed
+#: error, and the errors :mod:`repro.resilience.integrity` may load.
+ERROR_CLASSES: dict[str, type[ReproError]] = {
+    cls.kind: cls for cls in _subclasses(ReproError)}
+
+
 __all__ = [
     "AcceleratorFault",
     "AdmissionRejected",
@@ -472,6 +483,7 @@ __all__ = [
     "CacheConfigError",
     "CacheIntegrityError",
     "CircuitOpenError",
+    "ERROR_CLASSES",
     "ExecutionError",
     "GuardViolation",
     "InfrastructureError",

@@ -264,18 +264,18 @@ class CoreEntry(RuntimeMemos):
 
 def decode_entry(blob: bytes, path: str) -> CoreEntry:
     """The one entry loader (disk layer and AOT artifacts): frame check,
-    unpickle, type check; raises :class:`CacheIntegrityError`."""
+    allowlisted unpickle (:func:`repro.resilience.integrity.load_payload`),
+    type check; raises :class:`CacheIntegrityError`."""
     from repro.resilience import integrity
     payload = integrity.unframe(blob, path=path)
     try:
-        entry = pickle.loads(payload)
-    except (pickle.PickleError, EOFError, AttributeError,
-            ImportError, IndexError, TypeError, ValueError) as exc:
-        # Checksum-valid bytes that no longer unpickle: written by an
-        # incompatible code revision under the same format version —
-        # stale, not torn, but quarantined all the same.
-        raise CacheIntegrityError(f"{type(exc).__name__}: {exc}",
-                                  path=path, reason="unpickle") from None
+        entry = integrity.load_payload(payload)
+    except integrity.RefusedPayload as exc:
+        # Checksum-valid bytes that do not load: a planted payload
+        # (``forbidden-global``) or an incompatible code revision under
+        # the same format version (``unpickle``).  Quarantined alike.
+        raise CacheIntegrityError(str(exc), path=path,
+                                  reason=exc.reason) from None
     if not isinstance(entry, CoreEntry):
         raise CacheIntegrityError(f"payload is {type(entry).__name__}",
                                   path=path, reason="wrong-type")

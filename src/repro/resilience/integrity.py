@@ -4,7 +4,7 @@ A persistent code cache shared by concurrently crashing processes must
 treat every byte it reads as hostile (cf. the Valgrind binary-cache
 corruption reports): a write can be torn by a kill, a file can be
 truncated by a full disk, a stale entry can outlive a format change.
-Three mechanisms close those holes:
+Four mechanisms close those holes:
 
 * **Framing** — every entry is ``MAGIC | version | payload-length |
   sha256(payload) | payload``.  :func:`unframe` re-derives the checksum
@@ -19,17 +19,25 @@ Three mechanisms close those holes:
   ``quarantine/`` subdirectory (name suffixed with the failure reason)
   instead of deleting it, so corruption is diagnosable after the fact
   while the lookup path degrades to a clean miss-and-rebuild.
+* **One loader** — payloads are pickles and the checksum is unkeyed,
+  so :func:`load_payload`, the one place untrusted bytes are unpickled
+  (entry files and service frame bodies alike), resolves only
+  :data:`VALUE_CLASSES` and the ``ReproError`` subclasses, refusing
+  any other global before import.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
+import io
 import os
+import pickle
 import struct
 import tempfile
-from typing import Optional
+from typing import Any, Optional
 
-from repro.errors import CacheIntegrityError
+from repro.errors import ERROR_CLASSES, CacheIntegrityError
 
 #: Bumped whenever the pickled payload layout changes; readers
 #: quarantine any entry written under a different version.
@@ -154,3 +162,74 @@ def orphaned_temp_files(directory: str) -> list[str]:
         if name.endswith(TMP_SUFFIX) and os.path.isfile(full):
             orphans.append(full)
     return sorted(orphans)
+
+
+# -- the one loader for untrusted pickles ------------------------------------
+
+#: ``(module, name)`` of every class a translate/run_loop body, its
+#: reply or a ``CoreEntry`` file may name (and the builtin containers
+#: older pickle protocols name).  List only plain values: building one
+#: must run no code with effects.  ``tests/test_loader_property.py``
+#: fails if a legitimate payload names a class missing here.
+VALUE_CLASSES = frozenset((module, name) for module, names in {
+    "builtins": ("bytearray", "complex", "frozenset", "set"),
+    "repro.accelerator.config": ("LAConfig",),
+    "repro.accelerator.machine": ("KernelImage",),
+    "repro.analysis.linexpr": ("LinExpr",),
+    "repro.analysis.partition": ("LoopPartition",),
+    "repro.analysis.streams": ("StreamAnalysis", "StreamPattern"),
+    "repro.cca.model": ("CCAConfig",),
+    "repro.ir.dfg": ("DataflowGraph", "Edge"),
+    "repro.ir.loop": ("ArrayDecl", "Loop"),
+    "repro.ir.opcodes": ("LatencyModel", "Opcode"),
+    "repro.ir.ops": ("Imm", "Operation", "Reg"),
+    "repro.perf.transcache": ("CoreEntry", "MeterSnapshot"),
+    "repro.scheduler.mii": ("MIIResult",),
+    "repro.scheduler.regalloc": ("RegisterAssignment",),
+    "repro.scheduler.rotation": ("LiveRange", "PhysicalAssignment"),
+    "repro.scheduler.schedule": ("ModuloSchedule",),
+    "repro.scheduler.sms": ("ScheduleFailure",),
+    "repro.vm.costmodel": ("TranslationMeter",),
+    "repro.vm.runtime": ("LoopOutcome",),
+    "repro.vm.translator": ("TranslationOptions", "TranslationResult"),
+}.items() for name in names)
+
+#: Allowed ``(module, name)`` -> its class: errors up front, each
+#: value class imported on first use.
+_resolved: dict[tuple[str, str], type] = {
+    (cls.__module__, cls.__qualname__): cls
+    for cls in ERROR_CLASSES.values()}
+
+
+class RefusedPayload(ValueError):
+    """:func:`load_payload` refused the bytes; ``reason`` is
+    ``forbidden-global`` or ``unpickle`` (any other load failure)."""
+
+    def __init__(self, message: str, reason: str) -> None:
+        super().__init__(message)
+        self.reason = reason
+
+
+class _ValueUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        cls = _resolved.get((module, name))
+        if cls is None:
+            if (module, name) not in VALUE_CLASSES:
+                raise RefusedPayload(f"payload references forbidden "
+                                     f"global {module}.{name}",
+                                     "forbidden-global")
+            cls = _resolved[module, name] = getattr(
+                importlib.import_module(module), name)
+        return cls
+
+
+def load_payload(payload: bytes) -> Any:
+    """Unpickle untrusted *payload*, resolving only allowed classes;
+    every failure is a :class:`RefusedPayload`."""
+    try:
+        return _ValueUnpickler(io.BytesIO(payload)).load()
+    except RefusedPayload:
+        raise
+    except Exception as exc:  # noqa: BLE001 — any failure is a refusal
+        raise RefusedPayload(f"{type(exc).__name__}: {exc}",
+                             "unpickle") from None

@@ -185,14 +185,6 @@ class LoopClient:
         return self._call("figure", name, deadline_s=deadline_s,
                           attempt_timeout_s=attempt_timeout_s)
 
-    def run_suite(self, config=None, benchmarks=None,
-                  annotate: bool = False,
-                  deadline_s: Optional[float] = None,
-                  attempt_timeout_s: Optional[float] = None):
-        return self._call("suite", (config, benchmarks, annotate),
-                          deadline_s=deadline_s,
-                          attempt_timeout_s=attempt_timeout_s)
-
     def call(self, op: str, body: Any = None, *,
              idempotency_key: Optional[str] = None,
              deadline_s: Optional[float] = None,

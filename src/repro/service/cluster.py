@@ -75,7 +75,7 @@ from repro.service.net import NetConfig, NetServer
 from repro.service.server import ServiceConfig
 
 #: Ops that carry real work (and therefore ownership + kill faults).
-_WORK_OPS = ("translate", "run_loop", "figure", "suite")
+_WORK_OPS = ("translate", "run_loop", "figure")
 #: Ops whose routing key is the transcache digest.
 _KEYED_OPS = ("translate", "run_loop")
 
@@ -788,14 +788,6 @@ class ClusterClient:
                    attempt_timeout_s: Optional[float] = None) -> str:
         return self._call("figure", name, key=None,
                           deadline_s=deadline_s,
-                          attempt_timeout_s=attempt_timeout_s)
-
-    def run_suite(self, config=None, benchmarks=None,
-                  annotate: bool = False,
-                  deadline_s: Optional[float] = None,
-                  attempt_timeout_s: Optional[float] = None):
-        return self._call("suite", (config, benchmarks, annotate),
-                          key=None, deadline_s=deadline_s,
                           attempt_timeout_s=attempt_timeout_s)
 
     def close(self) -> ClusterClientStats:

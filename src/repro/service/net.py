@@ -17,10 +17,10 @@ without trusting the peer:
 * **admission rejections** cross the wire as typed error envelopes
   carrying the ``retry_after`` hint, so clients back off instead of
   hammering;
-* **untrusted peers** never reach ``pickle``: bodies decode through
-  the restricted unpickler, and a non-loopback bind is refused unless
-  an ``auth_secret`` upgrades frame checksums to per-frame HMAC (see
-  the :mod:`repro.service.wire` trust model);
+* **untrusted peers** resolve no global outside the allowlist of the
+  one loader bodies (still pickles) go through, and a non-loopback
+  bind is refused unless an ``auth_secret`` upgrades frame checksums
+  to per-frame HMAC (see the :mod:`repro.service.wire` trust model);
 * the seeded network chaos campaign's **wire faults**
   (:func:`repro.faults.infra.claim_net_fault`) are applied on the
   response path — abort mid-frame, corrupt, truncate, stall, drop —
@@ -72,7 +72,7 @@ class NetConfig:
 #: Distinct ``translate`` bodies whose decoded payload the server
 #: keeps, and distinct cache-served ``translate`` replies whose packed
 #: body it keeps (each least recently used first out): a repeat of a
-#: recent request skips the unpickle and reuses the loop's digest and
+#: recent request skips the body load and reuses the loop's digest and
 #: key memos, and a repeat of a recent reply skips the pickle.
 TRANSLATE_MEMO_ENTRIES = 256
 
@@ -355,10 +355,6 @@ class NetServer:
                                           seed=seed)
             elif op == "figure":
                 future = session.run_figure(body)
-            elif op == "suite":
-                config, benchmarks, annotate = body
-                future = session.run_suite(config, benchmarks=benchmarks,
-                                           annotate=annotate)
             else:
                 raise ProtocolError(f"unknown op {op!r}",
                                     reason="bad-json")

@@ -167,11 +167,6 @@ class ServiceSession:
         return self._service._submit(
             _Request("figure", (name,), self.name))
 
-    def run_suite(self, config=None, benchmarks=None,
-                  annotate: bool = False) -> Future:
-        return self._service._submit(
-            _Request("suite", (config, benchmarks, annotate), self.name))
-
 
 class LoopService:
     """Multi-session loop-acceleration server (see module docstring)."""
@@ -499,10 +494,6 @@ def _execute_local(kind: str, payload: tuple):
         (name,) = payload
         _description, fn = FIGURES[name]
         return fn()
-    if kind == "suite":
-        from repro.api import run_suite
-        config, benchmarks, annotate = payload
-        return run_suite(config, benchmarks=benchmarks, annotate=annotate)
     raise ValueError(f"unknown request kind {kind!r}")
 
 

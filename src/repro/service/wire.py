@@ -12,14 +12,16 @@ and, since wire version 2, a payload of
     header length (u32) | canonical JSON header | raw body bytes
 
 The JSON header is the *envelope* — op, request id, session,
-idempotency key, error kind, ``retry_after`` hint — a checkable,
+idempotency key, and on a failure the error (kind, message,
+``retry_after`` hint, the error's JSON-safe fields) — a checkable,
 language-agnostic contract (the ILA posture from PAPERS.md).  The
-optional body (loops, accelerator configs, translation results, typed
-errors) is the pickle bytes that follow the header, exact Python
+optional body (loops, configs, options, translation results, loop
+outcomes) is the pickle bytes that follow the header, exact Python
 values carried verbatim; a decoded message exposes them under the
-``"body"`` key.  The header never carries a ``"body"`` key itself, so
-each message has exactly one encoding, and the digest covers header
-length, header and body alike.
+``"body"`` key.  Errors cross the wire once, as the envelope, which
+:func:`raise_error` rebuilds into the typed instance.  The header
+never carries a ``"body"`` key itself, so each message has exactly one
+encoding, and the digest covers header length, header and body alike.
 
 Every violation is a typed :class:`~repro.errors.ProtocolError` with a
 stable ``reason`` tag mirroring the cache-integrity taxonomy:
@@ -28,24 +30,24 @@ stable ``reason`` tag mirroring the cache-integrity taxonomy:
 ``oversize``, ``bad-json``, ``forbidden-global``.  A payload too short
 to hold the header length, or a header length that overruns the
 payload, is ``bad-json``.
-A protocol error means the stream may no longer be frame-aligned; both
+A bad frame means the stream may no longer be frame-aligned; both
 peers respond by closing the connection (the client reconnects and
 resubmits — safe, because dedup on the transcache digest
 makes identical translations exactly-once).
 
 Trust model
 -----------
-Frame bodies are pickles, and unpickling attacker-controlled bytes is
-arbitrary code execution, so *both* directions deserialize through a
-restricted unpickler (:func:`unpack_body`) that resolves only classes
-and functions defined inside the ``repro`` package plus a short list
-of safe builtins — ``os.system`` and friends are unreachable and any
-other global is a ``forbidden-global`` protocol error.  That bounds
-the blast radius but is **not** authentication: the per-frame digest
-is plain SHA-256 (integrity only) unless both peers share a secret,
-in which case it becomes HMAC-SHA256 and an unkeyed or wrongly-keyed
-peer's frames fail with ``auth-mismatch``.  The server therefore
-refuses to bind a non-loopback address without a secret
+Frame bodies are still pickles, so *both* directions load them through
+the disk cache's loader, :func:`repro.resilience.integrity.load_payload`:
+it resolves only the listed value classes (``VALUE_CLASSES``) and the
+``ReproError`` subclasses, and refuses any other global (``os.system``,
+a ``repro`` function, a module) before import, as a
+``forbidden-global`` protocol error.  That bounds
+what a peer can *construct* but is **not** authentication: the
+per-frame digest is plain SHA-256 (integrity only) unless both peers
+share a secret, in which case it becomes HMAC-SHA256 and an unkeyed or
+wrongly-keyed peer's frames fail with ``auth-mismatch``.  The server
+therefore refuses to bind a non-loopback address without a secret
 (:class:`repro.service.net.NetServer`); loopback-only service among
 same-user processes is the supported no-secret deployment.
 """
@@ -53,28 +55,17 @@ same-user processes is the supported no-secret deployment.
 from __future__ import annotations
 
 import asyncio
-import builtins
 import hashlib
 import hmac
-import io
 import json
 import pickle
 import struct
-import types
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.errors import (
-    AdmissionRejected,
-    ProtocolError,
-    ReproError,
-    ServiceClosed,
-    ServiceError,
-    ServiceOverload,
-    SessionBudgetExceeded,
-    ShardMovedError,
-)
+from repro.errors import ERROR_CLASSES, ProtocolError, ReproError, ServiceError
 from repro.ir.loop import Loop
+from repro.resilience import integrity
 
 #: Bumped whenever the envelope layout changes; a peer speaking a
 #: different version is rejected with reason ``version-mismatch``.
@@ -246,77 +237,22 @@ def read_frame_blocking(read_exactly,
 
 # -- envelope bodies ----------------------------------------------------------
 
-#: Builtins a frame body's pickle stream may name.  Containers and
-#: scalars (list/dict/tuple/str/int/float/bytes/bool/None) travel as
-#: dedicated opcodes and never reach ``find_class``; this list is only
-#: the handful of constructors pickle references *by name*.
-_SAFE_BUILTINS = frozenset({
-    "bytearray", "complex", "frozenset", "range", "set", "slice",
-})
-
-
-class _RestrictedUnpickler(pickle.Unpickler):
-    """An unpickler that resolves only ``repro`` globals.
-
-    ``pickle.loads`` on network bytes is arbitrary code execution —
-    a stream naming ``os.system`` runs it during load.  Frame bodies
-    carry exactly the reproduction's own value types (loops,
-    accelerator configs, translation results, typed errors), so the
-    global namespace a body may reference is pinned to classes and
-    functions *defined in* the ``repro`` package plus a short builtin
-    allow-list.  Everything else — other modules, module objects
-    reachable as attributes of repro modules (``repro.x.os``), repro
-    attributes that merely re-export foreign callables — is a
-    ``forbidden-global`` protocol violation.
-
-    Each approved global is resolved once per process: ``_approved``
-    maps ``(module, name)`` to the object the checks accepted.  A
-    refusal is never recorded, so it is re-checked, and refused, on
-    every attempt.
-    """
-
-    _approved: dict = {}
-
-    def find_class(self, module: str, name: str) -> Any:
-        key = (module, name)
-        obj = self._approved.get(key)
-        if obj is None:
-            obj = self._approved[key] = self._approve(module, name)
-        return obj
-
-    def _approve(self, module: str, name: str) -> Any:
-        if module == "builtins" and name in _SAFE_BUILTINS:
-            return getattr(builtins, name)
-        if module == "repro" or module.startswith("repro."):
-            obj = super().find_class(module, name)
-            defined_in = getattr(obj, "__module__", "") or ""
-            if (not isinstance(obj, types.ModuleType)
-                    and (defined_in == "repro"
-                         or defined_in.startswith("repro."))):
-                return obj
-        raise pickle.UnpicklingError(
-            f"frame body references forbidden global "
-            f"{module}.{name}")
-
-
 def pack_body(obj: Any) -> bytes:
     """Pickle *obj* into frame body bytes."""
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def unpack_body(data: Optional[bytes]) -> Any:
-    """Deserialize a frame body through the restricted unpickler."""
+    """Deserialize a frame body through the allowlisted loader
+    (:func:`repro.resilience.integrity.load_payload`)."""
     if data is None:
         return None
     try:
-        return _RestrictedUnpickler(io.BytesIO(data)).load()
-    except pickle.UnpicklingError as exc:
-        if "forbidden global" in str(exc):
-            raise ProtocolError(str(exc),
+        return integrity.load_payload(data)
+    except integrity.RefusedPayload as exc:
+        if exc.reason == "forbidden-global":
+            raise ProtocolError(f"frame body: {exc}",
                                 reason="forbidden-global") from None
-        raise ProtocolError(f"undecodable frame body: {exc}",
-                            reason="bad-json") from None
-    except Exception as exc:  # noqa: BLE001 — anything here is protocol
         raise ProtocolError(f"undecodable frame body: {exc}",
                             reason="bad-json") from None
 
@@ -396,13 +332,9 @@ def ok_response(req_id: Optional[int], body: Any = None) -> dict:
 
 
 def error_response(req_id: Optional[int], exc: BaseException) -> dict:
-    """Encode *exc* as a typed error envelope.
-
-    Structured :class:`~repro.errors.ReproError` failures cross the
-    wire losslessly as a pickled body (the client re-raises the exact
-    instance); the JSON envelope still names the kind, message and
-    ``retry_after`` so non-Python tooling can act on rejections.
-    """
+    """Encode *exc* as a typed error envelope: kind, message,
+    ``retry_after`` and (for a ``ReproError``) every attribute that
+    survives JSON unchanged, from which :func:`raise_error` rebuilds it."""
     error: dict = {
         "kind": getattr(exc, "kind", "error"),
         "message": str(exc),
@@ -410,40 +342,33 @@ def error_response(req_id: Optional[int], exc: BaseException) -> dict:
     retry_after = getattr(exc, "retry_after", None)
     if retry_after:
         error["retry_after"] = round(float(retry_after), 6)
-    message = {"type": "response", "id": req_id, "ok": False,
-               "error": error}
     if isinstance(exc, ReproError):
-        try:
-            message["body"] = pack_body(exc)
-        except Exception:  # noqa: BLE001 — unpicklable details: envelope only
-            pass
-    return message
+        error["fields"] = {name: value
+                           for name, value in vars(exc).items()
+                           if name != "message" and _json_safe(value)}
+    return {"type": "response", "id": req_id, "ok": False,
+            "error": error}
 
 
-#: Error kinds the client re-raises as their typed classes even when
-#: the pickled body is absent (a non-Python or minimal server).
-_ERROR_CLASSES = {
-    "admission-rejected": AdmissionRejected,
-    "service-overload": ServiceOverload,
-    "session-budget": SessionBudgetExceeded,
-    "service-closed": ServiceClosed,
-    "shard-moved": ShardMovedError,
-    "protocol": ProtocolError,
-}
+def _json_safe(value: Any) -> bool:
+    """Whether *value* comes back from JSON equal and of the same type."""
+    try:
+        return json.loads(json.dumps(value, sort_keys=True)) == value
+    except (TypeError, ValueError):
+        return False
 
 
 def raise_error(message: dict) -> None:
-    """Re-raise the failure carried by an error response envelope."""
-    body = message.get("body")
-    if body is not None:
-        exc = unpack_body(body)
-        if isinstance(exc, BaseException):
-            raise exc
+    """Re-raise an error envelope's failure: the kind picks the class
+    (else :class:`~repro.errors.ServiceError`), the fields refill it."""
     error = message.get("error") or {}
     kind = error.get("kind", "error")
-    cls = _ERROR_CLASSES.get(kind, ServiceError)
-    exc = cls(error.get("message", f"remote {kind} failure"))
+    exc = ERROR_CLASSES.get(kind, ServiceError)(
+        error.get("message", f"remote {kind} failure"))
     retry_after = error.get("retry_after")
     if retry_after is not None:
         exc.retry_after = float(retry_after)
+    fields = error.get("fields")
+    if isinstance(fields, dict):
+        exc.__dict__.update(fields)
     raise exc

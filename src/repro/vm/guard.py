@@ -39,6 +39,7 @@ from repro.vm.translator import (
     TranslationOptions,
     TranslationResult,
     translate_loop,
+    translation_key,
 )
 
 #: Signature of a fault hook: ``(site, op, iteration, reg, value) -> value``.
@@ -370,7 +371,9 @@ class GuardedExecutor:
         self.options = options
         entries = (cache_entries if cache_entries is not None
                    else la_config.code_cache_entries)
-        self.cache: CodeCache[KernelImage] = CodeCache(entries)
+        #: Slots are named by loop and hold (translation key, image):
+        #: another loop under the same name misses instead of aliasing.
+        self.cache: CodeCache[tuple[str, KernelImage]] = CodeCache(entries)
         self.blacklist = LoopBlacklist(guard.max_failures,
                                        guard.backoff_invocations)
         self.stats = GuardStats()
@@ -387,15 +390,16 @@ class GuardedExecutor:
                           result.live_outs, reason=reason)
 
     def _image_for(self, loop: Loop) -> TranslationResult | KernelImage:
+        key = translation_key(loop, self.la_config, self.options)
         cached = self.cache.lookup(loop.name)
-        if cached is not None:
+        if cached is not None and cached[0] == key:
             self.stats.cache_hits += 1
-            return cached
+            return cached[1]
         result = translate_loop(loop, self.la_config, self.options)
         self.stats.translations += 1
         if result.ok:
             assert result.image is not None
-            self.cache.insert(loop.name, result.image)
+            self.cache.insert(loop.name, (key, result.image))
             return result.image
         return result
 

@@ -256,6 +256,47 @@ def test_stale_stamp_leaves_the_figure_byte_identical(tmp_path):
     assert run_figure("fig2") == dynamic
 
 
+@pytest.mark.parametrize("where", ["cache-dir", "artifact"])
+def test_planted_code_payload_is_quarantined_not_run(tmp_path, where):
+    """A frame-valid entry whose payload reduces to a repro function
+    call (``start_trace(victim)`` truncates the victim) is quarantined
+    under a live digest without running: one incident, the victim
+    untouched, no trace started, the figure text unchanged."""
+    from repro.api import run_figure
+
+    victim = tmp_path / "victim"
+    victim.write_text("keep")
+    evil = (b"crepro.obs.trace\nstart_trace\n(V"
+            + str(victim).encode() + b"\ntR.")
+    corpus = _corpus(1)
+    key = translation_key(*corpus[0])
+    dynamic = run_figure("fig8")
+    if where == "artifact":
+        path, report = _build(tmp_path, corpus)
+    else:
+        path = str(tmp_path / "cache")
+        perf.translation_cache().attach_disk(path, strict=True)
+    integrity.write_atomic(os.path.join(path, key + ENTRY_SUFFIX),
+                           integrity.frame(evil))
+    perf.clear_caches()
+    incident_log().clear()
+    try:
+        if where == "artifact":
+            assert aot.install(path) == report.entries - 1
+        text = run_figure("fig8")
+        assert victim.read_text() == "keep"
+        assert not obs.tracing_active()
+    finally:
+        if obs.tracing_active():
+            obs.stop_trace()
+    assert [(i.kind, i.details["reason"])
+            for i in incident_log().incidents] == [
+        ("cache-corruption", "forbidden-global")]
+    assert os.listdir(os.path.join(path, integrity.QUARANTINE_DIRNAME)) \
+        == [key + ENTRY_SUFFIX + ".forbidden-global"]
+    assert text == dynamic
+
+
 # -- adoption semantics -------------------------------------------------------
 
 def test_adoption_is_first_writer_wins(tmp_path):
@@ -328,6 +369,63 @@ def test_serve_with_artifact_pays_zero_core_runs(tmp_path):
     assert delta.get("aot.artifact_hits", 0) >= len(corpus)
     assert delta.get("aot.entries_adopted", 0) > 0
     assert sorted(os.listdir(path)) == listing
+
+
+@pytest.mark.parametrize("named_by", ["flag", "env"])
+def test_cli_serve_loads_the_artifact_once(tmp_path, monkeypatch, capsys,
+                                           named_by):
+    """The CLI bootstrap installs the artifact; the in-process server
+    serves from it without loading it a second time."""
+    from repro.cli import main
+    from repro.service import loadgen
+
+    corpus = _corpus()
+    path, _report = _build(tmp_path, corpus)
+    monkeypatch.setattr(loadgen, "request_corpus", lambda: corpus)
+    argv = ["serve", "--sessions", "1"]
+    if named_by == "flag":
+        argv += ["--artifact", path]
+    else:
+        monkeypatch.setenv(ARTIFACT_ENV, path)
+    perf.clear_caches()
+    before = obs.metrics_snapshot()
+    assert main(argv) == 0
+    assert "served 3/3" in capsys.readouterr().out
+    delta = obs.metrics_delta(before)["counters"]
+    assert delta.get("aot.artifact_loads", 0) == 1
+    assert delta.get("translator.core_runs", 0) == 0
+
+
+def test_cli_serve_shards_install_the_artifact(tmp_path, monkeypatch,
+                                              capsys):
+    """With shards, each shard process is handed the artifact to
+    install at start; the flags reach the fleet through the bootstrap's
+    Settings."""
+    from repro.cli import main
+    from repro.errors import TransportError
+    from repro.service import cluster
+
+    path, _report = _build(tmp_path, _corpus(1))
+    booted = []
+
+    class _Fleet:
+        def __init__(self, config):
+            booted.append(config)
+
+        def start(self):
+            raise TransportError("fleet not booted in this test")
+
+    monkeypatch.setattr(cluster, "ShardSupervisor", _Fleet)
+    perf.clear_caches()
+    before = obs.metrics_snapshot()
+    assert main(["serve", "--shards", "2", "--secret", "s3",
+                 "--artifact", path]) == 1
+    assert "fleet not booted" in capsys.readouterr().out
+    (config,) = booted
+    assert (config.shards, config.auth_secret) == (2, "s3")
+    assert config.service.settings.artifact_path == path
+    delta = obs.metrics_delta(before)["counters"]
+    assert delta.get("aot.artifact_loads", 0) == 1
 
 
 # -- CLI and reproducibility --------------------------------------------------

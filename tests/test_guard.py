@@ -1,5 +1,7 @@
 """Differential verification, deoptimization, blacklist, cache edges."""
 
+import pytest
+
 from repro.accelerator import PROPOSED_LA
 from repro.cpu import Interpreter, standard_live_ins
 from repro.errors import GuardViolation
@@ -92,6 +94,26 @@ def test_guarded_executor_accelerates_cleanly():
                                                           DEFAULT_SCALARS))
     assert memory.snapshot() == ref_mem.snapshot()
     assert executor.stats.accelerated == 1
+
+
+@pytest.mark.parametrize("mode", ["off", "checked"])
+def test_same_name_loops_do_not_share_a_cache_slot(mode):
+    # Two different loops under one name: the second must run its own
+    # translation, not the image cached for the first.
+    first = K.daxpy(trip_count=16)
+    alias = K.checksum(trip_count=16).rebuild(name=first.name)
+    executor = GuardedExecutor(PROPOSED_LA, GuardConfig(mode=mode))
+    for loop in (first, alias, first):
+        memory = seeded_memory(loop, seed=5)
+        live = standard_live_ins(loop, memory, DEFAULT_SCALARS)
+        run = executor.run(loop, memory, live)
+        ref_mem = seeded_memory(loop, seed=5)
+        ref = Interpreter(ref_mem).run_loop(loop, dict(live))
+        assert run.source == "accelerator", run.reason
+        assert run.live_outs == ref.live_outs
+        assert memory.snapshot() == ref_mem.snapshot()
+    assert executor.stats.translations == 3
+    assert executor.stats.deopts == 0
 
 
 def test_deopt_recovers_and_benches():

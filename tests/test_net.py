@@ -414,6 +414,34 @@ def test_forbidden_global_body_is_never_memoised(monkeypatch):
     assert decoded.count(evil) == 3
 
 
+@pytest.mark.parametrize("op", ["translate", "hello"])
+def test_body_calling_a_repro_function_is_refused(op, tmp_path):
+    # A body reducing to repro.obs.trace.start_trace(victim) would
+    # truncate the victim file and start tracing if the function
+    # resolved; the allowlist refuses it before anything runs.
+    from repro import obs
+    from repro.errors import ProtocolError
+    from repro.service import wire
+
+    victim = tmp_path / "victim"
+    victim.write_text("keep")
+    evil = (b"crepro.obs.trace\nstart_trace\n(V"
+            + str(victim).encode() + b"\ntR.")
+    try:
+        with _server() as server:
+            with LoopClient(server.host, server.port,
+                            session="evil") as client:
+                with pytest.raises(ProtocolError) as info:
+                    client.call(op, wire.PackedBody(evil))
+                assert info.value.reason == "forbidden-global"
+                assert client.ping()
+        assert victim.read_text() == "keep"
+        assert not obs.tracing_active()
+    finally:
+        if obs.tracing_active():
+            obs.stop_trace()
+
+
 def test_planted_memos_in_a_crafted_body_are_refused(monkeypatch):
     from repro.ir.loop import Loop
     from repro.perf.digest import loop_digest

@@ -296,6 +296,39 @@ def test_error_envelope_without_body_maps_kind():
     assert info.value.retry_after == 0.1
 
 
+def test_errors_cross_the_wire_once_as_json():
+    # No pickled body: the typed instance is rebuilt from the envelope,
+    # JSON-safe fields included, and fields JSON cannot carry are left
+    # out rather than failing the reply.
+    from repro.errors import SchedulingError, ServiceError, ShardMovedError
+    shard_map = {"version": 3, "shards": [{"shard_id": 1, "up": True}]}
+    moved = ShardMovedError("not mine", shard_id=0, owner_id=1,
+                            owner_host="127.0.0.1", owner_port=7411,
+                            shard_map=shard_map)
+    envelope = wire.decode_frame(wire.encode_frame(
+        wire.error_response(4, moved)))
+    assert "body" not in envelope
+    with pytest.raises(ShardMovedError) as info:
+        wire.raise_error(envelope)
+    assert (info.value.owner_id, info.value.owner_port) == (1, 7411)
+    assert info.value.shard_map == shard_map
+
+    failed = SchedulingError("no II", schedule_failure=object(),
+                             loop_name="fir")
+    envelope = wire.decode_frame(wire.encode_frame(
+        wire.error_response(5, failed)))
+    with pytest.raises(SchedulingError) as info:
+        wire.raise_error(envelope)
+    assert info.value.loop_name == "fir"
+    assert info.value.schedule_failure is None
+
+    envelope = wire.decode_frame(wire.encode_frame(
+        wire.error_response(6, KeyError("internal"))))
+    with pytest.raises(ServiceError) as info:
+        wire.raise_error(envelope)
+    assert "internal" in str(info.value)
+
+
 # -- the trust model: restricted bodies and keyed frames ----------------------
 
 def test_body_rejects_forbidden_global():
@@ -317,13 +350,27 @@ def test_body_rejects_module_attribute_escape():
     assert _reason(info) == "forbidden-global"
 
 
-def test_approved_globals_never_admit_a_refused_one():
-    # Resolving each approved global once must not open a door: after
-    # genuine replies warm the map, the escapes are refused every time.
-    import types
+@pytest.mark.parametrize("evil", [
+    b"crepro.service.server\nos\n.",   # a name the module lacks
+    b"crepro.nosuchmodule\nX\n.",      # a module that does not exist
+    b"crepro.obs.trace\nstart_trace\n.",  # a repro function
+    b"crepro.service.net\nNetServer\n.",  # a repro non-value class
+])
+def test_unlisted_repro_globals_are_forbidden(evil):
+    # The allowlist refuses before importing, so a repro.* name is
+    # forbidden whether or not it exists.
+    with pytest.raises(ProtocolError) as info:
+        wire.unpack_body(evil)
+    assert _reason(info) == "forbidden-global"
 
+
+def test_approved_globals_never_admit_a_refused_one():
+    # Resolving each allowed global once must not open a door: after
+    # genuine replies warm the resolution memo, the escapes are refused
+    # every time, and the memo only ever holds allowed classes.
     from repro.accelerator import PROPOSED_LA
-    from repro.errors import AdmissionRejected
+    from repro.errors import ERROR_CLASSES, AdmissionRejected
+    from repro.resilience import integrity
     from repro.vm.translator import translate_loop
     from repro.workloads import kernels as K
 
@@ -331,20 +378,18 @@ def test_approved_globals_never_admit_a_refused_one():
                   AdmissionRejected("busy", retry_after=0.1),
                   {frozenset({1}), 2}):
         wire.unpack_body(wire.pack_body(value))
-    approved = wire._RestrictedUnpickler._approved
-    assert len(approved) > 5
+    resolved = integrity._resolved
+    assert len(resolved) > 5
     for evil in (b"cos\nsystem\n.", b"crepro.service.cluster\nos\n.") * 2:
         with pytest.raises(ProtocolError) as info:
             wire.unpack_body(evil)
         assert _reason(info) == "forbidden-global"
-    assert ("os", "system") not in approved
-    assert ("repro.service.cluster", "os") not in approved
-    for (module, name), obj in approved.items():
-        if module == "builtins":
-            assert name in wire._SAFE_BUILTINS
-        else:
-            assert not isinstance(obj, types.ModuleType)
-            assert obj.__module__.split(".")[0] == "repro"
+    assert ("os", "system") not in resolved
+    assert ("repro.service.cluster", "os") not in resolved
+    errors = set(ERROR_CLASSES.values())
+    for (module, name), obj in resolved.items():
+        assert isinstance(obj, type)
+        assert (module, name) in integrity.VALUE_CLASSES or obj in errors
 
 
 def test_body_allows_repro_types_and_safe_builtins():
