@@ -1,13 +1,33 @@
-"""Kernel specialization: compile a modulo schedule into one function.
+"""Kernel specialization: compile a modulo schedule into Python.
 
 The third engine tier (``REPRO_ENGINE=2``).  The overlapped executor
 (:mod:`repro.accelerator.pipeline_executor`) pays event-queue dispatch
-for every scheduled op of every iteration; this module instead emits the
-whole software pipeline as *generated Python source* — compiled once per
-(image, trip count) with :func:`compile`/``exec`` — and caches the
-function in-process keyed on the translation digest.
+for every scheduled op of every iteration; this module instead emits
+*generated Python source* per (image, trip count), compiled with
+:func:`compile`/``exec`` and cached in-process keyed on the
+translation digest.  Both emitters share one analysis (:class:`_Codegen`:
+producer map, type pass, liveness pass).
 
-Codegen shape (one function per scheduled loop):
+Whole-array function (tried first, :class:`_VectorCodegen`):
+
+* **streams** — each load stream is gathered once from the cells over
+  its affine stream range and classified (int64 ints, Python floats,
+  or raw floats such as ``np.float64`` kept as objects); one body is
+  compiled per class signature.
+* **acyclic ops** — in topological order of the value graph's strongly
+  connected components, every op outside a recurrence is one numpy
+  expression over all ``trips`` lanes, returning per lane exactly what
+  the reference returns (native int64 wrap, ``uint64`` views for
+  logical shifts, ``np.where`` with the scalar operand order).
+* **recurrences** — each cyclic component runs as one scalar loop over
+  the element lists it reads, emitted through the scalar emitter's
+  typed templates, so float accumulators keep their order bit for bit.
+* **declines** — on a possible memory-order hazard, a stream or live-in
+  it cannot classify, or a lane an ``int()`` cannot take exactly, it
+  returns before any write; stores commit only after every value.
+
+Unrolled scalar kernel (generated on the first decline, or up front
+when the whole-array emitter does not take the image):
 
 * **prologue / steady state / epilogue** — the schedule's ``j``-windows
   (iteration ``k``, stage ``s`` executes in window ``j = k + s``) are
@@ -33,25 +53,32 @@ Codegen shape (one function per scheduled loop):
   bitwise ops of int64s bare, the wrap inlined in the steady state.
   Loads and live-ins keep the reference conversions, and pure ops that
   nothing reads and that cannot raise are not emitted at all.
-* **closed-form timing** — cycles, max inflight iterations and
-  per-resource utilization are computed from schedule arithmetic at
-  specialization time, term-for-term identical to what the event
-  executor measures, so figure text stays byte-identical.
+
+**Closed-form timing** — cycles, max inflight iterations and
+per-resource utilization are computed from schedule arithmetic at
+specialization time, term-for-term identical to what the event
+executor measures, so figure text stays byte-identical.
 
 Anything the specializer cannot prove it can reproduce bit-identically
-falls back to the reference executors (negative-cached per image), and a
-guard cross-check mismatch routes through the PR 1 deopt/blacklist path:
-the reference interpreter remains ground truth.
+falls back to the reference executors (negative-cached per image).  A
+kernel that raises where the reference does not, or a guard
+cross-check mismatch, drops the image's kernels (the next call
+recompiles); a raise the reference repeats is the data's and is only
+counted.  The reference interpreter remains ground truth.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Callable, Mapping, NamedTuple, Optional
+
+import numpy as np
 
 from repro import obs
 from repro.accelerator.machine import (AcceleratorFault, AcceleratorRun,
@@ -60,6 +87,7 @@ from repro.accelerator.pipeline_executor import (OverlappedRun,
                                                  execute_overlapped)
 from repro.cpu.interpreter import _trunc_div, _trunc_rem, wrap64
 from repro.cpu.memory import Memory, Value
+from repro.ir.graphalgo import strongly_connected_components
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Imm, Operation, Reg
 from repro.scheduler.mii import sched_resource
@@ -69,21 +97,24 @@ class SpecializationUnsupported(Exception):
     """The image has a shape the specializer does not reproduce exactly."""
 
 
+class _VectorRefused(Exception):
+    """The whole-array emitter does not take this image or this runtime
+    signature; ``args[0]`` is the decline label."""
+
+
 @dataclass
 class SpecializedKernel:
-    """One compiled loop: the generated function plus closed-form facts."""
+    """One specialized loop: its whole-array function, the unrolled
+    scalar kernel (built on first need), and closed-form facts."""
 
     loop_name: str
-    source: str
-    fn: Callable
     trips: int
-    #: Positional live-in parameters of ``fn`` (after the cells dict).
-    params: tuple[Reg, ...]
-    #: Live-out registers produced by the function, in return order.
+    #: Live-out registers produced by the kernel, in return order.
     out_regs: tuple[Reg, ...]
-    #: Live-ins that must be present in the runtime mapping (parameters
-    #: plus stream-base registers); a missing one falls back to the
-    #: reference executor, which reports the fault identically.
+    #: Live-ins that must be present in the runtime mapping (every
+    #: value read of a live-in plus the stream-base registers); a
+    #: missing one falls back to the reference executor, which reports
+    #: the fault identically.
     required: frozenset
     #: Closed-form OverlappedRun facts.
     cycles: int
@@ -92,14 +123,62 @@ class SpecializedKernel:
     #: Closed-form AcceleratorRun facts (vm.run_loop tier).
     n_mem_ops: int
     load_stream_ops: dict[int, int] = field(default_factory=dict)
+    #: The whole-array path; None when the vector emitter does not
+    #: take the image.  ``refusal`` is why, or why it refuses the
+    #: signature of conventionally seeded data.
+    vector: Optional["_VectorKernel"] = None
+    refusal: str = ""
+    image: Optional[KernelImage] = field(default=None, repr=False)
+    _scalar: Optional[tuple] = field(default=None, repr=False)
+
+    def _scalar_kernel(self) -> tuple[str, Callable, tuple[Reg, ...]]:
+        """``(source, fn, params)`` of the unrolled scalar kernel,
+        generated and compiled on first use."""
+        if self._scalar is None:
+            self._scalar = _compile_scalar(self.image, self.trips)
+        return self._scalar
+
+    @property
+    def source(self) -> str:
+        return self._scalar_kernel()[0]
+
+    @property
+    def fn(self) -> Callable:
+        return self._scalar_kernel()[1]
+
+    @property
+    def params(self) -> tuple[Reg, ...]:
+        """Positional live-in parameters of ``fn`` (after the cells)."""
+        return self._scalar_kernel()[2]
 
     def run(self, memory: Memory, live_ins: Mapping[Reg, Value]
             ) -> dict[Reg, Value]:
-        """Execute over *memory*; returns the produced live-outs."""
-        values = self.fn(memory._cells,
-                         *[live_ins[reg] for reg in self.params])
-        outs = dict(zip(self.out_regs, values))
-        return outs
+        """Execute over *memory*; returns the produced live-outs.
+
+        The whole-array function runs first; when it declines (before
+        any write) the scalar kernel runs instead.  A raise leaves
+        *memory* as this call found it, so the reference can rerun."""
+        cells = memory._cells
+        if self.vector is not None:
+            values = self.vector.run(cells, live_ins)
+            if values is not None:
+                return dict(zip(self.out_regs, values))
+        else:
+            _count_decline(self.refusal)
+        _source, fn, params = self._scalar_kernel()
+        saved = dict(cells)
+        try:
+            values = fn(cells, *[live_ins[reg] for reg in params])
+        except Exception:
+            cells.clear()
+            cells.update(saved)
+            raise
+        return dict(zip(self.out_regs, values))
+
+
+def _count_decline(reason: str) -> None:
+    obs.inc("jit.vector_declines")
+    obs.inc(f"jit.vector_declines.{reason}")
 
 
 # -- in-process code cache ----------------------------------------------------
@@ -109,12 +188,12 @@ class SpecializedKernel:
 #: key embeds the trip count, so a long-lived service seeing varying
 #: trips for one loop would otherwise grow this without bound.
 _code_cache: "OrderedDict[tuple, Optional[SpecializedKernel]]" = OrderedDict()
-#: loop name -> keys, for guard-driven invalidation; ``_key_loop`` is
-#: the reverse map so LRU eviction can clean the per-loop sets.
-_loop_keys: dict[str, set] = {}
-_key_loop: dict[tuple, str] = {}
+#: translation digest -> keys, for guard-driven invalidation.  Keyed by
+#: the digest, not the loop name, so one loop's deopt never drops the
+#: kernels of another loop that shares its name.
+_image_keys: dict[str, set] = {}
 _stats = {"compiled": 0, "hits": 0, "unsupported": 0, "errors": 0,
-          "deopts": 0, "evicted": 0}
+          "deopts": 0, "evicted": 0, "data_raises": 0}
 
 #: Max cached kernels (``REPRO_JIT_CACHE`` / :func:`set_code_cache_limit`
 #: override).  Negative (unsupported) entries count too — they are tiny,
@@ -157,14 +236,12 @@ def code_cache_limit() -> int:
 
 
 def _forget_key(key: tuple) -> None:
-    """Unlink *key* from the per-loop invalidation index."""
-    loop_name = _key_loop.pop(key, None)
-    if loop_name is not None:
-        keys = _loop_keys.get(loop_name)
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                _loop_keys.pop(loop_name, None)
+    """Unlink *key* from the per-digest invalidation index."""
+    keys = _image_keys.get(key[0])
+    if keys is not None:
+        keys.discard(key)
+        if not keys:
+            _image_keys.pop(key[0], None)
 
 
 def _evict_to_limit() -> None:
@@ -179,8 +256,7 @@ def _evict_to_limit() -> None:
 
 def clear_code_cache() -> None:
     _code_cache.clear()
-    _loop_keys.clear()
-    _key_loop.clear()
+    _image_keys.clear()
     obs.set_gauge("jit.code_cache_size", 0)
 
 
@@ -189,12 +265,12 @@ def code_cache_stats() -> dict:
                 limit=code_cache_limit())
 
 
-def invalidate_loop(loop_name: str) -> int:
-    """Drop every compiled kernel for *loop_name* (guard deopt path)."""
-    keys = _loop_keys.pop(loop_name, set())
+def invalidate_image(image: KernelImage) -> int:
+    """Drop every compiled kernel of *image*'s translation (any trip
+    count); the guard deopt path.  The next call recompiles."""
+    keys = _image_keys.pop(_image_digest(image), set())
     dropped = 0
     for key in keys:
-        _key_loop.pop(key, None)
         if _code_cache.pop(key, None) is not None:
             dropped += 1
     if dropped:
@@ -204,10 +280,9 @@ def invalidate_loop(loop_name: str) -> int:
     return dropped
 
 
-def _image_key(image: KernelImage, trips: int) -> tuple:
-    """Cache key: transcache digest when the translator attached one,
-    else a content digest — plus the facts the digest does not pin
-    (trip specialization and the caller-config unit pools)."""
+def _image_digest(image: KernelImage) -> str:
+    """The translation digest the translator stamped on *image*, else
+    a content digest of the loop and its schedule."""
     digest = getattr(image, "digest", None)
     if digest is None:
         from repro.perf.digest import digest_of, loop_digest
@@ -216,8 +291,14 @@ def _image_key(image: KernelImage, trips: int) -> tuple:
             "jit-image", loop_digest(image.loop), schedule.ii,
             sorted(schedule.times.items()),
             schedule.completion_time(image.dfg))
+    return digest
+
+
+def _image_key(image: KernelImage, trips: int) -> tuple:
+    """Cache key: the image digest plus the facts it does not pin (trip
+    specialization and the caller-config unit pools)."""
     units = tuple(sorted(image.schedule.units.items()))
-    return (digest, trips, units)
+    return (_image_digest(image), trips, units)
 
 
 def kernel_for(image: KernelImage, trips: int
@@ -232,8 +313,6 @@ def kernel_for(image: KernelImage, trips: int
     try:
         kernel = specialize(image, trips)
         _stats["compiled"] += 1
-        obs.inc("translator.units.specialize",
-                len(kernel.source.splitlines()))
     except SpecializationUnsupported:
         kernel = None
         _stats["unsupported"] += 1
@@ -252,8 +331,7 @@ def kernel_for(image: KernelImage, trips: int
     obs.observe("jit.compile_ms",
                 (time.perf_counter() - started) * 1000.0)
     _code_cache[key] = kernel
-    _loop_keys.setdefault(image.loop.name, set()).add(key)
-    _key_loop[key] = image.loop.name
+    _image_keys.setdefault(key[0], set()).add(key)
     _evict_to_limit()
     return kernel
 
@@ -547,23 +625,72 @@ class _Codegen:
         self._kinds: dict[tuple[int, int], str] = {}
         self._raises: set[int] = set()
         self._infer_kinds()
+        self._outs = self._out_producers()
         self._live, self._needed = self._liveness()
         #: Scheduled ops that are emitted, in body order.
         self._emitted = [op for op in self.loop.body
                          if op.opid in self._needed]
+        # Shape checks, once for both emitters: every value an emitter
+        # reads must come from a scheduled op or a live-in.  A dead pure
+        # op is never emitted, but the reference still reads its
+        # operands, so its live-ins stay required.
+        #: Live-ins read as values (iteration 0 reads every distance-1
+        #: producer's live-in) and live-ins read only as stream bases.
+        self.value_live_ins: set[Reg] = set()
+        self.base_live_ins: set[Reg] = set()
         for op in self.loop.body:
-            if (op.opid in self.schedule.times
-                    and op.opid not in self._needed):
-                # A dead pure op is never emitted, but the reference
-                # still reads its operands: its live-ins stay required.
-                for reg, producer in self._reads[op.opid].items():
-                    if producer is None or producer[1]:
-                        self._live_in(reg)  # iteration 0 reads it
-                    if (producer is not None
-                            and producer[0] not in self.schedule.times):
-                        raise SpecializationUnsupported(
-                            f"op{producer[0]}: value read of an "
-                            f"unscheduled producer")
+            if op.opid not in self.schedule.times:
+                continue
+            if op.opcode in (Opcode.CALL, Opcode.BRL):
+                raise SpecializationUnsupported(
+                    f"op{op.opid}: {op.opcode} traps")
+            if op.is_load and not op.dests:
+                raise SpecializationUnsupported(
+                    f"op{op.opid}: load without destination")
+            for reg, producer in self._value_reads(op):
+                if producer is None or producer[1]:
+                    self.value_live_ins.add(reg)
+                elif producer[0] not in self.schedule.times:
+                    raise SpecializationUnsupported(
+                        f"op{producer[0]}: value read of an "
+                        f"unscheduled producer")
+        for pattern in self._patterns.values():
+            for (space, name), _coeff in pattern.base.terms:
+                self.base_live_ins.add(Reg(name, space))
+
+    def _value_reads(self, op: Operation) -> list[tuple]:
+        """``(reg, producer)`` of every register the emitted code reads
+        for *op*: memory ops read only their predicate and stored value
+        (addresses are stream patterns), a squashed op's prior is read
+        as if at the op, and an unemitted op reads all its operands."""
+        reads = self._reads[op.opid]
+        if op.opid not in self._needed:
+            return list(reads.items())
+        oc = op.opcode
+        if oc in (Opcode.BR, Opcode.JUMP):
+            return []
+        if op.is_memory:
+            regs = [op.predicate] if op.predicate is not None else []
+            if op.is_store and isinstance(op.srcs[2], Reg):
+                regs.append(op.srcs[2])
+            out = [(reg, reads[reg]) for reg in regs]
+        else:
+            out = list(reads.items())
+        if oc is Opcode.CCA_OP:
+            _steps, binding = self._compound_form(
+                op, tuple(self._static(p).kind for p in reads.values()))
+            priors = [d for ri, d in enumerate(op.dests)
+                      if (op.opid, ri) in self._live
+                      and (d not in binding or op.predicate is not None)]
+        elif op.is_store:
+            priors = []
+        else:
+            first = 0 if op.predicate is not None else 1
+            priors = [d for ri, d in enumerate(op.dests)
+                      if ri >= first and (ri == 0 or (op.opid, ri)
+                                          in self._live)]
+        out.extend((d, reads.get(d)) for d in priors)
+        return out
 
     # -- type pass -------------------------------------------------------
 
@@ -640,13 +767,7 @@ class _Codegen:
                                      and op.opcode is not Opcode.CCA_OP
                                      or op.opid in self._raises):
                 need(op.opid)
-        for reg in self.loop.live_outs:
-            producer = None
-            for op in self.loop.body:
-                if reg in op.dests:
-                    producer = op
-            if producer is not None:
-                work.append((producer.opid, producer.dests.index(reg)))
+        work.extend((opid, ri) for _reg, opid, ri in self._outs)
         while work:
             value = work.pop()
             if value not in live:
@@ -654,6 +775,25 @@ class _Codegen:
                 if value[0] in reads:
                     need(value[0])
         return live, needed
+
+    def _out_producers(self) -> list[tuple[Reg, int, int]]:
+        """``(reg, opid, dest index)`` of each produced live-out, in
+        return order: the textually last producer's final value (a
+        live-in passthrough is the caller's)."""
+        outs: list[tuple[Reg, int, int]] = []
+        for reg in dict.fromkeys(self.loop.live_outs):
+            producer = None
+            for op in self.loop.body:
+                if reg in op.dests:
+                    producer = op
+            if producer is None:
+                continue
+            if producer.opid not in self.schedule.times:
+                raise SpecializationUnsupported(
+                    f"live-out {reg} produced by unscheduled "
+                    f"op{producer.opid}")
+            outs.append((reg, producer.opid, producer.dests.index(reg)))
+        return outs
 
     def _pure_form(self, op: Operation, operands: list[_Val],
                    hot: bool = False) -> tuple[str, str, bool]:
@@ -759,12 +899,6 @@ class _Codegen:
         if producer is None:
             return _Val(self._live_in(reg), UNKNOWN)
         opid, distance, ri = producer
-        if opid not in self.schedule.times:
-            # Offloadable (eliminated) producer: the partition guarantees
-            # such values feed only addresses and the branch, so a value
-            # read landing here is a shape we do not reproduce.
-            raise SpecializationUnsupported(
-                f"op{opid}: value read of an unscheduled producer")
         if k is not None:
             source = k - distance
             if source < 0:
@@ -799,8 +933,6 @@ class _Codegen:
         oc = op.opcode
         if oc in (Opcode.BR, Opcode.JUMP):
             return
-        if oc in (Opcode.CALL, Opcode.BRL):
-            raise SpecializationUnsupported(f"op{op.opid}: {oc} traps")
         phase = k % self.s if k is not None else slot_phase
         pred = (None if op.predicate is None else
                 self._resolve(op, op.predicate, k, slot_phase).expr)
@@ -816,9 +948,6 @@ class _Codegen:
                 else f"{indent}if {pred}: __cells[{addr}] = {val}")
             copied = 0  # stores define nothing
         elif oc in (Opcode.LOAD, Opcode.FLOAD):
-            if not op.dests:
-                raise SpecializationUnsupported(
-                    f"op{op.opid}: load without destination")
             expr = f"__cells.get({self._addr(op, k, steady_offset)}, 0)"
             copied = 1
         else:
@@ -912,7 +1041,7 @@ class _Codegen:
 
     # -- whole-function generation ----------------------------------------
 
-    def generate(self) -> tuple[str, list[Reg], list[Reg]]:
+    def generate(self) -> tuple[str, list[Reg]]:
         trips, sc, s = self.trips, self.sc, self.s
         total = trips + sc - 1
         body = self.lines
@@ -968,23 +1097,8 @@ class _Codegen:
                 self._emit_instance(op, k=k)
 
         # Live-outs: the textually last producer's final-iteration value.
-        out_regs: list[Reg] = []
-        returns: list[str] = []
-        for reg in self.loop.live_outs:
-            producer = None
-            for op in self.loop.body:
-                if reg in op.dests:
-                    producer = op.opid
-            if producer is None:
-                continue  # live-in passthrough, handled by the wrapper
-            if producer not in self.schedule.times:
-                raise SpecializationUnsupported(
-                    f"live-out {reg} produced by unscheduled op{producer}")
-            if reg in out_regs:
-                continue
-            out_regs.append(reg)
-            ri = self._by_id[producer].dests.index(reg)
-            returns.append(f"v{producer}_{ri}_{(trips - 1) % s}")
+        returns = [f"v{opid}_{ri}_{(trips - 1) % s}"
+                   for _reg, opid, ri in self._outs]
         body.append(f"    return ({', '.join(returns)}{',' if returns else ''})")
 
         # Stream-base prelude, now that the parameter list is final.
@@ -1005,7 +1119,815 @@ class _Codegen:
                   f"{params}):"]
         source = "\n".join(header + body[:prelude_mark] + prelude
                            + body[prelude_mark:]) + "\n"
-        return source, list(self.params), out_regs
+        return source, list(self.params)
+
+
+# -- whole-array emission -----------------------------------------------------
+
+#: Runtime classes of a whole-array value: each element's reference
+#: object is an ``int`` in signed-64 range (``_VI``), a Python
+#: ``float`` (``_VF``), or a float that may be another float type such
+#: as ``np.float64`` and is copied as itself (``_VR``, raw).  Arrays
+#: hold int64 resp. float64; a raw value also keeps its object list.
+_VI, _VF, _VR = "i", "f", "r"
+_KIND_OF = {_VI: INT64, _VF: FLOAT, _VR: UNKNOWN}
+_FLOAT_FORMS = {"farith", "fminmax", "fdiv", "funary", "itof"}
+#: Ops whose 64-bit result depends only on their operands mod 2**64.
+_MODULAR = {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR,
+            Opcode.XOR}
+_TWO63 = 9223372036854775808.0
+
+
+def _vjoin(a: str, b: str) -> str:
+    if a == b:
+        return a
+    if _VI in (a, b):
+        raise _VectorRefused("types")  # ints and floats in one array
+    return _VR
+
+
+def _imm_class(value) -> str:
+    if type(value) is int:
+        return _VI
+    if type(value) is float:
+        return _VF
+    raise _VectorRefused("types")
+
+
+def _vclass(op: Operation, classes: list[str]) -> str:
+    """Class of a pure op's result over operands of *classes*."""
+    form = _FORMS[op.opcode][0]
+    if form in _FLOAT_FORMS:
+        return _VF
+    if form == "copy":
+        return classes[0]
+    if form == "select":
+        return _vjoin(classes[1], classes[2])
+    return _VI
+
+
+def _f2i(x):
+    """``int()`` of every element of float64 array *x* as int64, or None
+    when one is NaN, infinite or truncates outside signed 64 bits."""
+    if ((x >= -_TWO63) & (x < _TWO63)).all():
+        return x.astype(np.int64)
+    return None
+
+
+def _shift(x, first):
+    """A distance-1 read: the live-in, then the producer's values."""
+    out = np.empty_like(x)
+    out[0] = first
+    out[1:] = x[:-1]
+    return out
+
+
+def _osel(truth, a, b) -> list:
+    """Per-lane choice between object lists (raw values keep identity)."""
+    return [x if t else y for t, x, y in zip(truth.tolist(), a, b)]
+
+
+def _vdiv(n, d):
+    """Truncating division; 0 for a zero divisor, and ``-n`` (wrapped)
+    for -1, which is also the one quotient that overflows."""
+    safe = np.where((d == 0) | (d == -1), 1, d)
+    q = (n - np.fmod(n, safe)) // safe
+    return np.where(d == 0, 0, np.where(d == -1, -n, q))
+
+
+def _vrem(n, d):
+    """Remainder with the dividend's sign; 0 for divisors 0 and -1."""
+    safe = np.where((d == 0) | (d == -1), 1, d)
+    return np.where(d == 0, 0, np.fmod(n, safe))
+
+
+def _vfdiv(a, d):
+    zero = d == 0.0
+    return np.where(zero, 0.0, a / np.where(zero, 1.0, d))
+
+
+_VECTOR_HELPERS = dict(
+    _HELPERS, __np=np, __i64=np.int64, __f64=np.float64, __u64=np.uint64,
+    __f2i=_f2i, __shift=_shift, __osel=_osel, __vdiv=_vdiv, __vrem=_vrem,
+    __vfdiv=_vfdiv)
+
+
+class _Vec(NamedTuple):
+    """A whole-array value: the name of its array (or an immediate's
+    literal), its class, and the name of its object list when it has
+    one (raw values always do)."""
+
+    arr: str
+    cls: str
+    obj: Optional[str] = None
+    imm: bool = False
+    const: object = None
+
+
+class _VectorCodegen(_Codegen):
+    """Emits one image's whole-array function per runtime signature.
+
+    Shares the producer map, type pass and liveness pass of the scalar
+    emitter.  Values are visited in topological order of their
+    strongly connected components: an acyclic op becomes one numpy
+    expression over all ``trips`` elements, and each recurrence runs as
+    one scalar loop over the element lists it reads, emitted through
+    the scalar emitter's own typed templates.  Loads arrive gathered;
+    stores leave as object lists the caller commits after every value
+    is computed.
+    """
+
+    def __init__(self, image: KernelImage, trips: int) -> None:
+        super().__init__(image, trips)
+        if any(edge.kind == "mem" for edge in image.dfg.edges):
+            raise _VectorRefused("memory-order")
+        for op in self._emitted:
+            if len(op.dests) > 1 and op.opcode is not Opcode.CCA_OP:
+                raise _VectorRefused("shape")
+        self.components = self._components()
+        for ops in self.components:
+            if len(ops) > 1 or self._self_cycle(ops[0]):
+                if any(op.is_memory for op in ops):
+                    raise _VectorRefused("shape")
+        self.loads = [op for op in self._emitted if op.is_load]
+        self.stores = [op for op in self._emitted if op.is_store]
+        self.value_regs = sorted(self.value_live_ins, key=str)
+
+    def _self_cycle(self, op: Operation) -> bool:
+        return any(p is not None and p[0] == op.opid
+                   for p in self._reads[op.opid].values())
+
+    def _components(self) -> list[list[Operation]]:
+        """Strongly connected components of the emitted ops under value
+        reads (any distance), producers first, each in body order."""
+        succs: dict[int, list[int]] = {op.opid: [] for op in self._emitted}
+        for op in self._emitted:
+            for producer in self._reads[op.opid].values():
+                if producer is not None and producer[0] in succs:
+                    succs[producer[0]].append(op.opid)
+        return [[op for op in self._emitted if op.opid in members]
+                for members in map(set, reversed(
+                    strongly_connected_components(succs, succs.__getitem__)))]
+
+    # -- per-signature generation -----------------------------------------
+
+    def generate_vector(self, load_classes: tuple[str, ...],
+                        live_classes: tuple[str, ...]) -> str:
+        """Source of ``__vector(__L, __O, __A)`` for one signature.
+
+        ``__L`` holds the value live-ins (``value_regs`` order), ``__O``
+        and ``__A`` each load's object list and array.  It returns
+        ``(stores, live-outs)`` -- per store its object list and lane
+        mask (None when unpredicated) -- or the label of a decline.
+        """
+        self._live_cls = dict(zip(self.value_regs, live_classes))
+        self._vals: dict[tuple[int, int], _Vec] = {}
+        self._memo: dict[tuple, object] = {}
+        self._store_out: dict[int, str] = {}
+        self._finals: dict[tuple[int, int], str] = {}
+        self._temps = 0
+        self._scan: Optional[set[int]] = None
+        out = self._vlines = []
+        if self.value_regs:
+            params = [self._param(reg) for reg in self.value_regs]
+            out.append(f"    {', '.join(params)}, = __L")
+        if self.loads:
+            for prefix, arg in (("o", "__O"), ("a", "__A")):
+                names = [f"{prefix}{op.opid}" for op in self.loads]
+                out.append(f"    {', '.join(names)}, = {arg}")
+        self._load_cls = {op.opid: cls
+                          for op, cls in zip(self.loads, load_classes)}
+        for ops in self.components:
+            if len(ops) > 1 or self._self_cycle(ops[0]):
+                self._emit_scan(ops)
+            else:
+                self._emit_vector(ops[0])
+        outs = []
+        for _reg, opid, ri in self._outs:
+            if (opid, ri) in self._finals:
+                outs.append(self._finals[(opid, ri)])
+                continue
+            value = self._vals[(opid, ri)]
+            outs.append(f"{value.obj}[-1]" if value.obj
+                        else f"{value.arr}[-1].item()")
+        stores = "".join(f"{self._store_out[op.opid]}, "
+                         for op in self.stores)
+        outs_text = "".join(f"{entry}, " for entry in outs)
+        out.append(f"    return ({stores}), ({outs_text})")
+        return "def __vector(__L, __O, __A):\n" + "\n".join(out) + "\n"
+
+    def _emit(self, line: str) -> None:
+        self._vlines.append("    " + line)
+
+    def _tmp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
+    def _param(self, reg: Reg) -> str:
+        return f"L{self.value_regs.index(reg)}"
+
+    # -- value access --------------------------------------------------------
+
+    def _operands(self, srcs: list, read: Callable[[Reg], _Vec]
+                  ) -> list[_Vec]:
+        """Operand values: immediates, else ``read(reg)``."""
+        return [_Vec(_imm(s.value).expr, _imm_class(s.value), imm=True,
+                     const=s.value) if isinstance(s, Imm) else read(s)
+                for s in srcs]
+
+    def _reader(self, op: Operation) -> Callable[[Reg], _Vec]:
+        reads = self._reads[op.opid]
+        return lambda reg: self._vread(reg, reads[reg])
+
+    def _vread(self, reg: Reg, producer: Optional[tuple]) -> _Vec:
+        """The value of *reg* as read from *producer* in every lane."""
+        if producer is None:
+            key = ("live", reg)
+            if key not in self._memo:
+                cls = self._live_cls[reg]
+                name, arr = self._param(reg), f"V{self.value_regs.index(reg)}"
+                self._emit(f"{arr} = __np.full({self.trips}, {name})")
+                obj = None
+                if cls == _VR:
+                    obj = f"{arr}o"
+                    self._emit(f"{obj} = [{name}] * {self.trips}")
+                self._memo[key] = _Vec(arr, cls, obj)
+            return self._memo[key]
+        opid, distance, ri = producer
+        value = self._vals[(opid, ri)]
+        if not distance:
+            return value
+        key = ("shift", opid, ri, reg)
+        if key not in self._memo:
+            name = self._param(reg)
+            cls = _vjoin(value.cls, self._live_cls[reg])
+            arr = self._tmp()
+            self._emit(f"{arr} = __shift({self._arr(value)}, {name})")
+            obj = None
+            if cls == _VR:
+                obj = f"{arr}o"
+                self._emit(f"{obj} = [{name}] + {self._objs(value)}[:-1]")
+            self._memo[key] = _Vec(arr, cls, obj)
+        return self._memo[key]
+
+    def _arr(self, value: _Vec) -> str:
+        """The array of *value*; a recurrence's element list is
+        converted on first use (a value above int64 range declines)."""
+        pending = self._memo.pop(("list", value.arr), None)
+        if pending is not None:
+            dtype = "__i64" if value.cls == _VI else "__f64"
+            self._emit(f"{value.arr} = __np.array({pending}, {dtype})")
+        return value.arr
+
+    def _objs(self, value: _Vec) -> str:
+        """The list of reference objects of *value*."""
+        if value.obj:
+            return value.obj
+        if value.imm:
+            return f"[{value.arr}] * {self.trips}"
+        key = ("objs", value.arr)
+        if key not in self._memo:
+            name = self._tmp()
+            self._emit(f"{name} = {self._arr(value)}.tolist()")
+            self._memo[key] = name
+        return self._memo[key]
+
+    def _bind(self, expr: str, cls: str) -> _Vec:
+        name = self._tmp()
+        self._emit(f"{name} = {expr}")
+        return _Vec(name, cls)
+
+    def _truth(self, value: _Vec) -> str:
+        """Lane-wise truthiness (a NaN is true, as in Python)."""
+        key = ("truth", value.arr)
+        if key not in self._memo:
+            self._memo[key] = self._bind(f"({self._arr(value)} != 0)",
+                                         _VI).arr
+        return self._memo[key]
+
+    def _merge(self, truth: str, a: _Vec, b: _Vec) -> _Vec:
+        """Lane-wise ``a if truth else b`` (a squashed op keeps b)."""
+        cls = _vjoin(a.cls, b.cls)
+        value = self._bind(f"__np.where({truth}, {self._raw(a)}, "
+                           f"{self._raw(b)})", cls)
+        if cls == _VR:
+            obj = f"{value.arr}o"
+            self._emit(f"{obj} = __osel({truth}, {self._objs(a)}, "
+                       f"{self._objs(b)})")
+            value = value._replace(obj=obj)
+        return value
+
+    def _as_int(self, v: _Vec, modular: bool = False) -> str:
+        """``int()`` of *v*; a float lane that cannot convert declines."""
+        if v.imm:
+            try:
+                value = int(v.const)
+            except (ValueError, OverflowError):
+                raise _VectorRefused("value")  # raises on every instance
+            if modular:
+                value = wrap64(value)
+            elif not -(1 << 63) <= value < (1 << 63):
+                raise _VectorRefused("value")
+            return f"({value})" if value < 0 else str(value)
+        if v.cls == _VI:
+            return self._arr(v)
+        name = self._tmp()
+        self._emit(f"{name} = __f2i({self._arr(v)})")
+        self._emit(f"if {name} is None: return 'value'")
+        return name
+
+    def _int_arr(self, v: _Vec) -> str:
+        x = self._as_int(v)
+        return f"__np.full({self.trips}, {x}, __i64)" if v.imm else x
+
+    def _as_float(self, v: _Vec) -> str:
+        if v.imm:
+            try:
+                return _imm(float(v.const)).expr
+            except OverflowError:
+                raise _VectorRefused("value")
+        if v.cls == _VI:
+            return f"{self._arr(v)}.astype(__f64)"
+        return self._arr(v)
+
+    def _raw(self, v: _Vec) -> str:
+        """*v* unconverted: its array, or an immediate numpy can hold."""
+        if not v.imm:
+            return self._arr(v)
+        if type(v.const) is int and not -(1 << 63) <= v.const < (1 << 63):
+            raise _VectorRefused("value")
+        return v.arr
+
+    def _full(self, v: _Vec) -> _Vec:
+        """An immediate as an array of its value in every lane."""
+        if not v.imm:
+            return v
+        dtype = "__i64" if v.cls == _VI else "__f64"
+        return self._bind(f"__np.full({self.trips}, {self._raw(v)}, "
+                          f"{dtype})", v.cls)
+
+    # -- ops -----------------------------------------------------------------
+
+    def _fold(self, op: Operation, operands: list[_Vec]) -> Optional[_Vec]:
+        """An op over immediates only, evaluated once by the reference."""
+        from repro.cpu.interpreter import Interpreter
+        regs: dict[Reg, Value] = {}
+        try:
+            Interpreter(Memory(), mode="reference").execute_op(
+                op.copy(predicate=None), regs)
+        except Exception:
+            raise _VectorRefused("value")  # raises on every instance
+        if not op.dests:
+            return None
+        value = regs[op.dests[0]]
+        return self._full(_Vec(_imm(value).expr, _imm_class(value),
+                               imm=True, const=value))
+
+    def _vop(self, op: Operation, operands: list[_Vec]) -> Optional[_Vec]:
+        """One pure op over whole arrays; returns exactly what
+        ``Interpreter.execute_op`` returns in every lane, or declines."""
+        if all(v.imm for v in operands):
+            return self._fold(op, operands)
+        form, sym = _FORMS[op.opcode]
+        a = operands[0]
+        b = operands[1] if len(operands) > 1 else None
+        cls = _vclass(op, [v.cls for v in operands])
+        if form in ("arith", "bitwise"):
+            modular = op.opcode in _MODULAR
+            expr = (f"({self._as_int(a, modular)} {sym} "
+                    f"{self._as_int(b, modular)})")
+        elif form == "shift":
+            x = self._int_arr(a)
+            if b.imm:
+                try:
+                    amount = str(int(b.const) & 63)
+                except (ValueError, OverflowError):
+                    raise _VectorRefused("value")
+            else:
+                amount = f"({self._as_int(b)} & 63)"
+            if sym == ">>":
+                expr = f"({x} >> {amount})"
+            else:
+                if not b.imm:
+                    amount += ".astype(__u64)"
+                op_sym = "<<" if sym == "<<" else ">>"
+                expr = f"({x}.view(__u64) {op_sym} {amount}).view(__i64)"
+        elif form == "compare":
+            classes = {v.cls for v in operands if not v.imm}
+            for v in operands:
+                if v.imm and type(v.const) is int and (
+                        _VF in classes or _VR in classes):
+                    # numpy compares an int with floats as a float.
+                    if abs(v.const) > 1 << 53:
+                        raise _VectorRefused("types")
+                elif v.imm:
+                    classes.add(_imm_class(v.const))
+            if _VI in classes and len(classes) > 1:
+                raise _VectorRefused("types")
+            expr = f"({self._raw(a)} {sym} {self._raw(b)}).astype(__i64)"
+        elif form == "minmax":
+            name = "minimum" if sym == "<" else "maximum"
+            expr = f"__np.{name}({self._as_int(a)}, {self._as_int(b)})"
+        elif form == "negabs":
+            x = self._int_arr(a)
+            expr = f"(-{x})" if op.opcode is Opcode.NEG else f"__np.abs({x})"
+        elif form == "not":
+            expr = f"(~{self._int_arr(a)})"
+        elif form in ("div", "rem"):
+            d = self._as_int(b)  # the reference converts the divisor first
+            n = self._int_arr(a)
+            expr = f"__v{form}({n}, {d})"
+        elif form == "farith":
+            expr = f"({self._as_float(a)} {sym} {self._as_float(b)})"
+        elif form == "fcompare":
+            expr = (f"({self._as_float(a)} {sym} {self._as_float(b)})"
+                    f".astype(__i64)")
+        elif form == "fminmax":
+            x, y = self._as_float(a), self._as_float(b)
+            expr = f"__np.where({y} {sym} {x}, {y}, {x})"
+        elif form == "fdiv":
+            expr = f"__vfdiv({self._as_float(a)}, {self._as_float(b)})"
+        elif form == "funary":
+            x = self._as_float(a)
+            expr = f"(-{x})" if op.opcode is Opcode.FNEG else f"__np.abs({x})"
+        elif form == "itof":
+            expr = f"{self._int_arr(a)}.astype(__f64)"
+        elif form == "ftoi":
+            expr = self._tmp()
+            self._emit(f"{expr} = __f2i({self._as_float(a)})")
+            self._emit(f"if {expr} is None: return 'value'")
+        elif form == "copy":
+            return a
+        elif a.imm:  # select on a constant condition
+            return self._full(operands[1] if a.const else operands[2])
+        else:
+            return self._merge(self._truth(a), b, operands[2])
+        return self._bind(expr, cls)
+
+    def _emit_vector(self, op: Operation) -> None:
+        """One acyclic op over every lane."""
+        oc = op.opcode
+        if oc in (Opcode.BR, Opcode.JUMP):
+            return
+        reads = self._reads[op.opid]
+        truth = None
+        if op.predicate is not None:
+            truth = self._truth(self._vread(op.predicate,
+                                            reads[op.predicate]))
+        if oc is Opcode.CCA_OP:
+            self._vector_compound(op, truth)
+            return
+        if op.is_store:
+            value = self._operands(op.srcs[2:3], self._reader(op))[0]
+            self._store_out[op.opid] = (f"({self._objs(value)}, "
+                                        f"{truth and f'{truth}.tolist()'})")
+            return
+        if op.is_load:
+            value = _Vec(f"a{op.opid}", self._load_cls[op.opid],
+                         f"o{op.opid}")
+        else:
+            value = self._vop(op, self._operands(op.srcs, self._reader(op)))
+            if not op.dests:
+                return  # result discarded; its conversions still ran
+        if truth is not None:
+            value = self._merge(truth, value,
+                                self._vread(op.dests[0],
+                                            reads.get(op.dests[0])))
+        self._vals[(op.opid, 0)] = value
+
+    def _vector_compound(self, op: Operation, truth: Optional[str]) -> None:
+        reads = self._reads[op.opid]
+        binding = {reg: self._vread(reg, producer)
+                   for reg, producer in reads.items()}
+        for inner in op.inner:
+            inner_truth = None
+            if inner.predicate is not None:
+                if inner.predicate not in binding:
+                    continue  # statically squashed
+                inner_truth = self._truth(binding[inner.predicate])
+            value = self._vop(inner, self._operands(inner.srcs,
+                                                     binding.__getitem__))
+            if not inner.dests:
+                continue
+            dest = inner.dests[0]
+            if inner_truth is not None:
+                value = self._merge(inner_truth, value, binding[dest])
+            binding[dest] = value
+        for ri, d in enumerate(op.dests):
+            if (op.opid, ri) not in self._live:
+                continue
+            value = (binding[d] if d in binding
+                     else self._vread(d, reads.get(d)))
+            if truth is not None:
+                value = self._merge(truth, value,
+                                    self._vread(d, reads.get(d)))
+            self._vals[(op.opid, ri)] = value
+
+    # -- recurrences ---------------------------------------------------------
+
+    def _scan_classes(self, ops: list[Operation]) -> dict[tuple, str]:
+        """Classes of a recurrence's values: a fixed point from its
+        live-ins (at most one join per value)."""
+        scc = {op.opid for op in ops}
+        classes: dict[tuple[int, int], str] = {}
+
+        def of(reg: Reg, producer: Optional[tuple]) -> str:
+            if producer is None:
+                return self._live_cls[reg]
+            opid, distance, ri = producer
+            cls = (classes.get((opid, ri)) if opid in scc
+                   else self._vals[(opid, ri)].cls)
+            if distance:
+                live = self._live_cls[reg]
+                return live if cls is None else _vjoin(cls, live)
+            return cls
+
+        def operand(reg_or_imm, reads) -> str:
+            if isinstance(reg_or_imm, Imm):
+                return _imm_class(reg_or_imm.value)
+            return of(reg_or_imm, reads[reg_or_imm])
+
+        while True:
+            before = dict(classes)
+            for op in ops:
+                reads = self._reads[op.opid]
+                if op.opcode is Opcode.CCA_OP:
+                    binding = {reg: of(reg, p) for reg, p in reads.items()}
+                    for inner in op.inner:
+                        if (inner.predicate is not None
+                                and inner.predicate not in binding):
+                            continue
+                        cls = _vclass(inner, [
+                            _imm_class(s.value) if isinstance(s, Imm)
+                            else binding[s] for s in inner.srcs])
+                        if inner.dests:
+                            d = inner.dests[0]
+                            if inner.predicate is not None:
+                                cls = _vjoin(cls, binding[d])
+                            binding[d] = cls
+                    results = [binding.get(d) for d in op.dests]
+                else:
+                    results = [_vclass(op, [operand(s, reads)
+                                            for s in op.srcs])]
+                for ri, d in enumerate(op.dests):
+                    if (op.opid, ri) not in self._live:
+                        continue
+                    cls = results[ri] if ri < len(results) else None
+                    if cls is None or op.predicate is not None:
+                        prior = of(d, reads.get(d))
+                        cls = prior if cls is None else _vjoin(cls, prior)
+                    old = classes.get((op.opid, ri))
+                    classes[(op.opid, ri)] = (cls if old is None
+                                              else _vjoin(old, cls))
+            if classes == before:
+                return classes
+
+    def _emit_scan(self, ops: list[Operation]) -> None:
+        """A recurrence as one scalar loop over its inputs' element
+        lists, through the scalar emitter's typed templates."""
+        classes = self._scan_classes(ops)
+        self._scan = {op.opid for op in ops}
+        self._inputs: dict[str, str] = {}
+        self._carried: dict[str, str] = {}
+        self.lines = []
+        for op in ops:
+            self._emit_instance(op, k=None, slot_phase="s",
+                                indent="        ")
+        # Element lists only for values read outside the recurrence; a
+        # live-out takes the loop variable's final value.
+        read_outside = {producer[::2] for op in self._emitted
+                        if op.opid not in self._scan
+                        for producer in self._reads[op.opid].values()
+                        if producer is not None}
+        outputs = [(op.opid, ri) for op in ops
+                   for ri in range(len(op.dests))
+                   if (op.opid, ri) in read_outside]
+        for _reg, opid, ri in self._outs:
+            if opid in self._scan:
+                self._finals[(opid, ri)] = f"v{opid}_{ri}_s"
+        for var, init in self._carried.items():
+            self._emit(f"{var} = {init}")
+        for opid, ri in outputs:
+            self._emit(f"r{opid}_{ri} = []")
+            self._emit(f"p{opid}_{ri} = r{opid}_{ri}.append")
+            self.lines.append(f"        p{opid}_{ri}(v{opid}_{ri}_s)")
+        elems, lists = list(self._inputs), list(self._inputs.values())
+        if not elems:
+            self._emit(f"for _ in range({self.trips}):")
+        elif len(elems) == 1:
+            self._emit(f"for {elems[0]} in {lists[0]}:")
+        else:
+            self._emit(f"for {', '.join(elems)} in zip({', '.join(lists)}):")
+        self._vlines.extend(self.lines)
+        self._scan = None
+        for opid, ri in outputs:
+            cls = classes[(opid, ri)]
+            name = f"v{opid}_{ri}"
+            self._memo[("list", name)] = f"r{opid}_{ri}"
+            value = self._vals[(opid, ri)] = _Vec(name, cls, f"r{opid}_{ri}")
+            if cls == _VI and self._kinds[(opid, ri)] != INT64:
+                # MIN/MAX of converted floats may leave int64: check
+                # before any reader takes the elements as int64.
+                self._arr(value)
+
+    def _read(self, reg: Reg, producer: Optional[tuple], k: Optional[int],
+              slot_phase) -> _Val:
+        """A recurrence's typed read (scalar templates call this):
+        its own values are loop variables, a distance-1 one starting
+        at the live-in; any other value is an element of its list."""
+        if producer is None:
+            return _Val(self._param(reg), _KIND_OF[self._live_cls[reg]])
+        opid, distance, ri = producer
+        if opid in self._scan:
+            var = f"v{opid}_{ri}_s"
+            kind = self._kinds[(opid, ri)]
+            if distance:
+                self._carried.setdefault(var, self._param(reg))
+                kind = _join(kind, _KIND_OF[self._live_cls[reg]])
+            return _Val(var, kind)
+        value = self._vread(reg, producer)
+        key = ("elem", value.arr)
+        if key not in self._memo:
+            self._memo[key] = f"e{len(self._memo)}"
+        elem = self._memo[key]
+        self._inputs.setdefault(elem, self._objs(value))
+        return _Val(elem, _KIND_OF[value.cls])
+
+    def _live_in(self, reg: Reg) -> str:
+        return self._param(reg)
+
+
+class _VectorKernel:
+    """The whole-array path of one (image, trips).
+
+    Per call it resolves the stream bases, declines when a store may
+    write a cell another stream touches out of order (see
+    :meth:`_overlap`), gathers each load stream from the cells,
+    classifies the loads and value live-ins, runs the body compiled for
+    that signature, and only then commits the stores.
+    """
+
+    def __init__(self, gen: _VectorCodegen) -> None:
+        self.gen = gen
+        self.trips = gen.trips
+        self.streams = []
+        #: Per stream: (schedule time, body position) of its op.
+        self.events = []
+        for op in gen.loads + gen.stores:
+            pattern = gen._patterns[op.opid]
+            terms = tuple((Reg(name, space), coeff)
+                          for (space, name), coeff in pattern.base.terms)
+            self.streams.append((pattern.base.const, terms, pattern.stride))
+            self.events.append((gen.schedule.times[op.opid],
+                                gen._index[op.opid]))
+        self.n_loads = len(gen.loads)
+        self.value_regs = gen.value_regs
+        self.bodies: dict[tuple, object] = {}
+        self._lock = threading.Lock()
+
+    def predicted_signature(self) -> tuple:
+        """The signature of conventionally seeded data: int loads of
+        ints, float loads of ``np.float64``, float live-ins of floats."""
+        return (tuple(_VR if op.opcode is Opcode.FLOAD else _VI
+                      for op in self.gen.loads),
+                tuple(_VF if reg.space == "fp" else _VI
+                      for reg in self.value_regs))
+
+    def body(self, signature: tuple):
+        """The compiled body for *signature*, or its refusal label."""
+        body = self.bodies.get(signature)
+        if body is not None:
+            return body
+        with self._lock:  # one emitter state per image
+            body = self.bodies.get(signature)
+            if body is not None:
+                return body
+            try:
+                source = self.gen.generate_vector(*signature)
+            except _VectorRefused as refusal:
+                body = refusal.args[0]
+            else:
+                namespace = dict(_VECTOR_HELPERS)
+                exec(compile(source, f"<vector {self.gen.loop.name}>",
+                             "exec"), namespace)
+                body = namespace["__vector"]
+                obs.inc("translator.units.specialize", source.count("\n"))
+            self.bodies[signature] = body
+        return body
+
+    def run(self, cells: dict, live_ins: Mapping[Reg, Value]
+            ) -> Optional[tuple]:
+        """The live-outs, or None after declining without a write."""
+        reason = self._run(cells, live_ins)
+        if type(reason) is str:
+            _count_decline(reason)
+            return None
+        obs.inc("jit.vector_runs")
+        return reason
+
+    def _overlap(self, spans: list[tuple[int, int]]) -> bool:
+        """Whether gathering every load before committing any store can
+        differ from the reference's global event order.
+
+        Streams of one stride whose bases differ by a non-multiple of
+        it interleave without meeting.  A load meeting a store of its
+        stride reads each shared cell a fixed ``delta`` iterations
+        before the store writes it, and is safe when every such read
+        precedes the write in (absolute cycle, iteration, position)
+        order.  Any other meeting -- two stores, or unequal strides
+        whose ranges intersect -- declines.
+        """
+        n, ii = self.trips, self.gen.ii
+        for i in range(self.n_loads, len(spans)):
+            base, stride = spans[i]
+            lo, hi = sorted((base, base + stride * (n - 1)))
+            t_store, pos_store = self.events[i]
+            for j, (base2, stride2) in enumerate(spans):
+                lo2, hi2 = sorted((base2, base2 + stride2 * (n - 1)))
+                if j == i or hi2 < lo or hi < lo2:
+                    continue
+                interleaved = (stride2 == stride and stride
+                               and (base2 - base) % stride)
+                if interleaved:
+                    continue  # never the same cell
+                if stride2 != stride or not stride or j >= self.n_loads:
+                    return True
+                delta = (base2 - base) // stride
+                t_load, pos_load = self.events[j]
+                lead = t_store - t_load + delta * ii
+                if lead < 0 or lead == 0 and (
+                        delta < 0 or delta == 0 and pos_store < pos_load):
+                    return True
+        return False
+
+    def _gather(self, cells: dict, base: int, stride: int) -> list:
+        """A load stream's cells, a missing one reading as 0."""
+        n = self.trips
+        return list(map(cells.get, range(base, base + stride * n, stride)
+                        if stride else repeat(base, n), repeat(0)))
+
+    def _run(self, cells: dict, live_ins: Mapping[Reg, Value]):
+        n = self.trips
+        try:
+            spans = []
+            for const, terms, stride in self.streams:
+                base = const + sum(coeff * int(live_ins[reg])
+                                   for reg, coeff in terms)
+                spans.append((base, stride))
+        except Exception:  # the scalar kernel raises it where it should
+            return "raise"
+        if self._overlap(spans):
+            return "overlap"
+        lists, arrays, load_classes = [], [], []
+        for base, stride in spans[:self.n_loads]:
+            objs = self._gather(cells, base, stride)
+            types = set(map(type, objs))
+            if types == {int}:
+                try:
+                    arrays.append(np.fromiter(objs, np.int64, n))
+                except OverflowError:
+                    return "stream-types"
+                load_classes.append(_VI)
+            elif types <= _FLOAT_TYPES:
+                arrays.append(np.fromiter(objs, np.float64, n))
+                load_classes.append(_VF if types == {float} else _VR)
+            else:
+                return "stream-types"
+            lists.append(objs)
+        values, live_classes = [], []
+        for reg in self.value_regs:
+            value = live_ins[reg]
+            kind = type(value)
+            if kind is int and -(1 << 63) <= value < (1 << 63):
+                live_classes.append(_VI)
+            elif kind in _FLOAT_TYPES:
+                live_classes.append(_VF if kind is float else _VR)
+            else:
+                return "live-in-types"
+            values.append(value)
+        body = self.body((tuple(load_classes), tuple(live_classes)))
+        if type(body) is str:
+            return body
+        try:
+            with np.errstate(all="ignore"):
+                result = body(values, lists, arrays)
+        except Exception:  # never a partial write: nothing is stored yet
+            return "raise"
+        if type(result) is str:
+            return result
+        stores, outs = result
+        for (base, stride), (objs, mask) in zip(spans[self.n_loads:],
+                                                stores):
+            addrs = (range(base, base + stride * n, stride) if stride
+                     else repeat(base, n))
+            if mask is None:
+                cells.update(zip(addrs, objs))
+            else:
+                cells.update(compress(zip(addrs, objs), mask))
+        return outs
+
+
+_FLOAT_TYPES = {float, np.float64}
 
 
 def _closed_form_facts(image: KernelImage, trips: int
@@ -1046,28 +1968,31 @@ def _closed_form_facts(image: KernelImage, trips: int
 
 
 def specialize(image: KernelImage, trips: int) -> SpecializedKernel:
-    """Compile *image* at trip count *trips* into one Python function.
+    """Specialize *image* at trip count *trips*.
 
-    Raises :class:`SpecializationUnsupported` for shapes the generated
-    code cannot reproduce bit-identically (the caller falls back to the
-    reference executors).
+    The whole-array function is generated for the signature of
+    conventionally seeded data; the unrolled scalar kernel is generated
+    now only when the vector emitter does not take the image or that
+    signature, else on the first decline.  Raises
+    :class:`SpecializationUnsupported` for shapes neither can reproduce
+    bit-identically (the caller falls back to the reference executors).
     """
     if trips <= 0:
         raise SpecializationUnsupported("non-positive trip count")
     loop = image.loop
     if loop.annotations.get("while_loop"):
         raise SpecializationUnsupported("while loop: trips are speculative")
-    gen = _Codegen(image, trips)
-    source, params, out_regs = gen.generate()
-    namespace = dict(_HELPERS)
-    code = compile(source, f"<specialized {loop.name}>", "exec")
-    exec(code, namespace)
-    fn = namespace["__specialized"]
+    try:
+        gen = _VectorCodegen(image, trips)
+    except _VectorRefused as exc:
+        gen, vector, refusal = _Codegen(image, trips), None, exc.args[0]
+    else:
+        vector = _VectorKernel(gen)
+        refusal = vector.body(vector.predicted_signature())
+        refusal = refusal if type(refusal) is str else ""
     cycles, max_inflight, utilization = _closed_form_facts(image, trips)
-    # Stream bases are required live-ins too (resolve_pattern raises on
-    # a missing one); collect load-stream fan-in for the closed-form
-    # FIFO occupancy of the vm.run_loop tier.
-    required = frozenset(gen.required)
+    # Collect load-stream fan-in for the closed-form FIFO occupancy of
+    # the vm.run_loop tier.
     seen: dict[tuple, int] = {}
     load_stream_ops: dict[int, int] = {}
     n_mem_ops = 0
@@ -1075,22 +2000,55 @@ def specialize(image: KernelImage, trips: int) -> SpecializedKernel:
         if not op.is_memory:
             continue
         n_mem_ops += 1
-        pattern = gen._patterns[op.opid]
-        key = pattern.key()
+        key = gen._patterns[op.opid].key()
         if key not in seen:
             seen[key] = len(seen)
         if op.is_load:
             sid = seen[key]
             load_stream_ops[sid] = load_stream_ops.get(sid, 0) + 1
-    return SpecializedKernel(
-        loop_name=loop.name, source=source, fn=fn, trips=trips,
-        params=tuple(params), out_regs=tuple(out_regs),
-        required=required, cycles=cycles, max_inflight=max_inflight,
-        utilization=utilization, n_mem_ops=n_mem_ops,
-        load_stream_ops=load_stream_ops)
+    kernel = SpecializedKernel(
+        loop_name=loop.name, trips=trips,
+        out_regs=tuple(reg for reg, _opid, _ri in gen._outs),
+        required=frozenset(gen.value_live_ins | gen.base_live_ins),
+        cycles=cycles, max_inflight=max_inflight, utilization=utilization,
+        n_mem_ops=n_mem_ops, load_stream_ops=load_stream_ops,
+        vector=vector, refusal=refusal, image=image)
+    if refusal:
+        kernel._scalar_kernel()  # the likely signature declines anyway
+    return kernel
+
+
+def _compile_scalar(image: KernelImage, trips: int
+                    ) -> tuple[str, Callable, tuple[Reg, ...]]:
+    """Generate and compile the unrolled scalar kernel."""
+    source, params = _Codegen(image, trips).generate()
+    namespace = dict(_HELPERS)
+    exec(compile(source, f"<specialized {image.loop.name}>", "exec"),
+         namespace)
+    obs.inc("translator.units.specialize", source.count("\n"))
+    return source, namespace["__specialized"], tuple(params)
 
 
 # -- tier dispatch ------------------------------------------------------------
+
+def _after_raise(image: KernelImage, exc: Exception,
+                 reference: Callable[[], object]):
+    """The kernel raised *exc*: run the reference, which decides the
+    outcome.  When it raises the same exception type the raise was the
+    data's (a NaN converted to int), counted apart; otherwise the kernel
+    is wrong and is dropped, so the next call recompiles it."""
+    try:
+        result = reference()
+    except Exception as ref_exc:
+        if type(ref_exc) is type(exc):
+            _stats["data_raises"] += 1
+            obs.inc("jit.data_raises")
+        else:
+            invalidate_image(image)
+        raise
+    invalidate_image(image)
+    return result
+
 
 def execute_pipelined(image: KernelImage, memory: Memory,
                       live_in_values: Mapping[Reg, Value],
@@ -1117,12 +2075,9 @@ def execute_pipelined(image: KernelImage, memory: Memory,
         live_outs = kernel.run(memory, live_in_values)
     except AcceleratorFault:
         raise
-    except Exception:
-        # Generated-code failure: permanent deopt for this loop, then
-        # the reference executor decides what the real outcome is.
-        invalidate_loop(image.loop.name)
-        return execute_overlapped(image, memory, live_in_values,
-                                  trip_count, fault_hook)
+    except Exception as exc:
+        return _after_raise(image, exc, lambda: execute_overlapped(
+            image, memory, live_in_values, trip_count, fault_hook))
     for reg in image.loop.live_outs:
         if reg not in live_outs and reg in live_in_values:
             producer = any(reg in op.dests for op in image.loop.body)
@@ -1165,9 +2120,9 @@ def invoke_specialized(accelerator, image: KernelImage, memory: Memory,
         live_outs = kernel.run(memory, live_in_values)
     except AcceleratorFault:
         raise
-    except Exception:
-        invalidate_loop(loop.name)
-        return None
+    except Exception as exc:
+        return _after_raise(image, exc, lambda: accelerator.invoke(
+            image, memory, live_in_values, trip_count))
     accelerator.invocations += 1
     int_writes = 0
     fp_writes = 0

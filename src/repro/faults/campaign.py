@@ -207,7 +207,8 @@ def run_campaign(config: CampaignConfig = CampaignConfig(),
     while len(report.runs) < config.injections and attempts < max_attempts:
         attempts += 1
         loop = usable[int(rng.integers(0, len(usable)))]
-        if executor.blacklist.blocked(loop.name, executor.invocations + 1):
+        if executor.blacklist.blocked(executor.key_for(loop),
+                                      executor.invocations + 1):
             # Backoff in action: the loop runs scalar this invocation.
             memory = _prepare(loop, rng)
             live_ins = standard_live_ins(loop, memory, DEFAULT_SCALARS)

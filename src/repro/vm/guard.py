@@ -273,10 +273,13 @@ class BlacklistEntry:
 class LoopBlacklist:
     """Retry/backoff policy over deoptimized loops.
 
-    Strike *n* benches the loop for ``backoff * 2**(n-1)`` invocations;
-    strike ``max_failures`` benches it forever.  Deterministic
-    translation failures go straight to permanent (retrying cannot
-    change the outcome)."""
+    Entries are keyed by translation key
+    (:meth:`GuardedExecutor.key_for`), so a strike against one loop
+    never benches another loop that shares its name.  Strike *n*
+    benches the loop for ``backoff * 2**(n-1)`` invocations; strike
+    ``max_failures`` benches it forever.  Deterministic translation
+    failures go straight to permanent (retrying cannot change the
+    outcome)."""
 
     def __init__(self, max_failures: int = 3,
                  backoff_invocations: int = 8) -> None:
@@ -389,8 +392,14 @@ class GuardedExecutor:
         return GuardedRun(loop.name, "scalar", detected, None,
                           result.live_outs, reason=reason)
 
-    def _image_for(self, loop: Loop) -> TranslationResult | KernelImage:
-        key = translation_key(loop, self.la_config, self.options)
+    def key_for(self, loop: Loop) -> str:
+        """The translation key naming *loop*'s blacklist entry."""
+        return translation_key(loop, self.la_config, self.options)
+
+    def _image_for(self, loop: Loop, key: Optional[str] = None
+                   ) -> TranslationResult | KernelImage:
+        if key is None:
+            key = self.key_for(loop)
         cached = self.cache.lookup(loop.name)
         if cached is not None and cached[0] == key:
             self.stats.cache_hits += 1
@@ -403,14 +412,16 @@ class GuardedExecutor:
             return result.image
         return result
 
-    def deoptimize(self, name: str, reason: str) -> BlacklistEntry:
-        """Invalidate the cached kernel and strike the blacklist."""
-        self.cache.invalidate(name)
+    def deoptimize(self, loop: Loop, key: str, image: KernelImage,
+                   reason: str) -> BlacklistEntry:
+        """Invalidate the cached image and its compiled kernels, and
+        strike the blacklist entry of *key*."""
+        self.cache.invalidate(loop.name)
         from repro.accelerator import jit
-        jit.invalidate_loop(name)
+        jit.invalidate_image(image)
         obs.inc("vm.deopt")
         self.stats.deopts += 1
-        return self.blacklist.note_failure(name, self.invocations, reason)
+        return self.blacklist.note_failure(key, self.invocations, reason)
 
     # -- the main entry point ---------------------------------------------
 
@@ -422,17 +433,18 @@ class GuardedExecutor:
         self.invocations += 1
         self.stats.invocations += 1
         name = loop.name
+        key = self.key_for(loop)
 
-        if self.blacklist.blocked(name, self.invocations):
+        if self.blacklist.blocked(key, self.invocations):
             self.stats.blacklist_skips += 1
             return self._scalar(
                 loop, memory, live_ins,
-                reason=f"blacklisted: {self.blacklist.reason_for(name)}")
+                reason=f"blacklisted: {self.blacklist.reason_for(key)}")
 
-        image = self._image_for(loop)
+        image = self._image_for(loop, key)
         if isinstance(image, TranslationResult):
             # Translation is deterministic — retrying cannot succeed.
-            self.blacklist.ban(name, image.failure or "translation failed")
+            self.blacklist.ban(key, image.failure or "translation failed")
             return self._scalar(loop, memory, live_ins,
                                 reason=image.failure)
 
@@ -446,7 +458,7 @@ class GuardedExecutor:
             except AcceleratorFault as exc:
                 # Structural faults trip even unguarded; recover anyway.
                 self.stats.faults_caught += 1
-                self.deoptimize(name, str(exc))
+                self.deoptimize(loop, key, image, str(exc))
                 return self._scalar(loop, memory, live_ins,
                                     reason=f"accelerator fault: {exc}",
                                     detected=True)
@@ -472,7 +484,8 @@ class GuardedExecutor:
         self.stats.mismatches += 1
         if any(m.kind == "fault" for m in outcome.verdict.mismatches):
             self.stats.faults_caught += 1
-        entry = self.deoptimize(name, outcome.verdict.describe())
+        entry = self.deoptimize(loop, key, image,
+                                outcome.verdict.describe())
         memory.restore_from(outcome.scalar_memory)
         self.stats.scalar_runs += 1
         state = ("permanent scalar fallback" if entry.permanent else

@@ -277,7 +277,7 @@ class VirtualMachine:
                 # A structural invariant tripped mid-invocation; the
                 # atomic-invocation contract (Section 2.1) means no
                 # partial state escaped — deoptimize to scalar.
-                self._deoptimize(loop, outcome,
+                self._deoptimize(loop, image, outcome,
                                  f"accelerator fault: {exc}")
                 return outcome
         else:
@@ -294,7 +294,7 @@ class VirtualMachine:
 
     # -- guarded execution ---------------------------------------------------
 
-    def _deoptimize(self, loop: Loop, outcome: LoopOutcome,
+    def _deoptimize(self, loop: Loop, image, outcome: LoopOutcome,
                     reason: str) -> None:
         """Fall back to scalar: drop the translation, record why."""
         obs.inc("guard.deopts")
@@ -302,7 +302,7 @@ class VirtualMachine:
         self._translations.pop(id(loop), None)
         self.code_cache.invalidate(loop.name)
         from repro.accelerator import jit
-        jit.invalidate_loop(loop.name)
+        jit.invalidate_image(image)
         if self.config.accelerator is not None:
             # A translation observed to misbehave must not be re-served
             # from the shared content-addressed cache (or its disk layer).
@@ -332,7 +332,7 @@ class VirtualMachine:
             cross_check_interpreter=self.config.guard.cross_check_interpreter)
         if check.verdict.ok:
             return False
-        self._deoptimize(loop, outcome,
+        self._deoptimize(loop, image, outcome,
                          f"deoptimized: {check.verdict.describe()}")
         return True
 

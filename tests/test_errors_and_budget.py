@@ -137,7 +137,7 @@ def test_budget_falls_back_to_scalar_in_guarded_executor():
     assert "budget" in run.reason
     # Deterministic failure: the loop is permanently benched, and the
     # next invocation skips translation entirely.
-    assert executor.blacklist.permanently_blocked(loop.name)
+    assert executor.blacklist.permanently_blocked(executor.key_for(loop))
     before = executor.stats.translations
     memory2 = seeded_memory(loop, seed=5)
     run2 = executor.run(loop, memory2, standard_live_ins(loop, memory2))

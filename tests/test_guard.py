@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.accelerator import PROPOSED_LA
+from repro import perf
+from repro.accelerator import PROPOSED_LA, jit
 from repro.cpu import Interpreter, standard_live_ins
 from repro.errors import GuardViolation
 from repro.faults import FaultInjector, FaultSite, FaultSpec
@@ -116,6 +117,42 @@ def test_same_name_loops_do_not_share_a_cache_slot(mode):
     assert executor.stats.deopts == 0
 
 
+@pytest.mark.parametrize("engine", [1, 2])
+def test_one_loops_deopt_does_not_bench_a_same_name_loop(engine):
+    # A register fault strikes daxpy (one strike benches it for good);
+    # a different loop renamed daxpy has a different translation key,
+    # so it is neither benched nor robbed of its compiled kernel.
+    first = K.daxpy(trip_count=16)
+    alias = K.checksum(trip_count=16).rebuild(name=first.name)
+    guard = GuardConfig.checked_mode(max_failures=1, backoff_invocations=1)
+    executor = GuardedExecutor(PROPOSED_LA, guard)
+
+    def run_alias():
+        memory = seeded_memory(alias, seed=5)
+        live = standard_live_ins(alias, memory, DEFAULT_SCALARS)
+        run = executor.run(alias, memory, live)
+        ref_mem = seeded_memory(alias, seed=5)
+        ref = Interpreter(ref_mem).run_loop(alias, dict(live))
+        assert run.source == "accelerator", run.reason
+        assert run.live_outs == ref.live_outs
+        assert memory.snapshot() == ref_mem.snapshot()
+
+    jit.clear_code_cache()
+    with perf.engine_at(engine):
+        run_alias()
+        compiled = jit.code_cache_stats()["compiled"]
+        memory = seeded_memory(first, seed=4)
+        run = executor.run(first, memory,
+                           standard_live_ins(first, memory, DEFAULT_SCALARS),
+                           fault_hook=_injector(bit=9))
+        assert run.detected
+        assert executor.blacklist.permanently_blocked(executor.key_for(first))
+        run_alias()
+    assert executor.stats.deopts == 1
+    assert jit.code_cache_stats()["compiled"] == compiled
+    jit.clear_code_cache()
+
+
 def test_deopt_recovers_and_benches():
     loop = K.quantize(trip_count=24)
     guard = GuardConfig.checked_mode(max_failures=3, backoff_invocations=4)
@@ -136,7 +173,8 @@ def test_deopt_recovers_and_benches():
     # The kernel image was invalidated and the loop benched.
     assert loop.name not in executor.cache
     assert executor.cache.stats.invalidations == 1
-    assert executor.blacklist.blocked(loop.name, executor.invocations + 1)
+    assert executor.blacklist.blocked(executor.key_for(loop),
+                                      executor.invocations + 1)
     # While benched, invocations run scalar without retranslating.
     before = executor.stats.translations
     memory2 = seeded_memory(loop, seed=4)
@@ -183,10 +221,10 @@ def test_permanent_fallback_after_max_failures():
                            fault_hook=_injector(bit=4))
         if run.detected:
             strikes += 1
-        if executor.blacklist.permanently_blocked(loop.name):
+        if executor.blacklist.permanently_blocked(executor.key_for(loop)):
             break
     assert strikes == 2
-    assert executor.blacklist.permanently_blocked(loop.name)
+    assert executor.blacklist.permanently_blocked(executor.key_for(loop))
     # Forever after: scalar, no translation attempts.
     before = executor.stats.translations
     for _ in range(3):
@@ -263,7 +301,7 @@ def test_cache_full_of_blacklisted_entries_still_serves():
                            standard_live_ins(loop, memory, DEFAULT_SCALARS),
                            fault_hook=_injector(bit=1))
         assert run.detected
-        assert executor.blacklist.permanently_blocked(loop.name)
+        assert executor.blacklist.permanently_blocked(executor.key_for(loop))
     assert len(executor.cache) == 0  # all invalidated
     # A fresh loop still translates, caches and accelerates.
     fresh = K.fir_filter(taps=6, trip_count=16)

@@ -160,13 +160,13 @@ def test_code_cache_hits_on_same_digest_and_trips():
 def test_invalidate_loop_drops_entries_and_counts_deopts():
     small, image = _first_translatable()
     assert jit.kernel_for(image, small.trip_count) is not None
-    dropped = jit.invalidate_loop(small.name)
+    dropped = jit.invalidate_image(image)
     assert dropped >= 1
     assert jit.code_cache_stats()["entries"] == 0
     assert jit.code_cache_stats()["deopts"] >= 1
     assert _counter("vm.specialize_deopt") == dropped
     # Idempotent: nothing left to drop.
-    assert jit.invalidate_loop(small.name) == 0
+    assert jit.invalidate_image(image) == 0
 
 
 def test_clear_caches_clears_the_code_cache():
@@ -222,9 +222,9 @@ def test_code_cache_is_a_bounded_lru():
         # Every eviction unlinked its key: invalidating the loop drops
         # exactly the live entries and leaves both indexes empty.
         live = jit.code_cache_stats()["entries"]
-        assert jit.invalidate_loop(small.name) == live
+        assert jit.invalidate_image(image) == live
         assert jit.code_cache_stats()["entries"] == 0
-        assert not jit._loop_keys and not jit._key_loop
+        assert not jit._image_keys
     finally:
         jit.set_code_cache_limit(None)
 
@@ -333,7 +333,8 @@ def test_forced_deopt_falls_back_to_scalar(index):
 
     # The strike benched the loop: the next invocation through the same
     # executor goes scalar via the blacklist, still bit-correct.
-    assert executor.blacklist.blocked(loop.name, executor.invocations + 1)
+    assert executor.blacklist.blocked(executor.key_for(loop),
+                                      executor.invocations + 1)
     mem_benched = seeded_memory(loop, seed=7)
     with perf.engine_at(2):
         benched = executor.run(loop, mem_benched, live)
