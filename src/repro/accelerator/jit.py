@@ -3,12 +3,10 @@
 The third engine tier (``REPRO_ENGINE=2``).  The overlapped executor
 (:mod:`repro.accelerator.pipeline_executor`) pays event-queue dispatch
 for every scheduled op of every iteration; this module instead emits
-*generated Python source* per (image, trip count), compiled with
-:func:`compile`/``exec`` and cached in-process keyed on the
-translation digest.  Both emitters share one analysis (:class:`_Codegen`:
-producer map, type pass, liveness pass).
-
-Whole-array function (tried first, :class:`_VectorCodegen`):
+one *whole-array function* per (image, trip count) and runtime
+signature, compiled with :func:`compile`/``exec`` and cached in-process
+keyed on the translation digest.  One emitter (:class:`_Codegen`) owns
+the producer map, the type pass, the liveness pass and the emission:
 
 * **streams** — each load stream is gathered once from the cells over
   its affine stream range and classified (int64 ints, Python floats,
@@ -20,57 +18,29 @@ Whole-array function (tried first, :class:`_VectorCodegen`):
   the reference returns (native int64 wrap, ``uint64`` views for
   logical shifts, ``np.where`` with the scalar operand order).
 * **recurrences** — each cyclic component runs as one scalar loop over
-  the element lists it reads, emitted through the scalar emitter's
-  typed templates, so float accumulators keep their order bit for bit.
+  the element lists it reads, emitted through typed templates (each op
+  in the cheapest form that returns exactly what the reference returns,
+  value and type), so float accumulators keep their order bit for bit.
 * **declines** — on a possible memory-order hazard, a stream or live-in
-  it cannot classify, or a lane an ``int()`` cannot take exactly, it
-  returns before any write; stores commit only after every value.
-
-Unrolled scalar kernel (generated on the first decline, or up front
-when the whole-array emitter does not take the image):
-
-* **prologue / steady state / epilogue** — the schedule's ``j``-windows
-  (iteration ``k``, stage ``s`` executes in window ``j = k + s``) are
-  emitted in ascending order; within a window, ops are ordered by
-  ``(cycle within II, iteration, body position)``, which provably equals
-  the event executor's global ``(absolute cycle, k, position)`` order,
-  so memory commits in the identical global order.  Windows ``j < SC``
-  and the final ``SC - 1`` windows are unrolled statically (they contain
-  live-in reads resp. partial stages); the steady state runs as a loop
-  unrolled ``S`` times per trip.
-* **modulo variable expansion** — each value lives in one of
-  ``S = stage_count + 1`` rotating register-set slots, renamed to the
-  local variable ``v{opid}_{dest}_{k mod S}`` (one extra slot keeps a
-  distance-1 read tail alive across the wrap).
-* **strength-reduced streams** — the unscheduled address/control slice
-  is eliminated entirely: every memory op's address is its affine stream
-  pattern, materialised as a base local plus per-iteration increments
-  (``a += stride * S`` once per unrolled steady trip).
-* **typed emission** — a type pass proves each value's kind (int64,
-  int, float or unknown) at specialization time, so each op is emitted
-  in the cheapest form that returns exactly what the reference returns:
-  no conversion around a proven value, constant shift amounts folded,
-  bitwise ops of int64s bare, the wrap inlined in the steady state.
-  Loads and live-ins keep the reference conversions, and pure ops that
-  nothing reads and that cannot raise are not emitted at all.
+  it cannot classify, a lane an ``int()`` cannot take exactly, or any
+  raise, it returns before any write; stores commit only after every
+  value.  A declined call runs the reference executor instead, which
+  also raises whatever the data makes it raise.
 
 **Closed-form timing** — cycles, max inflight iterations and
 per-resource utilization are computed from schedule arithmetic at
 specialization time, term-for-term identical to what the event
 executor measures, so figure text stays byte-identical.
 
-Anything the specializer cannot prove it can reproduce bit-identically
-falls back to the reference executors (negative-cached per image).  A
-kernel that raises where the reference does not, or a guard
-cross-check mismatch, drops the image's kernels (the next call
-recompiles); a raise the reference repeats is the data's and is only
-counted.  The reference interpreter remains ground truth.
+An image the emitter does not take (a memory-ordering edge, an
+unsupported shape) is negative-cached and runs on the reference
+executors.  A guard cross-check mismatch drops the image's kernels (the
+next call recompiles).  The reference interpreter remains ground truth.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -81,8 +51,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from repro import obs
-from repro.accelerator.machine import (AcceleratorFault, AcceleratorRun,
-                                       KernelImage)
+from repro.accelerator.machine import AcceleratorRun, KernelImage
 from repro.accelerator.pipeline_executor import (OverlappedRun,
                                                  execute_overlapped)
 from repro.cpu.interpreter import _trunc_div, _trunc_rem, wrap64
@@ -94,18 +63,15 @@ from repro.scheduler.mii import sched_resource
 
 
 class SpecializationUnsupported(Exception):
-    """The image has a shape the specializer does not reproduce exactly."""
-
-
-class _VectorRefused(Exception):
-    """The whole-array emitter does not take this image or this runtime
-    signature; ``args[0]`` is the decline label."""
+    """The emitter does not reproduce this image, or this runtime
+    signature, exactly; ``args[0]`` says why (a signature's refusal is
+    its decline label)."""
 
 
 @dataclass
 class SpecializedKernel:
-    """One specialized loop: its whole-array function, the unrolled
-    scalar kernel (built on first need), and closed-form facts."""
+    """One specialized loop: its whole-array function and closed-form
+    facts."""
 
     loop_name: str
     trips: int
@@ -116,6 +82,7 @@ class SpecializedKernel:
     #: missing one falls back to the reference executor, which reports
     #: the fault identically.
     required: frozenset
+    vector: "_VectorKernel"
     #: Closed-form OverlappedRun facts.
     cycles: int
     max_inflight: int
@@ -123,57 +90,14 @@ class SpecializedKernel:
     #: Closed-form AcceleratorRun facts (vm.run_loop tier).
     n_mem_ops: int
     load_stream_ops: dict[int, int] = field(default_factory=dict)
-    #: The whole-array path; None when the vector emitter does not
-    #: take the image.  ``refusal`` is why, or why it refuses the
-    #: signature of conventionally seeded data.
-    vector: Optional["_VectorKernel"] = None
-    refusal: str = ""
-    image: Optional[KernelImage] = field(default=None, repr=False)
-    _scalar: Optional[tuple] = field(default=None, repr=False)
-
-    def _scalar_kernel(self) -> tuple[str, Callable, tuple[Reg, ...]]:
-        """``(source, fn, params)`` of the unrolled scalar kernel,
-        generated and compiled on first use."""
-        if self._scalar is None:
-            self._scalar = _compile_scalar(self.image, self.trips)
-        return self._scalar
-
-    @property
-    def source(self) -> str:
-        return self._scalar_kernel()[0]
-
-    @property
-    def fn(self) -> Callable:
-        return self._scalar_kernel()[1]
-
-    @property
-    def params(self) -> tuple[Reg, ...]:
-        """Positional live-in parameters of ``fn`` (after the cells)."""
-        return self._scalar_kernel()[2]
 
     def run(self, memory: Memory, live_ins: Mapping[Reg, Value]
-            ) -> dict[Reg, Value]:
-        """Execute over *memory*; returns the produced live-outs.
-
-        The whole-array function runs first; when it declines (before
-        any write) the scalar kernel runs instead.  A raise leaves
-        *memory* as this call found it, so the reference can rerun."""
-        cells = memory._cells
-        if self.vector is not None:
-            values = self.vector.run(cells, live_ins)
-            if values is not None:
-                return dict(zip(self.out_regs, values))
-        else:
-            _count_decline(self.refusal)
-        _source, fn, params = self._scalar_kernel()
-        saved = dict(cells)
-        try:
-            values = fn(cells, *[live_ins[reg] for reg in params])
-        except Exception:
-            cells.clear()
-            cells.update(saved)
-            raise
-        return dict(zip(self.out_regs, values))
+            ) -> Optional[dict[Reg, Value]]:
+        """Execute over *memory*; returns the produced live-outs, or
+        None after a decline that left *memory* untouched (the caller
+        then runs the reference executor)."""
+        values = self.vector.run(memory._cells, live_ins)
+        return None if values is None else dict(zip(self.out_regs, values))
 
 
 def _count_decline(reason: str) -> None:
@@ -193,15 +117,11 @@ _code_cache: "OrderedDict[tuple, Optional[SpecializedKernel]]" = OrderedDict()
 #: kernels of another loop that shares its name.
 _image_keys: dict[str, set] = {}
 _stats = {"compiled": 0, "hits": 0, "unsupported": 0, "errors": 0,
-          "deopts": 0, "evicted": 0, "data_raises": 0}
+          "deopts": 0, "evicted": 0}
 
-#: Max cached kernels (``REPRO_JIT_CACHE`` / :func:`set_code_cache_limit`
-#: override).  Negative (unsupported) entries count too — they are tiny,
-#: but an unbounded negative set is still a leak.
-DEFAULT_CODE_CACHE_LIMIT = 256
-JIT_CACHE_ENV = "REPRO_JIT_CACHE"
-
-_code_cache_limit_override: Optional[int] = None
+#: Max cached kernels.  Negative (unsupported) entries count too — they
+#: are tiny, but an unbounded negative set is still a leak.
+CODE_CACHE_LIMIT = 256
 
 #: Test seam: when set, applied to the specialized live-outs as
 #: ``hook(loop_name, live_outs) -> live_outs`` so guard tests can force
@@ -214,27 +134,6 @@ def set_test_corruption(hook: Optional[Callable[[str, dict], dict]]) -> None:
     _test_corruption = hook
 
 
-def set_code_cache_limit(limit: Optional[int]) -> None:
-    """Process-wide cap override (None restores env/default); applies
-    on the next insert — existing entries are not evicted eagerly."""
-    global _code_cache_limit_override
-    _code_cache_limit_override = (None if limit is None
-                                  else max(1, int(limit)))
-
-
-def code_cache_limit() -> int:
-    if _code_cache_limit_override is not None:
-        return _code_cache_limit_override
-    raw = os.environ.get(JIT_CACHE_ENV)
-    if raw:
-        # Permissive on purpose: Settings.from_env rejects loudly.
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_CODE_CACHE_LIMIT
-
-
 def _forget_key(key: tuple) -> None:
     """Unlink *key* from the per-digest invalidation index."""
     keys = _image_keys.get(key[0])
@@ -245,8 +144,7 @@ def _forget_key(key: tuple) -> None:
 
 
 def _evict_to_limit() -> None:
-    limit = code_cache_limit()
-    while len(_code_cache) > limit:
+    while len(_code_cache) > CODE_CACHE_LIMIT:
         key, _kernel = _code_cache.popitem(last=False)
         _forget_key(key)
         _stats["evicted"] += 1
@@ -261,8 +159,7 @@ def clear_code_cache() -> None:
 
 
 def code_cache_stats() -> dict:
-    return dict(_stats, entries=len(_code_cache),
-                limit=code_cache_limit())
+    return dict(_stats, entries=len(_code_cache), limit=CODE_CACHE_LIMIT)
 
 
 def invalidate_image(image: KernelImage) -> int:
@@ -301,6 +198,18 @@ def _image_key(image: KernelImage, trips: int) -> tuple:
     return (_image_digest(image), trips, units)
 
 
+def _codegen_error(exc: Exception, loop_name: str, trips: int) -> None:
+    """A codegen crash must never take down the reference path, but it
+    is a bug, not a shape: count and record it apart so it cannot hide
+    as a silent slowdown."""
+    _stats["errors"] += 1
+    obs.inc("jit.codegen_errors")
+    from repro.resilience.incidents import record_incident
+    record_incident("jit-codegen-error", "accelerator.jit",
+                    f"{type(exc).__name__}: {exc}",
+                    loop=loop_name, trips=trips)
+
+
 def kernel_for(image: KernelImage, trips: int
                ) -> Optional[SpecializedKernel]:
     """The compiled kernel for (image, trips), or None if unsupported."""
@@ -317,17 +226,9 @@ def kernel_for(image: KernelImage, trips: int
         kernel = None
         _stats["unsupported"] += 1
     except Exception as exc:
-        # A codegen crash must never take down the reference path, but
-        # it is a bug, not a shape: count and record it apart so it
-        # cannot hide as a silent slowdown.
         kernel = None
         _stats["unsupported"] += 1
-        _stats["errors"] += 1
-        obs.inc("jit.codegen_errors")
-        from repro.resilience.incidents import record_incident
-        record_incident("jit-codegen-error", "accelerator.jit",
-                        f"{type(exc).__name__}: {exc}",
-                        loop=image.loop.name, trips=trips)
+        _codegen_error(exc, image.loop.name, trips)
     obs.observe("jit.compile_ms",
                 (time.perf_counter() - started) * 1000.0)
     _code_cache[key] = kernel
@@ -399,18 +300,12 @@ def _float_raises(*vals: _Val) -> bool:
     return any(v.kind in (INT, UNKNOWN) for v in vals)
 
 
-def _wrap_inline(expr: str) -> str:
-    """``wrap64`` inlined for the steady-state loop: a range test that
-    returns the value itself, else ``((x + 2**63) & (2**64-1)) - 2**63``
-    (measured cheaper than the arithmetic alone, which allocates)."""
+def _wrap(expr: str) -> str:
+    """``wrap64`` inlined: a range test that returns the value itself,
+    else ``((x + 2**63) & (2**64-1)) - 2**63`` (measured cheaper than
+    the arithmetic alone, which allocates)."""
     return (f"(__t if -{_BIAS} <= (__t := {expr}) < {_BIAS} "
             f"else (__t + {_BIAS} & {_MASK}) - {_BIAS})")
-
-
-def _wrap_call(expr: str) -> str:
-    """``wrap64`` as a helper call, for code that runs once per call:
-    the inline form costs more to compile than it saves there."""
-    return f"__w({expr})"
 
 
 #: opcode -> (typed form, operator symbol or template) for
@@ -441,11 +336,7 @@ _FORMS = {
     Opcode.SELECT: ("select", None),
 }
 
-_HELPERS = {"__w": wrap64, "__tdiv": _trunc_div, "__trem": _trunc_rem}
-
-
-def _value_expr(op: Operation, operands: list[_Val],
-                wrap: Callable[[str], str] = _wrap_inline
+def _value_expr(op: Operation, operands: list[_Val]
                 ) -> tuple[str, str, bool]:
     """``(expr, kind, raises)`` for a pure value op (no memory, no CCA).
 
@@ -458,7 +349,7 @@ def _value_expr(op: Operation, operands: list[_Val],
     a = operands[0] if operands else None
     b = operands[1] if len(operands) > 1 else None
     if form == "arith":
-        return wrap(f"{_int(a)} {sym} {_int(b)}"), INT64, _int_raises(a, b)
+        return _wrap(f"{_int(a)} {sym} {_int(b)}"), INT64, _int_raises(a, b)
     if form == "bitwise":
         # Infinite two's complement: bitwise ops of int64s are int64
         # and equal the wrapped 64-bit result; so is ``x & mask`` for a
@@ -469,7 +360,7 @@ def _value_expr(op: Operation, operands: list[_Val],
                                 and v.const >= 0 for v in (a, b)):
             expr = f"({_int(a)} & {_int(b)})"
         else:
-            expr = wrap(f"{_int(a)} {sym} {_int(b)}")
+            expr = _wrap(f"{_int(a)} {sym} {_int(b)}")
         return expr, INT64, _int_raises(a, b)
     if form == "shift":
         x = _int(a)
@@ -481,18 +372,18 @@ def _value_expr(op: Operation, operands: list[_Val],
             amount, raises = f"({_int(b)} & 63)", _int_raises(a, b)
         exact = a.kind == INT64
         if k == 0:
-            expr = x if exact else wrap(x)
+            expr = x if exact else _wrap(x)
         elif sym == "<<":
-            expr = wrap(f"{x} << {amount}")
+            expr = _wrap(f"{x} << {amount}")
         elif sym == ">>":
             # An arithmetic right shift keeps an int64 in range.
-            expr = f"({x} >> {amount})" if exact else wrap(
+            expr = f"({x} >> {amount})" if exact else _wrap(
                 f"{x} >> {amount}")
         elif k is not None:
             # Logical: the 64-bit pattern shifted by 1..63 is in range.
             expr = f"(({x} & {_MASK}) >> {k})"
         else:
-            expr = wrap(f"({x} & {_MASK}) >> {amount}")
+            expr = _wrap(f"({x} & {_MASK}) >> {amount}")
         return expr, INT64, raises
     if form == "compare":
         # int(a < b) never needs its operands converted; the result
@@ -507,21 +398,21 @@ def _value_expr(op: Operation, operands: list[_Val],
         name = "min" if sym == "<" else "max"
         return f"{name}({_int(a)}, {_int(b)})", INT, _int_raises(a, b)
     if form == "negabs":
-        return wrap(sym.format(_int(a))), INT64, _int_raises(a)
+        return _wrap(sym.format(_int(a))), INT64, _int_raises(a)
     if form == "not":
         if a.kind == INT64:
             return f"(~{a.expr})", INT64, False
-        return wrap(f"~{_int(a)}"), INT64, _int_raises(a)
+        return _wrap(f"~{_int(a)}"), INT64, _int_raises(a)
     if form == "div":
         # The divisor is converted once, the dividend only if it is used.
         return (f"(0 if (__d := {_int(b)}) == 0 else "
-                f"{wrap(f'__tdiv({_int(a)}, __d)')})", INT64,
+                f"{_wrap(f'__tdiv({_int(a)}, __d)')})", INT64,
                 _int_raises(a, b))
     if form == "rem":
         # The reference converts the divisor, then the dividend, and
         # only then tests for zero.
         return (f"(0 if ((__d := {_int(b)}), (__n := {_int(a)}))[0] == 0 "
-                f"else {wrap('__trem(__n, __d)')})", INT64,
+                f"else {_wrap('__trem(__n, __d)')})", INT64,
                 _int_raises(a, b))
     if form == "farith":
         return (f"({_float(a)} {sym} {_float(b)})", FLOAT,
@@ -545,7 +436,7 @@ def _value_expr(op: Operation, operands: list[_Val],
         # float() of an int beyond 2**1024 raises too.
         return f"float({_int(a)})", FLOAT, a.kind != INT64
     if form == "ftoi":
-        return wrap(f"int({_float(a)})"), INT64, a.kind != INT64
+        return _wrap(f"int({_float(a)})"), INT64, a.kind != INT64
     if form == "copy":
         return a.expr, a.kind, False
     if form == "select":
@@ -561,24 +452,128 @@ _NON_VALUE = {Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE,
               Opcode.BRL}
 
 
+# -- whole-array values -------------------------------------------------------
+
+#: Runtime classes of a whole-array value: each element's reference
+#: object is an ``int`` in signed-64 range (``_VI``), a Python
+#: ``float`` (``_VF``), or a float that may be another float type such
+#: as ``np.float64`` and is copied as itself (``_VR``, raw).  Arrays
+#: hold int64 resp. float64; a raw value also keeps its object list.
+_VI, _VF, _VR = "i", "f", "r"
+_KIND_OF = {_VI: INT64, _VF: FLOAT, _VR: UNKNOWN}
+_FLOAT_FORMS = {"farith", "fminmax", "fdiv", "funary", "itof"}
+#: Ops whose 64-bit result depends only on their operands mod 2**64.
+_MODULAR = {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR,
+            Opcode.XOR}
+_TWO63 = 9223372036854775808.0
+
+
+def _vjoin(a: str, b: str) -> str:
+    if a == b:
+        return a
+    if _VI in (a, b):  # ints and floats in one array
+        raise SpecializationUnsupported("types")
+    return _VR
+
+
+def _imm_class(value) -> str:
+    if type(value) is int:
+        return _VI
+    if type(value) is float:
+        return _VF
+    raise SpecializationUnsupported("types")
+
+
+def _vclass(op: Operation, classes: list[str]) -> str:
+    """Class of a pure op's result over operands of *classes*."""
+    form = _FORMS[op.opcode][0]
+    if form in _FLOAT_FORMS:
+        return _VF
+    if form == "copy":
+        return classes[0]
+    if form == "select":
+        return _vjoin(classes[1], classes[2])
+    return _VI
+
+
+def _f2i(x):
+    """``int()`` of every element of float64 array *x* as int64, or None
+    when one is NaN, infinite or truncates outside signed 64 bits."""
+    if ((x >= -_TWO63) & (x < _TWO63)).all():
+        return x.astype(np.int64)
+    return None
+
+
+def _shift(x, first):
+    """A distance-1 read: the live-in, then the producer's values."""
+    out = np.empty_like(x)
+    out[0] = first
+    out[1:] = x[:-1]
+    return out
+
+
+def _osel(truth, a, b) -> list:
+    """Per-lane choice between object lists (raw values keep identity)."""
+    return [x if t else y for t, x, y in zip(truth.tolist(), a, b)]
+
+
+def _vdiv(n, d):
+    """Truncating division; 0 for a zero divisor, and ``-n`` (wrapped)
+    for -1, which is also the one quotient that overflows."""
+    safe = np.where((d == 0) | (d == -1), 1, d)
+    q = (n - np.fmod(n, safe)) // safe
+    return np.where(d == 0, 0, np.where(d == -1, -n, q))
+
+
+def _vrem(n, d):
+    """Remainder with the dividend's sign; 0 for divisors 0 and -1."""
+    safe = np.where((d == 0) | (d == -1), 1, d)
+    return np.where(d == 0, 0, np.fmod(n, safe))
+
+
+def _vfdiv(a, d):
+    zero = d == 0.0
+    return np.where(zero, 0.0, a / np.where(zero, 1.0, d))
+
+
+#: The names generated code reads besides its arguments.
+_HELPERS = dict(
+    __tdiv=_trunc_div, __trem=_trunc_rem, __np=np, __i64=np.int64,
+    __f64=np.float64, __u64=np.uint64, __f2i=_f2i, __shift=_shift,
+    __osel=_osel, __vdiv=_vdiv, __vrem=_vrem, __vfdiv=_vfdiv)
+
+
+class _Vec(NamedTuple):
+    """A whole-array value: the name of its array (or an immediate's
+    literal), its class, and the name of its object list when it has
+    one (raw values always do)."""
+
+    arr: str
+    cls: str
+    obj: Optional[str] = None
+    imm: bool = False
+    const: object = None
+
+
 class _Codegen:
-    """Builds the specialized source for one (image, trips) pair."""
+    """The emitter: one image's whole-array function per runtime
+    signature, for one (image, trips) pair.
+
+    Owns the producer map, the type pass and the liveness pass.  Values
+    are visited in topological order of their strongly connected
+    components: an acyclic op becomes one numpy expression over all
+    ``trips`` elements, and each recurrence runs as one scalar loop over
+    the element lists it reads, emitted through typed templates.  Loads
+    arrive gathered; stores leave as object lists the caller commits
+    after every value is computed.  Raises
+    :class:`SpecializationUnsupported` for an image it does not take.
+    """
 
     def __init__(self, image: KernelImage, trips: int) -> None:
-        self.image = image
         self.loop = image.loop
         self.schedule = image.schedule
         self.ii = image.schedule.ii
         self.trips = trips
-        self.sc = max(1, image.schedule.stage_count)
-        #: Register-set slots; one more than the stage count so a
-        #: distance-1 read of the oldest in-flight iteration is never
-        #: clobbered by the newest one reusing its slot.
-        self.s = self.sc + 1
-        self.lines: list[str] = []
-        self.params: list[Reg] = []
-        self._param_index: dict[Reg, int] = {}
-        self.required: set[Reg] = set()
         # Mirror of _DataflowResolver's producer map, per reading op:
         # each distinct register read (sources, then the predicate) ->
         # (producer opid, distance, dest index) of the nearest preceding
@@ -586,7 +581,6 @@ class _Codegen:
         # None for a live-in.
         self._reads: dict[int, dict[Reg, Optional[tuple]]] = {}
         self._index = {op.opid: i for i, op in enumerate(self.loop.body)}
-        self._by_id = {op.opid: op for op in self.loop.body}
         last_def: dict[Reg, tuple[int, int, int]] = {}
         final_def: dict[Reg, tuple[int, int, int]] = {}
         for op in self.loop.body:
@@ -610,8 +604,8 @@ class _Codegen:
                         f"op{op.opid}: no affine stream pattern")
                 self._patterns[op.opid] = pattern
         #: Typed forms memoised per (opid, operand kinds): templates
-        #: over ``{i}`` operand placeholders, so each instance of an op
-        #: only formats in its own variable names.
+        #: over ``{i}`` operand placeholders, shared by the type pass
+        #: and the recurrence scans.
         self._forms: dict[tuple, tuple] = {}
         #: Per scheduled op, aligned with ``op.srcs``: ``(typed
         #: immediate, None, None)`` or ``(None, reg, producer or None)``.
@@ -630,10 +624,10 @@ class _Codegen:
         #: Scheduled ops that are emitted, in body order.
         self._emitted = [op for op in self.loop.body
                          if op.opid in self._needed]
-        # Shape checks, once for both emitters: every value an emitter
-        # reads must come from a scheduled op or a live-in.  A dead pure
-        # op is never emitted, but the reference still reads its
-        # operands, so its live-ins stay required.
+        # Shape checks: every value the emitter reads must come from a
+        # scheduled op or a live-in.  A dead pure op is never emitted,
+        # but the reference still reads its operands, so its live-ins
+        # stay required.
         #: Live-ins read as values (iteration 0 reads every distance-1
         #: producer's live-in) and live-ins read only as stream bases.
         self.value_live_ins: set[Reg] = set()
@@ -657,6 +651,21 @@ class _Codegen:
         for pattern in self._patterns.values():
             for (space, name), _coeff in pattern.base.terms:
                 self.base_live_ins.add(Reg(name, space))
+        # Gathering every load before committing any store reorders
+        # memory; a recurrence is a scalar loop over values, not cells.
+        if any(edge.kind == "mem" for edge in image.dfg.edges):
+            raise SpecializationUnsupported("memory-order")
+        for op in self._emitted:
+            if len(op.dests) > 1 and op.opcode is not Opcode.CCA_OP:
+                raise SpecializationUnsupported("shape")
+        self.components = self._components()
+        for ops in self.components:
+            if len(ops) > 1 or self._self_cycle(ops[0]):
+                if any(op.is_memory for op in ops):
+                    raise SpecializationUnsupported("shape")
+        self.loads = [op for op in self._emitted if op.is_load]
+        self.stores = [op for op in self._emitted if op.is_store]
+        self.value_regs = sorted(self.value_live_ins, key=str)
 
     def _value_reads(self, op: Operation) -> list[tuple]:
         """``(reg, producer)`` of every register the emitted code reads
@@ -795,21 +804,18 @@ class _Codegen:
             outs.append((reg, producer.opid, producer.dests.index(reg)))
         return outs
 
-    def _pure_form(self, op: Operation, operands: list[_Val],
-                   hot: bool = False) -> tuple[str, str, bool]:
-        """:func:`_value_expr` of *op* as a ``{i}`` template; *hot*
-        selects the inline wrap of the steady-state loop."""
-        key = (op.opid, hot, *[v.kind for v in operands])
+    def _pure_form(self, op: Operation, operands: list[_Val]
+                   ) -> tuple[str, str, bool]:
+        """:func:`_value_expr` of *op* as a ``{i}`` template."""
+        key = (op.opid, *[v.kind for v in operands])
         form = self._forms.get(key)
         if form is None:
             form = _value_expr(op, [v._replace(expr=f"{{{i}}}")
-                                    for i, v in enumerate(operands)],
-                               _wrap_inline if hot else _wrap_call)
+                                    for i, v in enumerate(operands)])
             self._forms[key] = form
         return form
 
-    def _compound_form(self, op: Operation, kinds: tuple[str, ...],
-                       hot: bool = False
+    def _compound_form(self, op: Operation, kinds: tuple[str, ...]
                        ) -> tuple[list[tuple], dict[Reg, _Val]]:
         """Type CCA *op*'s inner ops over its register reads of *kinds*.
 
@@ -817,7 +823,7 @@ class _Codegen:
         of every inner op that executes, and the final binding; the
         i-th register read appears as the placeholder ``{i}``.
         """
-        key = (op.opid, "cca", hot) + kinds
+        key = (op.opid, "cca") + kinds
         form = self._forms.get(key)
         if form is not None:
             return form
@@ -843,8 +849,7 @@ class _Codegen:
                 else:
                     raise SpecializationUnsupported(
                         f"op{op.opid}: inner read of unbound {s}")
-            expr, kind, raises = _value_expr(
-                inner, operands, _wrap_inline if hot else _wrap_call)
+            expr, kind, raises = _value_expr(inner, operands)
             reads.extend(operands)
             name = None
             if not inner.dests:
@@ -872,387 +877,6 @@ class _Codegen:
         self._forms[key] = form
         return form
 
-    # -- small helpers ----------------------------------------------------
-
-    def _live_in(self, reg: Reg) -> str:
-        self.required.add(reg)
-        if reg not in self._param_index:
-            self._param_index[reg] = len(self.params)
-            self.params.append(reg)
-        return f"L{self._param_index[reg]}"
-
-    def _resolve(self, op: Operation, reg: Reg, k: Optional[int],
-                 slot_phase: Optional[int] = None) -> _Val:
-        """Typed value of *reg* as *op* reads it in iteration *k*."""
-        return self._read(reg, self._reads[op.opid].get(reg), k,
-                          slot_phase)
-
-    def _read(self, reg: Reg, producer: Optional[tuple], k: Optional[int],
-              slot_phase: Optional[int]) -> _Val:
-        """Typed value of a read of *reg* from *producer*.
-
-        ``k`` is the concrete iteration in unrolled regions; in the
-        steady-state template ``k`` is None and ``slot_phase`` is the
-        static ``k mod S`` of the reading instance (``k >= 1`` there,
-        so a distance-1 read takes its producer's kind).
-        """
-        if producer is None:
-            return _Val(self._live_in(reg), UNKNOWN)
-        opid, distance, ri = producer
-        if k is not None:
-            source = k - distance
-            if source < 0:
-                return _Val(self._live_in(reg), UNKNOWN)
-            slot = source % self.s
-        else:
-            slot = (slot_phase - distance) % self.s
-        return _Val(f"v{opid}_{ri}_{slot}", self._kinds[(opid, ri)])
-
-    def _operand(self, entry: tuple, k: Optional[int],
-                 slot_phase: Optional[int]) -> _Val:
-        imm, reg, producer = entry
-        return imm or self._read(reg, producer, k, slot_phase)
-
-    def _addr(self, op: Operation, k: Optional[int],
-              steady_offset: Optional[int] = None) -> str:
-        """Address expression: stream base plus folded stride offsets."""
-        pattern = self._patterns[op.opid]
-        if k is not None:
-            off = pattern.stride * k
-            return f"b{op.opid} + {off}" if off else f"b{op.opid}"
-        off = pattern.stride * steady_offset
-        return f"a{op.opid} + {off}" if off else f"a{op.opid}"
-
-    # -- per-instance emission -------------------------------------------
-
-    def _emit_instance(self, op: Operation, k: Optional[int],
-                       slot_phase: Optional[int] = None,
-                       steady_offset: Optional[int] = None,
-                       indent: str = "    ") -> None:
-        """Emit op's iteration-*k* instance (or the steady template)."""
-        oc = op.opcode
-        if oc in (Opcode.BR, Opcode.JUMP):
-            return
-        phase = k % self.s if k is not None else slot_phase
-        pred = (None if op.predicate is None else
-                self._resolve(op, op.predicate, k, slot_phase).expr)
-        dest = f"{indent}v{op.opid}_0_{phase} = "
-        if oc is Opcode.CCA_OP:
-            self._emit_compound(op, k, slot_phase, pred, indent)
-            return
-        if oc in (Opcode.STORE, Opcode.FSTORE):
-            addr = self._addr(op, k, steady_offset)
-            val = self._operand(self._srcs[op.opid][2], k, slot_phase).expr
-            self.lines.append(
-                f"{indent}__cells[{addr}] = {val}" if pred is None
-                else f"{indent}if {pred}: __cells[{addr}] = {val}")
-            copied = 0  # stores define nothing
-        elif oc in (Opcode.LOAD, Opcode.FLOAD):
-            expr = f"__cells.get({self._addr(op, k, steady_offset)}, 0)"
-            copied = 1
-        else:
-            # Pure value op (needed: read, or it may raise).
-            operands = [self._operand(entry, k, slot_phase)
-                        for entry in self._srcs[op.opid]]
-            expr = self._pure_form(op, operands, k is None)[0].format(
-                *[v.expr for v in operands])
-            if not op.dests:
-                # Result discarded, but the conversion may raise.
-                self.lines.append(f"{indent}{expr}" if pred is None
-                                  else f"{indent}if {pred}: {expr}")
-                return
-            copied = 1
-        if copied:
-            if pred is not None:
-                # Squashed predicated op: the executor copies the value
-                # the register would resolve to *as if read here*.
-                prior = self._resolve(op, op.dests[0], k, slot_phase)
-                expr = f"({expr} if {pred} else {prior.expr})"
-            self.lines.append(dest + expr)
-        for ri in range(copied, len(op.dests)):
-            if (op.opid, ri) in self._live:
-                prior = self._resolve(op, op.dests[ri], k, slot_phase)
-                self.lines.append(
-                    f"{indent}v{op.opid}_{ri}_{phase} = {prior.expr}")
-
-    def _emit_compound(self, op: Operation, k: Optional[int],
-                       slot_phase: Optional[int], pred: Optional[str],
-                       indent: str) -> None:
-        """CCA compound: inner ops over a compile-time binding map; an
-        inner temporary nothing reads that cannot raise is dropped."""
-        phase = k % self.s if k is not None else slot_phase
-        bound = [self._read(reg, producer, k, slot_phase)
-                 for reg, producer in self._reads[op.opid].items()]
-        steps, binding = self._compound_form(
-            op, tuple(v.kind for v in bound), k is None)
-        args = [v.expr for v in bound]
-        live = [ri for ri in range(len(op.dests))
-                if (op.opid, ri) in self._live]
-        wanted = {binding[op.dests[ri]].expr for ri in live
-                  if op.dests[ri] in binding}
-        inner_indent = indent + ("    " if pred is not None else "")
-        body: list[str] = []
-        for name, expr, raises, reads in reversed(steps):
-            if raises or name in wanted:
-                wanted.update(reads)
-                line = f"{name} = {expr}" if name else expr
-                body.append(inner_indent + line.format(*args))
-        body.reverse()
-        for ri in live:
-            d = op.dests[ri]
-            value = (binding[d].expr.format(*args) if d in binding else
-                     self._resolve(op, d, k, slot_phase).expr)
-            body.append(f"{inner_indent}v{op.opid}_{ri}_{phase} = {value}")
-        if pred is None or not body:
-            self.lines.extend(body)
-            return
-        self.lines.append(f"{indent}if {pred}:")
-        self.lines.extend(body)
-        if live:
-            self.lines.append(f"{indent}else:")
-            for ri in live:
-                fallback = self._resolve(op, op.dests[ri], k,
-                                         slot_phase)
-                self.lines.append(f"{inner_indent}v{op.opid}_{ri}_{phase} = "
-                                  f"{fallback.expr}")
-
-    # -- window scheduling -------------------------------------------------
-
-    def _window_ops(self, j: int) -> list[tuple[int, int, Operation]]:
-        """Scheduled instances of window *j*: (cycle, k, op), in the
-        executor's (absolute cycle, iteration, position) order."""
-        out = []
-        for op in self._emitted:
-            s, cyc = divmod(self.schedule.times[op.opid], self.ii)
-            k = j - s
-            if 0 <= k < self.trips:
-                out.append(((cyc, k, self._index[op.opid]), k, op))
-        out.sort(key=lambda e: e[0])
-        return [(e[0][0], e[1], e[2]) for e in out]
-
-    def _steady_template(self) -> list[tuple[int, int, Operation]]:
-        """(cycle, stage, op) for one full steady window, in order."""
-        out = []
-        for op in self._emitted:
-            s, cyc = divmod(self.schedule.times[op.opid], self.ii)
-            out.append(((cyc, -s, self._index[op.opid]), s, op))
-        out.sort(key=lambda e: e[0])
-        return [(e[0][0], e[1], e[2]) for e in out]
-
-    # -- whole-function generation ----------------------------------------
-
-    def generate(self) -> tuple[str, list[Reg]]:
-        trips, sc, s = self.trips, self.sc, self.s
-        total = trips + sc - 1
-        body = self.lines
-        # Stream bases (placeholders are patched in after the body is
-        # generated, once the live-in parameter list is final).
-        prelude_mark = len(body)
-
-        ramp_end = min(sc, total)           # windows [0, ramp_end)
-        steady_lo, steady_hi = sc, trips    # windows [sc, trips)
-        for j in range(ramp_end):
-            body.append(f"    # window {j}")
-            for _cyc, k, op in self._window_ops(j):
-                self._emit_instance(op, k=k)
-        if steady_hi > steady_lo:
-            template = self._steady_template()
-            n_steady = steady_hi - steady_lo
-            n_full, rem = divmod(n_steady, s)
-            steady_ops = {op.opid for _c, _s, op in template
-                          if op.is_memory}
-            if n_full:
-                for opid in sorted(steady_ops):
-                    op = self._by_id[opid]
-                    stride = self._patterns[opid].stride
-                    t = self.schedule.times[opid]
-                    first_k = sc - t // self.ii
-                    off = stride * first_k
-                    init = f"b{opid} + {off}" if off else f"b{opid}"
-                    body.append(f"    a{opid} = {init}")
-                body.append(f"    for _ in range({n_full}):")
-                loop_at = len(body)
-                for r in range(s):
-                    body.append(f"        # steady phase {r}")
-                    for _cyc, stage, op in template:
-                        phase = (sc + r - stage) % s
-                        self._emit_instance(
-                            op, k=None, slot_phase=phase,
-                            steady_offset=r, indent="        ")
-                if len(body) == loop_at + s and not steady_ops:
-                    body.append("        pass")  # every op was dead
-                for opid in sorted(steady_ops):
-                    stride = self._patterns[opid].stride
-                    body.append(f"        a{opid} += {stride * s}")
-            # Remainder windows keep static iterations: their slot
-            # phases (sc + r - stage) mod S are independent of n_full.
-            for r in range(rem):
-                j = steady_lo + n_full * s + r
-                body.append(f"    # window {j} (steady remainder)")
-                for _cyc, k, op in self._window_ops(j):
-                    self._emit_instance(op, k=k)
-        for j in range(max(sc, trips), total):
-            body.append(f"    # window {j} (epilogue)")
-            for _cyc, k, op in self._window_ops(j):
-                self._emit_instance(op, k=k)
-
-        # Live-outs: the textually last producer's final-iteration value.
-        returns = [f"v{opid}_{ri}_{(trips - 1) % s}"
-                   for _reg, opid, ri in self._outs]
-        body.append(f"    return ({', '.join(returns)}{',' if returns else ''})")
-
-        # Stream-base prelude, now that the parameter list is final.
-        prelude: list[str] = []
-        emitted_bases: set[int] = set()
-        for op in self.loop.body:
-            if op.opid in self._patterns and op.opid not in emitted_bases:
-                emitted_bases.add(op.opid)
-                pattern = self._patterns[op.opid]
-                terms = [str(pattern.base.const)]
-                for (space, name), coeff in pattern.base.terms:
-                    param = self._live_in(Reg(name, space))
-                    terms.append(f"{coeff} * int({param})" if coeff != 1
-                                 else f"int({param})")
-                prelude.append(f"    b{op.opid} = " + " + ".join(terms))
-        params = ", ".join(f"L{i}" for i in range(len(self.params)))
-        header = [f"def __specialized(__cells{', ' if params else ''}"
-                  f"{params}):"]
-        source = "\n".join(header + body[:prelude_mark] + prelude
-                           + body[prelude_mark:]) + "\n"
-        return source, list(self.params)
-
-
-# -- whole-array emission -----------------------------------------------------
-
-#: Runtime classes of a whole-array value: each element's reference
-#: object is an ``int`` in signed-64 range (``_VI``), a Python
-#: ``float`` (``_VF``), or a float that may be another float type such
-#: as ``np.float64`` and is copied as itself (``_VR``, raw).  Arrays
-#: hold int64 resp. float64; a raw value also keeps its object list.
-_VI, _VF, _VR = "i", "f", "r"
-_KIND_OF = {_VI: INT64, _VF: FLOAT, _VR: UNKNOWN}
-_FLOAT_FORMS = {"farith", "fminmax", "fdiv", "funary", "itof"}
-#: Ops whose 64-bit result depends only on their operands mod 2**64.
-_MODULAR = {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR,
-            Opcode.XOR}
-_TWO63 = 9223372036854775808.0
-
-
-def _vjoin(a: str, b: str) -> str:
-    if a == b:
-        return a
-    if _VI in (a, b):
-        raise _VectorRefused("types")  # ints and floats in one array
-    return _VR
-
-
-def _imm_class(value) -> str:
-    if type(value) is int:
-        return _VI
-    if type(value) is float:
-        return _VF
-    raise _VectorRefused("types")
-
-
-def _vclass(op: Operation, classes: list[str]) -> str:
-    """Class of a pure op's result over operands of *classes*."""
-    form = _FORMS[op.opcode][0]
-    if form in _FLOAT_FORMS:
-        return _VF
-    if form == "copy":
-        return classes[0]
-    if form == "select":
-        return _vjoin(classes[1], classes[2])
-    return _VI
-
-
-def _f2i(x):
-    """``int()`` of every element of float64 array *x* as int64, or None
-    when one is NaN, infinite or truncates outside signed 64 bits."""
-    if ((x >= -_TWO63) & (x < _TWO63)).all():
-        return x.astype(np.int64)
-    return None
-
-
-def _shift(x, first):
-    """A distance-1 read: the live-in, then the producer's values."""
-    out = np.empty_like(x)
-    out[0] = first
-    out[1:] = x[:-1]
-    return out
-
-
-def _osel(truth, a, b) -> list:
-    """Per-lane choice between object lists (raw values keep identity)."""
-    return [x if t else y for t, x, y in zip(truth.tolist(), a, b)]
-
-
-def _vdiv(n, d):
-    """Truncating division; 0 for a zero divisor, and ``-n`` (wrapped)
-    for -1, which is also the one quotient that overflows."""
-    safe = np.where((d == 0) | (d == -1), 1, d)
-    q = (n - np.fmod(n, safe)) // safe
-    return np.where(d == 0, 0, np.where(d == -1, -n, q))
-
-
-def _vrem(n, d):
-    """Remainder with the dividend's sign; 0 for divisors 0 and -1."""
-    safe = np.where((d == 0) | (d == -1), 1, d)
-    return np.where(d == 0, 0, np.fmod(n, safe))
-
-
-def _vfdiv(a, d):
-    zero = d == 0.0
-    return np.where(zero, 0.0, a / np.where(zero, 1.0, d))
-
-
-_VECTOR_HELPERS = dict(
-    _HELPERS, __np=np, __i64=np.int64, __f64=np.float64, __u64=np.uint64,
-    __f2i=_f2i, __shift=_shift, __osel=_osel, __vdiv=_vdiv, __vrem=_vrem,
-    __vfdiv=_vfdiv)
-
-
-class _Vec(NamedTuple):
-    """A whole-array value: the name of its array (or an immediate's
-    literal), its class, and the name of its object list when it has
-    one (raw values always do)."""
-
-    arr: str
-    cls: str
-    obj: Optional[str] = None
-    imm: bool = False
-    const: object = None
-
-
-class _VectorCodegen(_Codegen):
-    """Emits one image's whole-array function per runtime signature.
-
-    Shares the producer map, type pass and liveness pass of the scalar
-    emitter.  Values are visited in topological order of their
-    strongly connected components: an acyclic op becomes one numpy
-    expression over all ``trips`` elements, and each recurrence runs as
-    one scalar loop over the element lists it reads, emitted through
-    the scalar emitter's own typed templates.  Loads arrive gathered;
-    stores leave as object lists the caller commits after every value
-    is computed.
-    """
-
-    def __init__(self, image: KernelImage, trips: int) -> None:
-        super().__init__(image, trips)
-        if any(edge.kind == "mem" for edge in image.dfg.edges):
-            raise _VectorRefused("memory-order")
-        for op in self._emitted:
-            if len(op.dests) > 1 and op.opcode is not Opcode.CCA_OP:
-                raise _VectorRefused("shape")
-        self.components = self._components()
-        for ops in self.components:
-            if len(ops) > 1 or self._self_cycle(ops[0]):
-                if any(op.is_memory for op in ops):
-                    raise _VectorRefused("shape")
-        self.loads = [op for op in self._emitted if op.is_load]
-        self.stores = [op for op in self._emitted if op.is_store]
-        self.value_regs = sorted(self.value_live_ins, key=str)
-
     def _self_cycle(self, op: Operation) -> bool:
         return any(p is not None and p[0] == op.opid
                    for p in self._reads[op.opid].values())
@@ -1271,7 +895,7 @@ class _VectorCodegen(_Codegen):
 
     # -- per-signature generation -----------------------------------------
 
-    def generate_vector(self, load_classes: tuple[str, ...],
+    def generate(self, load_classes: tuple[str, ...],
                         live_classes: tuple[str, ...]) -> str:
         """Source of ``__vector(__L, __O, __A)`` for one signature.
 
@@ -1422,12 +1046,12 @@ class _VectorCodegen(_Codegen):
         if v.imm:
             try:
                 value = int(v.const)
-            except (ValueError, OverflowError):
-                raise _VectorRefused("value")  # raises on every instance
+            except (ValueError, OverflowError):  # raises on every instance
+                raise SpecializationUnsupported("value")
             if modular:
                 value = wrap64(value)
             elif not -(1 << 63) <= value < (1 << 63):
-                raise _VectorRefused("value")
+                raise SpecializationUnsupported("value")
             return f"({value})" if value < 0 else str(value)
         if v.cls == _VI:
             return self._arr(v)
@@ -1445,7 +1069,7 @@ class _VectorCodegen(_Codegen):
             try:
                 return _imm(float(v.const)).expr
             except OverflowError:
-                raise _VectorRefused("value")
+                raise SpecializationUnsupported("value")
         if v.cls == _VI:
             return f"{self._arr(v)}.astype(__f64)"
         return self._arr(v)
@@ -1455,7 +1079,7 @@ class _VectorCodegen(_Codegen):
         if not v.imm:
             return self._arr(v)
         if type(v.const) is int and not -(1 << 63) <= v.const < (1 << 63):
-            raise _VectorRefused("value")
+            raise SpecializationUnsupported("value")
         return v.arr
 
     def _full(self, v: _Vec) -> _Vec:
@@ -1475,8 +1099,8 @@ class _VectorCodegen(_Codegen):
         try:
             Interpreter(Memory(), mode="reference").execute_op(
                 op.copy(predicate=None), regs)
-        except Exception:
-            raise _VectorRefused("value")  # raises on every instance
+        except Exception:  # raises on every instance
+            raise SpecializationUnsupported("value")
         if not op.dests:
             return None
         value = regs[op.dests[0]]
@@ -1502,7 +1126,7 @@ class _VectorCodegen(_Codegen):
                 try:
                     amount = str(int(b.const) & 63)
                 except (ValueError, OverflowError):
-                    raise _VectorRefused("value")
+                    raise SpecializationUnsupported("value")
             else:
                 amount = f"({self._as_int(b)} & 63)"
             if sym == ">>":
@@ -1519,11 +1143,11 @@ class _VectorCodegen(_Codegen):
                         _VF in classes or _VR in classes):
                     # numpy compares an int with floats as a float.
                     if abs(v.const) > 1 << 53:
-                        raise _VectorRefused("types")
+                        raise SpecializationUnsupported("types")
                 elif v.imm:
                     classes.add(_imm_class(v.const))
             if _VI in classes and len(classes) > 1:
-                raise _VectorRefused("types")
+                raise SpecializationUnsupported("types")
             expr = f"({self._raw(a)} {sym} {self._raw(b)}).astype(__i64)"
         elif form == "minmax":
             name = "minimum" if sym == "<" else "maximum"
@@ -1684,15 +1308,14 @@ class _VectorCodegen(_Codegen):
 
     def _emit_scan(self, ops: list[Operation]) -> None:
         """A recurrence as one scalar loop over its inputs' element
-        lists, through the scalar emitter's typed templates."""
+        lists, through the typed templates."""
         classes = self._scan_classes(ops)
         self._scan = {op.opid for op in ops}
         self._inputs: dict[str, str] = {}
         self._carried: dict[str, str] = {}
         self.lines = []
         for op in ops:
-            self._emit_instance(op, k=None, slot_phase="s",
-                                indent="        ")
+            self._emit_instance(op)
         # Element lists only for values read outside the recurrence; a
         # live-out takes the loop variable's final value.
         read_outside = {producer[::2] for op in self._emitted
@@ -1730,11 +1353,10 @@ class _VectorCodegen(_Codegen):
                 # before any reader takes the elements as int64.
                 self._arr(value)
 
-    def _read(self, reg: Reg, producer: Optional[tuple], k: Optional[int],
-              slot_phase) -> _Val:
-        """A recurrence's typed read (scalar templates call this):
-        its own values are loop variables, a distance-1 one starting
-        at the live-in; any other value is an element of its list."""
+    def _read(self, reg: Reg, producer: Optional[tuple]) -> _Val:
+        """A recurrence's typed read of *reg* from *producer*: its own
+        values are loop variables, a distance-1 one starting at the
+        live-in; any other value is an element of its list."""
         if producer is None:
             return _Val(self._param(reg), _KIND_OF[self._live_cls[reg]])
         opid, distance, ri = producer
@@ -1753,8 +1375,67 @@ class _VectorCodegen(_Codegen):
         self._inputs.setdefault(elem, self._objs(value))
         return _Val(elem, _KIND_OF[value.cls])
 
-    def _live_in(self, reg: Reg) -> str:
-        return self._param(reg)
+    def _resolve(self, op: Operation, reg: Reg) -> _Val:
+        """Typed value of *reg* as *op* reads it."""
+        return self._read(reg, self._reads[op.opid].get(reg))
+
+    def _operand(self, entry: tuple) -> _Val:
+        imm, reg, producer = entry
+        return imm or self._read(reg, producer)
+
+    def _emit_instance(self, op: Operation) -> None:
+        """A recurrence op in its scan's loop body; its value is the
+        loop variable ``v{opid}_{ri}_s``."""
+        pred = (None if op.predicate is None else
+                self._resolve(op, op.predicate).expr)
+        if op.opcode is Opcode.CCA_OP:
+            self._emit_compound(op, pred)
+            return
+        operands = [self._operand(entry) for entry in self._srcs[op.opid]]
+        expr = self._pure_form(op, operands)[0].format(
+            *[v.expr for v in operands])
+        if pred is not None:
+            # Squashed predicated op: the executor copies the value the
+            # register would resolve to *as if read here*.
+            prior = self._resolve(op, op.dests[0])
+            expr = f"({expr} if {pred} else {prior.expr})"
+        self.lines.append(f"        v{op.opid}_0_s = {expr}")
+
+    def _emit_compound(self, op: Operation, pred: Optional[str]) -> None:
+        """CCA compound: inner ops over a compile-time binding map; an
+        inner temporary nothing reads that cannot raise is dropped."""
+        bound = [self._read(reg, producer)
+                 for reg, producer in self._reads[op.opid].items()]
+        steps, binding = self._compound_form(op, tuple(v.kind for v in bound))
+        args = [v.expr for v in bound]
+        live = [ri for ri in range(len(op.dests))
+                if (op.opid, ri) in self._live]
+        wanted = {binding[op.dests[ri]].expr for ri in live
+                  if op.dests[ri] in binding}
+        indent = "            " if pred is not None else "        "
+        body: list[str] = []
+        for name, expr, raises, reads in reversed(steps):
+            if raises or name in wanted:
+                wanted.update(reads)
+                line = f"{name} = {expr}" if name else expr
+                body.append(indent + line.format(*args))
+        body.reverse()
+        for ri in live:
+            d = op.dests[ri]
+            value = (binding[d].expr.format(*args) if d in binding else
+                     self._resolve(op, d).expr)
+            body.append(f"{indent}v{op.opid}_{ri}_s = {value}")
+        if pred is None or not body:
+            self.lines.extend(body)
+            return
+        self.lines.append(f"        if {pred}:")
+        self.lines.extend(body)
+        if live:
+            self.lines.append("        else:")
+            for ri in live:
+                fallback = self._resolve(op, op.dests[ri])
+                self.lines.append(f"{indent}v{op.opid}_{ri}_s = "
+                                  f"{fallback.expr}")
 
 
 class _VectorKernel:
@@ -1767,7 +1448,7 @@ class _VectorKernel:
     that signature, and only then commits the stores.
     """
 
-    def __init__(self, gen: _VectorCodegen) -> None:
+    def __init__(self, gen: _Codegen) -> None:
         self.gen = gen
         self.trips = gen.trips
         self.streams = []
@@ -1803,11 +1484,14 @@ class _VectorKernel:
             if body is not None:
                 return body
             try:
-                source = self.gen.generate_vector(*signature)
-            except _VectorRefused as refusal:
+                source = self.gen.generate(*signature)
+            except SpecializationUnsupported as refusal:
                 body = refusal.args[0]
+            except Exception as exc:
+                _codegen_error(exc, self.gen.loop.name, self.trips)
+                body = "error"
             else:
-                namespace = dict(_VECTOR_HELPERS)
+                namespace = dict(_HELPERS)
                 exec(compile(source, f"<vector {self.gen.loop.name}>",
                              "exec"), namespace)
                 body = namespace["__vector"]
@@ -1874,7 +1558,7 @@ class _VectorKernel:
                 base = const + sum(coeff * int(live_ins[reg])
                                    for reg, coeff in terms)
                 spans.append((base, stride))
-        except Exception:  # the scalar kernel raises it where it should
+        except Exception:  # the reference raises it where it should
             return "raise"
         if self._overlap(spans):
             return "overlap"
@@ -1970,26 +1654,20 @@ def _closed_form_facts(image: KernelImage, trips: int
 def specialize(image: KernelImage, trips: int) -> SpecializedKernel:
     """Specialize *image* at trip count *trips*.
 
-    The whole-array function is generated for the signature of
-    conventionally seeded data; the unrolled scalar kernel is generated
-    now only when the vector emitter does not take the image or that
-    signature, else on the first decline.  Raises
-    :class:`SpecializationUnsupported` for shapes neither can reproduce
-    bit-identically (the caller falls back to the reference executors).
+    The whole-array function is compiled now for the signature of
+    conventionally seeded data, and for any other signature on its
+    first call.  Raises :class:`SpecializationUnsupported` for shapes
+    the emitter cannot reproduce bit-identically (the caller falls back
+    to the reference executors).
     """
     if trips <= 0:
         raise SpecializationUnsupported("non-positive trip count")
     loop = image.loop
     if loop.annotations.get("while_loop"):
         raise SpecializationUnsupported("while loop: trips are speculative")
-    try:
-        gen = _VectorCodegen(image, trips)
-    except _VectorRefused as exc:
-        gen, vector, refusal = _Codegen(image, trips), None, exc.args[0]
-    else:
-        vector = _VectorKernel(gen)
-        refusal = vector.body(vector.predicted_signature())
-        refusal = refusal if type(refusal) is str else ""
+    gen = _Codegen(image, trips)
+    vector = _VectorKernel(gen)
+    vector.body(vector.predicted_signature())
     cycles, max_inflight, utilization = _closed_form_facts(image, trips)
     # Collect load-stream fan-in for the closed-form FIFO occupancy of
     # the vm.run_loop tier.
@@ -2006,49 +1684,16 @@ def specialize(image: KernelImage, trips: int) -> SpecializedKernel:
         if op.is_load:
             sid = seen[key]
             load_stream_ops[sid] = load_stream_ops.get(sid, 0) + 1
-    kernel = SpecializedKernel(
+    return SpecializedKernel(
         loop_name=loop.name, trips=trips,
         out_regs=tuple(reg for reg, _opid, _ri in gen._outs),
         required=frozenset(gen.value_live_ins | gen.base_live_ins),
-        cycles=cycles, max_inflight=max_inflight, utilization=utilization,
-        n_mem_ops=n_mem_ops, load_stream_ops=load_stream_ops,
-        vector=vector, refusal=refusal, image=image)
-    if refusal:
-        kernel._scalar_kernel()  # the likely signature declines anyway
-    return kernel
-
-
-def _compile_scalar(image: KernelImage, trips: int
-                    ) -> tuple[str, Callable, tuple[Reg, ...]]:
-    """Generate and compile the unrolled scalar kernel."""
-    source, params = _Codegen(image, trips).generate()
-    namespace = dict(_HELPERS)
-    exec(compile(source, f"<specialized {image.loop.name}>", "exec"),
-         namespace)
-    obs.inc("translator.units.specialize", source.count("\n"))
-    return source, namespace["__specialized"], tuple(params)
+        vector=vector, cycles=cycles, max_inflight=max_inflight,
+        utilization=utilization, n_mem_ops=n_mem_ops,
+        load_stream_ops=load_stream_ops)
 
 
 # -- tier dispatch ------------------------------------------------------------
-
-def _after_raise(image: KernelImage, exc: Exception,
-                 reference: Callable[[], object]):
-    """The kernel raised *exc*: run the reference, which decides the
-    outcome.  When it raises the same exception type the raise was the
-    data's (a NaN converted to int), counted apart; otherwise the kernel
-    is wrong and is dropped, so the next call recompiles it."""
-    try:
-        result = reference()
-    except Exception as ref_exc:
-        if type(ref_exc) is type(exc):
-            _stats["data_raises"] += 1
-            obs.inc("jit.data_raises")
-        else:
-            invalidate_image(image)
-        raise
-    invalidate_image(image)
-    return result
-
 
 def execute_pipelined(image: KernelImage, memory: Memory,
                       live_in_values: Mapping[Reg, Value],
@@ -2058,9 +1703,9 @@ def execute_pipelined(image: KernelImage, memory: Memory,
 
     At engine level >= 2 (and with no fault hook — injection is an
     event-level seam only the event executor honours) the specialized
-    kernel runs instead of the event simulation; every unsupported or
-    failing case falls back to the reference executor, which reports
-    faults identically.
+    kernel runs instead of the event simulation; every unsupported
+    image and every declined call runs the reference executor, which
+    reports faults identically.
     """
     from repro import perf
     trips = image.loop.trip_count if trip_count is None else trip_count
@@ -2068,16 +1713,12 @@ def execute_pipelined(image: KernelImage, memory: Memory,
         return execute_overlapped(image, memory, live_in_values,
                                   trip_count, fault_hook)
     kernel = kernel_for(image, trips)
-    if kernel is None or not kernel.required <= set(live_in_values):
+    live_outs = None
+    if kernel is not None and kernel.required <= set(live_in_values):
+        live_outs = kernel.run(memory, live_in_values)
+    if live_outs is None:
         return execute_overlapped(image, memory, live_in_values,
                                   trip_count, fault_hook)
-    try:
-        live_outs = kernel.run(memory, live_in_values)
-    except AcceleratorFault:
-        raise
-    except Exception as exc:
-        return _after_raise(image, exc, lambda: execute_overlapped(
-            image, memory, live_in_values, trip_count, fault_hook))
     for reg in image.loop.live_outs:
         if reg not in live_outs and reg in live_in_values:
             producer = any(reg in op.dests for op in image.loop.body)
@@ -2098,8 +1739,9 @@ def invoke_specialized(accelerator, image: KernelImage, memory: Memory,
                        ) -> Optional[AcceleratorRun]:
     """Specialized stand-in for ``LoopAccelerator.invoke``.
 
-    Returns None when the image (or this trip count) is not specialized
-    — the caller must then take the reference ``invoke`` path.  The
+    Returns None when the image (or this trip count) is not specialized,
+    or the call declined — the caller must then take the reference
+    ``invoke`` path.  The
     accounting facts (register-file writes, address checks, FIFO
     occupancy, kernel/overhead cycles) are closed forms of the same
     quantities the iteration-by-iteration machine measures.
@@ -2116,13 +1758,9 @@ def invoke_specialized(accelerator, image: KernelImage, memory: Memory,
     kernel = kernel_for(image, trips)
     if kernel is None or not kernel.required <= set(live_in_values):
         return None
-    try:
-        live_outs = kernel.run(memory, live_in_values)
-    except AcceleratorFault:
-        raise
-    except Exception as exc:
-        return _after_raise(image, exc, lambda: accelerator.invoke(
-            image, memory, live_in_values, trip_count))
+    live_outs = kernel.run(memory, live_in_values)
+    if live_outs is None:
+        return None  # declined before any write
     accelerator.invocations += 1
     int_writes = 0
     fp_writes = 0

@@ -52,7 +52,6 @@ RETRY_ATTEMPTS_ENV = "REPRO_RETRY_ATTEMPTS"
 RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
 ARTIFACT_ENV = "REPRO_ARTIFACT"
 CACHE_BUDGET_ENV = "REPRO_CACHE_BUDGET"
-JIT_CACHE_ENV = "REPRO_JIT_CACHE"
 BENCH_REPEAT_ENV = "REPRO_BENCH_REPEAT"
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
@@ -112,9 +111,6 @@ class Settings:
     #: Disk-cache size budget in bytes for the GC sweep (None = the
     #: transcache default, 256 MiB).
     cache_budget: Optional[int] = None
-    #: Max specialized kernels the JIT code cache keeps (None = the
-    #: jit default, 256).
-    jit_cache: Optional[int] = None
     #: Repeats per ``xp run`` invocation (``--repeat`` wins over this).
     bench_repeat: int = 1
     #: Benchmark results root the run store and baselines live under
@@ -135,7 +131,6 @@ class Settings:
                  retry_backoff_s: Optional[float | str] = None,
                  artifact_path: Optional[str] = None,
                  cache_budget: Optional[int | str] = None,
-                 jit_cache: Optional[int | str] = None,
                  bench_repeat: Optional[int | str] = None,
                  bench_dir: Optional[str] = None
                  ) -> "Settings":
@@ -162,8 +157,6 @@ class Settings:
             retry_backoff_s = env.get(RETRY_BACKOFF_ENV, 0.02)
         if cache_budget is None:
             cache_budget = env.get(CACHE_BUDGET_ENV) or None
-        if jit_cache is None:
-            jit_cache = env.get(JIT_CACHE_ENV) or None
         if bench_repeat is None:
             bench_repeat = env.get(BENCH_REPEAT_ENV, 1)
         return cls(
@@ -188,9 +181,6 @@ class Settings:
                           else cls._parse_int(cache_budget,
                                               CACHE_BUDGET_ENV,
                                               minimum=0)),
-            jit_cache=(None if jit_cache is None
-                       else cls._parse_int(jit_cache, JIT_CACHE_ENV,
-                                           minimum=1)),
             bench_repeat=cls._parse_int(bench_repeat, BENCH_REPEAT_ENV,
                                         minimum=1),
             bench_dir=bench_dir or env.get(BENCH_DIR_ENV) or None,
@@ -255,14 +245,11 @@ class Settings:
         truncate-then-write lifecycle for its own output file.
         """
         from repro import obs, perf
-        from repro.accelerator import jit
         from repro.perf import transcache
         from repro.resilience.incidents import incident_log
         perf.set_engine_level(self.engine)
         if self.cache_budget is not None:
             transcache.set_gc_budget(self.cache_budget)
-        if self.jit_cache is not None:
-            jit.set_code_cache_limit(self.jit_cache)
         if self.cache_dir is not None:
             perf.translation_cache().attach_disk(self.cache_dir,
                                                  strict=True)

@@ -193,62 +193,45 @@ def test_unsupported_shapes_are_negative_cached():
         image.loop.annotations.pop("while_loop", None)
 
 
-def test_code_cache_is_a_bounded_lru():
+def test_code_cache_is_a_bounded_lru(monkeypatch):
     """Regression: one long-lived loop seen at many distinct trip
     counts (`_image_key` embeds the trips) must not grow the code
     cache without bound — the LRU cap holds and eviction keeps the
     per-loop invalidation index consistent."""
     small, image = _first_translatable()
-    jit.set_code_cache_limit(4)
-    try:
-        kernels = {trips: jit.kernel_for(image, trips)
-                   for trips in range(1, 13)}
-        stats = jit.code_cache_stats()
-        assert stats["entries"] == 4
-        assert stats["limit"] == 4
-        assert stats["evicted"] == 8
-        snapshot = obs.metrics_snapshot()
-        assert snapshot["gauges"]["jit.code_cache_size"] == 4
-        assert snapshot["counters"]["jit.code_cache_evicted"] == 8
+    monkeypatch.setattr(jit, "CODE_CACHE_LIMIT", 4)
+    kernels = {trips: jit.kernel_for(image, trips)
+               for trips in range(1, 13)}
+    stats = jit.code_cache_stats()
+    assert stats["entries"] == 4
+    assert stats["limit"] == 4
+    assert stats["evicted"] == 8
+    snapshot = obs.metrics_snapshot()
+    assert snapshot["gauges"]["jit.code_cache_size"] == 4
+    assert snapshot["counters"]["jit.code_cache_evicted"] == 8
 
-        # LRU, not FIFO: a hit protects the entry from the next
-        # eviction round; the untouched oldest entry dies instead.
-        assert jit.kernel_for(image, 9) is kernels[9]     # protect 9
-        jit.kernel_for(image, 100)                        # evicts 10
-        assert jit.kernel_for(image, 9) is kernels[9]     # survived
-        recompiled = jit.kernel_for(image, 10)
-        assert recompiled is not None and recompiled is not kernels[10]
+    # LRU, not FIFO: a hit protects the entry from the next eviction
+    # round; the untouched oldest entry dies instead.
+    assert jit.kernel_for(image, 9) is kernels[9]     # protect 9
+    jit.kernel_for(image, 100)                        # evicts 10
+    assert jit.kernel_for(image, 9) is kernels[9]     # survived
+    recompiled = jit.kernel_for(image, 10)
+    assert recompiled is not None and recompiled is not kernels[10]
 
-        # Every eviction unlinked its key: invalidating the loop drops
-        # exactly the live entries and leaves both indexes empty.
-        live = jit.code_cache_stats()["entries"]
-        assert jit.invalidate_image(image) == live
-        assert jit.code_cache_stats()["entries"] == 0
-        assert not jit._image_keys
-    finally:
-        jit.set_code_cache_limit(None)
+    # Every eviction unlinked its key: invalidating the loop drops
+    # exactly the live entries and leaves both indexes empty.
+    live = jit.code_cache_stats()["entries"]
+    assert jit.invalidate_image(image) == live
+    assert jit.code_cache_stats()["entries"] == 0
+    assert not jit._image_keys
 
 
-def test_code_cache_limit_env_and_override(monkeypatch):
-    monkeypatch.setenv(jit.JIT_CACHE_ENV, "3")
-    assert jit.code_cache_limit() == 3
-    monkeypatch.setenv(jit.JIT_CACHE_ENV, "bogus")
-    assert jit.code_cache_limit() == jit.DEFAULT_CODE_CACHE_LIMIT
-    monkeypatch.setenv(jit.JIT_CACHE_ENV, "0")
-    assert jit.code_cache_limit() == 1  # a cap of 0 would thrash forever
-    jit.set_code_cache_limit(7)
-    try:
-        assert jit.code_cache_limit() == 7
-    finally:
-        jit.set_code_cache_limit(None)
-
-
-def test_negative_entries_count_toward_the_limit():
+def test_negative_entries_count_toward_the_limit(monkeypatch):
     """Unsupported shapes are cached as None — tiny, but an unbounded
     negative set is still a leak, so they occupy LRU slots too."""
     small, image = _first_translatable()
     image.loop.annotations["while_loop"] = True
-    jit.set_code_cache_limit(2)
+    monkeypatch.setattr(jit, "CODE_CACHE_LIMIT", 2)
     try:
         for trips in range(1, 6):
             assert jit.kernel_for(image, trips) is None
@@ -256,7 +239,6 @@ def test_negative_entries_count_toward_the_limit():
         assert stats["entries"] <= 2
         assert stats["evicted"] >= 3
     finally:
-        jit.set_code_cache_limit(None)
         image.loop.annotations.pop("while_loop", None)
 
 

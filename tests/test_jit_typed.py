@@ -1,19 +1,22 @@
 """Typed tier-2 codegen (:mod:`repro.accelerator.jit`).
 
-The specializer proves each value's kind at specialization time and
-emits every operation in the cheapest form that returns exactly what
-the reference returns.  These tests hold it to that:
+The specializer proves each value's kind at specialization time, and a
+recurrence scan emits every operation in the cheapest form that
+returns exactly what the reference returns.  These tests hold it to
+that:
 
 * a per-opcode table: every typed form, over every operand kind, equals
   ``Interpreter.execute_op`` on value and type, or raises the same
   exception type -- and never raises where it claims it cannot;
 * a differential corpus: seeded generated loops of every benchmark
   kernel shape run through ``jit.execute_pipelined`` at trip counts
-  1, 2, S, S+1 and 257 (S = rotating register slots) and must match
-  ``execute_overlapped`` on live-outs, memory, value types and timing;
+  1, 2, S, S+1 and 257 (S = stage count + 1, edges of the schedule's
+  prologue and epilogue) and must match ``execute_overlapped`` on
+  live-outs, memory, value types and timing;
 * adversarial memory (floats, NaN/inf, ints beyond 64 bits in int
-  arrays): the generated kernel gives the reference's result, or
-  raises the reference's exception type;
+  arrays): ``execute_pipelined`` at engine 2 gives the reference's
+  result, or raises the reference's exception type, whether the
+  whole-array function runs or declines to the reference;
 * no codegen error is ever filed as "unsupported" over the suite and
   the generated corpus.
 """
@@ -288,24 +291,28 @@ def _adversarial_memory(loop, seed, rate):
     return memory
 
 
+def _pipelined(image, memory, live, trips=None):
+    with perf.engine_at(2):
+        return jit.execute_pipelined(image, memory, live, trip_count=trips)
+
+
 @pytest.mark.parametrize("rate", [0.002, 0.05])
 @pytest.mark.parametrize("shape,seed", _corpus())
 def test_generated_kernels_on_adversarial_memory(shape, seed, rate):
     loop, image = _translated(shape, seed)
     for trips in _trip_counts(image):
-        kernel = jit.kernel_for(image, trips)
-        assert kernel is not None
+        assert jit.kernel_for(image, trips) is not None
         mem_ref = _adversarial_memory(loop, seed, rate)
         live = standard_live_ins(loop, mem_ref, DEFAULT_SCALARS)
         want = _outcome(execute_overlapped, image, mem_ref, live, trips)
         mem_spec = _adversarial_memory(loop, seed, rate)
-        got = _outcome(kernel.run, mem_spec, live)
+        got = _outcome(_pipelined, image, mem_spec, live, trips)
         assert got[0] == want[0], f"trips={trips}: {got} != {want}"
         if got[0] == "raise":
             assert got[1] is want[1]
             continue
-        expected = {reg: want[1].live_outs[reg] for reg in kernel.out_regs}
-        assert _canonical(got[1]) == _canonical(expected)
+        assert _canonical(got[1].live_outs) == \
+            _canonical(want[1].live_outs)
         assert _canonical(mem_spec.snapshot()) == \
             _canonical(mem_ref.snapshot())
 
@@ -318,18 +325,22 @@ def _hand_kernel(loop):
     return result.image, kernel
 
 
-def _compare_run(image, kernel, memory_factory, live):
+def _compare_run(image, memory_factory, live):
     mem_ref, mem_spec = memory_factory(), memory_factory()
     want = _outcome(execute_overlapped, image, mem_ref, live)
-    got = _outcome(kernel.run, mem_spec, live)
+    got = _outcome(_pipelined, image, mem_spec, live)
     assert got[0] == want[0], (got, want)
     if got[0] == "raise":
         assert got[1] is want[1]
         return None
-    expected = {reg: want[1].live_outs[reg] for reg in kernel.out_regs}
-    assert _canonical(got[1]) == _canonical(expected)
+    assert _canonical(got[1].live_outs) == _canonical(want[1].live_outs)
     assert _canonical(mem_spec.snapshot()) == _canonical(mem_ref.snapshot())
-    return got[1]
+    return got[1].live_outs
+
+
+def _vector_source(kernel) -> str:
+    """The whole-array body for conventionally seeded data."""
+    return kernel.vector.gen.generate(*kernel.vector.predicted_signature())
 
 
 def test_dead_ops_that_may_raise_still_raise():
@@ -344,10 +355,12 @@ def test_dead_ops_that_may_raise_still_raise():
     b.store(b.add(y, i), v)
     loop = b.finish()
     image, kernel = _hand_kernel(loop)
-    # The unread, non-raising ops are gone; the raising add stays.
-    shl = next(op for op in image.loop.body if op.opcode is Opcode.SHL)
-    assert f"v{shl.opid}_" not in kernel.source
-    assert "int(" in kernel.source.split("for _ in range", 1)[1]
+    # The unread, non-raising shift is gone; the add that may raise on
+    # a loaded value stays.
+    source = _vector_source(kernel)
+    load = next(op for op in image.loop.body if op.is_load)
+    assert "<<" not in source
+    assert f"(a{load.opid} + 1)" in source
     for hostile in (None, math.nan, math.inf, 2.5, 10 ** 400):
         def memory():
             mem = seeded_memory(loop, seed=3)
@@ -355,7 +368,7 @@ def test_dead_ops_that_may_raise_still_raise():
                 mem.write(mem.base_of("x") + 5, hostile)
             return mem
         live = standard_live_ins(loop, memory(), DEFAULT_SCALARS)
-        _compare_run(image, kernel, memory, live)
+        _compare_run(image, memory, live)
 
 
 def test_dead_op_live_ins_stay_required():
@@ -370,9 +383,10 @@ def test_dead_op_live_ins_stay_required():
     copy = b.mov(scale)  # nothing reads it, and a copy cannot raise
     b.store(b.add(y, i), v)
     loop = b.finish()
-    image, kernel = _hand_kernel(loop)
-    mov = next(op for op in image.loop.body if copy in op.dests)
-    assert f"v{mov.opid}_" not in kernel.source
+    _image, kernel = _hand_kernel(loop)
+    # The copy's value is never materialised, but its operand is read.
+    param = kernel.vector.value_regs.index(scale)
+    assert f"V{param} =" not in _vector_source(kernel)
     assert scale in kernel.required
 
 
@@ -389,14 +403,14 @@ def test_carried_read_of_a_hostile_live_in():
     b.and_(b.add(acc, Imm(1)), Imm(255), dest=acc)
     b.live_out(acc)
     loop = b.finish()
-    image, kernel = _hand_kernel(loop)
+    image, _kernel = _hand_kernel(loop)
     for start in (7, -(1 << 63), 1 << 70, 2.5, np.float64(-3.25),
                   math.nan):
         def memory():
             return seeded_memory(loop, seed=4)
         live = dict(standard_live_ins(loop, memory(), DEFAULT_SCALARS))
         live[acc] = start
-        _compare_run(image, kernel, memory, live)
+        _compare_run(image, memory, live)
 
 
 # -- codegen health -----------------------------------------------------------
@@ -445,20 +459,39 @@ def test_codegen_errors_are_counted_apart(monkeypatch):
     assert "emitter bug" in incident.message
 
 
-def test_suite_steady_state_calls_no_helpers():
-    """The steady loop of a suite kernel is plain typed arithmetic."""
-    loop = next(loop for bench in all_benchmarks() for loop in bench.kernels
-                if loop.name == "g721e_fir")
+def test_a_codegen_error_for_a_new_signature_declines(monkeypatch):
+    """A body that crashes while compiling for a signature first seen
+    at run time is a counted codegen error and a decline: the call runs
+    the reference, and ``kernel.run`` does not raise."""
+    loop = generate_loop(GeneratorSpec(trip_count=16, seed=3))
     result = translate_loop(loop, PROPOSED_LA)
     assert result.ok
-    lines = jit.specialize(result.image, 64).source.splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.startswith("    for _ in range("))
-    steady = []
-    for line in lines[start + 1:]:
-        if not line.startswith("        "):
-            break
-        steady.append(line)
-    assert any("__cells" in line for line in steady)
-    for helper in ("__w(", "__bits(", "__sh("):
-        assert not any(helper in line for line in steady), helper
+    assert jit.kernel_for(result.image, 16) is not None
+
+    def broken(self, load_classes, live_classes):
+        raise KeyError("emitter bug")
+    monkeypatch.setattr(jit._Codegen, "generate", broken)
+
+    def memory():
+        mem = seeded_memory(loop, seed=3)
+        for arr in loop.arrays:  # Python floats: not the predicted classes
+            base = mem.base_of(arr.name)
+            for i in range(arr.length):
+                mem.write(base + i, float(mem.read(base + i)))
+        return mem
+    live = standard_live_ins(loop, memory(), DEFAULT_SCALARS)
+    before = jit.code_cache_stats()["errors"]
+    seq = len(incident_log())
+    mem_ref, mem_spec = memory(), memory()
+    want = _outcome(execute_overlapped, result.image, mem_ref, live)
+    got = _outcome(_pipelined, result.image, mem_spec, live)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert _canonical(got[1].live_outs) == \
+            _canonical(want[1].live_outs)
+    assert _canonical(mem_spec.snapshot()) == _canonical(mem_ref.snapshot())
+    assert jit.code_cache_stats()["errors"] == before + 1
+    assert _counter("jit.vector_declines.error") == 1
+    [incident] = incident_log().since(seq)
+    assert incident.kind == "jit-codegen-error"
+    assert "emitter bug" in incident.message

@@ -4,16 +4,17 @@
   runtime class and immediates, returns per lane exactly what
   ``Interpreter.execute_op`` returns, or declines -- and always
   declines where the reference raises;
-* a property test over generated loops: the vector function, the
-  unrolled scalar kernel and ``execute_overlapped`` agree on live-outs
-  and memory (type and repr), or raise the same exception type, on
-  ``_prepare_memory`` data with and without hostile cells and live-ins;
-  a decline leaves memory byte-identical;
+* a property test over generated loops: the vector function,
+  ``kernel.run`` and ``execute_pipelined`` at engine 2 agree with
+  ``execute_overlapped`` on live-outs and memory (type and repr) and on
+  timing, or raise the same exception type, on ``_prepare_memory`` data
+  with and without hostile cells and live-ins; a decline leaves memory
+  byte-identical and runs the reference;
 * the suite and the benchmark-shaped corpus take the vector path with
   no declines, so a silent fallback cannot pass for "no gain";
-* the lazily built scalar kernel requires exactly the live-ins the
-  kernel declares;
-* a data-dependent raise is not a deopt.
+* a decline compiles nothing, and an image the emitter refuses is
+  negative-cached as unsupported;
+* a data-dependent raise is a decline, not a deopt.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ _VSLOTS = [("arr", cls) for cls in _LANES] + [
 def _vector_form(op, slots, lanes):
     """Run one op's whole-array form over *lanes* of its array operands;
     returns the per-lane objects, or ``"value"`` for a decline."""
-    gen = object.__new__(jit._VectorCodegen)
+    gen = object.__new__(jit._Codegen)
     gen._vlines, gen._memo, gen._temps = [], {}, 0
     gen.trips = len(lanes)
     columns = iter(zip(*lanes))
@@ -100,7 +101,7 @@ def _vector_form(op, slots, lanes):
     params = ", ".join(f"{name}, {name}o" for name in names)
     source = (f"def f({params}):\n" + "\n".join(gen._vlines)
               + f"\n    return {objs}\n")
-    namespace = dict(jit._VECTOR_HELPERS)
+    namespace = dict(jit._HELPERS)
     exec(source, namespace)
     with np.errstate(all="ignore"):
         return namespace["f"](*args), source
@@ -116,7 +117,7 @@ def _check_vector_form(opcode, slots) -> int:
                                      if what == "arr"]))
     try:
         got, source = _vector_form(op, slots, lanes)
-    except jit._VectorRefused:
+    except jit.SpecializationUnsupported:
         return 0
     results = ([_vector_form(op, slots, [lane]) for lane in lanes]
                if got == "value" else [([value], source) for value in got])
@@ -146,7 +147,7 @@ def test_vector_form_matches_execute_op(opcode):
     assert checked > 0
 
 
-# -- property: vector == scalar == reference ----------------------------------
+# -- property: vector == kernel.run == execute_pipelined == reference --------
 
 specs = st.builds(
     GeneratorSpec,
@@ -195,34 +196,50 @@ def test_vector_scalar_and_reference_agree(spec, mem_seed, rate, start):
     _check_paths(result.image, spec.trip_count, memory, live)
 
 
+def _timing(run) -> tuple:
+    return (run.iterations, run.cycles, run.max_inflight_iterations,
+            run.utilization)
+
+
+def _live_outs(outcome):
+    """An executor's outcome with its run reduced to the live-outs."""
+    return outcome if outcome[0] == "raise" else ("ok", outcome[1].live_outs)
+
+
 def _check_paths(image, trips, memory, live):
-    """Vector function, scalar kernel, ``kernel.run`` and the reference
-    over fresh ``memory()`` each; returns the vector path's result."""
+    """Vector function, ``kernel.run`` and ``execute_pipelined`` at
+    engine 2 against ``execute_overlapped``, over fresh ``memory()``
+    each; returns the vector path's result (None for a decline)."""
     kernel = jit.specialize(image, trips)
     mem_ref = memory()
     ref = _outcome(execute_overlapped, image, mem_ref, live, trips)
     want = ref if ref[0] == "raise" else (
         "ok", {reg: ref[1].live_outs[reg] for reg in kernel.out_regs})
 
-    mem_scalar = memory()
-    scalar = _outcome(lambda: dict(zip(kernel.out_regs, kernel.fn(
-        mem_scalar._cells, *[live[reg] for reg in kernel.params]))))
-    _compare(want, scalar, mem_ref, mem_scalar, "scalar")
-
-    outs = None
-    if kernel.vector is not None:
-        mem_vector = memory()
-        before = _canonical(mem_vector.snapshot())
-        outs = kernel.vector.run(mem_vector._cells, live)
-        if outs is None:
-            assert _canonical(mem_vector.snapshot()) == before
-        else:
-            vector = ("ok", dict(zip(kernel.out_regs, outs)))
-            _compare(want, vector, mem_ref, mem_vector, "vector")
+    mem_vector = memory()
+    before = _canonical(mem_vector.snapshot())
+    outs = kernel.vector.run(mem_vector._cells, live)
+    if outs is None:
+        assert _canonical(mem_vector.snapshot()) == before
+    else:
+        vector = ("ok", dict(zip(kernel.out_regs, outs)))
+        _compare(want, vector, mem_ref, mem_vector, "vector")
 
     mem_run = memory()
-    _compare(want, _outcome(kernel.run, mem_run, live), mem_ref, mem_run,
-             "kernel.run")
+    run = kernel.run(mem_run, live)
+    assert (run is None) == (outs is None)
+    if run is None:
+        assert _canonical(mem_run.snapshot()) == before
+    else:
+        _compare(want, ("ok", run), mem_ref, mem_run, "kernel.run")
+
+    mem_pipe = memory()
+    with perf.engine_at(2):
+        pipe = _outcome(jit.execute_pipelined, image, mem_pipe, live, trips)
+    _compare(_live_outs(ref), _live_outs(pipe), mem_ref, mem_pipe,
+             "execute_pipelined")
+    if ref[0] == "ok":
+        assert _timing(pipe[1]) == _timing(ref[1])
     return outs
 
 
@@ -261,8 +278,8 @@ def test_predicated_ops_and_raw_floats():
 
 # -- the vector path is taken -------------------------------------------------
 
-#: Loops that carry memory-ordering edges, which the vector path
-#: declines (none in the suite or the corpus today).
+#: Loops whose clean data declines (none in the suite or the corpus
+#: today; an image with a memory-ordering edge is not specialized).
 MEMORY_ORDERED: tuple[str, ...] = ()
 
 
@@ -350,35 +367,59 @@ def test_declines_are_counted_with_their_reason():
     assert "jit.vector_runs" not in counters
 
 
-def test_scalar_kernel_is_compiled_only_on_decline():
+def test_a_decline_compiles_nothing():
+    """A hostile call after a clean one declines to the reference
+    without compiling anything, and matches engine 0."""
     loop = generate_loop(GeneratorSpec(trip_count=64, seed=9))
     result = translate_loop(loop, PROPOSED_LA)
     assert result.ok
-    kernel = jit.kernel_for(result.image, 64)
-    assert kernel.vector is not None and kernel._scalar is None
     live = standard_live_ins(loop, _prepare_memory(loop, 1), DEFAULT_SCALARS)
-    kernel.run(_prepare_memory(loop, 1), live)
-    assert kernel._scalar is None
-    hostile = _prepare_memory(loop, 1)
-    hostile.write(hostile.base_of("in0") + 4, math.nan)
-    _outcome(kernel.run, hostile, live)
-    assert kernel._scalar is not None
+    with perf.engine_at(2):
+        jit.execute_pipelined(result.image, _prepare_memory(loop, 1), live)
+    compiled = jit.code_cache_stats()["compiled"]
+    units = _counters()["translator.units.specialize"]
+    runs = []
+    for level in (2, 0):
+        hostile = _prepare_memory(loop, 1)
+        hostile.write(hostile.base_of("in0") + 4, math.nan)
+        with perf.engine_at(level):
+            runs.append((_live_outs(_outcome(
+                jit.execute_pipelined, result.image, hostile, live)),
+                hostile))
+    (got, mem_got), (want, mem_want) = runs
+    _compare(want, got, mem_want, mem_got, "engine 2")
+    assert _canonical(mem_got.snapshot()) == \
+        _canonical(mem_want.snapshot())
+    assert jit.code_cache_stats()["compiled"] == compiled
+    counters = _counters()
+    assert counters["translator.units.specialize"] == units
+    assert counters["jit.vector_declines"] == 1
+    assert counters["jit.vector_runs"] == 1
 
 
-def test_required_live_ins_match_the_scalar_emitter():
-    for loop in list(_suite_and_corpus())[::3]:
-        result = translate_loop(loop, PROPOSED_LA)
-        if not result.ok or loop.annotations.get("while_loop"):
-            continue
-        gen = jit._Codegen(result.image, 64)
-        gen.generate()
-        assert jit.specialize(result.image, 64).required == \
-            frozenset(gen.required), loop.name
+def test_a_memory_ordered_image_is_unsupported():
+    """An image with a memory-ordering edge is refused at specialization
+    and negative-cached; it is a shape, not a codegen error."""
+    b = LoopBuilder("inplace", trip_count=64)
+    x = b.array("x", length=80)
+    i = b.counter()
+    addr = b.add(x, i)
+    b.store(addr, b.add(b.load(addr), Imm(1)))
+    loop = b.finish()
+    image = translate_loop(loop, PROPOSED_LA).image
+    assert any(edge.kind == "mem" for edge in image.dfg.edges)
+    before = jit.code_cache_stats()
+    assert jit.kernel_for(image, 64) is None
+    after = jit.code_cache_stats()
+    assert after["unsupported"] == before["unsupported"] + 1
+    assert after["errors"] == before["errors"]
 
 
 # -- data-dependent raises ----------------------------------------------------
 
 def test_a_data_dependent_raise_is_not_a_deopt():
+    """The whole-array function declines on the NaN and the reference
+    raises it; the kernel stays cached."""
     b = LoopBuilder("nan_add", trip_count=64)
     x = b.array("x", length=80)
     y = b.array("y", length=80)
@@ -400,16 +441,15 @@ def test_a_data_dependent_raise_is_not_a_deopt():
     assert run(poison=False)[0] == "ok"
     after = jit.code_cache_stats()
     assert after["deopts"] == before["deopts"]
-    assert after["data_raises"] == before["data_raises"] + 1
     assert after["compiled"] == before["compiled"] + 1
     counters = _counters()
-    assert counters["jit.data_raises"] == 1
+    assert counters["jit.vector_declines"] == 1
     assert counters["jit.vector_runs"] == 1
 
 
 def test_a_raise_leaves_memory_as_the_reference_does():
-    """The scalar kernel's writes before a raise are undone, so the
-    reference rerun writes each cell once (in-place ``x[i] += 1``)."""
+    """In-place ``x[i] += 1`` with a NaN at i=50: engine 2 leaves the
+    memory the reference leaves when it raises."""
     b = LoopBuilder("inplace", trip_count=64)
     x = b.array("x", length=80)
     i = b.counter()
