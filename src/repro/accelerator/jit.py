@@ -8,10 +8,12 @@ signature, compiled with :func:`compile`/``exec`` and cached in-process
 keyed on the translation digest.  One emitter (:class:`_Codegen`) owns
 the producer map, the type pass, the liveness pass and the emission:
 
-* **streams** — each load stream is gathered once from the cells over
-  its affine stream range and classified (int64 ints, Python floats,
-  or raw floats such as ``np.float64`` kept as objects); one body is
-  compiled per class signature.
+* **streams** — each load stream is gathered once as a slice of the
+  memory buffers over its affine stream range and classified off the
+  cells' tags (int64 ints, Python floats, or raw floats such as
+  ``np.float64``, whose object list is built only if the body reads
+  it); one body is compiled per class signature.  Each store commits
+  as one slice assignment that also sets the cells' tags.
 * **acyclic ops** — in topological order of the value graph's strongly
   connected components, every op outside a recurrence is one numpy
   expression over all ``trips`` lanes, returning per lane exactly what
@@ -45,7 +47,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from functools import partial
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -54,6 +56,7 @@ from repro import obs
 from repro.accelerator.machine import AcceleratorRun, KernelImage
 from repro.accelerator.pipeline_executor import (OverlappedRun,
                                                  execute_overlapped)
+from repro.cpu import memory as cell
 from repro.cpu.interpreter import _trunc_div, _trunc_rem, wrap64
 from repro.cpu.memory import Memory, Value
 from repro.ir.graphalgo import strongly_connected_components
@@ -96,7 +99,7 @@ class SpecializedKernel:
         """Execute over *memory*; returns the produced live-outs, or
         None after a decline that left *memory* untouched (the caller
         then runs the reference executor)."""
-        values = self.vector.run(memory._cells, live_ins)
+        values = self.vector.run(memory, live_ins)
         return None if values is None else dict(zip(self.out_regs, values))
 
 
@@ -899,9 +902,11 @@ class _Codegen:
                         live_classes: tuple[str, ...]) -> str:
         """Source of ``__vector(__L, __O, __A)`` for one signature.
 
-        ``__L`` holds the value live-ins (``value_regs`` order), ``__O``
-        and ``__A`` each load's object list and array.  It returns
-        ``(stores, live-outs)`` -- per store its object list and lane
+        ``__L`` holds the value live-ins (``value_regs`` order), ``__A``
+        each load's array and ``__O`` per load a call that builds its
+        object list, made only for a raw load whose objects the body
+        reads.  It returns ``(stores, live-outs)`` -- per store its
+        values (an int64 or float64 array, or an object list) and lane
         mask (None when unpredicated) -- or the label of a decline.
         """
         self._live_cls = dict(zip(self.value_regs, live_classes))
@@ -916,11 +921,13 @@ class _Codegen:
             params = [self._param(reg) for reg in self.value_regs]
             out.append(f"    {', '.join(params)}, = __L")
         if self.loads:
-            for prefix, arg in (("o", "__O"), ("a", "__A")):
-                names = [f"{prefix}{op.opid}" for op in self.loads]
-                out.append(f"    {', '.join(names)}, = {arg}")
+            names = [f"a{op.opid}" for op in self.loads]
+            out.append(f"    {', '.join(names)}, = __A")
         self._load_cls = {op.opid: cls
                           for op, cls in zip(self.loads, load_classes)}
+        for k, (op, cls) in enumerate(zip(self.loads, load_classes)):
+            if cls == _VR:
+                self._memo[("build", f"o{op.opid}")] = f"__O[{k}]()"
         for ops in self.components:
             if len(ops) > 1 or self._self_cycle(ops[0]):
                 self._emit_scan(ops)
@@ -932,7 +939,7 @@ class _Codegen:
                 outs.append(self._finals[(opid, ri)])
                 continue
             value = self._vals[(opid, ri)]
-            outs.append(f"{value.obj}[-1]" if value.obj
+            outs.append(f"{self._objs(value)}[-1]" if value.obj
                         else f"{value.arr}[-1].item()")
         stores = "".join(f"{self._store_out[op.opid]}, "
                          for op in self.stores)
@@ -1004,8 +1011,12 @@ class _Codegen:
         return value.arr
 
     def _objs(self, value: _Vec) -> str:
-        """The list of reference objects of *value*."""
+        """The list of reference objects of *value*; a raw load's list
+        is built on first use."""
         if value.obj:
+            build = self._memo.pop(("build", value.obj), None)
+            if build is not None:
+                self._emit(f"{value.obj} = {build}")
             return value.obj
         if value.imm:
             return f"[{value.arr}] * {self.trips}"
@@ -1203,12 +1214,14 @@ class _Codegen:
             return
         if op.is_store:
             value = self._operands(op.srcs[2:3], self._reader(op))[0]
-            self._store_out[op.opid] = (f"({self._objs(value)}, "
-                                        f"{truth and f'{truth}.tolist()'})")
+            values = (self._objs(value) if value.cls == _VR
+                      else self._arr(self._full(value)))
+            self._store_out[op.opid] = f"({values}, {truth})"
             return
         if op.is_load:
-            value = _Vec(f"a{op.opid}", self._load_cls[op.opid],
-                         f"o{op.opid}")
+            cls = self._load_cls[op.opid]
+            value = _Vec(f"a{op.opid}", cls,
+                         f"o{op.opid}" if cls == _VR else None)
         else:
             value = self._vop(op, self._operands(op.srcs, self._reader(op)))
             if not op.dests:
@@ -1443,7 +1456,7 @@ class _VectorKernel:
 
     Per call it resolves the stream bases, declines when a store may
     write a cell another stream touches out of order (see
-    :meth:`_overlap`), gathers each load stream from the cells,
+    :meth:`_overlap`), gathers each load stream as a slice of memory,
     classifies the loads and value live-ins, runs the body compiled for
     that signature, and only then commits the stores.
     """
@@ -1499,10 +1512,10 @@ class _VectorKernel:
             self.bodies[signature] = body
         return body
 
-    def run(self, cells: dict, live_ins: Mapping[Reg, Value]
+    def run(self, memory: Memory, live_ins: Mapping[Reg, Value]
             ) -> Optional[tuple]:
         """The live-outs, or None after declining without a write."""
-        reason = self._run(cells, live_ins)
+        reason = self._run(memory, live_ins)
         if type(reason) is str:
             _count_decline(reason)
             return None
@@ -1544,13 +1557,34 @@ class _VectorKernel:
                     return True
         return False
 
-    def _gather(self, cells: dict, base: int, stride: int) -> list:
-        """A load stream's cells, a missing one reading as 0."""
+    def _load(self, memory: Memory, base: int, stride: int):
+        """A load stream's class, array and object-list builder, or None
+        for a stream of mixed or other types.  The class is read off the
+        cells' tags; a stream holding an object (or reaching outside the
+        region) is classified by its objects' types."""
         n = self.trips
-        return list(map(cells.get, range(base, base + stride * n, stride)
-                        if stride else repeat(base, n), repeat(0)))
+        gathered = memory.gather(base, stride, n)
+        if gathered is not None and not gathered[0] & cell.OBJECT:
+            union, values = gathered
+            if union <= cell.INT:
+                return _VI, values, None
+            if values is None:
+                return None
+            return ((_VF, values, None) if union == cell.FLOAT else
+                    (_VR, values, partial(memory.cells, base, stride, n)))
+        objs = memory.cells(base, stride, n)
+        types = set(map(type, objs))
+        if types == {int}:
+            try:
+                return _VI, np.fromiter(objs, np.int64, n), None
+            except OverflowError:
+                return None
+        if types <= _FLOAT_TYPES:
+            return (_VF if types == {float} else _VR,
+                    np.fromiter(objs, np.float64, n), objs.copy)
+        return None
 
-    def _run(self, cells: dict, live_ins: Mapping[Reg, Value]):
+    def _run(self, memory: Memory, live_ins: Mapping[Reg, Value]):
         n = self.trips
         try:
             spans = []
@@ -1562,22 +1596,14 @@ class _VectorKernel:
             return "raise"
         if self._overlap(spans):
             return "overlap"
-        lists, arrays, load_classes = [], [], []
+        builders, arrays, load_classes = [], [], []
         for base, stride in spans[:self.n_loads]:
-            objs = self._gather(cells, base, stride)
-            types = set(map(type, objs))
-            if types == {int}:
-                try:
-                    arrays.append(np.fromiter(objs, np.int64, n))
-                except OverflowError:
-                    return "stream-types"
-                load_classes.append(_VI)
-            elif types <= _FLOAT_TYPES:
-                arrays.append(np.fromiter(objs, np.float64, n))
-                load_classes.append(_VF if types == {float} else _VR)
-            else:
+            load = self._load(memory, base, stride)
+            if load is None:
                 return "stream-types"
-            lists.append(objs)
+            load_classes.append(load[0])
+            arrays.append(load[1])
+            builders.append(load[2])
         values, live_classes = [], []
         for reg in self.value_regs:
             value = live_ins[reg]
@@ -1594,20 +1620,15 @@ class _VectorKernel:
             return body
         try:
             with np.errstate(all="ignore"):
-                result = body(values, lists, arrays)
+                result = body(values, builders, arrays)
         except Exception:  # never a partial write: nothing is stored yet
             return "raise"
         if type(result) is str:
             return result
         stores, outs = result
-        for (base, stride), (objs, mask) in zip(spans[self.n_loads:],
-                                                stores):
-            addrs = (range(base, base + stride * n, stride) if stride
-                     else repeat(base, n))
-            if mask is None:
-                cells.update(zip(addrs, objs))
-            else:
-                cells.update(compress(zip(addrs, objs), mask))
+        for (base, stride), (store, mask) in zip(spans[self.n_loads:],
+                                                 stores):
+            memory.scatter(base, stride, n, store, mask)
         return outs
 
 

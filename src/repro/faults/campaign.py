@@ -150,17 +150,8 @@ class CampaignReport:
 
 def _prepare(loop: Loop, rng: np.random.Generator) -> Memory:
     """Fresh memory with every array seeded from the campaign RNG."""
-    memory = Memory()
-    memory.allocate_arrays(loop.arrays)
-    for arr in loop.arrays:
-        if arr.is_float:
-            memory.write_array(arr.name,
-                               list(rng.uniform(-8.0, 8.0, arr.length)))
-        else:
-            memory.write_array(
-                arr.name, [int(v) for v in rng.integers(-100, 100,
-                                                        arr.length)])
-    return memory
+    return Memory.seeded(loop.arrays, rng, ints=(-100, 100),
+                         floats=(-8.0, 8.0))
 
 
 def run_campaign(config: CampaignConfig = CampaignConfig(),

@@ -143,18 +143,10 @@ class AppRun:
 
 def _prepare_memory(loop: Loop, seed: int) -> Memory:
     """Fresh memory with every array allocated and seeded with data."""
-    memory = Memory()
-    memory.allocate_arrays(loop.arrays)
     # crc32, not hash(): every process must seed the same data.
     rng = np.random.default_rng(seed ^ zlib.crc32(loop.name.encode()))
-    for arr in loop.arrays:
-        if arr.is_float:
-            memory.write_array(arr.name,
-                               list(rng.uniform(-64.0, 64.0, arr.length)))
-        else:
-            memory.write_array(
-                arr.name, rng.integers(-128, 128, arr.length).tolist())
-    return memory
+    return Memory.seeded(loop.arrays, rng, ints=(-128, 128),
+                         floats=(-64.0, 64.0))
 
 
 #: Per-benchmark memo of :func:`_identified_loops`:

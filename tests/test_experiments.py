@@ -235,6 +235,22 @@ def test_report_sections_registered():
     assert len(SECTIONS) >= 12
 
 
+def test_full_report_text_is_identical_between_runs(monkeypatch):
+    """Section timings go to *progress*, never into the document."""
+    from repro.experiments import report
+    clock = iter(range(0, 1000, 7))
+    monkeypatch.setattr(report.time, "time", lambda: float(next(clock)))
+    monkeypatch.setattr(report, "SECTIONS", [
+        ("First", lambda: "one"), ("Second", lambda: "two\nlines")])
+    messages: list[str] = []
+    first = report.full_report(progress=messages.append)
+    second = report.full_report()
+    assert first == second
+    assert "[" not in first and "one" in first and "two\nlines" in first
+    assert messages == ["First", "First  [7.0s]", "Second",
+                        "Second  [7.0s]"]
+
+
 def test_sweep_failure_names_the_originating_point():
     """A failing sweep point surfaces typed with the series label and x
     value attached, never silently swallowed."""

@@ -218,7 +218,7 @@ def _check_paths(image, trips, memory, live):
 
     mem_vector = memory()
     before = _canonical(mem_vector.snapshot())
-    outs = kernel.vector.run(mem_vector._cells, live)
+    outs = kernel.vector.run(mem_vector, live)
     if outs is None:
         assert _canonical(mem_vector.snapshot()) == before
     else:
