@@ -56,7 +56,6 @@ from repro import obs
 from repro.accelerator.machine import AcceleratorRun, KernelImage
 from repro.accelerator.pipeline_executor import (OverlappedRun,
                                                  execute_overlapped)
-from repro.cpu import memory as cell
 from repro.cpu.interpreter import _trunc_div, _trunc_rem, wrap64
 from repro.cpu.memory import Memory, Value
 from repro.ir.graphalgo import strongly_connected_components
@@ -462,6 +461,7 @@ _NON_VALUE = {Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE,
 #: ``float`` (``_VF``), or a float that may be another float type such
 #: as ``np.float64`` and is copied as itself (``_VR``, raw).  Arrays
 #: hold int64 resp. float64; a raw value also keeps its object list.
+#: A load stream's class is the one :meth:`Memory.gather` names.
 _VI, _VF, _VR = "i", "f", "r"
 _KIND_OF = {_VI: INT64, _VF: FLOAT, _VR: UNKNOWN}
 _FLOAT_FORMS = {"farith", "fminmax", "fdiv", "funary", "itof"}
@@ -485,6 +485,13 @@ def _imm_class(value) -> str:
     if type(value) is float:
         return _VF
     raise SpecializationUnsupported("types")
+
+
+def _wide(v: _Vec) -> bool:
+    """Whether *v* is an int immediate outside int64, which no numpy
+    array holds."""
+    return (v.imm and type(v.const) is int
+            and not -(1 << 63) <= v.const < (1 << 63))
 
 
 def _vclass(op: Operation, classes: list[str]) -> str:
@@ -1089,7 +1096,7 @@ class _Codegen:
         """*v* unconverted: its array, or an immediate numpy can hold."""
         if not v.imm:
             return self._arr(v)
-        if type(v.const) is int and not -(1 << 63) <= v.const < (1 << 63):
+        if _wide(v):
             raise SpecializationUnsupported("value")
         return v.arr
 
@@ -1215,7 +1222,7 @@ class _Codegen:
         if op.is_store:
             value = self._operands(op.srcs[2:3], self._reader(op))[0]
             values = (self._objs(value) if value.cls == _VR
-                      else self._arr(self._full(value)))
+                      or _wide(value) else self._arr(self._full(value)))
             self._store_out[op.opid] = f"({values}, {truth})"
             return
         if op.is_load:
@@ -1381,11 +1388,9 @@ class _Codegen:
                 kind = _join(kind, _KIND_OF[self._live_cls[reg]])
             return _Val(var, kind)
         value = self._vread(reg, producer)
-        key = ("elem", value.arr)
-        if key not in self._memo:
-            self._memo[key] = f"e{len(self._memo)}"
-        elem = self._memo[key]
-        self._inputs.setdefault(elem, self._objs(value))
+        elem = f"e_{value.arr}"
+        if elem not in self._inputs:
+            self._inputs[elem] = self._objs(value)
         return _Val(elem, _KIND_OF[value.cls])
 
     def _resolve(self, op: Operation, reg: Reg) -> _Val:
@@ -1557,33 +1562,6 @@ class _VectorKernel:
                     return True
         return False
 
-    def _load(self, memory: Memory, base: int, stride: int):
-        """A load stream's class, array and object-list builder, or None
-        for a stream of mixed or other types.  The class is read off the
-        cells' tags; a stream holding an object (or reaching outside the
-        region) is classified by its objects' types."""
-        n = self.trips
-        gathered = memory.gather(base, stride, n)
-        if gathered is not None and not gathered[0] & cell.OBJECT:
-            union, values = gathered
-            if union <= cell.INT:
-                return _VI, values, None
-            if values is None:
-                return None
-            return ((_VF, values, None) if union == cell.FLOAT else
-                    (_VR, values, partial(memory.cells, base, stride, n)))
-        objs = memory.cells(base, stride, n)
-        types = set(map(type, objs))
-        if types == {int}:
-            try:
-                return _VI, np.fromiter(objs, np.int64, n), None
-            except OverflowError:
-                return None
-        if types <= _FLOAT_TYPES:
-            return (_VF if types == {float} else _VR,
-                    np.fromiter(objs, np.float64, n), objs.copy)
-        return None
-
     def _run(self, memory: Memory, live_ins: Mapping[Reg, Value]):
         n = self.trips
         try:
@@ -1598,12 +1576,13 @@ class _VectorKernel:
             return "overlap"
         builders, arrays, load_classes = [], [], []
         for base, stride in spans[:self.n_loads]:
-            load = self._load(memory, base, stride)
+            load = memory.gather(base, stride, n)
             if load is None:
                 return "stream-types"
             load_classes.append(load[0])
             arrays.append(load[1])
-            builders.append(load[2])
+            builders.append(partial(memory.cells, base, stride, n)
+                            if load[0] == _VR else None)
         values, live_classes = [], []
         for reg in self.value_regs:
             value = live_ins[reg]

@@ -211,9 +211,18 @@ class Memory:
             base, length = memory.__arrays[arr.name]
             if arr.is_float:
                 values, tag = rng.uniform(*floats, length), NPFLOAT
+                buffer = memory.__float
             else:
                 values, tag = rng.integers(*ints, length), INT
-            memory.scatter(base, 1, length, values, tag=tag)
+                buffer = memory.__int
+            index = memory.__index(base, 1, length)
+            if index is None:  # beyond MAX_REGION: cell by cell
+                for k, value in enumerate(values if arr.is_float
+                                          else values.tolist()):
+                    memory.__put(base + k, value)
+                continue
+            buffer[index] = values
+            memory.__tag[index] = tag
         return memory
 
     def read_array(self, name: str, count: int | None = None) -> list[Value]:
@@ -244,31 +253,45 @@ class Memory:
         return [self.peek(base + stride * k) for k in range(n)]
 
     def gather(self, base: int, stride: int, n: int
-               ) -> Optional[tuple[int, Optional[np.ndarray]]]:
-        """A stream's cells as (the OR of their tags, a missing cell
-        counting as :data:`INT`; a copy of their values): int64 when
-        every cell reads as an int64 int, float64 when every cell holds
-        a float or ``np.float64``, else None.  None when a cell lies
-        outside the region (read those with :meth:`cells`)."""
+               ) -> Optional[tuple[str, np.ndarray]]:
+        """A stream's *n* cells from *base* by *stride* as its class and
+        a copy of its values, or None for a stream of mixed or other
+        types: ``"i"`` with int64 when every cell reads as an int64 int
+        (a missing one as ``0``), ``"f"`` with float64 when every cell
+        holds a Python float, ``"r"`` with float64 when they hold floats
+        at least one of which is an ``np.float64`` (whose objects
+        :meth:`cells` reads)."""
         index = self.__index(base, stride, n)
-        if index is None:
-            return None
-        union = self.__union(index)
-        if union <= INT:
-            return union, self.__int[index].copy()
-        if not union & (INT | OBJECT):
-            return union, self.__float[index].copy()
-        return union, None
+        if index is not None:
+            union = self.__union(index)
+            if union <= INT:
+                return "i", self.__int[index].copy()
+            if not union & (INT | OBJECT):
+                return ("f" if union == FLOAT else "r",
+                        self.__float[index].copy())
+            if not union & OBJECT:
+                return None
+        # Objects, or cells outside the region: classify by type.
+        objs = self.cells(base, stride, n)
+        types = set(map(type, objs))
+        if types == {int}:
+            try:
+                return "i", np.fromiter(objs, np.int64, n)
+            except OverflowError:
+                return None
+        if types <= {float, np.float64}:
+            return ("f" if types == {float} else "r",
+                    np.fromiter(objs, np.float64, n))
+        return None
 
     def scatter(self, base: int, stride: int, n: int, values,
-                mask: Optional[np.ndarray] = None,
-                tag: Optional[int] = None) -> None:
+                mask: Optional[np.ndarray] = None) -> None:
         """Store a stream, lane ``k`` at ``base + stride * k`` for every
         lane *mask* selects.  *values* is an int64 array (stored as
-        Python ints), a float64 array (stored as Python floats, or as
-        the cells of *tag*) or a list of objects, each stored as
-        :meth:`write` stores it."""
+        Python ints), a float64 array (stored as Python floats) or a
+        list of objects, each stored as :meth:`write` stores it."""
         index = self.__index(base, stride, n) if stride else None
+        tag = None
         if index is not None and type(values) is list:
             types = set(map(type, values))
             if types == {float}:
@@ -286,8 +309,7 @@ class Memory:
                                                         np.float64):
             index = None
         if index is None:  # lane by lane, so the last write wins
-            objs = (values if type(values) is list else list(values)
-                    if tag == NPFLOAT else values.tolist())
+            objs = values if type(values) is list else values.tolist()
             lanes = range(n) if mask is None else np.flatnonzero(mask)
             for k in lanes if stride else lanes[-1:]:
                 self.__put(base + stride * int(k), objs[k])

@@ -51,20 +51,15 @@ def test_cells_and_gather_agree_with_peek(writes, stream):
     want = [memory.peek(base + stride * k) for k in range(n)]
     assert _canonical(memory.cells(base, stride, n)) == _canonical(want)
     gathered = memory.gather(base, stride, n)
-    if gathered is None:
-        return
-    union, values = gathered
     types = set(map(type, want))
-    if union & cell.OBJECT:
-        assert values is None
-    elif types == {int}:
-        assert union <= cell.INT and values.tolist() == want
+    if types == {int} and all(-(1 << 63) <= v < 1 << 63 for v in want):
+        assert gathered[0] == "i" and gathered[1].tolist() == want
     elif types <= {float, np.float64}:
-        assert union == ((cell.FLOAT if float in types else 0)
-                         | (cell.NPFLOAT if np.float64 in types else 0))
+        cls, values = gathered
+        assert cls == ("f" if types == {float} else "r")
         assert _canonical(values.tolist()) == _canonical(map(float, want))
     else:
-        assert values is None
+        assert gathered is None
 
 
 _VALUES = st.one_of(
@@ -114,6 +109,17 @@ def test_seeded_draws_one_array_per_declaration():
     assert memory.read_array("j") == want_k[:4]
     assert memory.read_array("k") == want_k
     assert memory.load_count == memory.store_count == 0
+
+
+def test_seeded_past_the_region_goes_cell_by_cell(monkeypatch):
+    monkeypatch.setattr(cell, "MAX_REGION", 16)
+    arrays = [ArrayDecl("i", 10), ArrayDecl("f", 20, is_float=True)]
+    memory = Memory.seeded(arrays, np.random.default_rng(5),
+                           ints=(-5, 5), floats=(-1.0, 1.0))
+    rng = np.random.default_rng(5)
+    assert memory.read_array("i") == rng.integers(-5, 5, 10).tolist()
+    assert _canonical(memory.read_array("f")) == \
+        _canonical(list(rng.uniform(-1.0, 1.0, 20)))
 
 
 def test_a_scatter_over_object_cells_drops_them():
