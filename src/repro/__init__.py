@@ -27,14 +27,14 @@ Package map:
     ``repro.vm``          — the co-designed VM (translator, code cache,
                             guarded execution)
     ``repro.errors``      — structured failure taxonomy
-    ``repro.faults``      — seeded fault-injection campaigns
     ``repro.workloads``   — kernels, benchmark suite, loop generator
     ``repro.experiments`` — one module per paper figure/table
     ``repro.api``         — the stable facade (Session, Settings, ...)
     ``repro.service``     — long-running multi-session loop service
     ``repro.obs``         — span tracing + process-wide metrics
     ``repro.perf``        — experiment engine (caches, parallel sweeps)
-    ``repro.resilience``  — incidents, crash-safe cache, supervision
+    ``repro.resilience``  — incidents, crash-safe cache, fault
+                            injectors and the seeded campaign engine
 """
 
 from repro.accelerator import (

@@ -127,7 +127,9 @@ CODE_CACHE_LIMIT = 256
 
 #: Test seam: when set, applied to the specialized live-outs as
 #: ``hook(loop_name, live_outs) -> live_outs`` so guard tests can force
-#: a cross-check mismatch without touching real machine state.
+#: a cross-check mismatch without touching real machine state, and the
+#: ``faults`` campaign's ``jit-live-out`` family can flip a bit of one
+#: live-out (its plugin resets the hook on close).
 _test_corruption: Optional[Callable[[str, dict], dict]] = None
 
 

@@ -99,20 +99,6 @@ def cmd_translate(name: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_faults(injections: int, seed: int, mode: str):
-    """Run a seeded fault-injection campaign through the guarded
-    runtime; returns the report so the caller can gate its exit code
-    on ``report.ok`` rather than scraping the formatted text."""
-    from repro.faults import CampaignConfig, run_campaign
-    from repro.vm.guard import GuardConfig
-
-    guard = GuardConfig(mode=mode, max_failures=10_000,
-                        backoff_invocations=2)
-    config = CampaignConfig(injections=injections, seed=seed, guard=guard)
-    return run_campaign(
-        config, progress=lambda msg: print(f"... {msg}", file=sys.stderr))
-
-
 def cmd_serve(sessions: int, settings, host: str = "127.0.0.1",
               port: int = 0) -> tuple[str, bool]:
     """The ``serve`` smoke: boot the service, send the request corpus
@@ -234,8 +220,10 @@ def _traced(path: Optional[str], name: str, **attrs):
     print(f"trace written to {path}", file=sys.stderr)
 
 
-#: The chaos campaigns: subcommand -> (help, default --faults).
+#: The fault campaigns: subcommand -> (help, default --faults).
 _CAMPAIGNS = {
+    "faults": ("seeded fault-injection campaign against the guarded "
+               "runtime", 120),
     "chaos": ("seeded infrastructure-fault campaign against the "
               "experiment engine", 24),
     "netchaos": ("seeded network-fault campaign against the TCP "
@@ -260,6 +248,11 @@ def _add_campaign_parser(sub, name: str) -> None:
                              "log)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="also write a JSONL span trace to PATH")
+    if name == "faults":
+        parser.add_argument("--guard", choices=("checked", "off"),
+                            default="checked",
+                            help="guard mode under test (default checked)")
+        return
     if name == "chaos":
         parser.add_argument("--figures", default=None,
                             help="comma-separated figure names "
@@ -277,6 +270,9 @@ def _add_campaign_parser(sub, name: str) -> None:
 
 def _campaign_plugin(args):
     """The family plugin a campaign subcommand drives."""
+    if args.command == "faults":
+        from repro.resilience.faults import Datapath
+        return Datapath(args.guard)
     if args.command == "chaos":
         from repro.resilience.chaos import Sweep
         return (Sweep(tuple(args.figures.split(","))) if args.figures
@@ -311,16 +307,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                                help="translate one kernel and print its "
                                     "reservation table")
     translate.add_argument("kernel")
-    faults = sub.add_parser("faults",
-                            help="seeded fault-injection campaign against "
-                                 "the guarded runtime")
-    faults.add_argument("--injections", "-n", type=int, default=120,
-                        help="bit flips to inject (default 120)")
-    faults.add_argument("--seed", type=int, default=2008,
-                        help="campaign RNG seed (default 2008)")
-    faults.add_argument("--guard", choices=("checked", "off"),
-                        default="checked",
-                        help="guard mode under test (default checked)")
     for name in _CAMPAIGNS:
         _add_campaign_parser(sub, name)
     xp = sub.add_parser(
@@ -495,12 +481,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(exc.args[0], file=sys.stderr)
             return 2
         return 0
-    if args.command == "faults":
-        from repro.faults import format_campaign
-        report = cmd_faults(args.injections, args.seed, args.guard)
-        print(format_campaign(report))
-        # CI gates on this: any unexpected failure is a non-zero exit.
-        return 0 if report.ok else 1
     if args.command in _CAMPAIGNS:
         from repro.resilience import campaign
         plugin = _campaign_plugin(args)

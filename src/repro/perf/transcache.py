@@ -377,7 +377,7 @@ class TranslationCache:
         exception — corruption is quarantined, I/O errors recorded."""
         if self.disk_dir is None:
             return None
-        from repro.faults import infra
+        from repro.resilience import infra
         path = self._disk_path(key)
         try:
             infra.check_io("load", path)
@@ -397,7 +397,7 @@ class TranslationCache:
     def _disk_store(self, key: str, entry: CoreEntry) -> None:
         if self.disk_dir is None:
             return
-        from repro.faults import infra
+        from repro.resilience import infra
         from repro.resilience import integrity
         path = self._disk_path(key)
         try:

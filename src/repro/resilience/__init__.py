@@ -1,9 +1,10 @@
-"""Defense-in-depth around the experiment engine (PR 2 infrastructure).
+"""Defense-in-depth: fault injection, incidents and the campaign engine.
 
 VEAL's contract is that the VM can *always* fall back to the baseline
-path when anything between translation and execution misbehaves.  PR 1
-delivered that for translated kernels; this package extends it to the
-infrastructure the performance engine put on the hot path:
+path when anything between translation and execution misbehaves.  The
+differential guard (:mod:`repro.vm.guard`) delivers that for translated
+kernels; this package proves it, and extends it to the infrastructure
+the performance engine put on the hot path:
 
 * :mod:`repro.resilience.integrity` — a framed, checksummed, versioned
   on-disk format with atomic temp-file+rename writes and a quarantine
@@ -12,17 +13,20 @@ infrastructure the performance engine put on the hot path:
 * :mod:`repro.resilience.incidents` — structured JSONL incident records
   sharing the :mod:`repro.errors` kind-tag taxonomy, so guard deopts
   and infrastructure faults aggregate on one observability surface;
-* :mod:`repro.resilience.campaign` — the one seeded chaos engine
-  (schedule, armed drive, token accounting, report, formatter) behind
-  ``python -m repro chaos``, ``netchaos`` and ``clusterchaos``; the
-  fault families are plugins in :mod:`repro.resilience.chaos` (cache
-  corruption and I/O errors under the Figure 3/4 sweeps),
-  :mod:`repro.resilience.netchaos` (wire faults between client and
-  server) and :mod:`repro.resilience.clusterchaos` (shard kills, hangs,
-  slow restarts and stale maps).  Each campaign asserts
-  results byte-identical to the fault-free path, no leaked temp files,
-  connections or processes, and every fault accounted for in the
-  incident log.
+* :mod:`repro.resilience.campaign` — the one seeded fault-campaign
+  engine (schedule, armed drive, token accounting, report, formatter)
+  behind ``python -m repro faults``, ``chaos``, ``netchaos`` and
+  ``clusterchaos``; the fault families are plugins in
+  :mod:`repro.resilience.faults` (datapath bit flips and JIT live-out
+  flips under the guarded runtime),
+  :mod:`repro.resilience.chaos` (cache corruption and I/O errors under
+  the Figure 3/4 sweeps), :mod:`repro.resilience.netchaos` (wire
+  faults between client and server) and
+  :mod:`repro.resilience.clusterchaos` (shard kills, hangs, slow
+  restarts and stale maps), with the infrastructure injectors in
+  :mod:`repro.resilience.infra`.  Each campaign asserts results
+  identical to the fault-free path, no leaked temp files, connections
+  or processes, and every fault accounted for in the incident log.
 """
 
 from repro.resilience.incidents import (

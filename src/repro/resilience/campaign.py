@@ -1,10 +1,11 @@
-"""One seeded chaos engine for every infrastructure fault campaign.
+"""One seeded chaos engine for every fault campaign.
 
 VEAL's contract is that the VM can always fall back to a correct path
-when anything between translation and execution misbehaves.  Three
-campaigns prove it for the infrastructure, each a small family plugin
-driven by this engine:
+when anything between translation and execution misbehaves.  Four
+campaigns prove it, each a small family plugin driven by this engine:
 
+* ``python -m repro faults`` (:mod:`repro.resilience.faults`) — the
+  guarded runtime under datapath bit flips;
 * ``python -m repro chaos`` (:mod:`repro.resilience.chaos`) — the
   figure sweeps under cache corruption and I/O errors;
 * ``python -m repro netchaos`` (:mod:`repro.resilience.netchaos`) —
@@ -39,7 +40,7 @@ import numpy as np
 
 from repro import perf
 from repro.errors import ReproError
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience import integrity
 from repro.resilience.incidents import incident_log, read_jsonl
 
@@ -114,6 +115,11 @@ class Plugin:
     once: tuple[str, ...] = ()
     #: Share a live chaos spec file with already-running processes.
     spec_file = False
+    #: Each scenario decides itself whether its faults are accounted
+    #: for (their records are not of the family's kind, or a benign
+    #: fault leaves none), so the report skips the per-family tally of
+    #: the incident log.
+    accounted_per_scenario = False
 
     families: dict[str, Callable[["Campaign"], Scenario]]
 
@@ -164,6 +170,8 @@ class Report:
     def untallied(self) -> list[str]:
         """Families that fired more often than the whole incident log
         holds records of their kind."""
+        if self.plugin.accounted_per_scenario:
+            return []
         return [family for family, count in self.by_family.items()
                 if self.incident_counts.get(family, 0) < count]
 

@@ -1,9 +1,9 @@
 """Chaos family plugin: the experiment engine under infrastructure faults.
 
 ``python -m repro chaos`` is the infrastructure twin of
-``python -m repro faults``: where a fault campaign flips datapath bits
-to prove the differential guard, this campaign attacks the *machinery
-that regenerates figures* — corrupting and truncating on-disk
+``python -m repro faults`` (:mod:`repro.resilience.faults`): where that
+campaign flips datapath bits to prove the differential guard, this one
+attacks the *machinery that regenerates figures* — corrupting and truncating on-disk
 translation-cache entries and injecting I/O errors into the cache's
 load and store paths — while the engine (:mod:`repro.resilience.campaign`)
 proves every figure regenerated under faults byte-identical to its
@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 
 from repro import api, perf
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience.campaign import Campaign, Plugin, Scenario
 
 #: The Figure 3/4 design-space sweeps — the campaign's default targets.

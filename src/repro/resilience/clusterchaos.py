@@ -29,7 +29,7 @@ from typing import Optional
 
 from repro import api
 from repro.errors import ReproError
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience.campaign import (
     FAULT_FREE,
     Campaign,

@@ -1,9 +1,10 @@
 """Infrastructure fault injectors: corrupt caches, fail I/O, break shards.
 
-PR 1's injectors flip datapath bits to prove the differential guard;
-these injectors attack the *experiment infrastructure* instead — the
-on-disk translation cache, the service wire and the shard fleet — to
-prove the resilience layer (:mod:`repro.resilience`).  The cache
+The datapath injectors (:mod:`repro.resilience.faults`) flip bits to
+prove the differential guard; these injectors attack the *experiment
+infrastructure* instead — the on-disk translation cache, the service
+wire and the shard fleet — to prove the resilience layer
+(:mod:`repro.resilience`).  The cache
 families:
 
 * **I/O errors** — the cache's load/store paths consult
@@ -50,14 +51,14 @@ class InfraFaultMode(enum.Enum):
     CACHE_FLIP = "cache-flip"
     CACHE_HEADER = "cache-header"
     CACHE_STALE_VERSION = "cache-stale-version"
-    # Network transport faults (PR 6): applied by the TCP server's
+    # Network transport faults: applied by the TCP server's
     # response path to attack the wire the retrying client depends on.
     NET_RESET = "net-reset"            # abort mid-frame (RST)
     NET_CORRUPT = "net-corrupt"        # flip a payload byte
     NET_TRUNCATE = "net-truncate"      # send a prefix, then close
     NET_STALL = "net-stall"            # hold the response past deadline
     NET_DROP = "net-drop"              # never send the response
-    # Cluster shard faults (PR 8): attack whole shard processes and the
+    # Cluster shard faults: attack whole shard processes and the
     # shard map the failover client routes by.
     SHARD_KILL = "shard-kill"          # shard SIGKILLs itself mid-request
     SHARD_HANG = "shard-hang"          # shard stalls every response

@@ -21,7 +21,7 @@ import socket
 import time
 
 from repro import api
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience.campaign import (
     FAULT_FREE,
     Campaign,

@@ -63,7 +63,7 @@ from typing import Any, Optional
 
 from repro import obs
 from repro.errors import ShardMovedError, TransportError
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience.incidents import record_incident
 from repro.service import wire
 from repro.service.client import (

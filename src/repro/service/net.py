@@ -22,7 +22,7 @@ without trusting the peer:
   bind is refused unless an ``auth_secret`` upgrades frame checksums
   to per-frame HMAC (see the :mod:`repro.service.wire` trust model);
 * the seeded network chaos campaign's **wire faults**
-  (:func:`repro.faults.infra.claim_net_fault`) are applied on the
+  (:func:`repro.resilience.infra.claim_net_fault`) are applied on the
   response path — abort mid-frame, corrupt, truncate, stall, drop —
   each recorded as an incident at the moment it fires.
 
@@ -43,7 +43,7 @@ from typing import Optional
 
 from repro import obs
 from repro.errors import ProtocolError, ReproError, TransportError
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience.incidents import record_incident
 from repro.service import wire
 from repro.service.server import LoopService, ServiceConfig

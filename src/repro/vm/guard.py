@@ -14,9 +14,11 @@ committed, and the application keeps running with correct values.
 This is the ILA-style discipline of checking accelerator execution
 against an instruction-level reference, combined with the conservative
 bail-out paths production dynamic translators pair with optimisation.
-The fault-injection harness (:mod:`repro.faults`) drives bit flips
-through this layer to prove the guard actually catches corrupted
-execution.
+Every deoptimization is logged as a ``guard-violation`` incident
+(:func:`record_deopt`), on the same surface as infrastructure faults.
+The ``faults`` campaign (:mod:`repro.resilience.faults`) drives bit
+flips through this layer and checks each detection against that log,
+to prove the guard actually catches corrupted execution.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.cpu.memory import Memory, Value
 from repro.errors import AcceleratorFault, GuardViolation
 from repro.ir.loop import Loop
 from repro.ir.ops import Reg
+from repro.resilience.incidents import record_incident
 from repro.vm.codecache import CodeCache
 from repro.vm.translator import (
     TranslationOptions,
@@ -258,6 +261,14 @@ def differential_check(image: KernelImage, memory: Memory,
         scalar_result=scalar_result, accel_run=accel_run)
 
 
+def record_deopt(loop_name: str, key: Optional[str], verdict: str) -> None:
+    """Log one deoptimization of *loop_name* (translation *key*, when
+    known) as a ``guard-violation`` incident carrying *verdict*."""
+    record_incident(GuardViolation.kind, "guard",
+                    f"deoptimized {loop_name!r}", loop=loop_name, key=key,
+                    verdict=verdict)
+
+
 # -- blacklist ----------------------------------------------------------------
 
 @dataclass
@@ -421,6 +432,7 @@ class GuardedExecutor:
         jit.invalidate_image(image)
         obs.inc("vm.deopt")
         self.stats.deopts += 1
+        record_deopt(loop.name, key, reason)
         return self.blacklist.note_failure(key, self.invocations, reason)
 
     # -- the main entry point ---------------------------------------------
@@ -509,4 +521,5 @@ __all__ = [
     "LoopBlacklist",
     "differential_check",
     "interpreter_cross_check",
+    "record_deopt",
 ]

@@ -28,12 +28,13 @@ from repro.errors import AcceleratorFault
 from repro.perf.memo import memo_table
 from repro.vm.codecache import CodeCache
 from repro.vm.costmodel import translation_cycles
-from repro.vm.guard import GuardConfig, differential_check
+from repro.vm.guard import GuardConfig, differential_check, record_deopt
 from repro.vm.translator import (
     TranslationOptions,
     TranslationResult,
     invalidate_translation,
     translate_loop,
+    translation_key,
 )
 
 
@@ -295,11 +296,15 @@ class VirtualMachine:
         self.code_cache.invalidate(loop.name)
         from repro.accelerator import jit
         jit.invalidate_image(image)
+        key = None
         if self.config.accelerator is not None:
             # A translation observed to misbehave must not be re-served
             # from the shared content-addressed cache (or its disk layer).
             invalidate_translation(loop, self.config.accelerator,
                                    self.config.options)
+            key = translation_key(loop, self.config.accelerator,
+                                  self.config.options)
+        record_deopt(loop.name, key, reason)
         outcome.accelerated = False
         outcome.deoptimized = True
         outcome.accel_cycles_per_invocation = None

@@ -22,7 +22,7 @@ from repro import aot, obs, perf
 from repro.accelerator import PROPOSED_LA
 from repro.api import ARTIFACT_ENV
 from repro.errors import ArtifactError
-from repro.faults.infra import CORRUPTION_MODES, corrupt_entry
+from repro.resilience.infra import CORRUPTION_MODES, corrupt_entry
 from repro.perf.transcache import ENTRY_SUFFIX, STAMP_NAME
 from repro.resilience import integrity
 from repro.resilience.incidents import incident_log

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro import perf
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience import campaign
 from repro.resilience.chaos import Sweep
 from repro.resilience.incidents import incident_log, read_jsonl

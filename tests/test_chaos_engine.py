@@ -17,7 +17,7 @@ import pytest
 
 from repro import perf
 from repro.errors import TransportError
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience import campaign
 from repro.resilience.incidents import incident_log, record_incident
 
@@ -157,6 +157,24 @@ def test_a_fault_counts_only_with_an_incident_carrying_its_token(tmp_path):
         [{**record, "kind": "shard-hang"}], spec)
     assert not campaign._token_accounted(
         [{**record, "details": {"token": "shard-kill-4"}}], spec)
+
+
+def test_per_scenario_accounting_skips_the_tally_not_the_check(tmp_path):
+    plugin = Fake(unlogged=("map-stale",))
+    plugin.accounted_per_scenario = True
+    report = _run(tmp_path, plugin)
+    # The incident log holds no map-stale record, yet the per-family
+    # tally is skipped ...
+    assert report.incident_counts.get("map-stale", 0) \
+        < report.by_family["map-stale"]
+    assert report.untallied == []
+    # ... while each scenario's own accounting still fails the report.
+    assert report.accounted < report.injected
+    assert not report.ok
+    assert "FAILED: scenario 1 (map-stale" in \
+        campaign.format_report(report)
+    assert dataclasses.replace(report, plugin=Fake()).untallied == [
+        "map-stale"]
 
 
 def test_client_give_up_becomes_a_failed_scenario(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from repro import perf
 from repro.errors import TransportError
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience.incidents import incident_log
 from repro.service import ServiceConfig
 from repro.service.client import LoopClient, RetryPolicy, idempotency_key_for

@@ -1,26 +1,29 @@
 """Fault-injection model and the acceptance campaign.
 
-The campaign test here is the PR's acceptance gate: >=100 seeded
-injections across regfile/FIFO/CCA sites, zero silent corruptions,
-every faulted run recovered bit-exact against a fault-free scalar
-execution.
+The campaign test here is the acceptance gate of the ``faults`` plugin:
+>=100 seeded injections across regfile/FIFO/CCA sites (and the JIT's
+live-outs at engine tier 2), zero silent corruptions, every faulted run
+recovered bit-exact against a fault-free scalar execution.
 """
 
 import math
 
 import pytest
 
+from repro import perf
+from repro.accelerator import jit
 from repro.cli import main as cli_main
-from repro.faults import (
-    CampaignConfig,
+from repro.resilience import campaign, faults
+from repro.resilience.faults import (
+    Datapath,
     FaultInjector,
     FaultSite,
     FaultSpec,
     flip_bit,
-    format_campaign,
-    run_campaign,
 )
-from repro.vm.guard import GuardConfig
+from repro.workloads import kernels as K
+
+SITES = {"regfile", "fifo", "cca"}
 
 
 # -- flip_bit -----------------------------------------------------------------
@@ -89,73 +92,153 @@ def test_injector_can_miss():
 
 # -- acceptance campaign ------------------------------------------------------
 
+def _campaign(tmp_path, faults_wanted, seed, guard="checked", name="run"):
+    plugin = Datapath(guard)
+    report = campaign.run(plugin, faults_wanted, seed,
+                          workdir=str(tmp_path / name))
+    return plugin, report
+
+
+def _recovered(report) -> int:
+    return sum(s.injected for s in report.scenarios if s.correct)
+
+
 @pytest.fixture(scope="module")
-def acceptance_report():
-    config = CampaignConfig(injections=120, seed=2008)
-    return run_campaign(config)
+def acceptance(tmp_path_factory):
+    with perf.engine_at(2):
+        return _campaign(tmp_path_factory.mktemp("faults"), 120, 2008)
 
 
-def test_campaign_meets_acceptance_criteria(acceptance_report):
-    report = acceptance_report
+def test_campaign_meets_acceptance_criteria(acceptance):
+    plugin, report = acceptance
     # >= 100 injections actually fired ...
     assert report.injected >= 100
-    # ... across all three datapath sites ...
-    assert set(report.by_site()) == {"regfile", "fifo", "cca"}
+    # ... across all three datapath sites (and the JIT's live-outs) ...
+    fired = {family for family, n in report.by_family.items() if n}
+    assert fired == SITES | {faults.JIT_LIVE_OUT}
     # ... with every corrupted execution detected and deoptimized:
     # no fault ever escaped to architectural state undetected ...
-    assert report.silent_corruptions == 0
+    assert plugin.outcomes["silent corruption"] == 0
     # ... and every faulted invocation ended bit-identical to the
     # fault-free scalar run of the same loop on the same data.
-    assert report.recovered == report.injected
+    assert _recovered(report) == report.injected
     assert report.ok
     # The campaign is not vacuous: the guard actually caught faults
     # and tore down cached kernels.
-    assert report.detected > 50
-    assert report.deopts == report.detected
-    assert report.cache_invalidations == report.deopts
+    detected = plugin.outcomes["detected"]
+    executors = plugin.executors.values()
+    assert detected > 50
+    assert sum(e.stats.deopts for e in executors) == detected
+    assert sum(e.cache.stats.invalidations for e in executors) == detected
     # Detected == fired minus benign (masked/dead landings).
-    assert report.detected + report.benign == report.injected
+    assert detected + plugin.outcomes["benign"] == report.injected
+    # Every detection left its guard-violation incident.
+    assert report.incident_counts == {"guard-violation": detected}
 
 
-def test_campaign_summary_reports_counts(acceptance_report):
-    report = acceptance_report
-    text = format_campaign(report)
-    assert f"faults fired         : {report.injected}" in text
-    assert f"detected by guard    : {report.detected}" in text
-    assert (f"recovered bit-exact  : {report.recovered}/"
+def test_campaign_summary_reports_counts(acceptance):
+    plugin, report = acceptance
+    text = campaign.format_report(report)
+    assert f"faults injected       : {report.injected}" in text
+    assert (f"recovered bit-exact   : {_recovered(report)}/"
             f"{report.injected}") in text
-    assert "silent corruptions   : 0" in text
-    for site in ("regfile", "fifo", "cca"):
+    assert "silent corruptions    : 0" in text
+    assert f"guard-violation    {plugin.outcomes['detected']:4d}" in text
+    for site in SITES:
         assert site in text
     assert "PASS" in text
 
 
-def test_campaign_is_deterministic():
-    config = CampaignConfig(injections=20, seed=77)
-    a, b = run_campaign(config), run_campaign(config)
-    assert [(r.kernel, r.spec, r.fired, r.detected, r.final_identical)
-            for r in a.runs] == \
-           [(r.kernel, r.spec, r.fired, r.detected, r.final_identical)
-            for r in b.runs]
+def test_campaign_is_deterministic(tmp_path):
+    a = _campaign(tmp_path, 20, 77, name="a")[1]
+    b = _campaign(tmp_path, 20, 77, name="b")[1]
+    assert a.scenarios == b.scenarios
 
 
-def test_campaign_off_mode_shows_silent_corruption():
+def test_campaign_off_mode_shows_silent_corruption(tmp_path):
     # With the guard off the same faults reach architectural state:
     # this is the baseline the checked mode exists to fix.
-    config = CampaignConfig(
-        injections=30, seed=2008,
-        guard=GuardConfig(mode="off", max_failures=10_000,
-                          backoff_invocations=2))
-    report = run_campaign(config)
-    assert report.detected == 0 or report.silent_corruptions > 0
-    assert report.silent_corruptions > 0
+    plugin, report = _campaign(tmp_path, 30, 2008, guard="off")
+    assert plugin.outcomes["detected"] == 0 \
+        or plugin.outcomes["silent corruption"] > 0
+    assert plugin.outcomes["silent corruption"] > 0
     assert not report.ok
-    assert "FAIL" in format_campaign(report)
+    assert "FAIL" in campaign.format_report(report)
 
 
-def test_campaign_runs_via_cli(capsys):
-    exit_code = cli_main(["faults", "--injections", "20", "--seed", "11"])
+def test_campaign_runs_via_cli(tmp_path, capsys):
+    exit_code = cli_main(["faults", "-n", "20", "--seed", "11",
+                          "--workdir", str(tmp_path)])
     captured = capsys.readouterr()
     assert exit_code == 0
     assert "Fault-injection campaign" in captured.out
     assert "PASS" in captured.out
+
+
+def test_cli_exit_code_reports_a_guard_off_failure(tmp_path, capsys):
+    assert cli_main(["faults", "-n", "8", "--guard", "off",
+                     "--workdir", str(tmp_path)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+# -- the JIT family -----------------------------------------------------------
+
+def _jit_scenarios(report):
+    return [s for s in report.scenarios
+            if s.family == faults.JIT_LIVE_OUT and s.injected]
+
+
+def test_jit_family_fires_and_every_firing_is_detected(tmp_path):
+    with perf.engine_at(2):
+        plugin, report = _campaign(tmp_path, 8, 7)
+    fired = report.by_family[faults.JIT_LIVE_OUT]
+    assert fired > 0
+    assert report.tables["detected by family"][faults.JIT_LIVE_OUT] == fired
+    assert all(s.ok and s.detail.startswith("detected")
+               for s in _jit_scenarios(report))
+    assert report.ok
+
+
+def test_jit_family_needs_engine_tier_2():
+    with perf.engine_at(1):
+        assert set(Datapath().families) == SITES
+    with perf.engine_at(2):
+        assert set(Datapath().families) == SITES | {faults.JIT_LIVE_OUT}
+
+
+def test_jit_family_unguarded_is_silent_corruption(tmp_path):
+    with perf.engine_at(2):
+        _plugin, report = _campaign(tmp_path, 8, 7, guard="off")
+    scenarios = _jit_scenarios(report)
+    assert scenarios
+    assert all(not s.correct and s.detail.startswith("silent corruption")
+               for s in scenarios)
+    assert not report.ok
+
+
+def test_campaign_leaves_the_jit_hook_unset(tmp_path, monkeypatch):
+    with perf.engine_at(2):
+        _campaign(tmp_path, 4, 7, name="clean")
+    assert jit._test_corruption is None
+    # A campaign that crashes is put back by close() too.
+    jit.set_test_corruption(lambda name, live_outs: live_outs)
+    monkeypatch.setattr(faults, "default_campaign_kernels", lambda: [])
+    with pytest.raises(ValueError, match="no usable kernels"):
+        _campaign(tmp_path, 4, 7, name="crash")
+    assert jit._test_corruption is None
+
+
+def test_campaign_with_benched_draws_still_finishes(tmp_path, monkeypatch):
+    # One kernel whose first detection benches it for good in that
+    # family's executor: every later draw lands on a benched loop.  The
+    # skip budget (20 scalar runs per fault asked for) must end those
+    # draws, so the campaign stops at the engine's scenario cap.
+    monkeypatch.setattr(faults, "BACKOFF_INVOCATIONS", 10 ** 9)
+    monkeypatch.setattr(faults, "default_campaign_kernels",
+                        lambda: [K.sad_16(trip_count=24)])
+    with perf.engine_at(1):
+        plugin, report = _campaign(tmp_path, 4, 7)
+    assert report.tables["guarded runtime"]["blacklist skips"] == \
+        faults.SKIP_BUDGET_PER_FAULT * 4
+    assert any(s.detail.startswith("benched") for s in report.scenarios)
+    assert len(report.scenarios) <= 4 * max(2 * len(plugin.families), 4)

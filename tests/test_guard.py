@@ -6,7 +6,7 @@ from repro import perf
 from repro.accelerator import PROPOSED_LA, jit
 from repro.cpu import Interpreter, standard_live_ins
 from repro.errors import GuardViolation
-from repro.faults import FaultInjector, FaultSite, FaultSpec
+from repro.resilience.faults import FaultInjector, FaultSite, FaultSpec
 from repro.vm import CodeCache, translate_loop
 from repro.vm.guard import (
     GuardConfig,

@@ -15,7 +15,7 @@ from repro.errors import (
     SessionBudgetExceeded,
     TransportError,
 )
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience.incidents import incident_log
 from repro.service import ServiceConfig
 from repro.service.client import CircuitBreaker, LoopClient, RetryPolicy

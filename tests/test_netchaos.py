@@ -9,7 +9,7 @@ from typing import Optional
 import pytest
 
 from repro import perf
-from repro.faults import infra
+from repro.resilience import infra
 from repro.resilience.incidents import incident_log
 
 

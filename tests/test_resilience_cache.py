@@ -16,7 +16,7 @@ import pytest
 
 from repro import perf
 from repro.errors import CacheConfigError, CacheIntegrityError
-from repro.faults import infra
+from repro.resilience import infra
 from repro.perf.transcache import (
     CACHE_DIR_ENV,
     CoreEntry,
