@@ -1117,7 +1117,7 @@ class _Codegen:
         from repro.cpu.interpreter import Interpreter
         regs: dict[Reg, Value] = {}
         try:
-            Interpreter(Memory(), mode="reference").execute_op(
+            Interpreter(Memory()).execute_op(
                 op.copy(predicate=None), regs)
         except Exception:  # raises on every instance
             raise SpecializationUnsupported("value")

@@ -78,8 +78,8 @@ class Settings:
     construction time, so a ``Settings`` is inert data until then.
     """
 
-    #: Engine tier: 0 = reference interpreter only, 1 = compiled per-op
-    #: closures + caching, 2 = specialized kernels (the default).
+    #: Engine tier: 0 = reference paths only, 1 = translation cache and
+    #: memos, 2 = plus specialized kernels (the default).
     #: Boolean spellings still parse (False -> 0, True -> 2).
     engine: int = 2
     #: On-disk translation-cache directory (None = memory-only).

@@ -77,26 +77,15 @@ class ExecResult:
 
 
 class Interpreter:
-    """Executes loops over a :class:`Memory`.
+    """Executes loops over a :class:`Memory`, one operation at a time.
 
-    ``mode`` selects the loop-driver implementation: ``"compiled"``
-    runs bodies through the per-op closure tables of
-    :mod:`repro.cpu.compiled` (bit-identical, much faster on hot
-    loops); ``"reference"`` forces the original op-by-op path, which
-    remains the semantic ground truth.  The default follows the global
-    performance-engine switch (:mod:`repro.perf`).  ``execute_op`` is
-    always the reference implementation regardless of mode.
+    This op-by-op driver is the one implementation of scalar
+    semantics: the differential guard's oracle and the reference every
+    accelerated execution is checked against.
     """
 
-    def __init__(self, memory: Optional[Memory] = None,
-                 mode: Optional[str] = None) -> None:
+    def __init__(self, memory: Optional[Memory] = None) -> None:
         self.memory = memory if memory is not None else Memory()
-        if mode is None:
-            from repro import perf
-            mode = "compiled" if perf.engine_enabled() else "reference"
-        if mode not in ("compiled", "reference"):
-            raise ValueError(f"unknown interpreter mode {mode!r}")
-        self.mode = mode
 
     # -- operand evaluation ------------------------------------------------
 
@@ -232,10 +221,6 @@ class Interpreter:
                 (array bases, scalar inputs, the induction start value).
             max_iterations: Safety bound against non-terminating loops.
         """
-        if self.mode == "compiled":
-            from repro.cpu.compiled import compile_loop, run_compiled
-            return run_compiled(loop, compile_loop(loop), self.memory,
-                                dict(live_in_values), max_iterations)
         regs: dict[Reg, Value] = dict(live_in_values)
         iterations = 0
         dynamic_ops = 0

@@ -3,17 +3,16 @@
 Two layers make the experiment pipeline fast without changing any
 result bit (see DESIGN.md, "Performance engineering"):
 
-1. a compiled interpreter fast path (:mod:`repro.cpu.compiled`),
-2. content-addressed memoisation of translation products and scalar
-   timing (:mod:`repro.perf.transcache`, :mod:`repro.perf.digest`).
+1. content-addressed memoisation of translation products and scalar
+   timing (:mod:`repro.perf.transcache`, :mod:`repro.perf.digest`),
+2. specialized whole-array kernels (:mod:`repro.accelerator.jit`).
 
 Every figure pass runs in one process, so one set of caches serves
 every sweep point.  This module owns the global switch those layers
 consult — the engine *level* (``REPRO_ENGINE``: ``0`` = reference
-interpreter only, ``1`` = compiled per-op closures and caching, ``2`` =
-specialized kernels from :mod:`repro.accelerator.jit`;
-``engine_at(0)`` reverts every hot path to the reference
-implementation) — and the process-wide cache instances with their
+paths only, ``1`` = translation cache and memos, ``2`` = plus the
+specialized kernels; ``engine_at(0)`` reverts every hot path to the
+reference implementation) — and the process-wide cache instances with their
 aggregate statistics.
 """
 
@@ -65,7 +64,7 @@ _engine_level = _level_from_env()
 
 
 def engine_level() -> int:
-    """The active engine tier (0 reference, 1 compiled, 2 specialized)."""
+    """The active engine tier (0 reference, 1 cached, 2 specialized)."""
     return _engine_level
 
 
@@ -75,13 +74,8 @@ def set_engine_level(level: Union[int, bool]) -> None:
 
 
 def engine_enabled() -> bool:
-    """Whether the compiled/cached fast paths are active (level >= 1)."""
+    """Whether the cached fast paths are active (level >= 1)."""
     return _engine_level >= 1
-
-
-def set_engine_enabled(value: Union[bool, int]) -> None:
-    """Back-compat boolean switch: False -> level 0, True -> full engine."""
-    set_engine_level(value)
 
 
 @contextmanager

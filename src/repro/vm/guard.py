@@ -63,11 +63,6 @@ class GuardConfig:
     mode: str = "off"
     max_failures: int = 3
     backoff_invocations: int = 8
-    #: Also differentially verify the *interpreter's* compiled fast path
-    #: (:mod:`repro.cpu.compiled`) against the reference op-by-op
-    #: semantics on every check — guards the performance engine itself,
-    #: not just the accelerator.
-    cross_check_interpreter: bool = False
 
     @property
     def checked(self) -> bool:
@@ -75,11 +70,9 @@ class GuardConfig:
 
     @staticmethod
     def checked_mode(max_failures: int = 3,
-                     backoff_invocations: int = 8,
-                     cross_check_interpreter: bool = False) -> "GuardConfig":
+                     backoff_invocations: int = 8) -> "GuardConfig":
         return GuardConfig(mode="checked", max_failures=max_failures,
-                           backoff_invocations=backoff_invocations,
-                           cross_check_interpreter=cross_check_interpreter)
+                           backoff_invocations=backoff_invocations)
 
 
 @dataclass(frozen=True)
@@ -139,68 +132,10 @@ class DifferentialOutcome:
     accel_run: Optional[OverlappedRun]
 
 
-def interpreter_cross_check(loop: Loop, memory: Memory,
-                            live_ins: Mapping[Reg, Value]
-                            ) -> list[GuardMismatch]:
-    """Run *loop* through both interpreter modes and diff everything.
-
-    The compiled fast path (:mod:`repro.cpu.compiled`) must be
-    bit-identical to the reference op-by-op interpreter on registers,
-    live-outs, touched memory, trip count and dynamic-op count; each
-    divergence (or a trap raised by only one side) becomes a
-    ``kind="interpreter"`` mismatch.  Both runs use private memory
-    clones, so *memory* is untouched.
-    """
-    from repro.cpu.interpreter import TrapError
-
-    results = {}
-    memories = {}
-    traps = {}
-    for mode in ("reference", "compiled"):
-        mem = memory.clone()
-        memories[mode] = mem
-        try:
-            results[mode] = Interpreter(mem, mode=mode).run_loop(
-                loop, dict(live_ins))
-        except TrapError as exc:
-            traps[mode] = str(exc)
-    mismatches: list[GuardMismatch] = []
-    if traps.get("reference") != traps.get("compiled"):
-        mismatches.append(GuardMismatch(
-            "interpreter",
-            f"trap divergence: reference {traps.get('reference')!r} != "
-            f"compiled {traps.get('compiled')!r}"))
-        return mismatches
-    if traps:  # both trapped identically — nothing further to compare
-        return mismatches
-    ref, fast = results["reference"], results["compiled"]
-    for label, a, b in (("iterations", ref.iterations, fast.iterations),
-                        ("dynamic_ops", ref.dynamic_ops, fast.dynamic_ops)):
-        if a != b:
-            mismatches.append(GuardMismatch(
-                "interpreter", f"{label}: reference {a} != compiled {b}"))
-    for reg in sorted(set(ref.regs) | set(fast.regs), key=str):
-        a, b = ref.regs.get(reg), fast.regs.get(reg)
-        if a is None or b is None or not _values_equal(a, b):
-            mismatches.append(GuardMismatch(
-                "interpreter",
-                f"{reg}: reference {a!r} != compiled {b!r}"))
-    ref_cells = memories["reference"].snapshot()
-    fast_cells = memories["compiled"].snapshot()
-    for addr in sorted(set(ref_cells) | set(fast_cells)):
-        a, b = ref_cells.get(addr), fast_cells.get(addr)
-        if a is None or b is None or not _values_equal(a, b):
-            mismatches.append(GuardMismatch(
-                "interpreter",
-                f"[{addr:#x}]: reference {a!r} != compiled {b!r}"))
-    return mismatches
-
-
 def differential_check(image: KernelImage, memory: Memory,
                        live_ins: Mapping[Reg, Value],
                        trip_count: Optional[int] = None,
-                       fault_hook: Optional[FaultHook] = None,
-                       cross_check_interpreter: bool = False
+                       fault_hook: Optional[FaultHook] = None
                        ) -> DifferentialOutcome:
     """Execute *image* both ways and compare observable state.
 
@@ -208,16 +143,10 @@ def differential_check(image: KernelImage, memory: Memory,
     compound ops execute their inner ops atomically, so semantics equal
     the original loop) as the reference; the overlapped pipeline
     executor is the device-faithful model under test, optionally with a
-    fault hook corrupting its datapath.  With
-    ``cross_check_interpreter=True`` the interpreter's own compiled
-    fast path is additionally verified against the reference op-by-op
-    semantics (see :func:`interpreter_cross_check`).
+    fault hook corrupting its datapath.
     """
     obs.inc("guard.diff_checks")
     mismatches: list[GuardMismatch] = []
-    if cross_check_interpreter:
-        mismatches.extend(interpreter_cross_check(image.loop, memory,
-                                                  live_ins))
     scalar_mem = memory.clone()
     scalar_result = Interpreter(scalar_mem).run_loop(image.loop,
                                                     dict(live_ins))
@@ -481,8 +410,7 @@ class GuardedExecutor:
 
         outcome = differential_check(
             image, memory, live_ins, trip_count=trip_count,
-            fault_hook=fault_hook,
-            cross_check_interpreter=self.guard.cross_check_interpreter)
+            fault_hook=fault_hook)
         self.stats.checked += 1
         if outcome.verdict.ok:
             memory.restore_from(outcome.accel_memory)
@@ -520,6 +448,5 @@ __all__ = [
     "GuardedRun",
     "LoopBlacklist",
     "differential_check",
-    "interpreter_cross_check",
     "record_deopt",
 ]

@@ -324,9 +324,7 @@ class VirtualMachine:
             return False
         outcome.guard_checked = True
         obs.inc("guard.checks")
-        check = differential_check(
-            image, memory, live_ins,
-            cross_check_interpreter=self.config.guard.cross_check_interpreter)
+        check = differential_check(image, memory, live_ins)
         if check.verdict.ok:
             return False
         self._deoptimize(loop, image, outcome,

@@ -1,6 +1,6 @@
 """The regression gate: aggregated run vs. the committed baseline.
 
-Every gated metric is checked — compiled/specialized speedups for
+Every gated metric is checked — cached/specialized speedups for
 figure configs,
 throughput and latency percentiles for service configs — plus the
 identity verdicts, which *always* gate: a figure whose text diverged

@@ -50,7 +50,7 @@ class Config:
     """One named benchmark configuration (an experiment design point).
 
     Figure axes: ``engine`` is the *top* tier measured (0 = reference
-    pass only, 1 = + compiled cold/warm passes, 2 = + the specialized
+    pass only, 1 = + cached cold/warm passes, 2 = + the specialized
     pass), ``cache`` the translation-cache mode, ``trace`` whether the
     run writes a span trace next to its records, ``figures`` the set
     measured.  ``skip_reference`` reuses the reference wall clocks of
@@ -232,7 +232,7 @@ register_preset(Config(
                 "pass)"))
 register_preset(Config(
     name="cold-l1", engine=1, figures=DEFAULT_FIGURES,
-    description="compiled tier only: reference + cold/warm level-1 "
+    description="cached tier only: reference + cold/warm level-1 "
                 "passes, no specialization"))
 register_preset(Config(
     name="service", kind="service", workers=(1,), shards=(1, 2),

@@ -66,7 +66,7 @@ def measure_figures(names: list[str],
     engine cold (level 1, caches cleared), engine warm (level 1, hot),
     specialized warm (level 2 after one warm-up regeneration).
     *top_level* caps the tiers measured (2 = all passes, 1 = stop at
-    the compiled tier, 0 = reference only).  Each pass runs the whole
+    the cached tier, 0 = reference only).  Each pass runs the whole
     figure list end to end; caches are cleared once at the start of a
     pass, not between figures, so per-figure speedups are an honest
     like-for-like comparison.  The figure *text* must come out

@@ -33,18 +33,8 @@ def _reset_observability():
 
 def seeded_memory(loop, seed=7, int_range=(-100, 100), fp_range=(-8.0, 8.0)):
     """Fresh memory with arrays allocated and filled deterministically."""
-    memory = Memory()
-    memory.allocate_arrays(loop.arrays)
-    rng = np.random.default_rng(seed)
-    for arr in loop.arrays:
-        if arr.is_float:
-            memory.write_array(arr.name,
-                               list(rng.uniform(*fp_range, arr.length)))
-        else:
-            memory.write_array(
-                arr.name,
-                [int(v) for v in rng.integers(*int_range, arr.length)])
-    return memory
+    return Memory.seeded(loop.arrays, np.random.default_rng(seed),
+                         int_range, fp_range)
 
 
 def run_reference(loop, seed=7, scalars=None):

@@ -13,14 +13,12 @@ from repro.vm.guard import (
     GuardedExecutor,
     LoopBlacklist,
     differential_check,
-    interpreter_cross_check,
 )
 from repro.vm.runtime import VMConfig, VirtualMachine
 from repro.workloads import kernels as K
 from repro.workloads.suite import (
     DEFAULT_SCALARS,
     benchmark_by_name,
-    media_fp_benchmarks,
 )
 from tests.conftest import seeded_memory
 
@@ -358,32 +356,3 @@ def test_vm_deoptimizes_on_guard_mismatch(monkeypatch):
         assert all(loop.name != outcome.name
                    for loop, _result in vm._translations.values())
     assert run.accel_loop_cycles == 0
-
-
-# -- interpreter cross-check --------------------------------------------------
-
-def test_guard_interpreter_cross_check_clean_on_suite():
-    """The two loop drivers must agree everywhere the guard looks."""
-    checked = 0
-    for bench in media_fp_benchmarks()[:2]:
-        for loop in bench.kernels:
-            memory = seeded_memory(loop, seed=13)
-            live = standard_live_ins(loop, memory, DEFAULT_SCALARS)
-            mismatches = interpreter_cross_check(loop, memory, live)
-            assert mismatches == [], (loop.name, mismatches)
-            checked += 1
-    assert checked > 0
-
-
-def test_guarded_executor_with_interpreter_cross_check():
-    guard = GuardConfig.checked_mode(cross_check_interpreter=True)
-    executor = GuardedExecutor(PROPOSED_LA, guard)
-    for bench in media_fp_benchmarks()[:2]:
-        for loop in bench.kernels:
-            if not translate_loop(loop, PROPOSED_LA).ok:
-                continue
-            memory = seeded_memory(loop, seed=13)
-            live = standard_live_ins(loop, memory, DEFAULT_SCALARS)
-            run = executor.run(loop, memory, live)
-            assert run.verdict is not None and run.verdict.ok
-            return  # one guarded kernel is enough for the smoke check

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cpu import Interpreter, Memory, TrapError, wrap64
 from repro.ir import Imm, Loop, LoopBuilder, Opcode, Reg
@@ -196,3 +197,38 @@ def test_dynamic_ops_counted():
     loop = b.finish()
     res = Interpreter(Memory()).run_loop(loop, {Reg("i"): 0})
     assert res.dynamic_ops == 3 * len(loop.body)
+
+
+def _run_binop(opcode: Opcode, a: int, b: int) -> int:
+    out = Reg("r_out")
+    body = [Operation(0, opcode, [out], [Imm(a), Imm(b)]),
+            Operation(1, Opcode.BR, [], [Imm(0)])]
+    loop = Loop(name=f"tiny_{opcode.name.lower()}", body=body,
+                live_ins=[], live_outs=[out], arrays=[], trip_count=1)
+    return Interpreter().run_loop(loop, {}).live_outs[out]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(-(2 ** 62), 2 ** 62),
+       d=st.integers(-(2 ** 62), 2 ** 62).filter(lambda v: v != 0))
+def test_div_rem_exact_beyond_double_precision(n, d):
+    """Regression: DIV/REM round toward zero exactly at any magnitude.
+
+    ``int(n / d)`` detours through a float and corrupts quotients once
+    the operands exceed 2**53; the interpreter must use integer
+    arithmetic.
+    """
+    q = _run_binop(Opcode.DIV, n, d)
+    r = _run_binop(Opcode.REM, n, d)
+    expected_q = abs(n) // abs(d)
+    if (n < 0) != (d < 0):
+        expected_q = -expected_q
+    assert q == expected_q
+    assert r == n - expected_q * d
+    # The specific magnitude class the float path gets wrong:
+    assert _run_binop(Opcode.DIV, 2 ** 60 + 3, 3) == (2 ** 60 + 3) // 3
+
+
+def test_div_rem_by_zero_is_defined_and_identical():
+    assert _run_binop(Opcode.DIV, 2 ** 60, 0) == 0
+    assert _run_binop(Opcode.REM, -5, 0) == 0

@@ -108,7 +108,7 @@ def _reference(opcode, srcs, values):
     regs = dict(zip((s for s in srcs if isinstance(s, Reg)), values))
 
     def run():
-        Interpreter(Memory(), mode="reference").execute_op(op, regs)
+        Interpreter(Memory()).execute_op(op, regs)
         return regs[out]
     return _outcome(run)
 
@@ -313,6 +313,50 @@ def test_generated_kernels_on_adversarial_memory(shape, seed, rate):
             continue
         assert _canonical(got[1].live_outs) == \
             _canonical(want[1].live_outs)
+        assert _canonical(mem_spec.snapshot()) == \
+            _canonical(mem_ref.snapshot())
+
+
+def _object_cell_memory(loop, seed):
+    """:func:`seeded_memory`'s draws, written through ``write_array``,
+    which keeps every float element as an object cell."""
+    memory = Memory()
+    memory.allocate_arrays(loop.arrays)
+    rng = np.random.default_rng(seed)
+    for arr in loop.arrays:
+        if arr.is_float:
+            memory.write_array(arr.name,
+                               list(rng.uniform(-8.0, 8.0, arr.length)))
+        else:
+            memory.write_array(arr.name, rng.integers(
+                -100, 100, arr.length).tolist())
+    return memory
+
+
+def _float_corpus():
+    for param in _corpus():
+        shape, seed = param.values
+        loop = generate_loop(GeneratorSpec(trip_count=LONG_TRIPS, seed=seed,
+                                           **shape))
+        if any(arr.is_float for arr in loop.arrays):
+            yield param
+
+
+@pytest.mark.parametrize("shape,seed", _float_corpus())
+def test_object_cells_take_the_cell_by_cell_path(shape, seed):
+    """Float arrays held as object cells classify cell by cell and
+    still run the whole-array body, equal to the reference."""
+    loop, image = _translated(shape, seed)
+    for trips in _trip_counts(image):
+        mem_ref = _object_cell_memory(loop, seed)
+        live = standard_live_ins(loop, mem_ref, DEFAULT_SCALARS)
+        ref = execute_overlapped(image, mem_ref, live, trip_count=trips)
+        mem_spec = _object_cell_memory(loop, seed)
+        before = _counter("jit.vector_runs")
+        spec = _pipelined(image, mem_spec, live, trips)
+        assert _counter("jit.vector_runs") == before + 1, \
+            f"trips={trips}: declined instead of running the vector body"
+        assert _canonical(spec.live_outs) == _canonical(ref.live_outs)
         assert _canonical(mem_spec.snapshot()) == \
             _canonical(mem_ref.snapshot())
 

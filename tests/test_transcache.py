@@ -427,11 +427,8 @@ def test_engine_off_and_on_agree_on_meter_and_image():
     for config in (PROPOSED_LA, INFINITE_LA.with_(num_int_units=2),
                    INFINITE_LA.with_(max_ii=3)):
         for loop in [_suite_loop(), _spec_loop()]:
-            perf.set_engine_enabled(False)
-            try:
+            with perf.engine_at(0):
                 ref = translate_loop(loop, config)
-            finally:
-                perf.set_engine_enabled(True)
             eng = translate_loop(loop, config)
             assert ref.ok == eng.ok
             assert ref.failure == eng.failure
