@@ -1,14 +1,9 @@
-"""Loop accelerator: configuration, structural models, machine, area."""
+"""Loop accelerator: configuration, stream binding, machine, executors,
+area."""
 
-from repro.accelerator.addrgen import (
-    AddressGenerator,
-    ResolvedStream,
-    distribute_streams,
-    resolve_pattern,
-)
+from repro.accelerator.addrgen import ResolvedStream, resolve_pattern
 from repro.accelerator.area import AreaBreakdown, accelerator_area
 from repro.accelerator.config import INFINITE_LA, LAConfig, PROPOSED_LA, UNBOUNDED
-from repro.accelerator.fifo import StreamFIFO
 from repro.accelerator.machine import (
     AcceleratorFault,
     AcceleratorRun,
@@ -25,14 +20,12 @@ from repro.accelerator.pipeline_executor import (
     OverlappedRun,
     execute_overlapped,
 )
-from repro.accelerator.regfile import RegisterFile
 
 __all__ = [
-    "AcceleratorFault", "AcceleratorRun", "AddressGenerator",
-    "AreaBreakdown", "INFINITE_LA", "KernelImage", "LAConfig",
-    "LoopAccelerator", "OverlappedRun", "PROPOSED_LA", "RegisterFile",
-    "ResolvedStream", "SpecializationUnsupported", "SpecializedKernel",
-    "StreamFIFO", "UNBOUNDED", "accelerator_area", "distribute_streams",
+    "AcceleratorFault", "AcceleratorRun", "AreaBreakdown", "INFINITE_LA",
+    "KernelImage", "LAConfig", "LoopAccelerator", "OverlappedRun",
+    "PROPOSED_LA", "ResolvedStream", "SpecializationUnsupported",
+    "SpecializedKernel", "UNBOUNDED", "accelerator_area",
     "execute_overlapped", "execute_pipelined", "resolve_pattern",
     "specialize",
 ]

@@ -1,15 +1,16 @@
-"""Address generators.
+"""Address-generator streams.
 
 "At the top of the accelerator ... address generators stream data into
 the accelerator.  The address patterns typically follow a simple,
 deterministic pattern ... Address generators can be time multiplexed to
 fetch multiple streams." (Section 2.1.)
 
-An :class:`AddressGenerator` is programmed with one or more resolved
-stream patterns (base + stride); each call to :meth:`address` yields the
-iteration-k address of a stream.  The machine model cross-checks every
-address the datapath computes against the generator's prediction, which
-is an end-to-end validation of the stream analysis.
+:func:`resolve_pattern` binds a stream pattern's symbolic base to the
+invocation's live-in values; the resulting :class:`ResolvedStream`
+yields the iteration-k address the generator issues.  The event
+executor (:mod:`repro.accelerator.pipeline_executor`) cross-checks
+every address the datapath computes against that prediction, an
+end-to-end validation of the stream analysis.
 """
 
 from __future__ import annotations
@@ -52,48 +53,3 @@ def resolve_pattern(pattern: StreamPattern, stream_id: int,
         base += coeff * int(live_ins[reg])
     return ResolvedStream(stream_id=stream_id, base=base,
                           stride=pattern.stride, is_store=pattern.is_store)
-
-
-class AddressGenerator:
-    """One physical generator, time-multiplexed over several streams.
-
-    The generator sustains one access per cycle; with ``len(streams)``
-    streams mapped onto it, each stream is serviced once per
-    ``len(streams)`` cycles, so the modulo scheduler must have
-    ``II >= ceil(streams / generators)`` for full-rate streaming —
-    exactly the time-multiplexing headroom Section 3.1 describes for
-    large, high-II loops.
-    """
-
-    def __init__(self, gen_id: int) -> None:
-        self.gen_id = gen_id
-        self.streams: list[ResolvedStream] = []
-        self.issued = 0
-
-    def attach(self, stream: ResolvedStream) -> None:
-        self.streams.append(stream)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.streams)
-
-    def address(self, stream_id: int, iteration: int) -> int:
-        for stream in self.streams:
-            if stream.stream_id == stream_id:
-                self.issued += 1
-                return stream.address(iteration)
-        raise KeyError(f"stream {stream_id} not attached to generator "
-                       f"{self.gen_id}")
-
-
-def distribute_streams(streams: list[ResolvedStream],
-                       num_generators: int) -> list[AddressGenerator]:
-    """Round-robin streams over generators (the hardware's static mux)."""
-    if not streams:
-        return []
-    if num_generators < 1:
-        raise ValueError("streams present but no address generators")
-    gens = [AddressGenerator(g) for g in range(num_generators)]
-    for index, stream in enumerate(streams):
-        gens[index % len(gens)].attach(stream)
-    return gens

@@ -46,14 +46,14 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from repro import obs
-from repro.accelerator.machine import AcceleratorRun, KernelImage
+from repro.accelerator.machine import KernelImage
 from repro.accelerator.pipeline_executor import (OverlappedRun,
                                                  execute_overlapped)
 from repro.cpu.interpreter import _trunc_div, _trunc_rem, wrap64
@@ -89,9 +89,6 @@ class SpecializedKernel:
     cycles: int
     max_inflight: int
     utilization: dict[str, float]
-    #: Closed-form AcceleratorRun facts (vm.run_loop tier).
-    n_mem_ops: int
-    load_stream_ops: dict[int, int] = field(default_factory=dict)
 
     def run(self, memory: Memory, live_ins: Mapping[Reg, Value]
             ) -> Optional[dict[Reg, Value]]:
@@ -1671,31 +1668,44 @@ def specialize(image: KernelImage, trips: int) -> SpecializedKernel:
     vector = _VectorKernel(gen)
     vector.body(vector.predicted_signature())
     cycles, max_inflight, utilization = _closed_form_facts(image, trips)
-    # Collect load-stream fan-in for the closed-form FIFO occupancy of
-    # the vm.run_loop tier.
-    seen: dict[tuple, int] = {}
-    load_stream_ops: dict[int, int] = {}
-    n_mem_ops = 0
-    for op in loop.body:
-        if not op.is_memory:
-            continue
-        n_mem_ops += 1
-        key = gen._patterns[op.opid].key()
-        if key not in seen:
-            seen[key] = len(seen)
-        if op.is_load:
-            sid = seen[key]
-            load_stream_ops[sid] = load_stream_ops.get(sid, 0) + 1
     return SpecializedKernel(
         loop_name=loop.name, trips=trips,
         out_regs=tuple(reg for reg, _opid, _ri in gen._outs),
         required=frozenset(gen.value_live_ins | gen.base_live_ins),
         vector=vector, cycles=cycles, max_inflight=max_inflight,
-        utilization=utilization, n_mem_ops=n_mem_ops,
-        load_stream_ops=load_stream_ops)
+        utilization=utilization)
 
 
 # -- tier dispatch ------------------------------------------------------------
+
+def invoke_specialized(image: KernelImage, memory: Memory,
+                       live_in_values: Mapping[Reg, Value], trips: int
+                       ) -> Optional[tuple[SpecializedKernel,
+                                           dict[Reg, Value]]]:
+    """Run *image*'s specialized kernel for *trips* iterations.
+
+    The tier-2 path of both :meth:`LoopAccelerator.invoke
+    <repro.accelerator.machine.LoopAccelerator.invoke>` and
+    :func:`execute_pipelined`.  Returns the kernel and the live-outs
+    (its produced ones plus live-in pass-throughs), or None when the image
+    or trip count is not specialized, a required live-in is missing, or
+    the call declined before any write; the caller then runs its
+    reference executor, which reports faults identically.
+    """
+    kernel = kernel_for(image, trips)
+    if kernel is None or not kernel.required <= live_in_values.keys():
+        return None
+    live_outs = kernel.run(memory, live_in_values)
+    if live_outs is None:
+        return None
+    for reg in image.loop.live_outs:
+        if reg not in live_outs and reg in live_in_values:
+            live_outs[reg] = live_in_values[reg]
+    if _test_corruption is not None:
+        live_outs = _test_corruption(image.loop.name, dict(live_outs))
+    obs.inc("vm.specialized")
+    return kernel, live_outs
+
 
 def execute_pipelined(image: KernelImage, memory: Memory,
                       live_in_values: Mapping[Reg, Value],
@@ -1706,90 +1716,18 @@ def execute_pipelined(image: KernelImage, memory: Memory,
     At engine level >= 2 (and with no fault hook — injection is an
     event-level seam only the event executor honours) the specialized
     kernel runs instead of the event simulation; every unsupported
-    image and every declined call runs the reference executor, which
-    reports faults identically.
+    image and every declined call runs the reference executor.
     """
     from repro import perf
     trips = image.loop.trip_count if trip_count is None else trip_count
-    if (perf.engine_level() < 2 or fault_hook is not None or trips <= 0):
+    ran = None
+    if perf.engine_level() >= 2 and fault_hook is None and trips > 0:
+        ran = invoke_specialized(image, memory, live_in_values, trips)
+    if ran is None:
         return execute_overlapped(image, memory, live_in_values,
                                   trip_count, fault_hook)
-    kernel = kernel_for(image, trips)
-    live_outs = None
-    if kernel is not None and kernel.required <= set(live_in_values):
-        live_outs = kernel.run(memory, live_in_values)
-    if live_outs is None:
-        return execute_overlapped(image, memory, live_in_values,
-                                  trip_count, fault_hook)
-    for reg in image.loop.live_outs:
-        if reg not in live_outs and reg in live_in_values:
-            producer = any(reg in op.dests for op in image.loop.body)
-            if not producer:
-                live_outs[reg] = live_in_values[reg]
-    if _test_corruption is not None:
-        live_outs = _test_corruption(image.loop.name, dict(live_outs))
-    obs.inc("vm.specialized")
+    kernel, live_outs = ran
     return OverlappedRun(iterations=trips, cycles=kernel.cycles,
                          live_outs=live_outs,
                          max_inflight_iterations=kernel.max_inflight,
                          utilization=dict(kernel.utilization))
-
-
-def invoke_specialized(accelerator, image: KernelImage, memory: Memory,
-                       live_in_values: Mapping[Reg, Value],
-                       trip_count: Optional[int] = None
-                       ) -> Optional[AcceleratorRun]:
-    """Specialized stand-in for ``LoopAccelerator.invoke``.
-
-    Returns None when the image (or this trip count) is not specialized,
-    or the call declined — the caller must then take the reference
-    ``invoke`` path.  The
-    accounting facts (register-file writes, address checks, FIFO
-    occupancy, kernel/overhead cycles) are closed forms of the same
-    quantities the iteration-by-iteration machine measures.
-    """
-    from repro import perf
-    if perf.engine_level() < 2:
-        return None
-    if accelerator.admits(image) is not None:
-        return None  # reference invoke raises the identical fault
-    loop = image.loop
-    trips = loop.trip_count if trip_count is None else trip_count
-    if trips <= 0:
-        return None
-    kernel = kernel_for(image, trips)
-    if kernel is None or not kernel.required <= set(live_in_values):
-        return None
-    live_outs = kernel.run(memory, live_in_values)
-    if live_outs is None:
-        return None  # declined before any write
-    accelerator.invocations += 1
-    int_writes = 0
-    fp_writes = 0
-    config = accelerator.config
-    for reg, phys in image.registers.mapping.items():
-        if reg in live_in_values:
-            if reg.space == "fp":
-                accelerator.fp_regs.write(
-                    min(phys, config.num_fp_regs - 1), live_in_values[reg])
-                fp_writes += 1
-            else:
-                accelerator.int_regs.write(
-                    min(phys, config.num_int_regs - 1), live_in_values[reg])
-                int_writes += 1
-    for reg in loop.live_outs:
-        if reg not in live_outs and reg in live_in_values:
-            live_outs[reg] = live_in_values[reg]
-    if _test_corruption is not None:
-        live_outs = _test_corruption(loop.name, dict(live_outs))
-    obs.inc("vm.specialized")
-    kernel_cycles = image.schedule.kernel_cycles(trips, image.dfg)
-    overhead = (2 * config.bus_latency + int_writes + fp_writes
-                + len(loop.live_outs))
-    fifo_max = {sid: min(count * trips, 8)
-                for sid, count in kernel.load_stream_ops.items()}
-    return AcceleratorRun(
-        iterations=trips, kernel_cycles=kernel_cycles,
-        overhead_cycles=overhead, live_outs=live_outs,
-        fifo_max_occupancy=fifo_max,
-        addresses_checked=kernel.n_mem_ops * trips)

@@ -1,13 +1,15 @@
-"""The loop accelerator machine: functional + cycle-level execution.
+"""The loop accelerator machine: admission, invocation and timing.
 
-Executes a translated loop (a :class:`KernelImage`) against a
+Runs a translated loop (a :class:`KernelImage`) against a
 :class:`~repro.cpu.memory.Memory`:
 
-* **Functionally** — iteration by iteration with full predication
-  semantics, producing bit-identical results to the scalar interpreter
-  (the software-pipelined overlap cannot change values because the
-  schedule provably respects every dependence; ``validate_schedule``
-  guarantees that, and the equivalence tests check it end to end).
+* **Functionally** — :meth:`LoopAccelerator.invoke` runs the
+  specialized kernel at engine tier 2 and the reference interpreter
+  otherwise.  The software-pipelined overlap cannot change values
+  because the schedule provably respects every dependence
+  (``validate_schedule`` guarantees that); the event executor
+  (:mod:`repro.accelerator.pipeline_executor`) runs the real modulo
+  schedule, and the differential guard checks it end to end.
 * **Cycle-level timing** — iteration *k* of the kernel launches at
   ``k * II``; the loop completes when the last iteration's last result
   retires, so ``kernel = (N - 1) * II + span``.  Invocation pays the
@@ -15,31 +17,21 @@ Executes a translated loop (a :class:`KernelImage`) against a
   synchronisations (Section 3: "include synchronization overheads from
   copying results to and from the accelerator over a 10 cycle system
   bus").
-* **Structural checks** — every address the datapath would compute is
-  cross-checked against the programmed address generators, and load
-  data flows through per-stream FIFOs whose occupancy is tracked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.accelerator.addrgen import (
-    ResolvedStream,
-    distribute_streams,
-    resolve_pattern,
-)
+from repro import perf
 from repro.accelerator.config import LAConfig
-from repro.accelerator.fifo import StreamFIFO
-from repro.accelerator.regfile import RegisterFile
 from repro.analysis.partition import LoopPartition
 from repro.analysis.streams import StreamAnalysis
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.memory import Memory, Value
 from repro.ir.dfg import DataflowGraph
 from repro.ir.loop import Loop
-from repro.ir.opcodes import Opcode
 from repro.ir.ops import Reg
 from repro.perf.memo import RuntimeMemos
 from repro.scheduler.regalloc import RegisterAssignment
@@ -133,8 +125,6 @@ class AcceleratorRun:
     kernel_cycles: int
     overhead_cycles: int
     live_outs: dict[Reg, Value]
-    fifo_max_occupancy: dict[int, int] = field(default_factory=dict)
-    addresses_checked: int = 0
 
     @property
     def total_cycles(self) -> int:
@@ -146,8 +136,6 @@ class LoopAccelerator:
 
     def __init__(self, config: LAConfig) -> None:
         self.config = config
-        self.int_regs = RegisterFile("int", config.num_int_regs)
-        self.fp_regs = RegisterFile("fp", config.num_fp_regs)
         self.invocations = 0
 
     # -- admission ------------------------------------------------------------
@@ -198,105 +186,38 @@ class LoopAccelerator:
     # -- invocation ------------------------------------------------------------
 
     def invoke(self, image: KernelImage, memory: Memory,
-               live_in_values: Mapping[Reg, Value],
-               trip_count: Optional[int] = None) -> AcceleratorRun:
-        """Run *image* for *trip_count* iterations.
+               live_in_values: Mapping[Reg, Value]) -> AcceleratorRun:
+        """Run *image* to completion against *memory*.
 
-        The invocation is atomic (Section 2.1): exceptions either wait
-        or abort, so there is no mid-loop architectural state to model.
+        At engine tier 2 the specialized kernel runs; below it, for an
+        image the JIT does not take (while-loops included) and for a
+        declined call, the reference interpreter does.  A validated
+        schedule cannot change dataflow values, so both give the
+        loop's scalar results.  The invocation is atomic (Section 2.1):
+        exceptions either wait or abort, so there is no mid-loop
+        architectural state to model.
         """
         reason = self.admits(image)
         if reason is not None:
             raise AcceleratorFault(reason)
         self.invocations += 1
         loop = image.loop
-        trips = loop.trip_count if trip_count is None else trip_count
-
-        # Memory-mapped register file initialisation.
-        int_writes = 0
-        fp_writes = 0
-        for reg, phys in image.registers.mapping.items():
-            if reg in live_in_values:
-                if reg.space == "fp":
-                    self.fp_regs.write(min(phys, self.config.num_fp_regs - 1),
-                                       live_in_values[reg])
-                    fp_writes += 1
-                else:
-                    self.int_regs.write(min(phys, self.config.num_int_regs - 1),
-                                        live_in_values[reg])
-                    int_writes += 1
-
-        # Program the address generators.
-        load_streams: list[ResolvedStream] = []
-        store_streams: list[ResolvedStream] = []
-        pattern_stream_id: dict[int, int] = {}
-        seen: dict[tuple, int] = {}
-        for op in loop.body:
-            if not op.is_memory:
-                continue
-            pattern = image.streams.patterns.get(op.opid)
-            if pattern is None:
-                raise AcceleratorFault(
-                    f"op{op.opid}: no stream pattern — loop should have "
-                    f"been rejected")
-            key = pattern.key()
-            if key not in seen:
-                stream_id = len(seen)
-                seen[key] = stream_id
-                resolved = resolve_pattern(pattern, stream_id, live_in_values)
-                (store_streams if pattern.is_store else load_streams).append(
-                    resolved)
-            pattern_stream_id[op.opid] = seen[key]
-        resolved_by_id = {s.stream_id: s
-                          for s in load_streams + store_streams}
-        load_gens = distribute_streams(load_streams,
-                                       self.config.load_addr_gens)
-        fifos = {s.stream_id: StreamFIFO(s.stream_id)
-                 for s in load_streams}
-
-        # Functional execution with address cross-checking.
-        interp = Interpreter(memory)
-        regs: dict[Reg, Value] = dict(live_in_values)
-        addresses_checked = 0
-        iterations = 0
-        for k in range(trips):
-            iterations += 1
-            taken = False
-            for op in loop.body:
-                if op.opcode is Opcode.BR:
-                    taken = bool(interp._value(regs, op.srcs[0]))
-                    break
-                if op.is_memory:
-                    stream = resolved_by_id[pattern_stream_id[op.opid]]
-                    expected = stream.address(k)
-                    actual = int(interp._value(regs, op.srcs[0]))
-                    if len(op.srcs) > 1:
-                        actual += int(interp._value(regs, op.srcs[1]))
-                    if actual != expected:
-                        raise AcceleratorFault(
-                            f"op{op.opid} iteration {k}: datapath address "
-                            f"{actual} != address generator {expected}")
-                    addresses_checked += 1
-                    if op.is_load:
-                        fifo = fifos[stream.stream_id]
-                        if fifo.full:
-                            fifo.pop()  # oldest element was consumed
-                        fifo.push(memory.peek(expected))
-                interp.execute_op(op, regs)
-            if not taken:
-                break
-
-        live_outs = {r: regs[r] for r in loop.live_outs if r in regs}
-
-        kernel = image.schedule.kernel_cycles(iterations, image.dfg)
-        overhead = (2 * self.config.bus_latency
-                    + int_writes + fp_writes + len(loop.live_outs))
+        iterations = loop.trip_count
+        ran = None
+        if perf.engine_level() >= 2 and iterations > 0:
+            from repro.accelerator import jit
+            ran = jit.invoke_specialized(image, memory, live_in_values,
+                                         iterations)
+        if ran is None:
+            result = Interpreter(memory).run_loop(loop, live_in_values)
+            iterations, live_outs = result.iterations, result.live_outs
+        else:
+            live_outs = ran[1]
+        scalar_ins = sum(1 for reg in image.registers.mapping
+                         if reg in live_in_values)
         return AcceleratorRun(
             iterations=iterations,
-            kernel_cycles=kernel,
-            overhead_cycles=overhead,
-            live_outs=live_outs,
-            fifo_max_occupancy={sid: f.max_occupancy
-                                for sid, f in fifos.items()},
-            addresses_checked=addresses_checked,
-        )
+            kernel_cycles=image.schedule.kernel_cycles(iterations, image.dfg),
+            overhead_cycles=(2 * self.config.bus_latency + scalar_ins
+                             + len(loop.live_outs)),
+            live_outs=live_outs)

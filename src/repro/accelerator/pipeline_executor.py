@@ -1,20 +1,24 @@
 """Event-driven overlapped execution of a modulo schedule.
 
-:class:`~repro.accelerator.machine.LoopAccelerator` executes loops
-iteration-by-iteration and derives timing from the schedule — sound,
-because a validated schedule cannot change dataflow values.  This module
-goes the other way: it executes the software pipeline *as the hardware
-would*, issuing every scheduled operation at its absolute cycle
-``t(op) + k * II`` with values resolved through per-iteration dataflow
-contexts (the executable form of modulo variable expansion).  Memory
-operations commit in true global-time order across overlapped
-iterations.
+:meth:`~repro.accelerator.machine.LoopAccelerator.invoke` runs a loop
+through the specialized kernel or the reference interpreter and derives
+timing from the schedule — sound, because a validated schedule cannot
+change dataflow values.  This module goes the other way: it executes
+the software pipeline *as the hardware would*, issuing every scheduled
+operation at its absolute cycle ``t(op) + k * II`` with values resolved
+through per-iteration dataflow contexts (the executable form of modulo
+variable expansion).  Memory operations commit in true global-time
+order across overlapped iterations, and every address the datapath
+computes is cross-checked against the address generator's prediction
+(base + stride, Section 2.1), an end-to-end validation of the stream
+analysis.
 
-Running both executors and the scalar interpreter over the same data and
-demanding bit-identical results is the strongest correctness statement
-in the repository: the schedule, the dependence distances, the
-memory-ordering edges and the register rotation all have to be right
-simultaneously.
+Running this executor and the scalar interpreter over the same data and
+demanding bit-identical results (the differential guard,
+:mod:`repro.vm.guard`) is the strongest correctness statement in the
+repository: the schedule, the dependence distances, the memory-ordering
+edges, the register rotation and the stream patterns all have to be
+right simultaneously.
 
 As a by-product the executor measures what a timing formula cannot: real
 per-resource utilization of the kernel (how full Figure 5's reservation
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
+from repro.accelerator.addrgen import ResolvedStream, resolve_pattern
 from repro.accelerator.machine import AcceleratorFault, KernelImage
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.memory import Memory, Value
@@ -135,6 +140,28 @@ def _precompute_unscheduled(resolver: _DataflowResolver,
                                              if d in regs}
 
 
+def _resolve_streams(image: KernelImage,
+                     live_in_values: Mapping[Reg, Value]
+                     ) -> dict[int, ResolvedStream]:
+    """Program the address generators: each memory op's stream, keyed
+    by opid, with its base bound to the live-in values."""
+    streams: dict[int, ResolvedStream] = {}
+    for op in image.loop.body:
+        if not op.is_memory:
+            continue
+        pattern = image.streams.patterns.get(op.opid)
+        if pattern is None:
+            raise AcceleratorFault(
+                f"op{op.opid}: no stream pattern — loop should have "
+                f"been rejected")
+        try:
+            streams[op.opid] = resolve_pattern(pattern, len(streams),
+                                               live_in_values)
+        except KeyError as exc:
+            raise AcceleratorFault(f"op{op.opid}: {exc.args[0]}") from None
+    return streams
+
+
 def _fault_site(op: Operation) -> str:
     """Classify where a produced value physically lives for injection.
 
@@ -175,6 +202,7 @@ def execute_overlapped(image: KernelImage, memory: Memory,
     if trips <= 0:
         return OverlappedRun(0, 0, {}, 0)
 
+    streams = _resolve_streams(image, live_in_values)
     resolver = _DataflowResolver(loop, live_in_values)
     interp = Interpreter(memory)
     _precompute_unscheduled(resolver, interp, loop, schedule.times, trips)
@@ -207,6 +235,14 @@ def execute_overlapped(image: KernelImage, memory: Memory,
         regs: dict[Reg, Value] = {}
         for reg in set(op.src_regs()):
             regs[reg] = resolver.read(position, reg, k)
+        if op.is_memory:
+            expected = streams[op.opid].address(k)
+            actual = (int(interp._value(regs, op.srcs[0]))
+                      + int(interp._value(regs, op.srcs[1])))
+            if actual != expected:
+                raise AcceleratorFault(
+                    f"op{op.opid} iteration {k}: datapath address "
+                    f"{actual} != address generator {expected}")
         interp.execute_op(op, regs)
         env: dict[Reg, Value] = {}
         for d in op.dests:

@@ -24,7 +24,6 @@ from repro.cpu.memory import Memory
 from repro.cpu.pipeline import ARM11, CPUConfig, InOrderPipeline
 from repro.ir.cfg import Program, identify_loops, linear_program
 from repro.ir.loop import Loop
-from repro.errors import AcceleratorFault
 from repro.perf.memo import memo_table
 from repro.vm.codecache import CodeCache
 from repro.vm.costmodel import translation_cycles
@@ -255,24 +254,7 @@ class VirtualMachine:
                                              outcome)
                 if deopt:
                     return outcome
-            try:
-                run = None
-                if not loop.annotations.get("while_loop"):
-                    # Engine tier 2: the specialized kernel stands in
-                    # for the iteration-by-iteration machine; None
-                    # means unsupported and falls through to reference.
-                    from repro.accelerator import jit
-                    run = jit.invoke_specialized(self.accelerator, image,
-                                                 memory, live_ins)
-                if run is None:
-                    run = self.accelerator.invoke(image, memory, live_ins)
-            except AcceleratorFault as exc:
-                # A structural invariant tripped mid-invocation; the
-                # atomic-invocation contract (Section 2.1) means no
-                # partial state escaped — deoptimize to scalar.
-                self._deoptimize(loop, image, outcome,
-                                 f"accelerator fault: {exc}")
-                return outcome
+            run = self.accelerator.invoke(image, memory, live_ins)
         else:
             run = self.accelerator.estimate(image)
         outcome.accel_cycles_per_invocation = run.total_cycles

@@ -1,18 +1,19 @@
-"""Accelerator configuration, structural models, machine, area."""
+"""Accelerator configuration, stream binding, machine, area."""
+
+import dataclasses
 
 import pytest
 
+from repro import perf
 from repro.accelerator import (
     AcceleratorFault,
     INFINITE_LA,
     LAConfig,
     LoopAccelerator,
     PROPOSED_LA,
-    RegisterFile,
     ResolvedStream,
-    StreamFIFO,
     accelerator_area,
-    distribute_streams,
+    execute_overlapped,
     resolve_pattern,
 )
 from repro.analysis import analyze_streams
@@ -76,35 +77,7 @@ def test_area_rejects_unbounded():
         accelerator_area(INFINITE_LA)
 
 
-# -- FIFO / regfile / addrgen -----------------------------------------------------
-
-def test_fifo_fifo_order_and_stats():
-    f = StreamFIFO(0, capacity=3)
-    f.push(1)
-    f.push(2)
-    assert f.pop() == 1 and f.pop() == 2
-    assert f.pushes == 2 and f.pops == 2 and f.max_occupancy == 2
-
-
-def test_fifo_overflow_underflow():
-    f = StreamFIFO(0, capacity=1)
-    f.push(1)
-    with pytest.raises(OverflowError):
-        f.push(2)
-    f.pop()
-    with pytest.raises(IndexError):
-        f.pop()
-
-
-def test_regfile_bounds_and_counts():
-    rf = RegisterFile("int", 4)
-    rf.write(3, 7)
-    assert rf.read(3) == 7
-    assert rf.writes == 1 and rf.reads == 1
-    with pytest.raises(IndexError):
-        rf.write(4, 0)
-    assert rf.initialize({0: 1, 1: 2}) == 2
-
+# -- address-generator streams -----------------------------------------------------
 
 def test_resolved_stream_addresses():
     s = ResolvedStream(0, base=100, stride=3, is_store=False)
@@ -127,14 +100,6 @@ def test_resolve_pattern_missing_livein():
         resolve_pattern(sa.load_streams[0], 0, {})
 
 
-def test_distribute_streams_round_robin():
-    streams = [ResolvedStream(n, base=n, stride=1, is_store=False)
-               for n in range(5)]
-    gens = distribute_streams(streams, 2)
-    assert [g.occupancy for g in gens] == [3, 2]
-    assert gens[0].address(0, 2) == 0 + 2
-
-
 # -- machine ----------------------------------------------------------------------
 
 def _translated(kernel):
@@ -150,24 +115,43 @@ def test_invoke_matches_interpreter_results():
     interp = Interpreter(mem_a)
     ref = interp.run_loop(kernel, standard_live_ins(kernel, mem_a,
                                                     DEFAULT_SCALARS))
-    mem_b = seeded_memory(kernel, seed=11)
-    accel = LoopAccelerator(PROPOSED_LA)
-    run = accel.invoke(image, mem_b,
-                       standard_live_ins(image.loop, mem_b, DEFAULT_SCALARS))
-    assert run.live_outs == ref.live_outs
-    assert mem_a.snapshot() == mem_b.snapshot()
-    assert run.iterations == 32
+    for level in (0, 2):
+        mem_b = seeded_memory(kernel, seed=11)
+        accel = LoopAccelerator(PROPOSED_LA)
+        with perf.engine_at(level):
+            run = accel.invoke(image, mem_b, standard_live_ins(
+                image.loop, mem_b, DEFAULT_SCALARS))
+        assert run.live_outs == ref.live_outs, level
+        assert mem_a.snapshot() == mem_b.snapshot(), level
+        assert run.iterations == 32
 
 
-def test_invoke_checks_every_address():
+def test_wrong_stream_stride_faults_in_event_executor():
+    """The event executor cross-checks every datapath address against
+    the address generator's base + stride prediction."""
+    from repro.vm.guard import differential_check
     kernel = K.daxpy(trip_count=16)
     image = _translated(kernel)
+    opid, pattern = next((opid, p) for opid, p
+                         in image.streams.patterns.items() if p is not None)
+    patterns = dict(image.streams.patterns)
+    patterns[opid] = dataclasses.replace(pattern, stride=pattern.stride + 1)
+    bad = dataclasses.replace(
+        image, digest=None,
+        streams=dataclasses.replace(image.streams, patterns=patterns))
+    for level in (0, 1, 2):
+        mem = seeded_memory(kernel)
+        with perf.engine_at(level), \
+                pytest.raises(AcceleratorFault, match="address generator"):
+            execute_overlapped(bad, mem, standard_live_ins(
+                bad.loop, mem, DEFAULT_SCALARS))
     mem = seeded_memory(kernel)
-    accel = LoopAccelerator(PROPOSED_LA)
-    run = accel.invoke(image, mem,
-                       standard_live_ins(image.loop, mem, DEFAULT_SCALARS))
-    memory_ops = sum(1 for op in image.loop.body if op.is_memory)
-    assert run.addresses_checked == memory_ops * 16
+    with perf.engine_at(0):
+        check = differential_check(bad, mem, standard_live_ins(
+            bad.loop, mem, DEFAULT_SCALARS))
+    kinds = [m.kind for m in check.verdict.mismatches]
+    assert kinds == ["fault"]
+    assert "address generator" in check.verdict.mismatches[0].detail
 
 
 def test_invoke_timing_includes_bus_overhead():
@@ -229,14 +213,3 @@ def test_control_words_scale_with_ii():
     big = _translated(K.adpcm_encode(trip_count=8))
     assert big.ii > small.ii
     assert big.control_words() > small.control_words()
-
-
-def test_fifo_occupancy_reported():
-    kernel = K.fir_filter(taps=4, trip_count=32)
-    image = _translated(kernel)
-    mem = seeded_memory(kernel)
-    accel = LoopAccelerator(PROPOSED_LA)
-    run = accel.invoke(image, mem,
-                       standard_live_ins(image.loop, mem, DEFAULT_SCALARS))
-    assert run.fifo_max_occupancy
-    assert all(v >= 1 for v in run.fifo_max_occupancy.values())

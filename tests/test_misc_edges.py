@@ -2,12 +2,6 @@
 
 import pytest
 
-from repro.accelerator import (
-    AddressGenerator,
-    ResolvedStream,
-    StreamFIFO,
-    distribute_streams,
-)
 from repro.cpu import Memory
 from repro.ir import Imm, LoopBuilder, Opcode, Reg
 from repro.ir.ops import Operation
@@ -35,39 +29,6 @@ def test_operation_str_forms():
 def test_loop_str():
     loop = LoopBuilder("tiny", trip_count=2).finish()
     assert "tiny" in str(loop)
-
-
-# -- address generators -------------------------------------------------------------
-
-def test_addrgen_unknown_stream():
-    gen = AddressGenerator(0)
-    with pytest.raises(KeyError):
-        gen.address(5, 0)
-
-
-def test_addrgen_issued_counter():
-    gen = AddressGenerator(0)
-    gen.attach(ResolvedStream(0, base=10, stride=2, is_store=False))
-    gen.address(0, 0)
-    gen.address(0, 1)
-    assert gen.issued == 2
-
-
-def test_distribute_streams_requires_generator():
-    streams = [ResolvedStream(0, base=0, stride=1, is_store=False)]
-    with pytest.raises(ValueError):
-        distribute_streams(streams, 0)
-    assert distribute_streams([], 0) == []
-
-
-def test_fifo_peek():
-    fifo = StreamFIFO(0)
-    fifo.push(7)
-    assert fifo.peek() == 7
-    assert len(fifo) == 1
-    fifo.pop()
-    with pytest.raises(IndexError):
-        fifo.peek()
 
 
 # -- memory ----------------------------------------------------------------------------

@@ -9,7 +9,9 @@ the accelerator bit-identically to the scalar interpreter.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.accelerator import LoopAccelerator, PROPOSED_LA
+from repro import perf
+from repro.accelerator import (LoopAccelerator, PROPOSED_LA,
+                               execute_overlapped)
 from repro.analysis import analyze_streams
 from repro.analysis.linexpr import LinExpr, symbol_of
 from repro.cpu import Interpreter, standard_live_ins, wrap64
@@ -154,24 +156,41 @@ def test_generated_loops_schedule_validly(spec):
     assert sched.ii >= sched.mii
 
 
+def _typed(values):
+    """Values keyed as given, compared by type name and repr, so an int
+    that should be a float (or -0.0 against 0.0) is a difference."""
+    return {key: (type(v).__name__, repr(v)) for key, v in values.items()}
+
+
 @SLOW
 @given(gen_specs)
 def test_generated_loops_accelerator_equivalence(spec):
+    """``invoke`` at engine tiers 0 and 2 and the event executor all
+    match the scalar interpreter, value and type."""
     loop = generate_loop(spec)
     result = translate_loop(loop, PROPOSED_LA.with_(
         load_streams=64, store_streams=64, max_ii=64,
         num_int_regs=256, num_fp_regs=256))
     if not result.ok:
         return
+    image = result.image
     mem_ref = seeded_memory(loop, seed=spec.seed)
     ref = Interpreter(mem_ref).run_loop(
         loop, standard_live_ins(loop, mem_ref))
-    mem_acc = seeded_memory(loop, seed=spec.seed)
-    accel = LoopAccelerator(result.image.config)
-    run = accel.invoke(result.image, mem_acc,
-                       standard_live_ins(result.image.loop, mem_acc))
-    assert run.live_outs == ref.live_outs
-    assert mem_ref.snapshot() == mem_acc.snapshot()
+    expected = (_typed(ref.live_outs), _typed(mem_ref.snapshot()))
+    for level in (0, 2):
+        mem_acc = seeded_memory(loop, seed=spec.seed)
+        with perf.engine_at(level):
+            run = LoopAccelerator(image.config).invoke(
+                image, mem_acc, standard_live_ins(image.loop, mem_acc))
+        assert (_typed(run.live_outs),
+                _typed(mem_acc.snapshot())) == expected, level
+        assert run.iterations == ref.iterations
+    mem_evt = seeded_memory(loop, seed=spec.seed)
+    overlapped = execute_overlapped(image, mem_evt,
+                                    standard_live_ins(image.loop, mem_evt))
+    assert (_typed(overlapped.live_outs),
+            _typed(mem_evt.snapshot())) == expected
 
 
 @SLOW
