@@ -56,10 +56,10 @@ from repro import obs
 from repro.accelerator.machine import KernelImage
 from repro.accelerator.pipeline_executor import (OverlappedRun,
                                                  execute_overlapped)
-from repro.cpu.interpreter import _trunc_div, _trunc_rem, wrap64
 from repro.cpu.memory import Memory, Value
 from repro.ir.graphalgo import strongly_connected_components
-from repro.ir.opcodes import Opcode
+from repro.ir.loop import check_trip_count
+from repro.ir.opcodes import Opcode, trunc_div, trunc_rem, wrap64
 from repro.ir.ops import Imm, Operation, Reg
 from repro.scheduler.mii import sched_resource
 
@@ -447,12 +447,6 @@ def _value_expr(op: Operation, operands: list[_Val]
     raise SpecializationUnsupported(f"opcode {op.opcode} has no typed form")
 
 
-#: Opcodes the emitter handles outside :func:`_value_expr`.
-_NON_VALUE = {Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE,
-              Opcode.CCA_OP, Opcode.BR, Opcode.JUMP, Opcode.CALL,
-              Opcode.BRL}
-
-
 # -- whole-array values -------------------------------------------------------
 
 #: Runtime classes of a whole-array value: each element's reference
@@ -463,10 +457,6 @@ _NON_VALUE = {Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE,
 #: A load stream's class is the one :meth:`Memory.gather` names.
 _VI, _VF, _VR = "i", "f", "r"
 _KIND_OF = {_VI: INT64, _VF: FLOAT, _VR: UNKNOWN}
-_FLOAT_FORMS = {"farith", "fminmax", "fdiv", "funary", "itof"}
-#: Ops whose 64-bit result depends only on their operands mod 2**64.
-_MODULAR = {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR,
-            Opcode.XOR}
 _TWO63 = 9223372036854775808.0
 
 
@@ -496,13 +486,11 @@ def _wide(v: _Vec) -> bool:
 def _vclass(op: Operation, classes: list[str]) -> str:
     """Class of a pure op's result over operands of *classes*."""
     form = _FORMS[op.opcode][0]
-    if form in _FLOAT_FORMS:
-        return _VF
     if form == "copy":
         return classes[0]
     if form == "select":
         return _vjoin(classes[1], classes[2])
-    return _VI
+    return _VF if op.opcode.result_type is float else _VI
 
 
 def _f2i(x):
@@ -547,7 +535,7 @@ def _vfdiv(a, d):
 
 #: The names generated code reads besides its arguments.
 _HELPERS = dict(
-    __tdiv=_trunc_div, __trem=_trunc_rem, __np=np, __i64=np.int64,
+    __tdiv=trunc_div, __trem=trunc_rem, __np=np, __i64=np.int64,
     __f64=np.float64, __u64=np.uint64, __f2i=_f2i, __shift=_shift,
     __osel=_osel, __vdiv=_vdiv, __vrem=_vrem, __vfdiv=_vfdiv)
 
@@ -745,7 +733,7 @@ class _Codegen:
                     if d in binding:
                         kinds[ri] = (binding[d].kind if op.predicate is None
                                      else _join(binding[d].kind, kinds[ri]))
-            elif oc not in _NON_VALUE:
+            elif oc.is_value:
                 _expr, kind, raises = self._pure_form(
                     op, [imm or self._static(producer)
                          for imm, _reg, producer in self._srcs[op.opid]])
@@ -781,7 +769,7 @@ class _Codegen:
                 work.extend(reads[opid])
 
         for op in self.loop.body:
-            if op.opid in reads and (op.opcode in _NON_VALUE
+            if op.opid in reads and (not op.opcode.is_value
                                      and op.opcode is not Opcode.CCA_OP
                                      or op.opid in self._raises):
                 need(op.opid)
@@ -1110,17 +1098,13 @@ class _Codegen:
     # -- ops -----------------------------------------------------------------
 
     def _fold(self, op: Operation, operands: list[_Vec]) -> Optional[_Vec]:
-        """An op over immediates only, evaluated once by the reference."""
-        from repro.cpu.interpreter import Interpreter
-        regs: dict[Reg, Value] = {}
+        """An op over immediates only, evaluated once by its semantics."""
         try:
-            Interpreter(Memory()).execute_op(
-                op.copy(predicate=None), regs)
+            value = op.opcode.semantics(*[v.const for v in operands])
         except Exception:  # raises on every instance
             raise SpecializationUnsupported("value")
         if not op.dests:
             return None
-        value = regs[op.dests[0]]
         return self._full(_Vec(_imm(value).expr, _imm_class(value),
                                imm=True, const=value))
 
@@ -1134,7 +1118,7 @@ class _Codegen:
         b = operands[1] if len(operands) > 1 else None
         cls = _vclass(op, [v.cls for v in operands])
         if form in ("arith", "bitwise"):
-            modular = op.opcode in _MODULAR
+            modular = op.opcode.is_modular
             expr = (f"({self._as_int(a, modular)} {sym} "
                     f"{self._as_int(b, modular)})")
         elif form == "shift":
@@ -1659,8 +1643,7 @@ def specialize(image: KernelImage, trips: int) -> SpecializedKernel:
     the emitter cannot reproduce bit-identically (the caller falls back
     to the reference executors).
     """
-    if trips <= 0:
-        raise SpecializationUnsupported("non-positive trip count")
+    check_trip_count(trips)
     loop = image.loop
     if loop.annotations.get("while_loop"):
         raise SpecializationUnsupported("while loop: trips are speculative")
@@ -1719,9 +1702,9 @@ def execute_pipelined(image: KernelImage, memory: Memory,
     image and every declined call runs the reference executor.
     """
     from repro import perf
-    trips = image.loop.trip_count if trip_count is None else trip_count
+    trips = image.loop.trips(trip_count)
     ran = None
-    if perf.engine_level() >= 2 and fault_hook is None and trips > 0:
+    if perf.engine_level() >= 2 and fault_hook is None:
         ran = invoke_specialized(image, memory, live_in_values, trips)
     if ran is None:
         return execute_overlapped(image, memory, live_in_values,

@@ -172,12 +172,12 @@ class LoopAccelerator:
         if reason is not None:
             raise AcceleratorFault(reason)
         loop = image.loop
-        trips = loop.trip_count if trip_count is None else trip_count
+        trips = loop.trips(trip_count)
         scalar_ins, completion = image.timing_constants()
         schedule = image.schedule
         # ModuloSchedule.kernel_cycles, with the completion time recalled.
         kernel = ((trips - 1) * schedule.ii + completion
-                  if trips > 0 and schedule.times else 0)
+                  if schedule.times else 0)
         overhead = (2 * self.config.bus_latency + scalar_ins
                     + len(loop.live_outs))
         return AcceleratorRun(iterations=trips, kernel_cycles=kernel,
@@ -204,7 +204,7 @@ class LoopAccelerator:
         loop = image.loop
         iterations = loop.trip_count
         ran = None
-        if perf.engine_level() >= 2 and iterations > 0:
+        if perf.engine_level() >= 2:
             from repro.accelerator import jit
             ran = jit.invoke_specialized(image, memory, live_in_values,
                                          iterations)

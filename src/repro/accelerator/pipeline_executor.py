@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Optional
 
 from repro.accelerator.addrgen import ResolvedStream, resolve_pattern
 from repro.accelerator.machine import AcceleratorFault, KernelImage
-from repro.cpu.interpreter import Interpreter
+from repro.cpu.interpreter import Interpreter, effective_address
 from repro.cpu.memory import Memory, Value
 from repro.ir.loop import Loop
 from repro.ir.opcodes import Opcode
@@ -198,9 +198,7 @@ def execute_overlapped(image: KernelImage, memory: Memory,
     loop = image.loop
     schedule = image.schedule
     ii = schedule.ii
-    trips = loop.trip_count if trip_count is None else trip_count
-    if trips <= 0:
-        return OverlappedRun(0, 0, {}, 0)
+    trips = loop.trips(trip_count)
 
     streams = _resolve_streams(image, live_in_values)
     resolver = _DataflowResolver(loop, live_in_values)
@@ -237,8 +235,7 @@ def execute_overlapped(image: KernelImage, memory: Memory,
             regs[reg] = resolver.read(position, reg, k)
         if op.is_memory:
             expected = streams[op.opid].address(k)
-            actual = (int(interp._value(regs, op.srcs[0]))
-                      + int(interp._value(regs, op.srcs[1])))
+            actual = effective_address(regs, op)
             if actual != expected:
                 raise AcceleratorFault(
                     f"op{op.opid} iteration {k}: datapath address "

@@ -19,10 +19,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.analysis.partition import OFFLOADABLE_OPCODES
 from repro.analysis.streams import StreamAnalysis, analyze_streams
 from repro.ir.dfg import DataflowGraph, build_dfg
 from repro.ir.loop import Loop
-from repro.ir.opcodes import COMPARE_OPCODES, Opcode
+from repro.ir.opcodes import Opcode
 from repro.ir.ops import Reg
 
 
@@ -143,9 +144,7 @@ def check_schedulability(loop: Loop,
     elif not requires_speculation:
         for opid in cond_slice:
             op = loop.op(opid)
-            if op.opcode not in COMPARE_OPCODES and op.opcode not in (
-                    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.SHL,
-                    Opcode.MOV, Opcode.LDI, Opcode.NEG):
+            if op.opcode not in OFFLOADABLE_OPCODES:
                 reasons.append(f"op{opid}: control pattern too complex "
                                f"({op.opcode.value})")
 

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.opcodes import (
-    CCA_ARITH_OPCODES,
-    CCA_LOGIC_OPCODES,
-    CCA_SUPPORTED_OPCODES,
-    Opcode,
-)
+from repro.ir.opcodes import Opcode
 from repro.ir.ops import Operation
 
 
@@ -56,15 +51,13 @@ class CCAConfig:
 
     def supports(self, opcode: Opcode) -> bool:
         """Can this opcode execute on *some* row of the array?"""
-        return opcode in CCA_SUPPORTED_OPCODES
+        return opcode.cca_row is not None
 
     def row_accepts(self, row: int, opcode: Opcode) -> bool:
         """Can *opcode* execute on *row*?"""
-        if opcode in CCA_LOGIC_OPCODES:
+        if opcode.cca_row == "logic":
             return True
-        if opcode in CCA_ARITH_OPCODES:
-            return row in self.arith_rows
-        return False
+        return opcode.cca_row == "arith" and row in self.arith_rows
 
 
 #: The CCA used throughout the paper's evaluation (from [5]).

@@ -5,7 +5,6 @@ from repro.cpu.interpreter import (
     Interpreter,
     TrapError,
     standard_live_ins,
-    wrap64,
 )
 from repro.cpu.memory import Memory, Value
 from repro.cpu.pipeline import (
@@ -15,6 +14,7 @@ from repro.cpu.pipeline import (
     InOrderPipeline,
     QUAD_ISSUE,
 )
+from repro.ir.opcodes import wrap64
 
 __all__ = [
     "ARM11", "CORTEX_A8", "CPUConfig", "ExecResult", "InOrderPipeline",

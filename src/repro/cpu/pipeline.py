@@ -24,7 +24,6 @@ from repro.ir.opcodes import (
     LatencyModel,
     Opcode,
     ResourceClass,
-    info,
 )
 from repro.ir.ops import Reg
 
@@ -100,7 +99,7 @@ class InOrderPipeline:
         branch_cycles: list[int] = []
         for _ in range(iterations):
             for op in loop.body:
-                resource = info(op.opcode).resource
+                resource = op.opcode.resource
                 if resource is ResourceClass.CCA:
                     # Scalar cores execute the collapsed subgraph as its
                     # constituent RISC ops; callers should not time
@@ -159,9 +158,7 @@ class InOrderPipeline:
 
     def loop_cycles(self, loop: Loop, trip_count: Optional[int] = None) -> float:
         """Total cycles to run *loop* for *trip_count* iterations."""
-        trips = loop.trip_count if trip_count is None else trip_count
-        if trips <= 0:
-            return 0.0
+        trips = loop.trips(trip_count)
         from repro import perf
         key = None
         if perf.engine_enabled():

@@ -10,7 +10,6 @@ from repro.ir.opcodes import (
     OpKind,
     Opcode,
     ResourceClass,
-    info,
 )
 from repro.ir.ops import Imm, Operand, Operation, Reg
 from repro.ir.loop import ArrayDecl, Loop, validate_loop
@@ -31,5 +30,5 @@ __all__ = [
     "DataflowGraph", "Edge", "Function", "IdentifiedLoop", "Imm",
     "LatencyModel", "Loop", "LoopBuilder", "OpKind", "Opcode", "Operand",
     "Operation", "Program", "Reg", "ResourceClass", "build_dfg",
-    "identify_loops", "info", "linear_program", "validate_loop",
+    "identify_loops", "linear_program", "validate_loop",
 ]

@@ -24,7 +24,7 @@ import itertools
 from typing import Optional, Union
 
 from repro.ir.loop import ArrayDecl, Loop
-from repro.ir.opcodes import Opcode, info
+from repro.ir.opcodes import Opcode
 from repro.ir.ops import Imm, Operand, Operation, Reg
 
 ValueLike = Union[Reg, Imm, int, float]
@@ -119,7 +119,7 @@ class LoopBuilder:
         if self._finished:
             raise RuntimeError("loop already finished")
         operands = [_as_operand(s) for s in srcs]
-        kind = info(opcode).kind
+        kind = opcode.kind
         dests: list[Reg] = []
         if opcode not in (Opcode.STORE, Opcode.FSTORE, Opcode.BR,
                           Opcode.JUMP, Opcode.CALL):

@@ -21,6 +21,18 @@ from repro.ir.ops import Imm, Operation, Reg, defined_regs
 from repro.perf.memo import RuntimeMemos
 
 
+def check_trip_count(trips: int) -> int:
+    """Return *trips*, or raise :class:`ValueError` if it is below 1.
+
+    Entry to a loop is guarded before the loop, so every IR loop and
+    every run-time trip count runs at least one iteration.
+    """
+    if trips < 1:
+        raise ValueError(f"trip count {trips} < 1: entry to a loop is "
+                         f"guarded before the loop")
+    return trips
+
+
 @dataclass
 class ArrayDecl:
     """A memory region the loop touches.
@@ -60,7 +72,8 @@ class Loop(RuntimeMemos):
             completion, Section 3.1).
         arrays: Memory regions referenced by the loop.
         trip_count: Default iteration count used by simulation when the
-            invocation does not override it.
+            invocation does not override it; at least 1
+            (:func:`check_trip_count`).
         invocations: How many times the application enters this loop per
             run (used by the VM's amortisation accounting).
         annotations: Optional static metadata embedded by the compiler in
@@ -78,9 +91,16 @@ class Loop(RuntimeMemos):
     annotations: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_trip_count(self.trip_count)
         self._by_id = {op.opid: op for op in self.body}
         if len(self._by_id) != len(self.body):
             raise ValueError(f"duplicate opids in loop {self.name!r}")
+
+    def trips(self, trip_count: Optional[int] = None) -> int:
+        """Iterations of one entry: *trip_count* if given (checked by
+        :func:`check_trip_count`), else :attr:`trip_count`."""
+        return (self.trip_count if trip_count is None
+                else check_trip_count(trip_count))
 
     # -- lookups ----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
-from repro.ir.opcodes import OpKind, Opcode, info
+from repro.ir.opcodes import OpKind, Opcode
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class Operation:
 
     @property
     def kind(self) -> OpKind:
-        return info(self.opcode).kind
+        return self.opcode.kind
 
     @property
     def is_load(self) -> bool:

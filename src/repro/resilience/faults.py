@@ -36,10 +36,11 @@ import numpy as np
 
 from repro import perf
 from repro.accelerator import PROPOSED_LA, jit
-from repro.cpu.interpreter import Interpreter, standard_live_ins, wrap64
+from repro.cpu.interpreter import Interpreter, standard_live_ins
 from repro.cpu.memory import Memory, Value
 from repro.errors import GuardViolation
 from repro.ir.loop import Loop
+from repro.ir.opcodes import wrap64
 from repro.resilience.campaign import Campaign, Plugin, Scenario
 from repro.vm.guard import GuardConfig, GuardedExecutor, differential_check
 from repro.vm.translator import translate_loop

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.ir.dfg import DataflowGraph
+from repro.ir.loop import check_trip_count
 from repro.scheduler.mii import sched_resource
 
 
@@ -60,7 +61,8 @@ class ModuloSchedule:
         Prologue and epilogue are inside this expression — no separate
         ramp accounting is needed.
         """
-        if trip_count <= 0 or not self.times:
+        check_trip_count(trip_count)
+        if not self.times:
             return 0
         return (trip_count - 1) * self.ii + self.completion_time(dfg)
 

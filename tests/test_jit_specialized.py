@@ -242,16 +242,16 @@ def test_negative_entries_count_toward_the_limit(monkeypatch):
         image.loop.annotations.pop("while_loop", None)
 
 
-def test_non_positive_trips_fall_back():
+def test_non_positive_trips_are_rejected():
+    # Entry to a loop is guarded before the loop: no trip count below 1.
     small, image = _first_translatable()
-    with pytest.raises(jit.SpecializationUnsupported):
+    with pytest.raises(ValueError):
         jit.specialize(image, 0)
     memory = seeded_memory(small, seed=7)
     live = standard_live_ins(small, memory, DEFAULT_SCALARS)
-    with perf.engine_at(2):
-        run = jit.execute_pipelined(image, memory, live, trip_count=0)
+    with perf.engine_at(2), pytest.raises(ValueError):
+        jit.execute_pipelined(image, memory, live, trip_count=0)
     assert _counter("vm.specialized") == 0
-    assert run.iterations == 0
 
 
 # -- observability ------------------------------------------------------------

@@ -79,16 +79,9 @@ _SAMPLES = {
 _IMMEDIATES = [0, 1, 2, 63, 64, -1, -8, _TOP, _BOTTOM, 1 << 64, 2.5,
                -0.0, math.nan]
 
-_UNARY = [Opcode.NEG, Opcode.ABS, Opcode.NOT, Opcode.MOV, Opcode.LDI,
-          Opcode.FNEG, Opcode.FABS, Opcode.ITOF, Opcode.FTOI]
-_BINARY = [Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM,
-           Opcode.MIN, Opcode.MAX, Opcode.AND, Opcode.OR, Opcode.XOR,
-           Opcode.SHL, Opcode.SHR, Opcode.SHRU, Opcode.CMPEQ, Opcode.CMPNE,
-           Opcode.CMPLT, Opcode.CMPLE, Opcode.CMPGT, Opcode.CMPGE,
-           Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
-           Opcode.FMIN, Opcode.FMAX, Opcode.FCMPLT, Opcode.FCMPLE,
-           Opcode.FCMPEQ]
-_TERNARY = [Opcode.SELECT]
+#: Every value op of the opcode table, so a new one cannot skip the
+#: typed-form check.
+_VALUE_OPS = [opcode for opcode in Opcode if opcode.is_value]
 
 #: Operand slots: a register of each kind, or each immediate.
 _SLOTS = [("reg", kind) for kind in _SAMPLES] + [
@@ -150,10 +143,13 @@ def _check_form(opcode, slots) -> int:
     return checked
 
 
-@pytest.mark.parametrize("opcode", _UNARY + _BINARY + _TERNARY,
-                         ids=lambda oc: oc.name)
+def test_every_value_op_has_a_typed_form():
+    assert set(jit._FORMS) == set(_VALUE_OPS)
+
+
+@pytest.mark.parametrize("opcode", _VALUE_OPS, ids=lambda oc: oc.name)
 def test_typed_form_matches_execute_op(opcode):
-    arity = 1 if opcode in _UNARY else 2 if opcode in _BINARY else 3
+    arity = opcode.arity
     checked = 0
     for slots in itertools.product(_SLOTS, repeat=arity):
         if all(what == "imm" for what, _p in slots):

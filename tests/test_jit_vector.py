@@ -36,10 +36,9 @@ from repro.workloads.generator import GeneratorSpec, generate_loop
 from repro.workloads.suite import DEFAULT_SCALARS, all_benchmarks
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Imm, Operation, Reg
-from tests.test_jit_typed import (_ADVERSARIAL, _BINARY, _BOTTOM,
-                                  _IMMEDIATES, _TERNARY, _TOP, _UNARY,
-                                  KERNEL_SHAPES, _canonical, _outcome,
-                                  _reference, _same)
+from tests.test_jit_typed import (_ADVERSARIAL, _BOTTOM, _IMMEDIATES,
+                                  _TOP, _VALUE_OPS, KERNEL_SHAPES,
+                                  _canonical, _outcome, _reference, _same)
 
 
 @pytest.fixture(autouse=True)
@@ -133,10 +132,9 @@ def _check_vector_form(opcode, slots) -> int:
     return checked
 
 
-@pytest.mark.parametrize("opcode", _UNARY + _BINARY + _TERNARY,
-                         ids=lambda oc: oc.name)
+@pytest.mark.parametrize("opcode", _VALUE_OPS, ids=lambda oc: oc.name)
 def test_vector_form_matches_execute_op(opcode):
-    arity = 1 if opcode in _UNARY else 2 if opcode in _BINARY else 3
+    arity = opcode.arity
     checked = 0
     for slots in itertools.product(_VSLOTS, repeat=arity):
         if all(what == "imm" for what, _p in slots):

@@ -195,7 +195,8 @@ def test_loop_cycles_scales_with_trip_count():
 
 
 def test_loop_cycles_zero_trips():
-    assert InOrderPipeline(ARM11).loop_cycles(_parallel_loop(2), 0) == 0.0
+    with pytest.raises(ValueError, match="trip count 0"):
+        InOrderPipeline(ARM11).loop_cycles(_parallel_loop(2), 0)
 
 
 def test_mem_port_structural_hazard():

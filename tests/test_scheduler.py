@@ -263,7 +263,8 @@ def test_kernel_cycles_formula():
     sched = modulo_schedule(dfg, part.compute, UNITS, max_ii=16)
     span = sched.completion_time(dfg)
     assert sched.kernel_cycles(10, dfg) == 9 * sched.ii + span
-    assert sched.kernel_cycles(0, dfg) == 0
+    with pytest.raises(ValueError, match="trip count 0"):
+        sched.kernel_cycles(0, dfg)
 
 
 def test_schedule_times_normalised_to_zero():
