@@ -50,9 +50,6 @@ class LoopPartition:
     address: set[int]
     compute: set[int]
 
-    def is_scheduled(self, opid: int) -> bool:
-        return opid in self.compute
-
 
 def _address_positions(loop: Loop) -> dict[int, set[int]]:
     """For each memory op, the indices of its address operands."""

@@ -405,8 +405,7 @@ def run_figure(name: str, jobs: Optional[int] = None) -> str:
     if name not in FIGURES:
         raise KeyError(f"unknown figure {name!r}; available: "
                        + ", ".join(sorted(FIGURES)))
-    _description, fn = FIGURES[name]
-    return fn()
+    return FIGURES[name].fn()
 
 
 def connect(host: Optional[str] = None, port: Optional[int] = None,
@@ -508,8 +507,7 @@ def compare(config=None, *, preset: Optional[str] = None,
 def figures() -> dict[str, str]:
     """Figure name -> one-line description, for discovery."""
     from repro.experiments.figures import FIGURES
-    return {name: description
-            for name, (description, _fn) in FIGURES.items()}
+    return {name: figure.description for name, figure in FIGURES.items()}
 
 
 __all__ = [

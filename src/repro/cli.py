@@ -412,8 +412,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     stats.add_argument("--strict", action="store_true",
                        help="validate every record against the span "
                             "schema; non-zero exit on violations")
-    for name, (description, _fn) in FIGURES.items():
-        fig = sub.add_parser(name, help=description)
+    for name, figure in FIGURES.items():
+        fig = sub.add_parser(name, help=figure.description)
         fig.add_argument("--output", "-o", default=None,
                          help="also write the table to this file")
         fig.add_argument("--trace", default=None, metavar="PATH",
@@ -446,8 +446,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.command in (None, "list"):
         width = max(len(n) for n in FIGURES)
-        for name, (description, _fn) in FIGURES.items():
-            print(f"  {name.ljust(width)}  {description}")
+        for name, figure in FIGURES.items():
+            print(f"  {name.ljust(width)}  {figure.description}")
         print(f"  {'translate'.ljust(width)}  translate a kernel "
               f"(see 'kernels')")
         print(f"  {'faults'.ljust(width)}  fault-injection campaign "
@@ -552,9 +552,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "trace":
         path = args.output or os.path.join(
             "benchmarks", "results", f"TRACE_{args.figure}.jsonl")
-        _description, fn = FIGURES[args.figure]
         with _traced(path, "figure", figure=args.figure):
-            text = fn()
+            text = FIGURES[args.figure].fn()
         print(text)
         return 0
     if args.command == "aot":
@@ -625,9 +624,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 return 1
             print(f"{count} records schema-valid", file=sys.stderr)
         return 0
-    _description, fn = FIGURES[args.command]
     with _traced(args.trace, "figure", figure=args.command):
-        text = fn()
+        text = FIGURES[args.command].fn()
     print(text)
     if args.output:
         with open(args.output, "w") as handle:

@@ -29,10 +29,6 @@ class CoverageRow:
     subroutine: float
     acyclic: float
 
-    def as_tuple(self) -> tuple:
-        return (self.benchmark, self.suite, self.modulo, self.speculation,
-                self.subroutine, self.acyclic)
-
 
 def run_coverage(benchmarks: list[Benchmark] | None = None
                  ) -> list[CoverageRow]:

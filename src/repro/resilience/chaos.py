@@ -16,11 +16,9 @@ from __future__ import annotations
 import os
 
 from repro import api, perf
+from repro.experiments.figures import SWEEP_FIGURES
 from repro.resilience import infra
 from repro.resilience.campaign import Campaign, Plugin, Scenario
-
-#: The Figure 3/4 design-space sweeps — the campaign's default targets.
-SWEEP_FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
 
 
 def _cold(figure: str) -> str:

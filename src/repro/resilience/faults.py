@@ -51,12 +51,13 @@ from repro.workloads.suite import DEFAULT_SCALARS
 #: re-entering accelerated execution after their backoff expires
 #: (re-translation after a deopt is part of what the campaign covers).
 MAX_FAILURES = 10_000
-#: First backoff after a strike, doubling per strike.
+#: First backoff after a strike, doubling per strike up to the guard's
+#: cap (:data:`~repro.vm.guard.MAX_BACKOFF_DOUBLINGS`).
 BACKOFF_INVOCATIONS = 2
 #: Benched draws (scalar runs of a loop in backoff) a campaign may make
 #: per fault it asks for.  Past that, a benched draw ends its scenario
 #: unfired, so the engine's scenario cap bounds the campaign even when
-#: backoffs have grown past any useful length.
+#: every kernel is benched.
 SKIP_BUDGET_PER_FAULT = 20
 #: The JIT family's name; it runs only at engine tier 2.
 JIT_LIVE_OUT = "jit-live-out"
@@ -172,12 +173,10 @@ class Datapath(Plugin):
         return f"guard mode {self.guard.mode!r}"
 
     def setup(self, campaign: Campaign) -> None:
-        # One executor per family: strikes double a loop's backoff, so
-        # a shared blacklist would bench the JIT family's three kernels
-        # for thousands of invocations under every other family's
-        # strikes.
-        self.executors = {family: GuardedExecutor(PROPOSED_LA, self.guard)
-                          for family in self.families}
+        # One executor for every family, as a production VM runs one:
+        # the guard's capped backoff keeps a kernel struck by several
+        # families benched for a bounded number of invocations.
+        self.executor = GuardedExecutor(PROPOSED_LA, self.guard)
         #: Fired faults by outcome, and detections by family.
         self.outcomes: Counter = Counter()
         self.detections: Counter = Counter()
@@ -208,28 +207,24 @@ class Datapath(Plugin):
         if not self.loops:
             raise ValueError("no usable kernels for the campaign")
 
-    def _draw(self, campaign: Campaign, family: str,
-              loops: list[Loop]) -> Optional[Loop]:
-        """Draw a kernel from *loops*.  A draw benched by *family*'s
-        executor runs scalar — the backoff machinery at work, counted
-        as a blacklist skip — and the draw is repeated; once the
-        campaign's skips have spent their budget, a benched draw
-        returns None instead."""
-        executor = self.executors[family]
+    def _draw(self, campaign: Campaign, loops: list[Loop]
+              ) -> Optional[Loop]:
+        """Draw a kernel from *loops*.  A benched draw runs scalar — the
+        backoff machinery at work, counted as a blacklist skip — and
+        the draw is repeated; once the campaign's skips have spent
+        their budget, a benched draw returns None instead."""
+        executor = self.executor
         budget = SKIP_BUDGET_PER_FAULT * campaign.report.faults
         while True:
             loop = loops[int(campaign.rng.integers(0, len(loops)))]
             if not executor.blacklist.blocked(executor.key_for(loop),
                                               executor.invocations + 1):
                 return loop
-            if self._skips() >= budget:
+            if executor.stats.blacklist_skips >= budget:
                 return None
             memory = _seeded(loop, campaign.rng)
             executor.run(loop, memory, standard_live_ins(
                 loop, memory, DEFAULT_SCALARS))
-
-    def _skips(self) -> int:
-        return sum(e.stats.blacklist_skips for e in self.executors.values())
 
     @staticmethod
     def _benched(campaign: Campaign, family: str) -> Scenario:
@@ -239,7 +234,7 @@ class Datapath(Plugin):
 
     def _upset(self, site: FaultSite, campaign: Campaign) -> Scenario:
         """Flip one bit at one dynamic event of *site*."""
-        loop = self._draw(campaign, site.value, [
+        loop = self._draw(campaign, [
             loop for loop in self.loops
             if self.profiles[loop.name].get(site.value)])
         if loop is None:
@@ -256,7 +251,7 @@ class Datapath(Plugin):
 
     def _jit_live_out(self, campaign: Campaign) -> Scenario:
         """Flip one bit of one live-out of the specialized kernel."""
-        loop = self._draw(campaign, JIT_LIVE_OUT,
+        loop = self._draw(campaign,
                           [loop for loop in self.loops if loop.live_outs])
         if loop is None:
             return self._benched(campaign, JIT_LIVE_OUT)
@@ -283,15 +278,15 @@ class Datapath(Plugin):
     def _inject(self, campaign: Campaign, family: str, loop: Loop,
                 fired: Callable[[], Optional[str]],
                 fault_hook=None) -> Scenario:
-        """Run *loop* once through *family*'s executor with the fault
-        armed and judge the outcome against a fault-free scalar run; *fired*
+        """Run *loop* once through the executor with the fault armed
+        and judge the outcome against a fault-free scalar run; *fired*
         returns the corruption's description, or None if it missed."""
         memory = _seeded(loop, campaign.rng)
         reference_mem = memory.clone()
         reference = Interpreter(reference_mem).run_loop(
             loop, dict(standard_live_ins(loop, reference_mem,
                                          DEFAULT_SCALARS)))
-        run = self.executors[family].run(
+        run = self.executor.run(
             loop, memory, standard_live_ins(loop, memory, DEFAULT_SCALARS),
             fault_hook=fault_hook)
         correct = (memory.snapshot() == reference_mem.snapshot()
@@ -317,14 +312,14 @@ class Datapath(Plugin):
 
     def finish(self, campaign: Campaign) -> None:
         report = campaign.report
-        executors = self.executors.values()
+        stats = self.executor.stats
         injected = report.injected
         detected = self.outcomes["detected"]
         benign = self.outcomes["benign"]
         silent = self.outcomes["silent corruption"]
         recovered = sum(s.injected for s in report.scenarios if s.correct)
-        deopts = sum(e.stats.deopts for e in executors)
-        invalidated = sum(e.cache.stats.invalidations for e in executors)
+        deopts = stats.deopts
+        invalidated = self.executor.cache.stats.invalidations
         campaign.check("silent corruptions", silent == 0, str(silent))
         campaign.check("recovered bit-exact", recovered == injected,
                        f"{recovered}/{injected}")
@@ -336,8 +331,8 @@ class Datapath(Plugin):
         report.tables["detected by family"] = {
             family: self.detections[family] for family in self.families}
         report.tables["guarded runtime"] = {
-            "(re)translations": sum(e.stats.translations for e in executors),
-            "blacklist skips": self._skips(),
+            "(re)translations": stats.translations,
+            "blacklist skips": stats.blacklist_skips,
         }
 
     def close(self) -> None:

@@ -492,8 +492,7 @@ def _execute_local(kind: str, payload: tuple):
     if kind == "figure":
         from repro.experiments.figures import FIGURES
         (name,) = payload
-        _description, fn = FIGURES[name]
-        return fn()
+        return FIGURES[name].fn()
     raise ValueError(f"unknown request kind {kind!r}")
 
 

@@ -7,15 +7,19 @@ every accelerated invocation also runs on the scalar interpreter over a
 clone of memory, and the two executions' live-outs and touched memory
 cells must be bit-identical before the accelerated results are
 committed.  On divergence the guard **deoptimizes** — the code-cache
-entry is invalidated, the loop is blacklisted with exponential backoff
-(and permanently after ``max_failures`` strikes), the scalar results are
+entry, the compiled kernels and the shared translation-cache entry are
+dropped, the loop is blacklisted with capped exponential backoff (and
+permanently after ``max_failures`` strikes), the scalar results are
 committed, and the application keeps running with correct values.
 
 This is the ILA-style discipline of checking accelerator execution
 against an instruction-level reference, combined with the conservative
 bail-out paths production dynamic translators pair with optimisation.
 Every deoptimization is logged as a ``guard-violation`` incident
-(:func:`record_deopt`), on the same surface as infrastructure faults.
+(:meth:`GuardedExecutor.deoptimize`), on the same surface as
+infrastructure faults.  :class:`GuardedExecutor` is the one guarded
+runtime: the VM's checked mode and the ``faults`` campaign both run
+through it.
 The ``faults`` campaign (:mod:`repro.resilience.faults`) drives bit
 flips through this layer and checks each detection against that log,
 to prove the guard actually catches corrupted execution.
@@ -41,6 +45,7 @@ from repro.vm.codecache import CodeCache
 from repro.vm.translator import (
     TranslationOptions,
     TranslationResult,
+    invalidate_translation,
     translate_loop,
     translation_key,
 )
@@ -56,8 +61,9 @@ class GuardConfig:
     ``mode`` is ``"off"`` (trust the translator — the paper's stance) or
     ``"checked"`` (differentially verify every accelerated invocation).
     After a divergence the loop is benched for ``backoff_invocations``
-    invocations, doubling per strike; at ``max_failures`` strikes the
-    loop falls back to scalar execution permanently.
+    invocations, doubling per strike up to ``2**MAX_BACKOFF_DOUBLINGS``
+    times that; at ``max_failures`` strikes the loop falls back to
+    scalar execution permanently.
     """
 
     mode: str = "off"
@@ -190,15 +196,13 @@ def differential_check(image: KernelImage, memory: Memory,
         scalar_result=scalar_result, accel_run=accel_run)
 
 
-def record_deopt(loop_name: str, key: Optional[str], verdict: str) -> None:
-    """Log one deoptimization of *loop_name* (translation *key*, when
-    known) as a ``guard-violation`` incident carrying *verdict*."""
-    record_incident(GuardViolation.kind, "guard",
-                    f"deoptimized {loop_name!r}", loop=loop_name, key=key,
-                    verdict=verdict)
-
-
 # -- blacklist ----------------------------------------------------------------
+
+#: Strikes past the fourth bench no longer than the fourth: the backoff
+#: stops doubling after this many doublings, so a loop that keeps
+#: failing costs a bounded number of scalar runs per strike.
+MAX_BACKOFF_DOUBLINGS = 3
+
 
 @dataclass
 class BlacklistEntry:
@@ -216,10 +220,10 @@ class LoopBlacklist:
     Entries are keyed by translation key
     (:meth:`GuardedExecutor.key_for`), so a strike against one loop
     never benches another loop that shares its name.  Strike *n*
-    benches the loop for ``backoff * 2**(n-1)`` invocations; strike
-    ``max_failures`` benches it forever.  Deterministic translation
-    failures go straight to permanent (retrying cannot change the
-    outcome)."""
+    benches the loop for ``backoff * 2**min(n-1, MAX_BACKOFF_DOUBLINGS)``
+    invocations; strike ``max_failures`` benches it forever.
+    Deterministic translation failures go straight to permanent
+    (retrying cannot change the outcome)."""
 
     def __init__(self, max_failures: int = 3,
                  backoff_invocations: int = 8) -> None:
@@ -236,7 +240,8 @@ class LoopBlacklist:
             entry.permanent = True
             entry.release_at = None
         else:
-            backoff = self.backoff_invocations * 2 ** (entry.failures - 1)
+            doublings = min(entry.failures - 1, MAX_BACKOFF_DOUBLINGS)
+            backoff = self.backoff_invocations * 2 ** doublings
             entry.release_at = now + backoff
         return entry
 
@@ -354,14 +359,21 @@ class GuardedExecutor:
 
     def deoptimize(self, loop: Loop, key: str, image: KernelImage,
                    reason: str) -> BlacklistEntry:
-        """Invalidate the cached image and its compiled kernels, and
-        strike the blacklist entry of *key*."""
+        """Every side effect of one deoptimization, once: drop the
+        code-cache slot, the image's compiled kernels and the shared
+        translation-cache entry (a translation seen to diverge is not
+        re-served), count it, log a ``guard-violation`` incident whose
+        ``verdict`` is *reason*, and strike the blacklist entry of
+        *key*."""
         self.cache.invalidate(loop.name)
         from repro.accelerator import jit
         jit.invalidate_image(image)
+        invalidate_translation(loop, self.la_config, self.options)
         obs.inc("vm.deopt")
         self.stats.deopts += 1
-        record_deopt(loop.name, key, reason)
+        record_incident(GuardViolation.kind, "guard",
+                        f"deoptimized {loop.name!r}", loop=loop.name,
+                        key=key, verdict=reason)
         return self.blacklist.note_failure(key, self.invocations, reason)
 
     # -- the main entry point ---------------------------------------------
@@ -388,6 +400,15 @@ class GuardedExecutor:
             self.blacklist.ban(key, image.failure or "translation failed")
             return self._scalar(loop, memory, live_ins,
                                 reason=image.failure)
+
+        if loop.annotations.get("while_loop"):
+            # The pipeline executors model fixed-trip loops only: a
+            # speculative while-loop runs unchecked, on the reference
+            # interpreter, as LoopAccelerator.invoke runs it.
+            result = Interpreter(memory).run_loop(image.loop, dict(live_ins))
+            self.stats.accelerated += 1
+            return GuardedRun(name, "accelerator", False, None,
+                              result.live_outs)
 
         if not self.guard.checked:
             accel_mem = memory.clone()
@@ -447,6 +468,6 @@ __all__ = [
     "GuardedExecutor",
     "GuardedRun",
     "LoopBlacklist",
+    "MAX_BACKOFF_DOUBLINGS",
     "differential_check",
-    "record_deopt",
 ]

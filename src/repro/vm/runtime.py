@@ -27,13 +27,11 @@ from repro.ir.loop import Loop
 from repro.perf.memo import memo_table
 from repro.vm.codecache import CodeCache
 from repro.vm.costmodel import translation_cycles
-from repro.vm.guard import GuardConfig, differential_check, record_deopt
+from repro.vm.guard import GuardConfig, GuardedExecutor
 from repro.vm.translator import (
     TranslationOptions,
     TranslationResult,
-    invalidate_translation,
     translate_loop,
-    translation_key,
 )
 
 
@@ -78,11 +76,13 @@ class VMConfig:
     #: execution and cost nothing here.
     parallel_translation: bool = False
     #: Guarded-execution policy.  In ``"checked"`` mode every functional
-    #: accelerator invocation is differentially verified against the
-    #: scalar interpreter; a divergence (or a structural accelerator
-    #: fault) deoptimizes the loop back to scalar execution instead of
-    #: propagating wrong results — the virtualised never-change-semantics
-    #: contract, enforced dynamically.
+    #: accelerator invocation runs through one
+    #: :class:`~repro.vm.guard.GuardedExecutor`, which differentially
+    #: verifies it against the scalar interpreter; a divergence (or a
+    #: structural accelerator fault) deoptimizes the loop back to scalar
+    #: execution and benches it instead of propagating wrong results —
+    #: the virtualised never-change-semantics contract, enforced
+    #: dynamically.
     guard: GuardConfig = GuardConfig()
 
     @property
@@ -189,6 +189,11 @@ class VirtualMachine:
         #: id(loop) -> (loop, its translation).  Keyed by the loop
         #: object, not its name: two different loops may share a name.
         self._translations: dict[int, tuple[Loop, TranslationResult]] = {}
+        #: The guarded runtime of checked mode; unchecked VMs build none.
+        self.executor = (GuardedExecutor(config.accelerator, config.guard,
+                                         config.options)
+                         if config.guard.checked
+                         and config.accelerator is not None else None)
 
     # -- translation ---------------------------------------------------------
 
@@ -210,7 +215,11 @@ class VirtualMachine:
 
         The loop executes functionally on the accelerator (when
         translation succeeds) so cycle counts come from real schedules
-        over real data, not closed-form estimates.
+        over real data, not closed-form estimates.  In checked mode the
+        execution runs through the guarded executor, which commits
+        correct memory whatever the accelerator did, and the cycles are
+        the schedule's (:meth:`LoopAccelerator.estimate`, equal to what
+        ``invoke`` reports).
         """
         obs.inc("vm.loops")
         scalar_per_inv = self.pipeline.loop_cycles(loop)
@@ -249,12 +258,16 @@ class VirtualMachine:
         if self.config.functional:
             memory = _prepare_memory(image.loop, seed)
             live_ins = standard_live_ins(image.loop, memory, scalars)
-            if self.config.guard.checked:
-                deopt = self._guarded_invoke(loop, image, memory, live_ins,
-                                             outcome)
-                if deopt:
+            if self.executor is not None:
+                guarded = self.executor.run(loop, memory, live_ins)
+                outcome.guard_checked = guarded.verdict is not None
+                outcome.deoptimized = guarded.detected
+                if guarded.source == "scalar":
+                    outcome.reason = guarded.reason
                     return outcome
-            run = self.accelerator.invoke(image, memory, live_ins)
+                run = self.accelerator.estimate(image)
+            else:
+                run = self.accelerator.invoke(image, memory, live_ins)
         else:
             run = self.accelerator.estimate(image)
         outcome.accel_cycles_per_invocation = run.total_cycles
@@ -266,52 +279,6 @@ class VirtualMachine:
         else:
             outcome.reason = "acceleration not profitable"
         return outcome
-
-    # -- guarded execution ---------------------------------------------------
-
-    def _deoptimize(self, loop: Loop, image, outcome: LoopOutcome,
-                    reason: str) -> None:
-        """Fall back to scalar: drop the translation, record why."""
-        obs.inc("guard.deopts")
-        obs.inc("vm.deopt")
-        self._translations.pop(id(loop), None)
-        self.code_cache.invalidate(loop.name)
-        from repro.accelerator import jit
-        jit.invalidate_image(image)
-        key = None
-        if self.config.accelerator is not None:
-            # A translation observed to misbehave must not be re-served
-            # from the shared content-addressed cache (or its disk layer).
-            invalidate_translation(loop, self.config.accelerator,
-                                   self.config.options)
-            key = translation_key(loop, self.config.accelerator,
-                                  self.config.options)
-        record_deopt(loop.name, key, reason)
-        outcome.accelerated = False
-        outcome.deoptimized = True
-        outcome.accel_cycles_per_invocation = None
-        outcome.reason = reason
-
-    def _guarded_invoke(self, loop: Loop, image, memory, live_ins,
-                        outcome: LoopOutcome) -> bool:
-        """Differentially verify *image*; True means deoptimized.
-
-        Runs accelerated and scalar executions on private clones and
-        compares live-outs and touched memory bit-for-bit; *memory*
-        itself is left untouched for the subsequent timed invocation.
-        """
-        if loop.annotations.get("while_loop"):
-            # The reference pipeline executor models fixed-trip loops
-            # only; speculative while-loops run unchecked.
-            return False
-        outcome.guard_checked = True
-        obs.inc("guard.checks")
-        check = differential_check(image, memory, live_ins)
-        if check.verdict.ok:
-            return False
-        self._deoptimize(loop, image, outcome,
-                         f"deoptimized: {check.verdict.describe()}")
-        return True
 
     # -- code cache model ----------------------------------------------------------
 

@@ -27,9 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.errors import SettingsError
-
-#: The Figure 3/4 design-space sweeps.
-SWEEP_FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b")
+from repro.experiments.figures import SWEEP_FIGURES
 
 #: The default figure set: the sweeps plus the hot figure the
 #: specialization tier targets.

@@ -46,3 +46,31 @@ def run_reference(loop, seed=7, scalars=None):
                              else DEFAULT_SCALARS)
     result = interp.run_loop(loop, live)
     return result, memory
+
+
+class _Diverged:
+    """A verdict that fails whatever the two executions produced."""
+
+    ok = False
+    mismatches = []
+
+    @staticmethod
+    def describe():
+        return "forced divergence (test)"
+
+
+def force_divergence(monkeypatch) -> list:
+    """Make every differential check the guarded executor runs diverge;
+    returns the list of checks run, appended to as they happen."""
+    from repro.vm import guard as guard_mod
+    real = guard_mod.differential_check
+    checks: list = []
+
+    def diverged(*args, **kwargs):
+        outcome = real(*args, **kwargs)
+        outcome.verdict = _Diverged
+        checks.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(guard_mod, "differential_check", diverged)
+    return checks

@@ -14,7 +14,7 @@ def test_list_is_default(capsys):
 
 def test_every_registered_figure_has_description():
     assert len(FIGURES) >= 12
-    for name, (description, fn) in FIGURES.items():
+    for name, (description, fn, _section) in FIGURES.items():
         assert description and callable(fn)
 
 

@@ -1,8 +1,9 @@
 """Every guard deopt records one ``guard-violation`` incident.
 
-Both deoptimization paths — the guarded executor's and the VM's — log
-through :func:`repro.vm.guard.record_deopt`, so guard deopts and
-infrastructure faults share one incident log.
+There is one deoptimization path, :meth:`GuardedExecutor.deoptimize
+<repro.vm.guard.GuardedExecutor.deoptimize>`, and the VM's checked
+mode runs through it, so guard deopts and infrastructure faults share
+one incident log.
 """
 
 from repro.accelerator import PROPOSED_LA
@@ -14,7 +15,7 @@ from repro.vm.runtime import VMConfig, VirtualMachine
 from repro.vm.translator import translation_key
 from repro.workloads import kernels as K
 from repro.workloads.suite import DEFAULT_SCALARS
-from tests.conftest import seeded_memory
+from tests.conftest import force_divergence, seeded_memory
 
 
 def _records(seq: int) -> list:
@@ -39,19 +40,7 @@ def test_guarded_executor_deopt_records_one_incident():
 
 
 def test_vm_deopt_records_one_incident(monkeypatch):
-    from repro.vm import runtime as runtime_mod
-
-    class Diverged:
-        class verdict:
-            ok = False
-            mismatches = []
-
-            @staticmethod
-            def describe():
-                return "forced divergence (test)"
-
-    monkeypatch.setattr(runtime_mod, "differential_check",
-                        lambda *a, **k: Diverged)
+    force_divergence(monkeypatch)
     config = VMConfig(accelerator=PROPOSED_LA,
                       guard=GuardConfig.checked_mode())
     loop = K.quantize(trip_count=24)
@@ -62,4 +51,4 @@ def test_vm_deopt_records_one_incident(monkeypatch):
     assert incident.details == {
         "loop": loop.name,
         "key": translation_key(loop, PROPOSED_LA, config.options),
-        "verdict": "deoptimized: forced divergence (test)"}
+        "verdict": "forced divergence (test)"}

@@ -229,24 +229,29 @@ def test_speedup_matrix_complete(subset):
 # -- consolidated report ---------------------------------------------------------
 
 def test_report_sections_registered():
-    from repro.experiments.report import SECTIONS
-    titles = [t for t, _fn in SECTIONS]
+    from repro.experiments.figures import FIGURES
+    sections = [f for f in FIGURES.values() if f.section is not None]
+    titles = [f.section for f in sections]
     assert "Figure 2" in titles and "Figure 10" in titles
-    assert len(SECTIONS) >= 12
+    assert len(sections) >= 12
 
 
 def test_full_report_text_is_identical_between_runs(monkeypatch):
     """Section timings go to *progress*, never into the document."""
     from repro.experiments import report
+    from repro.experiments.figures import Figure
     clock = iter(range(0, 1000, 7))
     monkeypatch.setattr(report.time, "time", lambda: float(next(clock)))
-    monkeypatch.setattr(report, "SECTIONS", [
-        ("First", lambda: "one"), ("Second", lambda: "two\nlines")])
+    monkeypatch.setattr(report.figures, "FIGURES", {
+        "first": Figure("d1", lambda: "one", "First"),
+        "unreported": Figure("d2", lambda: "never"),
+        "second": Figure("d3", lambda: "two\nlines", "Second")})
     messages: list[str] = []
     first = report.full_report(progress=messages.append)
     second = report.full_report()
     assert first == second
     assert "[" not in first and "one" in first and "two\nlines" in first
+    assert "never" not in first
     assert messages == ["First", "First  [7.0s]", "Second",
                         "Second  [7.0s]"]
 

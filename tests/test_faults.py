@@ -126,10 +126,10 @@ def test_campaign_meets_acceptance_criteria(acceptance):
     # The campaign is not vacuous: the guard actually caught faults
     # and tore down cached kernels.
     detected = plugin.outcomes["detected"]
-    executors = plugin.executors.values()
+    executor = plugin.executor
     assert detected > 50
-    assert sum(e.stats.deopts for e in executors) == detected
-    assert sum(e.cache.stats.invalidations for e in executors) == detected
+    assert executor.stats.deopts == detected
+    assert executor.cache.stats.invalidations == detected
     # Detected == fired minus benign (masked/dead landings).
     assert detected + plugin.outcomes["benign"] == report.injected
     # Every detection left its guard-violation incident.
@@ -229,8 +229,8 @@ def test_campaign_leaves_the_jit_hook_unset(tmp_path, monkeypatch):
 
 
 def test_campaign_with_benched_draws_still_finishes(tmp_path, monkeypatch):
-    # One kernel whose first detection benches it for good in that
-    # family's executor: every later draw lands on a benched loop.  The
+    # One kernel whose first detection benches it for good in the
+    # executor: every later draw lands on a benched loop.  The
     # skip budget (20 scalar runs per fault asked for) must end those
     # draws, so the campaign stops at the engine's scenario cap.
     monkeypatch.setattr(faults, "BACKOFF_INVOCATIONS", 10 ** 9)

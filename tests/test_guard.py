@@ -12,6 +12,7 @@ from repro.vm.guard import (
     GuardConfig,
     GuardedExecutor,
     LoopBlacklist,
+    MAX_BACKOFF_DOUBLINGS,
     differential_check,
 )
 from repro.vm.runtime import VMConfig, VirtualMachine
@@ -20,7 +21,7 @@ from repro.workloads.suite import (
     DEFAULT_SCALARS,
     benchmark_by_name,
 )
-from tests.conftest import seeded_memory
+from tests.conftest import force_divergence, seeded_memory
 
 
 def _image(loop):
@@ -248,6 +249,18 @@ def test_blacklist_backoff_doubles():
     assert e4.permanent and bl.blocked("loop", 10 ** 9)
 
 
+def test_blacklist_backoff_is_capped():
+    # Past MAX_BACKOFF_DOUBLINGS doublings every strike benches for the
+    # same, bounded window.
+    assert MAX_BACKOFF_DOUBLINGS == 3
+    bl = LoopBlacklist(max_failures=100, backoff_invocations=8)
+    windows = [bl.note_failure("loop", now=1000 * n, reason="x").release_at
+               - 1000 * n for n in range(1, 9)]
+    assert windows[:4] == [8, 16, 32, 64]
+    assert windows[4] == windows[7] == 8 * 8
+    assert not bl.permanently_blocked("loop")
+
+
 def test_blacklist_ban_is_immediate():
     bl = LoopBlacklist(max_failures=100)
     bl.ban("loop", "translation failed")
@@ -329,21 +342,8 @@ def test_vm_checked_mode_verifies_and_matches_unchecked():
 
 
 def test_vm_deoptimizes_on_guard_mismatch(monkeypatch):
-    from repro.vm import runtime as runtime_mod
-
     bench = benchmark_by_name("rawdaudio")
-
-    class FakeOutcome:
-        class verdict:
-            ok = False
-            mismatches = []
-
-            @staticmethod
-            def describe():
-                return "forced divergence (test)"
-
-    monkeypatch.setattr(runtime_mod, "differential_check",
-                        lambda *a, **k: FakeOutcome)
+    force_divergence(monkeypatch)
     config = VMConfig(accelerator=PROPOSED_LA,
                       guard=GuardConfig.checked_mode())
     vm = VirtualMachine(config)
@@ -353,6 +353,43 @@ def test_vm_deoptimizes_on_guard_mismatch(monkeypatch):
     assert deopted
     for outcome in deopted:
         assert "forced divergence" in outcome.reason
-        assert all(loop.name != outcome.name
-                   for loop, _result in vm._translations.values())
+        assert outcome.name not in vm.executor.cache
     assert run.accel_loop_cycles == 0
+
+
+def test_vm_deopt_benches_the_loop(monkeypatch):
+    # The VM's checked mode runs through the guarded executor, so a
+    # deopt strikes the blacklist: the next invocation inside the bench
+    # window runs scalar without re-checking.
+    checks = force_divergence(monkeypatch)
+    vm = VirtualMachine(VMConfig(accelerator=PROPOSED_LA,
+                                 guard=GuardConfig.checked_mode()))
+    loop = K.quantize(trip_count=24)
+    first = vm.run_loop(loop)
+    assert first.deoptimized and first.guard_checked
+    assert not first.accelerated and first.accel_cycles_per_invocation is None
+    assert len(checks) == 1
+    second = vm.run_loop(loop)
+    assert second.reason.startswith("blacklisted")
+    assert not second.accelerated
+    assert not second.guard_checked and not second.deoptimized
+    assert len(checks) == 1
+    assert vm.executor.stats.blacklist_skips == 1
+
+
+def test_vm_deopt_drops_the_shared_translation_once(monkeypatch):
+    from repro.vm import guard as guard_mod
+    force_divergence(monkeypatch)
+    real = guard_mod.invalidate_translation
+    dropped: list[bool] = []
+    monkeypatch.setattr(guard_mod, "invalidate_translation",
+                        lambda *a, **k: dropped.append(real(*a, **k)))
+    config = VMConfig(accelerator=PROPOSED_LA,
+                      guard=GuardConfig.checked_mode())
+    loop = K.quantize(trip_count=24)
+    with perf.engine_at(1):  # the translation cache is on
+        outcome = VirtualMachine(config).run_loop(loop)
+        assert outcome.deoptimized
+        # One call, and it found the entry the translation had stored.
+        assert dropped == [True]
+        assert not real(loop, PROPOSED_LA, config.options)

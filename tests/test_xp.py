@@ -12,6 +12,7 @@ import repro
 import repro.xp as xp
 from repro.api import Settings
 from repro.errors import SettingsError
+from repro.experiments.figures import Figure
 from repro.xp import store
 from repro.xp.aggregate import aggregate_records, quantile, summarize
 from repro.xp.compare import compare_aggregate
@@ -394,7 +395,7 @@ class TestCliGate:
         self._with_preset(Config(name=name, figures=("f1", "f2")))
         try:
             monkeypatch.setattr("repro.experiments.figures.FIGURES",
-                                {k: ("fake", fn) for k, fn
+                                {k: Figure("fake", fn) for k, fn
                                  in fake_registry().items()})
             run = xp.run_config(xp.preset(name),
                                 directory=str(tmp_path), repeat=1,
@@ -425,7 +426,7 @@ class TestCliGate:
         self._with_preset(Config(name=name, figures=("f1",)))
         try:
             monkeypatch.setattr("repro.experiments.figures.FIGURES",
-                                {"f1": ("fake", registry["f1"])})
+                                {"f1": Figure("fake", registry["f1"])})
             run = xp.run_config(xp.preset(name),
                                 directory=str(tmp_path), repeat=1,
                                 registry=registry)
@@ -524,7 +525,7 @@ class TestFigureRegistry:
     def test_new_registration_is_automatically_benchable(self, monkeypatch):
         from repro.experiments import figures
         monkeypatch.setitem(figures.FIGURES, "brand-new",
-                            ("desc", lambda: "x"))
+                            figures.Figure("desc", lambda: "x"))
         assert "brand-new" in figures.benchable_figures()
 
 
