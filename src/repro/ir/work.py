@@ -5,11 +5,16 @@ Every metered analysis takes ``work: Optional[Callable[[int], None]]``
 ``work(n)`` is one charge worth *n* units.  A hot loop that ticks one
 unit per edge or visit counts its ticks and reports them with
 :func:`charge_run` instead of calling ``work(1)`` per tick.
+
+An analysis whose result depends only on its inputs can be memoised
+with :func:`memoised`, which replays the memoised charge on a hit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional, TypeVar
+
+T = TypeVar("T")
 
 
 def charge_run(work: Optional[Callable[[int], None]], n: int) -> None:
@@ -27,3 +32,56 @@ def charge_run(work: Optional[Callable[[int], None]], n: int) -> None:
         return
     for _ in range(n):
         work(1)
+
+
+class WorkTally:
+    """A work callback that forwards to *work* and totals the charge.
+
+    ``units`` stays None until a charge arrives; a ``work(0)`` call
+    counts as one, since it records its phase on a meter.  Replaying
+    ``work(units)`` then leaves an unbudgeted meter exactly as the
+    tallied calls left it.
+    """
+
+    __slots__ = ("work", "units")
+
+    def __init__(self, work: Optional[Callable[[int], None]]) -> None:
+        self.work = work
+        self.units: Optional[int] = None
+
+    def __call__(self, n: int) -> None:
+        if self.work is not None:
+            self.work(n)
+        self.units = (self.units or 0) + n
+
+    def run(self, n: int) -> None:
+        if n <= 0:
+            return
+        charge_run(self.work, n)
+        self.units = (self.units or 0) + n
+
+
+def memoised(memo: Optional[dict], key: Hashable,
+             work: Optional[Callable[[int], None]],
+             compute: Callable[[Optional[Callable[[int], None]]], T]) -> T:
+    """``compute(work)``, or its memoised value with its charge replayed.
+
+    *memo* maps *key* to ``(value, units)``.  A miss runs *compute*
+    through a :class:`WorkTally` and stores what it charged; a hit
+    charges that total to *work* in one call.  A bulk replay is exact
+    only when no charge can abort part-way (no work budget and no
+    deadline), so callers pass ``memo=None`` then and *compute* runs
+    as it always did.
+    """
+    if memo is None:
+        return compute(work)
+    hit = memo.get(key)
+    if hit is None:
+        tally = WorkTally(work)
+        value = compute(tally)
+        memo[key] = (value, tally.units)
+        return value
+    value, units = hit
+    if units is not None and work is not None:
+        work(units)
+    return value

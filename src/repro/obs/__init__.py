@@ -54,6 +54,11 @@ def inc(name: str, amount=1) -> None:
     _metrics.registry().inc(name, amount)
 
 
+def inc_many(increments) -> None:
+    """Apply ``(name, amount)`` counter increments under one lock."""
+    _metrics.registry().inc_many(increments)
+
+
 def observe(name: str, value) -> None:
     """Record one *value* occurrence in histogram *name*."""
     _metrics.registry().observe(name, value)
@@ -78,7 +83,7 @@ def reset_metrics() -> None:
 
 __all__ = [
     "METRICS_KIND", "MetricsRegistry", "NULL_SPAN", "SPAN_KIND", "Span",
-    "SpanLog", "TRACE_ENV", "Tracer", "collect", "inc",
+    "SpanLog", "TRACE_ENV", "Tracer", "collect", "inc", "inc_many",
     "iter_trace", "metrics", "metrics_delta",
     "metrics_snapshot", "observe", "reset_metrics", "reset_tracing",
     "set_gauge", "span", "start_trace", "stop_trace", "tracer",

@@ -21,7 +21,7 @@ difference).
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 Number = Union[int, float]
 
@@ -43,6 +43,14 @@ class MetricsRegistry:
     def inc(self, name: str, amount: Number = 1) -> None:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + amount
+
+    def inc_many(self, increments: Iterable[tuple[str, Number]]) -> None:
+        """Apply every ``(name, amount)`` increment, in order, under one
+        lock: the counters end as the same :meth:`inc` calls leave them."""
+        with self._lock:
+            counters = self.counters
+            for name, amount in increments:
+                counters[name] = counters.get(name, 0) + amount
 
     def set_gauge(self, name: str, value: Number) -> None:
         with self._lock:

@@ -103,10 +103,12 @@ baseline_cache: dict[str, tuple] = {}
 #: Config-independent translation front-end products (DFG +
 #: schedulability + partition, and CCA mapping results) keyed by loop
 #: content — shared across every sweep point that translates the same
-#: loop, with the meter charges replayed exactly.  Only consulted when
+#: loop, with the meter charges replayed exactly — and, under
+#: ``("analyses", <that key>)``, each mapped DFG's memo of its
+#: RecMII, priority orders and register analyses.  Only consulted when
 #: no translation budget/deadline is active (bulk charge replay would
 #: move a mid-phase budget abort).
-analysis_cache: dict[tuple, tuple] = {}
+analysis_cache: dict = {}
 
 
 def translation_cache():

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.ir.dfg import DataflowGraph, Edge
-from repro.ir.work import charge_run
+from repro.ir.work import charge_run, memoised
 from repro.scheduler.mii import compute_rec_mii
 
 
@@ -168,8 +168,8 @@ def _build_sets(dfg: DataflowGraph, schedulable: set[int],
 
 
 def swing_priority(dfg: DataflowGraph, schedulable: set[int], ii: int,
-                   work: Optional[Callable[[int], None]] = None
-                   ) -> PriorityResult:
+                   work: Optional[Callable[[int], None]] = None,
+                   analyses: Optional[dict] = None) -> PriorityResult:
     """Swing Modulo Scheduling node ordering.
 
     Within each set the order alternates direction: top-down passes pick
@@ -177,13 +177,18 @@ def swing_priority(dfg: DataflowGraph, schedulable: set[int], ii: int,
     bottom-up passes the node of maximum depth among nodes with an
     ordered successor, so every scheduled node has a placed neighbour —
     the property that lets the scheduler keep operand lifetimes short.
+
+    *analyses* is the per-DFG memo of :func:`repro.ir.work.memoised`
+    (None computes everything): the node sets do not depend on *ii*,
+    so one computation serves every II.
     """
     earliest, latest = _asap_alap(dfg, schedulable, ii, work)
     end = max((earliest[n] + dfg.latency(n) for n in schedulable), default=0)
     height = {n: end - latest[n] for n in schedulable}
     depth = dict(earliest)
     mobility = {n: latest[n] - earliest[n] for n in schedulable}
-    sets, scored = _build_sets(dfg, schedulable, work)
+    sets, scored = memoised(analyses, "sets", work,
+                            lambda w: _build_sets(dfg, schedulable, w))
 
     flow_succs = {n: [e.dst for e in dfg.out_edges(n)
                       if e.kind == "flow" and e.dst in schedulable]

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.ir.dfg import DataflowGraph
-from repro.ir.work import charge_run
+from repro.ir.work import charge_run, memoised
 from repro.scheduler.mii import MIIResult, compute_mii, sched_resource
 from repro.scheduler.mrt import ModuloReservationTable
 from repro.scheduler.priority import PriorityResult, height_priority, swing_priority
@@ -103,6 +103,11 @@ class ScheduleFailure:
         for attempt in self.attempts[-4:]:
             lines.append(f"  {attempt.describe()}")
         return "\n".join(lines)
+
+
+#: A scheduling order and its earliest-start hints (op id -> cycle; an
+#: op without a hint starts its search at cycle 0).
+Ordering = tuple[list[int], dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,7 @@ def modulo_schedule(dfg: DataflowGraph, schedulable: set[int],
                     work: Optional[Callable[[int], None]] = None,
                     mii_result: Optional[MIIResult] = None,
                     priority_work: Optional[Callable[[int], None]] = None,
+                    analyses: Optional[dict] = None,
                     ) -> ModuloSchedule | ScheduleFailure:
     """Modulo schedule *schedulable* ops of *dfg* onto *units*.
 
@@ -200,6 +206,9 @@ def modulo_schedule(dfg: DataflowGraph, schedulable: set[int],
         priority_kind: "swing" or "height" for dynamic computation.
         work: Translation cost-model callback.
         mii_result: Precomputed MII (statically-encoded variant).
+        analyses: The per-DFG memo of :func:`repro.ir.work.memoised`
+            that the dynamic orderings are read from and filled into,
+            keyed by ``(kind, ii)``; None computes them every time.
     """
     if not schedulable:
         return ScheduleFailure("no schedulable operations")
@@ -218,7 +227,22 @@ def modulo_schedule(dfg: DataflowGraph, schedulable: set[int],
             f"MII {mii} exceeds accelerator maximum II {max_ii}", mii_result)
     static_priority = priority is not None
 
-    def orders_for(ii: int) -> list[tuple[str, PriorityResult]]:
+    def normalise(result: PriorityResult) -> Ordering:
+        order = [opid for opid in result.order if opid in schedulable]
+        missing = schedulable - set(order)
+        return order + sorted(missing), result.earliest
+
+    def dynamic(kind: str, ii: int, pwork) -> Ordering:
+        """Priority *kind* at *ii*, memoised in the form an attempt reads
+        (the order and its earliest-start hints, nothing else)."""
+        def compute(w) -> Ordering:
+            if kind == "swing":
+                return normalise(
+                    swing_priority(dfg, schedulable, ii, w, analyses))
+            return normalise(height_priority(dfg, schedulable, ii, w))
+        return memoised(analyses, (kind, ii), pwork, compute)
+
+    def orders_for(ii: int) -> list[tuple[str, Ordering]]:
         """Candidate (kind, ordering) pairs for one II attempt.
 
         With a static encoding the order is fixed (that is the point of
@@ -230,35 +254,23 @@ def modulo_schedule(dfg: DataflowGraph, schedulable: set[int],
         secondary attempt.
         """
         pwork = priority_work if priority_work is not None else work
-        candidates: list[tuple[str, PriorityResult]] = []
         if static_priority:
             assert priority is not None
-            candidates.append(("static", priority))
-        elif priority_kind == "swing":
-            candidates.append(
-                ("swing", swing_priority(dfg, schedulable, ii, pwork)))
-            candidates.append(
-                ("height", height_priority(dfg, schedulable, ii, pwork)))
-        elif priority_kind == "height":
-            candidates.append(
-                ("height", height_priority(dfg, schedulable, ii, pwork)))
+            candidates = [("static", normalise(priority))]
+        elif priority_kind in ("swing", "height"):
+            kinds = (("swing", "height") if priority_kind == "swing"
+                     else ("height",))
+            candidates = [(kind, dynamic(kind, ii, pwork)) for kind in kinds]
         else:
             raise ValueError(f"unknown priority kind {priority_kind!r}")
-        candidates.append(
-            ("program", PriorityResult.from_order(sorted(schedulable))))
+        candidates.append(("program", (sorted(schedulable), {})))
         return candidates
-
-    def normalise(result: PriorityResult) -> list[int]:
-        order = [opid for opid in result.order if opid in schedulable]
-        missing = schedulable - set(order)
-        return order + sorted(missing)
 
     attempts: list[AttemptDiagnostic] = []
     for ii in range(mii, max_ii + 1):
-        for order_kind, candidate in orders_for(ii):
+        for order_kind, (order, earliest) in orders_for(ii):
             obs.inc("scheduler.attempts")
-            outcome = _try_schedule(dfg, normalise(candidate),
-                                    candidate.earliest, ii, units, work)
+            outcome = _try_schedule(dfg, order, earliest, ii, units, work)
             if isinstance(outcome, _PlacementFailure):
                 attempts.append(AttemptDiagnostic(
                     ii=ii, order_kind=order_kind,

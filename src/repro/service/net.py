@@ -394,13 +394,14 @@ class NetServer:
         requests and engine-0 results carry no digest and are packed
         every time.  A cache-served image shares every field but
         ``config`` and the schedule's unit pools with the cached core
-        image, so a hit requires the same loop name, digest, meter
-        state and *config object*, and the same core-image objects
-        (``loop``, ``dfg``, ``partition``, ``streams``, ``registers``,
-        ``rotation``) by identity.  The packed bytes are then the ones
+        image, and its schedule is made once per (core entry, config),
+        so a hit requires the same loop name, digest, meter state and
+        *config object*, and the same image objects (``loop``, ``dfg``,
+        ``partition``, ``streams``, ``registers``, ``rotation``,
+        ``schedule``) by identity.  The packed bytes are then the ones
         a fresh pack would give.  A retranslated core entry (after an
-        eviction or an invalidation) has fresh ``registers`` and
-        ``rotation`` and is packed again.
+        eviction or an invalidation) has a fresh schedule and is packed
+        again; its other products may be shared analysis products.
         """
         image = result.image
         if image is None or image.digest is None:
@@ -409,7 +410,8 @@ class NetServer:
         key = (result.loop_name, image.digest, id(image.config),
                tuple(meter.units.items()), meter.total_units())
         shared = (image.config, image.loop, image.dfg, image.partition,
-                  image.streams, image.registers, image.rotation)
+                  image.streams, image.registers, image.rotation,
+                  image.schedule)
         memo = self._reply_memo
         hit = memo.pop(key, None)
         if hit is not None and all(

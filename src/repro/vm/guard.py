@@ -298,7 +298,6 @@ class GuardedRun:
     verdict: Optional[GuardVerdict]
     live_outs: dict[Reg, Value]
     reason: Optional[str] = None
-    cycles: Optional[int] = None
 
 
 class GuardedExecutor:
@@ -341,7 +340,8 @@ class GuardedExecutor:
         """The translation key naming *loop*'s blacklist entry."""
         return translation_key(loop, self.la_config, self.options)
 
-    def _image_for(self, loop: Loop, key: Optional[str] = None
+    def _image_for(self, loop: Loop, key: Optional[str] = None,
+                   translation: Optional[TranslationResult] = None
                    ) -> TranslationResult | KernelImage:
         if key is None:
             key = self.key_for(loop)
@@ -349,7 +349,8 @@ class GuardedExecutor:
         if cached is not None and cached[0] == key:
             self.stats.cache_hits += 1
             return cached[1]
-        result = translate_loop(loop, self.la_config, self.options)
+        result = (translation if translation is not None else
+                  translate_loop(loop, self.la_config, self.options))
         self.stats.translations += 1
         if result.ok:
             assert result.image is not None
@@ -381,8 +382,14 @@ class GuardedExecutor:
     def run(self, loop: Loop, memory: Memory,
             live_ins: Mapping[Reg, Value],
             fault_hook: Optional[FaultHook] = None,
-            trip_count: Optional[int] = None) -> GuardedRun:
-        """Service one invocation of *loop*, mutating *memory* correctly."""
+            trip_count: Optional[int] = None,
+            translation: Optional[TranslationResult] = None) -> GuardedRun:
+        """Service one invocation of *loop*, mutating *memory* correctly.
+
+        *translation* is the caller's own translation of *loop* for this
+        executor's config and options; a code-cache miss uses it instead
+        of translating again (the VM passes the one it times).
+        """
         self.invocations += 1
         self.stats.invocations += 1
         name = loop.name
@@ -394,7 +401,7 @@ class GuardedExecutor:
                 loop, memory, live_ins,
                 reason=f"blacklisted: {self.blacklist.reason_for(key)}")
 
-        image = self._image_for(loop, key)
+        image = self._image_for(loop, key, translation)
         if isinstance(image, TranslationResult):
             # Translation is deterministic — retrying cannot succeed.
             self.blacklist.ban(key, image.failure or "translation failed")
@@ -427,7 +434,7 @@ class GuardedExecutor:
             memory.restore_from(accel_mem)
             self.stats.accelerated += 1
             return GuardedRun(name, "accelerator", False, None,
-                              run.live_outs, cycles=run.cycles)
+                              run.live_outs)
 
         outcome = differential_check(
             image, memory, live_ins, trip_count=trip_count,
@@ -438,8 +445,7 @@ class GuardedExecutor:
             self.stats.accelerated += 1
             assert outcome.accel_run is not None
             return GuardedRun(name, "accelerator", False, outcome.verdict,
-                              outcome.accel_run.live_outs,
-                              cycles=outcome.accel_run.cycles)
+                              outcome.accel_run.live_outs)
 
         # Divergence: deoptimize and commit the scalar reference.
         self.stats.mismatches += 1

@@ -259,7 +259,8 @@ class VirtualMachine:
             memory = _prepare_memory(image.loop, seed)
             live_ins = standard_live_ins(image.loop, memory, scalars)
             if self.executor is not None:
-                guarded = self.executor.run(loop, memory, live_ins)
+                guarded = self.executor.run(loop, memory, live_ins,
+                                            translation=result)
                 outcome.guard_checked = guarded.verdict is not None
                 outcome.deoptimized = guarded.detected
                 if guarded.source == "scalar":

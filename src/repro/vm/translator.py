@@ -47,6 +47,7 @@ from repro.errors import (
 from repro.ir.dfg import build_dfg
 from repro.ir.loop import Loop
 from repro.ir.opcodes import LatencyModel
+from repro.ir.work import memoised
 from repro.isa.annotations import (
     STATIC_CCA_KEY,
     STATIC_MII_KEY,
@@ -170,7 +171,10 @@ def _front_end(loop: Loop, config: LAConfig, options: TranslationOptions,
     config's speculation capability — never unit pools, streams limits,
     register files or max II — so the products (and the exact meter
     charges, including a schedulability rejection) are shared across
-    every sweep point that translates the same loop.
+    every sweep point that translates the same loop.  Returns
+    ``((dfg, streams, partition), key)``: *key* names the products in
+    :data:`repro.perf.analysis_cache` (None when the meter may not
+    replay, see :func:`_analysis_cacheable`).
     """
     from repro import perf
 
@@ -186,7 +190,7 @@ def _front_end(loop: Loop, config: LAConfig, options: TranslationOptions,
             meter.replay(charges)
             if outcome == "fail":
                 raise payload
-            return payload
+            return payload, cache_key
 
     before = dict(meter.units)
     try:
@@ -218,22 +222,26 @@ def _front_end(loop: Loop, config: LAConfig, options: TranslationOptions,
     if cache_key is not None:
         perf.analysis_cache[cache_key] = \
             ("ok", payload, _charge_diff(before, meter))
-    return payload
+    return payload, cache_key
 
 
 def _cca_map(loop: Loop, dfg, part, streams, config: LAConfig,
-             options: TranslationOptions, meter: TranslationMeter):
+             options: TranslationOptions, meter: TranslationMeter,
+             front_key: Optional[str]):
     """Phase 3: CCA mapping plus the post-mapping re-analysis.
 
     The mapping reads the CCA *shape* and the compute partition, never
     the CCA *count* (ResMII and the scheduler enforce that later), so
     the mapped loop with its rebuilt DFG/partition is one cached product
-    per (loop, latency model, CCA shape, static-mapping mode).
+    per (loop, latency model, CCA shape, static-mapping mode).  Returns
+    ``((mapped, dfg, partition), key)``, *key* naming the mapped DFG as
+    :func:`_front_end`'s names its products: *front_key* itself when
+    there are no CCAs or nothing was mapped.
     """
     from repro import perf
 
     if config.num_ccas <= 0:
-        return loop, dfg, part
+        return (loop, dfg, part), front_key
     lat = options.latency_model
     cache_key = None
     if _analysis_cacheable(meter):
@@ -243,9 +251,9 @@ def _cca_map(loop: Loop, dfg, part, streams, config: LAConfig,
                               config.supports_speculation)
         hit = perf.analysis_cache.get(cache_key)
         if hit is not None:
-            payload, charges = hit
+            payload, charges, dfg_key = hit
             meter.replay(charges)
-            return payload
+            return payload, dfg_key
 
     before = dict(meter.units)
     if options.use_static_cca and STATIC_CCA_KEY in loop.annotations:
@@ -258,18 +266,19 @@ def _cca_map(loop: Loop, dfg, part, streams, config: LAConfig,
                           candidate_opids=part.compute,
                           work=meter.charger("cca"))
     mapped = mapping.loop
+    dfg_key = cache_key
     if mapped is not loop:
         dfg2 = refine_memory_edges(
             mapped, build_dfg(mapped, lat, work=meter.charger("partition")),
             streams)
         part2 = partition_loop(mapped, dfg2, work=meter.charger("partition"))
     else:
-        dfg2, part2 = dfg, part
+        dfg2, part2, dfg_key = dfg, part, front_key
     payload = (mapped, dfg2, part2)
     if cache_key is not None:
         perf.analysis_cache[cache_key] = \
-            (payload, _charge_diff(before, meter))
-    return payload
+            (payload, _charge_diff(before, meter), dfg_key)
+    return payload, dfg_key
 
 
 def _translate_pipeline(loop: Loop, config: LAConfig,
@@ -286,11 +295,20 @@ def _translate_pipeline(loop: Loop, config: LAConfig,
     demand the moment it is computed — before the rotation postpass
     charges the meter — so a capacity failure can later report the
     meter state the reference pipeline would have reported.
+
+    The analyses that read only the mapped DFG, the II and the latency
+    model (RecMII, the SMS node sets, the swing and height orders, the
+    register demand and the rotation postpass) go through one per-DFG
+    memo, ``analyses``, with their charges replayed on a hit; it is
+    None, and every analysis runs, when the meter may not replay.
     """
+    from repro import perf
+
     # Phases 1-2 (cached across configs; see _front_end).
     with obs.span("front_end", component="translator", meter=meter,
                   loop=loop.name):
-        dfg, streams, part = _front_end(loop, config, options, meter)
+        (dfg, streams, part), front_key = _front_end(loop, config, options,
+                                                     meter)
     if streams.num_load_streams > config.load_streams:
         raise StreamLimitError(
             f"{streams.num_load_streams} load streams > "
@@ -307,8 +325,10 @@ def _translate_pipeline(loop: Loop, config: LAConfig,
     # Phase 3: CCA mapping (cached across configs; see _cca_map).
     with obs.span("cca_map", component="translator", meter=meter,
                   loop=loop.name):
-        mapped, dfg2, part2 = _cca_map(loop, dfg, part, streams, config,
-                                       options, meter)
+        (mapped, dfg2, part2), dfg_key = _cca_map(
+            loop, dfg, part, streams, config, options, meter, front_key)
+    analyses = (None if dfg_key is None else
+                perf.analysis_cache.setdefault(("analyses", dfg_key), {}))
 
     # Phase 4: minimum II.
     units = config.units()
@@ -325,8 +345,9 @@ def _translate_pipeline(loop: Loop, config: LAConfig,
         else:
             res_mii, per_resource = compute_res_mii(
                 dfg2, part2.compute, units, meter.charger("resmii"))
-            rec_mii = compute_rec_mii(dfg2, part2.compute,
-                                      meter.charger("recmii"))
+            rec_mii = memoised(
+                analyses, "recmii", meter.charger("recmii"),
+                lambda w: compute_rec_mii(dfg2, part2.compute, w))
             mii = MIIResult(res_mii=res_mii, rec_mii=rec_mii,
                             per_resource=per_resource)
     if not mii.feasible:
@@ -369,17 +390,22 @@ def _translate_pipeline(loop: Loop, config: LAConfig,
             priority=priority, priority_kind=options.priority_kind,
             work=meter.charger("scheduling"),
             priority_work=meter.charger("priority"),
-            mii_result=mii)
+            mii_result=mii, analyses=analyses)
     if isinstance(result, ScheduleFailure):
         raise SchedulingError(result.reason, loop_name=loop.name,
                               schedule_failure=result)
     schedule = result
 
-    # Phase 7: register assignment.
+    # Phase 7: register assignment.  Both steps read the schedule only
+    # through its II and times.
+    placed = (None if analyses is None else
+              (schedule.ii, tuple(sorted(schedule.times.items()))))
     with obs.span("regalloc", component="translator", meter=meter,
                   loop=loop.name):
-        registers = register_requirements(mapped, dfg2, schedule, part2,
-                                          meter.charger("regalloc"))
+        registers = memoised(
+            analyses, ("registers", placed), meter.charger("regalloc"),
+            lambda w: register_requirements(mapped, dfg2, schedule, part2,
+                                            w))
         if requirements_hook is not None:
             requirements_hook(registers)
         if capacity_check and \
@@ -396,7 +422,9 @@ def _translate_pipeline(loop: Loop, config: LAConfig,
         # Modulo variable expansion: place every cross-stage value's
         # copies into physical registers (part of the register-assignment
         # postpass; validated by the rotation tests).
-        rotation = assign_physical(mapped, dfg2, schedule, part2)
+        rotation = memoised(
+            analyses, ("rotation", placed), None,
+            lambda w: assign_physical(mapped, dfg2, schedule, part2))
         meter.charge("regalloc", len(rotation.ranges) + 1)
 
     image = KernelImage(loop=mapped, dfg=dfg2, partition=part2,
@@ -521,11 +549,19 @@ class _CacheKeys(NamedTuple):
 #: immutable once built, and ``Loop.__getstate__`` drops it (every
 #: ``_veal_*`` attribute) from pickles, the wire and the disk.
 _KEYS_ATTR = "_veal_cache_keys"
+#: Per-loop memo of :func:`_core_key`, keyed by (projected config,
+#: options digest): many caller configs project onto one core config.
+_CORE_KEYS_ATTR = "_veal_core_keys"
 
 
 def _core_key(loop: Loop, core_config: LAConfig, opts_key: str) -> str:
     from repro.perf.digest import digest_of, loop_digest
-    return digest_of("core", loop_digest(loop), core_config, opts_key)
+    memo = memo_table(loop, _CORE_KEYS_ATTR)
+    key = memo.get((core_config, opts_key))
+    if key is None:
+        key = memo[(core_config, opts_key)] = digest_of(
+            "core", loop_digest(loop), core_config, opts_key)
+    return key
 
 
 def _cache_keys(loop: Loop, config: LAConfig,
@@ -762,11 +798,12 @@ def translate_loop(loop: Loop, config: LAConfig,
         else:
             result = _finalize(loop, config,
                                _cached_core(loop, config, options))
-        obs.inc("translator.translations")
-        obs.inc("translator.ok" if result.ok
-                else f"translator.failed.{result.failure_kind}")
-        for phase, units in result.meter.units.items():
-            obs.inc(f"translator.units.{phase}", units)
+        obs.inc_many([
+            ("translator.translations", 1),
+            ("translator.ok" if result.ok
+             else f"translator.failed.{result.failure_kind}", 1),
+            *((f"translator.units.{phase}", units)
+              for phase, units in result.meter.units.items())])
         if sp:
             sp.set(ok=result.ok, failure_kind=result.failure_kind,
                    units=dict(result.meter.units),

@@ -357,6 +357,23 @@ def test_vm_deoptimizes_on_guard_mismatch(monkeypatch):
     assert run.accel_loop_cycles == 0
 
 
+@pytest.mark.parametrize("guard", [GuardConfig(),
+                                   GuardConfig.checked_mode()],
+                         ids=["unchecked", "checked"])
+def test_vm_translates_each_loop_once(guard):
+    # At engine 0 every translate_loop call is a full translation; the
+    # checked VM hands its own translation to the guarded executor.
+    from repro import obs
+    vm = VirtualMachine(VMConfig(accelerator=PROPOSED_LA, guard=guard))
+    before = obs.metrics_snapshot()
+    with perf.engine_at(0):
+        run = vm.run_benchmark(benchmark_by_name("rawdaudio"))
+    counters = obs.metrics_delta(before)["counters"]
+    assert counters["translator.translations"] == len(run.outcomes) == 1
+    assert run.outcomes[0].accelerated
+    assert run.outcomes[0].guard_checked == guard.checked
+
+
 def test_vm_deopt_benches_the_loop(monkeypatch):
     # The VM's checked mode runs through the guarded executor, so a
     # deopt strikes the blacklist: the next invocation inside the bench

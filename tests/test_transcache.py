@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro import perf
+from repro import obs, perf
 from repro.accelerator.config import INFINITE_LA, PROPOSED_LA
 from repro.errors import SchedulingError
 from repro.perf.digest import loop_digest
@@ -479,8 +479,9 @@ def test_options_digest_bytes_are_pinned():
 
 
 def test_latency_model_edited_in_place_gets_a_fresh_key():
-    """The key memo and the digest memo read the latency model's content
-    on every lookup, so an in-place edit after a lookup is seen."""
+    """The key memo, the digest memo and the per-DFG analysis memo read
+    the latency model's content on every lookup, so an in-place edit
+    after a translation is seen."""
     from repro.ir.opcodes import LatencyModel, Opcode
     from repro.perf.digest import options_digest
 
@@ -490,6 +491,9 @@ def test_latency_model_edited_in_place_gets_a_fresh_key():
     assert options_digest(options) == _OPTIONS_DIGESTS["fully_dynamic"]
     before = translation_key(loop, PROPOSED_LA, options)
     assert before == translation_key(loop, PROPOSED_LA)
+    translate_loop(loop, PROPOSED_LA, options)
+    memos = {id(memo) for memo in _analysis_memos()}
+    assert memos
 
     lat.overrides.update({Opcode.MUL: 4, Opcode.FADD: 6})
     assert options_digest(options) == _OPTIONS_DIGESTS["latency_override"]
@@ -498,6 +502,8 @@ def test_latency_model_edited_in_place_gets_a_fresh_key():
     assert after == translation_key(loop, PROPOSED_LA,
                                     _latency_override_options())
     edited = translate_loop(loop, PROPOSED_LA, options)
+    fresh_memos = {id(memo) for memo in _analysis_memos()} - memos
+    assert fresh_memos
     perf.clear_caches()
     fresh = translate_loop(loop, PROPOSED_LA, _latency_override_options())
     assert edited.meter.units == fresh.meter.units
@@ -527,3 +533,106 @@ def test_warm_hits_leave_core_entry_bytes_unchanged():
     copy = pickle.loads(before)
     assert set(vars(copy)) == {f.name for f in fields(CoreEntry)}
     assert pickle.dumps(hot.image) == image_before
+
+
+# -- per-DFG analysis memo ----------------------------------------------------
+
+
+def _sweep_inputs():
+    """(loop, config) for every suite loop at every Figure 3/4 point."""
+    loops = [loop for bench in media_fp_benchmarks() for loop in bench.kernels]
+    return [(loop, config) for config in _sweep_configs() for loop in loops]
+
+
+def _observed(result):
+    """What a caller can read of one translation, meter order included."""
+    image = result.image
+    return (result.ok, result.failure, list(result.meter.units.items()),
+            None if image is None else (
+                image.schedule.ii, image.schedule.times, image.schedule.units,
+                image.registers, image.rotation))
+
+
+def _analysis_memos() -> list[dict]:
+    """The per-DFG analysis memos in the analysis cache."""
+    return [memo for key, memo in perf.analysis_cache.items()
+            if isinstance(key, tuple) and key[0] == "analyses"]
+
+
+def test_analysis_memo_is_invisible_in_either_sweep_order():
+    """Every suite loop at every Figure 3/4 design point, translated with
+    the per-DFG analysis memo (engine 1) forward and then, from cold
+    caches, in reverse, so other points fill each entry: every outcome,
+    meter (units and their order), schedule, register demand and
+    rotation equals the reference pipeline's (engine 0, which keeps no
+    state between translations)."""
+    inputs = list(enumerate(_sweep_inputs()))
+    with perf.engine_at(0):
+        reference = [_observed(translate_loop(loop, config))
+                     for _, (loop, config) in inputs]
+    with perf.engine_at(1):
+        for order in (inputs, inputs[::-1]):
+            perf.clear_caches()
+            got = {i: _observed(translate_loop(loop, config))
+                   for i, (loop, config) in order}
+            assert _analysis_memos()
+            assert [got[i] for i, _ in inputs] == reference
+
+
+def test_budgeted_translation_bypasses_the_analysis_memo(monkeypatch):
+    """A work budget switches the memo off, even with it warm: every
+    memoised analysis runs, nothing is stored, and the translation
+    aborts at the reference pipeline's charged total."""
+    from repro.errors import TranslationBudgetExceeded
+    from repro.scheduler import priority, sms
+    from repro.vm import translator
+
+    loop = _suite_loop()
+    with perf.engine_at(1):
+        total = translate_loop(loop, PROPOSED_LA).meter.total_units()
+        assert _analysis_memos()
+        stored = dict(perf.analysis_cache)
+        memos = []
+        for module in (translator, sms, priority):
+            real = module.memoised
+
+            def spy(memo, key, work, compute, real=real):
+                memos.append(memo)
+                return real(memo, key, work, compute)
+            monkeypatch.setattr(module, "memoised", spy)
+        options = TranslationOptions(work_budget=total - 1)
+        got = translate_loop(loop, PROPOSED_LA, options)
+    with perf.engine_at(0):
+        ref = translate_loop(loop, PROPOSED_LA, options)
+    assert memos and all(memo is None for memo in memos)
+    assert perf.analysis_cache == stored
+    assert isinstance(got.failure_reason, TranslationBudgetExceeded)
+    assert got.failure == ref.failure
+    assert got.meter.total_units() == ref.meter.total_units() == total
+    assert list(got.meter.units.items()) == list(ref.meter.units.items())
+
+
+def test_swing_priority_runs_once_per_dfg_and_ii(monkeypatch):
+    """Over one cold sweep, each (mapped DFG, II) swing order is computed
+    once, and every later design point replays it from the memo."""
+    from repro.scheduler import sms
+
+    calls = []
+    real = sms.swing_priority
+
+    def counting(dfg, schedulable, ii, work=None, analyses=None):
+        calls.append((id(analyses), ii))
+        return real(dfg, schedulable, ii, work, analyses)
+
+    monkeypatch.setattr(sms, "swing_priority", counting)
+    before = obs.metrics_snapshot()
+    with perf.engine_at(1):
+        for loop, config in _sweep_inputs():
+            translate_loop(loop, config)
+    core_runs = obs.metrics_delta(before)["counters"]["translator.core_runs"]
+    memoised = {(id(memo), entry[1]) for memo in _analysis_memos()
+                for entry in memo
+                if isinstance(entry, tuple) and entry[0] == "swing"}
+    assert len(calls) == len(set(calls)) == len(memoised)
+    assert set(calls) == memoised
+    assert 0 < len(calls) < core_runs
