@@ -19,6 +19,7 @@ aggregate statistics.
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
@@ -137,6 +138,10 @@ def clear_caches() -> None:
     from repro.workloads import suite
     suite._fission_cache.clear()
     suite._suite_cache.clear()
+    # A process that never loaded the service client has no reply memo.
+    client = sys.modules.get("repro.service.client")
+    if client is not None:
+        client.REPLY_MEMO.clear()
 
 
 #: The translation-cache counters :func:`counter_snapshot` reports;

@@ -26,6 +26,11 @@ typed error the service raised:
   failures open the circuit; calls fail fast with
   :class:`~repro.errors.CircuitOpenError` for ``breaker_cooldown_s``,
   then one probe is let through (half-open).
+* **Decode-once replies** — an ok ``translate`` reply whose exact body
+  bytes the client has seen before is served from the process-wide
+  :data:`REPLY_MEMO` instead of being unpickled again (the client half
+  of the decode-once discipline :class:`~repro.service.net.NetServer`
+  keeps for request bodies and packed replies).
 
 Every retry and reconnect is counted in :class:`ClientStats` and
 recorded as a ``net-retry`` incident, so a run that limped through a
@@ -38,7 +43,8 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro import obs
@@ -51,6 +57,9 @@ from repro.errors import (
 )
 from repro.resilience.incidents import record_incident
 from repro.service import wire
+from repro.service.net import TRANSLATE_MEMO_ENTRIES
+from repro.vm.costmodel import TranslationMeter
+from repro.vm.translator import TranslationResult
 
 
 @dataclass(frozen=True)
@@ -82,13 +91,9 @@ class ClientStats:
     admission_retries: int = 0
     reconnects: int = 0
     protocol_errors: int = 0
-    #: End-to-end per-request latencies (ms), for percentile reporting.
-    latencies_ms: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        data = dict(self.__dict__)
-        data.pop("latencies_ms")
-        return data
+        return dict(self.__dict__)
 
 
 class CircuitBreaker:
@@ -122,6 +127,83 @@ class CircuitBreaker:
     def record_success(self) -> None:
         self.failures = 0
         self.opened_at = None
+
+
+class ReplyMemo:
+    """Decoded ok ``translate`` replies, decoded once per repeated body.
+
+    The key is the reply body exactly as received, after the frame's
+    SHA-256/HMAC check, so a hit is a body whose exact bytes a past
+    restricted decode accepted, and decoding is deterministic.  A body
+    is admitted only on its *second* sighting (a bounded record of
+    first-sighting hashes tracks the first), so the one-off replies of
+    fresh loops are never retained; at most ``entries`` bodies are
+    kept, least recently used first out.  A body that fails to decode
+    is never admitted.
+
+    Every call gets its own :class:`TranslationResult` and meter; the
+    decoded image and failure are shared, as ``translate_loop`` shares
+    them among in-process callers (images are never mutated once
+    built).
+    """
+
+    def __init__(self, entries: int = TRANSLATE_MEMO_ENTRIES) -> None:
+        self.entries = entries
+        self._lock = threading.Lock()
+        self._results: OrderedDict[bytes, TranslationResult] = OrderedDict()
+        #: Hashes of bodies seen once, oldest first, at most four per
+        #: entry; a hash collision only admits a body early, since
+        #: ``_results`` keys on the bytes themselves.
+        self._seen: OrderedDict[int, None] = OrderedDict()
+
+    def decode(self, data: Optional[bytes]) -> Any:
+        """``wire.unpack_body(data)``, served from the memo on a hit."""
+        with self._lock:
+            result = self._results.get(data)
+            if result is not None:
+                self._results.move_to_end(data)
+        if result is not None:
+            obs.inc("net.client.reply_memo.hits")
+            return _own_result(result)
+        obs.inc("net.client.reply_memo.misses")
+        result = wire.unpack_body(data)
+        if not isinstance(result, TranslationResult):
+            return result
+        key = hash(data)
+        with self._lock:
+            if key not in self._seen:
+                self._seen[key] = None
+                if len(self._seen) > 4 * self.entries:
+                    self._seen.popitem(last=False)
+                return result
+            del self._seen[key]
+            self._results[data] = result
+            if len(self._results) > self.entries:
+                self._results.popitem(last=False)
+        return _own_result(result)
+
+    def __len__(self) -> int:
+        return len(self._results)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._results.clear()
+            self._seen.clear()
+
+
+def _own_result(result: TranslationResult) -> TranslationResult:
+    """*result* with a meter of its own; image and failure shared."""
+    meter = result.meter
+    return TranslationResult(
+        result.loop_name, result.image, result.failure_reason,
+        TranslationMeter(dict(meter.units), meter.budget_units,
+                         meter.deadline_s, _total=meter.total_units()))
+
+
+#: The process-wide reply memo every :class:`LoopClient` (and so every
+#: ``ClusterClient``) decodes ``translate`` replies through;
+#: ``perf.clear_caches`` empties it.
+REPLY_MEMO = ReplyMemo()
 
 
 class LoopClient:
@@ -239,7 +321,6 @@ class LoopClient:
         attempt_cap = (policy.attempt_timeout_s
                        if attempt_timeout_s is None else attempt_timeout_s)
         deadline = time.monotonic() + budget
-        started = time.perf_counter()
         self.stats.requests += 1
         obs.inc(f"net.client.requests.{op}")
         last_error: Optional[BaseException] = None
@@ -277,8 +358,8 @@ class LoopClient:
                 continue
             if response.get("ok"):
                 self._breaker.record_success()
-                self.stats.latencies_ms.append(
-                    (time.perf_counter() - started) * 1000.0)
+                if op == "translate":
+                    return REPLY_MEMO.decode(response.get("body"))
                 return wire.unpack_body(response.get("body"))
             # A typed error envelope: the server is alive and talking.
             self._breaker.record_success()

@@ -814,14 +814,11 @@ class ClusterClient:
         """Aggregated per-shard ``ClientStats`` plus cluster counters."""
         totals = {"requests": 0, "retries": 0, "admission_retries": 0,
                   "reconnects": 0, "protocol_errors": 0}
-        latencies: list[float] = []
         with self._lock:
             clients = list(self._clients.values())
         for client in clients:
             for name in totals:
                 totals[name] += getattr(client.stats, name)
-            latencies.extend(client.stats.latencies_ms)
-        totals["latencies_ms"] = latencies
         totals["cluster"] = self.stats.as_dict()
         return totals
 

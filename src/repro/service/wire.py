@@ -35,6 +35,13 @@ peers respond by closing the connection (the client reconnects and
 resubmits — safe, because dedup on the transcache digest
 makes identical translations exactly-once).
 
+Both ends handle a repeated ``translate`` body once: the server
+decodes each request body and packs each cache-served reply once
+(:class:`repro.service.net.NetServer`), and the client decodes each
+reply body once (:class:`repro.service.client.ReplyMemo`).  The decode
+memos are keyed by body bytes that already passed the frame check, and
+each of their misses still goes through :func:`unpack_body`.
+
 Trust model
 -----------
 Frame bodies are still pickles, so *both* directions load them through

@@ -679,3 +679,283 @@ def test_hot_translate_reply_body_is_unchanged(monkeypatch):
         return bodies[0][1]
 
     assert served_body(estimate=True) == served_body(estimate=False)
+
+
+# -- the client's reply memo --------------------------------------------------
+
+def _memo_inputs(monkeypatch) -> list:
+    """Every reply body that reached the client's reply memo."""
+    from repro.service import client
+
+    return _count_calls(monkeypatch, client.REPLY_MEMO, "decode")
+
+
+def _memo_counts() -> tuple:
+    from repro import obs
+
+    counters = obs.metrics_snapshot()["counters"]
+    return (counters.get("net.client.reply_memo.hits", 0),
+            counters.get("net.client.reply_memo.misses", 0))
+
+
+def test_repeated_reply_is_decoded_at_most_twice(monkeypatch):
+    from repro.service import client, wire
+
+    loop = K.fir_filter(taps=4)
+    inputs = _memo_inputs(monkeypatch)
+    decoded = _count_calls(monkeypatch, wire, "unpack_body")
+    hits, misses = _memo_counts()
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="once") as lc:
+            replies = [lc.translate(loop) for _ in range(6)]
+    assert len(inputs) == 6
+    for body in set(inputs):
+        assert decoded.count(body) <= 2
+    assert len(client.REPLY_MEMO) == len(set(inputs)) == 1
+    assert _memo_counts() == (hits + 4, misses + 2)
+    assert [_fields(reply) for reply in replies] == _direct([(loop,)]) * 6
+
+
+def test_fresh_loop_replies_are_never_retained(monkeypatch):
+    from repro.service import client
+
+    loops = [K.fir_filter(taps=taps, name=f"fresh_{taps}")
+             for taps in range(2, 7)]
+    inputs = _memo_inputs(monkeypatch)
+    hits, misses = _memo_counts()
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="fresh") as lc:
+            replies = [lc.translate(loop) for loop in loops]
+    assert len(set(inputs)) == len(loops)
+    assert len(client.REPLY_MEMO) == 0
+    assert _memo_counts() == (hits, misses + len(loops))
+    assert [_fields(reply) for reply in replies] == \
+        _direct([(loop,) for loop in loops])
+
+
+def test_each_memo_hit_owns_its_result_and_meter():
+    loop = K.fir_filter(taps=4)
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="own") as lc:
+            replies = [lc.translate(loop) for _ in range(4)]
+            expected = _fields(replies[0])
+            # The third and fourth replies are memo hits.
+            assert replies[2].image is replies[3].image
+            assert len({id(reply) for reply in replies}) == 4
+            assert len({id(reply.meter) for reply in replies}) == 4
+            assert len({id(reply.meter.units) for reply in replies}) == 4
+            replies[2].meter.charge("identify", 1_000)
+            replies[2].meter.budget_units = 7
+            replies[2].loop_name = "mutated"
+            after = lc.translate(loop)
+    assert replies[2].meter.total_units() == \
+        replies[3].meter.total_units() + 1_000
+    assert _fields(after) == _fields(replies[3]) == expected
+    assert after.meter.budget_units is None
+    assert after.meter.total_units() == replies[0].meter.total_units()
+
+
+def test_memo_replies_equal_a_fresh_decode_and_engine0(monkeypatch):
+    from repro.service import wire
+
+    requests = [(K.fir_filter(taps=4),), (K.while_scan(),),
+                (K.fir_filter(taps=4), PROPOSED_LA.with_(num_int_units=2),
+                 None)]
+    inputs = _memo_inputs(monkeypatch)
+    replies: list = []
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="eq") as lc:
+            for _ in range(4):
+                replies.extend(lc.translate(*request)
+                               for request in requests)
+    assert len(inputs) == len(replies)
+    for reply, body in zip(replies, inputs):
+        fresh = wire.unpack_body(body)
+        assert reply.loop_name == fresh.loop_name
+        for part in ("image", "failure_reason"):
+            assert wire.pack_body(getattr(reply, part)) == \
+                wire.pack_body(getattr(fresh, part))
+        assert reply.meter.units == fresh.meter.units
+        assert reply.meter.total_units() == fresh.meter.total_units()
+        assert (reply.meter.budget_units, reply.meter.deadline_s) == \
+            (fresh.meter.budget_units, fresh.meter.deadline_s)
+    assert not replies[1].ok
+    assert [_fields(reply) for reply in replies] == _direct(requests) * 4
+
+
+def test_memo_hits_copy_every_meter_field():
+    from repro.service import wire
+    from repro.service.client import ReplyMemo
+    from repro.vm.costmodel import TranslationMeter
+
+    result = translate_loop(K.fir_filter(taps=4), PROPOSED_LA,
+                            TranslationOptions())
+    result.meter = TranslationMeter(dict(result.meter.units), 50_000, 30.0,
+                                    _total=result.meter.total_units())
+    body = wire.pack_body(result)
+    memo = ReplyMemo()
+    replies = [memo.decode(body) for _ in range(4)]
+    assert len(memo) == 1
+    for reply in replies:
+        assert (reply.meter.units, reply.meter.total_units(),
+                reply.meter.budget_units, reply.meter.deadline_s) == \
+            (result.meter.units, result.meter.total_units(), 50_000, 30.0)
+    assert len({id(reply.meter) for reply in replies}) == 4
+
+
+@pytest.mark.parametrize("body", [b"cos\nsystem\n.", b"not a pickle"],
+                         ids=["forbidden-global", "garbage"])
+def test_undecodable_reply_body_is_never_stored(body):
+    from repro.errors import ProtocolError
+    from repro.service.client import ReplyMemo
+
+    memo = ReplyMemo()
+    for _ in range(3):
+        with pytest.raises(ProtocolError):
+            memo.decode(body)
+    assert len(memo) == 0 and len(memo._seen) == 0
+
+
+def test_reply_memo_bound_and_eviction_order(monkeypatch):
+    from repro.service import wire
+    from repro.service.client import ReplyMemo
+
+    bodies = {name: wire.pack_body(translate_loop(
+                  K.fir_filter(taps=taps, name=f"fir_{name}"),
+                  PROPOSED_LA, TranslationOptions()))
+              for name, taps in (("a", 2), ("b", 3), ("c", 4))}
+    decoded = _count_calls(monkeypatch, wire, "unpack_body")
+    memo = ReplyMemo(entries=2)
+    for name in "aabb":
+        memo.decode(bodies[name])
+    assert list(memo._results) == [bodies["a"], bodies["b"]]
+    memo.decode(bodies["a"])  # a hit refreshes "a"
+    for name in "cc":
+        memo.decode(bodies[name])
+    # "a" was refreshed before "c" arrived, so "b" was the one evicted.
+    assert list(memo._results) == [bodies["a"], bodies["c"]]
+    assert len(memo) == 2
+    memo.decode(bodies["b"])  # a first sighting again: decoded, not kept
+    assert list(memo._results) == [bodies["a"], bodies["c"]]
+    assert [decoded.count(bodies[name]) for name in "abc"] == [2, 3, 2]
+
+
+def _run_threads(target, count: int) -> list:
+    """Run *target(index)* on *count* threads with a short switch
+    interval; returns the exceptions they raised."""
+    import sys
+    import threading
+
+    errors: list = []
+    barrier = threading.Barrier(count)
+
+    def run(index: int) -> None:
+        try:
+            barrier.wait()
+            target(index)
+        except Exception as exc:  # noqa: BLE001 — the assertion
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(index,))
+               for index in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+def test_client_threads_share_the_reply_memo(monkeypatch):
+    from repro.service import client
+    from repro.service.loadgen import request_corpus
+
+    requests = request_corpus()[:6]
+    clients, rounds = 4, 5
+    inputs = _memo_inputs(monkeypatch)
+    hits, misses = _memo_counts()
+    results: dict = {}
+    with _server() as server:
+        def drive(index: int) -> None:
+            with LoopClient(server.host, server.port,
+                            session=f"thread-{index}") as lc:
+                results[index] = [lc.translate(*request)
+                                  for _ in range(rounds)
+                                  for request in requests]
+
+        assert _run_threads(drive, clients) == []
+    calls = clients * rounds * len(requests)
+    distinct = len(set(inputs))
+    assert len(inputs) == calls
+    assert len(client.REPLY_MEMO) == distinct
+    new_hits, new_misses = _memo_counts()
+    assert new_hits - hits + new_misses - misses == calls
+    # Racing first sightings may each decode, but never more than one
+    # per thread before the body is admitted.
+    assert new_misses - misses <= (clients + 1) * distinct
+    expected = _direct(requests) * rounds
+    for index in range(clients):
+        assert [_fields(reply) for reply in results[index]] == expected
+
+
+def test_reply_memo_bound_holds_under_racing_evictions():
+    from repro.service import wire
+    from repro.service.client import ReplyMemo
+
+    names = [f"fir_{taps}" for taps in range(2, 7)]
+    bodies = [wire.pack_body(translate_loop(
+                  K.fir_filter(taps=taps, name=name), PROPOSED_LA,
+                  TranslationOptions()))
+              for taps, name in zip(range(2, 7), names)]
+    memo = ReplyMemo(entries=3)
+    wrong: list = []
+
+    def hammer(index: int) -> None:
+        for step in range(200):
+            pick = (index + step * (index + 1)) % len(bodies)
+            if memo.decode(bodies[pick]).loop_name != names[pick]:
+                wrong.append(pick)
+            assert len(memo) <= 3
+
+    assert _run_threads(hammer, 4) == []
+    assert wrong == [] and len(memo) <= 3
+    assert set(memo._results) <= set(bodies)
+
+
+@pytest.mark.parametrize("mode", [infra.InfraFaultMode.NET_CORRUPT,
+                                  infra.InfraFaultMode.NET_TRUNCATE],
+                         ids=lambda m: m.value)
+def test_bad_reply_frame_never_reaches_the_reply_memo(mode, monkeypatch,
+                                                      tmp_path):
+    from repro.service import client
+
+    loop = K.fir_filter(taps=4)
+    retry = RetryPolicy(attempts=4, base_delay_s=0.01,
+                        attempt_timeout_s=0.4)
+    inputs = _memo_inputs(monkeypatch)
+    with _server() as server:
+        with LoopClient(server.host, server.port, session="bad",
+                        retry=retry) as lc:
+            replies = [lc.translate(loop)]  # first sighting
+            good = inputs[0]
+            token = f"memo-{mode.value}"
+            # The faulted reply would have been the admitting sighting.
+            infra.arm([infra.InfraFaultSpec(mode=mode, token=token)],
+                      str(tmp_path))
+            try:
+                replies.append(lc.translate(loop))
+            finally:
+                infra.disarm()
+            replies.append(lc.translate(loop))
+            assert lc.stats.retries >= 1
+            assert lc.stats.protocol_errors >= 1
+    assert infra.fired(str(tmp_path), token)
+    assert set(inputs) == {good}
+    assert list(client.REPLY_MEMO._results) == [good]
+    assert [_fields(reply) for reply in replies] == \
+        [_fields(replies[0])] * 3 == _direct([(loop,)]) * 3
