@@ -7,7 +7,9 @@ unit per edge or visit counts its ticks and reports them with
 :func:`charge_run` instead of calling ``work(1)`` per tick.
 
 An analysis whose result depends only on its inputs can be memoised
-with :func:`memoised`, which replays the memoised charge on a hit.
+with :func:`memoised`, which charges the memoised total on a hit.  It
+is the one way a memo hit reaches a meter: the translator's front end,
+CCA mapping and per-DFG analyses all go through it.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ class WorkTally:
     """A work callback that forwards to *work* and totals the charge.
 
     ``units`` stays None until a charge arrives; a ``work(0)`` call
-    counts as one, since it records its phase on a meter.  Replaying
-    ``work(units)`` then leaves an unbudgeted meter exactly as the
-    tallied calls left it.
+    counts as one, since it records its phase on a meter.  One later
+    ``work(units)`` call then leaves a meter with no budget or deadline
+    exactly as the tallied calls left it.
     """
 
     __slots__ = ("work", "units")
@@ -64,14 +66,16 @@ class WorkTally:
 def memoised(memo: Optional[dict], key: Hashable,
              work: Optional[Callable[[int], None]],
              compute: Callable[[Optional[Callable[[int], None]]], T]) -> T:
-    """``compute(work)``, or its memoised value with its charge replayed.
+    """``compute(work)``, or its memoised value with its charge repeated.
 
     *memo* maps *key* to ``(value, units)``.  A miss runs *compute*
     through a :class:`WorkTally` and stores what it charged; a hit
-    charges that total to *work* in one call.  A bulk replay is exact
-    only when no charge can abort part-way (no work budget and no
-    deadline), so callers pass ``memo=None`` then and *compute* runs
-    as it always did.
+    charges that total to *work* in one call.  One bulk charge equals
+    the fresh run's only when no charge can abort part-way (no work
+    budget and no deadline), so callers pass ``memo=None`` then and
+    *compute* runs as it always did.  *compute* must not raise for an
+    outcome that should be memoised: return it (a rejection as its
+    report, "unchanged" as None) and act on it after the call.
     """
     if memo is None:
         return compute(work)

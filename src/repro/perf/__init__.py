@@ -101,14 +101,15 @@ cycles_cache: dict[tuple, float] = {}
 #: suite digest -> (baseline runs, infinite-speedup map) for the
 #: design-space sweeps' fraction-of-infinite normalisation.
 baseline_cache: dict[str, tuple] = {}
-#: Config-independent translation front-end products (DFG +
-#: schedulability + partition, and CCA mapping results) keyed by loop
-#: content — shared across every sweep point that translates the same
-#: loop, with the meter charges replayed exactly — and, under
-#: ``("analyses", <that key>)``, each mapped DFG's memo of its
-#: RecMII, priority orders and register analyses.  Only consulted when
-#: no translation budget/deadline is active (bulk charge replay would
-#: move a mid-phase budget abort).
+#: Content key -> one memo dict per DFG, filled through
+#: :func:`repro.ir.work.memoised`: the front end's ``"identify"`` and
+#: ``"partition"`` steps (loop, latency model, speculation), or a CCA
+#: mapping's ``"cca"`` and ``"partition"`` steps (plus the CCA shape and
+#: static-mapping mode), each beside that DFG's RecMII, priority orders
+#: and register analyses.  Shared across every sweep point that
+#: translates the same loop, and only consulted when no translation
+#: budget/deadline is active (a bulk charge would move a mid-phase
+#: abort).  ``cache_stats()["analysis_entries"]`` counts the dicts.
 analysis_cache: dict = {}
 
 

@@ -18,7 +18,9 @@ class RuntimeMemos:
     """Mixin: pickle without ``_veal_*`` attributes, refuse them on load."""
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()
+        # Filter a copy: another thread may plant a memo mid-pickle, and
+        # ``dict.copy`` takes the snapshot without a thread switch.
+        return {k: v for k, v in self.__dict__.copy().items()
                 if not k.startswith(MEMO_PREFIX)}
 
     def __setstate__(self, state: dict) -> None:

@@ -42,11 +42,15 @@ from repro.vm.translator import TranslationOptions, translation_key
 def request_corpus() -> list[tuple]:
     """The deterministic translate-request list every client submits.
 
-    Suite kernels crossed with accelerator variants whose unit pools
-    sit below typical kernel demand (so the demand-clamped digests
-    actually differ), and whose ``max_ii`` is the untightened proposed
-    value (so the exact-max-II fallback never fires and every unique
-    digest costs exactly one core run).
+    The 56 suite kernels crossed with three accelerator variants, all
+    at the untightened proposed ``max_ii`` (so the exact-max-II
+    fallback never fires and every unique digest costs exactly one
+    core run).  The variants repeat more than they differ:
+    ``num_int_units=2`` is ``PROPOSED_LA``'s own value, so the second
+    variant equals the first, and the stream-limited third clamps to
+    the same projection unless a kernel has more than two loads or
+    more than one store.  The 168 requests name 84 distinct translation
+    keys (``tests/test_service.py`` pins both counts).
     """
     from repro.accelerator import PROPOSED_LA
     from repro.workloads.suite import media_fp_benchmarks

@@ -66,7 +66,10 @@ class TranslationMeter:
     of hanging a sweep.  ``deadline_s`` adds an optional wall-clock
     guard checked on the same path (coarse, since it only triggers on a
     charge, and a hot loop's unit ticks arrive as one :meth:`charge_run`
-    per pass or attempt).
+    per pass or attempt).  Every unit arrives through :meth:`charge`,
+    a memoised analysis's hit included (:func:`repro.ir.work.memoised`
+    charges its total in one call, so the translator keeps that memo
+    off whenever a budget or deadline is set).
     """
 
     units: dict[str, int] = field(default_factory=dict)
@@ -83,7 +86,7 @@ class TranslationMeter:
             raise KeyError(f"unknown translation phase {phase!r}")
         self.units[phase] = self.units.get(phase, 0) + amount
         self._total += amount
-        self._enforce(phase, check_deadline=True)
+        self._enforce(phase)
 
     def charge_run(self, phase: str, n: int) -> None:
         """Charge *n* unit work items in one call.
@@ -105,17 +108,12 @@ class TranslationMeter:
             n = max(self.budget_units + 1 - self._total, 1)
         self.charge(phase, n)
 
-    def _enforce(self, phase: str, check_deadline: bool) -> None:
-        """Charge-then-check limit enforcement, in one place.
+    def _enforce(self, phase: str) -> None:
+        """Charge-then-check limit enforcement.
 
-        Every path that adds units (:meth:`charge`, :meth:`replay`,
-        :meth:`merge`) records the units *first* and enforces *after*,
+        :meth:`charge` records the units *first* and enforces *after*,
         so an aborted translation's meter still reports everything it
-        spent.  ``check_deadline=False`` is the replay/merge exemption:
-        units reconstructed from a cache hit (or folded in from another
-        meter) consumed no wall clock *now*, and a meter rebuilt for
-        replay carries a fresh ``_started_at``, so letting them trip
-        ``deadline_s`` would turn a cache hit into a spurious timeout.
+        spent.
         """
         if self.budget_units is not None and self._total > self.budget_units:
             raise TranslationBudgetExceeded(
@@ -124,34 +122,13 @@ class TranslationMeter:
                 f"({self._total} units charged)",
                 budget_units=self.budget_units, spent_units=self._total,
                 phase=phase)
-        if check_deadline and self.deadline_s is not None and \
+        if self.deadline_s is not None and \
                 time.monotonic() - self._started_at > self.deadline_s:
             raise TranslationBudgetExceeded(
                 f"translation wall-clock deadline of {self.deadline_s}s "
                 f"exceeded during the {phase!r} phase",
                 budget_units=self.budget_units or 0,
                 spent_units=self._total, phase=phase)
-
-    def replay(self, charges: dict[str, int]) -> None:
-        """Re-apply cached per-phase *charges* exactly.
-
-        Used by the analysis-cache hit paths to reconstruct the meter
-        state a cache miss would have produced.  The work budget is
-        still enforced (replayed work counts against it identically),
-        but the wall-clock deadline is not: the replayed units were
-        charged in a previous translation's time, and this meter's
-        ``_started_at`` says nothing about when that happened.
-        """
-        for phase in charges:
-            if phase not in PHASES:
-                raise KeyError(f"unknown translation phase {phase!r}")
-        for phase in PHASES:
-            if phase not in charges:
-                continue
-            amount = charges[phase]
-            self.units[phase] = self.units.get(phase, 0) + amount
-            self._total += amount
-            self._enforce(phase, check_deadline=False)
 
     def charger(self, phase: str) -> "PhaseCharger":
         """A work callback bound to *phase*, in the shape analyses expect."""
@@ -167,33 +144,6 @@ class TranslationMeter:
     def total_instructions(self, weights: dict[str, float] | None = None
                            ) -> float:
         return sum(self.instructions(weights).values())
-
-    def merge(self, other: "TranslationMeter") -> None:
-        """Fold *other*'s charges into this meter.
-
-        Validates phases and enforces ``budget_units`` exactly as
-        :meth:`charge` does — a merged meter must not silently exceed
-        the budget the charge path enforces, nor carry unknown phases
-        that :meth:`instructions` would then silently drop.  Phases
-        fold in ``PHASES`` order, so the budget abort (charge-then-
-        check: the crossing phase's units are already recorded) is
-        deterministic regardless of *other*'s insertion order.  The
-        wall-clock deadline is not consulted: the merged units were
-        charged against another meter's clock.
-        """
-        unknown = sorted(set(other.units) - set(PHASES))
-        if unknown:
-            raise KeyError(
-                f"cannot merge meter with unknown translation phase"
-                f"{'s' if len(unknown) > 1 else ''} "
-                f"{', '.join(repr(p) for p in unknown)}")
-        for phase in PHASES:
-            if phase not in other.units:
-                continue
-            units = other.units[phase]
-            self.units[phase] = self.units.get(phase, 0) + units
-            self._total += units
-            self._enforce(phase, check_deadline=False)
 
     def __getstate__(self) -> dict:
         """Pickle without ``_started_at``: a monotonic reading means

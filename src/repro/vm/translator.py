@@ -142,25 +142,26 @@ class TranslationResult:
         return self.meter.total_instructions()
 
 
-def _charge_diff(before: dict, meter: TranslationMeter) -> dict:
-    """Per-phase units *meter* accumulated since the *before* snapshot."""
-    return {phase: units - before.get(phase, 0)
-            for phase, units in meter.units.items()
-            if units != before.get(phase, 0)}
+def _memo(meter: TranslationMeter, kind: str, loop: Loop,
+          *content) -> Optional[dict]:
+    """The per-DFG memo dict for *loop* under a content key, or None.
 
-
-def _analysis_cacheable(meter: TranslationMeter) -> bool:
-    """Whether front-end products may be replayed for this meter.
-
-    Replaying a cached front-end charges each phase's total in one bulk
-    :meth:`~repro.vm.costmodel.TranslationMeter.charge` call, which is
-    only observationally identical when nothing can fire *mid-phase*: a
-    work budget would abort at a different charged total and a deadline
-    at a different wall-clock point, so both disable the cache.
+    The dict lives in :data:`repro.perf.analysis_cache` under
+    ``digest_of(kind, loop_digest(loop), *content)``; every step and
+    analysis stored in it goes through :func:`~repro.ir.work.memoised`.
+    A hit charges its memoised total in one call, which equals the
+    fresh run's charges only when nothing can fire *mid-phase*: a work
+    budget would abort at a different charged total and a deadline at a
+    different wall-clock point, so both (and engine 0) give None and
+    every step runs.
     """
     from repro import perf
-    return (perf.engine_enabled() and meter.budget_units is None
-            and meter.deadline_s is None)
+    if not perf.engine_enabled() or meter.budget_units is not None \
+            or meter.deadline_s is not None:
+        return None
+    from repro.perf.digest import digest_of, loop_digest
+    return perf.analysis_cache.setdefault(
+        digest_of(kind, loop_digest(loop), *content), {})
 
 
 def _front_end(loop: Loop, config: LAConfig, options: TranslationOptions,
@@ -169,116 +170,87 @@ def _front_end(loop: Loop, config: LAConfig, options: TranslationOptions,
 
     Everything here reads only the loop, the latency model and the
     config's speculation capability — never unit pools, streams limits,
-    register files or max II — so the products (and the exact meter
-    charges, including a schedulability rejection) are shared across
-    every sweep point that translates the same loop.  Returns
-    ``((dfg, streams, partition), key)``: *key* names the products in
-    :data:`repro.perf.analysis_cache` (None when the meter may not
-    replay, see :func:`_analysis_cacheable`).
+    register files or max II — so both steps are memoised per (loop,
+    latency model, speculation) and shared across every sweep point
+    that translates the same loop.  A rejection is memoised as its
+    report, and each call raises a fresh
+    :class:`~repro.errors.SchedulabilityError` from it.  Returns
+    ``(dfg, streams, partition, memo)``; *memo* (see :func:`_memo`)
+    serves the analyses of this DFG.
     """
-    from repro import perf
-
     lat = options.latency_model
-    cache_key = None
-    if _analysis_cacheable(meter):
-        from repro.perf.digest import digest_of, loop_digest
-        cache_key = digest_of("front", loop_digest(loop), lat,
-                              config.supports_speculation)
-        hit = perf.analysis_cache.get(cache_key)
-        if hit is not None:
-            outcome, payload, charges = hit
-            meter.replay(charges)
-            if outcome == "fail":
-                raise payload
-            return payload, cache_key
+    memo = _memo(meter, "front", loop, lat, config.supports_speculation)
 
-    before = dict(meter.units)
-    try:
-        # Phase 1: identification / schedulability.
-        dfg = build_dfg(loop, lat, work=meter.charger("identify"))
+    # Phase 1: identification / schedulability.  With every access
+    # proven affine, the conservative memory-ordering edges are refined
+    # to exact lattice-test dependences (interleaved store streams stop
+    # serialising each other).
+    def identify(work):
+        dfg = build_dfg(loop, lat, work=work)
         report = check_schedulability(
-            loop, dfg, work=meter.charger("identify"),
+            loop, dfg, work=work,
             allow_speculation=config.supports_speculation)
         if not report.ok:
-            reasons = "; ".join(report.reasons) or report.category.value
-            raise SchedulabilityError(
-                f"not modulo schedulable: {reasons}", loop_name=loop.name,
-                category=report.category.value, reasons=report.reasons)
-        streams = report.streams
-        assert streams is not None
+            return None, report
+        return refine_memory_edges(loop, dfg, report.streams), report
 
-        # Phase 2: separate control and memory streams.  With every
-        # access proven affine, the conservative memory-ordering edges
-        # are refined to exact lattice-test dependences (interleaved
-        # store streams stop serialising each other).
-        dfg = refine_memory_edges(loop, dfg, streams)
-        part = partition_loop(loop, dfg, work=meter.charger("partition"))
-    except SchedulabilityError as exc:
-        if cache_key is not None:
-            perf.analysis_cache[cache_key] = \
-                ("fail", exc, _charge_diff(before, meter))
-        raise
-    payload = (dfg, streams, part)
-    if cache_key is not None:
-        perf.analysis_cache[cache_key] = \
-            ("ok", payload, _charge_diff(before, meter))
-    return payload, cache_key
+    dfg, report = memoised(memo, "identify", meter.charger("identify"),
+                           identify)
+    if dfg is None:
+        reasons = "; ".join(report.reasons) or report.category.value
+        raise SchedulabilityError(
+            f"not modulo schedulable: {reasons}", loop_name=loop.name,
+            category=report.category.value, reasons=list(report.reasons))
+
+    # Phase 2: separate control and memory streams.
+    part = memoised(memo, "partition", meter.charger("partition"),
+                    lambda w: partition_loop(loop, dfg, work=w))
+    return dfg, report.streams, part, memo
 
 
 def _cca_map(loop: Loop, dfg, part, streams, config: LAConfig,
              options: TranslationOptions, meter: TranslationMeter,
-             front_key: Optional[str]):
+             front: Optional[dict]):
     """Phase 3: CCA mapping plus the post-mapping re-analysis.
 
     The mapping reads the CCA *shape* and the compute partition, never
     the CCA *count* (ResMII and the scheduler enforce that later), so
-    the mapped loop with its rebuilt DFG/partition is one cached product
-    per (loop, latency model, CCA shape, static-mapping mode).  Returns
-    ``((mapped, dfg, partition), key)``, *key* naming the mapped DFG as
-    :func:`_front_end`'s names its products: *front_key* itself when
-    there are no CCAs or nothing was mapped.
+    the mapped loop (step ``"cca"``) and its rebuilt DFG/partition
+    (step ``"partition"``) are memoised per (loop, latency model, CCA
+    shape, static-mapping mode, speculation).  A mapping that leaves
+    the loop unchanged is memoised as None, so every caller keeps its
+    own loop object and *front*'s DFG.  Returns ``(mapped, dfg,
+    partition, memo)``, *memo* serving the mapped DFG's analyses:
+    *front* itself when there are no CCAs or nothing was mapped.
     """
-    from repro import perf
-
     if config.num_ccas <= 0:
-        return (loop, dfg, part), front_key
+        return loop, dfg, part, front
     lat = options.latency_model
-    cache_key = None
-    if _analysis_cacheable(meter):
-        from repro.perf.digest import digest_of, loop_digest
-        cache_key = digest_of("cca", loop_digest(loop), lat, config.cca,
-                              options.use_static_cca,
-                              config.supports_speculation)
-        hit = perf.analysis_cache.get(cache_key)
-        if hit is not None:
-            payload, charges, dfg_key = hit
-            meter.replay(charges)
-            return payload, dfg_key
+    memo = _memo(meter, "cca", loop, lat, config.cca, options.use_static_cca,
+                 config.supports_speculation)
 
-    before = dict(meter.units)
-    if options.use_static_cca and STATIC_CCA_KEY in loop.annotations:
-        mapping = apply_subgraphs(
-            loop, loop.annotations[STATIC_CCA_KEY], dfg,
-            config=config.cca, candidate_opids=part.compute,
-            work=meter.charger("cca"))
-    else:
-        mapping = map_cca(loop, dfg, config=config.cca,
-                          candidate_opids=part.compute,
-                          work=meter.charger("cca"))
-    mapped = mapping.loop
-    dfg_key = cache_key
-    if mapped is not loop:
-        dfg2 = refine_memory_edges(
-            mapped, build_dfg(mapped, lat, work=meter.charger("partition")),
-            streams)
-        part2 = partition_loop(mapped, dfg2, work=meter.charger("partition"))
-    else:
-        dfg2, part2, dfg_key = dfg, part, front_key
-    payload = (mapped, dfg2, part2)
-    if cache_key is not None:
-        perf.analysis_cache[cache_key] = \
-            (payload, _charge_diff(before, meter), dfg_key)
-    return payload, dfg_key
+    def cca(work):
+        if options.use_static_cca and STATIC_CCA_KEY in loop.annotations:
+            mapping = apply_subgraphs(
+                loop, loop.annotations[STATIC_CCA_KEY], dfg,
+                config=config.cca, candidate_opids=part.compute, work=work)
+        else:
+            mapping = map_cca(loop, dfg, config=config.cca,
+                              candidate_opids=part.compute, work=work)
+        return None if mapping.loop is loop else mapping.loop
+
+    mapped = memoised(memo, "cca", meter.charger("cca"), cca)
+    if mapped is None:
+        return loop, dfg, part, front
+
+    def rebuild(work):
+        dfg2 = refine_memory_edges(mapped, build_dfg(mapped, lat, work=work),
+                                   streams)
+        return dfg2, partition_loop(mapped, dfg2, work=work)
+
+    dfg2, part2 = memoised(memo, "partition", meter.charger("partition"),
+                           rebuild)
+    return mapped, dfg2, part2, memo
 
 
 def _translate_pipeline(loop: Loop, config: LAConfig,
@@ -298,17 +270,14 @@ def _translate_pipeline(loop: Loop, config: LAConfig,
 
     The analyses that read only the mapped DFG, the II and the latency
     model (RecMII, the SMS node sets, the swing and height orders, the
-    register demand and the rotation postpass) go through one per-DFG
-    memo, ``analyses``, with their charges replayed on a hit; it is
-    None, and every analysis runs, when the meter may not replay.
+    register demand and the rotation postpass) go through that DFG's
+    memo, ``analyses``, from :func:`_cca_map`; it is None, and every
+    analysis runs, when the meter may not take a memoised charge.
     """
-    from repro import perf
-
-    # Phases 1-2 (cached across configs; see _front_end).
+    # Phases 1-2 (memoised across configs; see _front_end).
     with obs.span("front_end", component="translator", meter=meter,
                   loop=loop.name):
-        (dfg, streams, part), front_key = _front_end(loop, config, options,
-                                                     meter)
+        dfg, streams, part, front = _front_end(loop, config, options, meter)
     if streams.num_load_streams > config.load_streams:
         raise StreamLimitError(
             f"{streams.num_load_streams} load streams > "
@@ -322,13 +291,11 @@ def _translate_pipeline(loop: Loop, config: LAConfig,
             stream_kind="store", required=streams.num_store_streams,
             available=config.store_streams)
 
-    # Phase 3: CCA mapping (cached across configs; see _cca_map).
+    # Phase 3: CCA mapping (memoised across configs; see _cca_map).
     with obs.span("cca_map", component="translator", meter=meter,
                   loop=loop.name):
-        (mapped, dfg2, part2), dfg_key = _cca_map(
-            loop, dfg, part, streams, config, options, meter, front_key)
-    analyses = (None if dfg_key is None else
-                perf.analysis_cache.setdefault(("analyses", dfg_key), {}))
+        mapped, dfg2, part2, analyses = _cca_map(
+            loop, dfg, part, streams, config, options, meter, front)
 
     # Phase 4: minimum II.
     units = config.units()

@@ -1,11 +1,9 @@
-"""Regression tests for TranslationMeter merge/replay semantics.
+"""TranslationMeter state that crosses a boundary: snapshots and pickles.
 
-The merge path used to fold another meter's charges in blindly: a
-budget-carrying meter could silently exceed ``budget_units`` and an
-unknown phase name would be accepted and then silently dropped by
-``instructions()``.  The replay path (cache hits reconstructing meter
-state) must count against the work budget but never against the
-wall-clock deadline — replayed units consumed no wall clock *now*.
+A cached core entry carries its meters as ``MeterSnapshot``s, and a
+meter sent over the wire or to disk is pickled; either way the charges
+must come back exactly.  (A memo hit reaches a meter only through
+``repro.ir.work.memoised``; its tests are in ``test_transcache.py``.)
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import pytest
 
 from repro.errors import TranslationBudgetExceeded
 from repro.perf.transcache import MeterSnapshot
-from repro.vm.costmodel import PHASES, TranslationMeter
+from repro.vm.costmodel import TranslationMeter
 
 
 def _meter_with(charges: dict[str, int],
@@ -25,110 +23,7 @@ def _meter_with(charges: dict[str, int],
     return meter
 
 
-class TestMerge:
-    def test_merge_accumulates_phases_and_total(self):
-        a = _meter_with({"priority": 5, "cca": 3})
-        b = _meter_with({"priority": 2, "scheduling": 7})
-        a.merge(b)
-        assert a.units == {"priority": 7, "cca": 3, "scheduling": 7}
-        assert a.total_units() == 17
-
-    def test_merge_rejects_unknown_phase(self):
-        a = TranslationMeter()
-        b = TranslationMeter()
-        b.units["made-up-phase"] = 3
-        b._total = 3
-        with pytest.raises(KeyError, match="made-up-phase"):
-            a.merge(b)
-        # Nothing was folded in before the validation tripped.
-        assert a.units == {}
-        assert a.total_units() == 0
-
-    def test_merge_rejects_unknown_phase_names_all(self):
-        a = TranslationMeter()
-        b = TranslationMeter()
-        b.units["zeta"] = 1
-        b.units["alpha"] = 1
-        b._total = 2
-        with pytest.raises(KeyError) as exc_info:
-            a.merge(b)
-        # Both offenders are reported, sorted.
-        message = str(exc_info.value)
-        assert "alpha" in message and "zeta" in message
-
-    def test_merge_enforces_budget(self):
-        a = _meter_with({"priority": 6}, budget_units=10)
-        b = _meter_with({"scheduling": 5})
-        with pytest.raises(TranslationBudgetExceeded) as exc_info:
-            a.merge(b)
-        exc = exc_info.value
-        assert exc.budget_units == 10
-        assert exc.spent_units == 11
-        # Charge-then-check: the crossing units are already recorded.
-        assert a.total_units() == 11
-
-    def test_merge_budget_abort_is_deterministic_in_phase_order(self):
-        # The crossing phase is decided by PHASES order, not by the
-        # insertion order of the other meter's dict.
-        a = _meter_with({"identify": 4}, budget_units=8)
-        b = TranslationMeter()
-        b.units = {"regalloc": 5, "cca": 5}  # insertion order reversed
-        b._total = 10
-        with pytest.raises(TranslationBudgetExceeded) as exc_info:
-            a.merge(b)
-        assert exc_info.value.phase == "cca"  # cca precedes regalloc
-
-    def test_merge_within_budget_succeeds(self):
-        a = _meter_with({"priority": 4}, budget_units=10)
-        a.merge(_meter_with({"cca": 6}))
-        assert a.total_units() == 10
-
-    def test_merge_ignores_other_meters_deadline_clock(self):
-        a = _meter_with({"priority": 1})
-        a.deadline_s = 0.0
-        a._started_at -= 10.0
-        b = _meter_with({"cca": 100})
-        # A merge charges no wall clock against this meter's deadline,
-        # even though _started_at is long past the (expired) deadline.
-        a.merge(b)
-        assert a.total_units() == 101
-
-
-class TestReplay:
-    def test_replay_reproduces_charges(self):
-        meter = TranslationMeter()
-        meter.replay({"priority": 9, "cca": 4})
-        assert meter.units == {"priority": 9, "cca": 4}
-        assert meter.total_units() == 13
-
-    def test_replay_rejects_unknown_phase_before_charging(self):
-        meter = TranslationMeter()
-        with pytest.raises(KeyError, match="bogus"):
-            meter.replay({"priority": 2, "bogus": 1})
-        assert meter.total_units() == 0
-
-    def test_replay_counts_against_budget(self):
-        meter = TranslationMeter(budget_units=5)
-        with pytest.raises(TranslationBudgetExceeded):
-            meter.replay({"priority": 6})
-        assert meter.total_units() == 6  # charge-then-check
-
-    def test_replay_does_not_trip_deadline(self):
-        # A meter rebuilt for cache replay has a fresh _started_at; the
-        # replayed charges happened in another translation's time and
-        # must not spuriously hit deadline_s mid-replay.
-        meter = TranslationMeter(deadline_s=0.0)
-        meter._started_at -= 10.0  # clock is far past the deadline
-        meter.replay({phase: 3 for phase in PHASES})
-        assert meter.total_units() == 3 * len(PHASES)
-
-    def test_fresh_charge_after_replay_still_trips_deadline(self):
-        meter = TranslationMeter(deadline_s=0.0)
-        meter._started_at -= 10.0
-        meter.replay({"priority": 3})
-        with pytest.raises(TranslationBudgetExceeded):
-            meter.charge("priority", 1)
-
+class TestSnapshot:
     def test_snapshot_restore_preserves_charges(self):
         original = _meter_with({"priority": 5, "regalloc": 2})
         restored = MeterSnapshot.of(original).restore()

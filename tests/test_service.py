@@ -225,3 +225,14 @@ def test_figure_via_service_is_byte_identical():
             .result(timeout=300)
     perf.clear_caches()
     assert served == api.run_figure("fig2")
+
+
+def test_request_corpus_names_84_keys_in_168_requests():
+    """The service traffic's shape: a change to it is a change to the
+    service benchmark's hot set, so it must be deliberate."""
+    from repro.service.loadgen import request_corpus
+    from repro.vm.translator import translation_key
+
+    corpus = request_corpus()
+    assert len(corpus) == 168
+    assert len({translation_key(*request) for request in corpus}) == 84

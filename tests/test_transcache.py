@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs, perf
 from repro.accelerator.config import INFINITE_LA, PROPOSED_LA
-from repro.errors import SchedulingError
+from repro.errors import SchedulabilityError, SchedulingError
 from repro.perf.digest import loop_digest
 from repro.perf.transcache import CoreEntry, MeterSnapshot
 from repro.vm.translator import (
@@ -554,9 +554,9 @@ def _observed(result):
 
 
 def _analysis_memos() -> list[dict]:
-    """The per-DFG analysis memos in the analysis cache."""
-    return [memo for key, memo in perf.analysis_cache.items()
-            if isinstance(key, tuple) and key[0] == "analyses"]
+    """The per-DFG memo dicts in the analysis cache (one per front-end
+    or CCA-mapping content key)."""
+    return list(perf.analysis_cache.values())
 
 
 def test_analysis_memo_is_invisible_in_either_sweep_order():
@@ -636,3 +636,64 @@ def test_swing_priority_runs_once_per_dfg_and_ii(monkeypatch):
     assert len(calls) == len(set(calls)) == len(memoised)
     assert set(calls) == memoised
     assert 0 < len(calls) < core_runs
+
+
+def test_unchanged_mapping_keeps_each_callers_loop():
+    """A CCA mapping that leaves the loop unchanged is memoised as
+    "unchanged", not as the loop object it saw: an equal but distinct
+    loop translated at another design point keeps its own loop and the
+    front end's DFG, and its meter equals the reference pipeline's."""
+    import copy
+
+    from repro.workloads import kernels as K
+
+    loop = K.fir_filter(taps=4)
+    twin = copy.deepcopy(loop)
+    requests = [(loop, PROPOSED_LA),
+                (twin, PROPOSED_LA.with_(num_int_units=1))]
+    assert translation_key(*requests[0]) != translation_key(*requests[1])
+    with perf.engine_at(0):
+        reference = [list(translate_loop(*request).meter.units.items())
+                     for request in requests]
+    with perf.engine_at(1):
+        perf.clear_caches()
+        got = [translate_loop(*request) for request in requests]
+    assert got[0].image.loop is loop  # the mapping collapsed nothing
+    assert [list(result.meter.units.items()) for result in got] == reference
+    assert got[1].image.loop is twin
+
+
+def test_schedulability_rejection_is_memoised_as_its_report(monkeypatch):
+    """A rejected loop at two design points from cold caches checks
+    schedulability once, and each translation gets its own
+    SchedulabilityError, equal to the reference pipeline's."""
+    from repro.vm import translator
+    from repro.workloads import kernels as K
+
+    loop = K.while_scan()
+    configs = [PROPOSED_LA, PROPOSED_LA.with_(num_int_units=1)]
+    assert translation_key(loop, configs[0]) != \
+        translation_key(loop, configs[1])
+    with perf.engine_at(0):
+        reference = [translate_loop(loop, config) for config in configs]
+    calls = []
+    real = translator.check_schedulability
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(translator, "check_schedulability", counting)
+    with perf.engine_at(1):
+        perf.clear_caches()
+        got = [translate_loop(loop, config) for config in configs]
+    assert calls == [loop.name]
+    assert got[0].failure_reason is not got[1].failure_reason
+    for result, ref in zip(got, reference):
+        assert isinstance(result.failure_reason, SchedulabilityError)
+        assert result.failure == ref.failure
+        assert result.failure_reason.category == ref.failure_reason.category
+        assert result.failure_reason.reasons == ref.failure_reason.reasons
+        assert list(result.meter.units.items()) == \
+            list(ref.meter.units.items())
+

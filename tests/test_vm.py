@@ -38,15 +38,6 @@ def test_meter_rejects_unknown_phase():
         TranslationMeter().charge("nonsense")
 
 
-def test_meter_merge():
-    a, b = TranslationMeter(), TranslationMeter()
-    a.charge("cca", 1)
-    b.charge("cca", 2)
-    b.charge("regalloc", 3)
-    a.merge(b)
-    assert a.units == {"cca": 3, "regalloc": 3}
-
-
 def test_translation_cycles_cpi():
     assert translation_cycles(1000.0) == 1000.0
     assert translation_cycles(1000.0, cpi=1.5) == 1500.0

@@ -486,6 +486,30 @@ def test_translate_body_memo_never_travels():
     assert "_veal_wire_translate" not in planted.__dict__
 
 
+def test_loop_state_survives_a_memo_planted_mid_pickle():
+    """Client threads share loop objects: one pickles a loop while
+    another memoises a cache key on it.  The pickled state is taken
+    from a snapshot, so the planted memo neither breaks the pickle nor
+    travels in it."""
+    from repro.workloads import kernels as K
+
+    loop = K.fir_filter(taps=4)
+
+    class Planting(str):
+        """A key whose prefix test plants a memo, as a racing thread
+        would between two steps of the state filter."""
+
+        def startswith(self, prefix, *args):
+            loop.__dict__.setdefault("_veal_planted", {})
+            return str.startswith(self, prefix, *args)
+
+    loop.__dict__[Planting("note")] = "kept"
+    state = loop.__getstate__()
+    assert state["note"] == "kept"
+    assert "_veal_planted" in loop.__dict__
+    assert "_veal_planted" not in state
+
+
 def test_translate_body_memo_is_bounded():
     from repro.vm.translator import TranslationOptions
     from repro.workloads import kernels as K
