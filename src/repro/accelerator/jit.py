@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -61,6 +60,7 @@ from repro.ir.graphalgo import strongly_connected_components
 from repro.ir.loop import check_trip_count
 from repro.ir.opcodes import Opcode, trunc_div, trunc_rem, wrap64
 from repro.ir.ops import Imm, Operation, Reg
+from repro.perf.codecache import MISS, CodeCache
 from repro.scheduler.mii import sched_resource
 
 
@@ -106,20 +106,12 @@ def _count_decline(reason: str) -> None:
 
 # -- in-process code cache ----------------------------------------------------
 
-#: key -> SpecializedKernel, or None for a negative (unsupported) entry.
-#: Ordered LRU: hits move to the back, eviction pops the front.  The
-#: key embeds the trip count, so a long-lived service seeing varying
-#: trips for one loop would otherwise grow this without bound.
-_code_cache: "OrderedDict[tuple, Optional[SpecializedKernel]]" = OrderedDict()
-#: translation digest -> keys, for guard-driven invalidation.  Keyed by
-#: the digest, not the loop name, so one loop's deopt never drops the
-#: kernels of another loop that shares its name.
-_image_keys: dict[str, set] = {}
-_stats = {"compiled": 0, "hits": 0, "unsupported": 0, "errors": 0,
-          "deopts": 0, "evicted": 0}
+_stats = {"compiled": 0, "unsupported": 0, "errors": 0, "deopts": 0}
 
 #: Max cached kernels.  Negative (unsupported) entries count too — they
-#: are tiny, but an unbounded negative set is still a leak.
+#: are tiny, but an unbounded negative set is still a leak.  The key
+#: embeds the trip count, so a long-lived service seeing varying trips
+#: for one loop would otherwise grow the cache without bound.
 CODE_CACHE_LIMIT = 256
 
 #: Test seam: when set, applied to the specialized live-outs as
@@ -135,42 +127,34 @@ def set_test_corruption(hook: Optional[Callable[[str, dict], dict]]) -> None:
     _test_corruption = hook
 
 
-def _forget_key(key: tuple) -> None:
-    """Unlink *key* from the per-digest invalidation index."""
-    keys = _image_keys.get(key[0])
-    if keys is not None:
-        keys.discard(key)
-        if not keys:
-            _image_keys.pop(key[0], None)
-
-
-def _evict_to_limit() -> None:
-    while len(_code_cache) > CODE_CACHE_LIMIT:
-        key, _kernel = _code_cache.popitem(last=False)
-        _forget_key(key)
-        _stats["evicted"] += 1
-        obs.inc("jit.code_cache_evicted")
-    obs.set_gauge("jit.code_cache_size", len(_code_cache))
+#: key -> SpecializedKernel, or None for a negative (unsupported) entry.
+_code_cache: CodeCache[tuple, Optional[SpecializedKernel]] = CodeCache(
+    CODE_CACHE_LIMIT, "jit.code_cache_evicted")
 
 
 def clear_code_cache() -> None:
     _code_cache.clear()
-    _image_keys.clear()
     obs.set_gauge("jit.code_cache_size", 0)
 
 
 def code_cache_stats() -> dict:
-    return dict(_stats, entries=len(_code_cache), limit=CODE_CACHE_LIMIT)
+    cache = _code_cache.stats
+    return dict(_stats, hits=cache.hits, evicted=cache.evictions,
+                entries=len(_code_cache), limit=_code_cache.capacity)
 
 
 def invalidate_image(image: KernelImage) -> int:
     """Drop every compiled kernel of *image*'s translation (any trip
-    count); the guard deopt path.  The next call recompiles."""
-    keys = _image_keys.pop(_image_digest(image), set())
+    count); the guard deopt path.  The next call recompiles.  Keys lead
+    with the digest, not the loop name, so one loop's deopt never drops
+    the kernels of another loop that shares its name."""
+    digest = _image_digest(image)
     dropped = 0
-    for key in keys:
-        if _code_cache.pop(key, None) is not None:
-            dropped += 1
+    for key in _code_cache.keys():
+        if key[0] == digest:
+            kernel = _code_cache.peek(key)
+            if _code_cache.invalidate(key) and kernel is not None:
+                dropped += 1
     if dropped:
         _stats["deopts"] += dropped
         obs.inc("vm.specialize_deopt", dropped)
@@ -215,10 +199,9 @@ def kernel_for(image: KernelImage, trips: int
                ) -> Optional[SpecializedKernel]:
     """The compiled kernel for (image, trips), or None if unsupported."""
     key = _image_key(image, trips)
-    if key in _code_cache:
-        _stats["hits"] += 1
-        _code_cache.move_to_end(key)
-        return _code_cache[key]
+    kernel = _code_cache.lookup(key, MISS)
+    if kernel is not MISS:
+        return kernel
     started = time.perf_counter()
     try:
         kernel = specialize(image, trips)
@@ -232,9 +215,8 @@ def kernel_for(image: KernelImage, trips: int
         _codegen_error(exc, image.loop.name, trips)
     obs.observe("jit.compile_ms",
                 (time.perf_counter() - started) * 1000.0)
-    _code_cache[key] = kernel
-    _image_keys.setdefault(key[0], set()).add(key)
-    _evict_to_limit()
+    _code_cache.insert(key, kernel)
+    obs.set_gauge("jit.code_cache_size", len(_code_cache))
     return kernel
 
 

@@ -144,7 +144,7 @@ class InOrderPipeline:
         key = None
         if perf.engine_enabled():
             key = self._timing_key(loop, "steady", (warm, measure))
-            cached = perf.cycles_cache.get(key)
+            cached = perf.cycles_cache.lookup(key)
             if cached is not None:
                 return cached
         branches = self._simulate(loop, warm + measure)
@@ -153,7 +153,7 @@ class InOrderPipeline:
         span = branches[warm + measure - 1] - branches[warm - 1]
         result = span / measure
         if key is not None:
-            perf.cycles_cache[key] = result
+            perf.cycles_cache.insert(key, result)
         return result
 
     def loop_cycles(self, loop: Loop, trip_count: Optional[int] = None) -> float:
@@ -163,7 +163,7 @@ class InOrderPipeline:
         key = None
         if perf.engine_enabled():
             key = self._timing_key(loop, "loop", trips)
-            cached = perf.cycles_cache.get(key)
+            cached = perf.cycles_cache.lookup(key)
             if cached is not None:
                 return cached
         per_iter = self.steady_cycles_per_iteration(loop)
@@ -172,5 +172,5 @@ class InOrderPipeline:
         first = self._simulate(loop, 1)[0] + 1
         result = first + per_iter * (trips - 1)
         if key is not None:
-            perf.cycles_cache[key] = result
+            perf.cycles_cache.insert(key, result)
         return result

@@ -23,6 +23,8 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
+from repro.perf.codecache import CodeCache
+
 #: Highest engine tier (and the default): specialized kernels.
 MAX_ENGINE_LEVEL = 2
 
@@ -94,10 +96,15 @@ def engine_at(level: int) -> Iterator[None]:
 # -- process-wide caches ------------------------------------------------------
 
 _translation_cache = None
+#: Entries :data:`cycles_cache` and :data:`analysis_cache` keep: all
+#: figures from cold caches fill 487 and 676 of them.
+CYCLES_CACHE_ENTRIES = 1024
+ANALYSIS_CACHE_ENTRIES = 1024
 #: (cpu digest, loop digest, kind, extra) -> float cycle counts from the
 #: in-order pipeline model; keyed by content so every VirtualMachine
 #: instance in the process (and every sweep point) shares one simulation.
-cycles_cache: dict[tuple, float] = {}
+cycles_cache: CodeCache[tuple, float] = CodeCache(
+    CYCLES_CACHE_ENTRIES, "perf.cycles_cache.evictions")
 #: suite digest -> (baseline runs, infinite-speedup map) for the
 #: design-space sweeps' fraction-of-infinite normalisation.
 baseline_cache: dict[str, tuple] = {}
@@ -110,7 +117,8 @@ baseline_cache: dict[str, tuple] = {}
 #: translates the same loop, and only consulted when no translation
 #: budget/deadline is active (a bulk charge would move a mid-phase
 #: abort).  ``cache_stats()["analysis_entries"]`` counts the dicts.
-analysis_cache: dict = {}
+analysis_cache: CodeCache[str, dict] = CodeCache(
+    ANALYSIS_CACHE_ENTRIES, "perf.analysis_cache.evictions")
 
 
 def translation_cache():
@@ -131,6 +139,8 @@ def enable_disk_cache(path: Optional[str] = None) -> str:
 def clear_caches() -> None:
     """Drop every memoised product (used between bench passes)."""
     translation_cache().clear()
+    from repro.perf import digest
+    digest._options_digests.clear()
     cycles_cache.clear()
     baseline_cache.clear()
     analysis_cache.clear()
@@ -165,13 +175,9 @@ def counter_delta(before: dict) -> dict:
             for name in COUNTER_FIELDS}
 
 
-def _specialized_stats() -> dict:
-    from repro.accelerator import jit
-    return jit.code_cache_stats()
-
-
 def cache_stats() -> dict:
     """Aggregate cache statistics (stamped on every figure run record)."""
+    from repro.accelerator import jit
     from repro.resilience.incidents import incident_log
     t = translation_cache().stats
     return {
@@ -182,11 +188,14 @@ def cache_stats() -> dict:
             "hit_rate": t.hit_rate,
             "quarantined": t.quarantined,
             "disk_errors": t.disk_errors,
+            "evictions": t.evictions,
         },
         "cycles_entries": len(cycles_cache),
+        "cycles_evictions": cycles_cache.stats.evictions,
         "baseline_entries": len(baseline_cache),
         "analysis_entries": len(analysis_cache),
-        "specialized": _specialized_stats(),
+        "analysis_evictions": analysis_cache.stats.evictions,
+        "specialized": jit.code_cache_stats(),
         #: kind -> count of resilience-layer recoveries this process
         #: took (quarantines, I/O errors, ...).
         "incidents": incident_log().counts(),

@@ -20,6 +20,7 @@ from typing import Any
 from repro.ir.loop import ArrayDecl, Loop
 from repro.ir.opcodes import LatencyModel
 from repro.ir.ops import Imm, Operation, Reg
+from repro.perf.codecache import CodeCache
 
 #: Bump when digest composition or cached-value layout changes, so a
 #: stale on-disk cache can never resurface under a new code version.
@@ -101,9 +102,7 @@ _options_values = operator.attrgetter(*OPTIONS_FIELDS)
 _LATENCY_AT = OPTIONS_FIELDS.index("latency_model")
 
 #: :func:`options_digest` memo, keyed by :func:`options_key`.
-_options_digests: dict[tuple, str] = {}
-#: Distinct options the memo keeps digests for; past it, it starts over.
-_OPTIONS_DIGEST_SLOTS = 256
+_options_digests: CodeCache[tuple, str] = CodeCache(256)
 
 
 def options_key(options) -> tuple:
@@ -125,12 +124,10 @@ def options_digest(options) -> str:
     ``digest_of("options", <OPTIONS_FIELDS values>)``.
     """
     key = options_key(options)
-    value = _options_digests.get(key)
+    value = _options_digests.lookup(key)
     if value is None:
-        if len(_options_digests) >= _OPTIONS_DIGEST_SLOTS:
-            _options_digests.clear()
-        value = _options_digests[key] = digest_of(
-            "options", *_options_values(options))
+        value = digest_of("options", *_options_values(options))
+        _options_digests.insert(key, value)
     return value
 
 

@@ -40,6 +40,7 @@ from typing import Mapping, Optional
 
 from repro import obs
 from repro.errors import CacheConfigError, CacheIntegrityError
+from repro.perf.codecache import CacheStats, CodeCache
 from repro.perf.memo import RuntimeMemos
 
 DEFAULT_DISK_DIR = os.path.join("benchmarks", "results", ".cache")
@@ -63,6 +64,10 @@ STAMP_NAME = "digest.version"
 
 #: Every entry is one ``<digest>.pkl`` file in the cache directory.
 ENTRY_SUFFIX = ".pkl"
+
+#: Entries the memory layer keeps, least recently used first out.  All
+#: figures from cold caches store 2,648 (fig3a/3b/4a/4b alone 1,541).
+TRANSLATION_CACHE_ENTRIES = 4096
 
 _gc_budget_override: Optional[int] = None
 
@@ -283,12 +288,9 @@ def decode_entry(blob: bytes, path: str) -> CoreEntry:
 
 
 @dataclass
-class TransCacheStats:
-    hits: int = 0
-    misses: int = 0
+class TransCacheStats(CacheStats):
     disk_hits: int = 0
     stores: int = 0
-    invalidations: int = 0
     #: Times a clamped-key failure forced an exact-key retranslation.
     exact_fallbacks: int = 0
     #: Corrupt/stale disk entries moved aside (each is an incident).
@@ -296,17 +298,13 @@ class TransCacheStats:
     #: Disk I/O failures survived by degrading (each is an incident).
     disk_errors: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        accesses = self.hits + self.misses
-        return self.hits / accesses if accesses else 0.0
-
 
 class TranslationCache:
     """Memory + optional-disk store of :class:`CoreEntry` by digest."""
 
     def __init__(self, disk_dir: Optional[str] = None) -> None:
-        self._entries: dict[str, CoreEntry] = {}
+        self._entries: CodeCache[str, CoreEntry] = CodeCache(
+            TRANSLATION_CACHE_ENTRIES, "transcache.evictions", self._evicted)
         self.disk_dir: Optional[str] = None
         self.stats = TransCacheStats()
         #: Keys seeded from an AOT artifact, so hits on them can be
@@ -412,6 +410,10 @@ class TranslationCache:
         except OSError as exc:
             self._io_incident("store", path, exc)
 
+    def _evicted(self, key: str) -> None:
+        self.stats.evictions += 1
+        self._artifact_keys.discard(key)
+
     # -- artifact layer ----------------------------------------------------
 
     def adopt_artifact(self, entries: Mapping[str, CoreEntry]) -> int:
@@ -425,7 +427,7 @@ class TranslationCache:
         adopted = 0
         for key, entry in entries.items():
             if key not in self._entries:
-                self._entries[key] = entry
+                self._entries.insert(key, entry)
                 self._artifact_keys.add(key)
                 adopted += 1
         obs.set_gauge("aot.artifact_entries", len(self._artifact_keys))
@@ -434,7 +436,7 @@ class TranslationCache:
     def persist(self, key: str) -> None:
         """Write *key*'s memory entry to the disk layer unless its file
         exists (``aot build`` ships warm entries this way)."""
-        entry = self._entries.get(key)
+        entry = self._entries.peek(key)
         if entry is not None and self.disk_dir is not None and \
                 not os.path.exists(self._disk_path(key)):
             self._disk_store(key, entry)
@@ -445,7 +447,7 @@ class TranslationCache:
             ) -> Optional[CoreEntry]:
         """Counted lookup, memory then disk; with ``count_miss=False`` the
         caller classifies a miss via :meth:`count_lookup`."""
-        entry = self._entries.get(key)
+        entry = self._entries.lookup(key)
         if entry is not None:
             self.count_lookup(hit=True)
             if key in self._artifact_keys:
@@ -453,7 +455,7 @@ class TranslationCache:
             return entry
         entry = self._disk_load(key)
         if entry is not None:
-            self._entries[key] = entry
+            self._entries.insert(key, entry)
             self.count_lookup(hit=True)
             self.stats.disk_hits += 1
             obs.inc("transcache.disk_hits")
@@ -479,22 +481,22 @@ class TranslationCache:
         the primary key already recorded the access; disk entries are
         still promoted into memory.
         """
-        entry = self._entries.get(key)
+        entry = self._entries.peek(key)
         if entry is None:
             entry = self._disk_load(key)
             if entry is not None:
-                self._entries[key] = entry
+                self._entries.insert(key, entry)
         return entry
 
     def put(self, key: str, entry: CoreEntry) -> None:
-        self._entries[key] = entry
+        self._entries.insert(key, entry)
         self.stats.stores += 1
         obs.inc("transcache.stores")
         self._disk_store(key, entry)
 
     def invalidate(self, key: str) -> bool:
         """Deoptimisation support: drop one translation everywhere."""
-        found = self._entries.pop(key, None) is not None
+        found = self._entries.invalidate(key)
         self._artifact_keys.discard(key)
         if self.disk_dir is not None:
             try:

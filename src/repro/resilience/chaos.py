@@ -89,7 +89,7 @@ class Sweep(Plugin):
         undetected = []
         for path in sorted(set(corrupted) - quarantined()):
             key = os.path.basename(path)[:-len(".pkl")]
-            cache._entries.pop(key, None)
+            cache._entries.invalidate(key)
             if cache.peek(key) is not None:
                 undetected.append(path)  # corrupt bytes loaded
         detail = "; ".join(f"{os.path.basename(p)}: {d}"

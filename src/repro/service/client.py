@@ -43,7 +43,6 @@ import random
 import socket
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -55,9 +54,9 @@ from repro.errors import (
     ServiceClosed,
     TransportError,
 )
+from repro.perf.codecache import CodeCache
 from repro.resilience.incidents import record_incident
-from repro.service import wire
-from repro.service.net import TRANSLATE_MEMO_ENTRIES
+from repro.service import net, wire
 from repro.vm.costmodel import TranslationMeter
 from repro.vm.translator import TranslationResult
 
@@ -137,9 +136,9 @@ class ReplyMemo:
     restricted decode accepted, and decoding is deterministic.  A body
     is admitted only on its *second* sighting (a bounded record of
     first-sighting hashes tracks the first), so the one-off replies of
-    fresh loops are never retained; at most ``entries`` bodies are
-    kept, least recently used first out.  A body that fails to decode
-    is never admitted.
+    fresh loops are never retained; at most
+    ``net.TRANSLATE_MEMO_ENTRIES`` bodies are kept, least recently used
+    first out.  A body that fails to decode is never admitted.
 
     Every call gets its own :class:`TranslationResult` and meter; the
     decoded image and failure are shared, as ``translate_loop`` shares
@@ -147,21 +146,18 @@ class ReplyMemo:
     built).
     """
 
-    def __init__(self, entries: int = TRANSLATE_MEMO_ENTRIES) -> None:
-        self.entries = entries
-        self._lock = threading.Lock()
-        self._results: OrderedDict[bytes, TranslationResult] = OrderedDict()
+    def __init__(self) -> None:
+        entries = net.TRANSLATE_MEMO_ENTRIES
+        self._results: CodeCache[bytes, TranslationResult] = CodeCache(
+            entries)
         #: Hashes of bodies seen once, oldest first, at most four per
         #: entry; a hash collision only admits a body early, since
         #: ``_results`` keys on the bytes themselves.
-        self._seen: OrderedDict[int, None] = OrderedDict()
+        self._seen: CodeCache[int, None] = CodeCache(4 * entries)
 
     def decode(self, data: Optional[bytes]) -> Any:
         """``wire.unpack_body(data)``, served from the memo on a hit."""
-        with self._lock:
-            result = self._results.get(data)
-            if result is not None:
-                self._results.move_to_end(data)
+        result = self._results.lookup(data)
         if result is not None:
             obs.inc("net.client.reply_memo.hits")
             return _own_result(result)
@@ -170,25 +166,18 @@ class ReplyMemo:
         if not isinstance(result, TranslationResult):
             return result
         key = hash(data)
-        with self._lock:
-            if key not in self._seen:
-                self._seen[key] = None
-                if len(self._seen) > 4 * self.entries:
-                    self._seen.popitem(last=False)
-                return result
-            del self._seen[key]
-            self._results[data] = result
-            if len(self._results) > self.entries:
-                self._results.popitem(last=False)
+        if not self._seen.invalidate(key):
+            self._seen.insert(key, None)
+            return result
+        self._results.insert(data, result)
         return _own_result(result)
 
     def __len__(self) -> int:
         return len(self._results)
 
     def clear(self) -> None:
-        with self._lock:
-            self._results.clear()
-            self._seen.clear()
+        self._results.clear()
+        self._seen.clear()
 
 
 def _own_result(result: TranslationResult) -> TranslationResult:

@@ -37,12 +37,12 @@ import asyncio
 import contextlib
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import obs
 from repro.errors import ProtocolError, ReproError, TransportError
+from repro.perf.codecache import CodeCache
 from repro.resilience import infra
 from repro.resilience.incidents import record_incident
 from repro.service import wire
@@ -119,12 +119,11 @@ class NetServer:
         self._active: set[int] = set()
         self._conn_seq = 0
         self._stopped = False
-        #: Raw translate body -> decoded (loop, accelerator, options);
-        #: only the event-loop thread touches it.
-        self._translate_memo: OrderedDict[bytes, tuple] = OrderedDict()
+        #: Raw translate body -> decoded (loop, accelerator, options).
+        self._translate_memo = CodeCache(TRANSLATE_MEMO_ENTRIES)
         #: Cache-served translate reply -> its packed body (see
-        #: :meth:`_translate_reply`); event-loop thread only.
-        self._reply_memo: OrderedDict[tuple, tuple] = OrderedDict()
+        #: :meth:`_translate_reply`).
+        self._reply_memo = CodeCache(TRANSLATE_MEMO_ENTRIES)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -375,14 +374,12 @@ class NetServer:
         fails to decode or unpack is never memoised.
         """
         memo = self._translate_memo
-        hit = memo.get(data) if isinstance(data, bytes) else None
+        hit = memo.lookup(data) if isinstance(data, bytes) else None
         if hit is not None:
-            memo.move_to_end(data)
             return hit
         loop, accelerator, options = wire.unpack_body(data)
-        payload = memo[data] = (loop, accelerator, options)
-        if len(memo) > TRANSLATE_MEMO_ENTRIES:
-            memo.popitem(last=False)
+        payload = (loop, accelerator, options)
+        memo.insert(data, payload)
         return payload
 
     def _translate_reply(self, result):
@@ -412,16 +409,12 @@ class NetServer:
         shared = (image.config, image.loop, image.dfg, image.partition,
                   image.streams, image.registers, image.rotation,
                   image.schedule)
-        memo = self._reply_memo
-        hit = memo.pop(key, None)
+        hit = self._reply_memo.lookup(key)
         if hit is not None and all(
                 held is now for held, now in zip(hit[0], shared)):
-            memo[key] = hit
             return hit[1]
         packed = wire.PackedBody(wire.pack_body(result))
-        memo[key] = (shared, packed)
-        if len(memo) > TRANSLATE_MEMO_ENTRIES:
-            memo.popitem(last=False)
+        self._reply_memo.insert(key, (shared, packed))
         return packed
 
     def stats_snapshot(self) -> dict:

@@ -1,6 +1,5 @@
 """Co-designed virtual machine: translator, code cache, runtime, guard."""
 
-from repro.vm.codecache import CacheStats, CodeCache
 from repro.vm.costmodel import (
     DEFAULT_WEIGHTS,
     PHASES,
@@ -24,7 +23,7 @@ from repro.vm.translator import (
 )
 
 __all__ = [
-    "AppRun", "CacheStats", "CodeCache", "DEFAULT_WEIGHTS", "GuardConfig",
+    "AppRun", "DEFAULT_WEIGHTS", "GuardConfig",
     "GuardStats", "GuardVerdict", "GuardedExecutor", "GuardedRun",
     "LoopBlacklist", "LoopOutcome", "PHASES", "TranslationMeter",
     "TranslationOptions", "TranslationResult", "VMConfig", "VirtualMachine",

@@ -40,8 +40,8 @@ from repro.cpu.memory import Memory, Value
 from repro.errors import AcceleratorFault, GuardViolation
 from repro.ir.loop import Loop
 from repro.ir.ops import Reg
+from repro.perf.codecache import CodeCache
 from repro.resilience.incidents import record_incident
-from repro.vm.codecache import CodeCache
 from repro.vm.translator import (
     TranslationOptions,
     TranslationResult,
@@ -311,16 +311,14 @@ class GuardedExecutor:
 
     def __init__(self, la_config: LAConfig,
                  guard: GuardConfig = GuardConfig(),
-                 options: TranslationOptions = TranslationOptions(),
-                 cache_entries: Optional[int] = None) -> None:
+                 options: TranslationOptions = TranslationOptions()) -> None:
         self.la_config = la_config
         self.guard = guard
         self.options = options
-        entries = (cache_entries if cache_entries is not None
-                   else la_config.code_cache_entries)
         #: Slots are named by loop and hold (translation key, image):
         #: another loop under the same name misses instead of aliasing.
-        self.cache: CodeCache[tuple[str, KernelImage]] = CodeCache(entries)
+        self.cache: CodeCache[str, tuple[str, KernelImage]] = CodeCache(
+            la_config.code_cache_entries)
         self.blacklist = LoopBlacklist(guard.max_failures,
                                        guard.backoff_invocations)
         self.stats = GuardStats()

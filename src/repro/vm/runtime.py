@@ -24,8 +24,8 @@ from repro.cpu.memory import Memory
 from repro.cpu.pipeline import ARM11, CPUConfig, InOrderPipeline
 from repro.ir.cfg import Program, identify_loops, linear_program
 from repro.ir.loop import Loop
+from repro.perf.codecache import CodeCache
 from repro.perf.memo import memo_table
-from repro.vm.codecache import CodeCache
 from repro.vm.costmodel import translation_cycles
 from repro.vm.guard import GuardConfig, GuardedExecutor
 from repro.vm.translator import (

@@ -160,8 +160,12 @@ def _memo(meter: TranslationMeter, kind: str, loop: Loop,
             or meter.deadline_s is not None:
         return None
     from repro.perf.digest import digest_of, loop_digest
-    return perf.analysis_cache.setdefault(
-        digest_of(kind, loop_digest(loop), *content), {})
+    key = digest_of(kind, loop_digest(loop), *content)
+    memo = perf.analysis_cache.lookup(key)
+    if memo is None:
+        memo = {}
+        perf.analysis_cache.insert(key, memo)
+    return memo
 
 
 def _front_end(loop: Loop, config: LAConfig, options: TranslationOptions,

@@ -7,7 +7,8 @@ from repro.accelerator import PROPOSED_LA, jit
 from repro.cpu import Interpreter, standard_live_ins
 from repro.errors import GuardViolation
 from repro.resilience.faults import FaultInjector, FaultSite, FaultSpec
-from repro.vm import CodeCache, translate_loop
+from repro.perf.codecache import CodeCache
+from repro.vm import translate_loop
 from repro.vm.guard import (
     GuardConfig,
     GuardedExecutor,
@@ -305,7 +306,8 @@ def test_cache_full_of_blacklisted_entries_still_serves():
     loops = [K.daxpy(trip_count=16), K.checksum(trip_count=16),
              K.sad_16(trip_count=16)]
     guard = GuardConfig.checked_mode(max_failures=1, backoff_invocations=1)
-    executor = GuardedExecutor(PROPOSED_LA, guard, cache_entries=3)
+    executor = GuardedExecutor(PROPOSED_LA.with_(code_cache_entries=3),
+                               guard)
     for loop in loops:
         memory = seeded_memory(loop, seed=4)
         run = executor.run(loop, memory,

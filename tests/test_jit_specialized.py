@@ -199,7 +199,7 @@ def test_code_cache_is_a_bounded_lru(monkeypatch):
     cache without bound — the LRU cap holds and eviction keeps the
     per-loop invalidation index consistent."""
     small, image = _first_translatable()
-    monkeypatch.setattr(jit, "CODE_CACHE_LIMIT", 4)
+    monkeypatch.setattr(jit._code_cache, "capacity", 4)
     kernels = {trips: jit.kernel_for(image, trips)
                for trips in range(1, 13)}
     stats = jit.code_cache_stats()
@@ -218,12 +218,12 @@ def test_code_cache_is_a_bounded_lru(monkeypatch):
     recompiled = jit.kernel_for(image, 10)
     assert recompiled is not None and recompiled is not kernels[10]
 
-    # Every eviction unlinked its key: invalidating the loop drops
-    # exactly the live entries and leaves both indexes empty.
+    # Invalidating the loop drops exactly the live entries and leaves
+    # the cache empty.
     live = jit.code_cache_stats()["entries"]
     assert jit.invalidate_image(image) == live
     assert jit.code_cache_stats()["entries"] == 0
-    assert not jit._image_keys
+    assert jit._code_cache.keys() == []
 
 
 def test_negative_entries_count_toward_the_limit(monkeypatch):
@@ -231,7 +231,7 @@ def test_negative_entries_count_toward_the_limit(monkeypatch):
     negative set is still a leak, so they occupy LRU slots too."""
     small, image = _first_translatable()
     image.loop.annotations["while_loop"] = True
-    monkeypatch.setattr(jit, "CODE_CACHE_LIMIT", 2)
+    monkeypatch.setattr(jit._code_cache, "capacity", 2)
     try:
         for trips in range(1, 6):
             assert jit.kernel_for(image, trips) is None
@@ -240,6 +240,50 @@ def test_negative_entries_count_toward_the_limit(monkeypatch):
         assert stats["evicted"] >= 3
     finally:
         image.loop.annotations.pop("while_loop", None)
+
+
+def test_kernel_for_survives_a_racing_invalidation():
+    """Regression: a guard deopt's ``invalidate_image`` on one thread
+    must not make ``kernel_for`` on another raise between finding the
+    key and refreshing its recency."""
+    import sys
+    import threading
+    import time
+
+    from repro.workloads import kernels as K
+
+    image = translate_loop(K.daxpy(trip_count=64), PROPOSED_LA).image
+    errors: list = []
+    done = threading.Event()
+
+    def lookups() -> None:
+        deadline = time.monotonic() + 1.0
+        try:
+            while time.monotonic() < deadline and not errors:
+                jit.kernel_for(image, 64)
+        except Exception as exc:  # noqa: BLE001 -- the assertion
+            errors.append(exc)
+
+    def invalidations() -> None:
+        while not done.is_set():
+            jit.invalidate_image(image)
+
+    threads = [threading.Thread(target=lookups) for _ in range(2)]
+    deopt = threading.Thread(target=invalidations)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deopt.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        deopt.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + [deopt])
+    assert errors == []
 
 
 def test_non_positive_trips_are_rejected():

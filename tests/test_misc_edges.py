@@ -5,7 +5,7 @@ import pytest
 from repro.cpu import Memory
 from repro.ir import Imm, LoopBuilder, Opcode, Reg
 from repro.ir.ops import Operation
-from repro.vm import CodeCache
+from repro.perf.codecache import CodeCache
 
 
 # -- operands / printing ---------------------------------------------------------

@@ -332,8 +332,8 @@ def test_repeated_translate_decodes_and_digests_once(monkeypatch):
         with LoopClient(server.host, server.port, session="memo") as client:
             for request in requests:
                 replies.append(client.translate(*request))
-            server_loops = {id(payload[0])
-                            for payload in server._translate_memo.values()}
+            memo = server._translate_memo
+            server_loops = {id(memo.peek(body)[0]) for body in memo.keys()}
             first_digests = len(computed)
             for _ in range(4):
                 for request in requests:
@@ -369,7 +369,8 @@ def test_cosmetic_and_deadline_variants_never_alias(monkeypatch):
             for _ in range(2):
                 for variant in variants:
                     assert client.translate(*variant).ok
-            memo = dict(server._translate_memo)
+            memo = {body: server._translate_memo.peek(body)
+                    for body in server._translate_memo.keys()}
     bodies = [wire.translate_body(*variant).data for variant in variants]
     assert len(set(bodies)) == len(variants)
     for body, (sent, _config, options) in zip(bodies, variants):
@@ -464,7 +465,7 @@ def test_planted_memos_in_a_crafted_body_are_refused(monkeypatch):
         with LoopClient(server.host, server.port, session="plant") as client:
             served = [client.call("translate", wire.PackedBody(crafted))
                       for _ in range(2)]
-            decoded_loop = server._translate_memo[crafted][0]
+            decoded_loop = server._translate_memo.peek(crafted)[0]
     assert decoded_loop.__dict__["_veal_loop_digest"] == genuine
     assert "planted" not in decoded_loop.__dict__["_veal_cache_keys"]
     perf.clear_caches()
@@ -817,7 +818,7 @@ def test_undecodable_reply_body_is_never_stored(body):
 
 
 def test_reply_memo_bound_and_eviction_order(monkeypatch):
-    from repro.service import wire
+    from repro.service import net, wire
     from repro.service.client import ReplyMemo
 
     bodies = {name: wire.pack_body(translate_loop(
@@ -825,18 +826,19 @@ def test_reply_memo_bound_and_eviction_order(monkeypatch):
                   PROPOSED_LA, TranslationOptions()))
               for name, taps in (("a", 2), ("b", 3), ("c", 4))}
     decoded = _count_calls(monkeypatch, wire, "unpack_body")
-    memo = ReplyMemo(entries=2)
+    monkeypatch.setattr(net, "TRANSLATE_MEMO_ENTRIES", 2)
+    memo = ReplyMemo()
     for name in "aabb":
         memo.decode(bodies[name])
-    assert list(memo._results) == [bodies["a"], bodies["b"]]
+    assert memo._results.keys() == [bodies["a"], bodies["b"]]
     memo.decode(bodies["a"])  # a hit refreshes "a"
     for name in "cc":
         memo.decode(bodies[name])
     # "a" was refreshed before "c" arrived, so "b" was the one evicted.
-    assert list(memo._results) == [bodies["a"], bodies["c"]]
+    assert memo._results.keys() == [bodies["a"], bodies["c"]]
     assert len(memo) == 2
     memo.decode(bodies["b"])  # a first sighting again: decoded, not kept
-    assert list(memo._results) == [bodies["a"], bodies["c"]]
+    assert memo._results.keys() == [bodies["a"], bodies["c"]]
     assert [decoded.count(bodies[name]) for name in "abc"] == [2, 3, 2]
 
 
@@ -903,8 +905,8 @@ def test_client_threads_share_the_reply_memo(monkeypatch):
         assert [_fields(reply) for reply in results[index]] == expected
 
 
-def test_reply_memo_bound_holds_under_racing_evictions():
-    from repro.service import wire
+def test_reply_memo_bound_holds_under_racing_evictions(monkeypatch):
+    from repro.service import net, wire
     from repro.service.client import ReplyMemo
 
     names = [f"fir_{taps}" for taps in range(2, 7)]
@@ -912,7 +914,8 @@ def test_reply_memo_bound_holds_under_racing_evictions():
                   K.fir_filter(taps=taps, name=name), PROPOSED_LA,
                   TranslationOptions()))
               for taps, name in zip(range(2, 7), names)]
-    memo = ReplyMemo(entries=3)
+    monkeypatch.setattr(net, "TRANSLATE_MEMO_ENTRIES", 3)
+    memo = ReplyMemo()
     wrong: list = []
 
     def hammer(index: int) -> None:
@@ -924,7 +927,7 @@ def test_reply_memo_bound_holds_under_racing_evictions():
 
     assert _run_threads(hammer, 4) == []
     assert wrong == [] and len(memo) <= 3
-    assert set(memo._results) <= set(bodies)
+    assert set(memo._results.keys()) <= set(bodies)
 
 
 @pytest.mark.parametrize("mode", [infra.InfraFaultMode.NET_CORRUPT,
@@ -956,6 +959,6 @@ def test_bad_reply_frame_never_reaches_the_reply_memo(mode, monkeypatch,
             assert lc.stats.protocol_errors >= 1
     assert infra.fired(str(tmp_path), token)
     assert set(inputs) == {good}
-    assert list(client.REPLY_MEMO._results) == [good]
+    assert client.REPLY_MEMO._results.keys() == [good]
     assert [_fields(reply) for reply in replies] == \
         [_fields(replies[0])] * 3 == _direct([(loop,)]) * 3

@@ -556,7 +556,7 @@ def _observed(result):
 def _analysis_memos() -> list[dict]:
     """The per-DFG memo dicts in the analysis cache (one per front-end
     or CCA-mapping content key)."""
-    return list(perf.analysis_cache.values())
+    return [perf.analysis_cache.peek(key) for key in perf.analysis_cache.keys()]
 
 
 def test_analysis_memo_is_invisible_in_either_sweep_order():
@@ -591,7 +591,7 @@ def test_budgeted_translation_bypasses_the_analysis_memo(monkeypatch):
     with perf.engine_at(1):
         total = translate_loop(loop, PROPOSED_LA).meter.total_units()
         assert _analysis_memos()
-        stored = dict(perf.analysis_cache)
+        stored = _analysis_memos()
         memos = []
         for module in (translator, sms, priority):
             real = module.memoised
@@ -605,7 +605,7 @@ def test_budgeted_translation_bypasses_the_analysis_memo(monkeypatch):
     with perf.engine_at(0):
         ref = translate_loop(loop, PROPOSED_LA, options)
     assert memos and all(memo is None for memo in memos)
-    assert perf.analysis_cache == stored
+    assert _analysis_memos() == stored
     assert isinstance(got.failure_reason, TranslationBudgetExceeded)
     assert got.failure == ref.failure
     assert got.meter.total_units() == ref.meter.total_units() == total
@@ -697,3 +697,104 @@ def test_schedulability_rejection_is_memoised_as_its_report(monkeypatch):
         assert list(result.meter.units.items()) == \
             list(ref.meter.units.items())
 
+
+
+def _bounded_caches() -> dict:
+    """Every process cache that grows with the loops a process sees."""
+    from repro.accelerator import jit
+    return {"translation": perf.translation_cache()._entries,
+            "analysis": perf.analysis_cache, "cycles": perf.cycles_cache,
+            "specialized": jit._code_cache}
+
+
+def test_fresh_loops_keep_every_cache_at_its_capacity(monkeypatch):
+    """A process that translates and runs ever more fresh loops keeps
+    each bounded cache at its capacity, counts the evictions, and
+    retains about as much memory after 2N loops as after N."""
+    import gc
+    import tracemalloc
+
+    from repro import api
+    from repro.perf.codecache import CacheStats
+
+    capacity = 8
+    caches = _bounded_caches()
+    for cache in caches.values():
+        monkeypatch.setattr(cache, "capacity", capacity)
+        monkeypatch.setattr(cache, "stats", CacheStats())
+
+    def run(seeds) -> int:
+        for seed in seeds:
+            api.run_loop(_spec_loop(seed=seed, trip_count=64,
+                                    fp_fraction=0.2))
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    n = 3 * capacity
+    run(range(1000, 1000 + capacity))
+    tracemalloc.start()
+    try:
+        after_n = run(range(2000, 2000 + n))
+        after_2n = run(range(3000, 3000 + n))
+    finally:
+        tracemalloc.stop()
+    for name, cache in caches.items():
+        assert len(cache) == capacity, name
+        assert cache.stats.evictions >= 2 * n, name
+    stats = perf.cache_stats()
+    assert stats["translation"]["evictions"] >= 2 * n
+    assert stats["analysis_evictions"] >= 2 * n
+    assert stats["cycles_evictions"] >= 2 * n
+    counters = obs.metrics_snapshot()["counters"]
+    for name in ("transcache.evictions", "perf.analysis_cache.evictions",
+                 "perf.cycles_cache.evictions", "jit.code_cache_evicted"):
+        assert counters[name] >= 2 * n, name
+    assert after_2n <= 1.1 * after_n, (after_n, after_2n)
+
+
+def test_an_evicted_artifact_key_is_no_artifact_hit(monkeypatch):
+    """Eviction unlinks an adopted key, so the entry a later
+    retranslation stores under it is not credited to the artifact."""
+    from repro.perf.transcache import TranslationCache
+
+    for seed in (1, 2, 3):
+        assert translate_loop(_spec_loop(seed=seed), PROPOSED_LA).ok
+    cache = perf.translation_cache()._entries
+    entries = [(key, cache.peek(key)) for key in cache.keys()[:3]]
+    cache = TranslationCache()
+    monkeypatch.setattr(cache._entries, "capacity", 2)
+    (adopted, entry), *rest = entries
+    assert cache.adopt_artifact({adopted: entry}) == 1
+    assert cache.get(adopted) is entry
+    assert obs.metrics_snapshot()["counters"]["aot.artifact_hits"] == 1
+    for key, other in rest:
+        cache.put(key, other)
+    assert adopted not in cache._entries.keys()
+    assert adopted not in cache._artifact_keys
+    assert cache.stats.evictions == 1
+    cache.put(adopted, entry)
+    assert cache.get(adopted) is entry
+    assert obs.metrics_snapshot()["counters"]["aot.artifact_hits"] == 1
+
+
+def test_every_figure_stays_warm_at_the_default_capacities():
+    """All of FIGURES from cold caches evicts nothing from any process
+    cache, and the cold Figure 3/4 sweeps keep their hit counts."""
+    from repro.experiments.figures import FIGURES, SWEEP_FIGURES
+    from repro.perf import digest
+
+    caches = dict(_bounded_caches(), options=digest._options_digests)
+    before = {name: cache.stats.evictions for name, cache in caches.items()}
+    for name in SWEEP_FIGURES:
+        FIGURES[name].fn()
+    stats = perf.translation_cache().stats
+    assert (stats.hits, stats.misses) == (2873, 1103)
+    perf.clear_caches()
+    for figure in FIGURES.values():
+        figure.fn()
+    assert len(perf.translation_cache()) == 2648
+    assert perf.translation_cache().stats.evictions == 0
+    assert {name: cache.stats.evictions - before[name]
+            for name, cache in caches.items()} == dict.fromkeys(caches, 0)
+    assert not [name for name in obs.metrics_snapshot()["counters"]
+                if "evict" in name]

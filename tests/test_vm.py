@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import obs
 from repro.accelerator import PROPOSED_LA
 from repro.cpu import ARM11, CORTEX_A8
 from repro.isa import annotate_for_veal, annotate_static_priority
+from repro.perf.codecache import MISS, CodeCache
 from repro.vm import (
-    CodeCache,
     TranslationMeter,
     TranslationOptions,
     VMConfig,
@@ -183,11 +184,48 @@ def test_cache_requires_capacity():
         CodeCache(capacity=0)
 
 
-def test_cache_storage_words():
-    cache = CodeCache(capacity=4)
+def test_cache_stored_none_is_a_hit():
+    # The JIT caches negative entries as None: MISS tells them apart.
+    cache = CodeCache(capacity=2)
+    cache.insert("a", None)
+    assert cache.lookup("a", MISS) is None
+    assert cache.lookup("b", MISS) is MISS
+    assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+
+
+def test_cache_peek_neither_counts_nor_reorders():
+    cache = CodeCache(capacity=2)
     cache.insert("a", 1)
     cache.insert("b", 2)
-    assert cache.storage_words({"a": 100, "b": 50}) == 150
+    assert cache.peek("a") == 1
+    assert cache.peek("z") is None and cache.peek("z", MISS) is MISS
+    assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+    cache.insert("c", 3)                # "a" is still the LRU entry
+    assert cache.keys() == ["b", "c"]
+
+
+def test_cache_eviction_counts_and_unlinks():
+    evicted: list = []
+    cache = CodeCache(capacity=2, counter="test.lru.evictions",
+                      on_evict=evicted.append)
+    for key in "abcd":
+        cache.insert(key, key.upper())
+    assert evicted == ["a", "b"]
+    assert cache.keys() == ["c", "d"] and cache.peek("d") == "D"
+    assert cache.stats.evictions == 2
+    assert obs.metrics_snapshot()["counters"]["test.lru.evictions"] == 2
+    cache.clear()
+    assert len(cache) == 0 and cache.stats.evictions == 2
+
+
+def test_cache_shrunk_capacity_evicts_on_next_insert():
+    cache = CodeCache(capacity=4)
+    for key in range(4):
+        cache.insert(key, key)
+    cache.capacity = 2
+    cache.insert(4, 4)
+    assert cache.keys() == [3, 4]
+    assert cache.stats.evictions == 3
 
 
 # -- runtime ----------------------------------------------------------------------------
