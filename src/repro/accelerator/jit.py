@@ -214,7 +214,7 @@ def kernel_for(image: KernelImage, trips: int
         _stats["unsupported"] += 1
         _codegen_error(exc, image.loop.name, trips)
     obs.observe("jit.compile_ms",
-                (time.perf_counter() - started) * 1000.0)
+                obs.ms_bucket((time.perf_counter() - started) * 1000.0))
     _code_cache.insert(key, kernel)
     obs.set_gauge("jit.code_cache_size", len(_code_cache))
     return kernel

@@ -67,24 +67,25 @@ def refine_memory_edges(loop: Loop, dfg: DataflowGraph,
     check it end to end.
     """
     refined: list[Edge] = [e for e in dfg.edges if e.kind != "mem"]
+    # The conservative memory edges of each op pair, in edge order.
+    pair_edges: dict[frozenset, list[Edge]] = {}
+    for e in dfg.edges:
+        if e.kind == "mem":
+            pair_edges.setdefault(frozenset((e.src, e.dst)), []).append(e)
     mem_ops = [op for op in loop.body if op.is_memory]
     index = {op.opid: i for i, op in enumerate(loop.body)}
     for i, a in enumerate(mem_ops):
         for b in mem_ops[i + 1:]:
             if not (a.is_store or b.is_store):
                 continue
-            had_edge = any(e.kind == "mem" and
-                           {e.src, e.dst} == {a.opid, b.opid}
-                           for e in dfg.edges)
-            if not had_edge:
+            conservative = pair_edges.get(frozenset((a.opid, b.opid)))
+            if conservative is None:
                 continue
             exact = _exact_dependence(streams.patterns.get(a.opid),
                                       streams.patterns.get(b.opid))
             if exact is None:
                 # Keep the conservative pair for this op pair.
-                refined.extend(e for e in dfg.edges
-                               if e.kind == "mem"
-                               and {e.src, e.dst} == {a.opid, b.opid})
+                refined.extend(conservative)
                 continue
             collides, delta = exact
             if not collides:

@@ -24,6 +24,7 @@ from repro.ir.dfg import DataflowGraph
 from repro.ir.loop import Loop
 from repro.ir.opcodes import COMPARE_OPCODES, Opcode
 from repro.ir.ops import Reg
+from repro.ir.work import charge_run
 
 #: Opcodes the address generators / loop control hardware can evaluate.
 OFFLOADABLE_OPCODES = frozenset({
@@ -72,10 +73,9 @@ def partition_loop(loop: Loop, dfg: DataflowGraph,
     matching the paper's claim that this step is cheap enough to run
     dynamically.
     """
-    def charge(n: int) -> None:
-        if work is not None:
-            work(n)
-
+    # One unit per op classified and per edge visited, reported as one
+    # run (see repro.ir.work.charge_run).
+    ticks = len(loop.body)
     addr_pos = _address_positions(loop)
     branch = loop.branch
     branch_id = branch.opid if branch is not None else None
@@ -83,7 +83,6 @@ def partition_loop(loop: Loop, dfg: DataflowGraph,
     live_outs = set(loop.live_outs)
     offloadable: set[int] = set()
     for op in loop.body:
-        charge(1)
         has_use = any(e.kind == "flow" for e in dfg.out_edges(op.opid))
         if op.opcode in OFFLOADABLE_OPCODES and op.predicate is None and \
                 has_use and not any(d in live_outs for d in op.dests):
@@ -116,12 +115,12 @@ def partition_loop(loop: Loop, dfg: DataflowGraph,
             # op fed by FU-computed data — e.g. a while-loop's exit
             # compare reading a loaded value — must stay on the FUs.
             for edge in dfg.in_edges(op.opid):
-                charge(1)
+                ticks += 1
                 if edge.kind == "flow" and edge.src not in offloadable:
                     ok = False
                     break
             for edge in dfg.out_edges(op.opid):
-                charge(1)
+                ticks += 1
                 if edge.kind != "flow":
                     continue
                 # Which register flows along this edge? Any dest of op
@@ -160,8 +159,9 @@ def partition_loop(loop: Loop, dfg: DataflowGraph,
                     break
     while frontier:
         node = frontier.pop()
-        for edge in dfg.in_edges(node):
-            charge(1)
+        in_edges = dfg.in_edges(node)
+        ticks += len(in_edges)
+        for edge in in_edges:
             if edge.kind == "flow" and edge.src in offloadable and \
                     edge.src not in serves:
                 serves.add(edge.src)
@@ -175,14 +175,16 @@ def partition_loop(loop: Loop, dfg: DataflowGraph,
         frontier = [branch_id]
         while frontier:
             node = frontier.pop()
-            for edge in dfg.in_edges(node):
-                charge(1)
+            in_edges = dfg.in_edges(node)
+            ticks += len(in_edges)
+            for edge in in_edges:
                 if edge.kind != "flow":
                     continue
                 if edge.src in offloadable and edge.src not in control:
                     control.add(edge.src)
                     frontier.append(edge.src)
 
+    charge_run(work, ticks)
     address = offloadable - control
     compute = {op.opid for op in loop.body} - control - address
     return LoopPartition(control=control, address=address, compute=compute)

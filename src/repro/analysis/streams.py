@@ -24,6 +24,7 @@ from repro.analysis.linexpr import LinExpr, Symbol, symbol_of, try_mul
 from repro.ir.loop import Loop
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Imm, Operand
+from repro.ir.work import charge_run
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,6 @@ def _symbolic_iteration(
     affine address of each memory op (or None) and ``final_env`` maps
     each register symbol to its end-of-iteration expression.
     """
-    def charge(n: int) -> None:
-        if work is not None:
-            work(n)
-
     env: dict[Symbol, Optional[LinExpr]] = {}
 
     def value(operand: Operand) -> Optional[LinExpr]:
@@ -109,7 +106,6 @@ def _symbolic_iteration(
 
     addr_exprs: dict[int, Optional[LinExpr]] = {}
     for op in loop.body:
-        charge(1)
         if op.is_memory:
             # A predicated access may still be a stream: the address
             # generator advances every iteration and the squashed element
@@ -146,6 +142,7 @@ def _symbolic_iteration(
         # Every other opcode produces a non-affine value.
         for dest in op.dests:
             env[symbol_of(dest)] = result
+    charge_run(work, len(loop.body))  # one unit per op executed
     return addr_exprs, env
 
 

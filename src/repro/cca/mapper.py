@@ -25,6 +25,7 @@ from repro.ir.dfg import DataflowGraph, build_dfg
 from repro.ir.loop import Loop
 from repro.ir.opcodes import Opcode
 from repro.ir.ops import Operation
+from repro.ir.work import charge_run
 
 
 @dataclass
@@ -61,16 +62,21 @@ def _grow(seed: int, checker: SubgraphChecker,
     members = {seed}
     if checker.check(members, enforce_recurrence_rule=False) is None:
         return None
+    succ0, pred0 = checker.succ0, checker.pred0
     changed = True
     while changed:
         changed = False
-        frontier: list[int] = []
-        for m in sorted(members):
-            for n in checker._flow0_succs(m) + checker._flow0_preds(m):
-                checker.charge(1)
-                if n not in members and n not in mapped and \
-                        n in checker.candidates and n not in frontier:
-                    frontier.append(n)
+        # The frontier scan charges one unit per neighbour it reads.
+        ticks = 0
+        frontier: set[int] = set()
+        for m in members:
+            ticks += len(succ0[m]) + len(pred0[m])
+            frontier.update(succ0[m])
+            frontier.update(pred0[m])
+        charge_run(checker.work, ticks)
+        frontier -= members
+        frontier -= mapped
+        frontier &= checker.candidates
         for n in sorted(frontier):
             if checker.check(members | {n},
                              enforce_recurrence_rule=False) is not None:
@@ -181,16 +187,20 @@ def map_cca(loop: Loop, dfg: Optional[DataflowGraph] = None,
     checker = SubgraphChecker(loop, dfg, config, candidate_opids, work=work)
     mapped: set[int] = set()
     subgraphs: list[Subgraph] = []
+    ticks = 0  # one unit per seed examined, reported before each growth
     for op in loop.body:  # numerical seed order
-        checker.charge(1)
+        ticks += 1
         if op.opid in mapped or op.opid not in candidate_opids:
             continue
         if not config.supports(op.opcode):
             continue
+        charge_run(work, ticks)
+        ticks = 0
         grown = _grow(op.opid, checker, mapped, respect_recurrences)
         if grown is not None:
             subgraphs.append(grown)
             mapped.update(grown.opids)
+    charge_run(work, ticks)
     if not subgraphs:
         return CCAMapping(loop=loop, subgraphs={}, collapsed_ops=0)
     new_loop, id_map = _rewrite(loop, subgraphs)

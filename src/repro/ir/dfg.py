@@ -22,6 +22,7 @@ from repro.ir.graphalgo import nontrivial_sccs
 from repro.ir.loop import Loop
 from repro.ir.opcodes import LatencyModel, DEFAULT_LATENCY
 from repro.ir.ops import Operation, Reg
+from repro.ir.work import charge_run
 
 
 @dataclass(frozen=True)
@@ -162,24 +163,23 @@ def build_dfg(loop: Loop,
     any other flow edge; no speculation edges exist because while-loops
     and side exits are precluded (Section 2.2).
     """
-    def charge(n: int) -> None:
-        if work is not None:
-            work(n)
-
     lat = latency_table(loop, latency_model)
     edges: list[Edge] = []
     last_def: dict[tuple[str, str], int] = {}
     final_def: dict[tuple[str, str], int] = {}
+    # One unit per definition, op and register use, and memory-op pair
+    # visited, reported as one run (see repro.ir.work.charge_run).
+    ticks = 0
     for op in loop.body:
+        ticks += len(op.dests)
         for d in op.dests:
             final_def[_reg_key(d)] = op.opid
-            charge(1)
 
     for op in loop.body:
-        charge(1)
-        for reg in op.src_regs():
+        srcs = op.src_regs()
+        ticks += 1 + len(srcs)
+        for reg in srcs:
             key = _reg_key(reg)
-            charge(1)
             if key in last_def:
                 src = last_def[key]
                 edges.append(Edge(src, op.opid, lat[src], 0))
@@ -206,8 +206,8 @@ def build_dfg(loop: Loop,
     mem_ops = [op for op in loop.body if op.is_memory]
     for i, a in enumerate(mem_ops):
         ra = mem_region(a)
+        ticks += len(mem_ops) - i - 1
         for b in mem_ops[i + 1:]:
-            charge(1)
             if not (a.is_store or b.is_store):
                 continue
             rb = mem_region(b)
@@ -218,4 +218,5 @@ def build_dfg(loop: Loop,
             edges.append(Edge(a.opid, b.opid, 1, 0, kind="mem"))
             edges.append(Edge(b.opid, a.opid, 1, 1, kind="mem"))
 
+    charge_run(work, ticks)
     return DataflowGraph(loop, edges, latency_model, lat)

@@ -7,9 +7,11 @@ unit per edge or visit counts its ticks and reports them with
 :func:`charge_run` instead of calling ``work(1)`` per tick.
 
 An analysis whose result depends only on its inputs can be memoised
-with :func:`memoised`, which charges the memoised total on a hit.  It
-is the one way a memo hit reaches a meter: the translator's front end,
-CCA mapping and per-DFG analyses all go through it.
+with :func:`memoised`.  A miss runs it into a local :class:`WorkTally`
+and charges the total in one call; a hit charges the stored total the
+same way.  It is the one way a memoised step reaches a meter: the
+translator's front end, CCA mapping and per-DFG analyses all go
+through it.
 """
 
 from __future__ import annotations
@@ -37,30 +39,26 @@ def charge_run(work: Optional[Callable[[int], None]], n: int) -> None:
 
 
 class WorkTally:
-    """A work callback that forwards to *work* and totals the charge.
+    """A work callback that only totals what it is charged.
 
     ``units`` stays None until a charge arrives; a ``work(0)`` call
     counts as one, since it records its phase on a meter.  One later
     ``work(units)`` call then leaves a meter with no budget or deadline
-    exactly as the tallied calls left it.
+    exactly as the tallied calls would have left it: the phase's units
+    and total are sums, and nothing can abort part-way.
     """
 
-    __slots__ = ("work", "units")
+    __slots__ = ("units",)
 
-    def __init__(self, work: Optional[Callable[[int], None]]) -> None:
-        self.work = work
+    def __init__(self) -> None:
         self.units: Optional[int] = None
 
     def __call__(self, n: int) -> None:
-        if self.work is not None:
-            self.work(n)
         self.units = (self.units or 0) + n
 
     def run(self, n: int) -> None:
-        if n <= 0:
-            return
-        charge_run(self.work, n)
-        self.units = (self.units or 0) + n
+        if n > 0:
+            self.units = (self.units or 0) + n
 
 
 def memoised(memo: Optional[dict], key: Hashable,
@@ -69,22 +67,23 @@ def memoised(memo: Optional[dict], key: Hashable,
     """``compute(work)``, or its memoised value with its charge repeated.
 
     *memo* maps *key* to ``(value, units)``.  A miss runs *compute*
-    through a :class:`WorkTally` and stores what it charged; a hit
-    charges that total to *work* in one call.  One bulk charge equals
-    the fresh run's only when no charge can abort part-way (no work
-    budget and no deadline), so callers pass ``memo=None`` then and
-    *compute* runs as it always did.  *compute* must not raise for an
-    outcome that should be memoised: return it (a rejection as its
-    report, "unchanged" as None) and act on it after the call.
+    into a :class:`WorkTally`, stores what it charged and charges that
+    total to *work* in one call; a hit charges the stored total the
+    same way, so a miss and a hit leave the meter alike.  One bulk
+    charge equals the unit-by-unit run's only when no charge can abort
+    part-way (no work budget and no deadline), so callers pass
+    ``memo=None`` then and *compute* charges *work* as it goes.
+    *compute* must not raise for an outcome that should be memoised:
+    return it (a rejection as its report, "unchanged" as None) and act
+    on it after the call.
     """
     if memo is None:
         return compute(work)
     hit = memo.get(key)
     if hit is None:
-        tally = WorkTally(work)
+        tally = WorkTally()
         value = compute(tally)
-        memo[key] = (value, tally.units)
-        return value
+        hit = memo[key] = (value, tally.units)
     value, units = hit
     if units is not None and work is not None:
         work(units)

@@ -64,6 +64,19 @@ def observe(name: str, value) -> None:
     _metrics.registry().observe(name, value)
 
 
+def ms_bucket(elapsed_ms: float) -> int:
+    """The power-of-two millisecond bucket of a duration.
+
+    The least power of two at or above *elapsed_ms*, from 1 (sub-ms
+    work) up to ``2**20``: a histogram observed through it keeps at
+    most 21 keys however many distinct durations it sees.
+    """
+    bucket = 1
+    while bucket < elapsed_ms and bucket < 1 << 20:
+        bucket <<= 1
+    return bucket
+
+
 def set_gauge(name: str, value) -> None:
     """Set gauge *name* (process-local; never part of a delta)."""
     _metrics.registry().set_gauge(name, value)

@@ -31,23 +31,24 @@ _LOOP_DIGEST_ATTR = "_veal_loop_digest"
 
 def _canon(value: Any) -> Any:
     """Render *value* as nested primitive tuples, deterministically."""
+    # Registers and operations first: a loop is mostly made of them.
+    if isinstance(value, Reg):
+        return ("reg", value.name, value.space)
+    if isinstance(value, Operation):
+        return (
+            "op", value.opid, value.opcode.name,
+            tuple([_canon(d) for d in value.dests]),
+            tuple([_canon(s) for s in value.srcs]),
+            _canon(value.predicate),
+            tuple([_canon(i) for i in value.inner]),
+            value.stream_id,
+        )
     if isinstance(value, (int, float, str, bool)) or value is None:
         if isinstance(value, float):
             return ("f", repr(value))
         return value
-    if isinstance(value, Reg):
-        return ("reg", value.name, value.space)
     if isinstance(value, Imm):
         return ("imm", _canon(value.value))
-    if isinstance(value, Operation):
-        return (
-            "op", value.opid, value.opcode.name,
-            tuple(_canon(d) for d in value.dests),
-            tuple(_canon(s) for s in value.srcs),
-            _canon(value.predicate),
-            tuple(_canon(i) for i in value.inner),
-            value.stream_id,
-        )
     if isinstance(value, ArrayDecl):
         return ("array", value.name, value.length, value.is_float,
                 value.may_alias)

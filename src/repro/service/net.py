@@ -83,14 +83,6 @@ def is_loopback_host(host: str) -> bool:
             or host.startswith("127."))
 
 
-def _latency_bucket_ms(elapsed_ms: float) -> int:
-    """Power-of-two bucketing (matches the service latency metric)."""
-    bucket = 1
-    while bucket < elapsed_ms and bucket < 1 << 20:
-        bucket <<= 1
-    return bucket
-
-
 class NetServer:
     """The loop service behind a length-framed, checksummed TCP port.
 
@@ -309,7 +301,7 @@ class NetServer:
             obs.inc("net.errors.internal")
             response = wire.error_response(req_id, exc)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        obs.observe(f"net.latency_ms.{op}", _latency_bucket_ms(elapsed_ms))
+        obs.observe(f"net.latency_ms.{op}", obs.ms_bucket(elapsed_ms))
         obs.inc("net.requests")
         return await self._send(conn, writer, response, op)
 

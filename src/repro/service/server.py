@@ -500,7 +500,5 @@ def _observe_latency(request: _Request) -> None:
     """Power-of-two-bucketed request latency histogram (exact-count
     histograms need bounded cardinality; sub-ms work lands in 1)."""
     elapsed_ms = (time.perf_counter() - request.submitted_at) * 1000.0
-    bucket = 1
-    while bucket < elapsed_ms and bucket < 1 << 20:
-        bucket <<= 1
-    obs.observe(f"service.latency_ms.{request.kind}", bucket)
+    obs.observe(f"service.latency_ms.{request.kind}",
+                obs.ms_bucket(elapsed_ms))

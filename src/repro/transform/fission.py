@@ -69,12 +69,14 @@ def fission_loop(loop: Loop, name_suffixes: tuple[str, str] = ("_p1", "_p2"),
     sccs, comp_of, dag = condensation(compute_ids, succs)
     # Topological sort of the component DAG, breaking ties by program
     # order so the cut follows the textual flow of the loop.
+    position = {opid: i for i, opid in enumerate(body_ids)}
+    first_position = [min(position[m] for m in scc) for scc in sccs]
     indeg = [0] * len(sccs)
     for a in range(len(sccs)):
         for b_ in dag[a]:
             indeg[b_] += 1
     ready = sorted([c for c in range(len(sccs)) if indeg[c] == 0],
-                   key=lambda c: min(loop.index_of(m) for m in sccs[c]))
+                   key=first_position.__getitem__)
     topo: list[int] = []
     while ready:
         c = ready.pop(0)
@@ -83,34 +85,51 @@ def fission_loop(loop: Loop, name_suffixes: tuple[str, str] = ("_p1", "_p2"),
             indeg[d] -= 1
             if indeg[d] == 0:
                 ready.append(d)
-        ready.sort(key=lambda c2: min(loop.index_of(m) for m in sccs[c2]))
+        ready.sort(key=first_position.__getitem__)
     if len(topo) != len(sccs):
         raise FissionError("compute condensation is not a DAG")
 
     total_weight = sum(_fu_weight(loop.op(i)) for i in compute_ids)
 
-    def cut_metrics(prefix: int) -> tuple[set[int], set[int], int, float]:
-        """Sides, crossing-value count and weight fraction for a cut
-        after *prefix* components."""
-        s1 = {m for c in topo[:prefix] for m in sccs[c]}
-        s2 = allowed - s1
-        cross: set[Reg] = set()
-        for e in dfg.edges:
-            if e.src in s1 and e.dst in s2 and e.kind == "flow" and \
-                    e.distance == 0:
-                for d in loop.op(e.src).dests:
-                    if d in loop.op(e.dst).src_regs():
-                        cross.add(d)
-        weight = sum(_fu_weight(loop.op(m)) for m in s1)
-        frac = weight / total_weight if total_weight else 0.0
-        return s1, s2, len(cross), frac
+    def carried(e) -> list[Reg]:
+        """The registers a distance-0 flow edge carries."""
+        if e.kind != "flow" or e.distance != 0:
+            return []
+        reads = loop.op(e.dst).src_regs()
+        return [d for d in loop.op(e.src).dests if d in reads]
+
+    def cut_metrics():
+        """Crossing-value count and weight fraction of the cut after
+        each prefix of components, in one pass over the prefix: moving
+        a component to side 1 retires the crossing edges into it and
+        adds those out of it."""
+        side: set[int] = set()
+        crossing_edges: dict[Reg, int] = {}  # value -> edges carrying it
+        weight = 0
+        for prefix, c in enumerate(topo[:-1], 1):
+            members = sccs[c]
+            for m in members:
+                weight += _fu_weight(loop.op(m))
+                for e in dfg.in_edges(m):
+                    if e.src in side:
+                        for d in carried(e):
+                            crossing_edges[d] -= 1
+                            if not crossing_edges[d]:
+                                del crossing_edges[d]
+            side.update(members)
+            for m in members:
+                for e in dfg.out_edges(m):
+                    if e.dst in allowed and e.dst not in side:
+                        for d in carried(e):
+                            crossing_edges[d] = crossing_edges.get(d, 0) + 1
+            frac = weight / total_weight if total_weight else 0.0
+            yield prefix, len(crossing_edges), frac
 
     # Choose the cut with the fewest communication streams among cuts
     # that are reasonably balanced — fission trades memory traffic for
     # per-loop resource pressure, so extra streams are the cost metric.
     best: Optional[tuple[int, float, int]] = None  # (crossing, skew, prefix)
-    for prefix in range(1, len(sccs)):
-        _s1, _s2, crossing_n, frac = cut_metrics(prefix)
+    for prefix, crossing_n, frac in cut_metrics():
         if not 0.25 <= frac <= 0.75:
             continue
         skew = abs(frac - balance)
@@ -119,7 +138,8 @@ def fission_loop(loop: Loop, name_suffixes: tuple[str, str] = ("_p1", "_p2"),
             best = key
     if best is None:
         raise FissionError("could not find a balanced cut")
-    side1, side2, _, _ = cut_metrics(best[2])
+    side1 = {m for c in topo[:best[2]] for m in sccs[c]}
+    side2 = allowed - side1
 
     # Legality: no dependence from side2 back into side1.
     for e in dfg.edges:

@@ -13,13 +13,13 @@ from repro.errors import (
     TranslationBudgetExceeded,
     TranslationError,
 )
-from repro.ir.work import charge_run
+from repro.ir.work import charge_run, memoised
 from repro.vm import TranslationMeter, TranslationOptions, translate_loop
 from repro.vm.guard import GuardConfig, GuardedExecutor
 from repro.vm.runtime import VMConfig, VirtualMachine
 from repro.workloads import kernels as K
 from repro.workloads.generator import GeneratorSpec, generate_loop
-from tests import budget_golden
+from tests import budget_golden, fresh_meter_golden
 from tests.conftest import seeded_memory
 
 
@@ -197,6 +197,30 @@ def test_charge_run_helper_falls_back_to_unit_calls():
     assert calls == [1, 1, 1]
 
 
+def test_memoised_step_reaches_work_as_one_charge():
+    """A miss and a hit each charge the step's total in one call; with
+    no memo the step charges as it goes.  A step whose only charge is
+    ``work(0)`` still charges 0 (it records its phase on a meter), and
+    one that charges nothing charges nothing."""
+    def step(work):
+        work(2)
+        charge_run(work, 3)
+        work(0)
+        return "value"
+
+    calls, memo = [], {}
+    assert memoised(memo, "k", calls.append, step) == "value"
+    assert memoised(memo, "k", calls.append, step) == "value"
+    assert calls == [5, 5]
+    calls.clear()
+    assert memoised(None, "k", calls.append, step) == "value"
+    assert calls == [2, 1, 1, 1, 0]
+    calls.clear()
+    memoised(memo, "zero", calls.append, lambda work: work(0))
+    memoised(memo, "none", calls.append, lambda work: None)
+    assert calls == [0]
+
+
 def test_budget_aborts_match_the_golden_table():
     """Budget aborts of 12 loops at ~30 budgets each, through the cache
     and around it, are where the unit-at-a-time meter put them: a run
@@ -204,6 +228,19 @@ def test_budget_aborts_match_the_golden_table():
     with open(budget_golden.TABLE_PATH, encoding="utf-8") as handle:
         want = json.load(handle)
     got = json.loads(json.dumps(budget_golden.build_table()))
+    assert sorted(got) == sorted(want)
+    for label in want:
+        assert got[label] == want[label], label
+
+
+def test_fresh_meters_match_the_golden_table():
+    """About 60 generated loops charge the units the per-unit meter
+    charged, phase by phase and in the same first-charge order: at
+    engine 0, cold at engine 1 (every memo misses) and warm (every memo
+    hits).  A host-side speed-up that moved any unit fails here."""
+    with open(fresh_meter_golden.TABLE_PATH, encoding="utf-8") as handle:
+        want = json.load(handle)
+    got = json.loads(json.dumps(fresh_meter_golden.build_table()))
     assert sorted(got) == sorted(want)
     for label in want:
         assert got[label] == want[label], label

@@ -306,6 +306,9 @@ def test_specialization_metrics_are_emitted():
     snapshot = obs.metrics_snapshot()
     assert snapshot["counters"].get("translator.units.specialize", 0) > 0
     assert sum(snapshot["histograms"].get("jit.compile_ms", {}).values()) >= 1
+    # Compile times are observed in power-of-two millisecond buckets.
+    assert all(ms == obs.ms_bucket(ms)
+               for ms in snapshot["histograms"]["jit.compile_ms"])
     memory = seeded_memory(small, seed=7)
     live = standard_live_ins(small, memory, DEFAULT_SCALARS)
     with perf.engine_at(2):

@@ -44,6 +44,21 @@ class TestMetricsRegistry:
         assert obs.metrics().summary("h") == {
             "count": 3, "sum": 13, "min": 3, "max": 7, "mean": 13 / 3}
 
+    def test_ms_bucket_bounds_a_duration_histogram(self):
+        """200 distinct durations from 10 us to about half an hour keep at
+        most 21 keys: each lands in its power-of-two millisecond
+        bucket, from 1 up to 2**20."""
+        durations = [0.01 * 1.1 ** i for i in range(200)]
+        assert len(set(durations)) == 200 and durations[-1] > 2 ** 20
+        for elapsed_ms in durations:
+            obs.observe("jit.compile_ms", obs.ms_bucket(elapsed_ms))
+        buckets = obs.metrics_snapshot()["histograms"]["jit.compile_ms"]
+        assert len(buckets) <= 21
+        assert sum(buckets.values()) == 200
+        assert min(buckets) == 1 and max(buckets) == 1 << 20
+        assert [obs.ms_bucket(ms) for ms in (0.2, 1.0, 1.5, 64.0, 65.0)] \
+            == [1, 1, 2, 64, 128]
+
     def test_delta_counts_increments_since_snapshot(self):
         obs.inc("a", 2)
         before = obs.metrics_snapshot()
